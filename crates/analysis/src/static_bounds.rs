@@ -46,7 +46,7 @@ use crate::error::AnalysisError;
 use crate::mcm::{max_cycle_ratio, RatioEdge, RatioGraph};
 use crate::semantics::DataflowSemantics;
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A sound static throughput certificate for one storage distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,7 +151,10 @@ impl StaticBounds {
             model.execution_time(a, (firing % p) as u32)
         };
 
-        let mut edges: HashMap<(usize, usize), (u64, u64)> = HashMap::new();
+        // Keyed by `(from, to)` in a sorted map: the fixed edge list comes
+        // out in the same order on every construction, so Howard's
+        // iteration (whose round count follows edge order) is reproducible.
+        let mut edges: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
         let mut add = |from: usize, to: usize, weight: u64, tokens: u64| {
             edges
                 .entry((from, to))
@@ -531,6 +534,25 @@ mod tests {
             .certificate(&StorageDistribution::from_capacities(vec![100, 100]))
             .unwrap();
         assert_eq!(cert.bound, crate::mcm::maximal_throughput(&g, c).unwrap());
+    }
+
+    #[test]
+    fn fixed_edges_come_out_in_the_same_order_every_time() {
+        // A multirate chain with dozens of distinct ratio-graph edges:
+        // two constructions must hand Howard the same edge list.
+        let mut b = SdfGraph::builder("chain");
+        let x = b.actor("x", 1);
+        let y = b.actor("y", 2);
+        let z = b.actor("z", 3);
+        let w = b.actor("w", 1);
+        b.channel("xy", x, 3, y, 2).unwrap();
+        b.channel("yz", y, 5, z, 3).unwrap();
+        b.channel("zw", z, 2, w, 7).unwrap();
+        let g = b.build().unwrap();
+        let first = StaticBounds::new(&g, w).unwrap();
+        let second = StaticBounds::new(&g, w).unwrap();
+        assert!(first.fixed.len() > 30, "{} edges", first.fixed.len());
+        assert_eq!(first.fixed, second.fixed);
     }
 
     #[test]

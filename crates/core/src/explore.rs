@@ -105,13 +105,14 @@ pub struct ExploreOptions {
     /// (`--no-warm-start` on the CLI) exists for cross-checking and
     /// measurement.
     pub warm_start_neighbours: bool,
-    /// Whether the prune oracle may skip candidate evaluations it can
-    /// decide without simulation: static capacity-aware cycle-ratio
-    /// certificates plus monotone dominance records. Pruning is
-    /// exactness-preserving — the front is byte-identical with it on or
-    /// off, only [`ExplorationStats::evaluations`] shrinks — so this
-    /// toggle exists for cross-checking and measurement
-    /// (`--no-static-prune` on the CLI).
+    /// Whether the prune oracle may skip candidate evaluations that
+    /// monotone dominance records already decide (an evaluated
+    /// pointwise-comparable distribution bounds the candidate's
+    /// throughput). Pruning is exactness-preserving — the front is
+    /// byte-identical with it on or off, only
+    /// [`ExplorationStats::evaluations`] shrinks — so switching it off
+    /// gives the unpruned reference run (`--no-static-prune` on the CLI;
+    /// the name predates dominance-only pruning).
     pub static_prune: bool,
     /// Test hook: the evaluation of exactly this distribution panics
     /// inside the worker, exercising the panic-containment path. Not for
@@ -672,7 +673,6 @@ pub fn explore_design_space_observed<M: DataflowSemantics + Sync>(
 mod tests {
     use super::*;
     use crate::pareto::ParetoPoint;
-    use crate::runtime::PruneKind;
     use std::sync::Mutex;
 
     fn example() -> SdfGraph {
@@ -755,7 +755,7 @@ mod tests {
     }
 
     /// A cyclic graph (repetition vector (3, 6, 2)): exercises the
-    /// certificate pass on feedback structure beyond the pipeline example.
+    /// prune oracle on feedback structure beyond the pipeline example.
     fn ring() -> SdfGraph {
         let mut b = SdfGraph::builder("ring");
         let x = b.actor("x", 1);
@@ -769,7 +769,7 @@ mod tests {
 
     /// The paper's Fig. 6 bipartite graph: an a↔b cycle plus a pipeline
     /// tail. Its per-size sweeps span several evaluation chunks, which is
-    /// where the static certificates get to skip work.
+    /// where dominance records get to skip work.
     fn bipartite() -> SdfGraph {
         let mut b = SdfGraph::builder("bipartite");
         let a = b.actor("a", 1);
@@ -807,7 +807,6 @@ mod tests {
             assert_eq!(pruned.max_throughput, unpruned.max_throughput, "{name}");
             assert_eq!(pruned.lower_bound_size, unpruned.lower_bound_size, "{name}");
             assert!(pruned.completeness.exact && unpruned.completeness.exact);
-            assert_eq!(unpruned.stats.static_prunes, 0);
             assert_eq!(unpruned.stats.dominance_prunes, 0);
             assert!(
                 pruned.stats.evaluations <= unpruned.stats.evaluations,
@@ -844,8 +843,11 @@ mod tests {
             },
         )
         .unwrap();
-        let prunes = pruned.stats.static_prunes + pruned.stats.dominance_prunes;
-        assert!(prunes > 0, "oracle never fired: {:?}", pruned.stats);
+        assert!(
+            pruned.stats.dominance_prunes > 0,
+            "oracle never fired: {:?}",
+            pruned.stats
+        );
         assert!(
             pruned.stats.evaluations < unpruned.stats.evaluations,
             "pruning saved nothing: {} vs {}",
@@ -905,7 +907,7 @@ mod tests {
             fn pareto_accepted(&self, _point: &ParetoPoint) {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
             }
-            fn distribution_pruned(&self, _dist: &StorageDistribution, _kind: PruneKind) {
+            fn distribution_pruned(&self, _dist: &StorageDistribution) {
                 self.pruned.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -917,10 +919,7 @@ mod tests {
         assert_eq!(obs.evals.load(Ordering::Relaxed), r.stats.evaluations);
         assert_eq!(obs.finished.load(Ordering::Relaxed), r.stats.evaluations);
         assert_eq!(obs.hits.load(Ordering::Relaxed), r.stats.cache_hits);
-        assert_eq!(
-            obs.pruned.load(Ordering::Relaxed),
-            r.stats.static_prunes + r.stats.dominance_prunes
-        );
+        assert_eq!(obs.pruned.load(Ordering::Relaxed), r.stats.dominance_prunes);
         // Every front point was announced (evicted points may add more).
         assert!(obs.accepted.load(Ordering::Relaxed) >= r.pareto.len() as u64);
         // Bounds, minimal-size and front-search phases at least.

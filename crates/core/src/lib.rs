@@ -99,7 +99,7 @@ pub use objective::{ObjectiveKind, ObjectiveSpace, ObjectiveVector, ParseObjecti
 pub use pareto::{ParetoPoint, ParetoSet};
 pub use runtime::{
     resolve_threads, Completeness, EvaluationFailure, ExplorationStats, ExploreObserver,
-    NoopObserver, PruneKind, SearchPhase, SkippedSize,
+    NoopObserver, SearchPhase, SkippedSize,
 };
 
 // Re-export the cooperative budget/cancellation types: callers construct a

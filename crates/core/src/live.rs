@@ -25,7 +25,7 @@
 //! trait.
 
 use crate::pareto::{ParetoPoint, ParetoSet};
-use crate::runtime::{ExploreObserver, PruneKind, SearchPhase};
+use crate::runtime::{ExploreObserver, SearchPhase};
 use buffy_graph::{Rational, StorageDistribution};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -119,9 +119,9 @@ impl ExploreObserver for TeeObserver<'_> {
         }
     }
 
-    fn distribution_pruned(&self, dist: &StorageDistribution, kind: PruneKind) {
+    fn distribution_pruned(&self, dist: &StorageDistribution) {
         for s in &self.sinks {
-            s.distribution_pruned(dist, kind);
+            s.distribution_pruned(dist);
         }
     }
 }
@@ -139,7 +139,6 @@ pub struct LiveStats {
     phase: AtomicUsize,
     evaluations: AtomicU64,
     cache_hits: AtomicU64,
-    static_prunes: AtomicU64,
     dominance_prunes: AtomicU64,
     failures: AtomicU64,
     accepted: AtomicU64,
@@ -178,7 +177,6 @@ impl LiveStats {
             phase: AtomicUsize::new(PHASE_NONE),
             evaluations: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            static_prunes: AtomicU64::new(0),
             dominance_prunes: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
@@ -206,11 +204,6 @@ impl LiveStats {
     /// Evaluation requests answered from the memo cache.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Candidates decided by a static cycle-ratio certificate.
-    pub fn static_prunes(&self) -> u64 {
-        self.static_prunes.load(Ordering::Relaxed)
     }
 
     /// Candidates decided by throughput monotonicity.
@@ -282,8 +275,6 @@ pub enum LiveEvent {
     Pruned {
         /// Per-channel capacities of the skipped distribution.
         capacities: Vec<u64>,
-        /// Stable prune-kind name ([`PruneKind::name`]).
-        kind: &'static str,
     },
     /// A point was accepted into the Pareto front under construction.
     Pareto {
@@ -514,14 +505,10 @@ impl ExploreObserver for LiveObserver {
         });
     }
 
-    fn distribution_pruned(&self, dist: &StorageDistribution, kind: PruneKind) {
-        match kind {
-            PruneKind::Static => self.stats.static_prunes.fetch_add(1, Ordering::Relaxed),
-            PruneKind::Dominance => self.stats.dominance_prunes.fetch_add(1, Ordering::Relaxed),
-        };
+    fn distribution_pruned(&self, dist: &StorageDistribution) {
+        self.stats.dominance_prunes.fetch_add(1, Ordering::Relaxed);
         self.ring.push(LiveEvent::Pruned {
             capacities: dist.as_slice().to_vec(),
-            kind: kind.name(),
         });
     }
 }
@@ -578,8 +565,8 @@ mod tests {
         live.phase_started(SearchPhase::FrontSearch);
         live.evaluation_finished(&dist(&[1, 1]), Rational::new(1, 3), 5, 100);
         live.cache_hit(&dist(&[1, 1]));
-        live.distribution_pruned(&dist(&[2, 1]), PruneKind::Static);
-        live.distribution_pruned(&dist(&[2, 2]), PruneKind::Dominance);
+        live.distribution_pruned(&dist(&[2, 1]));
+        live.distribution_pruned(&dist(&[2, 2]));
         live.evaluation_failed(&dist(&[3, 1]), "boom");
         live.pareto_accepted(&ParetoPoint::new(dist(&[1, 1]), Rational::new(1, 3)));
 
@@ -587,8 +574,7 @@ mod tests {
         assert_eq!(stats.phase_name(), Some("front-search"));
         assert_eq!(stats.evaluations(), 1);
         assert_eq!(stats.cache_hits(), 1);
-        assert_eq!(stats.static_prunes(), 1);
-        assert_eq!(stats.dominance_prunes(), 1);
+        assert_eq!(stats.dominance_prunes(), 2);
         assert_eq!(stats.failures(), 1);
         assert_eq!(stats.pareto_accepted(), 1);
         assert_eq!(stats.front_size(), 1);

@@ -6,10 +6,10 @@
 //!
 //! 1. **Memo lookup** — the sharded cache ([`ShardedCache`]) answers
 //!    repeats without re-analysis;
-//! 2. **Certificate pruning** — the [`PruneOracle`]'s static
-//!    cycle-ratio certificates and monotone dominance records decide
-//!    candidates without simulation (queried by the drivers through the
-//!    `prunes_*` methods, only at deterministic decision points);
+//! 2. **Dominance pruning** — the [`PruneOracle`]'s monotone dominance
+//!    records decide candidates without simulation (queried by the
+//!    drivers through the `prunes_*` methods, only at deterministic
+//!    decision points);
 //! 3. **Warm start** — a neighbouring distribution's eval record
 //!    (one channel, ± one step) pre-sizes the analysis arena, and a
 //!    pooled [`AnalysisWorkspace`] is reused instead of reallocated;
@@ -42,11 +42,11 @@ use crate::pareto::{ParetoPoint, ParetoSet};
 use crate::prune::PruneOracle;
 use crate::runtime::{
     resolve_threads, AtomicStats, CachedEval, EvaluationFailure, ExplorationStats, ExploreObserver,
-    PruneKind, ShardedCache,
+    ShardedCache,
 };
 use buffy_analysis::{
     throughput_for_reusing, AnalysisWorkspace, CancelReason, CancelToken, Capacities,
-    DataflowSemantics, EnergyModel, ExplorationLimits, StaticBounds,
+    DataflowSemantics, EnergyModel, ExplorationLimits,
 };
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names};
@@ -80,7 +80,7 @@ pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     failures: Mutex<Vec<EvaluationFailure>>,
     telemetry: Option<EvalTelemetry>,
     shard_stats_published: AtomicBool,
-    /// Static-certificate + dominance prune oracle ([`crate::prune`]).
+    /// Dominance prune oracle ([`crate::prune`]).
     /// Genuine results are recorded as they land; proofs are only queried
     /// from the driver thread between evaluation chunks, so decisions are
     /// deterministic across thread counts.
@@ -112,7 +112,6 @@ pub(crate) struct EvalTelemetry {
     recorder: Arc<buffy_telemetry::Recorder>,
     latency: Arc<buffy_telemetry::Histogram>,
     short_circuits: Arc<buffy_telemetry::Counter>,
-    static_prunes: Arc<buffy_telemetry::Counter>,
     dominance_prunes: Arc<buffy_telemetry::Counter>,
     warm_starts: Arc<buffy_telemetry::Counter>,
     warm_start_states: Arc<buffy_telemetry::Counter>,
@@ -129,10 +128,6 @@ impl EvalTelemetry {
             short_circuits: recorder.counter(
                 names::EVALS_SHORT_CIRCUITED,
                 "Per-size sweeps cut short because the monotonicity ceiling was reached.",
-            ),
-            static_prunes: recorder.counter(
-                names::STATIC_PRUNES,
-                "Candidates skipped by a static cycle-ratio certificate.",
             ),
             dominance_prunes: recorder.counter(
                 names::DOMINANCE_PRUNES,
@@ -179,11 +174,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         options: &ExploreOptions,
         observer: &'a dyn ExploreObserver,
     ) -> Result<EvalPipeline<'a, M>, ExploreError> {
-        // A model the static pass cannot certify (disconnected, no
-        // consistent repetition vector, …) silently degrades to
-        // dominance-only pruning — the oracle never guesses.
         let oracle = if options.static_prune {
-            PruneOracle::new(StaticBounds::new(model, observed).ok())
+            PruneOracle::new()
         } else {
             PruneOracle::disabled()
         };
@@ -470,17 +462,18 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         }
     }
 
-    /// Registers one oracle-decided skip with the statistics, the
-    /// observer and telemetry.
-    fn note_prune(&self, dist: &StorageDistribution, kind: PruneKind) {
-        self.stats.record_prune(kind);
-        self.observer.distribution_pruned(dist, kind);
-        if let Some(t) = &self.telemetry {
-            match kind {
-                PruneKind::Static => t.static_prunes.inc(),
-                PruneKind::Dominance => t.dominance_prunes.inc(),
+    /// Passes an oracle verdict through, registering a proof (`true`) as
+    /// one skipped candidate with the statistics, the observer and
+    /// telemetry.
+    fn noted(&self, dist: &StorageDistribution, proved: bool) -> bool {
+        if proved {
+            self.stats.record_prune();
+            self.observer.distribution_pruned(dist);
+            if let Some(t) = &self.telemetry {
+                t.dominance_prunes.inc();
             }
         }
+        proved
     }
 
     /// Whether the oracle proves `t(dist) ≤ limit`; a successful proof is
@@ -488,48 +481,25 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     /// best cannot improve the front (updates require strictly greater
     /// throughput), so skipping it changes nothing but the work done.
     pub(crate) fn prunes_at_most(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
-        match self.oracle.proves_at_most(dist, limit) {
-            Some(kind) => {
-                self.note_prune(dist, kind);
-                true
-            }
-            None => false,
-        }
+        self.noted(dist, self.oracle.proves_at_most(dist, limit))
     }
 
     /// Whether the oracle proves `t(dist) < limit` (strictly); counted as
     /// a prune on success.
     pub(crate) fn prunes_below(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
-        match self.oracle.proves_below(dist, limit) {
-            Some(kind) => {
-                self.note_prune(dist, kind);
-                true
-            }
-            None => false,
-        }
+        self.noted(dist, self.oracle.proves_below(dist, limit))
     }
 
     /// Whether the oracle proves `t(dist) = 0`; counted as a prune on
     /// success.
     pub(crate) fn prunes_zero(&self, dist: &StorageDistribution) -> bool {
-        match self.oracle.proves_zero(dist) {
-            Some(kind) => {
-                self.note_prune(dist, kind);
-                true
-            }
-            None => false,
-        }
+        self.noted(dist, self.oracle.proves_zero(dist))
     }
 
     /// Whether the oracle proves `t(dist) > 0` (a positive dominance
     /// record pointwise below `dist`); counted as a prune on success.
     pub(crate) fn proves_positive(&self, dist: &StorageDistribution) -> bool {
-        if self.oracle.proves_positive(dist) {
-            self.note_prune(dist, PruneKind::Dominance);
-            true
-        } else {
-            false
-        }
+        self.noted(dist, self.oracle.proves_positive(dist))
     }
 
     /// Evaluates a batch of distributions, possibly in parallel. Results

@@ -1,17 +1,18 @@
-//! The prune oracle: static certificates plus monotone dominance.
+//! The prune oracle: monotone dominance records.
 //!
 //! Every query answers a question the exact engine would answer the same
-//! way — the oracle only *skips work*, it never changes a result. Two
-//! proof sources compose:
+//! way — the oracle only *skips work*, it never changes a result. Its one
+//! proof source is monotonicity: throughput is monotone in pointwise
+//! capacity (paper §9), so a *genuinely evaluated* distribution `r` with
+//! throughput `t(r)` proves `t(d) ≤ t(r)` for every `d ≤ r` and
+//! `t(d) ≥ t(r)` for every `d ≥ r`.
 //!
-//! - **static certificates** ([`StaticBounds`]): a capacity-aware
-//!   maximum-cycle-ratio bound for one concrete distribution, sound by
-//!   construction (and a proven deadlock when the augmented expansion
-//!   has a token-free cycle);
-//! - **dominance records**: throughput is monotone in pointwise capacity
-//!   (paper §9), so a *genuinely evaluated* distribution `r` with
-//!   throughput `t(r)` proves `t(d) ≤ t(r)` for every `d ≤ r` and
-//!   `t(d) ≥ t(r)` for every `d ≥ r`.
+//! The static cycle-ratio certificates of `buffy-analysis` are
+//! deliberately *not* consulted: one certificate (a Howard run on the
+//! capacity-augmented expansion) costs tens of state-space analyses on
+//! the multirate gallery graphs and saved no analysis in the guided
+//! search, so certificates back only `buffy bounds` and the B010/B011
+//! lints.
 //!
 //! Records are kept per throughput level as antichains: for
 //! upper-bound queries (`r ≥ d` wanted) only pointwise-*maximal*
@@ -27,8 +28,8 @@
 //!
 //! # Soundness under the energy objective
 //!
-//! Both proof sources bound only the *throughput* axis, yet they remain
-//! sound when the exploration also tracks energy
+//! Dominance bounds only the *throughput* axis, yet it remains sound
+//! when the exploration also tracks energy
 //! ([`ObjectiveKind::Energy`](crate::ObjectiveKind::Energy)). Energy per
 //! iteration is a function of throughput alone — `E(t) = W + I·f/t`
 //! with model constants `W, I, f ≥ 0` (see `buffy_analysis::EnergyModel`)
@@ -36,13 +37,10 @@
 //! because its throughput cannot beat an evaluated point therefore also
 //! cannot offer strictly lower energy at comparable throughput: every
 //! point the oracle skips is dominated in the extended space exactly
-//! when it is dominated in the storage/throughput plane. No
-//! energy-aware certificates are needed, and none are recorded.
+//! when it is dominated in the storage/throughput plane.
 
-use crate::runtime::PruneKind;
-use buffy_analysis::{FxBuildHasher, StaticBounds};
 use buffy_graph::{Rational, StorageDistribution};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// One throughput level's antichain of distributions.
@@ -50,17 +48,13 @@ type Levels = BTreeMap<Rational, Vec<StorageDistribution>>;
 
 /// The oracle threaded through the exploration drivers.
 ///
-/// Constructed once per search (with or without a usable
-/// [`StaticBounds`]); shared by reference, internally synchronized.
+/// Constructed once per search; shared by reference, internally
+/// synchronized.
 #[derive(Debug)]
 pub(crate) struct PruneOracle {
     /// `false` for the `static_prune: false` escape hatch: every query
     /// answers "no proof" and nothing is recorded.
     enabled: bool,
-    bounds: Option<StaticBounds>,
-    /// Memoized static certificates: distribution → its bound (`None`
-    /// when no finite certificate exists).
-    certs: Mutex<HashMap<StorageDistribution, Option<Rational>, FxBuildHasher>>,
     /// Pointwise-maximal records per level: answers "some record ≥ d".
     maximal: Mutex<Levels>,
     /// Pointwise-minimal records per level: answers "some record ≤ d".
@@ -68,32 +62,22 @@ pub(crate) struct PruneOracle {
 }
 
 impl PruneOracle {
-    /// An oracle over `bounds` (pass `None` to keep only dominance
-    /// pruning, e.g. for disconnected models).
-    pub(crate) fn new(bounds: Option<StaticBounds>) -> PruneOracle {
+    /// An oracle with no records yet.
+    pub(crate) fn new() -> PruneOracle {
         PruneOracle {
             enabled: true,
-            bounds: bounds.filter(|b| b.is_usable()),
-            certs: Mutex::new(HashMap::default()),
             maximal: Mutex::new(BTreeMap::new()),
             minimal: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// An oracle that never prunes — neither statically nor by dominance
-    /// (the `static_prune: false` escape hatch; fronts are byte-identical
-    /// either way, by construction).
+    /// An oracle that never prunes (the `static_prune: false` escape
+    /// hatch; fronts are byte-identical either way, by construction).
     pub(crate) fn disabled() -> PruneOracle {
         PruneOracle {
             enabled: false,
-            ..PruneOracle::new(None)
+            ..PruneOracle::new()
         }
-    }
-
-    /// Whether static certificates are available at all (test hook).
-    #[cfg(test)]
-    pub(crate) fn has_static(&self) -> bool {
-        self.bounds.is_some()
     }
 
     /// Records a *genuine* analysis result (a fresh evaluation or a
@@ -118,56 +102,22 @@ impl PruneOracle {
         }
     }
 
-    /// The memoized static certificate bound of `dist`.
-    pub(crate) fn static_bound(&self, dist: &StorageDistribution) -> Option<Rational> {
-        if !self.enabled {
-            return None;
-        }
-        let bounds = self.bounds.as_ref()?;
-        if let Some(&cached) = self.certs.lock().unwrap().get(dist) {
-            return cached;
-        }
-        let bound = bounds.certificate(dist).map(|c| c.bound);
-        self.certs.lock().unwrap().insert(dist.clone(), bound);
-        bound
+    /// Whether a record proves `t(dist) ≤ limit`.
+    pub(crate) fn proves_at_most(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
+        self.dominated_upper(dist, |level| level <= limit)
     }
 
-    /// A proof that `t(dist) ≤ limit`, if one exists.
-    pub(crate) fn proves_at_most(
-        &self,
-        dist: &StorageDistribution,
-        limit: &Rational,
-    ) -> Option<PruneKind> {
-        if self.dominated_upper(dist, |level| level <= limit) {
-            return Some(PruneKind::Dominance);
-        }
-        match self.static_bound(dist) {
-            Some(b) if b <= *limit => Some(PruneKind::Static),
-            _ => None,
-        }
+    /// Whether a record proves `t(dist) < limit` (strictly).
+    pub(crate) fn proves_below(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
+        self.dominated_upper(dist, |level| level < limit)
     }
 
-    /// A proof that `t(dist) < limit` (strictly), if one exists.
-    pub(crate) fn proves_below(
-        &self,
-        dist: &StorageDistribution,
-        limit: &Rational,
-    ) -> Option<PruneKind> {
-        if self.dominated_upper(dist, |level| level < limit) {
-            return Some(PruneKind::Dominance);
-        }
-        match self.static_bound(dist) {
-            Some(b) if b < *limit => Some(PruneKind::Static),
-            _ => None,
-        }
-    }
-
-    /// A proof that `t(dist) = 0`, if one exists.
-    pub(crate) fn proves_zero(&self, dist: &StorageDistribution) -> Option<PruneKind> {
+    /// Whether a record proves `t(dist) = 0`.
+    pub(crate) fn proves_zero(&self, dist: &StorageDistribution) -> bool {
         self.proves_at_most(dist, &Rational::ZERO)
     }
 
-    /// A proof that `t(dist) > 0`, if one exists (a positive record
+    /// Whether a record proves `t(dist) > 0` (a positive record
     /// pointwise below `dist`).
     pub(crate) fn proves_positive(&self, dist: &StorageDistribution) -> bool {
         let levels = self.minimal.lock().unwrap();
@@ -195,7 +145,6 @@ impl PruneOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use buffy_graph::SdfGraph;
 
     fn d(caps: &[u64]) -> StorageDistribution {
         StorageDistribution::from_capacities(caps.to_vec())
@@ -203,36 +152,33 @@ mod tests {
 
     #[test]
     fn dominance_proofs_follow_monotonicity() {
-        let o = PruneOracle::new(None);
+        let o = PruneOracle::new();
         o.record(&d(&[5, 3]), Rational::new(1, 6));
         o.record(&d(&[4, 2]), Rational::new(1, 7));
 
         // ⟨4, 3⟩ ≤ ⟨5, 3⟩: throughput at most 1/6.
-        assert_eq!(
-            o.proves_at_most(&d(&[4, 3]), &Rational::new(1, 6)),
-            Some(PruneKind::Dominance)
-        );
+        assert!(o.proves_at_most(&d(&[4, 3]), &Rational::new(1, 6)));
         // …but nothing proves it below 1/7.
-        assert_eq!(o.proves_below(&d(&[4, 3]), &Rational::new(1, 7)), None);
+        assert!(!o.proves_below(&d(&[4, 3]), &Rational::new(1, 7)));
         // ⟨6, 3⟩ ≥ ⟨4, 2⟩ (positive record): provably positive.
         assert!(o.proves_positive(&d(&[6, 3])));
         // ⟨3, 1⟩ has no record below it.
         assert!(!o.proves_positive(&d(&[3, 1])));
         // Incomparable to all records: no upper proof either.
-        assert_eq!(o.proves_at_most(&d(&[9, 1]), &Rational::new(1, 6)), None);
+        assert!(!o.proves_at_most(&d(&[9, 1]), &Rational::new(1, 6)));
     }
 
     #[test]
     fn zero_records_prove_deadlock_downward() {
-        let o = PruneOracle::new(None);
+        let o = PruneOracle::new();
         o.record(&d(&[5, 2]), Rational::ZERO);
-        assert_eq!(o.proves_zero(&d(&[4, 2])), Some(PruneKind::Dominance));
-        assert_eq!(o.proves_zero(&d(&[5, 3])), None);
+        assert!(o.proves_zero(&d(&[4, 2])));
+        assert!(!o.proves_zero(&d(&[5, 3])));
     }
 
     #[test]
     fn antichain_insertion_filters_redundant_records() {
-        let o = PruneOracle::new(None);
+        let o = PruneOracle::new();
         let t = Rational::new(1, 4);
         o.record(&d(&[4, 2]), t);
         o.record(&d(&[5, 3]), t); // dominates ⟨4,2⟩: replaces it in `maximal`
@@ -250,39 +196,13 @@ mod tests {
     }
 
     #[test]
-    fn static_bounds_are_memoized_and_sound() {
-        let mut b = SdfGraph::builder("example");
-        let a = b.actor("a", 1);
-        let bb = b.actor("b", 2);
-        let c = b.actor("c", 2);
-        b.channel("alpha", a, 2, bb, 3).unwrap();
-        b.channel("beta", bb, 1, c, 2).unwrap();
-        let g = b.build().unwrap();
-        let o = PruneOracle::new(Some(StaticBounds::new(&g, c).unwrap()));
-        assert!(o.has_static());
-
-        // ⟨4, 2⟩ is exactly 1/7 statically: at most 1/7, not below it.
-        assert_eq!(
-            o.proves_at_most(&d(&[4, 2]), &Rational::new(1, 7)),
-            Some(PruneKind::Static)
-        );
-        assert_eq!(o.proves_below(&d(&[4, 2]), &Rational::new(1, 7)), None);
-        // ⟨3, 2⟩ deadlocks statically.
-        assert_eq!(o.proves_zero(&d(&[3, 2])), Some(PruneKind::Static));
-        // The second query hits the certificate memo.
-        assert_eq!(o.static_bound(&d(&[4, 2])), Some(Rational::new(1, 7)));
-        assert_eq!(o.certs.lock().unwrap().len(), 2);
-    }
-
-    #[test]
     fn disabled_oracle_never_prunes_at_all() {
         let o = PruneOracle::disabled();
-        assert!(!o.has_static());
-        // Records are dropped: not even dominance proofs come back.
+        // Records are dropped: no proofs come back.
         o.record(&d(&[5, 3]), Rational::new(1, 6));
-        assert_eq!(o.static_bound(&d(&[4, 2])), None);
-        assert_eq!(o.proves_zero(&d(&[0, 0])), None);
-        assert_eq!(o.proves_at_most(&d(&[4, 3]), &Rational::ONE), None);
+        o.record(&d(&[0, 0]), Rational::ZERO);
+        assert!(!o.proves_zero(&d(&[0, 0])));
+        assert!(!o.proves_at_most(&d(&[4, 3]), &Rational::ONE));
         assert!(!o.proves_positive(&d(&[9, 9])));
     }
 }

@@ -170,9 +170,6 @@ pub struct ExplorationStats {
     /// Evaluations that panicked and were degraded to a recorded failure
     /// instead of aborting the run.
     pub failures: u64,
-    /// Candidate distributions skipped because a static cycle-ratio
-    /// certificate already decided them (no state-space analysis run).
-    pub static_prunes: u64,
     /// Candidate distributions skipped because a pointwise-dominating or
     /// -dominated distribution with a known throughput already decided
     /// them (monotonicity, paper §9).
@@ -222,7 +219,6 @@ impl PartialEq for ExplorationStats {
             && self.cache_hits == other.cache_hits
             && self.max_states == other.max_states
             && self.failures == other.failures
-            && self.static_prunes == other.static_prunes
             && self.dominance_prunes == other.dominance_prunes
     }
 }
@@ -242,12 +238,8 @@ impl fmt::Display for ExplorationStats {
         if self.failures > 0 {
             write!(f, ", {} failed", self.failures)?;
         }
-        if self.static_prunes > 0 || self.dominance_prunes > 0 {
-            write!(
-                f,
-                ", {} pruned statically + {} by dominance",
-                self.static_prunes, self.dominance_prunes
-            )?;
+        if self.dominance_prunes > 0 {
+            write!(f, ", {} pruned by dominance", self.dominance_prunes)?;
         }
         if self.warm_starts > 0 {
             write!(
@@ -270,7 +262,6 @@ pub(crate) struct AtomicStats {
     max_states: AtomicU64,
     eval_nanos: AtomicU64,
     failures: AtomicU64,
-    static_prunes: AtomicU64,
     dominance_prunes: AtomicU64,
     warm_starts: AtomicU64,
     warm_start_states: AtomicU64,
@@ -306,12 +297,8 @@ impl AtomicStats {
     }
 
     /// Records one candidate skipped by the prune oracle.
-    pub(crate) fn record_prune(&self, kind: PruneKind) {
-        match kind {
-            PruneKind::Static => &self.static_prunes,
-            PruneKind::Dominance => &self.dominance_prunes,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_prune(&self) {
+        self.dominance_prunes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A consistent snapshot (callers take it after all workers joined).
@@ -322,39 +309,10 @@ impl AtomicStats {
             max_states: self.max_states.load(Ordering::Relaxed),
             eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            static_prunes: self.static_prunes.load(Ordering::Relaxed),
             dominance_prunes: self.dominance_prunes.load(Ordering::Relaxed),
             warm_starts: self.warm_starts.load(Ordering::Relaxed),
             warm_start_states: self.warm_start_states.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Why the prune oracle skipped a candidate distribution without running
-/// (or even enqueueing) its state-space analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneKind {
-    /// A capacity-aware cycle-ratio certificate decided the candidate
-    /// (static upper bound at or below what the search still needed).
-    Static,
-    /// A previously evaluated pointwise-comparable distribution decided
-    /// the candidate (throughput monotonicity).
-    Dominance,
-}
-
-impl PruneKind {
-    /// Stable machine-readable name (used in JSON traces).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PruneKind::Static => "static-bound",
-            PruneKind::Dominance => "dominance",
-        }
-    }
-}
-
-impl fmt::Display for PruneKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -546,9 +504,10 @@ pub trait ExploreObserver: Sync {
         let _ = point;
     }
 
-    /// The prune oracle skipped `dist` without running its analysis.
-    fn distribution_pruned(&self, dist: &StorageDistribution, kind: PruneKind) {
-        let _ = (dist, kind);
+    /// The prune oracle skipped `dist` without running its analysis: a
+    /// pointwise-comparable evaluated distribution already decided it.
+    fn distribution_pruned(&self, dist: &StorageDistribution) {
+        let _ = dist;
     }
 }
 
@@ -676,11 +635,6 @@ mod tests {
         assert_ne!(a, c);
         let d = ExplorationStats { failures: 1, ..a };
         assert_ne!(a, d);
-        let e = ExplorationStats {
-            static_prunes: 3,
-            ..a
-        };
-        assert_ne!(a, e);
         let f = ExplorationStats {
             dominance_prunes: 2,
             ..a
@@ -747,20 +701,14 @@ mod tests {
     }
 
     #[test]
-    fn prune_kinds_are_recorded_and_named() {
-        assert_eq!(PruneKind::Static.name(), "static-bound");
-        assert_eq!(PruneKind::Dominance.to_string(), "dominance");
+    fn prunes_are_recorded_and_shown() {
         let stats = AtomicStats::new();
-        stats.record_prune(PruneKind::Static);
-        stats.record_prune(PruneKind::Static);
-        stats.record_prune(PruneKind::Dominance);
+        assert!(!stats.snapshot().to_string().contains("pruned"));
+        stats.record_prune();
+        stats.record_prune();
         let s = stats.snapshot();
-        assert_eq!((s.static_prunes, s.dominance_prunes), (2, 1));
-        assert!(
-            s.to_string()
-                .contains("2 pruned statically + 1 by dominance"),
-            "{s}"
-        );
+        assert_eq!(s.dominance_prunes, 2);
+        assert!(s.to_string().contains("2 pruned by dominance"), "{s}");
     }
 
     #[test]

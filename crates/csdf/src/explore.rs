@@ -73,8 +73,9 @@ pub struct CsdfExploreOptions {
     /// as recorded evaluations so a resumed run reproduces an
     /// uninterrupted one exactly.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Run the static certificate pass before evaluating (default `true`);
-    /// disable to measure its effect.
+    /// Let dominance records skip candidates they decide (default
+    /// `true`); disable for the unpruned reference run. The front is
+    /// identical either way.
     pub static_prune: bool,
     /// Seed each cold evaluation's allocations from a neighbouring
     /// distribution's recorded state count (default `true`). Purely an

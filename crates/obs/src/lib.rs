@@ -236,7 +236,7 @@ fn status_json(state: &ServeState) -> String {
     format!(
         "{{\"graph\":\"{}\",\"algorithm\":\"{}\",\"phase\":{},\"finished\":{},\
          \"elapsed_us\":{},\"evaluations\":{evaluations},\"cache_hits\":{},\
-         \"static_prunes\":{},\"dominance_prunes\":{},\"warm_starts\":{warm_starts},\
+         \"dominance_prunes\":{},\"warm_starts\":{warm_starts},\
          \"failures\":{},\"pareto_accepted\":{},\"front_size\":{},\
          \"budget_evaluations\":{budget},\"budget_evaluations_remaining\":{remaining},\
          \"events_dropped\":{},\"front\":[{}]}}",
@@ -249,7 +249,6 @@ fn status_json(state: &ServeState) -> String {
         stats.is_finished(),
         stats.elapsed_us(),
         stats.cache_hits(),
-        stats.static_prunes(),
         stats.dominance_prunes(),
         stats.failures(),
         stats.pareto_accepted(),
@@ -332,8 +331,9 @@ fn sse_frame(seq: u64, event: &LiveEvent) -> String {
         LiveEvent::CacheHit { capacities } => {
             format!("{{\"distribution\":{}}}", capacities_json(capacities))
         }
-        LiveEvent::Pruned { capacities, kind } => format!(
-            "{{\"distribution\":{},\"kind\":\"{kind}\"}}",
+        // Constant `kind`: frames keep the `--trace-json` shape that perfbench/run.py parses.
+        LiveEvent::Pruned { capacities } => format!(
+            "{{\"distribution\":{},\"kind\":\"dominance\"}}",
             capacities_json(capacities)
         ),
         LiveEvent::Pareto {

@@ -156,9 +156,6 @@ pub mod names {
     /// Counter family: guided-search children skipped by the size upper
     /// bound or per-channel caps (label `reason`).
     pub const GUIDED_SKIPPED: &str = "buffy_guided_children_skipped_total";
-    /// Counter: candidate distributions skipped because a static
-    /// cycle-ratio certificate decided them without simulation.
-    pub const STATIC_PRUNES: &str = "buffy_static_prunes_total";
     /// Counter: candidate distributions skipped because a previously
     /// evaluated pointwise-comparable distribution decided them.
     pub const DOMINANCE_PRUNES: &str = "buffy_dominance_prunes_total";

@@ -1,9 +1,10 @@
-//! Property tests for the static certificate pass: the capacity-aware
-//! cycle-ratio bound must upper-bound the exact (state-space) throughput
-//! on arbitrary graphs, the dominance order the prune oracle relies on
-//! must agree with the exact engine, and switching the oracle off must
-//! leave every front byte-identical — at one worker and at the CI worker
-//! count, for SDF and CSDF models alike.
+//! Property tests for the static certificates and the prune oracle: the
+//! capacity-aware cycle-ratio bound behind `buffy bounds` and lints
+//! B010/B011 must upper-bound the exact (state-space) throughput on
+//! arbitrary graphs, the dominance order the prune oracle relies on must
+//! agree with the exact engine, and switching the oracle off must leave
+//! every front byte-identical — at one worker and at the CI worker count,
+//! for SDF and CSDF models alike.
 
 use buffy_analysis::{
     throughput_for, Capacities, DataflowSemantics, ExplorationLimits, StaticBounds,
@@ -201,7 +202,12 @@ where
 
 #[test]
 fn pruning_preserves_exhaustive_fronts_on_sdf_graphs() {
-    for g in [gallery::example(), gallery::bipartite(), gallery::modem()] {
+    for g in [
+        gallery::example(),
+        gallery::bipartite(),
+        gallery::modem(),
+        gallery::cd2dat(),
+    ] {
         assert_prune_invisible(&g, g.name(), |m, o| explore_design_space_for(m, o).unwrap());
     }
     for seed in 0..8 {
@@ -213,7 +219,12 @@ fn pruning_preserves_exhaustive_fronts_on_sdf_graphs() {
 
 #[test]
 fn pruning_preserves_guided_fronts_on_sdf_graphs() {
-    for g in [gallery::example(), gallery::bipartite(), gallery::modem()] {
+    for g in [
+        gallery::example(),
+        gallery::bipartite(),
+        gallery::modem(),
+        gallery::cd2dat(),
+    ] {
         assert_prune_invisible(&g, g.name(), |m, o| {
             explore_dependency_guided_for(m, o).unwrap()
         });
