@@ -73,7 +73,7 @@ fn space_blocked_channels<M: DataflowSemantics>(engine: &DataflowEngine<'_, M>, 
 ///
 /// # Errors
 ///
-/// Same as [`crate::throughput_with_limits`].
+/// Same as [`crate::throughput`].
 pub fn throughput_with_dependencies(
     graph: &SdfGraph,
     dist: &StorageDistribution,
@@ -88,7 +88,7 @@ pub fn throughput_with_dependencies(
 ///
 /// # Errors
 ///
-/// Same as [`crate::throughput_with_limits`].
+/// Same as [`crate::throughput`].
 pub fn throughput_with_dependencies_for<M: DataflowSemantics>(
     model: &M,
     dist: &StorageDistribution,

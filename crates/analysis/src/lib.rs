@@ -93,6 +93,5 @@ pub use state_space::{explore, explore_for, StateSpace};
 pub use static_bounds::{BoundCertificate, StaticBounds};
 pub use throughput::{
     throughput, throughput_for, throughput_for_reusing, throughput_for_with_cancel,
-    throughput_with_capacities, throughput_with_limits, AnalysisWorkspace, ExplorationLimits,
-    ReducedState, ThroughputReport,
+    AnalysisWorkspace, ExplorationLimits, ReducedState, ThroughputReport,
 };

@@ -159,38 +159,12 @@ pub fn throughput(
     dist: &StorageDistribution,
     observed: ActorId,
 ) -> Result<ThroughputReport, AnalysisError> {
-    throughput_with_limits(graph, dist, observed, ExplorationLimits::default())
-}
-
-/// Like [`throughput`], with explicit exploration limits.
-///
-/// # Errors
-///
-/// See [`throughput`].
-pub fn throughput_with_limits(
-    graph: &SdfGraph,
-    dist: &StorageDistribution,
-    observed: ActorId,
-    limits: ExplorationLimits,
-) -> Result<ThroughputReport, AnalysisError> {
-    let caps = Capacities::from_distribution(dist);
-    throughput_with_capacities(graph, caps, observed, limits)
-}
-
-/// Like [`throughput`], but accepting raw [`Capacities`] (which may mark
-/// channels as unbounded). With unbounded channels the state space need not
-/// be finite; the limits then bound the search.
-///
-/// # Errors
-///
-/// See [`throughput`].
-pub fn throughput_with_capacities(
-    graph: &SdfGraph,
-    caps: Capacities,
-    observed: ActorId,
-    limits: ExplorationLimits,
-) -> Result<ThroughputReport, AnalysisError> {
-    throughput_for(graph, caps, observed, limits)
+    throughput_for(
+        graph,
+        Capacities::from_distribution(dist),
+        observed,
+        ExplorationLimits::default(),
+    )
 }
 
 /// The generic reduced-state-space throughput analysis: works for any
@@ -570,8 +544,13 @@ mod tests {
             max_states: 1,
             max_steps: 3, // give up before c ever completes
         };
-        let err =
-            throughput_with_limits(&g, &d, g.actor_by_name("c").unwrap(), limits).unwrap_err();
+        let err = throughput_for(
+            &g,
+            Capacities::from_distribution(&d),
+            g.actor_by_name("c").unwrap(),
+            limits,
+        )
+        .unwrap_err();
         // The steps cap fires here, and the error says so — including the
         // offending capacities.
         assert_eq!(
@@ -593,8 +572,13 @@ mod tests {
             max_states: 1,
             max_steps: u64::MAX,
         };
-        let err =
-            throughput_with_limits(&g, &d, g.actor_by_name("c").unwrap(), limits).unwrap_err();
+        let err = throughput_for(
+            &g,
+            Capacities::from_distribution(&d),
+            g.actor_by_name("c").unwrap(),
+            limits,
+        )
+        .unwrap_err();
         assert!(
             matches!(
                 err,

@@ -72,7 +72,7 @@ pub fn capacities_as_channels(
 mod tests {
     use super::*;
     use crate::engine::Capacities;
-    use crate::throughput::{throughput, throughput_with_capacities, ExplorationLimits};
+    use crate::throughput::{throughput, throughput_for, ExplorationLimits};
     use buffy_graph::{is_consistent, Rational};
 
     fn example() -> SdfGraph {
@@ -108,7 +108,7 @@ mod tests {
             let d = StorageDistribution::from_capacities(caps.to_vec());
             let original = throughput(&g, &d, g.actor_by_name(c_name).unwrap()).unwrap();
             let t = capacities_as_channels(&g, &d).unwrap();
-            let transformed = throughput_with_capacities(
+            let transformed = throughput_for(
                 &t,
                 Capacities::unbounded(t.num_channels()),
                 t.actor_by_name(c_name).unwrap(),
@@ -153,7 +153,7 @@ mod tests {
         let g = example();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         let t = capacities_as_channels(&g, &d).unwrap();
-        let r = throughput_with_capacities(
+        let r = throughput_for(
             &t,
             Capacities::unbounded(t.num_channels()),
             t.actor_by_name("c").unwrap(),

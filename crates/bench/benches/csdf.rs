@@ -4,11 +4,8 @@
 
 use buffy_analysis::throughput as sdf_throughput;
 use buffy_bench::timing;
-use buffy_core::lower_bound_distribution;
-use buffy_csdf::{
-    csdf_explore, csdf_maximal_throughput, csdf_throughput, CsdfExploreOptions, CsdfGraph,
-    CsdfLimits,
-};
+use buffy_core::{explore_design_space, lower_bound_distribution, ExploreOptions};
+use buffy_csdf::{csdf_maximal_throughput, csdf_throughput, CsdfGraph, CsdfLimits};
 use buffy_gen::gallery as sdf_gallery;
 use buffy_graph::StorageDistribution;
 use std::hint::black_box;
@@ -29,7 +26,7 @@ fn main() {
             csdf_maximal_throughput(black_box(&graph), obs).unwrap()
         });
         group.bench(&format!("{}/explore", graph.name()), || {
-            csdf_explore(black_box(&graph), &CsdfExploreOptions::default()).unwrap()
+            explore_design_space(black_box(&graph), &ExploreOptions::default()).unwrap()
         });
     }
 

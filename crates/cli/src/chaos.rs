@@ -29,15 +29,14 @@
 //! randomness, so a failing seed replays exactly.
 
 use crate::args::ParsedArgs;
-use crate::commands::{end_reason, exit_code_for, is_csdf_document};
+use crate::commands::{end_reason, exit_code_for, with_graph, Model};
 use crate::observe::{CheckpointConfig, CliObserver};
-use buffy_analysis::{fx_hash, AnalysisError};
+use buffy_analysis::{throughput_for, Capacities, DataflowSemantics, ExplorationLimits};
 use buffy_core::{
-    explore_dependency_guided_observed, CancelReason, CancelToken, Checkpoint, ExploreError,
-    ExploreOptions, FaultPlan, FaultSite, ObjectiveSpace, ParetoPoint, WarmStart,
+    CancelReason, CancelToken, Checkpoint, ExplorationResult, ExploreError, ExploreOptions,
+    FaultPlan, FaultSite, ObjectiveSpace, ParetoPoint, WarmStart,
 };
-use buffy_graph::xml::{read_sdf_xml, write_sdf_xml};
-use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
+use buffy_graph::{Rational, StorageDistribution};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -136,7 +135,7 @@ struct SeedOutcome {
 }
 
 /// One graph-kind-independent view of "run the explorer once". The two
-/// closures hide the SDF/CSDF type split from the invariant machinery.
+/// closures hide the model type from the invariant machinery.
 struct Harness<'a> {
     fingerprint: u64,
     channels: usize,
@@ -149,7 +148,7 @@ struct Harness<'a> {
         dyn Fn(
                 Option<Arc<FaultPlan>>,
                 Option<Arc<WarmStart>>,
-                &CliObserver,
+                &Arc<CliObserver>,
             ) -> Result<(Vec<ParetoPoint>, i32, bool), String>
             + 'a,
     >,
@@ -178,7 +177,7 @@ fn run_seed(harness: &Harness<'_>, seed: u64, dir: &Path) -> SeedOutcome {
         }),
     );
     let observer = match observer {
-        Ok(o) => o,
+        Ok(o) => Arc::new(o),
         Err(e) => {
             return SeedOutcome {
                 seed,
@@ -250,7 +249,7 @@ fn run_seed(harness: &Harness<'_>, seed: u64, dir: &Path) -> SeedOutcome {
             }
             Ok((cp, _report)) => {
                 let warm = Some(Arc::new(cp.warm_start_map()));
-                let resumed = (harness.run)(None, warm, &CliObserver::quiet());
+                let resumed = (harness.run)(None, warm, &Arc::new(CliObserver::quiet()));
                 match resumed {
                     Ok((points, 0, true)) if front_sig(&points) == harness.reference => {}
                     Ok((points, code, _)) => violations.push(format!(
@@ -281,22 +280,23 @@ fn run_seed(harness: &Harness<'_>, seed: u64, dir: &Path) -> SeedOutcome {
     }
 }
 
-/// A finished exploration attempt: points, exit code, exactness, end
-/// reason — or the cancellation cause (if any) and the driver error.
-type Attempt<E> = Result<(Vec<ParetoPoint>, i32, bool, &'static str), (Option<CancelReason>, E)>;
-
-/// Maps one exploration attempt to the CLI's observable outcome,
-/// finishing the observer exactly as the real commands do.
-fn settle<E: std::fmt::Display>(
-    run: Attempt<E>,
+/// Maps one exploration to the CLI's observable outcome — points, exit
+/// code, exactness, or a clean error — finishing the observer exactly as
+/// the real commands do.
+fn settle(
+    run: Result<ExplorationResult, ExploreError>,
     observer: &CliObserver,
 ) -> Result<(Vec<ParetoPoint>, i32, bool), String> {
     match run {
-        Ok((points, code, exact, reason)) => {
-            observer.finish(reason).ok();
-            Ok((points, code, exact))
+        Ok(r) => {
+            observer.finish(end_reason(&r.completeness)).ok();
+            Ok((
+                r.pareto.points().to_vec(),
+                exit_code_for(&r.completeness),
+                r.completeness.truncated_by.is_none(),
+            ))
         }
-        Err((Some(reason), e)) => {
+        Err(e @ ExploreError::Cancelled { reason }) => {
             observer.finish(reason.name()).ok();
             if reason == CancelReason::Interrupt {
                 // No result, but the conventional 130 still applies.
@@ -304,19 +304,27 @@ fn settle<E: std::fmt::Display>(
             }
             Err(e.to_string())
         }
-        Err((None, e)) => {
+        Err(e) => {
             observer.finish("error").ok();
             Err(e.to_string())
         }
     }
 }
 
-/// Builds the SDF harness: guided exploration, single-threaded for a
-/// fully reproducible fault schedule, memory watchdog armed.
-fn sdf_harness<'a>(graph: &'a SdfGraph, observed: ActorId) -> Result<Harness<'a>, String> {
-    let fingerprint = fx_hash(&write_sdf_xml(graph));
-    let options =
-        move |faults: Option<Arc<FaultPlan>>, warm: Option<Arc<WarmStart>>| ExploreOptions {
+/// Builds the harness over `graph`, the graph inside `model`: the
+/// model's default driver (guided for SDF, exhaustive for CSDF),
+/// single-threaded for a fully reproducible fault schedule, memory
+/// watchdog armed.
+fn harness<'a, M: DataflowSemantics + Sync>(
+    model: &Model,
+    graph: &'a M,
+) -> Result<Harness<'a>, String> {
+    let observed = graph.default_observed_actor();
+    let algorithm = model.default_algorithm();
+    let run = move |faults: Option<Arc<FaultPlan>>,
+                    warm: Option<Arc<WarmStart>>,
+                    observer: &Arc<CliObserver>| {
+        let opts = ExploreOptions {
             observed: Some(observed),
             threads: 1,
             cancel: Some(Arc::new(
@@ -324,34 +332,12 @@ fn sdf_harness<'a>(graph: &'a SdfGraph, observed: ActorId) -> Result<Harness<'a>
             )),
             warm_start: warm,
             fault_plan: faults,
+            observer: Some(observer.clone()),
             ..ExploreOptions::default()
         };
-    let run = move |faults: Option<Arc<FaultPlan>>,
-                    warm: Option<Arc<WarmStart>>,
-                    observer: &CliObserver| {
-        let opts = options(faults, warm);
-        match explore_dependency_guided_observed(graph, &opts, observer) {
-            Ok(r) => {
-                let code = exit_code_for(&r.completeness);
-                let reason = end_reason(&r.completeness);
-                settle::<ExploreError>(
-                    Ok((
-                        r.pareto.points().to_vec(),
-                        code,
-                        r.completeness.truncated_by.is_none(),
-                        reason,
-                    )),
-                    observer,
-                )
-            }
-            Err(ExploreError::Cancelled { reason }) => settle(
-                Err((Some(reason), ExploreError::Cancelled { reason })),
-                observer,
-            ),
-            Err(e) => settle(Err((None, e)), observer),
-        }
+        settle(algorithm.run(graph, &opts), observer)
     };
-    let reference = run(None, None, &CliObserver::quiet())?;
+    let reference = run(None, None, &Arc::new(CliObserver::quiet()))?;
     if reference.1 != 0 {
         return Err(format!(
             "fault-free reference run is not exact (exit {})",
@@ -359,80 +345,19 @@ fn sdf_harness<'a>(graph: &'a SdfGraph, observed: ActorId) -> Result<Harness<'a>
         ));
     }
     Ok(Harness {
-        fingerprint,
+        fingerprint: model.fingerprint(),
         channels: graph.num_channels(),
         reference: front_sig(&reference.0),
         run: Box::new(run),
         analyze: Box::new(move |dist| {
-            buffy_analysis::throughput(graph, dist, observed)
-                .map(|r| r.throughput)
-                .map_err(|e: AnalysisError| e.to_string())
-        }),
-    })
-}
-
-/// The CSDF counterpart of [`sdf_harness`].
-fn csdf_harness<'a>(
-    graph: &'a buffy_csdf::CsdfGraph,
-    observed: ActorId,
-) -> Result<Harness<'a>, String> {
-    let fingerprint = fx_hash(&buffy_csdf::xml::write_csdf_xml(graph));
-    let options = move |faults: Option<Arc<FaultPlan>>, warm: Option<Arc<WarmStart>>| {
-        buffy_csdf::CsdfExploreOptions {
-            observed: Some(observed),
-            threads: 1,
-            cancel: Some(Arc::new(
-                CancelToken::new().with_state_budget(CHAOS_STATE_BUDGET),
-            )),
-            warm_start: warm,
-            fault_plan: faults,
-            ..buffy_csdf::CsdfExploreOptions::default()
-        }
-    };
-    let run = move |faults: Option<Arc<FaultPlan>>,
-                    warm: Option<Arc<WarmStart>>,
-                    observer: &CliObserver| {
-        let opts = options(faults, warm);
-        match buffy_csdf::csdf_explore_observed(graph, &opts, observer) {
-            Ok(r) => {
-                let code = exit_code_for(&r.completeness);
-                let reason = end_reason(&r.completeness);
-                settle::<buffy_csdf::CsdfError>(
-                    Ok((
-                        r.pareto.points().to_vec(),
-                        code,
-                        r.completeness.truncated_by.is_none(),
-                        reason,
-                    )),
-                    observer,
-                )
-            }
-            Err(buffy_csdf::CsdfError::Analysis(AnalysisError::Cancelled { reason })) => settle(
-                Err((
-                    Some(reason),
-                    buffy_csdf::CsdfError::Analysis(AnalysisError::Cancelled { reason }),
-                )),
-                observer,
-            ),
-            Err(e) => settle(Err((None, e)), observer),
-        }
-    };
-    let reference = run(None, None, &CliObserver::quiet())?;
-    if reference.1 != 0 {
-        return Err(format!(
-            "fault-free reference run is not exact (exit {})",
-            reference.1
-        ));
-    }
-    Ok(Harness {
-        fingerprint,
-        channels: graph.num_channels(),
-        reference: front_sig(&reference.0),
-        run: Box::new(run),
-        analyze: Box::new(move |dist| {
-            buffy_csdf::csdf_throughput(graph, dist, observed, buffy_csdf::CsdfLimits::default())
-                .map(|r| r.throughput)
-                .map_err(|e| e.to_string())
+            throughput_for(
+                graph,
+                Capacities::from_distribution(dist),
+                observed,
+                ExplorationLimits::default(),
+            )
+            .map(|r| r.throughput)
+            .map_err(|e| e.to_string())
         }),
     })
 }
@@ -445,33 +370,13 @@ fn w(out: Out<'_>, text: std::fmt::Arguments<'_>) -> Result<(), String> {
 /// outcomes. Exit 0 when every schedule upheld every invariant, 1
 /// otherwise.
 pub fn chaos(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
-    let path = parsed
-        .positional
-        .get(1)
-        .ok_or("expected a graph file argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let model = Model::load(parsed)?;
     let seeds = seed_range(parsed)?;
 
     let dir = std::env::temp_dir().join(format!("buffy-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-
-    // The graphs live for the whole loop; the harness borrows them.
-    let sdf;
-    let csdf;
-    let (harness, name, kind) = if is_csdf_document(&text) {
-        csdf = buffy_csdf::xml::read_csdf_xml(&text)
-            .map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let observed = csdf.default_observed_actor();
-        (
-            csdf_harness(&csdf, observed)?,
-            csdf.name().to_string(),
-            "csdf",
-        )
-    } else {
-        sdf = read_sdf_xml(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let observed = sdf.default_observed_actor();
-        (sdf_harness(&sdf, observed)?, sdf.name().to_string(), "sdf")
-    };
+    let harness = with_graph!(&model, graph => harness(&model, graph))?;
+    let (name, kind) = (model.name(), model.kind());
 
     let json = parsed.has_flag("json");
     // Injected evaluation panics are intentional and contained; without a
@@ -524,7 +429,7 @@ pub fn chaos(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
             out,
             format_args!(
                 "{{\"graph\":\"{}\",\"kind\":\"{kind}\",\"schedules\":{},\"failed\":{failed},\"seeds\":[{}]}}\n",
-                crate::observe::json_escape(&name),
+                crate::observe::json_escape(name),
                 outcomes.len(),
                 seeds_json.join(",")
             ),

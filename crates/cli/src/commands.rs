@@ -5,22 +5,24 @@ use crate::observe::{dist_json, json_escape, CheckpointConfig, CliObserver};
 use crate::serve::ServeSession;
 use crate::telemetry::{telemetry_json, TelemetrySession};
 use buffy_analysis::{
-    fx_hash, maximal_throughput, throughput, AnalysisError, BoundCertificate, DataflowSemantics,
+    fx_hash, maximal_throughput, throughput, BoundCertificate, DataflowSemantics,
     ExplorationLimits, Schedule, StaticBounds,
 };
 use buffy_core::{
-    explore_dependency_guided_observed, explore_design_space_observed, lower_bound_distribution,
-    lower_bound_distribution_for, min_storage_for_throughput_observed,
-    upper_bound_distribution_for, CancelReason, CancelToken, Checkpoint, Completeness,
-    DistributionSpace, EvaluationFailure, ExplorationResult, ExplorationStats, ExploreError,
-    ExploreOptions, ObjectiveKind, ObjectiveSpace, ParetoPoint, SkippedSize, TeeObserver,
-    WarmStart,
+    explore_dependency_guided, explore_design_space, lower_bound_distribution,
+    min_storage_for_throughput, upper_bound_distribution, CancelReason, CancelToken, Checkpoint,
+    Completeness, DistributionSpace, EvaluationFailure, ExplorationResult, ExplorationStats,
+    ExploreError, ExploreObserver, ExploreOptions, ObjectiveKind, ObjectiveSpace, ParetoPoint,
+    SkippedSize, TeeObserver, WarmStart,
 };
+use buffy_csdf::xml::{read_csdf_xml, write_csdf_xml};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::dot::to_dot;
 use buffy_graph::xml::{read_sdf_xml, write_sdf_xml};
 use buffy_graph::{ActorId, ChannelId, Rational, RepetitionVector, SdfGraph, StorageDistribution};
-use buffy_lint::{lint_csdf, lint_sdf, LintContext, Severity};
+use buffy_lint::{lint_csdf, lint_sdf, LintContext, Report, Severity};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -29,21 +31,178 @@ use std::time::Duration;
 
 type Out<'a> = &'a mut dyn Write;
 
-fn load_graph(parsed: &ParsedArgs) -> Result<SdfGraph, String> {
-    let path = parsed
-        .positional
-        .get(1)
-        .ok_or("expected a graph file argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    read_sdf_xml(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+/// An input graph in the SDF3 dialect its document declares.
+///
+/// Every command reads its graph through [`Model::load`]. The steps that
+/// differ per dialect live here — the lint view, the XML fingerprint, the
+/// SDF-only latency axis and the default driver — while everything else
+/// runs through the kernel's [`DataflowSemantics`], generically over the
+/// graph [`with_graph!`] binds.
+pub(crate) enum Model {
+    Sdf(SdfGraph),
+    Csdf(CsdfGraph),
 }
 
-fn observed_actor(parsed: &ParsedArgs, graph: &SdfGraph) -> Result<ActorId, String> {
-    match parsed.options.get("actor") {
-        None => Ok(graph.default_observed_actor()),
-        Some(name) => graph
-            .actor_by_name(name)
-            .ok_or_else(|| format!("unknown actor {name:?}")),
+/// Evaluates `$body` with `$g` bound to the graph inside a [`Model`],
+/// whichever its dialect (the body is compiled once per dialect).
+macro_rules! with_graph {
+    ($model:expr, $g:ident => $body:expr) => {
+        match $model {
+            Model::Sdf($g) => $body,
+            Model::Csdf($g) => $body,
+        }
+    };
+}
+pub(crate) use with_graph;
+
+impl Model {
+    /// Reads the graph file named by the command's first argument. The
+    /// SDF3 csdf dialect tags the document with `type="csdf"` and a
+    /// `<csdf>` element; anything else is parsed as plain SDF.
+    pub(crate) fn load(parsed: &ParsedArgs) -> Result<Model, String> {
+        let path = parsed
+            .positional
+            .get(1)
+            .ok_or("expected a graph file argument")?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let model = if is_csdf_document(&text) {
+            read_csdf_xml(&text)
+                .map(Model::Csdf)
+                .map_err(|e| e.to_string())
+        } else {
+            read_sdf_xml(&text)
+                .map(Model::Sdf)
+                .map_err(|e| e.to_string())
+        };
+        model.map_err(|e| format!("cannot parse {path}: {e}"))
+    }
+
+    /// The dialect's name, as reports print it.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Model::Sdf(_) => "sdf",
+            Model::Csdf(_) => "csdf",
+        }
+    }
+
+    pub(crate) fn name(&self) -> &str {
+        with_graph!(self, g => g.name())
+    }
+
+    /// The graph of a command that analyses SDF inputs only.
+    fn sdf(&self) -> Result<&SdfGraph, String> {
+        match self {
+            Model::Sdf(g) => Ok(g),
+            Model::Csdf(g) => Err(format!(
+                "graph {:?} is cyclo-static (CSDF); this command reads SDF graphs only",
+                g.name()
+            )),
+        }
+    }
+
+    /// The graph as CSDF: SDF inputs embed as single-phase graphs.
+    fn csdf(&self) -> Cow<'_, CsdfGraph> {
+        match self {
+            Model::Sdf(g) => Cow::Owned(CsdfGraph::from_sdf(g)),
+            Model::Csdf(g) => Cow::Borrowed(g),
+        }
+    }
+
+    /// The actor named by `--actor`, or the model's default observed
+    /// actor.
+    fn observed_actor(&self, parsed: &ParsedArgs) -> Result<ActorId, String> {
+        match parsed.options.get("actor") {
+            None => Ok(with_graph!(self, g => g.default_observed_actor())),
+            Some(name) => with_graph!(self, g => g.actor_by_name(name))
+                .ok_or_else(|| format!("unknown actor {name:?}")),
+        }
+    }
+
+    /// Runs the lint rules through the dialect's view of the model.
+    fn lint(&self, ctx: &LintContext) -> Report {
+        match self {
+            Model::Sdf(g) => lint_sdf(g, ctx),
+            Model::Csdf(g) => lint_csdf(g, ctx),
+        }
+    }
+
+    /// Hash of the canonical XML rendering: checkpoints carry it so that
+    /// `--resume` can refuse a file recorded for a different graph.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        match self {
+            Model::Sdf(g) => fx_hash(&write_sdf_xml(g)),
+            Model::Csdf(g) => fx_hash(&write_csdf_xml(g)),
+        }
+    }
+
+    /// The driver `explore` runs without `--algorithm`. Guided search pays
+    /// off on SDF graphs; on the cyclo-static gallery it evaluates more
+    /// distributions than the exhaustive search (h263rows: 2985 analyses
+    /// against 2802), so CSDF keeps the exhaustive default.
+    pub(crate) fn default_algorithm(&self) -> Algorithm {
+        match self {
+            Model::Sdf(_) => Algorithm::Guided,
+            Model::Csdf(_) => Algorithm::Exhaustive,
+        }
+    }
+
+    /// The graph the latency axis is computed on, when `space` declares
+    /// it. Latency is an SDF schedule property: CSDF inputs refuse it.
+    fn latency_graph(&self, space: &ObjectiveSpace) -> Result<Option<&SdfGraph>, String> {
+        if !space.has(ObjectiveKind::Latency) {
+            return Ok(None);
+        }
+        match self {
+            Model::Sdf(g) => Ok(Some(g)),
+            Model::Csdf(_) => Err("the latency objective is SDF-only: CSDF inputs support \
+                 --objectives storage,throughput[,energy]"
+                .into()),
+        }
+    }
+}
+
+/// Whether an XML document uses the SDF3 cyclo-static dialect.
+fn is_csdf_document(text: &str) -> bool {
+    text.contains("<csdf") || text.contains("type=\"csdf\"")
+}
+
+/// The exploration drivers `--algorithm` selects between.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Algorithm {
+    /// [`explore_dependency_guided`]: grows storage-dependent channels.
+    Guided,
+    /// [`explore_design_space`]: the paper's divide-and-conquer search.
+    Exhaustive,
+}
+
+impl Algorithm {
+    /// `--algorithm guided|exhaustive`, or the model's default driver.
+    fn from_options(parsed: &ParsedArgs, model: &Model) -> Result<Algorithm, String> {
+        match parsed.options.get("algorithm").map(String::as_str) {
+            None => Ok(model.default_algorithm()),
+            Some("guided") => Ok(Algorithm::Guided),
+            Some("exhaustive") => Ok(Algorithm::Exhaustive),
+            Some(other) => Err(format!("unknown algorithm {other:?} (guided|exhaustive)")),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Algorithm::Guided => "guided",
+            Algorithm::Exhaustive => "exhaustive",
+        }
+    }
+
+    /// Runs the driver on `graph`.
+    pub(crate) fn run<M: DataflowSemantics + Sync>(
+        self,
+        graph: &M,
+        options: &ExploreOptions,
+    ) -> Result<ExplorationResult, ExploreError> {
+        match self {
+            Algorithm::Guided => explore_dependency_guided(graph, options),
+            Algorithm::Exhaustive => explore_design_space(graph, options),
+        }
     }
 }
 
@@ -56,13 +215,13 @@ fn objective_space(parsed: &ParsedArgs) -> Result<ObjectiveSpace, String> {
     }
 }
 
-fn explore_options(parsed: &ParsedArgs, graph: &SdfGraph) -> Result<ExploreOptions, String> {
+fn explore_options(parsed: &ParsedArgs, observed: ActorId) -> Result<ExploreOptions, String> {
     Ok(ExploreOptions {
-        observed: Some(observed_actor(parsed, graph)?),
+        observed: Some(observed),
         max_size: parsed.get("max-size")?,
         quantum: parsed.get("quantum")?,
         threads: parsed.get("threads")?.unwrap_or(1),
-        static_prune: !parsed.has_flag("no-static-prune"),
+        prune: !parsed.has_flag("no-static-prune"),
         warm_start_neighbours: !parsed.has_flag("no-warm-start"),
         objectives: objective_space(parsed)?,
         ..ExploreOptions::default()
@@ -99,6 +258,20 @@ fn observer_from(
     )
 }
 
+/// The run's observer handle: `observer`, teed with the live observer of
+/// `--serve` when a session is attached.
+fn observer_chain(
+    observer: &Arc<CliObserver>,
+    serve: Option<&ServeSession>,
+) -> Arc<dyn ExploreObserver> {
+    let mut tee = TeeObserver::new();
+    tee.push(observer.clone());
+    if let Some(session) = serve {
+        tee.push(session.observer());
+    }
+    Arc::new(tee)
+}
+
 /// Cap on the `--progress` space pre-count: beyond this many candidates
 /// the percent-covered/ETA annotations are simply dropped.
 const PROGRESS_COUNT_CAP: u64 = 1_000_000;
@@ -120,7 +293,7 @@ fn progress_space_total<M: DataflowSemantics>(
         return None;
     }
     let space = DistributionSpace::for_model(model);
-    let ub = upper_bound_distribution_for(model, observed, ExplorationLimits::default())
+    let ub = upper_bound_distribution(model, observed, ExplorationLimits::default())
         .ok()?
         .0
         .size();
@@ -331,19 +504,17 @@ fn objectives_json(space: &ObjectiveSpace) -> String {
 /// per point (`None` inside = the schedule deadlocks, no first output).
 type FrontLatencies = Option<Vec<Option<u64>>>;
 
-/// Computes the latency annotation for an SDF front when the space asks
-/// for it. Latency is a reporting axis, never a dominance axis, so it is
-/// derived here on the final front only (one schedule extraction per
-/// point) instead of inside the exploration kernel.
+/// Computes the latency annotation of an SDF front when the space asks
+/// for it ([`Model::latency_graph`]). Latency is a reporting axis, never
+/// a dominance axis, so it is derived here on the final front only (one
+/// schedule extraction per point) instead of inside the exploration
+/// kernel.
 fn front_latencies(
-    space: &ObjectiveSpace,
-    graph: &SdfGraph,
+    graph: Option<&SdfGraph>,
     observed: ActorId,
     points: &[ParetoPoint],
 ) -> FrontLatencies {
-    if !space.has(ObjectiveKind::Latency) {
-        return None;
-    }
+    let graph = graph?;
     Some(
         points
             .iter()
@@ -525,10 +696,10 @@ fn write_resilience_text(
     Ok(())
 }
 
-/// Builds the lint context from whatever `--dist`, `--throughput` and
-/// `--actor` carry. A `--dist` of the wrong arity is left for B004 to
-/// report rather than rejected here.
-fn lint_context(parsed: &ParsedArgs, observed: Option<ActorId>) -> Result<LintContext, String> {
+/// Builds the lint context from whatever `--dist` and `--throughput`
+/// carry, for the `observed` actor. A `--dist` of the wrong arity is left
+/// for B004 to report rather than rejected here.
+fn lint_context(parsed: &ParsedArgs, observed: ActorId) -> Result<LintContext, String> {
     let distribution = match parsed.options.get("dist") {
         Some(v) => Some(StorageDistribution::from_capacities(parse_dist(v)?)),
         None => None,
@@ -536,14 +707,24 @@ fn lint_context(parsed: &ParsedArgs, observed: Option<ActorId>) -> Result<LintCo
     Ok(LintContext {
         distribution,
         throughput_constraint: parsed.get("throughput")?,
-        observed,
+        observed: Some(observed),
         space_threshold: parsed.get("space-threshold")?,
     })
 }
 
-/// Refuses a lint report with `Error`-level findings. The full report is
-/// printed only when it blocks the run.
-fn refuse_errors(report: &buffy_lint::Report, out: Out<'_>) -> Result<(), String> {
+/// Runs the lint rules before an analysis and refuses `Error`-level
+/// models unless `--force` is given. The full report is printed only
+/// when it blocks the run.
+fn preflight(
+    parsed: &ParsedArgs,
+    model: &Model,
+    observed: ActorId,
+    out: Out<'_>,
+) -> Result<(), String> {
+    if parsed.has_flag("force") {
+        return Ok(());
+    }
+    let report = model.lint(&lint_context(parsed, observed)?);
     if report.has_errors() {
         w(out, format_args!("{}", report.render_human()))?;
         return Err(format!(
@@ -554,68 +735,9 @@ fn refuse_errors(report: &buffy_lint::Report, out: Out<'_>) -> Result<(), String
     Ok(())
 }
 
-/// Runs the lint rules before an analysis and refuses `Error`-level
-/// models unless `--force` is given.
-fn preflight(parsed: &ParsedArgs, graph: &SdfGraph, out: Out<'_>) -> Result<(), String> {
-    if parsed.has_flag("force") {
-        return Ok(());
-    }
-    let ctx = lint_context(parsed, Some(observed_actor(parsed, graph)?))?;
-    refuse_errors(&lint_sdf(graph, &ctx), out)
-}
-
-/// The CSDF counterpart of [`preflight`]: runs the same rule set through
-/// the lint crate's CSDF view before an analysis, gated by `--force`.
-fn csdf_preflight(
-    parsed: &ParsedArgs,
-    graph: &buffy_csdf::CsdfGraph,
-    observed: Option<ActorId>,
-    out: Out<'_>,
-) -> Result<(), String> {
-    if parsed.has_flag("force") {
-        return Ok(());
-    }
-    let ctx = lint_context(parsed, observed)?;
-    refuse_errors(&lint_csdf(graph, &ctx), out)
-}
-
-/// Whether an XML document uses the SDF3 cyclo-static dialect.
-pub(crate) fn is_csdf_document(text: &str) -> bool {
-    text.contains("<csdf") || text.contains("type=\"csdf\"")
-}
-
 pub fn check(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let path = parsed
-        .positional
-        .get(1)
-        .ok_or("expected a graph file argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // The SDF3 csdf dialect tags the document with type="csdf" and a
-    // <csdf> element; anything else is treated as plain SDF.
-    let report = if is_csdf_document(&text) {
-        let graph = buffy_csdf::xml::read_csdf_xml(&text)
-            .map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let observed = match parsed.options.get("actor") {
-            None => None,
-            Some(name) => Some(
-                graph
-                    .actor_by_name(name)
-                    .ok_or_else(|| format!("unknown actor {name:?}"))?,
-            ),
-        };
-        lint_csdf(&graph, &lint_context(parsed, observed)?)
-    } else {
-        let graph = read_sdf_xml(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let observed = match parsed.options.get("actor") {
-            None => None,
-            Some(name) => Some(
-                graph
-                    .actor_by_name(name)
-                    .ok_or_else(|| format!("unknown actor {name:?}"))?,
-            ),
-        };
-        lint_sdf(&graph, &lint_context(parsed, observed)?)
-    };
+    let model = Model::load(parsed)?;
+    let report = model.lint(&lint_context(parsed, model.observed_actor(parsed)?)?);
     if parsed.has_flag("json") {
         w(out, format_args!("{}\n", report.render_json()))?;
     } else {
@@ -633,7 +755,8 @@ pub fn check(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
 }
 
 pub fn info(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let graph = load_graph(parsed)?;
+    let model = Model::load(parsed)?;
+    let graph = model.sdf()?;
     w(out, format_args!("graph: {}\n", graph.name()))?;
     w(
         out,
@@ -644,21 +767,21 @@ pub fn info(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
             graph.total_initial_tokens()
         ),
     )?;
-    let q = RepetitionVector::compute(&graph).map_err(|e| e.to_string())?;
+    let q = RepetitionVector::compute(graph).map_err(|e| e.to_string())?;
     w(out, format_args!("repetition vector:"))?;
     for (aid, actor) in graph.actors() {
         w(out, format_args!(" {}={}", actor.name(), q[aid]))?;
     }
     w(out, format_args!("\n"))?;
-    let obs = observed_actor(parsed, &graph)?;
-    match maximal_throughput(&graph, obs) {
+    let obs = model.observed_actor(parsed)?;
+    match maximal_throughput(graph, obs) {
         Ok(t) => w(
             out,
             format_args!("maximal throughput of {}: {}\n", graph.actor(obs).name(), t),
         )?,
         Err(e) => w(out, format_args!("maximal throughput: {e}\n"))?,
     }
-    let lb = lower_bound_distribution(&graph);
+    let lb = lower_bound_distribution(graph);
     w(
         out,
         format_args!("per-channel lower bounds: {} (size {})\n", lb, lb.size()),
@@ -667,9 +790,10 @@ pub fn info(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
 }
 
 pub fn analyze(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let graph = load_graph(parsed)?;
-    preflight(parsed, &graph, out)?;
-    let obs = observed_actor(parsed, &graph)?;
+    let model = Model::load(parsed)?;
+    let graph = model.sdf()?;
+    let obs = model.observed_actor(parsed)?;
+    preflight(parsed, &model, obs, out)?;
     let dist = match parsed.options.get("dist") {
         Some(v) => {
             let caps = parse_dist(v)?;
@@ -682,9 +806,9 @@ pub fn analyze(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
             }
             StorageDistribution::from_capacities(caps)
         }
-        None => lower_bound_distribution(&graph),
+        None => lower_bound_distribution(graph),
     };
-    let r = throughput(&graph, &dist, obs).map_err(|e| e.to_string())?;
+    let r = throughput(graph, &dist, obs).map_err(|e| e.to_string())?;
     w(
         out,
         format_args!("distribution: {dist} (size {})\n", dist.size()),
@@ -787,46 +911,41 @@ fn print_front(
     Ok(())
 }
 
+/// `buffy explore` (alias `csdf-explore`), for either dialect.
 pub fn explore(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
-    let path = parsed
-        .positional
-        .get(1)
-        .ok_or("expected a graph file argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if is_csdf_document(&text) {
-        return csdf_explore(parsed, out);
-    }
-    let graph = read_sdf_xml(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    preflight(parsed, &graph, out)?;
-    let fingerprint = fx_hash(&write_sdf_xml(&graph));
-    let mut opts = explore_options(parsed, &graph)?;
+    let model = Model::load(parsed)?;
+    with_graph!(&model, graph => explore_model(parsed, &model, graph, out))
+}
+
+/// The explore command over `graph`, the graph inside `model`: the kernel
+/// calls run generically on `graph`, the per-dialect steps on `model`.
+fn explore_model<M: DataflowSemantics + Sync>(
+    parsed: &ParsedArgs,
+    model: &Model,
+    graph: &M,
+    out: Out<'_>,
+) -> Result<i32, String> {
+    let observed = model.observed_actor(parsed)?;
+    preflight(parsed, model, observed, out)?;
+    let space = objective_space(parsed)?;
+    let latency_graph = model.latency_graph(&space)?;
+    let algorithm = Algorithm::from_options(parsed, model)?;
+    let fingerprint = model.fingerprint();
+    let mut opts = explore_options(parsed, observed)?;
     opts.cancel = Some(cancel_token(
         parsed,
         graph.num_channels(),
         graph.num_actors(),
     )?);
     opts.warm_start = resume_warm_start(parsed, fingerprint, graph.num_channels())?;
-    let algorithm = parsed
-        .options
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("guided");
-    let observer = observer_from(parsed, fingerprint, graph.num_channels())?.with_space_total(
-        progress_space_total(parsed, &graph, observed_actor(parsed, &graph)?),
+    let observer = Arc::new(
+        observer_from(parsed, fingerprint, graph.num_channels())?
+            .with_space_total(progress_space_total(parsed, graph, observed)),
     );
     let telemetry = TelemetrySession::from_options(parsed);
-    let serve = ServeSession::from_options(parsed, graph.name(), algorithm, &telemetry)?;
-    let mut tee = TeeObserver::new();
-    tee.push(&observer);
-    if let Some(session) = &serve {
-        tee.push(session.observer());
-    }
-    let run = match algorithm {
-        "guided" => explore_dependency_guided_observed(&graph, &opts, &tee),
-        "exhaustive" => explore_design_space_observed(&graph, &opts, &tee),
-        other => return Err(format!("unknown algorithm {other:?} (guided|exhaustive)")),
-    };
-    let result = match run {
+    let serve = ServeSession::from_options(parsed, model.name(), algorithm.name(), &telemetry)?;
+    opts.observer = Some(observer_chain(&observer, serve.as_ref()));
+    let result = match algorithm.run(graph, &opts) {
         Ok(result) => result,
         Err(ExploreError::Cancelled { reason }) => {
             if let Some(session) = serve {
@@ -844,16 +963,10 @@ pub fn explore(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
     };
     observer.finish(end_reason(&result.completeness))?;
     let snapshot = telemetry.finish()?;
-    let space = objective_space(parsed)?;
-    let latencies = front_latencies(
-        &space,
-        &graph,
-        observed_actor(parsed, &graph)?,
-        result.pareto.points(),
-    );
+    let latencies = front_latencies(latency_graph, observed, result.pareto.points());
     export_front(
         parsed,
-        graph.name(),
+        model.name(),
         result.pareto.points(),
         &space,
         &latencies,
@@ -866,10 +979,12 @@ pub fn explore(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
 }
 
 pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
-    let graph = load_graph(parsed)?;
-    preflight(parsed, &graph, out)?;
-    let fingerprint = fx_hash(&write_sdf_xml(&graph));
-    let mut opts = explore_options(parsed, &graph)?;
+    let model = Model::load(parsed)?;
+    let graph = model.sdf()?;
+    let observed = model.observed_actor(parsed)?;
+    preflight(parsed, &model, observed, out)?;
+    let fingerprint = model.fingerprint();
+    let mut opts = explore_options(parsed, observed)?;
     opts.cancel = Some(cancel_token(
         parsed,
         graph.num_channels(),
@@ -882,17 +997,14 @@ pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
     if constraint <= Rational::ZERO {
         return Err("--throughput must be positive".into());
     }
-    let observer = observer_from(parsed, fingerprint, graph.num_channels())?.with_space_total(
-        progress_space_total(parsed, &graph, observed_actor(parsed, &graph)?),
+    let observer = Arc::new(
+        observer_from(parsed, fingerprint, graph.num_channels())?
+            .with_space_total(progress_space_total(parsed, graph, observed)),
     );
     let telemetry = TelemetrySession::from_options(parsed);
     let serve = ServeSession::from_options(parsed, graph.name(), "constraint", &telemetry)?;
-    let mut tee = TeeObserver::new();
-    tee.push(&observer);
-    if let Some(session) = &serve {
-        tee.push(session.observer());
-    }
-    let r = match min_storage_for_throughput_observed(&graph, constraint, &opts, &tee) {
+    opts.observer = Some(observer_chain(&observer, serve.as_ref()));
+    let r = match min_storage_for_throughput(graph, constraint, &opts) {
         Ok(r) => r,
         Err(ExploreError::Cancelled { reason }) => {
             if let Some(session) = serve {
@@ -953,7 +1065,8 @@ pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
 }
 
 pub fn schedule(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let graph = load_graph(parsed)?;
+    let model = Model::load(parsed)?;
+    let graph = model.sdf()?;
     let caps = parse_dist(
         parsed
             .options
@@ -968,8 +1081,8 @@ pub fn schedule(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
         ));
     }
     let dist = StorageDistribution::from_capacities(caps);
-    let s = Schedule::extract(&graph, &dist, ExplorationLimits::default())
-        .map_err(|e| e.to_string())?;
+    let s =
+        Schedule::extract(graph, &dist, ExplorationLimits::default()).map_err(|e| e.to_string())?;
     match (s.period_entry(), s.period()) {
         (Some(entry), Some(period)) => {
             w(
@@ -985,14 +1098,15 @@ pub fn schedule(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
             .unwrap_or(20)
             .min(120)
     });
-    w(out, format_args!("{}", s.gantt(&graph, horizon)))
+    w(out, format_args!("{}", s.gantt(graph, horizon)))
 }
 
 pub fn convert(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let graph = load_graph(parsed)?;
+    let model = Model::load(parsed)?;
+    let graph = model.sdf()?;
     match parsed.options.get("to").map(String::as_str) {
-        Some("dot") => w(out, format_args!("{}", to_dot(&graph))),
-        Some("xml") | None => w(out, format_args!("{}", write_sdf_xml(&graph))),
+        Some("dot") => w(out, format_args!("{}", to_dot(graph))),
+        Some("xml") | None => w(out, format_args!("{}", write_sdf_xml(graph))),
         Some(other) => Err(format!("unknown output format {other:?} (dot|xml)")),
     }
 }
@@ -1018,24 +1132,11 @@ pub fn generate(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
     w(out, format_args!("{}", write_sdf_xml(&graph)))
 }
 
-fn load_csdf(parsed: &ParsedArgs) -> Result<buffy_csdf::CsdfGraph, String> {
-    let path = parsed
-        .positional
-        .get(1)
-        .ok_or("expected a graph file argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    buffy_csdf::xml::read_csdf_xml(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
 pub fn csdf_analyze(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let graph = load_csdf(parsed)?;
-    let obs = match parsed.options.get("actor") {
-        None => graph.default_observed_actor(),
-        Some(name) => graph
-            .actor_by_name(name)
-            .ok_or_else(|| format!("unknown actor {name:?}"))?,
-    };
-    csdf_preflight(parsed, &graph, Some(obs), out)?;
+    let model = Model::load(parsed)?;
+    let graph = model.csdf();
+    let obs = model.observed_actor(parsed)?;
+    preflight(parsed, &model, obs, out)?;
     let caps = parse_dist(
         parsed
             .options
@@ -1067,120 +1168,6 @@ pub fn csdf_analyze(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
     }
 }
 
-pub fn csdf_explore(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
-    let graph = load_csdf(parsed)?;
-    let observed = match parsed.options.get("actor") {
-        None => None,
-        Some(name) => Some(
-            graph
-                .actor_by_name(name)
-                .ok_or_else(|| format!("unknown actor {name:?}"))?,
-        ),
-    };
-    csdf_preflight(parsed, &graph, observed, out)?;
-    let space = objective_space(parsed)?;
-    if space.has(ObjectiveKind::Latency) {
-        return Err("the latency objective is SDF-only: csdf-explore supports \
-             --objectives storage,throughput[,energy]"
-            .into());
-    }
-    let fingerprint = fx_hash(&buffy_csdf::xml::write_csdf_xml(&graph));
-    let opts = buffy_csdf::CsdfExploreOptions {
-        observed,
-        max_size: parsed.get("max-size")?,
-        threads: parsed.get("threads")?.unwrap_or(1),
-        quantum: parsed.get("quantum")?,
-        cancel: Some(cancel_token(
-            parsed,
-            graph.num_channels(),
-            graph.num_actors(),
-        )?),
-        warm_start: resume_warm_start(parsed, fingerprint, graph.num_channels())?,
-        static_prune: !parsed.has_flag("no-static-prune"),
-        warm_start_neighbours: !parsed.has_flag("no-warm-start"),
-        objectives: space.clone(),
-        ..buffy_csdf::CsdfExploreOptions::default()
-    };
-    let observer = observer_from(parsed, fingerprint, graph.num_channels())?.with_space_total(
-        progress_space_total(
-            parsed,
-            &graph,
-            observed.unwrap_or_else(|| graph.default_observed_actor()),
-        ),
-    );
-    let telemetry = TelemetrySession::from_options(parsed);
-    let serve = ServeSession::from_options(parsed, graph.name(), "csdf-explore", &telemetry)?;
-    let mut tee = TeeObserver::new();
-    tee.push(&observer);
-    if let Some(session) = &serve {
-        tee.push(session.observer());
-    }
-    let r = match buffy_csdf::csdf_explore_observed(&graph, &opts, &tee) {
-        Ok(r) => r,
-        Err(buffy_csdf::CsdfError::Analysis(AnalysisError::Cancelled { reason })) => {
-            if let Some(session) = serve {
-                session.finish(reason.name());
-            }
-            return cancelled_without_result(reason, &observer, out);
-        }
-        Err(e) => {
-            observer.finish("error").ok();
-            if let Some(session) = serve {
-                session.finish("error");
-            }
-            return Err(e.to_string());
-        }
-    };
-    observer.finish(end_reason(&r.completeness))?;
-    let snapshot = telemetry.finish()?;
-    export_front(parsed, graph.name(), r.pareto.points(), &space, &None)?;
-    if parsed.has_flag("json") {
-        let points: Vec<String> = r
-            .pareto
-            .points()
-            .iter()
-            .map(|p| point_json(p, None))
-            .collect();
-        w(
-            out,
-            format_args!(
-                "{{\"objectives\":{},\"pareto\":[{}],\"max_throughput\":\"{}\",\"completeness\":{},\"skipped\":{},\"failures\":{},\"stats\":{}{}}}\n",
-                objectives_json(&space),
-                points.join(","),
-                r.max_throughput,
-                completeness_json(&r.completeness),
-                skipped_json(&r.skipped),
-                failures_json(&r.failures),
-                stats_json(&r.stats),
-                telemetry_section(snapshot.as_ref())
-            ),
-        )?;
-    } else if parsed.has_flag("csv") {
-        w(
-            out,
-            format_args!("{}", front_csv(r.pareto.points(), &space, &None)),
-        )?;
-    } else {
-        for p in r.pareto.points() {
-            w(out, format_args!("{p}\n"))?;
-        }
-        w(
-            out,
-            format_args!(
-                "{} Pareto points; maximal throughput {}; {}\n",
-                r.pareto.len(),
-                r.max_throughput,
-                r.stats
-            ),
-        )?;
-        write_resilience_text(&r.completeness, &r.skipped, &r.failures, out)?;
-    }
-    if let Some(session) = serve {
-        session.finish(end_reason(&r.completeness));
-    }
-    Ok(exit_code_for(&r.completeness))
-}
-
 /// The distribution `buffy bounds` certifies: `--dist` when given
 /// (arity-checked), the §7 lower-bound distribution otherwise.
 fn bounds_distribution<M: DataflowSemantics>(
@@ -1199,7 +1186,7 @@ fn bounds_distribution<M: DataflowSemantics>(
             }
             Ok(StorageDistribution::from_capacities(caps))
         }
-        None => Ok(lower_bound_distribution_for(model)),
+        None => Ok(lower_bound_distribution(model)),
     }
 }
 
@@ -1328,25 +1315,11 @@ fn bounds_report<M: DataflowSemantics>(
 }
 
 pub fn bounds(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let path = parsed
-        .positional
-        .get(1)
-        .ok_or("expected a graph file argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if is_csdf_document(&text) {
-        let graph = buffy_csdf::xml::read_csdf_xml(&text)
-            .map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let observed = match parsed.options.get("actor") {
-            None => graph.default_observed_actor(),
-            Some(name) => graph
-                .actor_by_name(name)
-                .ok_or_else(|| format!("unknown actor {name:?}"))?,
-        };
-        return bounds_report(&graph, graph.name(), "csdf", observed, parsed, out);
-    }
-    let graph = read_sdf_xml(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let observed = observed_actor(parsed, &graph)?;
-    bounds_report(&graph, graph.name(), "sdf", observed, parsed, out)
+    let model = Model::load(parsed)?;
+    let observed = model.observed_actor(parsed)?;
+    with_graph!(&model, graph => {
+        bounds_report(graph, model.name(), model.kind(), observed, parsed, out)
+    })
 }
 
 pub fn gallery(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
@@ -1364,10 +1337,7 @@ pub fn gallery(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
         _ => None,
     };
     if let Some(graph) = csdf {
-        return w(
-            out,
-            format_args!("{}", buffy_csdf::xml::write_csdf_xml(&graph)),
-        );
+        return w(out, format_args!("{}", write_csdf_xml(&graph)));
     }
     let graph = match name.as_str() {
         "example" => gallery::example(),

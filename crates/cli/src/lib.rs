@@ -69,9 +69,11 @@ COMMANDS:
             [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
             [--max-evals N] [--max-states N] [--max-memory-mb M]
             [--checkpoint FILE] [--resume FILE]
-                                      chart the Pareto space; CSDF inputs
-                                      (type=\"csdf\") are routed through the
-                                      cyclo-static explorer automatically;
+                                      chart the Pareto space of an SDF or
+                                      CSDF (type=\"csdf\") graph, sniffed
+                                      from the document; --algorithm picks
+                                      the driver for both dialects (default:
+                                      guided for SDF, exhaustive for CSDF);
                                       --threads 0 auto-detects the core
                                       count, --json adds the evaluation
                                       statistics to a machine-readable
@@ -169,25 +171,8 @@ COMMANDS:
     csdf-analyze <graph.xml> --dist 4,2 [--actor NAME]
                                       throughput of a CSDF graph under one
                                       storage distribution
-    csdf-explore <graph.xml> [--actor NAME] [--max-size N] [--threads N]
-                 [--quantum R] [--csv] [--json] [--no-static-prune]
-                 [--objectives storage,throughput[,energy]]
-                 [--export-csv FILE] [--export-dot FILE]
-                 [--no-warm-start] [--progress]
-                 [--trace-json FILE] [--serve ADDR] [--serve-linger SECS]
-                 [--metrics FILE] [--chrome-trace FILE]
-                 [--timeout SECS] [--max-evals N] [--max-states N]
-                 [--max-memory-mb M] [--checkpoint FILE] [--resume FILE]
-                                      Pareto space of a CSDF graph;
-                                      --threads parallelizes the analyses
-                                      (0 = auto-detect) and --quantum
-                                      coarsens the searched throughputs
-                                      (reported with evaluator cache
-                                      statistics); the resilience,
-                                      telemetry, objective and export
-                                      options behave as for explore,
-                                      except that the latency axis is
-                                      SDF-only and refused here
+    csdf-explore <graph.xml> [OPTIONS]
+                                      alias of explore
     chaos <graph.xml> [--seed-range A..B | --schedules N] [--json]
                                       run the exploration under N seeded,
                                       fully deterministic fault schedules
@@ -210,8 +195,8 @@ COMMANDS:
                                       schedule violates an invariant
     help                              show this message
 
-analyze, explore, constraint, csdf-analyze and csdf-explore refuse models
-with error-level check findings; pass --force to run them anyway.
+analyze, explore, constraint and csdf-analyze refuse models with
+error-level check findings; pass --force to run them anyway.
 
 EXIT CODES:
     0    success, exact result
@@ -259,14 +244,14 @@ fn try_run(raw_args: &[String], out: &mut dyn Write) -> Result<i32, String> {
         "check" => done(commands::check(&parsed, out)),
         "analyze" => done(commands::analyze(&parsed, out)),
         "bounds" => done(commands::bounds(&parsed, out)),
-        "explore" => commands::explore(&parsed, out),
         "constraint" => commands::constraint(&parsed, out),
         "schedule" => done(commands::schedule(&parsed, out)),
         "convert" => done(commands::convert(&parsed, out)),
         "generate" => done(commands::generate(&parsed, out)),
         "gallery" => done(commands::gallery(&parsed, out)),
         "csdf-analyze" => done(commands::csdf_analyze(&parsed, out)),
-        "csdf-explore" => commands::csdf_explore(&parsed, out),
+        // `explore` sniffs the dialect itself; the old name stays an alias.
+        "explore" | "csdf-explore" => commands::explore(&parsed, out),
         "chaos" => chaos::chaos(&parsed, out),
         other => Err(format!("unknown command {other:?}; try `buffy help`")),
     }
@@ -377,6 +362,40 @@ mod tests {
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("cache hits"), "{text}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn algorithm_option_applies_to_csdf_inputs() {
+        let (_, xml) = run_to_string(&["gallery", "updown"]);
+        let path = std::env::temp_dir().join("buffy-cli-test-csdf-algorithm.xml");
+        std::fs::write(&path, &xml).unwrap();
+        let p = path.to_str().unwrap();
+        let trace = std::env::temp_dir().join("buffy-cli-test-csdf-algorithm.jsonl");
+        let t = trace.to_str().unwrap();
+
+        // An unknown driver is refused, naming the valid ones.
+        let (code, text) = run_to_string(&["explore", p, "--algorithm", "bogus"]);
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("guided|exhaustive"), "{text}");
+
+        // The guided driver actually runs: its phase lands in the trace.
+        let (code, text) = run_to_string(&[
+            "explore",
+            p,
+            "--algorithm",
+            "guided",
+            "--csv",
+            "--trace-json",
+            t,
+        ]);
+        assert_eq!(code, 0, "{text}");
+        let trace_text = std::fs::read_to_string(&trace).unwrap();
+        assert!(
+            trace_text.contains("\"phase\":\"guided-search\""),
+            "{trace_text}"
+        );
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&trace).ok();
     }
 
     #[test]
@@ -646,7 +665,7 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
 
-        // constraint and csdf-explore report the statistics too.
+        // constraint reports the statistics too.
         let (code, text) = run_to_string(&["constraint", p, "--throughput", "1/6", "--json"]);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("\"point\":{\"size\":8,"), "{text}");
@@ -807,7 +826,7 @@ mod tests {
         );
         assert!(chrome_text.contains("\"ph\":\"X\""), "{chrome_text}");
 
-        // constraint and csdf-explore accept the exporters too.
+        // constraint accepts the exporters too.
         let (code, text) = run_to_string(&[
             "constraint",
             p,
@@ -831,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn csdf_explore_exports_telemetry() {
+    fn csdf_inputs_export_telemetry() {
         let xml = r#"<sdf3 type="csdf"><applicationGraph name="ud"><csdf name="ud">
              <actor name="p"/><actor name="c"/>
              <channel name="d" srcActor="p" srcRate="2,0" dstActor="c" dstRate="1"/>
@@ -851,7 +870,7 @@ mod tests {
         assert!(text.contains("\"telemetry\":{"), "{text}");
         let chrome_text = std::fs::read_to_string(&chrome).unwrap();
         assert!(
-            chrome_text.contains("\"name\":\"csdf-explore\""),
+            chrome_text.contains("\"name\":\"phase:bounds\""),
             "{chrome_text}"
         );
         std::fs::remove_file(&path).ok();

@@ -1,9 +1,9 @@
 //! CLI lifecycle of the embedded observability server (`--serve ADDR`).
 //!
-//! `explore`, `constraint` and `csdf-explore` accept `--serve ADDR`: a
-//! [`LiveObserver`] is teed into the run's observer chain and a
-//! [`buffy_obs::ObsServer`] serves `/`, `/healthz`, `/metrics`,
-//! `/status` and `/events` for the duration of the command. When the
+//! `explore` and `constraint` accept `--serve ADDR`: a [`LiveObserver`]
+//! is teed into the run's observer chain and a [`buffy_obs::ObsServer`]
+//! serves `/`, `/healthz`, `/metrics`, `/status` and `/events` for the
+//! duration of the command. When the
 //! search completes, the terminal `end` event is published and the
 //! server keeps answering — serving the *final* front, counters and
 //! metrics — for `--serve-linger SECS` (default 0) before the process
@@ -15,12 +15,13 @@ use crate::args::ParsedArgs;
 use crate::telemetry::TelemetrySession;
 use buffy_core::LiveObserver;
 use buffy_obs::{ObsServer, ServeState};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One command's observability-server scope: the teed [`LiveObserver`]
 /// plus the running server.
 pub(crate) struct ServeSession {
-    live: LiveObserver,
+    live: Arc<LiveObserver>,
     server: ObsServer,
     linger: Duration,
 }
@@ -54,7 +55,7 @@ impl ServeSession {
             Some(secs) if secs.is_finite() && secs >= 0.0 => Duration::from_secs_f64(secs),
             Some(_) => return Err("--serve-linger must be a non-negative number of seconds".into()),
         };
-        let live = LiveObserver::new();
+        let live = Arc::new(LiveObserver::new());
         let recorder = telemetry
             .recorder()
             .expect("--serve makes the telemetry session install a recorder");
@@ -80,8 +81,8 @@ impl ServeSession {
     }
 
     /// The observer to tee into the run's observer chain.
-    pub(crate) fn observer(&self) -> &LiveObserver {
-        &self.live
+    pub(crate) fn observer(&self) -> Arc<LiveObserver> {
+        self.live.clone()
     }
 
     /// Publishes the terminal `end` event, serves the final state for

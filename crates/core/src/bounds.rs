@@ -15,16 +15,16 @@
 //! token count of a channel is always congruent to `d` modulo that gcd, so
 //! intermediate capacities behave identically to the next-lower step.
 //!
-//! Both bounds are computed through the unified kernel: the generic forms
-//! ([`lower_bound_distribution_for`], [`upper_bound_distribution_for`])
-//! only ask a model the [`DataflowSemantics`] questions, so the same code
-//! boxes the SDF and CSDF design spaces.
+//! Both bounds are computed through the unified kernel:
+//! [`lower_bound_distribution`] and [`upper_bound_distribution`] only ask
+//! a model the [`DataflowSemantics`] questions, so the same code boxes the
+//! SDF and CSDF design spaces.
 
 use crate::error::ExploreError;
 use buffy_analysis::{
     bmlb, rate_step, throughput_for, Capacities, DataflowSemantics, ExplorationLimits,
 };
-use buffy_graph::{ActorId, Channel, ChannelId, Rational, SdfGraph, StorageDistribution};
+use buffy_graph::{ActorId, Channel, ChannelId, Rational, StorageDistribution};
 
 /// Lower bound on the capacity of one channel for positive throughput
 /// (BMLB, \[ALP97\]/\[Mur96\]).
@@ -58,15 +58,10 @@ pub fn channel_step(channel: &Channel) -> u64 {
     rate_step(channel.production(), channel.consumption())
 }
 
-/// The distribution assigning every channel its lower bound; its size is
-/// the combined lower bound `lb` of Fig. 7.
-pub fn lower_bound_distribution(graph: &SdfGraph) -> StorageDistribution {
-    lower_bound_distribution_for(graph)
-}
-
-/// The generic form of [`lower_bound_distribution`]: every channel at the
-/// model-declared bound ([`DataflowSemantics::channel_lower_bound`]).
-pub fn lower_bound_distribution_for<M: DataflowSemantics>(model: &M) -> StorageDistribution {
+/// The distribution assigning every channel its lower bound
+/// ([`DataflowSemantics::channel_lower_bound`]); its size is the combined
+/// lower bound `lb` of Fig. 7.
+pub fn lower_bound_distribution<M: DataflowSemantics>(model: &M) -> StorageDistribution {
     (0..model.num_channels())
         .map(|i| model.channel_lower_bound(ChannelId::new(i)))
         .collect()
@@ -84,21 +79,7 @@ pub fn lower_bound_distribution_for<M: DataflowSemantics>(model: &M) -> StorageD
 ///
 /// Propagates analysis failures; [`ExploreError::NoPositiveThroughput`] if
 /// growth never reaches the maximal throughput within a generous cap.
-pub fn upper_bound_distribution(
-    graph: &SdfGraph,
-    observed: ActorId,
-    limits: ExplorationLimits,
-) -> Result<(StorageDistribution, Rational), ExploreError> {
-    upper_bound_distribution_for(graph, observed, limits)
-}
-
-/// The generic form of [`upper_bound_distribution`]: works for any
-/// [`DataflowSemantics`] model through the unified kernel.
-///
-/// # Errors
-///
-/// See [`upper_bound_distribution`].
-pub fn upper_bound_distribution_for<M: DataflowSemantics>(
+pub fn upper_bound_distribution<M: DataflowSemantics>(
     model: &M,
     observed: ActorId,
     limits: ExplorationLimits,
@@ -109,7 +90,7 @@ pub fn upper_bound_distribution_for<M: DataflowSemantics>(
     })
 }
 
-/// [`upper_bound_distribution_for`] with the throughput probes routed
+/// [`upper_bound_distribution`] with the throughput probes routed
 /// through a caller-supplied evaluation function — the exploration drivers
 /// pass their memoized [`crate::explore::Evaluator`] so that bound probes
 /// are cached, counted in the [`crate::ExplorationStats`] and reported to
@@ -178,6 +159,7 @@ pub(crate) fn upper_bound_distribution_with<M: DataflowSemantics>(
 mod tests {
     use super::*;
     use buffy_analysis::throughput;
+    use buffy_graph::SdfGraph;
 
     fn example() -> SdfGraph {
         let mut b = SdfGraph::builder("example");

@@ -5,7 +5,9 @@
 //! with a schedule meeting it?* This module answers it directly — without
 //! charting the whole Pareto space — by a binary search over the monotone
 //! size dimension, deciding each size with an early-exit enumeration
-//! (paper §9).
+//! (paper §9). Like the exploration drivers, the search runs for any
+//! [`DataflowSemantics`] model and reports to
+//! [`ExploreOptions::observer`].
 
 use crate::bounds::upper_bound_distribution_with;
 use crate::enumerate::DistributionSpace;
@@ -13,15 +15,13 @@ use crate::error::ExploreError;
 use crate::explore::{salvage, ExploreOptions, SKIP_COUNT_CAP};
 use crate::pareto::ParetoPoint;
 use crate::pipeline::EvalPipeline;
-use crate::runtime::{
-    Completeness, EvaluationFailure, ExplorationStats, ExploreObserver, NoopObserver, SearchPhase,
-};
+use crate::runtime::{Completeness, EvaluationFailure, ExplorationStats, SearchPhase};
 use buffy_analysis::{CancelReason, DataflowSemantics};
-use buffy_graph::{Rational, SdfGraph};
+use buffy_graph::Rational;
 use buffy_telemetry::{labeled, names};
 use std::ops::ControlFlow;
 
-/// Outcome of a constraint search ([`min_storage_for_throughput_observed`]).
+/// Outcome of a constraint search ([`min_storage_for_throughput`]).
 #[derive(Debug, Clone)]
 pub struct ConstraintResult {
     /// The witnessing point: distribution, size, exact throughput (which
@@ -42,7 +42,13 @@ pub struct ConstraintResult {
 /// `constraint`.
 ///
 /// Returns the witnessing [`ParetoPoint`] (distribution, size, exact
-/// throughput achieved — which may exceed the constraint).
+/// throughput achieved — which may exceed the constraint) with the
+/// search's statistics and completeness.
+///
+/// When a cancel token trips after a feasible witness is in hand, the
+/// search stops and reports that witness with a truncated completeness
+/// marker (sound, possibly not minimal). Cancellation before any witness
+/// exists yields [`ExploreError::Cancelled`].
 ///
 /// # Errors
 ///
@@ -67,54 +73,20 @@ pub struct ConstraintResult {
 /// let g = b.build()?;
 ///
 /// // Any positive throughput: the paper's ⟨4, 2⟩, size 6.
-/// let p = min_storage_for_throughput(&g, Rational::new(1, 100), &ExploreOptions::default())?;
-/// assert_eq!(p.size, 6);
+/// let r = min_storage_for_throughput(&g, Rational::new(1, 100), &ExploreOptions::default())?;
+/// assert_eq!(r.point.size, 6);
 /// // Throughput at least 1/6 needs size 8.
-/// let p = min_storage_for_throughput(&g, Rational::new(1, 6), &ExploreOptions::default())?;
-/// assert_eq!(p.size, 8);
+/// let r = min_storage_for_throughput(&g, Rational::new(1, 6), &ExploreOptions::default())?;
+/// assert_eq!(r.point.size, 8);
 /// # Ok(())
 /// # }
 /// ```
-pub fn min_storage_for_throughput(
-    graph: &SdfGraph,
-    constraint: Rational,
-    options: &ExploreOptions,
-) -> Result<ParetoPoint, ExploreError> {
-    min_storage_for_throughput_for(graph, constraint, options)
-}
-
-/// The generic form of [`min_storage_for_throughput`]: answers the same
-/// question for any [`DataflowSemantics`] model through the unified kernel.
-///
-/// # Errors
-///
-/// See [`min_storage_for_throughput`].
-pub fn min_storage_for_throughput_for<M: DataflowSemantics + Sync>(
+pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
     model: &M,
     constraint: Rational,
     options: &ExploreOptions,
-) -> Result<ParetoPoint, ExploreError> {
-    min_storage_for_throughput_observed(model, constraint, options, &NoopObserver).map(|r| r.point)
-}
-
-/// [`min_storage_for_throughput_for`] with a structured [`ExploreObserver`]
-/// receiving evaluation, cache-hit and phase events; returns the full
-/// [`ConstraintResult`] with statistics and completeness.
-///
-/// When a cancel token trips after a feasible witness is in hand, the
-/// search stops and reports that witness with a truncated completeness
-/// marker (sound, possibly not minimal). Cancellation before any witness
-/// exists yields [`ExploreError::Cancelled`].
-///
-/// # Errors
-///
-/// See [`min_storage_for_throughput`].
-pub fn min_storage_for_throughput_observed<M: DataflowSemantics + Sync>(
-    model: &M,
-    constraint: Rational,
-    options: &ExploreOptions,
-    observer: &dyn ExploreObserver,
 ) -> Result<ConstraintResult, ExploreError> {
+    let observer = options.event_sink();
     assert!(
         constraint > Rational::ZERO,
         "throughput constraint must be positive"
@@ -270,6 +242,7 @@ pub fn min_storage_for_throughput_observed<M: DataflowSemantics + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buffy_graph::SdfGraph;
 
     fn example() -> SdfGraph {
         let mut b = SdfGraph::builder("example");
@@ -291,12 +264,14 @@ mod tests {
             (Rational::new(1, 5), 9),
             (Rational::new(1, 4), 10),
         ] {
-            let p = min_storage_for_throughput(&g, thr, &opts).unwrap();
+            let p = min_storage_for_throughput(&g, thr, &opts).unwrap().point;
             assert_eq!(p.size, size, "constraint {thr}");
             assert!(p.throughput >= thr);
         }
         // A constraint strictly between two levels needs the higher level.
-        let p = min_storage_for_throughput(&g, Rational::new(3, 20), &opts).unwrap();
+        let p = min_storage_for_throughput(&g, Rational::new(3, 20), &opts)
+            .unwrap()
+            .point;
         assert_eq!(p.size, 8);
     }
 
@@ -308,21 +283,14 @@ mod tests {
             (Rational::new(1, 4), 10),
             (Rational::new(3, 20), 8),
         ] {
-            let pruned = min_storage_for_throughput_observed(
-                &g,
-                thr,
-                &ExploreOptions::default(),
-                &NoopObserver,
-            )
-            .unwrap();
-            let unpruned = min_storage_for_throughput_observed(
+            let pruned = min_storage_for_throughput(&g, thr, &ExploreOptions::default()).unwrap();
+            let unpruned = min_storage_for_throughput(
                 &g,
                 thr,
                 &ExploreOptions {
-                    static_prune: false,
+                    prune: false,
                     ..ExploreOptions::default()
                 },
-                &NoopObserver,
             )
             .unwrap();
             // Identical witness point — same distribution, same exact
@@ -362,13 +330,8 @@ mod tests {
     #[test]
     fn observed_variant_reports_stats() {
         let g = example();
-        let r = min_storage_for_throughput_observed(
-            &g,
-            Rational::new(1, 6),
-            &ExploreOptions::default(),
-            &NoopObserver,
-        )
-        .unwrap();
+        let r = min_storage_for_throughput(&g, Rational::new(1, 6), &ExploreOptions::default())
+            .unwrap();
         assert_eq!(r.point.size, 8);
         assert!(r.stats.evaluations > 0);
         assert!(r.stats.max_states > 0);
@@ -383,20 +346,14 @@ mod tests {
 
         let g = example();
         let constraint = Rational::new(1, 6);
-        let exact = min_storage_for_throughput_observed(
-            &g,
-            constraint,
-            &ExploreOptions::default(),
-            &NoopObserver,
-        )
-        .unwrap();
+        let exact = min_storage_for_throughput(&g, constraint, &ExploreOptions::default()).unwrap();
         let mut saw_partial = false;
         for budget in 1..exact.stats.evaluations {
             let opts = ExploreOptions {
                 cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget))),
                 ..ExploreOptions::default()
             };
-            match min_storage_for_throughput_observed(&g, constraint, &opts, &NoopObserver) {
+            match min_storage_for_throughput(&g, constraint, &opts) {
                 // No feasible witness yet: a clean error, not a bogus point.
                 Err(ExploreError::Cancelled { reason }) => {
                     assert_eq!(reason, CancelReason::EvaluationBudget);
@@ -427,7 +384,8 @@ mod tests {
         let g = example();
         let c = g.actor_by_name("c").unwrap();
         let p = min_storage_for_throughput(&g, Rational::new(1, 5), &ExploreOptions::default())
-            .unwrap();
+            .unwrap()
+            .point;
         let r = buffy_analysis::throughput(&g, &p.distribution, c).unwrap();
         assert_eq!(r.throughput, p.throughput);
         assert!(r.throughput >= Rational::new(1, 5));

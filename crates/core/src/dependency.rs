@@ -17,6 +17,10 @@
 //! integration tests and measured by the `dse` ablation benchmark. The
 //! refined causal-dependency notion with a completeness proof is
 //! follow-up work by the same authors and out of scope of the 2006 paper.
+//!
+//! Like the exhaustive driver, [`explore_dependency_guided`] is written
+//! once against [`DataflowSemantics`]: it charts SDF and CSDF graphs alike
+//! and reports to [`ExploreOptions::observer`].
 
 use crate::bounds::upper_bound_distribution_with;
 use crate::enumerate::DistributionSpace;
@@ -24,11 +28,11 @@ use crate::error::ExploreError;
 use crate::explore::{ExplorationResult, ExploreOptions};
 use crate::pareto::ParetoSet;
 use crate::pipeline::{clip_front, EvalPipeline};
-use crate::runtime::{Completeness, ExploreObserver, NoopObserver, SearchPhase, SkippedSize};
+use crate::runtime::{Completeness, SearchPhase, SkippedSize};
 use buffy_analysis::{
     dependencies_from_run_for, throughput_with_dependencies_for, CancelReason, DataflowSemantics,
 };
-use buffy_graph::{ChannelId, Rational, SdfGraph, StorageDistribution};
+use buffy_graph::{ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
@@ -78,38 +82,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// # Ok(())
 /// # }
 /// ```
-pub fn explore_dependency_guided(
-    graph: &SdfGraph,
-    options: &ExploreOptions,
-) -> Result<ExplorationResult, ExploreError> {
-    explore_dependency_guided_for(graph, options)
-}
-
-/// The generic form of [`explore_dependency_guided`]: the same guided
-/// search for any [`DataflowSemantics`] model through the unified kernel.
-///
-/// # Errors
-///
-/// Same as [`explore_design_space`](crate::explore_design_space).
-pub fn explore_dependency_guided_for<M: DataflowSemantics + Sync>(
+pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     model: &M,
     options: &ExploreOptions,
 ) -> Result<ExplorationResult, ExploreError> {
-    explore_dependency_guided_observed(model, options, &NoopObserver)
-}
-
-/// [`explore_dependency_guided_for`] with a structured [`ExploreObserver`]
-/// receiving evaluation, Pareto-accept and phase events as the guided
-/// frontier is consumed.
-///
-/// # Errors
-///
-/// Same as [`explore_design_space`](crate::explore_design_space).
-pub fn explore_dependency_guided_observed<M: DataflowSemantics + Sync>(
-    model: &M,
-    options: &ExploreOptions,
-    observer: &dyn ExploreObserver,
-) -> Result<ExplorationResult, ExploreError> {
+    let observer = options.event_sink();
     let observed = options
         .observed
         .unwrap_or_else(|| model.default_observed_actor());
@@ -352,6 +329,7 @@ pub fn explore_dependency_guided_observed<M: DataflowSemantics + Sync>(
 mod tests {
     use super::*;
     use crate::explore::explore_design_space;
+    use buffy_graph::SdfGraph;
 
     fn example() -> SdfGraph {
         let mut b = SdfGraph::builder("example");

@@ -25,11 +25,10 @@
 //! reported statistic — is identical whether the search runs on one
 //! thread or many.
 //!
-//! The driver is written once against [`DataflowSemantics`]
-//! ([`explore_design_space_for`]); [`explore_design_space`] is the
-//! SDF-typed entry point and `buffy-csdf` instantiates the same driver for
-//! cyclo-static graphs. The `_observed` variants take an
-//! [`ExploreObserver`] for progress reporting and tracing.
+//! The driver is written once against [`DataflowSemantics`]:
+//! [`explore_design_space`] charts SDF and CSDF graphs alike, and reports
+//! progress to the [`ExploreObserver`] carried in
+//! [`ExploreOptions::observer`].
 
 use crate::bounds::upper_bound_distribution_with;
 use crate::enumerate::DistributionSpace;
@@ -42,7 +41,7 @@ use crate::runtime::{
     SkippedSize, EVAL_CHUNK,
 };
 use buffy_analysis::{CancelReason, CancelToken, DataflowSemantics, ExplorationLimits};
-use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
+use buffy_graph::{ActorId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -62,8 +61,8 @@ pub type WarmStart = HashMap<StorageDistribution, (Rational, u64)>;
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Actor whose throughput is observed; defaults to the model's
-    /// default observed actor (for SDF graphs the first sink,
-    /// [`SdfGraph::default_observed_actor`]).
+    /// [`default_observed_actor`](DataflowSemantics::default_observed_actor)
+    /// (for SDF graphs the first sink).
     pub observed: Option<ActorId>,
     /// Cap on the distribution size (paper §10: "it is possible to set the
     /// maximum distribution size"); defaults to the computed upper bound.
@@ -111,9 +110,8 @@ pub struct ExploreOptions {
     /// throughput). Pruning is exactness-preserving — the front is
     /// byte-identical with it on or off, only
     /// [`ExplorationStats::evaluations`] shrinks — so switching it off
-    /// gives the unpruned reference run (`--no-static-prune` on the CLI;
-    /// the name predates dominance-only pruning).
-    pub static_prune: bool,
+    /// gives the unpruned reference run (`--no-static-prune` on the CLI).
+    pub prune: bool,
     /// Test hook: the evaluation of exactly this distribution panics
     /// inside the worker, exercising the panic-containment path. Not for
     /// production use.
@@ -130,6 +128,17 @@ pub struct ExploreOptions {
     /// is a monotone function of the throughput axis, so the default-space
     /// front is unchanged by the declaration (see [`crate::ObjectiveSpace`]).
     pub objectives: ObjectiveSpace,
+    /// Receives the run's evaluation, cache-hit, prune, Pareto-accept and
+    /// phase events as the search runs; `None` reports to
+    /// [`NoopObserver`]. Observation never changes the result.
+    pub observer: Option<Arc<dyn ExploreObserver>>,
+}
+
+impl ExploreOptions {
+    /// The observer the run reports to.
+    pub(crate) fn event_sink(&self) -> &dyn ExploreObserver {
+        self.observer.as_deref().unwrap_or(&NoopObserver)
+    }
 }
 
 impl Default for ExploreOptions {
@@ -146,10 +155,11 @@ impl Default for ExploreOptions {
             cancel: None,
             warm_start: None,
             warm_start_neighbours: true,
-            static_prune: true,
+            prune: true,
             fail_distribution: None,
             fault_plan: None,
             objectives: ObjectiveSpace::default_2d(),
+            observer: None,
         }
     }
 }
@@ -329,8 +339,12 @@ fn has_positive<M: DataflowSemantics + Sync>(
     }
 }
 
-/// Explores the complete storage/throughput design space of `graph` and
+/// Explores the complete storage/throughput design space of `model` and
 /// returns its Pareto front (paper §9).
+///
+/// The driver works for any [`DataflowSemantics`] model — SDF and CSDF
+/// graphs alike (`Sync` because candidate evaluation may be parallelized
+/// across threads). Progress events go to [`ExploreOptions::observer`].
 ///
 /// # Errors
 ///
@@ -369,39 +383,11 @@ fn has_positive<M: DataflowSemantics + Sync>(
 /// # Ok(())
 /// # }
 /// ```
-pub fn explore_design_space(
-    graph: &SdfGraph,
-    options: &ExploreOptions,
-) -> Result<ExplorationResult, ExploreError> {
-    explore_design_space_for(graph, options)
-}
-
-/// The generic form of [`explore_design_space`]: the same driver for any
-/// [`DataflowSemantics`] model (`Sync` because candidate evaluation may be
-/// parallelized across threads).
-///
-/// # Errors
-///
-/// See [`explore_design_space`].
-pub fn explore_design_space_for<M: DataflowSemantics + Sync>(
+pub fn explore_design_space<M: DataflowSemantics + Sync>(
     model: &M,
     options: &ExploreOptions,
 ) -> Result<ExplorationResult, ExploreError> {
-    explore_design_space_observed(model, options, &NoopObserver)
-}
-
-/// [`explore_design_space_for`] with a structured [`ExploreObserver`]
-/// receiving evaluation, cache-hit, Pareto-accept and phase-transition
-/// events as the search runs.
-///
-/// # Errors
-///
-/// See [`explore_design_space`].
-pub fn explore_design_space_observed<M: DataflowSemantics + Sync>(
-    model: &M,
-    options: &ExploreOptions,
-    observer: &dyn ExploreObserver,
-) -> Result<ExplorationResult, ExploreError> {
+    let observer = options.event_sink();
     let observed = options
         .observed
         .unwrap_or_else(|| model.default_observed_actor());
@@ -673,6 +659,7 @@ pub fn explore_design_space_observed<M: DataflowSemantics + Sync>(
 mod tests {
     use super::*;
     use crate::pareto::ParetoPoint;
+    use buffy_graph::SdfGraph;
     use std::sync::Mutex;
 
     fn example() -> SdfGraph {
@@ -798,7 +785,7 @@ mod tests {
             let unpruned = explore_design_space(
                 &g,
                 &ExploreOptions {
-                    static_prune: false,
+                    prune: false,
                     ..ExploreOptions::default()
                 },
             )
@@ -815,19 +802,19 @@ mod tests {
 
             // Thread count changes neither the fronts nor the statistics,
             // in either mode.
-            for static_prune in [true, false] {
-                let reference = if static_prune { &pruned } else { &unpruned };
+            for prune in [true, false] {
+                let reference = if prune { &pruned } else { &unpruned };
                 let par = explore_design_space(
                     &g,
                     &ExploreOptions {
-                        static_prune,
+                        prune,
                         threads: 4,
                         ..ExploreOptions::default()
                     },
                 )
                 .unwrap();
-                assert_eq!(par.pareto, reference.pareto, "{name}/{static_prune}");
-                assert_eq!(par.stats, reference.stats, "{name}/{static_prune}");
+                assert_eq!(par.pareto, reference.pareto, "{name}/{prune}");
+                assert_eq!(par.stats, reference.stats, "{name}/{prune}");
             }
         }
 
@@ -838,7 +825,7 @@ mod tests {
         let unpruned = explore_design_space(
             &bipartite(),
             &ExploreOptions {
-                static_prune: false,
+                prune: false,
                 ..ExploreOptions::default()
             },
         )
@@ -913,8 +900,15 @@ mod tests {
         }
 
         let g = example();
-        let obs = Counting::default();
-        let r = explore_design_space_observed(&g, &ExploreOptions::default(), &obs).unwrap();
+        let obs = Arc::new(Counting::default());
+        let r = explore_design_space(
+            &g,
+            &ExploreOptions {
+                observer: Some(obs.clone()),
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
         // Observer totals match the reported statistics exactly.
         assert_eq!(obs.evals.load(Ordering::Relaxed), r.stats.evaluations);
         assert_eq!(obs.finished.load(Ordering::Relaxed), r.stats.evaluations);
@@ -1083,14 +1077,18 @@ mod tests {
         }
 
         let g = example();
-        let rec = Recorder {
+        let rec = Arc::new(Recorder {
             entries: Mutex::new(Vec::new()),
-        };
-        let clean = explore_design_space_observed(&g, &ExploreOptions::default(), &rec).unwrap();
-        let warm: WarmStart = rec
-            .entries
-            .into_inner()
-            .unwrap()
+        });
+        let clean = explore_design_space(
+            &g,
+            &ExploreOptions {
+                observer: Some(rec.clone()),
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
+        let warm: WarmStart = std::mem::take(&mut *rec.entries.lock().unwrap())
             .into_iter()
             .map(|(d, t, s)| (d, (t, s)))
             .collect();

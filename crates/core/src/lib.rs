@@ -18,17 +18,14 @@
 //!   storage meeting a given throughput constraint;
 //! - [`ParetoSet`] / [`ParetoPoint`]: the resulting front (Figs. 5, 13);
 //! - [`ExplorationStats`] / [`ExploreObserver`]: the exploration runtime's
-//!   unified statistics and structured event stream — the `_observed`
-//!   entry points stream evaluation, cache-hit, Pareto-accept and
-//!   search-phase events while a search runs.
+//!   unified statistics and structured event stream — the observer set in
+//!   [`ExploreOptions::observer`] receives evaluation, cache-hit,
+//!   Pareto-accept and search-phase events while a search runs.
 //!
-//! Every driver is written once against the unified kernel's
-//! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) trait — the
-//! `*_for` variants ([`explore_design_space_for`],
-//! [`explore_dependency_guided_for`], [`min_storage_for_throughput_for`],
-//! [`upper_bound_distribution_for`]) accept any model implementing it
-//! (`buffy-csdf` instantiates them for cyclo-static graphs); the plain
-//! names are the SDF-typed entry points.
+//! Each of these is a single function written once against the unified
+//! kernel's [`DataflowSemantics`](buffy_analysis::DataflowSemantics)
+//! trait, so it accepts an [`SdfGraph`](buffy_graph::SdfGraph) and a
+//! cyclo-static `buffy_csdf::CsdfGraph` alike.
 //!
 //! # Quickstart
 //!
@@ -76,23 +73,14 @@ mod prune;
 mod runtime;
 
 pub use bounds::{
-    channel_lower_bound, channel_step, lower_bound_distribution, lower_bound_distribution_for,
-    upper_bound_distribution, upper_bound_distribution_for,
+    channel_lower_bound, channel_step, lower_bound_distribution, upper_bound_distribution,
 };
 pub use checkpoint::{Checkpoint, CheckpointEntry, CheckpointError, SalvageReport};
-pub use constraint::{
-    min_storage_for_throughput, min_storage_for_throughput_for,
-    min_storage_for_throughput_observed, ConstraintResult,
-};
-pub use dependency::{
-    explore_dependency_guided, explore_dependency_guided_for, explore_dependency_guided_observed,
-};
+pub use constraint::{min_storage_for_throughput, ConstraintResult};
+pub use dependency::explore_dependency_guided;
 pub use enumerate::DistributionSpace;
 pub use error::ExploreError;
-pub use explore::{
-    explore_design_space, explore_design_space_for, explore_design_space_observed,
-    ExplorationResult, ExploreOptions, WarmStart,
-};
+pub use explore::{explore_design_space, ExplorationResult, ExploreOptions, WarmStart};
 pub use fault::{FaultPlan, FaultSite, FAULT_SITES};
 pub use live::{EventRing, LiveEvent, LiveObserver, LiveStats, TeeObserver, DEFAULT_RING_CAPACITY};
 pub use objective::{ObjectiveKind, ObjectiveSpace, ObjectiveVector, ParseObjectivesError, Sense};

@@ -3,7 +3,7 @@
 //!
 //! Three pieces, mirroring the recorder's "zero overhead by default"
 //! contract (DESIGN.md §9): when nothing here is attached, the drivers
-//! still see a single `&dyn ExploreObserver` no-op; when attached, the
+//! report to a single no-op observer; when attached, the
 //! observers only *read* the event stream, so the evaluated candidate
 //! set — and with it the front and every statistic — stays byte-identical
 //! with observation on or off, at any thread count.
@@ -29,46 +29,31 @@ use crate::runtime::{ExploreObserver, SearchPhase};
 use buffy_graph::{Rational, StorageDistribution};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Fans every observer event out to each downstream observer, in the
 /// order they were added. Events are delivered synchronously on the
 /// calling worker thread; downstream observers must therefore stay as
 /// cheap as the contract on [`ExploreObserver`] demands.
-pub struct TeeObserver<'a> {
-    sinks: Vec<&'a dyn ExploreObserver>,
+#[derive(Default)]
+pub struct TeeObserver {
+    sinks: Vec<Arc<dyn ExploreObserver>>,
 }
 
-impl<'a> TeeObserver<'a> {
+impl TeeObserver {
     /// An empty tee (equivalent to [`NoopObserver`](crate::NoopObserver)).
-    pub fn new() -> TeeObserver<'a> {
-        TeeObserver { sinks: Vec::new() }
-    }
-
-    /// The common case: a tee over exactly two observers.
-    pub fn pair(
-        first: &'a dyn ExploreObserver,
-        second: &'a dyn ExploreObserver,
-    ) -> TeeObserver<'a> {
-        TeeObserver {
-            sinks: vec![first, second],
-        }
+    pub fn new() -> TeeObserver {
+        TeeObserver::default()
     }
 
     /// Appends `sink` to the fan-out list.
-    pub fn push(&mut self, sink: &'a dyn ExploreObserver) {
+    pub fn push(&mut self, sink: Arc<dyn ExploreObserver>) {
         self.sinks.push(sink);
     }
 }
 
-impl Default for TeeObserver<'_> {
-    fn default() -> Self {
-        TeeObserver::new()
-    }
-}
-
-impl std::fmt::Debug for TeeObserver<'_> {
+impl std::fmt::Debug for TeeObserver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TeeObserver")
             .field("sinks", &self.sinks.len())
@@ -76,7 +61,7 @@ impl std::fmt::Debug for TeeObserver<'_> {
     }
 }
 
-impl ExploreObserver for TeeObserver<'_> {
+impl ExploreObserver for TeeObserver {
     fn phase_started(&self, phase: SearchPhase) {
         for s in &self.sinks {
             s.phase_started(phase);
@@ -545,15 +530,15 @@ mod tests {
 
     #[test]
     fn tee_fans_out_to_every_sink_in_order() {
-        let a = CountingObserver::default();
-        let b = CountingObserver::default();
-        let mut tee = TeeObserver::pair(&a, &b);
-        let c = CountingObserver::default();
-        tee.push(&c);
+        let sinks: Vec<Arc<CountingObserver>> = (0..3).map(|_| Arc::default()).collect();
+        let mut tee = TeeObserver::new();
+        for sink in &sinks {
+            tee.push(sink.clone());
+        }
         tee.phase_started(SearchPhase::Bounds);
         tee.evaluation_finished(&dist(&[1, 2]), Rational::new(1, 2), 3, 4);
         tee.evaluation_finished(&dist(&[2, 2]), Rational::new(1, 2), 3, 4);
-        for obs in [&a, &b, &c] {
+        for obs in &sinks {
             assert_eq!(obs.phases.load(Ordering::Relaxed), 1);
             assert_eq!(obs.evals.load(Ordering::Relaxed), 2);
         }

@@ -174,7 +174,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         options: &ExploreOptions,
         observer: &'a dyn ExploreObserver,
     ) -> Result<EvalPipeline<'a, M>, ExploreError> {
-        let oracle = if options.static_prune {
+        let oracle = if options.prune {
             PruneOracle::new()
         } else {
             PruneOracle::disabled()

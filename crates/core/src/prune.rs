@@ -52,8 +52,8 @@ type Levels = BTreeMap<Rational, Vec<StorageDistribution>>;
 /// synchronized.
 #[derive(Debug)]
 pub(crate) struct PruneOracle {
-    /// `false` for the `static_prune: false` escape hatch: every query
-    /// answers "no proof" and nothing is recorded.
+    /// `false` for the `prune: false` escape hatch: every query answers
+    /// "no proof" and nothing is recorded.
     enabled: bool,
     /// Pointwise-maximal records per level: answers "some record ≥ d".
     maximal: Mutex<Levels>,
@@ -71,8 +71,8 @@ impl PruneOracle {
         }
     }
 
-    /// An oracle that never prunes (the `static_prune: false` escape
-    /// hatch; fronts are byte-identical either way, by construction).
+    /// An oracle that never prunes (the `prune: false` escape hatch;
+    /// fronts are byte-identical either way, by construction).
     pub(crate) fn disabled() -> PruneOracle {
         PruneOracle {
             enabled: false,

@@ -460,11 +460,12 @@ impl fmt::Display for SearchPhase {
 /// Structured observation of an exploration run.
 ///
 /// All methods default to no-ops, so observers implement only what they
-/// care about. Implementations must be `Sync`: with multi-threaded
-/// evaluation, events arrive concurrently from worker threads. Event
-/// *order* between workers is nondeterministic; the statistics totals are
-/// not.
-pub trait ExploreObserver: Sync {
+/// care about. A run receives its observer as a shared handle in
+/// [`ExploreOptions::observer`](crate::ExploreOptions::observer), hence
+/// `Send + Sync`: with multi-threaded evaluation, events arrive
+/// concurrently from worker threads. Event *order* between workers is
+/// nondeterministic; the statistics totals are not.
+pub trait ExploreObserver: Send + Sync {
     /// A search driver entered `phase`.
     fn phase_started(&self, phase: SearchPhase) {
         let _ = phase;
@@ -511,8 +512,14 @@ pub trait ExploreObserver: Sync {
     }
 }
 
-/// The do-nothing observer: the default for all non-`_observed` entry
-/// points.
+impl fmt::Debug for dyn ExploreObserver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("dyn ExploreObserver")
+    }
+}
+
+/// The do-nothing observer: what a run reports to when
+/// [`ExploreOptions::observer`](crate::ExploreOptions::observer) is unset.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 

@@ -1,26 +1,19 @@
-//! Buffer/throughput trade-off exploration for CSDF graphs.
+//! Phase-aware channel bounds for the buffer/throughput exploration of
+//! CSDF graphs.
 //!
-//! The exploration driver lives in the unified kernel:
-//! [`buffy_core::explore_design_space_for`] runs the paper's exact
-//! divide-and-conquer search for any
+//! The exploration itself is the unified kernel's: `buffy_core`'s
+//! `explore_design_space` and `explore_dependency_guided` run for any
 //! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) model, and
-//! [`CsdfGraph`] implements that trait. This module keeps the CSDF-typed
-//! entry point plus the phase-aware channel bounds: capacities move in
-//! steps of the gcd of all the channel's (non-zero) rates — token counts
-//! are always congruent to the initial tokens modulo that gcd — and
-//! single-phase channels get the exact SDF buffer minimum so that
-//! embedded SDF graphs explore exactly the SDF grid.
+//! [`CsdfGraph`](crate::CsdfGraph) implements that trait with the bounds
+//! below: capacities move in steps of the gcd of all the channel's
+//! (non-zero) rates — token counts are always congruent to the initial
+//! tokens modulo that gcd — and single-phase channels get the exact SDF
+//! buffer minimum so that embedded SDF graphs explore exactly the SDF
+//! grid.
 
-use crate::model::{CsdfChannel, CsdfError, CsdfGraph};
-use crate::throughput::CsdfLimits;
-use buffy_analysis::{bmlb, AnalysisError, CancelToken};
-use buffy_core::{
-    explore_design_space_observed, Completeness, EvaluationFailure, ExplorationStats, ExploreError,
-    ExploreObserver, ExploreOptions, NoopObserver, ObjectiveSpace, ParetoSet, SkippedSize,
-    WarmStart,
-};
-use buffy_graph::{gcd_u64, ActorId, Rational};
-use std::sync::Arc;
+use crate::model::CsdfChannel;
+use buffy_analysis::bmlb;
+use buffy_graph::gcd_u64;
 
 /// A safe lower bound on one channel's capacity for positive throughput.
 ///
@@ -47,181 +40,14 @@ pub fn csdf_channel_step(channel: &CsdfChannel) -> u64 {
     g.max(1)
 }
 
-/// Options for the CSDF exploration.
-#[derive(Debug, Clone)]
-pub struct CsdfExploreOptions {
-    /// Observed actor (default: the graph's default).
-    pub observed: Option<ActorId>,
-    /// Hard cap on the distribution size; defaults to the computed
-    /// upper bound (the size realizing the maximal throughput).
-    pub max_size: Option<u64>,
-    /// State-space limits per analysis.
-    pub limits: CsdfLimits,
-    /// Worker threads for evaluating candidate distributions: 1 =
-    /// sequential, 0 = auto-detect via
-    /// [`std::thread::available_parallelism`]. The reported statistics are
-    /// identical for every thread count.
-    pub threads: usize,
-    /// Quantize throughputs searched to multiples of this value (paper
-    /// §11: limits the number of Pareto points).
-    pub quantum: Option<Rational>,
-    /// Cooperative budget/cancellation token checked between evaluation
-    /// strides; when it fires after the bounds phase the exploration
-    /// degrades to a partial, bound-annotated front instead of failing.
-    pub cancel: Option<Arc<CancelToken>>,
-    /// Previously completed evaluations (e.g. from a checkpoint), replayed
-    /// as recorded evaluations so a resumed run reproduces an
-    /// uninterrupted one exactly.
-    pub warm_start: Option<Arc<WarmStart>>,
-    /// Let dominance records skip candidates they decide (default
-    /// `true`); disable for the unpruned reference run. The front is
-    /// identical either way.
-    pub static_prune: bool,
-    /// Seed each cold evaluation's allocations from a neighbouring
-    /// distribution's recorded state count (default `true`). Purely an
-    /// allocation-layer hint: fronts and statistics (other than the
-    /// warm-start counters) are identical either way.
-    pub warm_start_neighbours: bool,
-    /// Deterministic fault schedule for resilience testing (see
-    /// [`buffy_core::FaultPlan`]); `None` in production.
-    pub fault_plan: Option<Arc<buffy_core::FaultPlan>>,
-    /// The objective space to explore (default: the paper's
-    /// storage/throughput pair). Adding the energy axis requires power
-    /// annotations on the graph's actors; the latency axis is an
-    /// SDF-only CLI annotation and is rejected here by the CLI layer.
-    pub objectives: ObjectiveSpace,
-}
-
-impl Default for CsdfExploreOptions {
-    // Manual impl: the derive would default the booleans to `false`, but
-    // pruning and neighbour warm starts are on unless explicitly disabled.
-    fn default() -> Self {
-        Self {
-            observed: None,
-            max_size: None,
-            limits: CsdfLimits::default(),
-            threads: 0,
-            quantum: None,
-            cancel: None,
-            warm_start: None,
-            static_prune: true,
-            warm_start_neighbours: true,
-            fault_plan: None,
-            objectives: ObjectiveSpace::default_2d(),
-        }
-    }
-}
-
-/// Result of a CSDF exploration.
-#[derive(Debug, Clone)]
-pub struct CsdfExplorationResult {
-    /// The Pareto front (phase-firing throughput of the observed actor).
-    pub pareto: ParetoSet,
-    /// The maximal achievable throughput of the observed actor.
-    pub max_throughput: Rational,
-    /// Evaluation statistics: analyses run, cache hits, largest state
-    /// space, analysis wall time.
-    pub stats: ExplorationStats,
-    /// Whether the front is exact or a budget/interrupt truncated it.
-    pub completeness: Completeness,
-    /// Sizes enumerated but never evaluated, with conservative throughput
-    /// bounds (only populated on truncated runs).
-    pub skipped: Vec<SkippedSize>,
-    /// Evaluations that panicked; the run degrades around them.
-    pub failures: Vec<EvaluationFailure>,
-}
-
-/// Maps kernel exploration errors back into the CSDF vocabulary.
-fn explore_to_csdf(e: ExploreError) -> CsdfError {
-    match e {
-        ExploreError::Graph(g) => CsdfError::from(AnalysisError::Graph(g)),
-        ExploreError::Analysis(a) => CsdfError::from(a),
-        // Cancellation before any salvageable result surfaces as the
-        // analysis-layer cancellation error, keeping the reason.
-        ExploreError::Cancelled { reason } => CsdfError::from(AnalysisError::Cancelled { reason }),
-        // The remaining variants concern constrained searches this entry
-        // point does not expose; an empty feasible space is the only way
-        // they can reach us.
-        _ => CsdfError::NoPositiveThroughput,
-    }
-}
-
-/// Explores the buffer/throughput trade-off space of a CSDF graph through
-/// the unified kernel's exact design-space exploration.
-///
-/// # Errors
-///
-/// Propagates engine/state-space errors; reports
-/// [`CsdfError::Inconsistent`] via the repetition-vector check and
-/// [`CsdfError::NoPositiveThroughput`] when no distribution is live.
-///
-/// # Examples
-///
-/// ```
-/// use buffy_csdf::{csdf_explore, CsdfExploreOptions, CsdfGraph};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = CsdfGraph::builder("updown");
-/// let p = b.actor("p", vec![1, 1]);
-/// let c = b.actor("c", vec![1]);
-/// b.channel("d", p, vec![2, 0], c, vec![1], 0)?;
-/// let g = b.build()?;
-/// let r = csdf_explore(&g, &CsdfExploreOptions::default())?;
-/// assert!(!r.pareto.is_empty());
-/// # Ok(())
-/// # }
-/// ```
-pub fn csdf_explore(
-    graph: &CsdfGraph,
-    options: &CsdfExploreOptions,
-) -> Result<CsdfExplorationResult, CsdfError> {
-    csdf_explore_observed(graph, options, &NoopObserver)
-}
-
-/// [`csdf_explore`] with a structured [`ExploreObserver`] receiving
-/// evaluation, cache-hit, Pareto-accept and phase events as the search
-/// runs.
-///
-/// # Errors
-///
-/// See [`csdf_explore`].
-pub fn csdf_explore_observed(
-    graph: &CsdfGraph,
-    options: &CsdfExploreOptions,
-    observer: &dyn ExploreObserver,
-) -> Result<CsdfExplorationResult, CsdfError> {
-    // Observation only: the wrapping span marks the CSDF run in traces;
-    // the per-phase instrumentation happens inside the shared core driver.
-    let _span = buffy_telemetry::active().map(|r| r.span("csdf-explore"));
-    let core_options = ExploreOptions {
-        observed: options.observed,
-        max_size: options.max_size,
-        quantum: options.quantum,
-        limits: options.limits,
-        threads: options.threads,
-        cancel: options.cancel.clone(),
-        warm_start: options.warm_start.clone(),
-        static_prune: options.static_prune,
-        warm_start_neighbours: options.warm_start_neighbours,
-        fault_plan: options.fault_plan.clone(),
-        objectives: options.objectives.clone(),
-        ..ExploreOptions::default()
-    };
-    let r =
-        explore_design_space_observed(graph, &core_options, observer).map_err(explore_to_csdf)?;
-    Ok(CsdfExplorationResult {
-        pareto: r.pareto,
-        max_throughput: r.max_throughput,
-        stats: r.stats,
-        completeness: r.completeness,
-        skipped: r.skipped,
-        failures: r.failures,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsdfGraph;
+    use buffy_analysis::CancelToken;
+    use buffy_core::{explore_design_space, ExploreError, ExploreOptions};
+    use buffy_graph::{GraphError, Rational};
+    use std::sync::Arc;
 
     #[test]
     fn lower_bound_and_step() {
@@ -255,7 +81,7 @@ mod tests {
         let c = b.actor("c", vec![1]);
         b.channel("d", p, vec![2, 0], c, vec![1], 0).unwrap();
         let g = b.build().unwrap();
-        let r = csdf_explore(&g, &CsdfExploreOptions::default()).unwrap();
+        let r = explore_design_space(&g, &ExploreOptions::default()).unwrap();
         // The front is monotone and reaches throughput 1 (c every step).
         let pts = r.pareto.points();
         assert!(!pts.is_empty());
@@ -280,7 +106,7 @@ mod tests {
         b.channel("beta", bb, 1, c, 2).unwrap();
         let sdf = b.build().unwrap();
         let csdf = CsdfGraph::from_sdf(&sdf);
-        let r = csdf_explore(&csdf, &CsdfExploreOptions::default()).unwrap();
+        let r = explore_design_space(&csdf, &ExploreOptions::default()).unwrap();
         let front: Vec<(u64, Rational)> = r
             .pareto
             .points()
@@ -307,8 +133,8 @@ mod tests {
         b.channel("r", y, vec![1], x, vec![1], 1).unwrap();
         let g = b.build().unwrap();
         assert!(matches!(
-            csdf_explore(&g, &CsdfExploreOptions::default()),
-            Err(CsdfError::Inconsistent { .. })
+            explore_design_space(&g, &ExploreOptions::default()),
+            Err(ExploreError::Graph(GraphError::Inconsistent { .. }))
         ));
     }
 
@@ -321,7 +147,7 @@ mod tests {
         let c = b.actor("c", vec![2]);
         b.channel("d", p, vec![3, 0, 3], c, vec![2], 0).unwrap();
         let g = b.build().unwrap();
-        let r = csdf_explore(&g, &CsdfExploreOptions::default()).unwrap();
+        let r = explore_design_space(&g, &ExploreOptions::default()).unwrap();
         assert!(r.pareto.len() >= 2, "front: {:?}", r.pareto.points());
         assert!(r.max_throughput > Rational::ZERO);
     }
@@ -333,16 +159,16 @@ mod tests {
         let c = b.actor("c", vec![1]);
         b.channel("d", p, vec![2, 0], c, vec![1], 0).unwrap();
         let g = b.build().unwrap();
-        let exact = csdf_explore(&g, &CsdfExploreOptions::default()).unwrap();
+        let exact = explore_design_space(&g, &ExploreOptions::default()).unwrap();
         assert!(exact.completeness.exact);
         assert!(exact.skipped.is_empty() && exact.failures.is_empty());
         // Grant enough budget for the bounds phase but not the sweep.
         let budget = exact.stats.evaluations - 1;
-        let options = CsdfExploreOptions {
+        let options = ExploreOptions {
             cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget))),
-            ..CsdfExploreOptions::default()
+            ..ExploreOptions::default()
         };
-        match csdf_explore(&g, &options) {
+        match explore_design_space(&g, &options) {
             Ok(partial) => {
                 assert!(!partial.completeness.exact);
                 // Every surviving point is a genuinely evaluated point of
@@ -357,10 +183,7 @@ mod tests {
             }
             // The budget can also fire inside the bounds phase, where
             // nothing is salvageable.
-            Err(e) => assert!(matches!(
-                e,
-                CsdfError::Analysis(AnalysisError::Cancelled { .. })
-            )),
+            Err(e) => assert!(matches!(e, ExploreError::Cancelled { .. })),
         }
     }
 
@@ -371,12 +194,12 @@ mod tests {
         let c = b.actor("c", vec![1]);
         b.channel("d", p, vec![2, 0], c, vec![1], 0).unwrap();
         let g = b.build().unwrap();
-        let sequential = csdf_explore(&g, &CsdfExploreOptions::default()).unwrap();
-        let threaded = csdf_explore(
+        let sequential = explore_design_space(&g, &ExploreOptions::default()).unwrap();
+        let threaded = explore_design_space(
             &g,
-            &CsdfExploreOptions {
+            &ExploreOptions {
                 threads: 4,
-                ..CsdfExploreOptions::default()
+                ..ExploreOptions::default()
             },
         )
         .unwrap();
@@ -384,11 +207,11 @@ mod tests {
         // Statistics are deterministic across thread counts.
         assert_eq!(sequential.stats, threaded.stats);
         // A coarse quantum collapses the front to at most a few points.
-        let quantized = csdf_explore(
+        let quantized = explore_design_space(
             &g,
-            &CsdfExploreOptions {
+            &ExploreOptions {
                 quantum: Some(Rational::new(1, 2)),
-                ..CsdfExploreOptions::default()
+                ..ExploreOptions::default()
             },
         )
         .unwrap();

@@ -84,9 +84,9 @@ pub fn all() -> Vec<CsdfGraph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{csdf_explore, CsdfExploreOptions};
     use crate::hsdf::csdf_maximal_throughput;
     use crate::repetition::{is_consistent, CsdfRepetitionVector};
+    use buffy_core::{explore_design_space, ExploreOptions};
     use buffy_graph::Rational;
 
     #[test]
@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn gallery_explores() {
         for g in [updown(), line_scaler()] {
-            let r = csdf_explore(&g, &CsdfExploreOptions::default())
+            let r = explore_design_space(&g, &ExploreOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", g.name()));
             assert!(!r.pareto.is_empty(), "{}", g.name());
             let obs = g.default_observed_actor();

@@ -17,15 +17,17 @@
 //! - [`csdf_throughput`]: reduced-state-space throughput analysis (paper
 //!   §7, phase-aware), via the kernel's
 //!   [`throughput_for`](buffy_analysis::throughput_for);
-//! - [`csdf_explore`]: buffer/throughput Pareto exploration through the
-//!   kernel's exact design-space driver
-//!   ([`explore_design_space_for`](buffy_core::explore_design_space_for)).
+//! - [`csdf_channel_lower_bound`] / [`csdf_channel_step`]: the
+//!   phase-aware channel bounds that box the buffer/throughput design
+//!   space.
 //!
-//! Since PR 2 the execution, throughput, and exploration algorithms are
-//! implemented once in `buffy-analysis`/`buffy-core` against the
-//! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) trait;
-//! [`CsdfGraph`] implements the trait and this crate only keeps the
-//! CSDF-typed wrappers and phase-aware channel bounds.
+//! The execution, throughput and exploration algorithms are implemented
+//! once in `buffy-analysis`/`buffy-core` against the
+//! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) trait, and
+//! [`CsdfGraph`] implements the trait: the Pareto exploration of a CSDF
+//! graph is `buffy_core::explore_design_space(&graph, &options)`, the
+//! same call as for an SDF graph. This crate keeps the CSDF model, its
+//! XML dialect, the CSDF-typed throughput wrapper and the channel bounds.
 //!
 //! Every SDF graph embeds as a single-phase CSDF graph
 //! ([`CsdfGraph::from_sdf`]); the test suite uses the embedding to
@@ -34,6 +36,7 @@
 //! # Example
 //!
 //! ```
+//! use buffy_core::{explore_design_space, ExploreOptions};
 //! use buffy_csdf::{csdf_throughput, CsdfGraph, CsdfLimits};
 //! use buffy_graph::{Rational, StorageDistribution};
 //!
@@ -48,6 +51,10 @@
 //! let r = csdf_throughput(&g, &StorageDistribution::from_capacities(vec![4]), c,
 //!                         CsdfLimits::default())?;
 //! assert_eq!(r.throughput, Rational::ONE);
+//!
+//! // Its buffer/throughput Pareto front, through the kernel's driver.
+//! let front = explore_design_space(&g, &ExploreOptions::default())?;
+//! assert_eq!(front.pareto.minimal().unwrap().size, 2); // the burst must fit
 //! # Ok(())
 //! # }
 //! ```
@@ -67,10 +74,7 @@ mod throughput;
 pub mod xml;
 
 pub use engine::{CsdfEngine, CsdfState, CsdfStepEvents, CsdfStepOutcome};
-pub use explore::{
-    csdf_channel_lower_bound, csdf_channel_step, csdf_explore, csdf_explore_observed,
-    CsdfExplorationResult, CsdfExploreOptions,
-};
+pub use explore::{csdf_channel_lower_bound, csdf_channel_step};
 pub use hsdf::{csdf_maximal_throughput, csdf_ratio_graph};
 pub use model::{CsdfActor, CsdfChannel, CsdfError, CsdfGraph, CsdfGraphBuilder};
 pub use repetition::{is_consistent, CsdfRepetitionVector};

@@ -73,9 +73,6 @@ pub enum CsdfError {
         /// The per-channel capacities in effect (`None` = unbounded).
         capacities: Vec<Option<u64>>,
     },
-    /// No storage distribution within the explored bounds yields positive
-    /// throughput.
-    NoPositiveThroughput,
     /// A unified-kernel analysis failed for a reason without a
     /// CSDF-specific variant.
     Analysis(AnalysisError),
@@ -127,9 +124,6 @@ impl fmt::Display for CsdfError {
                     capacities: capacities.clone(),
                 };
                 write!(f, "{e}")
-            }
-            CsdfError::NoPositiveThroughput => {
-                write!(f, "no storage distribution yields positive throughput")
             }
             CsdfError::Analysis(e) => write!(f, "{e}"),
         }
@@ -808,7 +802,6 @@ mod tests {
                 channel: "x".into(),
             },
             CsdfError::IdlePowerExceedsActive { actor: "x".into() },
-            CsdfError::NoPositiveThroughput,
             CsdfError::Analysis(AnalysisError::NotLive),
         ] {
             assert!(!e.to_string().is_empty());

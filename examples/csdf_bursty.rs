@@ -5,11 +5,13 @@
 //! silent while it reads ahead. Plain SDF cannot express the within-line
 //! variation; CSDF can — and buffer sizing must account for the burst.
 //! This example explores the buffer/throughput trade-off of such a
-//! pipeline with `buffy-csdf`.
+//! pipeline: `buffy-csdf` models it, and the same exploration driver that
+//! charts SDF graphs charts it.
 //!
 //! Run with: `cargo run -p buffy-examples --bin csdf_bursty`
 
-use buffy_csdf::{csdf_explore, csdf_throughput, CsdfExploreOptions, CsdfGraph, CsdfLimits};
+use buffy_core::{explore_design_space, ExploreOptions};
+use buffy_csdf::{csdf_throughput, CsdfGraph, CsdfLimits};
 use buffy_graph::StorageDistribution;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The full Pareto front.
-    let result = csdf_explore(&graph, &CsdfExploreOptions::default())?;
+    let result = explore_design_space(&graph, &ExploreOptions::default())?;
     println!(
         "\nPareto front (unified-kernel exploration, {} analyses, {} cache hits):",
         result.stats.evaluations, result.stats.cache_hits

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("50%", Rational::new(1, 2)),
     ] {
         let constraint = max_rate * fraction;
-        let point = min_storage_for_throughput(&graph, constraint, &opts)?;
+        let point = min_storage_for_throughput(&graph, constraint, &opts)?.point;
         println!(
             "{label:>10}  {:>12}  {:>28}",
             point.size,

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pick the cheapest configuration for a 80%-of-max constraint and show
     // its periodic schedule.
     let constraint = guided.max_throughput * Rational::new(4, 5);
-    let point = min_storage_for_throughput(&graph, constraint, &opts)?;
+    let point = min_storage_for_throughput(&graph, constraint, &opts)?.point;
     println!(
         "\nminimal storage for ≥ {} (80% of max): size {} with γ = {}",
         constraint, point.size, point.distribution

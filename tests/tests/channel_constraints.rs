@@ -62,7 +62,9 @@ fn infeasible_caps_reported() {
 fn constraint_query_respects_caps() {
     let g = gallery::example();
     // 1/7 is achievable with α ≤ 5 …
-    let p = min_storage_for_throughput(&g, Rational::new(1, 7), &capped(5, 100)).unwrap();
+    let p = min_storage_for_throughput(&g, Rational::new(1, 7), &capped(5, 100))
+        .unwrap()
+        .point;
     assert!(p.distribution.as_slice()[0] <= 5);
     assert_eq!(p.size, 6);
     // … but 1/5 is not.

@@ -9,7 +9,7 @@
 //! diverging evaluation count.
 
 use buffy_core::{explore_design_space, ExplorationResult, ExploreOptions};
-use buffy_csdf::{csdf_explore, CsdfExploreOptions, CsdfGraph};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery;
 use buffy_graph::SdfGraph;
 use buffy_integration_tests::test_threads;
@@ -83,11 +83,11 @@ fn csdf_exploration_is_deterministic_across_thread_counts() {
 
     for (name, graph) in [("burst3", &burst), ("example", &embedded)] {
         let run = |threads: usize| {
-            csdf_explore(
+            explore_design_space(
                 graph,
-                &CsdfExploreOptions {
+                &ExploreOptions {
                     threads,
-                    ..CsdfExploreOptions::default()
+                    ..ExploreOptions::default()
                 },
             )
             .unwrap()

@@ -3,11 +3,11 @@
 //! all cross-validated against the core SDF analyses.
 
 use buffy_analysis::{
-    latency, shared_memory_peak, throughput, throughput_with_capacities, transform, Capacities,
+    latency, shared_memory_peak, throughput, throughput_for, transform, Capacities,
     ExplorationLimits,
 };
-use buffy_core::{explore_dependency_guided, ExploreOptions};
-use buffy_csdf::{csdf_explore, csdf_throughput, CsdfExploreOptions, CsdfGraph, CsdfLimits};
+use buffy_core::{explore_dependency_guided, explore_design_space, ExploreOptions};
+use buffy_csdf::{csdf_throughput, CsdfGraph, CsdfLimits};
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::{Rational, StorageDistribution};
 
@@ -77,7 +77,7 @@ fn transformation_preserves_throughput_on_random_graphs() {
                 Ok(t) => t,
                 Err(_) => continue,
             };
-            let transformed = throughput_with_capacities(
+            let transformed = throughput_for(
                 &t,
                 Capacities::unbounded(t.num_channels()),
                 t.actor_by_name(g.actor(obs).name()).unwrap(),
@@ -113,7 +113,7 @@ fn csdf_embedding_matches_sdf_gallery() {
 /// The CSDF explorer reproduces the SDF Pareto front through the
 /// single-phase embedding on random graphs.
 #[test]
-fn csdf_explore_matches_sdf_front_on_random_graphs() {
+fn csdf_exploration_matches_sdf_front_on_random_graphs() {
     let mut compared = 0;
     for seed in 0..8 {
         let g = RandomGraphConfig {
@@ -132,11 +132,11 @@ fn csdf_explore_matches_sdf_front_on_random_graphs() {
         let obs = csdf
             .actor_by_name(g.actor(g.default_observed_actor()).name())
             .unwrap();
-        let csdf_result = csdf_explore(
+        let csdf_result = explore_design_space(
             &csdf,
-            &CsdfExploreOptions {
+            &ExploreOptions {
                 observed: Some(obs),
-                ..CsdfExploreOptions::default()
+                ..ExploreOptions::default()
             },
         )
         .unwrap();
@@ -175,7 +175,8 @@ fn min_storage_lands_on_realizable_sizes() {
     }
     .generate();
     let p = buffy_core::min_storage_for_throughput(&g, Rational::new(1, 9), &Default::default())
-        .unwrap();
+        .unwrap()
+        .point;
     assert_eq!(p.size, 14);
     assert_eq!(p.throughput, Rational::new(1, 9));
 }

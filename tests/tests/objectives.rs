@@ -16,7 +16,7 @@ use buffy_core::{
     explore_dependency_guided, explore_design_space, ExplorationResult, ExploreOptions,
     ObjectiveKind, ObjectiveSpace, ParetoPoint,
 };
-use buffy_csdf::{csdf_explore, CsdfExploreOptions, CsdfGraph};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 use buffy_integration_tests::test_threads;
@@ -107,16 +107,16 @@ fn csdf_default_space_is_byte_identical_across_threads_and_warm_start() {
         buffy_csdf::gallery::updown(),
         buffy_csdf::gallery::line_scaler(),
     ] {
-        let reference = csdf_explore(&graph, &CsdfExploreOptions::default()).unwrap();
+        let reference = explore_design_space(&graph, &ExploreOptions::default()).unwrap();
         for threads in [1, test_threads()] {
             for warm in [true, false] {
-                let run = csdf_explore(
+                let run = explore_design_space(
                     &graph,
-                    &CsdfExploreOptions {
+                    &ExploreOptions {
                         threads,
                         warm_start_neighbours: warm,
                         objectives: ObjectiveSpace::default_2d(),
-                        ..CsdfExploreOptions::default()
+                        ..ExploreOptions::default()
                     },
                 )
                 .unwrap();
@@ -232,12 +232,12 @@ fn three_d_front_projects_onto_the_default_front() {
     }
 
     let csdf = powered_updown();
-    let plain = csdf_explore(&csdf, &CsdfExploreOptions::default()).unwrap();
-    let energetic = csdf_explore(
+    let plain = explore_design_space(&csdf, &ExploreOptions::default()).unwrap();
+    let energetic = explore_design_space(
         &csdf,
-        &CsdfExploreOptions {
+        &ExploreOptions {
             objectives: ObjectiveSpace::with_energy(),
-            ..CsdfExploreOptions::default()
+            ..ExploreOptions::default()
         },
     )
     .unwrap();
@@ -281,7 +281,7 @@ fn throughput_only_pruning_stays_sound_under_the_energy_axis() {
         &graph,
         ExploreOptions {
             objectives: ObjectiveSpace::with_energy(),
-            static_prune: false,
+            prune: false,
             ..ExploreOptions::default()
         },
     );

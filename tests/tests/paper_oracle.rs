@@ -134,7 +134,9 @@ fn throughput_constraints() {
         (Rational::new(1, 5), 9),
         (Rational::new(1, 4), 10),
     ] {
-        let p = min_storage_for_throughput(&g, constraint, &opts).unwrap();
+        let p = min_storage_for_throughput(&g, constraint, &opts)
+            .unwrap()
+            .point;
         assert_eq!(p.size, size, "constraint {constraint}");
     }
 }

@@ -15,8 +15,8 @@
 use std::sync::{Arc, Mutex};
 
 use buffy_core::{
-    explore_design_space, explore_design_space_observed, CancelReason, CancelToken,
-    ExplorationResult, ExploreError, ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
+    explore_design_space, CancelReason, CancelToken, ExplorationResult, ExploreError,
+    ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
 };
 use buffy_gen::{RandomGraphConfig, SplitMix64};
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
@@ -72,10 +72,8 @@ impl ExploreObserver for Recorder {
 }
 
 impl Recorder {
-    fn into_warm_start(self) -> WarmStart {
-        self.entries
-            .into_inner()
-            .unwrap()
+    fn take_warm_start(&self) -> WarmStart {
+        std::mem::take(&mut *self.entries.lock().unwrap())
             .into_iter()
             .map(|(d, t, s)| (d, (t, s)))
             .collect()
@@ -186,14 +184,15 @@ fn resume_from_recorded_evaluations_is_byte_identical() {
         }
         // An interrupted run: budget at half the exact evaluation count,
         // every finished evaluation recorded (the checkpoint contract).
-        let rec = Recorder::default();
+        let rec = Arc::new(Recorder::default());
         let budget = exact.stats.evaluations / 2;
         let opts = ExploreOptions {
             cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget.max(1)))),
+            observer: Some(rec.clone()),
             ..ExploreOptions::default()
         };
-        let _ = explore_design_space_observed(&g, &opts, &rec);
-        let warm = Arc::new(rec.into_warm_start());
+        let _ = explore_design_space(&g, &opts);
+        let warm = Arc::new(rec.take_warm_start());
 
         for threads in [1, test_threads()] {
             let resumed = explore_with(

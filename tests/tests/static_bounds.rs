@@ -10,8 +10,8 @@ use buffy_analysis::{
     throughput_for, Capacities, DataflowSemantics, ExplorationLimits, StaticBounds,
 };
 use buffy_core::{
-    explore_dependency_guided_for, explore_design_space_for, lower_bound_distribution_for,
-    ExplorationResult, ExploreOptions,
+    explore_dependency_guided, explore_design_space, lower_bound_distribution, ExplorationResult,
+    ExploreOptions,
 };
 use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
@@ -41,7 +41,7 @@ fn burst_csdf() -> CsdfGraph {
 
 /// The lower-bound distribution and two componentwise-larger variants.
 fn sample_distributions<M: DataflowSemantics>(model: &M) -> Vec<StorageDistribution> {
-    let lb = lower_bound_distribution_for(model);
+    let lb = lower_bound_distribution(model);
     let plus: StorageDistribution = lb.as_slice().iter().map(|&c| c + 2).collect();
     let doubled: StorageDistribution = lb.as_slice().iter().map(|&c| c * 2).collect();
     vec![lb, plus, doubled]
@@ -174,12 +174,12 @@ where
     M: DataflowSemantics + Sync,
     F: Fn(&M, &ExploreOptions) -> ExplorationResult,
 {
-    let run = |threads: usize, static_prune: bool| {
+    let run = |threads: usize, prune: bool| {
         explore(
             model,
             &ExploreOptions {
                 threads,
-                static_prune,
+                prune,
                 ..ExploreOptions::default()
             },
         )
@@ -208,12 +208,12 @@ fn pruning_preserves_exhaustive_fronts_on_sdf_graphs() {
         gallery::modem(),
         gallery::cd2dat(),
     ] {
-        assert_prune_invisible(&g, g.name(), |m, o| explore_design_space_for(m, o).unwrap());
+        assert_prune_invisible(&g, g.name(), |m, o| explore_design_space(m, o).unwrap());
     }
     for seed in 0..8 {
         let g = random_graph(3300 + seed);
         let label = format!("seed {seed}");
-        assert_prune_invisible(&g, &label, |m, o| explore_design_space_for(m, o).unwrap());
+        assert_prune_invisible(&g, &label, |m, o| explore_design_space(m, o).unwrap());
     }
 }
 
@@ -226,15 +226,13 @@ fn pruning_preserves_guided_fronts_on_sdf_graphs() {
         gallery::cd2dat(),
     ] {
         assert_prune_invisible(&g, g.name(), |m, o| {
-            explore_dependency_guided_for(m, o).unwrap()
+            explore_dependency_guided(m, o).unwrap()
         });
     }
     for seed in 0..8 {
         let g = random_graph(3400 + seed);
         let label = format!("seed {seed}");
-        assert_prune_invisible(&g, &label, |m, o| {
-            explore_dependency_guided_for(m, o).unwrap()
-        });
+        assert_prune_invisible(&g, &label, |m, o| explore_dependency_guided(m, o).unwrap());
     }
 }
 
@@ -243,9 +241,7 @@ fn pruning_preserves_fronts_on_csdf_graphs() {
     let burst = burst_csdf();
     let embedded = CsdfGraph::from_sdf(&gallery::example());
     for (label, g) in [("burst3", &burst), ("embedded example", &embedded)] {
-        assert_prune_invisible(g, label, |m, o| explore_design_space_for(m, o).unwrap());
-        assert_prune_invisible(g, label, |m, o| {
-            explore_dependency_guided_for(m, o).unwrap()
-        });
+        assert_prune_invisible(g, label, |m, o| explore_design_space(m, o).unwrap());
+        assert_prune_invisible(g, label, |m, o| explore_dependency_guided(m, o).unwrap());
     }
 }

@@ -8,11 +8,8 @@
 //! one mutex: a concurrent test installing/uninstalling mid-run would
 //! otherwise make "recorder absent" unobservable.
 
-use buffy_core::{explore_design_space, ExplorationResult, ExploreOptions};
-use buffy_core::{explore_design_space_observed, LiveObserver};
-use buffy_csdf::{
-    csdf_explore, csdf_explore_observed, CsdfExplorationResult, CsdfExploreOptions, CsdfGraph,
-};
+use buffy_core::{explore_design_space, ExplorationResult, ExploreOptions, LiveObserver};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery;
 use buffy_graph::SdfGraph;
 use buffy_integration_tests::test_threads;
@@ -59,7 +56,7 @@ fn render(r: &ExplorationResult) -> String {
     out
 }
 
-fn render_csdf(r: &CsdfExplorationResult) -> String {
+fn render_csdf(r: &ExplorationResult) -> String {
     let mut out = String::new();
     for p in r.pareto.points() {
         out.push_str(&format!("{};{};{}\n", p.size, p.throughput, p.distribution));
@@ -117,22 +114,22 @@ fn csdf_results_are_identical_with_and_without_recorder() {
     b.channel("d", p, vec![3, 0, 3], c, vec![2], 0).unwrap();
     let graph = b.build().unwrap();
     for threads in [1, test_threads()] {
-        let opts = CsdfExploreOptions {
+        let opts = ExploreOptions {
             threads,
-            ..CsdfExploreOptions::default()
+            ..ExploreOptions::default()
         };
-        let bare = csdf_explore(&graph, &opts).unwrap();
-        let (observed, recorder) = with_recorder(|| csdf_explore(&graph, &opts).unwrap());
+        let bare = explore_design_space(&graph, &opts).unwrap();
+        let (observed, recorder) = with_recorder(|| explore_design_space(&graph, &opts).unwrap());
         assert_eq!(
             render_csdf(&bare),
             render_csdf(&observed),
             "csdf at {threads} threads: telemetry must be observation-only"
         );
-        // The CSDF wrapper marks itself in the trace.
+        // The shared driver's phase spans land in the trace.
         assert!(recorder
             .trace_events()
             .iter()
-            .any(|e| e.name == "csdf-explore"));
+            .any(|e| e.name == "phase:bounds"));
     }
 }
 
@@ -154,11 +151,11 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
 /// event), and the full `/events` replay.
 fn with_server<T>(
     graph_name: &str,
-    f: impl FnOnce(&LiveObserver) -> T,
+    f: impl FnOnce(&Arc<LiveObserver>) -> T,
 ) -> (T, String, String, String) {
     let recorder = Arc::new(Recorder::new());
     buffy_telemetry::install(Arc::clone(&recorder));
-    let live = LiveObserver::new();
+    let live = Arc::new(LiveObserver::new());
     let server = ObsServer::start(
         "127.0.0.1:0",
         ServeState {
@@ -217,7 +214,11 @@ fn sdf_results_are_identical_with_server_attached() {
                 ..ExploreOptions::default()
             };
             let (served, metrics, status, events) = with_server(graph.name(), |live| {
-                explore_design_space_observed(&graph, &opts, live).unwrap()
+                let opts = ExploreOptions {
+                    observer: Some(live.clone()),
+                    ..opts.clone()
+                };
+                explore_design_space(&graph, &opts).unwrap()
             });
             assert_eq!(
                 render(&bare),
@@ -256,13 +257,17 @@ fn csdf_results_are_identical_with_server_attached() {
     b.channel("d", p, vec![3, 0, 3], c, vec![2], 0).unwrap();
     let graph = b.build().unwrap();
     for threads in [1, test_threads()] {
-        let opts = CsdfExploreOptions {
+        let opts = ExploreOptions {
             threads,
-            ..CsdfExploreOptions::default()
+            ..ExploreOptions::default()
         };
-        let bare = csdf_explore(&graph, &opts).unwrap();
+        let bare = explore_design_space(&graph, &opts).unwrap();
         let (served, _metrics, status, events) = with_server("burst3", |live| {
-            csdf_explore_observed(&graph, &opts, live).unwrap()
+            let opts = ExploreOptions {
+                observer: Some(live.clone()),
+                ..opts.clone()
+            };
+            explore_design_space(&graph, &opts).unwrap()
         });
         assert_eq!(
             render_csdf(&bare),

@@ -10,8 +10,8 @@
 //! not merely up to throughput values.
 
 use buffy_analysis::{throughput_for, Capacities, ExplorationLimits};
-use buffy_core::{explore_design_space, explore_design_space_for, ExploreOptions};
-use buffy_csdf::{csdf_explore, CsdfExploreOptions, CsdfGraph};
+use buffy_core::{explore_design_space, ExploreOptions};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::RandomGraphConfig;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 
@@ -94,7 +94,7 @@ fn single_phase_pareto_sets_are_byte_identical() {
         let sdf = random_graph(seed);
         let csdf = CsdfGraph::from_sdf(&sdf);
         let s = explore_design_space(&sdf, &ExploreOptions::default());
-        let c = csdf_explore(&csdf, &CsdfExploreOptions::default());
+        let c = explore_design_space(&csdf, &ExploreOptions::default());
         match (s, c) {
             (Ok(s), Ok(c)) => {
                 assert_eq!(s.pareto, c.pareto, "seed {seed}: fronts diverge");
@@ -109,17 +109,15 @@ fn single_phase_pareto_sets_are_byte_identical() {
     }
 }
 
-/// The generic driver invoked directly on the CSDF embedding agrees with
-/// both typed wrappers on the paper's running example.
+/// The generic driver invoked on the CSDF embedding agrees with the SDF
+/// run on the paper's running example.
 #[test]
 fn generic_driver_matches_typed_wrappers_on_the_paper_example() {
     let sdf = paper_example();
     let csdf = CsdfGraph::from_sdf(&sdf);
     let s = explore_design_space(&sdf, &ExploreOptions::default()).unwrap();
-    let g = explore_design_space_for(&csdf, &ExploreOptions::default()).unwrap();
-    let w = csdf_explore(&csdf, &CsdfExploreOptions::default()).unwrap();
+    let g = explore_design_space(&csdf, &ExploreOptions::default()).unwrap();
     assert_eq!(s.pareto, g.pareto);
-    assert_eq!(g.pareto, w.pareto);
     let front: Vec<(u64, Rational)> = s
         .pareto
         .points()
@@ -145,7 +143,7 @@ fn generic_driver_matches_typed_wrappers_on_the_paper_example() {
 fn csdf_exploration_exercises_the_memo_cache() {
     let sdf = paper_example();
     let csdf = CsdfGraph::from_sdf(&sdf);
-    let r = csdf_explore(&csdf, &CsdfExploreOptions::default()).unwrap();
+    let r = explore_design_space(&csdf, &ExploreOptions::default()).unwrap();
     assert!(r.pareto.len() >= 4, "need a multi-point exploration");
     assert!(r.stats.evaluations > 0);
     assert!(
@@ -161,11 +159,11 @@ fn csdf_exploration_exercises_the_memo_cache() {
     );
     // The threaded exploration reports the same front and the same number
     // of distinct analyses (the cache is shared across workers).
-    let threaded = csdf_explore(
+    let threaded = explore_design_space(
         &csdf,
-        &CsdfExploreOptions {
+        &ExploreOptions {
             threads: 2,
-            ..CsdfExploreOptions::default()
+            ..ExploreOptions::default()
         },
     )
     .unwrap();

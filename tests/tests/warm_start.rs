@@ -14,10 +14,10 @@
 use std::sync::{Arc, Mutex};
 
 use buffy_core::{
-    explore_dependency_guided, explore_design_space, explore_design_space_observed, CancelToken,
-    ExplorationResult, ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
+    explore_dependency_guided, explore_design_space, CancelToken, ExplorationResult,
+    ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
 };
-use buffy_csdf::{csdf_explore, CsdfExploreOptions, CsdfGraph};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 use buffy_integration_tests::test_threads;
@@ -122,12 +122,12 @@ fn csdf_fronts_identical_with_and_without_warm_starts() {
 
     for (name, graph) in [("burst3", &burst), ("example", &embedded)] {
         let run = |threads: usize, warm: bool| {
-            csdf_explore(
+            explore_design_space(
                 graph,
-                &CsdfExploreOptions {
+                &ExploreOptions {
                     threads,
                     warm_start_neighbours: warm,
-                    ..CsdfExploreOptions::default()
+                    ..ExploreOptions::default()
                 },
             )
             .unwrap()
@@ -168,10 +168,8 @@ impl ExploreObserver for Recorder {
 }
 
 impl Recorder {
-    fn into_warm_start(self) -> WarmStart {
-        self.entries
-            .into_inner()
-            .unwrap()
+    fn take_warm_start(&self) -> WarmStart {
+        std::mem::take(&mut *self.entries.lock().unwrap())
             .into_iter()
             .map(|(d, t, s)| (d, (t, s)))
             .collect()
@@ -189,14 +187,15 @@ fn checkpoint_resume_composes_with_warm_starts() {
     let exact = explore_with(&graph, 1, true);
     assert!(exact.stats.evaluations > 2);
 
-    let rec = Recorder::default();
+    let rec = Arc::new(Recorder::default());
     let budget = exact.stats.evaluations / 2;
     let interrupted = ExploreOptions {
         cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget.max(1)))),
+        observer: Some(rec.clone()),
         ..ExploreOptions::default()
     };
-    let _ = explore_design_space_observed(&graph, &interrupted, &rec);
-    let warm_map = Arc::new(rec.into_warm_start());
+    let _ = explore_design_space(&graph, &interrupted);
+    let warm_map = Arc::new(rec.take_warm_start());
     assert!(!warm_map.is_empty());
 
     for threads in [1, test_threads()] {
