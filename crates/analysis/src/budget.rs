@@ -5,10 +5,12 @@
 //! optional evaluation-count budget. One token is created per run (the
 //! CLI arms it from `--timeout`/`--max-evals` and its SIGINT handler) and
 //! shared — behind an `Arc` — by every worker of an exploration. The
-//! per-distribution analysis polls it on a coarse stride
-//! ([`throughput_for_with_cancel`](crate::throughput_for_with_cancel)),
-//! so cancellation is cooperative: a set flag stops the run at the next
-//! stride boundary, never mid-state.
+//! per-distribution analysis polls it on a coarse stride, every 1024
+//! engine advances
+//! ([`throughput_for_with_cancel`](crate::throughput_for_with_cancel));
+//! an advance jumps to the next firing completion, so the stride counts
+//! events, not time units. Cancellation is cooperative: a set flag stops
+//! the run at the next stride boundary, never mid-state.
 //!
 //! Cancellation is *sticky* and first-wins: once a reason is recorded,
 //! later `cancel` calls do not overwrite it. This keeps the reported

@@ -126,24 +126,22 @@ pub fn dependencies_from_run_for<M: DataflowSemantics>(
     let mut engine = DataflowEngine::new(model, Capacities::from_distribution(dist));
     engine.start_initial()?;
 
+    // The blocked set depends on tokens, phases and idle actors only, which
+    // change only at firing completions: inspecting the state after each
+    // advance sees every set that unit steps would.
     if deadlocked {
         // Run to the deadlock and inspect the stable state.
-        loop {
-            match engine.step()? {
-                FiringOutcome::Deadlock => break,
-                FiringOutcome::Progress(_) => {}
-            }
-        }
+        while let FiringOutcome::Progress(_) = engine.advance(u64::MAX)? {}
         space_blocked_channels(&engine, &mut dependent);
     } else {
         // Replay one full period and union the blocked sets.
         let end = cycle_entry_time + period;
         while engine.time() < cycle_entry_time {
-            engine.step()?;
+            engine.advance(cycle_entry_time)?;
         }
         space_blocked_channels(&engine, &mut dependent);
         while engine.time() < end {
-            engine.step()?;
+            engine.advance(end)?;
             space_blocked_channels(&engine, &mut dependent);
         }
     }

@@ -18,10 +18,19 @@
 //! (cyclic phase sequences) run through the same code. [`Engine`] is the
 //! SDF-typed alias that the SDF analyses use.
 //!
-//! One call to [`DataflowEngine::step`] advances time by one unit: it
-//! first completes firings whose remaining time reaches zero, then starts
-//! every enabled firing. Actors with execution time 0 complete within the
-//! step; a fixpoint loop handles chains of zero-time firings.
+//! Time advances event by event. Between two firing completions nothing
+//! changes but the busy clocks counting down: tokens, phases and the set
+//! of idle actors stay put, so no new firing can become enabled. One call
+//! to [`DataflowEngine::advance`] therefore jumps straight to the next
+//! completion (or to a caller-given horizon, whichever comes first): it
+//! subtracts the gap from every busy clock, completes the firings whose
+//! clock reaches zero, then starts every enabled firing. The state it
+//! leaves is exactly the one unit-by-unit ticking reaches at that instant.
+//! [`DataflowEngine::step`] is `advance` with a horizon one unit ahead,
+//! for the analyses that look at every time instant (the full state
+//! space, schedules, latency, memory peaks). Actors with execution time 0
+//! complete within the instant they start; a fixpoint loop handles chains
+//! of zero-time firings.
 
 use crate::error::AnalysisError;
 use crate::semantics::DataflowSemantics;
@@ -102,28 +111,22 @@ pub struct DataflowState {
     pub tokens: Vec<u64>,
 }
 
-impl DataflowState {
-    /// Whether no actor is currently firing.
-    pub fn all_idle(&self) -> bool {
-        self.act_clk.iter().all(|&t| t == 0)
-    }
-}
-
 /// The SDF execution state: the single-phase case of [`DataflowState`].
 pub type SdfState = DataflowState;
 
-/// What happened during one [`DataflowEngine::step`]: completed and
-/// started firings with the phase that fired.
+/// What happened during one [`DataflowEngine::advance`] (or
+/// [`step`](DataflowEngine::step)): completed and started firings with the
+/// phase that fired.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FiringEvents {
-    /// `(actor, phase)` firings completed in this step (zero-time
+    /// `(actor, phase)` firings completed at the instant reached (zero-time
     /// firings appear once per completed firing).
     pub completed: Vec<(ActorId, u32)>,
-    /// `(actor, phase)` firings started in this step (ditto).
+    /// `(actor, phase)` firings started at the instant reached (ditto).
     pub started: Vec<(ActorId, u32)>,
 }
 
-/// Outcome of advancing a [`DataflowEngine`] by one time step.
+/// Outcome of advancing a [`DataflowEngine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FiringOutcome {
     /// Time advanced normally.
@@ -134,7 +137,7 @@ pub enum FiringOutcome {
 }
 
 /// Maximum number of zero-execution-time firings tolerated within a single
-/// time step before declaring a livelock.
+/// time instant before declaring a livelock.
 const ZERO_TIME_FIRING_CAP: u64 = 1 << 22;
 
 /// Deterministic self-timed executor for any [`DataflowSemantics`] model
@@ -263,7 +266,7 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
         &self.state
     }
 
-    /// The current time (number of completed steps).
+    /// The current time, in time units since the start.
     pub fn time(&self) -> u64 {
         self.time
     }
@@ -311,31 +314,62 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
         Ok(events)
     }
 
-    /// Advances the execution by one time step.
+    /// Advances the execution by one time unit: [`advance`](Self::advance)
+    /// with a horizon one unit ahead.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::ZeroTimeLivelock`] if zero-time firings never
-    /// stabilize within the step.
+    /// stabilize at the instant reached.
     ///
     /// # Panics
     ///
     /// Panics if [`start_initial`](Self::start_initial) has not been called.
     pub fn step(&mut self) -> Result<FiringOutcome, AnalysisError> {
+        self.advance(self.time.saturating_add(1))
+    }
+
+    /// Advances the execution to the next firing completion, but not past
+    /// `horizon`: time moves by the smallest remaining busy clock or by
+    /// `horizon − time`, whichever is smaller, and by at least one unit.
+    /// The gap is subtracted from every busy clock, the firings whose
+    /// clock reaches 0 complete in actor index order, and every enabled
+    /// firing starts.
+    ///
+    /// Nothing happens strictly inside the gap: no clock expires there, so
+    /// tokens, phases and the idle set are those of the current instant,
+    /// and after the start fixpoint no idle actor is enabled. The state
+    /// reached is therefore exactly the one that [`step`](Self::step)
+    /// reaches after the same number of time units.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::ZeroTimeLivelock`] if zero-time firings never
+    /// stabilize at the instant reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`start_initial`](Self::start_initial) has not been called.
+    pub fn advance(&mut self, horizon: u64) -> Result<FiringOutcome, AnalysisError> {
         assert!(self.started, "call start_initial before step");
+        let next_expiry = self.state.act_clk.iter().copied().filter(|&c| c > 0).min();
         // Deadlock check on the *current* state: nothing firing, nothing
         // enabled.
-        if self.state.all_idle() && !self.any_enabled() {
+        if next_expiry.is_none() && !self.any_enabled() {
             return Ok(FiringOutcome::Deadlock);
         }
 
-        self.time += 1;
+        let gap = next_expiry
+            .unwrap_or(1)
+            .min(horizon.saturating_sub(self.time))
+            .max(1);
+        self.time += gap;
         let mut events = FiringEvents::default();
 
         // 1. Advance clocks; complete firings that reach zero.
         for i in 0..self.state.act_clk.len() {
             if self.state.act_clk[i] > 0 {
-                self.state.act_clk[i] -= 1;
+                self.state.act_clk[i] -= gap;
                 if self.state.act_clk[i] == 0 {
                     let phase = self.state.phase[i];
                     self.complete(ActorId::new(i));
@@ -424,7 +458,7 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
                         break;
                     }
                     // Zero-time phase: fires (and may refire) within the
-                    // step.
+                    // instant.
                     events.started.push((actor, phase));
                     self.complete(actor);
                     events.completed.push((actor, phase));
@@ -550,7 +584,7 @@ mod tests {
             Capacities::from_distribution(&StorageDistribution::from_capacities(vec![1, 2])),
         );
         e.start_initial().unwrap();
-        assert!(e.state().all_idle());
+        assert_eq!(e.state().act_clk, vec![0, 0, 0]);
         assert_eq!(e.step().unwrap(), FiringOutcome::Deadlock);
         // Deadlock is stable.
         assert_eq!(e.step().unwrap(), FiringOutcome::Deadlock);
@@ -701,6 +735,70 @@ mod tests {
         assert_eq!(e.time(), 10);
         let mut e = engine(&g, &[1, 1]);
         assert_eq!(e.run_steps(10).unwrap(), 0);
+    }
+
+    #[test]
+    fn advance_jumps_to_the_next_completion() {
+        let g = example();
+        let mut e = engine(&g, &[4, 2]);
+        e.advance(u64::MAX).unwrap(); // t=1: a completes and restarts
+        e.advance(u64::MAX).unwrap(); // t=2: a completes, b starts (clock 2)
+        assert_eq!((e.time(), e.state().act_clk.clone()), (2, vec![0, 2, 0]));
+        // b's completion at t=4 is the next event: t=3 is skipped.
+        let FiringOutcome::Progress(ev) = e.advance(u64::MAX).unwrap() else {
+            panic!("expected progress");
+        };
+        assert_eq!(e.time(), 4);
+        assert_eq!(ev.completed, vec![(ActorId::new(1), 0)]);
+        assert_eq!(e.state().tokens, vec![1, 1]);
+    }
+
+    #[test]
+    fn advance_stops_at_the_horizon() {
+        let g = example();
+        let mut e = engine(&g, &[4, 2]);
+        e.run_steps(2).unwrap();
+        let FiringOutcome::Progress(ev) = e.advance(3).unwrap() else {
+            panic!("expected progress");
+        };
+        assert_eq!(ev, FiringEvents::default());
+        assert_eq!((e.time(), e.state().act_clk.clone()), (3, vec![0, 1, 0]));
+        // A horizon at or behind the clock still moves one unit.
+        e.advance(0).unwrap();
+        assert_eq!(e.time(), 4);
+    }
+
+    #[test]
+    fn advance_reaches_the_states_of_unit_steps() {
+        // Every advance lands on a state that stepping reaches at the same
+        // time, and the unit steps in between change nothing but clocks.
+        let g = example();
+        for caps in [[4u64, 2], [6, 2], [7, 3], [5, 3]] {
+            let mut jumping = engine(&g, &caps);
+            let mut ticking = engine(&g, &caps);
+            for horizon in [5u64, 9, 17, 30, 31, 64] {
+                while jumping.time() < horizon {
+                    jumping.advance(horizon).unwrap();
+                    while ticking.time() < jumping.time() {
+                        let FiringOutcome::Progress(ev) = ticking.step().unwrap() else {
+                            panic!("unexpected deadlock");
+                        };
+                        if ticking.time() < jumping.time() {
+                            assert_eq!(ev, FiringEvents::default(), "{caps:?}");
+                        }
+                    }
+                    assert_eq!(jumping.state(), ticking.state(), "{caps:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn advance_reports_deadlock_without_moving_time() {
+        let g = example();
+        let mut e = engine(&g, &[1, 2]);
+        assert_eq!(e.advance(u64::MAX).unwrap(), FiringOutcome::Deadlock);
+        assert_eq!(e.time(), 0);
     }
 
     #[test]

@@ -23,11 +23,12 @@ use buffy_telemetry::{names, Gauge, Histogram, Recorder};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How many engine steps between cancellation polls in
-/// [`throughput_for_with_cancel`]: the token is checked when
-/// `steps & CANCEL_STRIDE_MASK == 0`, i.e. every 1024 steps, so the poll
-/// (one relaxed load, occasionally an `Instant::now`) never shows up on
-/// the per-state hot path.
+/// How many engine advances between cancellation polls in
+/// [`throughput_for_with_cancel`]: the token is checked before the first
+/// advance and then whenever `advances & CANCEL_STRIDE_MASK == 0`, i.e.
+/// every 1024 advances, so the poll (one relaxed load, occasionally an
+/// `Instant::now`) never shows up on the per-state hot path. The stride
+/// counts advances, not time: one advance may jump many time units.
 const CANCEL_STRIDE_MASK: u64 = 0x3FF;
 
 /// Tunable limits for state-space searches.
@@ -35,7 +36,10 @@ const CANCEL_STRIDE_MASK: u64 = 0x3FF;
 pub struct ExplorationLimits {
     /// Maximum number of (reduced) states stored before giving up.
     pub max_states: usize,
-    /// Maximum number of time steps simulated before giving up.
+    /// Maximum number of time units simulated before giving up. It bounds
+    /// simulated time, not engine calls: the engine jumps from one firing
+    /// completion to the next, and a cycle that closes exactly at
+    /// `max_steps` is still found.
     pub max_steps: u64,
 }
 
@@ -95,7 +99,7 @@ pub struct ThroughputReport {
     pub cycle_states: usize,
     /// Firings of the observed actor per period (0 on deadlock).
     pub firings_per_period: u64,
-    /// Duration of the periodic phase in time steps (0 on deadlock).
+    /// Duration of the periodic phase in time units (0 on deadlock).
     pub period: u64,
     /// Time at which the cyclic phase was first entered (time of the first
     /// recurrent reduced state; 0 on deadlock).
@@ -184,8 +188,9 @@ pub fn throughput_for<M: DataflowSemantics>(
     throughput_for_with_cancel(model, caps, observed, limits, &NEVER)
 }
 
-/// [`throughput_for`] with cooperative cancellation: polls `cancel` every
-/// 1024 engine steps (a coarse stride, not per-state) and returns
+/// [`throughput_for`] with cooperative cancellation: polls `cancel` before
+/// the first engine advance and then every 1024 advances (a coarse stride,
+/// not per-state) and returns
 /// [`AnalysisError::Cancelled`] when the token has tripped. This is the
 /// entry point the exploration drivers' resilience layer uses.
 ///
@@ -376,16 +381,21 @@ fn cycle_search<M: DataflowSemantics>(
         firing_counts.push(pending);
     }
 
+    // Only completions can change the reduced state space, so the engine
+    // jumps from one completion to the next; the horizon keeps the step
+    // limit exact.
+    let mut advances: u64 = 0;
     loop {
-        if engine.time() & CANCEL_STRIDE_MASK == 0 {
+        if advances & CANCEL_STRIDE_MASK == 0 {
             if let Some(reason) = cancel.check() {
                 return Err(AnalysisError::Cancelled { reason });
             }
         }
+        advances += 1;
         if engine.time() >= limits.max_steps {
             return Err(limits.exceeded(LimitKind::Steps, engine.capacities()));
         }
-        let outcome = engine.step()?;
+        let outcome = engine.advance(limits.max_steps)?;
         let events = match outcome {
             FiringOutcome::Deadlock => {
                 return Ok(ThroughputReport::deadlock(store.len()));
@@ -562,6 +572,33 @@ mod tests {
             },
             "{err}"
         );
+
+        // The exact boundary: under ⟨4,2⟩ the cycle closes at t = 23 (c's
+        // completion at t = 16 recurs), so a limit of 23 time units still
+        // finds it and 22 does not.
+        let d = StorageDistribution::from_capacities(vec![4, 2]);
+        let run = |max_steps| {
+            throughput_for(
+                &g,
+                Capacities::from_distribution(&d),
+                g.actor_by_name("c").unwrap(),
+                ExplorationLimits {
+                    max_steps,
+                    ..ExplorationLimits::default()
+                },
+            )
+        };
+        let r = run(23).unwrap();
+        assert_eq!(r.throughput, Rational::new(1, 7));
+        assert_eq!((r.cycle_entry_time, r.period), (16, 7));
+        assert_eq!(
+            run(22).unwrap_err(),
+            AnalysisError::StateLimitExceeded {
+                limit: 22,
+                kind: crate::error::LimitKind::Steps,
+                capacities: vec![Some(4), Some(2)],
+            }
+        );
     }
 
     #[test]
@@ -611,6 +648,33 @@ mod tests {
             err,
             AnalysisError::Cancelled {
                 reason: CancelReason::Interrupt
+            }
+        );
+    }
+
+    #[test]
+    fn deadline_stops_an_analysis_mid_search() {
+        // Unbounded α grows forever, so no reduced state ever recurs: only
+        // the deadline, polled every 1024 advances, can end the search.
+        use crate::budget::{CancelReason, CancelToken};
+        use std::time::Duration;
+        let g = example();
+        let token = CancelToken::new().with_deadline(Duration::from_millis(20));
+        let err = throughput_for_with_cancel(
+            &g,
+            Capacities::unbounded(2),
+            g.actor_by_name("c").unwrap(),
+            ExplorationLimits {
+                max_states: usize::MAX,
+                max_steps: u64::MAX,
+            },
+            &token,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            AnalysisError::Cancelled {
+                reason: CancelReason::Deadline
             }
         );
     }

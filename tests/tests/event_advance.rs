@@ -1,0 +1,367 @@
+//! Differential check of the event-driven time advance.
+//!
+//! The throughput analysis and the storage-dependency replay move time
+//! with `DataflowEngine::advance`, which jumps from one firing completion
+//! to the next. This file keeps the unit-step versions of both algorithms
+//! as references, driven by `DataflowEngine::step` one time unit at a
+//! time, and requires every `ThroughputReport` field, every error and
+//! every dependency flag to agree with the kernel's — on seeded random
+//! graphs, their single-phase CSDF embeddings, the SDF and CSDF
+//! galleries, zero-execution-time graphs and deadlocking distributions.
+
+use buffy_analysis::{
+    dependencies_from_run_for, throughput_for, AnalysisError, Capacities, DataflowEngine,
+    DataflowSemantics, ExplorationLimits, FiringEvents, FiringOutcome, LimitKind, ReducedState,
+    ThroughputReport,
+};
+use buffy_core::lower_bound_distribution;
+use buffy_csdf::CsdfGraph;
+use buffy_gen::{gallery, RandomGraphConfig};
+use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
+use std::collections::HashMap;
+
+/// The reduced-state-space cycle search of paper §7, stepping one time
+/// unit per engine call.
+fn unit_step_throughput<M: DataflowSemantics>(
+    model: &M,
+    caps: Capacities,
+    observed: ActorId,
+    limits: ExplorationLimits,
+) -> Result<ThroughputReport, AnalysisError> {
+    let completions = |events: &FiringEvents| {
+        events
+            .completed
+            .iter()
+            .filter(|&&(a, _)| a == observed)
+            .count() as u32
+    };
+    let mut engine = DataflowEngine::new(model, caps);
+    let initial = engine.start_initial()?;
+    let mut seen: HashMap<ReducedState, usize> = HashMap::new();
+    let mut times = Vec::new();
+    let mut firing_counts = Vec::new();
+    let mut last_completion = 0;
+    let pending = completions(&initial);
+    if pending > 0 {
+        let key = ReducedState {
+            state: engine.state().clone(),
+            dist: 0,
+            firings: pending,
+        };
+        seen.insert(key, 0);
+        times.push(0);
+        firing_counts.push(pending);
+    }
+    loop {
+        if engine.time() >= limits.max_steps {
+            return Err(limits.exceeded(LimitKind::Steps, engine.capacities()));
+        }
+        let events = match engine.step()? {
+            FiringOutcome::Deadlock => {
+                return Ok(ThroughputReport {
+                    throughput: Rational::ZERO,
+                    deadlocked: true,
+                    states_stored: seen.len(),
+                    cycle_states: 0,
+                    firings_per_period: 0,
+                    period: 0,
+                    cycle_entry_time: 0,
+                })
+            }
+            FiringOutcome::Progress(events) => events,
+        };
+        let pending = completions(&events);
+        if pending == 0 {
+            continue;
+        }
+        let dist = engine.time() - last_completion;
+        last_completion = engine.time();
+        let key = ReducedState {
+            state: engine.state().clone(),
+            dist,
+            firings: pending,
+        };
+        if let Some(&k) = seen.get(&key) {
+            let period = engine.time() - times[k];
+            if period == 0 {
+                return Err(AnalysisError::ZeroPeriod);
+            }
+            let firings: u64 = firing_counts[k..].iter().map(|&f| u64::from(f)).sum();
+            return Ok(ThroughputReport {
+                throughput: Rational::new(firings as i128, period as i128),
+                deadlocked: false,
+                states_stored: seen.len(),
+                cycle_states: times.len() - k,
+                firings_per_period: firings,
+                period,
+                cycle_entry_time: times[k],
+            });
+        }
+        seen.insert(key, times.len());
+        times.push(engine.time());
+        firing_counts.push(pending);
+        if times.len() > limits.max_states {
+            return Err(limits.exceeded(LimitKind::States, engine.capacities()));
+        }
+    }
+}
+
+/// Channels whose free space blocks an idle actor that has all its input
+/// tokens.
+fn space_blocked<M: DataflowSemantics>(engine: &DataflowEngine<'_, M>, out: &mut [bool]) {
+    let model = engine.model();
+    let state = engine.state();
+    for i in 0..model.num_actors() {
+        let actor = ActorId::new(i);
+        let phase = state.phase[i];
+        if state.act_clk[i] > 0
+            || model
+                .input_channels(actor)
+                .iter()
+                .any(|&c| state.tokens[c.index()] < model.consumption(c, phase))
+        {
+            continue;
+        }
+        for &c in model.output_channels(actor) {
+            if let Some(cap) = engine.capacities().get(c) {
+                if cap.saturating_sub(state.tokens[c.index()]) < model.production(c, phase) {
+                    out[c.index()] = true;
+                }
+            }
+        }
+    }
+}
+
+/// The storage-dependency replay, inspecting every time unit of the
+/// period (or the deadlock state).
+fn unit_step_dependencies<M: DataflowSemantics>(
+    model: &M,
+    dist: &StorageDistribution,
+    report: &ThroughputReport,
+) -> Result<Vec<bool>, AnalysisError> {
+    let mut dependent = vec![false; model.num_channels()];
+    let mut engine = DataflowEngine::new(model, Capacities::from_distribution(dist));
+    engine.start_initial()?;
+    if report.deadlocked {
+        while let FiringOutcome::Progress(_) = engine.step()? {}
+        space_blocked(&engine, &mut dependent);
+    } else {
+        while engine.time() < report.cycle_entry_time {
+            engine.step()?;
+        }
+        space_blocked(&engine, &mut dependent);
+        while engine.time() < report.cycle_entry_time + report.period {
+            engine.step()?;
+            space_blocked(&engine, &mut dependent);
+        }
+    }
+    Ok(dependent)
+}
+
+/// Compares the kernel with the unit-step references for one analysis,
+/// including step and state limits placed exactly at the cycle's close.
+fn assert_agrees<M: DataflowSemantics>(
+    label: &str,
+    model: &M,
+    dist: &StorageDistribution,
+    observed: ActorId,
+) {
+    let run = |limits: ExplorationLimits| {
+        let caps = Capacities::from_distribution(dist);
+        let fast = throughput_for(model, caps.clone(), observed, limits);
+        let slow = unit_step_throughput(model, caps, observed, limits);
+        assert_eq!(
+            fast, slow,
+            "{label} {dist} observed {observed:?} {limits:?}"
+        );
+        fast
+    };
+    let Ok(report) = run(ExplorationLimits::default()) else {
+        return;
+    };
+    let fast = dependencies_from_run_for(
+        model,
+        dist,
+        report.deadlocked,
+        report.cycle_entry_time,
+        report.period,
+    );
+    let slow = unit_step_dependencies(model, dist, &report);
+    assert_eq!(fast, slow, "{label} {dist}: dependency flags differ");
+
+    let steps = |max_steps| ExplorationLimits {
+        max_steps,
+        ..ExplorationLimits::default()
+    };
+    if !report.deadlocked {
+        // The cycle closes at `close`: that many time units suffice, one
+        // fewer does not.
+        let close = report.cycle_entry_time + report.period;
+        assert_eq!(run(steps(close)), Ok(report.clone()), "{label} {dist}");
+        assert!(
+            matches!(
+                run(steps(close - 1)),
+                Err(AnalysisError::StateLimitExceeded {
+                    kind: LimitKind::Steps,
+                    ..
+                })
+            ),
+            "{label} {dist}"
+        );
+        let _ = run(steps(close / 2));
+    }
+    let _ = run(ExplorationLimits {
+        max_states: report.states_stored.saturating_sub(1),
+        ..ExplorationLimits::default()
+    });
+}
+
+/// The lower-bound distribution, every channel grown by 1 and 3, and the
+/// lower bound doubled.
+fn distributions<M: DataflowSemantics>(model: &M) -> Vec<StorageDistribution> {
+    let lb = lower_bound_distribution(model);
+    let grown = |f: fn(u64) -> u64| {
+        StorageDistribution::from_capacities(lb.as_slice().iter().map(|&c| f(c)).collect())
+    };
+    vec![
+        lb.clone(),
+        grown(|c| c + 1),
+        grown(|c| c + 3),
+        grown(|c| 2 * c),
+    ]
+}
+
+/// Checks every distribution of [`distributions`], observing every actor
+/// of small models and the default actor of larger ones.
+fn assert_model_agrees<M: DataflowSemantics>(label: &str, model: &M) {
+    let observed: Vec<ActorId> = if model.num_actors() <= 6 {
+        (0..model.num_actors()).map(ActorId::new).collect()
+    } else {
+        vec![model.default_observed_actor()]
+    };
+    for dist in distributions(model) {
+        for &actor in &observed {
+            assert_agrees(label, model, &dist, actor);
+        }
+    }
+}
+
+/// The random-graph family of `unified_kernel.rs`.
+fn random_graph(seed: u64) -> SdfGraph {
+    RandomGraphConfig {
+        actors: 4,
+        extra_channels: 1,
+        max_repetition: 3,
+        max_rate_factor: 2,
+        max_execution_time: 3,
+        seed,
+    }
+    .generate()
+}
+
+/// Random graphs with long firings, so that most advances jump many time
+/// units at once.
+fn slow_random_graph(seed: u64) -> SdfGraph {
+    RandomGraphConfig {
+        max_execution_time: 40,
+        seed,
+        ..RandomGraphConfig::default()
+    }
+    .generate()
+}
+
+#[test]
+fn random_graphs_agree_with_unit_steps() {
+    for seed in 7000..7020u64 {
+        let g = random_graph(seed);
+        assert_model_agrees(&format!("random {seed}"), &g);
+        assert_model_agrees(&format!("random {seed} (CSDF)"), &CsdfGraph::from_sdf(&g));
+    }
+}
+
+#[test]
+fn random_graphs_with_long_firings_agree_with_unit_steps() {
+    for seed in 100..110u64 {
+        let g = slow_random_graph(seed);
+        assert_model_agrees(&format!("slow random {seed}"), &g);
+        assert_model_agrees(
+            &format!("slow random {seed} (CSDF)"),
+            &CsdfGraph::from_sdf(&g),
+        );
+    }
+}
+
+#[test]
+fn gallery_graphs_agree_with_unit_steps() {
+    for g in gallery::all() {
+        assert_model_agrees(g.name(), &g);
+    }
+    for g in buffy_csdf::gallery::all() {
+        assert_model_agrees(g.name(), &g);
+    }
+}
+
+#[test]
+fn deadlocking_distributions_agree_with_unit_steps() {
+    let g = gallery::example();
+    for caps in [[4u64, 1], [3, 2], [1, 2], [0, 0]] {
+        let dist = StorageDistribution::from_capacities(caps.to_vec());
+        for actor in 0..3 {
+            assert_agrees("example", &g, &dist, ActorId::new(actor));
+        }
+    }
+    let b = gallery::bipartite();
+    let dist = StorageDistribution::from_capacities(vec![1, 1, 1, 1]);
+    assert_agrees("bipartite", &b, &dist, b.default_observed_actor());
+}
+
+#[test]
+fn zero_execution_time_graphs_agree_with_unit_steps() {
+    // src (1) and a zero-time z in a ring, without and with the token
+    // that lets them ping-pong.
+    for tokens in [0, 1] {
+        let mut b = SdfGraph::builder("zt");
+        let src = b.actor("src", 1);
+        let z = b.actor("z", 0);
+        b.channel("c1", src, 1, z, 1).unwrap();
+        b.channel_with_tokens("c2", z, 1, src, 1, tokens).unwrap();
+        let g = b.build().unwrap();
+        let dist = StorageDistribution::from_capacities(vec![1, 1]);
+        for actor in [src, z] {
+            assert_agrees("zt", &g, &dist, actor);
+            assert_agrees("zt (CSDF)", &CsdfGraph::from_sdf(&g), &dist, actor);
+        }
+    }
+
+    // A slow source feeding a zero-time sink.
+    let mut b = SdfGraph::builder("z");
+    let s = b.actor("s", 2);
+    let z = b.actor("z", 0);
+    b.channel("c", s, 1, z, 1).unwrap();
+    let g = b.build().unwrap();
+    for cap in 1..4 {
+        let dist = StorageDistribution::from_capacities(vec![cap]);
+        assert_agrees("z", &g, &dist, z);
+        assert_agrees("z", &g, &dist, s);
+    }
+
+    // Two zero-time actors trading a token forever: both routes report
+    // the livelock.
+    let mut b = SdfGraph::builder("ll");
+    let x = b.actor("x", 0);
+    let y = b.actor("y", 0);
+    b.channel("f", x, 1, y, 1).unwrap();
+    b.channel_with_tokens("r", y, 1, x, 1, 1).unwrap();
+    let g = b.build().unwrap();
+    let dist = StorageDistribution::from_capacities(vec![1, 1]);
+    let caps = Capacities::from_distribution(&dist);
+    let limits = ExplorationLimits::default();
+    assert_eq!(
+        throughput_for(&g, caps.clone(), x, limits),
+        Err(AnalysisError::ZeroTimeLivelock)
+    );
+    assert_eq!(
+        unit_step_throughput(&g, caps, x, limits),
+        Err(AnalysisError::ZeroTimeLivelock)
+    );
+}

@@ -2,7 +2,7 @@
 //! Table 2): structural counts, liveness, and sane Pareto fronts.
 
 use buffy_analysis::throughput;
-use buffy_core::{explore_dependency_guided, ExploreOptions};
+use buffy_core::{explore_dependency_guided, explore_design_space, ExploreOptions};
 use buffy_gen::gallery;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 
@@ -140,4 +140,52 @@ fn cd2dat_minimum_is_the_combined_lower_bound() {
     let r = explore_dependency_guided(&g, &ExploreOptions::default()).unwrap();
     assert_eq!(r.lower_bound_size, 32);
     assert_eq!(r.pareto.minimal().unwrap().size, 32);
+}
+
+/// The H.263 decoder with the authors' cycle counts (26018, 559, 486,
+/// 10958; the gallery graph divides them by about 100). Each analysis
+/// spans more than a million time units, but the engine jumps from one
+/// firing completion to the next, so both drivers chart the first seven
+/// front points quickly — and identically.
+#[test]
+fn full_count_h263_front_is_exact() {
+    let mut b = SdfGraph::builder("h263full");
+    let vld = b.actor("vld", 26018);
+    let iq = b.actor("iq", 559);
+    let idct = b.actor("idct", 486);
+    let mc = b.actor("mc", 10958);
+    b.channel("vld_iq", vld, 594, iq, 1).unwrap();
+    b.channel("iq_idct", iq, 1, idct, 1).unwrap();
+    b.channel("idct_mc", idct, 1, mc, 594).unwrap();
+    let g = b.build().unwrap();
+    let expected: Vec<(u64, Rational, Vec<u64>)> = [
+        (1189, 646262, [594, 1, 594]),
+        (1190, 358064, [594, 2, 594]),
+        (1191, 357505, [595, 2, 594]),
+        (1192, 356946, [596, 2, 594]),
+        (1193, 356387, [597, 2, 594]),
+        (1194, 355828, [598, 2, 594]),
+        (1195, 355269, [599, 2, 594]),
+    ]
+    .into_iter()
+    .map(|(size, period, caps)| (size, Rational::new(1, period), caps.to_vec()))
+    .collect();
+    let options = ExploreOptions {
+        max_size: Some(1195),
+        ..ExploreOptions::default()
+    };
+    for (driver, result) in [
+        ("guided", explore_dependency_guided(&g, &options)),
+        ("exhaustive", explore_design_space(&g, &options)),
+    ] {
+        let r = result.unwrap_or_else(|e| panic!("{driver}: {e}"));
+        let front: Vec<(u64, Rational, Vec<u64>)> = r
+            .pareto
+            .points()
+            .iter()
+            .map(|p| (p.size, p.throughput, p.distribution.as_slice().to_vec()))
+            .collect();
+        assert_eq!(front, expected, "{driver}");
+        assert_eq!(r.stats.max_states, 2, "{driver}");
+    }
 }
