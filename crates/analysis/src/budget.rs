@@ -7,7 +7,7 @@
 //! shared — behind an `Arc` — by every worker of an exploration. The
 //! per-distribution analysis polls it on a coarse stride, every 1024
 //! engine advances
-//! ([`throughput_for_with_cancel`](crate::throughput_for_with_cancel));
+//! ([`throughput_analysis`](crate::throughput_analysis));
 //! an advance jumps to the next firing completion, so the stride counts
 //! events, not time units. Cancellation is cooperative: a set flag stops
 //! the run at the next stride boundary, never mid-state.

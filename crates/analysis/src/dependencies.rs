@@ -1,4 +1,4 @@
-//! Storage-dependency detection.
+//! Storage-dependency detection by replay.
 //!
 //! A channel carries a *storage dependency* when, during the periodic phase
 //! of the self-timed execution (or in the deadlock state), some actor is
@@ -8,34 +8,17 @@
 //! signal that drives the dependency-guided design-space exploration in
 //! `buffy-core` — the pruning direction the paper's conclusions call for
 //! (§11–12) and the refinement the authors later shipped in SDF3.
+//!
+//! The analysis collects the flags during its own cycle search
+//! ([`throughput_analysis`](crate::throughput_analysis) with
+//! `dependencies` set). [`dependencies_from_run_for`] derives the same set
+//! a second way, by replaying the execution and rescanning every actor
+//! after every advance; no exploration driver calls it.
 
 use crate::engine::{Capacities, DataflowEngine, FiringOutcome};
 use crate::error::AnalysisError;
 use crate::semantics::DataflowSemantics;
-use crate::throughput::{throughput_for, ExplorationLimits, ThroughputReport};
-use buffy_graph::{ActorId, ChannelId, SdfGraph, StorageDistribution};
-
-/// A throughput report extended with the channels limiting it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DependencyReport {
-    /// The plain throughput analysis result.
-    pub report: ThroughputReport,
-    /// Channels with a storage dependency: `true` at index `i` iff channel
-    /// `i` blocked some token-ready actor during the periodic phase (or in
-    /// the deadlock state).
-    pub dependent: Vec<bool>,
-}
-
-impl DependencyReport {
-    /// The dependent channels as ids.
-    pub fn dependent_channels(&self) -> Vec<ChannelId> {
-        self.dependent
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| d.then_some(ChannelId::new(i)))
-            .collect()
-    }
-}
+use buffy_graph::{ActorId, StorageDistribution};
 
 /// Channels whose lack of space currently blocks a token-ready, idle actor
 /// (at its current phase's rates).
@@ -64,53 +47,16 @@ fn space_blocked_channels<M: DataflowSemantics>(engine: &DataflowEngine<'_, M>, 
     }
 }
 
-/// Computes the throughput of `observed` under `dist` and the set of
-/// storage-dependent channels.
-///
-/// For a periodic execution the dependencies are collected over one full
-/// period; for a deadlocked execution they are collected in the final
-/// (stable) state.
-///
-/// # Errors
-///
-/// Same as [`crate::throughput`].
-pub fn throughput_with_dependencies(
-    graph: &SdfGraph,
-    dist: &StorageDistribution,
-    observed: ActorId,
-    limits: ExplorationLimits,
-) -> Result<DependencyReport, AnalysisError> {
-    throughput_with_dependencies_for(graph, dist, observed, limits)
-}
-
-/// The generic form of [`throughput_with_dependencies`]: works for any
-/// [`DataflowSemantics`] model through the unified kernel.
-///
-/// # Errors
-///
-/// Same as [`crate::throughput`].
-pub fn throughput_with_dependencies_for<M: DataflowSemantics>(
-    model: &M,
-    dist: &StorageDistribution,
-    observed: ActorId,
-    limits: ExplorationLimits,
-) -> Result<DependencyReport, AnalysisError> {
-    let report = throughput_for(model, Capacities::from_distribution(dist), observed, limits)?;
-    let dependent = dependencies_from_run_for(
-        model,
-        dist,
-        report.deadlocked,
-        report.cycle_entry_time,
-        report.period,
-    )?;
-    Ok(DependencyReport { report, dependent })
-}
-
 /// Replays one self-timed execution to collect the storage-dependent
-/// channels, reusing an already-computed throughput result (its
-/// `deadlocked` flag, `cycle_entry_time` and `period`) instead of
-/// re-running the state-space analysis. This is what lets a memoized
-/// evaluator answer dependency queries from its cache.
+/// channels, given an already-computed throughput result (its
+/// `deadlocked` flag, `cycle_entry_time` and `period`): a full rescan of
+/// the actors after every advance over `[cycle_entry_time,
+/// cycle_entry_time + period]`, or in the final state of a deadlock.
+///
+/// No exploration driver calls this: the analysis collects the same flags
+/// during its cycle search. The replay is kept as the independent oracle
+/// the differential tests compare those flags with, and for the
+/// benchmark's per-layer replayer (`perfbench/replay`).
 ///
 /// # Errors
 ///
@@ -151,6 +97,7 @@ pub fn dependencies_from_run_for<M: DataflowSemantics>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::throughput::{throughput_analysis, AnalysisRequest, AnalysisWorkspace};
     use buffy_graph::{Rational, SdfGraph};
 
     fn example() -> SdfGraph {
@@ -163,24 +110,40 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn deps(g: &SdfGraph, caps: &[u64]) -> DependencyReport {
-        throughput_with_dependencies(
+    /// The fused analysis under `caps`, checked against the replay.
+    fn deps(g: &SdfGraph, caps: &[u64]) -> (Rational, bool, Vec<bool>) {
+        let dist = StorageDistribution::from_capacities(caps.to_vec());
+        let request = AnalysisRequest {
+            dependencies: true,
+            ..AnalysisRequest::default()
+        };
+        let analysis = throughput_analysis(
             g,
-            &StorageDistribution::from_capacities(caps.to_vec()),
+            Capacities::from_distribution(&dist),
             g.actor_by_name("c").unwrap(),
-            ExplorationLimits::default(),
+            &request,
+            &mut AnalysisWorkspace::new(),
         )
-        .unwrap()
+        .unwrap();
+        let r = analysis.report;
+        let flags = analysis.dependent.unwrap();
+        let replayed =
+            dependencies_from_run_for(g, &dist, r.deadlocked, r.cycle_entry_time, r.period)
+                .unwrap();
+        assert_eq!(
+            flags, replayed,
+            "{dist}: fused flags differ from the replay"
+        );
+        (r.throughput, r.deadlocked, flags)
     }
 
     #[test]
     fn saturated_distribution_has_dependencies() {
         let g = example();
-        let r = deps(&g, &[4, 2]);
-        assert_eq!(r.report.throughput, Rational::new(1, 7));
+        let (thr, _, flags) = deps(&g, &[4, 2]);
+        assert_eq!(thr, Rational::new(1, 7));
         // a is repeatedly blocked on α's space: α must be dependent.
-        assert!(r.dependent[0], "α should carry a storage dependency");
-        assert!(!r.dependent_channels().is_empty());
+        assert!(flags[0], "α should carry a storage dependency");
     }
 
     #[test]
@@ -190,9 +153,9 @@ mod tests {
         // dependency notion deliberately reports it. β, in balance, never
         // fills and must not be reported.
         let g = example();
-        let r = deps(&g, &[20, 20]);
-        assert_eq!(r.report.throughput, Rational::new(1, 4));
-        assert_eq!(r.dependent, vec![true, false]);
+        let (thr, _, flags) = deps(&g, &[20, 20]);
+        assert_eq!(thr, Rational::new(1, 4));
+        assert_eq!(flags, vec![true, false]);
     }
 
     #[test]
@@ -200,9 +163,47 @@ mod tests {
         let g = example();
         // α capacity 3 < production needs: a (token-free inputs) is blocked
         // on α forever.
-        let r = deps(&g, &[3, 2]);
-        assert!(r.report.deadlocked);
-        assert!(r.dependent[0]);
+        let (_, deadlocked, flags) = deps(&g, &[3, 2]);
+        assert!(deadlocked);
+        assert!(flags[0]);
+    }
+
+    #[test]
+    fn flags_cover_more_than_one_word_of_channels() {
+        // A 70-channel pipeline whose slow sink back-pressures every
+        // channel: the flag bitset spans two words. With capacity 1 the
+        // sink's input is refilled only after it completes, so a sink
+        // firing takes 3 + 1 time units.
+        let mut b = SdfGraph::builder("pipeline");
+        let actors: Vec<_> = (0..=70)
+            .map(|i| b.actor(format!("a{i}"), if i == 70 { 3 } else { 1 }))
+            .collect();
+        for (i, pair) in actors.windows(2).enumerate() {
+            b.channel(format!("c{i}"), pair[0], 1, pair[1], 1).unwrap();
+        }
+        let g = b.build().unwrap();
+        let dist = StorageDistribution::from_capacities(vec![1; 70]);
+        let request = AnalysisRequest {
+            dependencies: true,
+            ..AnalysisRequest::default()
+        };
+        let analysis = throughput_analysis(
+            &g,
+            Capacities::from_distribution(&dist),
+            actors[70],
+            &request,
+            &mut AnalysisWorkspace::new(),
+        )
+        .unwrap();
+        let r = analysis.report;
+        assert_eq!(r.throughput, Rational::new(1, 4));
+        let flags = analysis.dependent.unwrap();
+        assert_eq!(
+            flags,
+            dependencies_from_run_for(&g, &dist, r.deadlocked, r.cycle_entry_time, r.period)
+                .unwrap()
+        );
+        assert!(flags[64..].contains(&true), "{flags:?}");
     }
 
     #[test]
@@ -212,19 +213,20 @@ mod tests {
         // dependent channel must eventually reach the maximum (this is the
         // soundness property the dependency-guided exploration relies on).
         let g = example();
-        let c = g.actor_by_name("c").unwrap();
-        let mut d = StorageDistribution::from_capacities(vec![4, 2]);
+        let mut caps = vec![4u64, 2];
         let mut best = Rational::new(1, 7);
         for _ in 0..30 {
-            let r = throughput_with_dependencies(&g, &d, c, ExplorationLimits::default()).unwrap();
-            best = best.max(r.report.throughput);
+            let (thr, _, flags) = deps(&g, &caps);
+            best = best.max(thr);
             if best == Rational::new(1, 4) {
                 break;
             }
-            let deps = r.dependent_channels();
-            assert!(!deps.is_empty(), "no dependencies but below max at {d}");
-            for ch in deps {
-                d = d.grown(ch, 1);
+            assert!(
+                flags.contains(&true),
+                "no dependencies but below max at {caps:?}"
+            );
+            for (cap, dependent) in caps.iter_mut().zip(flags) {
+                *cap += u64::from(dependent);
             }
         }
         assert_eq!(best, Rational::new(1, 4));

@@ -30,7 +30,9 @@
 //! for the analyses that look at every time instant (the full state
 //! space, schedules, latency, memory peaks). Actors with execution time 0
 //! complete within the instant they start; a fixpoint loop handles chains
-//! of zero-time firings.
+//! of zero-time firings. A timed start changes no token count, so it
+//! cannot enable another actor: the start pass sweeps the actors again
+//! only after a zero-time firing.
 
 use crate::error::AnalysisError;
 use crate::semantics::DataflowSemantics;
@@ -152,6 +154,12 @@ pub struct DataflowEngine<'g, M: DataflowSemantics> {
     state: DataflowState,
     time: u64,
     started: bool,
+    /// The events of the last [`advance_in_place`](Self::advance_in_place)
+    /// (or start pass), reused from call to call.
+    events: FiringEvents,
+    /// When tracking is on, the channels whose lack of space blocks an
+    /// idle actor that has all its input tokens, in the current state.
+    space_blocked: Option<Vec<ChannelId>>,
     /// Completed phase firings per actor, kept to cross-check token
     /// counts.
     #[cfg(feature = "strict-invariants")]
@@ -188,6 +196,8 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
             },
             time: 0,
             started: false,
+            events: FiringEvents::default(),
+            space_blocked: None,
             #[cfg(feature = "strict-invariants")]
             fired: vec![0; model.num_actors()],
             #[cfg(feature = "strict-invariants")]
@@ -277,24 +287,55 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
         if self.state.act_clk[actor.index()] > 0 {
             return false; // no auto-concurrency
         }
+        self.has_input_tokens(actor) && self.first_space_short(actor).is_none()
+    }
+
+    /// Whether every input channel of idle `actor` holds the tokens its
+    /// current phase consumes.
+    fn has_input_tokens(&self, actor: ActorId) -> bool {
         let phase = self.state.phase[actor.index()];
-        for &cid in self.model.input_channels(actor) {
-            if self.state.tokens[cid.index()] < self.model.consumption(cid, phase) {
-                return false;
-            }
-        }
-        for &cid in self.model.output_channels(actor) {
-            if let Some(cap) = self.caps.get(cid) {
-                // Self-loops consume at the end of the firing, so the space
-                // check cannot net out the consumption; claim the full
-                // production (conservative, matches the paper's model).
-                let free = cap.saturating_sub(self.state.tokens[cid.index()]);
-                if free < self.model.production(cid, phase) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.model
+            .input_channels(actor)
+            .iter()
+            .all(|&cid| self.state.tokens[cid.index()] >= self.model.consumption(cid, phase))
+    }
+
+    /// The position, among `actor`'s output channels, of the first one
+    /// whose free space is below what the current phase produces.
+    fn first_space_short(&self, actor: ActorId) -> Option<usize> {
+        let phase = self.state.phase[actor.index()];
+        self.model.output_channels(actor).iter().position(|&cid| {
+            lacks_space(
+                &self.caps,
+                &self.state.tokens,
+                cid,
+                self.model.production(cid, phase),
+            )
+        })
+    }
+
+    /// Switches on tracking of the space-blocked channels: from the next
+    /// start pass on, [`space_blocked`](Self::space_blocked) lists the
+    /// channels whose lack of free space keeps an idle, token-ready actor
+    /// from starting. The start pass derives the set while it tests
+    /// enabledness, so tracking costs no extra scan.
+    pub(crate) fn track_space_blocked(&mut self) {
+        self.space_blocked.get_or_insert_with(Vec::new);
+    }
+
+    /// The channels whose lack of free space blocks an idle actor that
+    /// has all its input tokens, in the current state: each listed once,
+    /// in the order the start pass met them. Empty unless
+    /// [`track_space_blocked`](Self::track_space_blocked) was called
+    /// before the last start pass.
+    pub(crate) fn space_blocked(&self) -> &[ChannelId] {
+        self.space_blocked.as_deref().unwrap_or(&[])
+    }
+
+    /// The events of the last [`advance_in_place`](Self::advance_in_place)
+    /// that made progress (empty after one that found a deadlock).
+    pub(crate) fn events(&self) -> &FiringEvents {
+        &self.events
     }
 
     /// Performs the initial start phase (time stays 0): every enabled actor
@@ -307,11 +348,12 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
     pub fn start_initial(&mut self) -> Result<FiringEvents, AnalysisError> {
         assert!(!self.started, "start_initial must be called exactly once");
         self.started = true;
-        let mut events = FiringEvents::default();
-        self.start_enabled(&mut events)?;
+        self.events.completed.clear();
+        self.events.started.clear();
+        self.start_enabled()?;
         #[cfg(feature = "strict-invariants")]
         self.assert_invariants();
-        Ok(events)
+        Ok(self.events.clone())
     }
 
     /// Advances the execution by one time unit: [`advance`](Self::advance)
@@ -351,20 +393,39 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
     ///
     /// Panics if [`start_initial`](Self::start_initial) has not been called.
     pub fn advance(&mut self, horizon: u64) -> Result<FiringOutcome, AnalysisError> {
-        assert!(self.started, "call start_initial before step");
-        let next_expiry = self.state.act_clk.iter().copied().filter(|&c| c > 0).min();
-        // Deadlock check on the *current* state: nothing firing, nothing
-        // enabled.
-        if next_expiry.is_none() && !self.any_enabled() {
-            return Ok(FiringOutcome::Deadlock);
-        }
+        Ok(if self.advance_in_place(horizon)? {
+            FiringOutcome::Progress(std::mem::take(&mut self.events))
+        } else {
+            FiringOutcome::Deadlock
+        })
+    }
 
-        let gap = next_expiry
-            .unwrap_or(1)
-            .min(horizon.saturating_sub(self.time))
-            .max(1);
+    /// [`advance`](Self::advance) without handing the events out: they
+    /// stay in the engine's buffer, readable through
+    /// [`events`](Self::events), which the next call clears and refills
+    /// without allocating. Returns `false` when the model is deadlocked
+    /// (time and state stay put).
+    ///
+    /// # Errors
+    ///
+    /// See [`advance`](Self::advance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`start_initial`](Self::start_initial) has not been called.
+    pub(crate) fn advance_in_place(&mut self, horizon: u64) -> Result<bool, AnalysisError> {
+        assert!(self.started, "call start_initial before step");
+        self.events.completed.clear();
+        self.events.started.clear();
+        // The start pass leaves no idle actor enabled, so the model is
+        // deadlocked exactly when nothing is firing.
+        let Some(next_expiry) = self.state.act_clk.iter().copied().filter(|&c| c > 0).min() else {
+            debug_assert!(!self.any_enabled());
+            return Ok(false);
+        };
+
+        let gap = next_expiry.min(horizon.saturating_sub(self.time)).max(1);
         self.time += gap;
-        let mut events = FiringEvents::default();
 
         // 1. Advance clocks; complete firings that reach zero.
         for i in 0..self.state.act_clk.len() {
@@ -373,16 +434,16 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
                 if self.state.act_clk[i] == 0 {
                     let phase = self.state.phase[i];
                     self.complete(ActorId::new(i));
-                    events.completed.push((ActorId::new(i), phase));
+                    self.events.completed.push((ActorId::new(i), phase));
                 }
             }
         }
 
         // 2. Start every enabled firing (fixpoint for zero-time phases).
-        self.start_enabled(&mut events)?;
+        self.start_enabled()?;
         #[cfg(feature = "strict-invariants")]
         self.assert_invariants();
-        Ok(FiringOutcome::Progress(events))
+        Ok(true)
     }
 
     /// Runs until the observed condition: convenience that steps `n` times
@@ -437,43 +498,85 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
     /// Starts all enabled firings; zero-time firings complete immediately
     /// and may enable more starts (possibly of the actor's next phase),
     /// hence the fixpoint loop.
-    fn start_enabled(&mut self, events: &mut FiringEvents) -> Result<(), AnalysisError> {
+    ///
+    /// Only a zero-time firing moves tokens within the instant: a timed
+    /// start sets the starter's clock and nothing else, so it neither
+    /// enables nor disables any other actor. A sweep without zero-time
+    /// firings therefore ends the fixpoint, and it also sees every idle
+    /// actor exactly as the instant leaves it — which is where the
+    /// space-blocked channels are collected, when tracked.
+    fn start_enabled(&mut self) -> Result<(), AnalysisError> {
         let mut zero_firings: u64 = 0;
         loop {
-            let mut changed = false;
+            let mut fired_zero_time = false;
+            if let Some(blocked) = &mut self.space_blocked {
+                blocked.clear();
+            }
             for i in 0..self.model.num_actors() {
                 let actor = ActorId::new(i);
                 // An actor may chain several zero-time phases and then
                 // start a timed one within the same pass.
-                loop {
-                    if self.state.act_clk[i] > 0 || !self.is_enabled(actor) {
+                while self.state.act_clk[i] == 0 && self.has_input_tokens(actor) {
+                    if let Some(first) = self.first_space_short(actor) {
+                        self.note_space_blocked(actor, first);
                         break;
                     }
                     let phase = self.state.phase[i];
                     let exec = self.model.execution_time(actor, phase);
+                    self.events.started.push((actor, phase));
                     if exec > 0 {
                         self.state.act_clk[i] = exec;
-                        events.started.push((actor, phase));
-                        changed = true;
                         break;
                     }
                     // Zero-time phase: fires (and may refire) within the
                     // instant.
-                    events.started.push((actor, phase));
                     self.complete(actor);
-                    events.completed.push((actor, phase));
-                    changed = true;
+                    self.events.completed.push((actor, phase));
+                    fired_zero_time = true;
                     zero_firings += 1;
                     if zero_firings > ZERO_TIME_FIRING_CAP {
                         return Err(AnalysisError::ZeroTimeLivelock);
                     }
                 }
             }
-            if !changed {
+            if !fired_zero_time {
                 return Ok(());
             }
         }
     }
+
+    /// Records, when tracking, the output channels of idle, token-ready
+    /// `actor` that lack space: the one at output position `first` (the
+    /// first short one) and every short one after it.
+    fn note_space_blocked(&mut self, actor: ActorId, first: usize) {
+        let model = self.model;
+        let phase = self.state.phase[actor.index()];
+        let outputs = &model.output_channels(actor)[first..];
+        let Some(blocked) = &mut self.space_blocked else {
+            return;
+        };
+        blocked.push(outputs[0]);
+        for &cid in &outputs[1..] {
+            if lacks_space(
+                &self.caps,
+                &self.state.tokens,
+                cid,
+                model.production(cid, phase),
+            ) {
+                blocked.push(cid);
+            }
+        }
+    }
+}
+
+/// Whether channel `cid`, filled to `tokens`, lacks the free space to
+/// claim `produce` more tokens under `caps`.
+fn lacks_space(caps: &Capacities, tokens: &[u64], cid: ChannelId, produce: u64) -> bool {
+    // Self-loops consume at the end of the firing, so the space check
+    // cannot net out the consumption; claim the full production
+    // (conservative, matches the paper's model).
+    caps.get(cid)
+        .is_some_and(|cap| cap.saturating_sub(tokens[cid.index()]) < produce)
 }
 
 /// Deterministic self-timed executor for an SDF graph under given channel

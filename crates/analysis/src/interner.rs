@@ -15,6 +15,11 @@
 //! inserted. Arena indices double as the discovery order the analyses
 //! already use for cycle arithmetic.
 //!
+//! The throughput analysis goes one step further with a `RowStore`: its
+//! states have a fixed number of words, so the arena is one flat `u64`
+//! vector of fixed-stride rows, and storing a state copies a row instead
+//! of cloning its vectors. Both stores share the same hash index.
+//!
 //! Hashing uses [`FxHasher`], a hand-rolled Fx-style multiply-rotate
 //! hasher (the FNV-lineage hash used by rustc): deterministic across
 //! runs and threads, no external dependency, and much cheaper than
@@ -183,6 +188,117 @@ const EMPTY: Slot = Slot {
     index_plus_one: 0,
 };
 
+/// The open-addressed `(hash, arena index)` table shared by
+/// [`StateStore`] and [`RowStore`]: linear probing, a power-of-two length
+/// and a load factor kept below 7/8. The arena itself belongs to the
+/// store; the index only sees arena indices.
+#[derive(Debug, Clone)]
+struct HashIndex {
+    table: Vec<Slot>,
+    /// `table.len() - 1`; the table length is always a power of two.
+    mask: usize,
+    probes: ProbeStats,
+}
+
+/// The table length that holds `capacity` entries below the load factor.
+fn table_len_for(capacity: usize) -> usize {
+    (capacity * 8 / 7 + 1).next_power_of_two().max(16)
+}
+
+impl HashIndex {
+    fn with_capacity(capacity: usize) -> HashIndex {
+        let table_len = table_len_for(capacity);
+        HashIndex {
+            table: vec![EMPTY; table_len],
+            mask: table_len - 1,
+            probes: ProbeStats::default(),
+        }
+    }
+
+    /// Empties the table in place (growing it first if `capacity` entries
+    /// would not fit) and restarts the probe statistics.
+    fn reset_with_capacity(&mut self, capacity: usize) {
+        self.probes = ProbeStats::default();
+        let needed = table_len_for(capacity);
+        if needed > self.table.len() {
+            self.table = vec![EMPTY; needed];
+            self.mask = needed - 1;
+        } else {
+            self.table.fill(EMPTY);
+        }
+    }
+
+    /// Looks `hash` up without recording probe statistics.
+    fn get(&self, hash: u64, mut matches: impl FnMut(usize) -> bool) -> Option<usize> {
+        let mut pos = (hash as usize) & self.mask;
+        loop {
+            let slot = self.table[pos];
+            if slot.index_plus_one == 0 {
+                return None;
+            }
+            let idx = slot.index_plus_one - 1;
+            if slot.hash == hash && matches(idx) {
+                return Some(idx);
+            }
+            pos = (pos + 1) & self.mask;
+        }
+    }
+
+    /// Probes for `hash`: `Ok(index)` when `matches` accepts a stored
+    /// entry, otherwise `Err(slot)` naming the empty slot where the key
+    /// belongs. Every call is tallied in the probe statistics.
+    fn find(&mut self, hash: u64, mut matches: impl FnMut(usize) -> bool) -> Result<usize, usize> {
+        let mut pos = (hash as usize) & self.mask;
+        let mut probe_len = 1u64;
+        loop {
+            let slot = self.table[pos];
+            if slot.index_plus_one == 0 {
+                self.probes.record(probe_len);
+                return Err(pos);
+            }
+            let idx = slot.index_plus_one - 1;
+            if slot.hash == hash && matches(idx) {
+                self.probes.record(probe_len);
+                return Ok(idx);
+            }
+            pos = (pos + 1) & self.mask;
+            probe_len += 1;
+        }
+    }
+
+    /// Fills the empty `slot` returned by [`Self::find`] with arena entry
+    /// `idx`, then grows the table if `len` entries would exceed the load
+    /// factor.
+    fn insert_at(&mut self, slot: usize, hash: u64, idx: usize, len: usize) {
+        self.table[slot] = Slot {
+            hash,
+            index_plus_one: idx + 1,
+        };
+        // Keep the load factor below 7/8 so probe chains stay short.
+        if (len + 1) * 8 > self.table.len() * 7 {
+            self.grow();
+        }
+    }
+
+    /// Doubles the table, re-placing entries from their cached hashes
+    /// (stored states are not re-hashed).
+    fn grow(&mut self) {
+        let new_len = self.table.len() * 2;
+        let old = std::mem::replace(&mut self.table, vec![EMPTY; new_len]);
+        self.mask = new_len - 1;
+        for slot in old {
+            if slot.index_plus_one == 0 {
+                continue;
+            }
+            let mut pos = (slot.hash as usize) & self.mask;
+            while self.table[pos].index_plus_one != 0 {
+                pos = (pos + 1) & self.mask;
+            }
+            self.table[pos] = slot;
+        }
+    }
+}
+
 /// An insertion-ordered arena of states with an open-addressed hash
 /// index.
 ///
@@ -210,10 +326,7 @@ const EMPTY: Slot = Slot {
 #[derive(Debug, Clone)]
 pub struct StateStore<T> {
     items: Vec<T>,
-    table: Vec<Slot>,
-    /// `table.len() - 1`; the table length is always a power of two.
-    mask: usize,
-    probes: ProbeStats,
+    index: HashIndex,
 }
 
 impl<T> Default for StateStore<T> {
@@ -230,18 +343,15 @@ impl<T> StateStore<T> {
 
     /// Creates an empty store sized for roughly `capacity` states.
     pub fn with_capacity(capacity: usize) -> StateStore<T> {
-        let table_len = (capacity * 8 / 7 + 1).next_power_of_two().max(16);
         StateStore {
             items: Vec::with_capacity(capacity),
-            table: vec![EMPTY; table_len],
-            mask: table_len - 1,
-            probes: ProbeStats::default(),
+            index: HashIndex::with_capacity(capacity),
         }
     }
 
     /// Probe statistics of every [`Self::intern_with`] call so far.
     pub fn probe_stats(&self) -> &ProbeStats {
-        &self.probes
+        &self.index.probes
     }
 
     /// Empties the store for reuse, keeping its allocations: the arena is
@@ -258,14 +368,7 @@ impl<T> StateStore<T> {
     /// for any hint, including zero.
     pub fn reset_with_capacity(&mut self, capacity: usize) {
         self.items.clear();
-        self.probes = ProbeStats::default();
-        let needed = (capacity * 8 / 7 + 1).next_power_of_two().max(16);
-        if needed > self.table.len() {
-            self.table = vec![EMPTY; needed];
-            self.mask = needed - 1;
-        } else {
-            self.table.fill(EMPTY);
-        }
+        self.index.reset_with_capacity(capacity);
         if capacity > self.items.capacity() {
             self.items.reserve(capacity);
         }
@@ -293,18 +396,7 @@ impl<T> StateStore<T> {
 
     /// Looks up a state by `hash` and equality closure without inserting.
     pub fn get(&self, hash: u64, mut matches: impl FnMut(&T) -> bool) -> Option<usize> {
-        let mut pos = (hash as usize) & self.mask;
-        loop {
-            let slot = self.table[pos];
-            if slot.index_plus_one == 0 {
-                return None;
-            }
-            let idx = slot.index_plus_one - 1;
-            if slot.hash == hash && matches(&self.items[idx]) {
-                return Some(idx);
-            }
-            pos = (pos + 1) & self.mask;
-        }
+        self.index.get(hash, |idx| matches(&self.items[idx]))
     }
 
     /// Looks the state up by `hash` and the equality closure; if absent,
@@ -319,50 +411,108 @@ impl<T> StateStore<T> {
         mut matches: impl FnMut(&T) -> bool,
         make: impl FnOnce() -> T,
     ) -> Interned {
-        let mut pos = (hash as usize) & self.mask;
-        let mut probe_len = 1u64;
-        loop {
-            let slot = self.table[pos];
-            if slot.index_plus_one == 0 {
-                break;
+        let items = &self.items;
+        match self.index.find(hash, |idx| matches(&items[idx])) {
+            Ok(idx) => Interned::Existing(idx),
+            Err(slot) => {
+                let idx = self.items.len();
+                self.items.push(make());
+                self.index.insert_at(slot, hash, idx, self.items.len());
+                Interned::Inserted(idx)
             }
-            let idx = slot.index_plus_one - 1;
-            if slot.hash == hash && matches(&self.items[idx]) {
-                self.probes.record(probe_len);
-                return Interned::Existing(idx);
-            }
-            pos = (pos + 1) & self.mask;
-            probe_len += 1;
         }
-        self.probes.record(probe_len);
-        let idx = self.items.len();
-        self.items.push(make());
-        self.table[pos] = Slot {
-            hash,
-            index_plus_one: idx + 1,
-        };
-        // Keep the load factor below 7/8 so probe chains stay short.
-        if (self.items.len() + 1) * 8 > self.table.len() * 7 {
-            self.grow();
+    }
+}
+
+/// Hashes a slice of words with the [`FxHasher`], word by word (no length
+/// prefix): the hash of a fixed-stride [`RowStore`] row.
+pub(crate) fn fx_hash_words(words: &[u64]) -> u64 {
+    let mut hasher = FxHasher::default();
+    for &w in words {
+        hasher.add_to_hash(w);
+    }
+    hasher.hash
+}
+
+/// An insertion-ordered arena of fixed-stride `u64` rows with an
+/// open-addressed hash index: the [`StateStore`] of the throughput
+/// analysis, whose reduced states pack into rows of one flat vector.
+///
+/// A lookup hashes the candidate row and compares it word for word with
+/// the stored rows its hash collides with; an insertion copies the row to
+/// the end of the arena. Neither allocates while the arena and the table
+/// have room, and [`Self::reset`] keeps both for the next analysis.
+#[derive(Debug, Clone)]
+pub(crate) struct RowStore {
+    words: Vec<u64>,
+    stride: usize,
+    len: usize,
+    index: HashIndex,
+}
+
+impl Default for RowStore {
+    fn default() -> Self {
+        RowStore {
+            words: Vec::new(),
+            stride: 0,
+            len: 0,
+            index: HashIndex::with_capacity(0),
         }
-        Interned::Inserted(idx)
+    }
+}
+
+impl RowStore {
+    /// Empties the store for rows of `stride` words, keeping its
+    /// allocations, and pre-sizes the arena and the table for `capacity`
+    /// rows. Results are identical for every `capacity`.
+    pub(crate) fn reset(&mut self, stride: usize, capacity: usize) {
+        self.words.clear();
+        self.stride = stride;
+        self.len = 0;
+        self.index.reset_with_capacity(capacity);
+        let needed = capacity.saturating_mul(stride);
+        if needed > self.words.capacity() {
+            self.words.reserve(needed);
+        }
     }
 
-    /// Doubles the table, re-placing entries from their cached hashes
-    /// (stored states are not re-hashed).
-    fn grow(&mut self) {
-        let new_len = self.table.len() * 2;
-        let old = std::mem::replace(&mut self.table, vec![EMPTY; new_len]);
-        self.mask = new_len - 1;
-        for slot in old {
-            if slot.index_plus_one == 0 {
-                continue;
+    /// Number of stored rows.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `idx`, in insertion order.
+    #[cfg(test)]
+    fn row(&self, idx: usize) -> &[u64] {
+        &self.words[idx * self.stride..(idx + 1) * self.stride]
+    }
+
+    /// Probe statistics of every [`Self::intern`] call since the reset.
+    pub(crate) fn probe_stats(&self) -> &ProbeStats {
+        &self.index.probes
+    }
+
+    /// Looks `row` up, appending it when absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not exactly one stride long.
+    pub(crate) fn intern(&mut self, row: &[u64]) -> Interned {
+        assert_eq!(row.len(), self.stride, "row length must equal the stride");
+        let hash = fx_hash_words(row);
+        let (words, stride) = (&self.words, self.stride);
+        match self
+            .index
+            .find(hash, |idx| &words[idx * stride..(idx + 1) * stride] == row)
+        {
+            Ok(idx) => Interned::Existing(idx),
+            Err(slot) => {
+                let idx = self.len;
+                self.words.extend_from_slice(row);
+                self.len += 1;
+                self.index.insert_at(slot, hash, idx, self.len);
+                Interned::Inserted(idx)
             }
-            let mut pos = (slot.hash as usize) & self.mask;
-            while self.table[pos].index_plus_one != 0 {
-                pos = (pos + 1) & self.mask;
-            }
-            self.table[pos] = slot;
         }
     }
 }
@@ -446,14 +596,14 @@ mod tests {
         for v in 0..100u64 {
             store.intern_with(fx_hash(&v), |s| *s == v, || v);
         }
-        let grown_table = store.table.len();
+        let grown_table = store.index.table.len();
         assert!(grown_table > 16, "store never grew");
         store.reset();
         assert!(store.is_empty());
         assert_eq!(store.probe_stats().lookups, 0);
         // The table keeps its grown size; re-interning reproduces the same
         // indices as a fresh store would.
-        assert_eq!(store.table.len(), grown_table);
+        assert_eq!(store.index.table.len(), grown_table);
         for v in [7u64, 3, 7] {
             store.intern_with(fx_hash(&v), |s| *s == v, || v);
         }
@@ -467,7 +617,7 @@ mod tests {
         let mut fresh: StateStore<u64> = StateStore::new();
         let mut hinted: StateStore<u64> = StateStore::new();
         hinted.reset_with_capacity(1000);
-        let table_before = hinted.table.len();
+        let table_before = hinted.index.table.len();
         assert!(table_before >= 1024);
         for v in 0..500u64 {
             fresh.intern_with(fx_hash(&v), |s| *s == v, || v);
@@ -475,11 +625,53 @@ mod tests {
         }
         // Identical arenas and lookups; the hinted store never grew.
         assert_eq!(fresh.items(), hinted.items());
-        assert_eq!(hinted.table.len(), table_before);
+        assert_eq!(hinted.index.table.len(), table_before);
         // A smaller hint never shrinks an already-grown table.
         hinted.reset_with_capacity(1);
-        assert_eq!(hinted.table.len(), table_before);
+        assert_eq!(hinted.index.table.len(), table_before);
         assert!(hinted.is_empty());
+    }
+
+    #[test]
+    fn row_store_matches_a_hashmap_and_survives_resets() {
+        // Fixed-stride rows with repeats, across a grow and two resets
+        // with different strides: indices follow discovery order exactly
+        // as an owned-key map assigns them.
+        let mut store = RowStore::default();
+        for (stride, hint) in [(3usize, 0usize), (1, 1000), (5, 2)] {
+            store.reset(stride, hint);
+            let mut oracle: HashMap<Vec<u64>, usize> = HashMap::new();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ stride as u64;
+            for _ in 0..2_000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let row: Vec<u64> = (0..stride as u64).map(|i| (x >> (8 * i)) % 7).collect();
+                let next = oracle.len();
+                let expected = *oracle.entry(row.clone()).or_insert(next);
+                assert_eq!(store.intern(&row).index(), expected);
+            }
+            assert_eq!(store.len(), oracle.len());
+            for (row, &idx) in &oracle {
+                assert_eq!(store.row(idx), row.as_slice());
+            }
+            assert_eq!(store.probe_stats().lookups, 2_000);
+        }
+    }
+
+    #[test]
+    fn row_hash_reads_every_word() {
+        assert_eq!(fx_hash_words(&[4, 2]), fx_hash_words(&[4, 2]));
+        assert_ne!(fx_hash_words(&[4, 2]), fx_hash_words(&[2, 4]));
+        assert_ne!(fx_hash_words(&[4, 2, 0]), fx_hash_words(&[4, 2, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "stride")]
+    fn row_store_rejects_a_short_row() {
+        let mut store = RowStore::default();
+        store.reset(2, 0);
+        store.intern(&[1]);
     }
 
     #[test]

@@ -69,10 +69,7 @@ mod throughput;
 pub mod transform;
 
 pub use budget::{CancelReason, CancelToken};
-pub use dependencies::{
-    dependencies_from_run_for, throughput_with_dependencies, throughput_with_dependencies_for,
-    DependencyReport,
-};
+pub use dependencies::dependencies_from_run_for;
 pub use energy::{schedule_energy_per_iteration, EnergyModel};
 pub use engine::{
     Capacities, DataflowEngine, DataflowState, Engine, FiringEvents, FiringOutcome, SdfState,
@@ -92,6 +89,6 @@ pub use semantics::{bmlb, rate_step, DataflowSemantics};
 pub use state_space::{explore, explore_for, StateSpace};
 pub use static_bounds::{BoundCertificate, StaticBounds};
 pub use throughput::{
-    throughput, throughput_for, throughput_for_reusing, throughput_for_with_cancel,
-    AnalysisWorkspace, ExplorationLimits, ReducedState, ThroughputReport,
+    throughput, throughput_analysis, throughput_for, AnalysisRequest, AnalysisWorkspace,
+    ExplorationLimits, ThroughputAnalysis, ThroughputReport,
 };

@@ -10,21 +10,33 @@
 //! space* keeps only the states at which the observed actor completes a
 //! firing, extended with a `dist` component recording the time elapsed
 //! since the previous completion (Fig. 4). This module implements exactly
-//! that, generically over any [`DataflowSemantics`] model via
-//! [`throughput_for`]; the SDF-typed entry points wrap it.
+//! that, generically over any [`DataflowSemantics`] model, in
+//! [`throughput_analysis`]: one simulation that also collects, on request,
+//! the storage-dependent channels the dependency-guided exploration grows
+//! (the same set the replay [`dependencies_from_run_for`] derives).
+//! [`throughput_for`] and [`throughput`] are its plain forms.
+//!
+//! Reduced states are packed into fixed-stride rows of one flat `u64`
+//! arena ([`AnalysisWorkspace`]): a row holds the busy clocks, the token
+//! counts, the phases (two per word), `dist` and the completion count, and
+//! is hashed and compared as a word slice. Storing a state copies one row;
+//! nothing is allocated per state or per engine event while the arena has
+//! room.
+//!
+//! [`dependencies_from_run_for`]: crate::dependencies_from_run_for
 
 use crate::budget::CancelToken;
-use crate::engine::{Capacities, DataflowEngine, DataflowState, FiringOutcome};
+use crate::engine::{Capacities, DataflowEngine, DataflowState};
 use crate::error::{AnalysisError, LimitKind};
-use crate::interner::{fx_hash, Interned, StateStore, PROBE_BINS};
+use crate::interner::{Interned, RowStore, PROBE_BINS};
 use crate::semantics::DataflowSemantics;
-use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
+use buffy_graph::{ActorId, ChannelId, Rational, SdfGraph, StorageDistribution};
 use buffy_telemetry::{names, Gauge, Histogram, Recorder};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// How many engine advances between cancellation polls in
-/// [`throughput_for_with_cancel`]: the token is checked before the first
+/// [`throughput_analysis`]: the token is checked before the first
 /// advance and then whenever `advances & CANCEL_STRIDE_MASK == 0`, i.e.
 /// every 1024 advances, so the poll (one relaxed load, occasionally an
 /// `Instant::now`) never shows up on the per-state hot path. The stride
@@ -66,20 +78,6 @@ impl ExplorationLimits {
             capacities: caps.as_slice().to_vec(),
         }
     }
-}
-
-/// A state of the reduced state space: the timed state at the instant
-/// the observed actor completes a firing, plus the `dist` dimension
-/// (time since the previous completion) and the number of completions at
-/// this instant (more than one only for zero-execution-time actors).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ReducedState {
-    /// The full timed state after the step.
-    pub state: DataflowState,
-    /// Time instants since the previous completion of the observed actor.
-    pub dist: u64,
-    /// Completions of the observed actor at this instant.
-    pub firings: u32,
 }
 
 /// Result of a throughput analysis for one storage distribution.
@@ -175,6 +173,9 @@ pub fn throughput(
 /// [`DataflowSemantics`] model (SDF, CSDF, …). For phased models every
 /// phase completion of the observed actor counts as a firing.
 ///
+/// This is [`throughput_analysis`] with the given limits, no cancellation,
+/// no dependency flags and a fresh workspace.
+///
 /// # Errors
 ///
 /// See [`throughput`].
@@ -184,46 +185,94 @@ pub fn throughput_for<M: DataflowSemantics>(
     observed: ActorId,
     limits: ExplorationLimits,
 ) -> Result<ThroughputReport, AnalysisError> {
-    static NEVER: CancelToken = CancelToken::new();
-    throughput_for_with_cancel(model, caps, observed, limits, &NEVER)
+    let request = AnalysisRequest {
+        limits,
+        ..AnalysisRequest::default()
+    };
+    throughput_analysis(
+        model,
+        caps,
+        observed,
+        &request,
+        &mut AnalysisWorkspace::new(),
+    )
+    .map(|analysis| analysis.report)
 }
 
-/// [`throughput_for`] with cooperative cancellation: polls `cancel` before
-/// the first engine advance and then every 1024 advances (a coarse stride,
-/// not per-state) and returns
-/// [`AnalysisError::Cancelled`] when the token has tripped. This is the
-/// entry point the exploration drivers' resilience layer uses.
+/// A token that never trips: the cancellation of an uncancellable
+/// request.
+static NEVER: CancelToken = CancelToken::new();
+
+/// How to run one [`throughput_analysis`]: everything besides the model,
+/// the capacities, the observed actor and the workspace.
 ///
-/// # Errors
-///
-/// See [`throughput`]; additionally [`AnalysisError::Cancelled`] when
-/// `cancel` trips mid-analysis.
-pub fn throughput_for_with_cancel<M: DataflowSemantics>(
-    model: &M,
-    caps: Capacities,
-    observed: ActorId,
-    limits: ExplorationLimits,
-    cancel: &CancelToken,
-) -> Result<ThroughputReport, AnalysisError> {
-    let mut workspace = AnalysisWorkspace::new();
-    throughput_for_reusing(model, caps, observed, limits, cancel, &mut workspace, 0)
+/// The default request has the default limits, a token that never trips,
+/// no dependency flags and no state hint.
+#[derive(Debug, Clone, Copy)]
+pub struct AnalysisRequest<'a> {
+    /// State and time limits of the cycle search.
+    pub limits: ExplorationLimits,
+    /// Polled before the first engine advance and then every 1024
+    /// advances (a coarse stride, not per state); a trip ends the
+    /// analysis with [`AnalysisError::Cancelled`].
+    pub cancel: &'a CancelToken,
+    /// Whether to collect the storage-dependent channels
+    /// ([`ThroughputAnalysis::dependent`]).
+    pub dependencies: bool,
+    /// The number of reduced states the analysis is expected to store
+    /// (0 = no expectation). It pre-sizes the workspace's arena and never
+    /// changes a result.
+    pub state_hint: usize,
 }
 
-/// Reusable per-analysis allocations: the reduced-state interner plus the
-/// time/firing bookkeeping vectors of the cycle search.
+impl Default for AnalysisRequest<'_> {
+    fn default() -> Self {
+        AnalysisRequest {
+            limits: ExplorationLimits::default(),
+            cancel: &NEVER,
+            dependencies: false,
+            state_hint: 0,
+        }
+    }
+}
+
+/// The result of one [`throughput_analysis`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ThroughputAnalysis {
+    /// The throughput and the cycle metadata.
+    pub report: ThroughputReport,
+    /// The storage-dependent channels, when the request asked for them:
+    /// `true` at index `i` iff channel `i` lacked the space for an idle
+    /// actor that had all its input tokens, at some instant of one period
+    /// of the periodic phase (or in the deadlock state). Growing any other
+    /// channel cannot raise the throughput.
+    pub dependent: Option<Vec<bool>>,
+}
+
+/// Reusable per-analysis allocations: the packed reduced-state arena with
+/// its hash index, the time/firing bookkeeping vectors of the cycle search
+/// and the per-state dependency segments.
 ///
 /// One workspace serves one analysis at a time; between analyses it is
 /// *reset, not reallocated*, so a worker that evaluates thousands of
-/// distributions pays the arena's allocation (and the interner's grow/
+/// distributions pays the arena's allocation (and the index's grow/
 /// rehash ladder) once instead of per distribution. A workspace never
 /// changes any computed value — the self-timed execution is fully
 /// determined by the model and the capacities; the workspace only decides
 /// where the intermediate states live.
 #[derive(Debug, Default)]
 pub struct AnalysisWorkspace {
-    store: StateStore<ReducedState>,
+    store: RowStore,
+    /// The row being looked up.
+    row: Vec<u64>,
     times: Vec<u64>,
     firing_counts: Vec<u32>,
+    /// One bitset segment per stored reduced state, `flag_words` words
+    /// each: the channels found space-blocked since the previous stored
+    /// state, up to and including this one.
+    segments: Vec<u64>,
+    /// The segment under construction.
+    running: Vec<u64>,
 }
 
 impl AnalysisWorkspace {
@@ -232,57 +281,118 @@ impl AnalysisWorkspace {
         AnalysisWorkspace::default()
     }
 
-    /// Readies the workspace for one analysis expected to store about
-    /// `state_hint` reduced states (0 = no expectation): everything is
-    /// cleared, allocations are kept, and the interner table is pre-sized
-    /// so the hinted analysis never grows it mid-search.
-    fn prepare(&mut self, state_hint: usize) {
-        self.store.reset_with_capacity(state_hint);
+    /// Readies the workspace for one analysis with rows of `stride` words
+    /// and `flag_words` words per dependency segment, expected to store
+    /// about `state_hint` reduced states (0 = no expectation): everything
+    /// is cleared, allocations are kept, and the arena and its index are
+    /// pre-sized so the hinted analysis never grows them mid-search.
+    fn prepare(&mut self, stride: usize, flag_words: usize, state_hint: usize) {
+        self.store.reset(stride, state_hint);
         self.times.clear();
         self.firing_counts.clear();
+        self.segments.clear();
+        self.running.clear();
+        self.running.resize(flag_words, 0);
         if state_hint > self.times.capacity() {
             self.times.reserve(state_hint);
             self.firing_counts.reserve(state_hint);
         }
+        let segment_words = state_hint.saturating_mul(flag_words);
+        if segment_words > self.segments.capacity() {
+            self.segments.reserve(segment_words);
+        }
     }
 }
 
-/// [`throughput_for_with_cancel`] over a caller-owned
-/// [`AnalysisWorkspace`], the warm-start entry point of the evaluation
-/// pipeline: `state_hint` carries a neighbouring distribution's recorded
-/// state count (0 when no neighbour is known) so the interner starts at
-/// the right size instead of growing through the power-of-two ladder.
+/// The reduced-state-space analysis of paper §7 over a caller-owned
+/// [`AnalysisWorkspace`]: the throughput of `observed` when `model`
+/// executes self-timed under `caps`, and, when `request.dependencies` is
+/// set, the storage-dependent channels of that same execution.
 ///
-/// The report is byte-identical to [`throughput_for_with_cancel`]'s for
-/// every workspace state and every hint — the hint is a memory-layout
-/// seed, never a behavioural one.
+/// This is the one entry point of the analysis: the exploration drivers
+/// call it with their cancel token, their limits, a pooled workspace and
+/// a neighbouring distribution's state count as the hint. The report is
+/// byte-identical for every workspace state and every hint, and with the
+/// flags on or off.
+///
+/// The flags come out of the cycle search itself. After every engine
+/// advance the engine's space-blocked set (derived in its start pass) is
+/// ORed into a running segment, which closes at the next completion of
+/// the observed actor and is stored beside that reduced state. When the
+/// cycle closes on stored state `k`, the flags are the union of the
+/// segments after `k` and the running one: exactly the instants of
+/// `(times[k], times[k] + period]`, and the state at the close equals the
+/// state at `times[k]`. On deadlock they are the final state's set.
 ///
 /// # Errors
 ///
-/// See [`throughput_for_with_cancel`].
-#[allow(clippy::too_many_arguments)]
-pub fn throughput_for_reusing<M: DataflowSemantics>(
+/// See [`throughput`]; additionally [`AnalysisError::Cancelled`] when
+/// `request.cancel` trips mid-analysis.
+pub fn throughput_analysis<M: DataflowSemantics>(
     model: &M,
     caps: Capacities,
     observed: ActorId,
-    limits: ExplorationLimits,
-    cancel: &CancelToken,
+    request: &AnalysisRequest<'_>,
     workspace: &mut AnalysisWorkspace,
-    state_hint: usize,
-) -> Result<ThroughputReport, AnalysisError> {
-    workspace.prepare(state_hint);
+) -> Result<ThroughputAnalysis, AnalysisError> {
+    let flag_words = if request.dependencies {
+        model.num_channels().div_ceil(64).max(1)
+    } else {
+        0
+    };
+    workspace.prepare(
+        row_stride(model.num_actors(), model.num_channels()),
+        flag_words,
+        request.state_hint,
+    );
     // Telemetry is observation-only and fetched once per analysis: when no
     // recorder is installed this is a single relaxed load and a branch.
     let telemetry = buffy_telemetry::active().map(AnalysisTelemetry::new);
     if telemetry.is_none() {
-        return cycle_search(model, caps, observed, limits, cancel, workspace);
+        return cycle_search(model, caps, observed, request, workspace);
     }
     let started = Instant::now();
-    let result = cycle_search(model, caps, observed, limits, cancel, workspace);
+    let result = cycle_search(model, caps, observed, request, workspace);
     if let Some(tel) = &telemetry {
         tel.record(&workspace.store, started.elapsed().as_nanos() as u64);
     }
     result
+}
+
+/// Words per packed reduced state: the busy clocks, the token counts, the
+/// phases two to a word, `dist` and the completion count.
+fn row_stride(actors: usize, channels: usize) -> usize {
+    actors + channels + actors.div_ceil(2) + 2
+}
+
+/// Packs the reduced state `(state, dist, firings)` into `row`, laid out
+/// as [`row_stride`] describes.
+fn pack_row(row: &mut Vec<u64>, state: &DataflowState, dist: u64, firings: u32) {
+    row.clear();
+    row.extend_from_slice(&state.act_clk);
+    row.extend_from_slice(&state.tokens);
+    row.extend(
+        state
+            .phase
+            .chunks(2)
+            .map(|pair| u64::from(pair[0]) | u64::from(pair.get(1).copied().unwrap_or(0)) << 32),
+    );
+    row.push(dist);
+    row.push(u64::from(firings));
+}
+
+/// ORs the channel ids in `channels` into the bitset `words`.
+fn or_channels(words: &mut [u64], channels: &[ChannelId]) {
+    for cid in channels {
+        words[cid.index() / 64] |= 1 << (cid.index() % 64);
+    }
+}
+
+/// Expands a channel bitset to one flag per channel.
+fn to_flags(words: &[u64], channels: usize) -> Vec<bool> {
+    (0..channels)
+        .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
+        .collect()
 }
 
 /// Per-analysis telemetry handles, fetched once per call so the state
@@ -318,7 +428,7 @@ impl AnalysisTelemetry {
 
     /// Folds the store's always-on scratch tallies into the shared
     /// histograms — once per analysis, never per state.
-    fn record(&self, store: &StateStore<ReducedState>, wall_ns: u64) {
+    fn record(&self, store: &RowStore, wall_ns: u64) {
         self.states.record(store.len() as u64);
         self.wall.record(wall_ns);
         self.occupancy.record_max(store.len() as u64);
@@ -346,39 +456,46 @@ fn cycle_search<M: DataflowSemantics>(
     model: &M,
     caps: Capacities,
     observed: ActorId,
-    limits: ExplorationLimits,
-    cancel: &CancelToken,
+    request: &AnalysisRequest<'_>,
     workspace: &mut AnalysisWorkspace,
-) -> Result<ThroughputReport, AnalysisError> {
+) -> Result<ThroughputAnalysis, AnalysisError> {
     let AnalysisWorkspace {
         store,
+        row,
         times, // time of each reduced state
         firing_counts,
+        segments,
+        running,
     } = workspace;
+    let limits = request.limits;
+    let flag_words = running.len();
+    let channels = model.num_channels();
+    let completions = |engine: &DataflowEngine<'_, M>| {
+        engine
+            .events()
+            .completed
+            .iter()
+            .filter(|&&(a, _)| a == observed)
+            .count() as u32
+    };
     let mut engine = DataflowEngine::new(model, caps);
-    let initial = engine.start_initial()?;
+    if request.dependencies {
+        engine.track_space_blocked();
+    }
+    engine.start_initial()?;
+    or_channels(running, engine.space_blocked());
     let mut last_completion: u64 = 0;
 
     // The observed actor may complete during the initial start phase when
     // its execution time is 0.
-    let mut pending = initial
-        .completed
-        .iter()
-        .filter(|&&(a, _)| a == observed)
-        .count() as u32;
+    let pending = completions(&engine);
     if pending > 0 {
-        let hash = fx_hash(&(engine.state(), 0u64, pending));
-        store.intern_with(
-            hash,
-            |rs| rs.dist == 0 && rs.firings == pending && rs.state == *engine.state(),
-            || ReducedState {
-                state: engine.state().clone(),
-                dist: 0,
-                firings: pending,
-            },
-        );
+        pack_row(row, engine.state(), 0, pending);
+        store.intern(row);
         times.push(0);
         firing_counts.push(pending);
+        segments.extend_from_slice(running);
+        running.fill(0);
     }
 
     // Only completions can change the reduced state space, so the engine
@@ -387,7 +504,7 @@ fn cycle_search<M: DataflowSemantics>(
     let mut advances: u64 = 0;
     loop {
         if advances & CANCEL_STRIDE_MASK == 0 {
-            if let Some(reason) = cancel.check() {
+            if let Some(reason) = request.cancel.check() {
                 return Err(AnalysisError::Cancelled { reason });
             }
         }
@@ -395,37 +512,33 @@ fn cycle_search<M: DataflowSemantics>(
         if engine.time() >= limits.max_steps {
             return Err(limits.exceeded(LimitKind::Steps, engine.capacities()));
         }
-        let outcome = engine.advance(limits.max_steps)?;
-        let events = match outcome {
-            FiringOutcome::Deadlock => {
-                return Ok(ThroughputReport::deadlock(store.len()));
-            }
-            FiringOutcome::Progress(ev) => ev,
-        };
-        pending = events
-            .completed
-            .iter()
-            .filter(|&&(a, _)| a == observed)
-            .count() as u32;
+        if !engine.advance_in_place(limits.max_steps)? {
+            // The final state's blocked set is the last start pass's.
+            let dependent = request.dependencies.then(|| {
+                running.fill(0);
+                or_channels(running, engine.space_blocked());
+                to_flags(running, channels)
+            });
+            return Ok(ThroughputAnalysis {
+                report: ThroughputReport::deadlock(store.len()),
+                dependent,
+            });
+        }
+        or_channels(running, engine.space_blocked());
+        let pending = completions(&engine);
         if pending == 0 {
             continue;
         }
         let dist = engine.time() - last_completion;
         last_completion = engine.time();
-        let hash = fx_hash(&(engine.state(), dist, pending));
+        pack_row(row, engine.state(), dist, pending);
         let next_index = times.len();
-        match store.intern_with(
-            hash,
-            |rs| rs.dist == dist && rs.firings == pending && rs.state == *engine.state(),
-            || ReducedState {
-                state: engine.state().clone(),
-                dist,
-                firings: pending,
-            },
-        ) {
+        match store.intern(row) {
             Interned::Inserted(_) => {
                 times.push(engine.time());
                 firing_counts.push(pending);
+                segments.extend_from_slice(running);
+                running.fill(0);
                 if times.len() > limits.max_states {
                     return Err(limits.exceeded(LimitKind::States, engine.capacities()));
                 }
@@ -437,14 +550,25 @@ fn cycle_search<M: DataflowSemantics>(
                 if period == 0 {
                     return Err(AnalysisError::ZeroPeriod);
                 }
-                return Ok(ThroughputReport {
-                    throughput: Rational::new(firings as i128, period as i128),
-                    deadlocked: false,
-                    states_stored: store.len(),
-                    cycle_states: next_index - k,
-                    firings_per_period: firings,
-                    period,
-                    cycle_entry_time: times[k],
+                let dependent = request.dependencies.then(|| {
+                    for segment in segments[(k + 1) * flag_words..].chunks_exact(flag_words) {
+                        for (acc, word) in running.iter_mut().zip(segment) {
+                            *acc |= word;
+                        }
+                    }
+                    to_flags(running, channels)
+                });
+                return Ok(ThroughputAnalysis {
+                    report: ThroughputReport {
+                        throughput: Rational::new(firings as i128, period as i128),
+                        deadlocked: false,
+                        states_stored: store.len(),
+                        cycle_states: next_index - k,
+                        firings_per_period: firings,
+                        period,
+                        cycle_entry_time: times[k],
+                    },
+                    dependent,
                 });
             }
         }
@@ -629,17 +753,39 @@ mod tests {
         );
     }
 
+    /// [`throughput_analysis`] with `cancel`, the given limits and a fresh
+    /// workspace.
+    fn with_cancel(
+        g: &SdfGraph,
+        caps: Capacities,
+        limits: ExplorationLimits,
+        cancel: &CancelToken,
+    ) -> Result<ThroughputReport, AnalysisError> {
+        let request = AnalysisRequest {
+            limits,
+            cancel,
+            ..AnalysisRequest::default()
+        };
+        throughput_analysis(
+            g,
+            caps,
+            g.actor_by_name("c").unwrap(),
+            &request,
+            &mut AnalysisWorkspace::new(),
+        )
+        .map(|a| a.report)
+    }
+
     #[test]
     fn cancelled_token_stops_the_analysis() {
-        use crate::budget::{CancelReason, CancelToken};
+        use crate::budget::CancelReason;
         let g = example();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         let token = CancelToken::new();
         token.cancel(CancelReason::Interrupt);
-        let err = throughput_for_with_cancel(
+        let err = with_cancel(
             &g,
             Capacities::from_distribution(&d),
-            g.actor_by_name("c").unwrap(),
             ExplorationLimits::default(),
             &token,
         )
@@ -656,14 +802,13 @@ mod tests {
     fn deadline_stops_an_analysis_mid_search() {
         // Unbounded α grows forever, so no reduced state ever recurs: only
         // the deadline, polled every 1024 advances, can end the search.
-        use crate::budget::{CancelReason, CancelToken};
+        use crate::budget::CancelReason;
         use std::time::Duration;
         let g = example();
         let token = CancelToken::new().with_deadline(Duration::from_millis(20));
-        let err = throughput_for_with_cancel(
+        let err = with_cancel(
             &g,
             Capacities::unbounded(2),
-            g.actor_by_name("c").unwrap(),
             ExplorationLimits {
                 max_states: usize::MAX,
                 max_steps: u64::MAX,
@@ -684,10 +829,9 @@ mod tests {
         let g = example();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         let token = CancelToken::new();
-        let r = throughput_for_with_cancel(
+        let r = with_cancel(
             &g,
             Capacities::from_distribution(&d),
-            g.actor_by_name("c").unwrap(),
             ExplorationLimits::default(),
             &token,
         )
@@ -759,14 +903,43 @@ mod tests {
     // The `workspace` tests double as the Miri target for the arena
     // (`cargo miri test -p buffy-analysis --lib throughput::tests::workspace`).
 
+    /// One analysis of the example's actor `c` in `ws`.
+    fn analyse_in(
+        ws: &mut AnalysisWorkspace,
+        caps: &[u64],
+        limits: ExplorationLimits,
+        dependencies: bool,
+        state_hint: usize,
+    ) -> Result<ThroughputAnalysis, AnalysisError> {
+        let g = example();
+        let request = AnalysisRequest {
+            limits,
+            dependencies,
+            state_hint,
+            ..AnalysisRequest::default()
+        };
+        throughput_analysis(
+            &g,
+            Capacities::from_distribution(&StorageDistribution::from_capacities(caps.to_vec())),
+            g.actor_by_name("c").unwrap(),
+            &request,
+            ws,
+        )
+    }
+
     #[test]
     fn workspace_reuse_reproduces_reports() {
-        // One workspace serving many analyses (including a deadlocked one
-        // in the middle) must produce reports identical to fresh calls.
+        // One workspace serving many analyses — flags on and off, a
+        // deadlocked one and a limit error in the middle — must produce
+        // reports identical to fresh calls, and the same flags as a fresh
+        // flagged analysis.
         let g = example();
         let c = g.actor_by_name("c").unwrap();
-        static NEVER: CancelToken = CancelToken::new();
         let mut ws = AnalysisWorkspace::new();
+        let tight = ExplorationLimits {
+            max_steps: 2,
+            ..ExplorationLimits::default()
+        };
         for caps in [
             vec![4u64, 2],
             vec![20, 20],
@@ -775,88 +948,90 @@ mod tests {
             vec![4, 2], // repeat after larger runs
         ] {
             let fresh = throughput(&g, &StorageDistribution::from_capacities(caps.clone()), c);
-            let reused = throughput_for_reusing(
-                &g,
-                Capacities::from_distribution(&StorageDistribution::from_capacities(caps)),
-                c,
-                ExplorationLimits::default(),
-                &NEVER,
-                &mut ws,
+            let fresh_flags = analyse_in(
+                &mut AnalysisWorkspace::new(),
+                &caps,
+                Default::default(),
+                true,
                 0,
-            );
-            assert_eq!(fresh.unwrap(), reused.unwrap());
+            )
+            .unwrap()
+            .dependent;
+            assert!(fresh_flags.is_some());
+            for dependencies in [true, false] {
+                let reused =
+                    analyse_in(&mut ws, &caps, Default::default(), dependencies, 0).unwrap();
+                assert_eq!(fresh.as_ref().unwrap(), &reused.report, "{caps:?}");
+                let expected = if dependencies {
+                    fresh_flags.clone()
+                } else {
+                    None
+                };
+                assert_eq!(reused.dependent, expected, "{caps:?}");
+                assert!(analyse_in(&mut ws, &caps, tight, dependencies, 0).is_err());
+            }
         }
     }
 
     #[test]
     fn workspace_state_hint_never_changes_the_report() {
         // The hint is a layout seed only: wildly wrong hints in both
-        // directions still reproduce the unhinted report byte-for-byte.
+        // directions still reproduce the unhinted report and flags
+        // byte-for-byte.
         let g = example();
         let c = g.actor_by_name("c").unwrap();
-        static NEVER: CancelToken = CancelToken::new();
         let dist = StorageDistribution::from_capacities(vec![7, 3]);
         let baseline = throughput(&g, &dist, c).unwrap();
+        let flags = analyse_in(
+            &mut AnalysisWorkspace::new(),
+            &[7, 3],
+            Default::default(),
+            true,
+            0,
+        )
+        .unwrap()
+        .dependent;
         for hint in [0usize, 1, baseline.states_stored, 10_000] {
             let mut ws = AnalysisWorkspace::new();
-            let hinted = throughput_for_reusing(
-                &g,
-                Capacities::from_distribution(&dist),
-                c,
-                ExplorationLimits::default(),
-                &NEVER,
-                &mut ws,
-                hint,
-            )
-            .unwrap();
-            assert_eq!(baseline, hinted, "hint {hint} changed the report");
+            let hinted = analyse_in(&mut ws, &[7, 3], Default::default(), true, hint).unwrap();
+            assert_eq!(baseline, hinted.report, "hint {hint} changed the report");
+            assert_eq!(flags, hinted.dependent, "hint {hint} changed the flags");
         }
     }
 
     #[test]
     fn workspace_errors_leave_it_reusable() {
-        // A limit error mid-analysis must not poison the workspace for
-        // the next analysis.
-        let g = example();
-        let c = g.actor_by_name("c").unwrap();
-        static NEVER: CancelToken = CancelToken::new();
+        // A limit error mid-analysis, flagged or not, must not poison the
+        // workspace for the next analysis.
         let mut ws = AnalysisWorkspace::new();
         let tight = ExplorationLimits {
             max_steps: 2,
             ..ExplorationLimits::default()
         };
+        let clean = analyse_in(&mut ws, &[7, 3], Default::default(), true, 0).unwrap();
+        for dependencies in [true, false] {
+            assert!(analyse_in(&mut ws, &[7, 3], tight, dependencies, 0).is_err());
+            let after = analyse_in(&mut ws, &[7, 3], Default::default(), true, 0).unwrap();
+            assert_eq!(after, clean);
+        }
+        let g = example();
         let dist = StorageDistribution::from_capacities(vec![7, 3]);
-        let err = throughput_for_reusing(
-            &g,
-            Capacities::from_distribution(&dist),
-            c,
-            ExplorationLimits::default(),
-            &NEVER,
-            &mut ws,
-            0,
-        )
-        .map(|_| ());
-        assert!(err.is_ok());
-        assert!(throughput_for_reusing(
-            &g,
-            Capacities::from_distribution(&dist),
-            c,
-            tight,
-            &NEVER,
-            &mut ws,
-            0,
-        )
-        .is_err());
-        let after = throughput_for_reusing(
-            &g,
-            Capacities::from_distribution(&dist),
-            c,
-            ExplorationLimits::default(),
-            &NEVER,
-            &mut ws,
-            0,
-        )
-        .unwrap();
-        assert_eq!(after, throughput(&g, &dist, c).unwrap());
+        assert_eq!(
+            clean.report,
+            throughput(&g, &dist, g.actor_by_name("c").unwrap()).unwrap()
+        );
+    }
+
+    #[test]
+    fn workspace_deadlock_flags_name_the_blocked_channel() {
+        // ⟨3,2⟩ deadlocks with a blocked on α's space. Under ⟨4,1⟩ b fires
+        // once, then waits for space on β while a fills α and waits too.
+        // The flags of a deadlock are the final state's.
+        let mut ws = AnalysisWorkspace::new();
+        for (caps, expected) in [([3u64, 2], vec![true, false]), ([4, 1], vec![true, true])] {
+            let a = analyse_in(&mut ws, &caps, Default::default(), true, 0).unwrap();
+            assert!(a.report.deadlocked, "{caps:?}");
+            assert_eq!(a.dependent, Some(expected), "{caps:?}");
+        }
     }
 }

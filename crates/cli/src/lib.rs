@@ -979,6 +979,41 @@ mod tests {
     }
 
     #[test]
+    fn resumed_guided_run_with_a_budget_is_a_partial_result() {
+        // A resumed guided run replays checkpointed throughputs, which
+        // carry no dependency flags; each expanded candidate gets them
+        // from one more analysis under the run's token. When the budget
+        // runs out on such a replay, that analysis is cancelled and the
+        // run ends as a sound partial result.
+        let (_, xml) = run_to_string(&["gallery", "example"]);
+        let path = std::env::temp_dir().join("buffy-cli-test-guided-resume.xml");
+        std::fs::write(&path, &xml).unwrap();
+        let p = path.to_str().unwrap();
+        let ckpt = std::env::temp_dir().join("buffy-cli-test-guided-resume.ckpt");
+        let c = ckpt.to_str().unwrap();
+
+        let (code, clean) = run_to_string(&["explore", p, "--json", "--checkpoint", c]);
+        assert_eq!(code, 0, "{clean}");
+        let evals: u64 = clean
+            .split("\"evaluations\":")
+            .nth(1)
+            .and_then(|s| s.split(&[',', '}'][..]).next())
+            .and_then(|s| s.parse().ok())
+            .unwrap();
+
+        let (code, resumed) = run_to_string(&["explore", p, "--json", "--resume", c]);
+        assert_eq!(code, 0, "{resumed}");
+
+        let budget = (evals - 1).to_string();
+        let (code, text) = run_to_string(&["explore", p, "--resume", c, "--max-evals", &budget]);
+        assert_eq!(code, 3, "{text}");
+        assert!(text.contains("PARTIAL RESULT"), "{text}");
+
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
     fn checkpoint_resume_reproduces_the_run() {
         let (_, xml) = run_to_string(&["gallery", "example"]);
         let path = std::env::temp_dir().join("buffy-cli-test-ckpt.xml");

@@ -6,9 +6,12 @@
 //! pruning direction the authors later adopted in the SDF3 tool suite:
 //! starting from the per-channel lower bounds, only *storage-dependent*
 //! channels — channels whose lack of space actually blocked a token-ready
-//! actor during the periodic phase (see
-//! [`buffy_analysis::throughput_with_dependencies`]) — are grown, each by
-//! its behavioural step size.
+//! actor during the periodic phase, or in the deadlock state (see
+//! [`ThroughputAnalysis::dependent`](buffy_analysis::ThroughputAnalysis::dependent))
+//! — are grown, each by its behavioural step size. The analysis that
+//! decides a candidate's throughput collects these flags in the same
+//! simulation, and the memo entry keeps them, so no candidate is
+//! simulated twice.
 //!
 //! On every graph in this repository's test suite (the paper's gallery and
 //! seeded random graphs) the guided search produces exactly the same
@@ -25,18 +28,15 @@
 use crate::bounds::upper_bound_distribution_with;
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
-use crate::explore::{ExplorationResult, ExploreOptions};
+use crate::explore::{salvage, ExplorationResult, ExploreOptions};
 use crate::pareto::ParetoSet;
 use crate::pipeline::{clip_front, EvalPipeline};
 use crate::runtime::{Completeness, SearchPhase, SkippedSize};
-use buffy_analysis::{
-    dependencies_from_run_for, throughput_with_dependencies_for, CancelReason, DataflowSemantics,
-};
+use buffy_analysis::{CancelReason, DataflowSemantics};
 use buffy_graph::{ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Explores the design space by growing storage-dependent channels only.
 ///
@@ -44,19 +44,21 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// [`explore_design_space`](crate::explore_design_space); the `threads`
 /// option is ignored (the frontier is evaluated sequentially) and
 /// `quantum` only thins the reported front. Evaluations run through the
-/// same `EvalPipeline` as the exhaustive search: bound probes are
-/// cached (a frontier candidate landing on a probed distribution is a
-/// cache hit, not a re-analysis), checkpointed `warm_start` throughputs
-/// are replayed, cold analyses warm-start from cached neighbours, and
-/// the dominance prune oracle skips candidates that lie pointwise below
-/// a deadlocked record (deriving their children from the deadlock
-/// replay). Once an accepted point reaches the graph's maximal
+/// same `EvalPipeline` as the exhaustive search, with the
+/// storage-dependency flags collected by every analysis: bound probes
+/// are cached (a frontier candidate landing on a probed distribution is
+/// a cache hit, not a re-analysis), checkpointed `warm_start`
+/// throughputs are replayed, cold analyses warm-start from cached
+/// neighbours, and the dominance prune oracle skips candidates that lie
+/// pointwise below a deadlocked record. A replayed entry and a pruned
+/// deadlock carry no flags; one uncounted analysis with the flags on
+/// supplies them. Once an accepted point reaches the graph's maximal
 /// throughput — at a size no larger than any queued candidate, by the
 /// size-ordered frontier — the remaining frontier is provably dominated
-/// and drained without any analysis. A cancel
-/// token is honoured between frontier candidates (and inside the
-/// bounds-phase analyses): when it trips, the unexpanded frontier is
-/// reported as skipped sizes on a partial result.
+/// and drained without any analysis. A cancel token is honoured between
+/// frontier candidates and inside every analysis: when it trips after
+/// the bounds phase, the unexpanded frontier (the interrupted candidate
+/// included) is reported as skipped sizes on a partial result.
 ///
 /// # Errors
 ///
@@ -93,7 +95,7 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     let space = DistributionSpace::for_model(model);
     let lb_size = space.min_size();
 
-    let eval = EvalPipeline::new(model, observed, options, observer)?;
+    let eval = EvalPipeline::new(model, observed, options, observer)?.collecting_dependencies();
     let cancel = options.cancel.clone().unwrap_or_default();
     let recorder = buffy_telemetry::active();
     let guided_skip_counter = |reason: &str| {
@@ -106,11 +108,10 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     };
     let skipped_ub = guided_skip_counter("ub-size");
     let skipped_caps = guided_skip_counter("channel-cap");
-    // Bound probes run the plain throughput analysis (no dependency
-    // tracking) through the shared memoised evaluator: timed, counted,
-    // observed, cached and recorded in the prune oracle like every other
-    // evaluation. Cancellation here leaves nothing to salvage and
-    // surfaces as [`ExploreError::Cancelled`].
+    // Bound probes run through the shared memoised evaluator: timed,
+    // counted, observed, cached (with their flags) and recorded in the
+    // prune oracle like every other evaluation. Cancellation here leaves
+    // nothing to salvage and surfaces as [`ExploreError::Cancelled`].
     observer.phase_started(SearchPhase::Bounds);
     let bounds_span = recorder
         .as_ref()
@@ -179,15 +180,16 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
             continue;
         }
         // A deadlock proven by dominance (the candidate lies pointwise
-        // below a deadlocked record) skips the state-space analysis
-        // entirely: the candidate contributes no front point (its
-        // throughput is exactly zero), and its children come from the
-        // deadlock replay below — the same channels the full analysis
-        // would have reported as storage-dependent.
+        // below a deadlocked record) skips the evaluation: the candidate
+        // contributes no front point (its throughput is exactly zero),
+        // and its children come from the flags of its deadlock state.
         let entry = if eval.prunes_zero(&dist) {
             None
         } else {
-            let entry = eval.eval_full(&dist)?;
+            let Some(entry) = salvage(eval.eval_full(&dist), &mut truncated)? else {
+                frontier.push(Reverse((size, dist)));
+                break;
+            };
             if entry.failed {
                 // A panicking analysis degrades to a zero-throughput leaf:
                 // recorded and reported by the evaluator, no children
@@ -217,45 +219,23 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
             }
         }
 
-        // Storage-dependency query. The memoised entry's cycle metadata
-        // lets a deterministic replay of the recorded run answer it
-        // without re-running the state-space search; entries without that
-        // metadata (checkpointed warm-start throughputs) fall back to the
-        // full dependency analysis. A panic in either path degrades the
-        // candidate to a leaf.
-        let (deadlocked, cycle_entry_time, period, has_meta) = match &entry {
-            Some(e) => (
-                e.deadlocked,
-                e.cycle_entry_time,
-                e.period,
-                e.has_replay_meta,
-            ),
-            None => (true, 0, 0, true),
-        };
-        let dependent: Vec<bool> = if has_meta {
-            match catch_unwind(AssertUnwindSafe(|| {
-                dependencies_from_run_for(model, &dist, deadlocked, cycle_entry_time, period)
-            })) {
-                Ok(deps) => deps?,
-                Err(_) => continue,
-            }
-        } else {
-            match catch_unwind(AssertUnwindSafe(|| {
-                throughput_with_dependencies_for(model, &dist, observed, options.limits)
-            })) {
-                Ok(r) => {
-                    let r = r?;
-                    let mut flags = vec![false; model.num_channels()];
-                    for cid in r.dependent_channels() {
-                        flags[cid.index()] = true;
-                    }
-                    flags
+        // The storage-dependent channels: from the memo entry, or — for a
+        // replayed entry or a pruned deadlock — from one more analysis.
+        // A panic there degrades the candidate to a leaf; a cancellation
+        // puts it back on the frontier as unexpanded.
+        let dependent = match entry.and_then(|e| e.dependent) {
+            Some(flags) => flags,
+            None => match salvage(eval.dependencies(&dist), &mut truncated)? {
+                Some(Some(flags)) => flags,
+                Some(None) => continue,
+                None => {
+                    frontier.push(Reverse((size, dist)));
+                    break;
                 }
-                Err(_) => continue,
-            }
+            },
         };
 
-        for (i, dep) in dependent.iter().enumerate() {
+        for (i, &dep) in dependent.iter().enumerate() {
             if !dep {
                 continue;
             }
@@ -474,6 +454,156 @@ mod tests {
         assert!(r.completeness.exact);
         assert!(r.pareto.points().iter().all(|p| p.distribution != fail));
         assert!(!r.pareto.is_empty());
+    }
+
+    /// Records every finished evaluation as a warm-start entry, the way
+    /// a checkpoint does, and how many the bounds phase made.
+    #[derive(Default)]
+    struct Recorder {
+        entries: std::sync::Mutex<crate::explore::WarmStart>,
+        bounds_evaluations: std::sync::Mutex<Option<u64>>,
+    }
+
+    impl crate::runtime::ExploreObserver for Recorder {
+        fn phase_started(&self, phase: SearchPhase) {
+            if phase == SearchPhase::GuidedSearch {
+                let n = self.entries.lock().unwrap().len() as u64;
+                *self.bounds_evaluations.lock().unwrap() = Some(n);
+            }
+        }
+
+        fn evaluation_finished(
+            &self,
+            dist: &StorageDistribution,
+            throughput: Rational,
+            states: u64,
+            _nanos: u64,
+        ) {
+            self.entries
+                .lock()
+                .unwrap()
+                .insert(dist.clone(), (throughput, states));
+        }
+    }
+
+    #[test]
+    fn replayed_entries_get_their_flags_under_the_run_token() {
+        use buffy_analysis::{CancelReason, CancelToken};
+        use std::sync::Arc;
+
+        let g = example();
+        let rec = Arc::new(Recorder::default());
+        let clean = explore_dependency_guided(
+            &g,
+            &ExploreOptions {
+                observer: Some(rec.clone()),
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
+        let warm = Arc::new(std::mem::take(&mut *rec.entries.lock().unwrap()));
+        let bounds_evaluations = rec.bounds_evaluations.lock().unwrap().unwrap();
+
+        // Replayed entries carry no flags; the extra analyses that supply
+        // them are uncounted, so a resumed run reproduces the clean one.
+        let resumed = explore_dependency_guided(
+            &g,
+            &ExploreOptions {
+                warm_start: Some(warm.clone()),
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(front(&resumed), front(&clean));
+        assert_eq!(resumed.stats, clean.stats);
+
+        // A budget that runs out on a replayed entry of the search phase
+        // trips the token before that candidate's flags are known: the
+        // flag analysis is cancelled, and the run still returns a sound
+        // partial result. Only a budget spent in the bounds phase leaves
+        // nothing to salvage.
+        let mut partial_runs = 0;
+        for budget in 1..clean.stats.evaluations {
+            let opts = ExploreOptions {
+                warm_start: Some(warm.clone()),
+                cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget))),
+                ..ExploreOptions::default()
+            };
+            let r = match explore_dependency_guided(&g, &opts) {
+                Err(ExploreError::Cancelled { reason }) if budget < bounds_evaluations => {
+                    assert_eq!(reason, CancelReason::EvaluationBudget);
+                    continue;
+                }
+                other => other.unwrap(),
+            };
+            partial_runs += 1;
+            assert_eq!(
+                r.completeness.truncated_by,
+                Some(CancelReason::EvaluationBudget),
+                "budget {budget}"
+            );
+            assert!(r.completeness.distributions_skipped > 0, "budget {budget}");
+            for p in r.pareto.points() {
+                assert!(
+                    clean
+                        .pareto
+                        .points()
+                        .iter()
+                        .any(|q| q.size <= p.size && q.throughput >= p.throughput),
+                    "budget {budget}: stray point {p}"
+                );
+            }
+        }
+        assert!(partial_runs > 0, "every budget tripped in the bounds phase");
+    }
+
+    #[test]
+    fn flag_analysis_honours_the_token_and_the_limits() {
+        use buffy_analysis::{
+            AnalysisError, CancelReason, CancelToken, ExplorationLimits, LimitKind,
+        };
+        use std::sync::Arc;
+
+        let g = example();
+        let c = g.actor_by_name("c").unwrap();
+        let dist = StorageDistribution::from_capacities(vec![4, 2]);
+        let run = |options: &ExploreOptions| {
+            let observer = options.event_sink();
+            let eval = EvalPipeline::new(&g, c, options, observer)
+                .unwrap()
+                .collecting_dependencies();
+            eval.dependencies(&dist)
+        };
+        let flags = run(&ExploreOptions::default()).unwrap().unwrap();
+        assert_eq!(&*flags, &[true, false][..]);
+
+        let token = CancelToken::new();
+        token.cancel(CancelReason::Interrupt);
+        let cancelled = ExploreOptions {
+            cancel: Some(Arc::new(token)),
+            ..ExploreOptions::default()
+        };
+        assert_eq!(
+            run(&cancelled).unwrap_err(),
+            ExploreError::Cancelled {
+                reason: CancelReason::Interrupt
+            }
+        );
+
+        let tight = ExploreOptions {
+            limits: ExplorationLimits {
+                max_steps: 3,
+                ..ExplorationLimits::default()
+            },
+            ..ExploreOptions::default()
+        };
+        assert!(matches!(
+            run(&tight).unwrap_err(),
+            ExploreError::Analysis(AnalysisError::StateLimitExceeded {
+                kind: LimitKind::Steps,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!    (one channel, ± one step) pre-sizes the analysis arena, and a
 //!    pooled [`AnalysisWorkspace`] is reused instead of reallocated;
 //! 4. **Cold engine run** — the reduced-state-space analysis proper,
-//!    panic-contained and cancellation-aware.
+//!    panic-contained and cancellation-aware. In the dependency-guided
+//!    search's pipeline the same run also collects the storage-dependent
+//!    channels, which the memo entry keeps.
 //!
 //! Telemetry, statistics, checkpoint-replay and failure containment are
 //! attached here exactly once; the drivers (`explore`, `dependency`,
@@ -45,8 +47,8 @@ use crate::runtime::{
     ShardedCache,
 };
 use buffy_analysis::{
-    throughput_for_reusing, AnalysisWorkspace, CancelReason, CancelToken, Capacities,
-    DataflowSemantics, EnergyModel, ExplorationLimits,
+    throughput_analysis, AnalysisRequest, AnalysisWorkspace, CancelReason, CancelToken, Capacities,
+    DataflowSemantics, EnergyModel, ExplorationLimits, ThroughputAnalysis,
 };
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names};
@@ -89,6 +91,9 @@ pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     /// distribution's cached record (`--no-warm-start` turns this off;
     /// results are identical either way).
     warm_neighbours: bool,
+    /// Whether analyses collect the storage-dependent channels (set by
+    /// [`Self::collecting_dependencies`]).
+    dependencies: bool,
     /// Per-channel capacity step sizes, indexed by channel: a candidate's
     /// warm-start neighbours differ by exactly one step on one channel.
     neighbour_steps: Vec<u64>,
@@ -216,12 +221,22 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             shard_stats_published: AtomicBool::new(false),
             oracle,
             warm_neighbours: options.warm_start_neighbours,
+            dependencies: false,
             neighbour_steps: (0..model.num_channels())
                 .map(|i| model.channel_step(ChannelId::new(i)))
                 .collect(),
             workspaces: Mutex::new(Vec::new()),
             energy,
         })
+    }
+
+    /// Makes every analysis of this pipeline also collect the
+    /// storage-dependent channels, which the memo entries then carry
+    /// ([`CachedEval::dependent`]). The fronts, the reports and the
+    /// statistics do not change.
+    pub(crate) fn collecting_dependencies(mut self) -> Self {
+        self.dependencies = true;
+        self
     }
 
     /// Builds the Pareto point of one evaluated distribution in the
@@ -315,9 +330,57 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         self.workspaces.lock().unwrap().push(ws);
     }
 
-    /// [`EvalPipeline::eval`] plus the cached replay metadata — what the
-    /// dependency-guided search needs to answer storage-dependency
-    /// queries without re-running the state-space analysis.
+    /// One analysis of `dist` in a pooled workspace, under the run's
+    /// limits and cancel token; the flags are collected when
+    /// `dependencies` is set.
+    fn analyse(
+        &self,
+        dist: &StorageDistribution,
+        dependencies: bool,
+        state_hint: usize,
+        ws: &mut AnalysisWorkspace,
+    ) -> Result<ThroughputAnalysis, buffy_analysis::AnalysisError> {
+        let request = AnalysisRequest {
+            limits: self.limits,
+            cancel: &self.cancel,
+            dependencies,
+            state_hint,
+        };
+        throughput_analysis(
+            self.model,
+            Capacities::from_distribution(dist),
+            self.observed,
+            &request,
+            ws,
+        )
+    }
+
+    /// The storage-dependent channels of `dist` from one analysis with
+    /// the flags on, for memo entries that carry none (checkpoint-replayed
+    /// evaluations) and for deadlocks proven by dominance, which skip the
+    /// evaluation. The run's cancel token and limits apply; the analysis
+    /// is not counted as an evaluation, observed or cached. `Ok(None)`
+    /// when it panicked (the candidate then expands nothing).
+    ///
+    /// # Errors
+    ///
+    /// The analysis's errors, [`ExploreError::Cancelled`] among them.
+    pub(crate) fn dependencies(
+        &self,
+        dist: &StorageDistribution,
+    ) -> Result<Option<Arc<[bool]>>, ExploreError> {
+        let mut ws = self.pop_workspace();
+        match catch_unwind(AssertUnwindSafe(|| self.analyse(dist, true, 0, &mut ws))) {
+            Ok(analysis) => {
+                self.push_workspace(ws);
+                Ok(analysis?.dependent.map(Arc::from))
+            }
+            Err(_) => Ok(None),
+        }
+    }
+
+    /// [`EvalPipeline::eval`] plus the whole memo entry — with the
+    /// storage-dependent channels when this pipeline collects them.
     pub(crate) fn eval_full(&self, dist: &StorageDistribution) -> Result<CachedEval, ExploreError> {
         if let Some(entry) = self.cache.get(dist) {
             self.stats.record_cache_hit();
@@ -330,14 +393,11 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 self.stats.record_evaluation(states, 0);
                 let entry = CachedEval {
                     throughput: t,
-                    deadlocked: t.is_zero(),
-                    cycle_entry_time: 0,
-                    period: 0,
-                    has_replay_meta: false,
                     states_stored: states,
                     failed: false,
+                    dependent: None,
                 };
-                self.cache.insert(dist.clone(), entry);
+                self.cache.insert(dist.clone(), entry.clone());
                 // A replayed checkpoint entry is a genuine result: it must
                 // seed the same dominance records as the run it restores,
                 // or a resumed run would prune differently.
@@ -374,20 +434,12 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     );
                 }
             }
-            throughput_for_reusing(
-                self.model,
-                Capacities::from_distribution(dist),
-                self.observed,
-                self.limits,
-                &self.cancel,
-                &mut ws,
-                hint.unwrap_or(0) as usize,
-            )
+            self.analyse(dist, self.dependencies, hint.unwrap_or(0) as usize, &mut ws)
         }));
         match attempt {
-            Ok(report) => {
+            Ok(analysis) => {
                 self.push_workspace(ws);
-                let report = report?;
+                let ThroughputAnalysis { report, dependent } = analysis?;
                 let nanos = start.elapsed().as_nanos() as u64;
                 let states = report.states_stored as u64;
                 self.stats.record_evaluation(states, nanos);
@@ -405,14 +457,11 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 }
                 let entry = CachedEval {
                     throughput: report.throughput,
-                    deadlocked: report.deadlocked,
-                    cycle_entry_time: report.cycle_entry_time,
-                    period: report.period,
-                    has_replay_meta: true,
                     states_stored: states,
                     failed: false,
+                    dependent: dependent.map(Arc::from),
                 };
-                self.cache.insert(dist.clone(), entry);
+                self.cache.insert(dist.clone(), entry.clone());
                 self.oracle.record(dist, report.throughput);
                 self.observer
                     .evaluation_finished(dist, report.throughput, states, nanos);
@@ -439,18 +488,15 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 self.stats.record_failure();
                 let entry = CachedEval {
                     throughput: Rational::ZERO,
-                    deadlocked: true,
-                    cycle_entry_time: 0,
-                    period: 0,
-                    has_replay_meta: false,
                     states_stored: 0,
                     failed: true,
+                    dependent: None,
                 };
                 // Degraded zero-throughput is *not* a genuine result: it
                 // is cached (deterministic on re-request) but never
                 // recorded in the oracle — a panic proves nothing about
                 // the real throughput, so it must not seed proofs.
-                self.cache.insert(dist.clone(), entry);
+                self.cache.insert(dist.clone(), entry.clone());
                 self.failures.lock().unwrap().push(EvaluationFailure {
                     distribution: dist.clone(),
                     message: message.clone(),

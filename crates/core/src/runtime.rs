@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Batch size for chunked candidate evaluation.
 ///
@@ -46,9 +46,9 @@ const SHARD_COUNT: usize = 16;
 ///
 /// Keys are spread over the shards by their [`fx_hash`]; each shard is a
 /// small `Mutex<HashMap>` (Fx-hashed as well), so two workers only
-/// contend when their keys land in the same shard. Values are `Copy`
-/// (the drivers cache throughputs, i.e. [`Rational`]s), which keeps
-/// lookups free of clones.
+/// contend when their keys land in the same shard. Lookups return clones,
+/// so values should be cheap to clone (the memo's [`CachedEval`] shares
+/// its dependency flags behind an `Arc`).
 #[derive(Debug)]
 pub(crate) struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
@@ -85,7 +85,7 @@ pub(crate) struct ShardCacheStats {
     pub(crate) entries: u64,
 }
 
-impl<K: Hash + Eq, V: Copy> ShardedCache<K, V> {
+impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     pub(crate) fn new() -> ShardedCache<K, V> {
         ShardedCache {
             shards: (0..SHARD_COUNT)
@@ -100,7 +100,7 @@ impl<K: Hash + Eq, V: Copy> ShardedCache<K, V> {
 
     pub(crate) fn get(&self, key: &K) -> Option<V> {
         let mut shard = self.shard(key).lock().unwrap();
-        let value = shard.map.get(key).copied();
+        let value = shard.map.get(key).cloned();
         match value {
             Some(_) => shard.hits += 1,
             None => shard.misses += 1,
@@ -117,7 +117,7 @@ impl<K: Hash + Eq, V: Copy> ShardedCache<K, V> {
     /// is observation-only — the deterministic statistics are byte-for-byte
     /// those of a peek-free run.
     pub(crate) fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().unwrap().map.get(key).copied()
+        self.shard(key).lock().unwrap().map.get(key).cloned()
     }
 
     pub(crate) fn insert(&self, key: K, value: V) {
@@ -316,30 +316,24 @@ impl AtomicStats {
     }
 }
 
-/// A memoized evaluation: the throughput plus the replay metadata that
-/// lets the dependency-guided search answer storage-dependency queries
-/// from the cache (`has_replay_meta` is `false` for entries that were
-/// warm-started or degraded, where no genuine analysis ran).
-#[derive(Debug, Clone, Copy)]
+/// A memoized evaluation: the throughput, and the storage-dependent
+/// channels when the analysis collected them (the dependency-guided
+/// search's pipeline asks for them; checkpoint-replayed and degraded
+/// entries carry none).
+#[derive(Debug, Clone)]
 pub(crate) struct CachedEval {
     /// Throughput of the observed actor under the distribution.
     pub(crate) throughput: Rational,
-    /// Whether the execution deadlocked.
-    pub(crate) deadlocked: bool,
-    /// Time at which the periodic phase was entered.
-    pub(crate) cycle_entry_time: u64,
-    /// Length of one period of the periodic phase.
-    pub(crate) period: u64,
-    /// Whether `deadlocked`/`cycle_entry_time`/`period` come from a real
-    /// analysis and can seed a dependency replay.
-    pub(crate) has_replay_meta: bool,
     /// Reduced states the analysis stored — the warm-start pipeline uses
     /// it to pre-size a neighbouring distribution's arena (0 for replayed
     /// or degraded entries, which seed nothing).
     pub(crate) states_stored: u64,
     /// Whether the analysis panicked and was degraded to zero throughput
-    /// (such entries are terminal: no replay, no dominance record).
+    /// (such entries are terminal: no children, no dominance record).
     pub(crate) failed: bool,
+    /// The storage-dependent channels, one flag per channel, when the
+    /// analysis collected them.
+    pub(crate) dependent: Option<Arc<[bool]>>,
 }
 
 /// How complete a search result is: exact, or truncated by cancellation.

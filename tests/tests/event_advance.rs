@@ -1,24 +1,39 @@
-//! Differential check of the event-driven time advance.
+//! Differential check of the analysis kernel.
 //!
-//! The throughput analysis and the storage-dependency replay move time
-//! with `DataflowEngine::advance`, which jumps from one firing completion
-//! to the next. This file keeps the unit-step versions of both algorithms
-//! as references, driven by `DataflowEngine::step` one time unit at a
-//! time, and requires every `ThroughputReport` field, every error and
-//! every dependency flag to agree with the kernel's — on seeded random
-//! graphs, their single-phase CSDF embeddings, the SDF and CSDF
-//! galleries, zero-execution-time graphs and deadlocking distributions.
+//! The throughput analysis moves time with `DataflowEngine::advance`,
+//! which jumps from one firing completion to the next, stores reduced
+//! states as packed rows of a flat arena, and collects the
+//! storage-dependency flags inside its own cycle search. This file keeps
+//! the unit-step versions of the cycle search (over a
+//! `HashMap<ReducedState, _>`) and of the dependency replay as
+//! references, driven by `DataflowEngine::step` one time unit at a time.
+//! Every `ThroughputReport` field, every error and every dependency flag
+//! must agree with the kernel's, and the kernel's fused flags must also
+//! equal the library's replay `dependencies_from_run_for` — on seeded
+//! random graphs (including a family with mixed channel steps), their
+//! single-phase CSDF embeddings, the SDF and CSDF galleries,
+//! zero-execution-time graphs and deadlocking distributions.
 
 use buffy_analysis::{
-    dependencies_from_run_for, throughput_for, AnalysisError, Capacities, DataflowEngine,
-    DataflowSemantics, ExplorationLimits, FiringEvents, FiringOutcome, LimitKind, ReducedState,
-    ThroughputReport,
+    dependencies_from_run_for, throughput_analysis, throughput_for, AnalysisError, AnalysisRequest,
+    AnalysisWorkspace, Capacities, DataflowEngine, DataflowSemantics, DataflowState,
+    ExplorationLimits, FiringEvents, FiringOutcome, LimitKind, ThroughputReport,
 };
 use buffy_core::lower_bound_distribution;
 use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
 use std::collections::HashMap;
+
+/// A state of the reduced state space (paper §7, Fig. 4): the timed state
+/// at a completion of the observed actor, the time since its previous
+/// completion, and the number of completions at this instant.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ReducedState {
+    state: DataflowState,
+    dist: u64,
+    firings: u32,
+}
 
 /// The reduced-state-space cycle search of paper §7, stepping one time
 /// unit per engine call.
@@ -158,15 +173,34 @@ fn unit_step_dependencies<M: DataflowSemantics>(
     Ok(dependent)
 }
 
+/// The kernel's analysis with the dependency flags on, in `ws`.
+fn fused<M: DataflowSemantics>(
+    model: &M,
+    dist: &StorageDistribution,
+    observed: ActorId,
+    limits: ExplorationLimits,
+    ws: &mut AnalysisWorkspace,
+) -> Result<(ThroughputReport, Vec<bool>), AnalysisError> {
+    let request = AnalysisRequest {
+        limits,
+        dependencies: true,
+        ..AnalysisRequest::default()
+    };
+    let caps = Capacities::from_distribution(dist);
+    throughput_analysis(model, caps, observed, &request, ws)
+        .map(|a| (a.report, a.dependent.expect("flags were requested")))
+}
+
 /// Compares the kernel with the unit-step references for one analysis,
 /// including step and state limits placed exactly at the cycle's close.
+/// One workspace serves every analysis, errors included.
 fn assert_agrees<M: DataflowSemantics>(
     label: &str,
     model: &M,
     dist: &StorageDistribution,
     observed: ActorId,
 ) {
-    let run = |limits: ExplorationLimits| {
+    let check = |limits: ExplorationLimits, ws: &mut AnalysisWorkspace| {
         let caps = Capacities::from_distribution(dist);
         let fast = throughput_for(model, caps.clone(), observed, limits);
         let slow = unit_step_throughput(model, caps, observed, limits);
@@ -174,12 +208,19 @@ fn assert_agrees<M: DataflowSemantics>(
             fast, slow,
             "{label} {dist} observed {observed:?} {limits:?}"
         );
-        fast
+        let flagged = fused(model, dist, observed, limits, ws);
+        assert_eq!(
+            flagged.as_ref().map(|(report, _)| report),
+            fast.as_ref(),
+            "{label} {dist}: the flags changed the report"
+        );
+        flagged
     };
-    let Ok(report) = run(ExplorationLimits::default()) else {
+    let mut ws = AnalysisWorkspace::new();
+    let Ok((report, flags)) = check(ExplorationLimits::default(), &mut ws) else {
         return;
     };
-    let fast = dependencies_from_run_for(
+    let replayed = dependencies_from_run_for(
         model,
         dist,
         report.deadlocked,
@@ -187,8 +228,14 @@ fn assert_agrees<M: DataflowSemantics>(
         report.period,
     );
     let slow = unit_step_dependencies(model, dist, &report);
-    assert_eq!(fast, slow, "{label} {dist}: dependency flags differ");
+    assert_eq!(replayed, slow, "{label} {dist}: dependency flags differ");
+    assert_eq!(
+        Ok(flags),
+        slow,
+        "{label} {dist} observed {observed:?}: fused flags differ from the replay"
+    );
 
+    let mut run = |limits| check(limits, &mut ws).map(|(report, _)| report);
     let steps = |max_steps| ExplorationLimits {
         max_steps,
         ..ExplorationLimits::default()
@@ -276,6 +323,27 @@ fn random_graphs_agree_with_unit_steps() {
         let g = random_graph(seed);
         assert_model_agrees(&format!("random {seed}"), &g);
         assert_model_agrees(&format!("random {seed} (CSDF)"), &CsdfGraph::from_sdf(&g));
+    }
+}
+
+/// Random graphs whose rates give channels of different capacity steps.
+fn mixed_step_random_graph(seed: u64) -> SdfGraph {
+    RandomGraphConfig {
+        actors: 4,
+        extra_channels: 2,
+        max_repetition: 6,
+        max_rate_factor: 4,
+        seed,
+        ..RandomGraphConfig::default()
+    }
+    .generate()
+}
+
+#[test]
+fn mixed_step_random_graphs_agree_with_unit_steps() {
+    for seed in 1..=40u64 {
+        let g = mixed_step_random_graph(seed);
+        assert_model_agrees(&format!("mixed-step random {seed}"), &g);
     }
 }
 

@@ -1,0 +1,156 @@
+//! The dependency-guided driver on graphs whose channels grow in
+//! different steps.
+//!
+//! With mixed steps, the distributions of one exact size can all deadlock
+//! while a smaller size is live, so per-size reasoning goes wrong (the
+//! exhaustive and constraint drivers still do). The guided driver grows
+//! distributions channel by channel and must find the true front. The two
+//! fixtures are `buffy generate --actors 4 --channels 5 --max-rate 4
+//! --max-repetition 6` with `--seed 9` and `--seed 2`.
+
+use buffy_analysis::{throughput, DataflowSemantics};
+use buffy_core::{explore_dependency_guided, lower_bound_distribution, ExploreOptions};
+use buffy_csdf::CsdfGraph;
+use buffy_graph::xml::read_sdf_xml;
+use buffy_graph::{ChannelId, Rational, SdfGraph, StorageDistribution};
+
+fn fixture(text: &str) -> SdfGraph {
+    read_sdf_xml(text).expect("fixture parses")
+}
+
+fn seed9() -> SdfGraph {
+    fixture(include_str!("../fixtures/mixed-step-seed9.xml"))
+}
+
+fn seed2() -> SdfGraph {
+    fixture(include_str!("../fixtures/mixed-step-seed2.xml"))
+}
+
+/// The guided front as `(size, throughput, capacities)` triples.
+fn guided_front(g: &SdfGraph) -> Vec<(u64, Rational, Vec<u64>)> {
+    let r = explore_dependency_guided(g, &ExploreOptions::default()).unwrap();
+    assert!(r.completeness.exact);
+    let front: Vec<_> = r
+        .pareto
+        .points()
+        .iter()
+        .map(|p| (p.size, p.throughput, p.distribution.as_slice().to_vec()))
+        .collect();
+    // The single-phase CSDF embedding charts the same front.
+    let csdf =
+        explore_dependency_guided(&CsdfGraph::from_sdf(g), &ExploreOptions::default()).unwrap();
+    let csdf_front: Vec<_> = csdf
+        .pareto
+        .points()
+        .iter()
+        .map(|p| (p.size, p.throughput, p.distribution.as_slice().to_vec()))
+        .collect();
+    assert_eq!(front, csdf_front, "SDF and CSDF fronts differ");
+    front
+}
+
+fn q(n: i128, d: i128) -> Rational {
+    Rational::new(n, d)
+}
+
+/// Every grid distribution (per-channel lower bound plus whole steps) of
+/// size at most `max_size`.
+fn grid_distributions(g: &SdfGraph, max_size: u64) -> Vec<StorageDistribution> {
+    let lb = lower_bound_distribution(g);
+    let steps: Vec<u64> = (0..g.num_channels())
+        .map(|i| g.channel_step(ChannelId::new(i)))
+        .collect();
+    let mut out = Vec::new();
+    let mut caps = lb.as_slice().to_vec();
+    fn walk(
+        i: usize,
+        caps: &mut Vec<u64>,
+        lb: &[u64],
+        steps: &[u64],
+        max_size: u64,
+        out: &mut Vec<StorageDistribution>,
+    ) {
+        if caps.iter().sum::<u64>() > max_size {
+            return;
+        }
+        if i == caps.len() {
+            out.push(StorageDistribution::from_capacities(caps.clone()));
+            return;
+        }
+        loop {
+            walk(i + 1, caps, lb, steps, max_size, out);
+            caps[i] += steps[i];
+            if caps.iter().sum::<u64>() > max_size {
+                break;
+            }
+        }
+        caps[i] = lb[i];
+    }
+    walk(0, &mut caps, lb.as_slice(), &steps, max_size, &mut out);
+    out
+}
+
+/// The front by brute force: analyse every grid distribution up to
+/// `max_size`, take the best throughput of each size, and keep the sizes
+/// where the best over all sizes `≤ s` strictly rises.
+fn brute_force_front(g: &SdfGraph, max_size: u64) -> Vec<(u64, Rational)> {
+    let observed = g.default_observed_actor();
+    let mut best_at: std::collections::BTreeMap<u64, Rational> = Default::default();
+    for d in grid_distributions(g, max_size) {
+        let t = throughput(g, &d, observed).unwrap().throughput;
+        let best = best_at.entry(d.size()).or_insert(Rational::ZERO);
+        *best = (*best).max(t);
+    }
+    let mut front = Vec::new();
+    let mut running = Rational::ZERO;
+    for (size, t) in best_at {
+        if t > running {
+            running = t;
+            front.push((size, t));
+        }
+    }
+    front
+}
+
+#[test]
+fn seed9_guided_front_is_the_brute_force_front() {
+    let g = seed9();
+    let front = guided_front(&g);
+    assert_eq!(
+        front,
+        vec![
+            (41, q(1, 5), vec![2, 10, 2, 15, 12]),
+            (45, q(1, 3), vec![2, 10, 4, 15, 14]),
+        ]
+    );
+    let ub = explore_dependency_guided(&g, &ExploreOptions::default())
+        .unwrap()
+        .upper_bound_size;
+    assert_eq!(ub, 45);
+    // Size 42 is reachable only through the step-3 channel, and every
+    // size-42 distribution deadlocks.
+    assert_eq!(grid_distributions(&g, ub).len(), 41);
+    let truth = brute_force_front(&g, ub);
+    let pairs: Vec<(u64, Rational)> = front.iter().map(|(s, t, _)| (*s, *t)).collect();
+    assert_eq!(pairs, truth);
+}
+
+#[test]
+fn seed2_guided_front() {
+    let front = guided_front(&seed2());
+    let expected = vec![
+        (125, q(4, 25), vec![14, 32, 15, 56, 8]),
+        (129, q(1, 6), vec![18, 32, 15, 56, 8]),
+        (131, q(4, 23), vec![20, 32, 15, 56, 8]),
+        (134, q(2, 11), vec![20, 32, 18, 56, 8]),
+        (140, q(4, 21), vec![20, 36, 18, 58, 8]),
+        (143, q(1, 5), vec![20, 40, 15, 60, 8]),
+        (148, q(2, 9), vec![22, 40, 18, 60, 8]),
+        (152, q(4, 17), vec![20, 44, 18, 62, 8]),
+        (154, q(1, 4), vec![22, 44, 18, 62, 8]),
+        (160, q(2, 7), vec![22, 48, 18, 64, 8]),
+        (171, q(4, 13), vec![24, 52, 21, 66, 8]),
+        (179, q(1, 3), vec![26, 56, 21, 68, 8]),
+    ];
+    assert_eq!(front, expected);
+}
