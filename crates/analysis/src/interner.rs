@@ -215,17 +215,11 @@ impl HashIndex {
         }
     }
 
-    /// Empties the table in place (growing it first if `capacity` entries
-    /// would not fit) and restarts the probe statistics.
-    fn reset_with_capacity(&mut self, capacity: usize) {
+    /// Empties the table in place, keeping its size, and restarts the
+    /// probe statistics.
+    fn reset(&mut self) {
         self.probes = ProbeStats::default();
-        let needed = table_len_for(capacity);
-        if needed > self.table.len() {
-            self.table = vec![EMPTY; needed];
-            self.mask = needed - 1;
-        } else {
-            self.table.fill(EMPTY);
-        }
+        self.table.fill(EMPTY);
     }
 
     /// Looks `hash` up without recording probe statistics.
@@ -359,19 +353,8 @@ impl<T> StateStore<T> {
     /// restart. The next analysis pays no allocation until it outgrows
     /// whatever this store already holds.
     pub fn reset(&mut self) {
-        self.reset_with_capacity(0);
-    }
-
-    /// [`Self::reset`] plus a capacity hint: after the call the table can
-    /// absorb roughly `capacity` states without growing (and rehashing).
-    /// The hint only pre-sizes memory — interning results are identical
-    /// for any hint, including zero.
-    pub fn reset_with_capacity(&mut self, capacity: usize) {
         self.items.clear();
-        self.index.reset_with_capacity(capacity);
-        if capacity > self.items.capacity() {
-            self.items.reserve(capacity);
-        }
+        self.index.reset();
     }
 
     /// Number of interned states.
@@ -463,17 +446,12 @@ impl Default for RowStore {
 
 impl RowStore {
     /// Empties the store for rows of `stride` words, keeping its
-    /// allocations, and pre-sizes the arena and the table for `capacity`
-    /// rows. Results are identical for every `capacity`.
-    pub(crate) fn reset(&mut self, stride: usize, capacity: usize) {
+    /// allocations.
+    pub(crate) fn reset(&mut self, stride: usize) {
         self.words.clear();
         self.stride = stride;
         self.len = 0;
-        self.index.reset_with_capacity(capacity);
-        let needed = capacity.saturating_mul(stride);
-        if needed > self.words.capacity() {
-            self.words.reserve(needed);
-        }
+        self.index.reset();
     }
 
     /// Number of stored rows.
@@ -613,33 +591,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_capacity_hint_presizes_without_changing_results() {
-        let mut fresh: StateStore<u64> = StateStore::new();
-        let mut hinted: StateStore<u64> = StateStore::new();
-        hinted.reset_with_capacity(1000);
-        let table_before = hinted.index.table.len();
-        assert!(table_before >= 1024);
-        for v in 0..500u64 {
-            fresh.intern_with(fx_hash(&v), |s| *s == v, || v);
-            hinted.intern_with(fx_hash(&v), |s| *s == v, || v);
-        }
-        // Identical arenas and lookups; the hinted store never grew.
-        assert_eq!(fresh.items(), hinted.items());
-        assert_eq!(hinted.index.table.len(), table_before);
-        // A smaller hint never shrinks an already-grown table.
-        hinted.reset_with_capacity(1);
-        assert_eq!(hinted.index.table.len(), table_before);
-        assert!(hinted.is_empty());
-    }
-
-    #[test]
     fn row_store_matches_a_hashmap_and_survives_resets() {
         // Fixed-stride rows with repeats, across a grow and two resets
         // with different strides: indices follow discovery order exactly
         // as an owned-key map assigns them.
         let mut store = RowStore::default();
-        for (stride, hint) in [(3usize, 0usize), (1, 1000), (5, 2)] {
-            store.reset(stride, hint);
+        for stride in [3usize, 1, 5] {
+            store.reset(stride);
             let mut oracle: HashMap<Vec<u64>, usize> = HashMap::new();
             let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ stride as u64;
             for _ in 0..2_000 {
@@ -670,7 +628,7 @@ mod tests {
     #[should_panic(expected = "stride")]
     fn row_store_rejects_a_short_row() {
         let mut store = RowStore::default();
-        store.reset(2, 0);
+        store.reset(2);
         store.intern(&[1]);
     }
 

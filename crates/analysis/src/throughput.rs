@@ -206,8 +206,8 @@ static NEVER: CancelToken = CancelToken::new();
 /// How to run one [`throughput_analysis`]: everything besides the model,
 /// the capacities, the observed actor and the workspace.
 ///
-/// The default request has the default limits, a token that never trips,
-/// no dependency flags and no state hint.
+/// The default request has the default limits, a token that never trips
+/// and no dependency flags.
 #[derive(Debug, Clone, Copy)]
 pub struct AnalysisRequest<'a> {
     /// State and time limits of the cycle search.
@@ -219,10 +219,6 @@ pub struct AnalysisRequest<'a> {
     /// Whether to collect the storage-dependent channels
     /// ([`ThroughputAnalysis::dependent`]).
     pub dependencies: bool,
-    /// The number of reduced states the analysis is expected to store
-    /// (0 = no expectation). It pre-sizes the workspace's arena and never
-    /// changes a result.
-    pub state_hint: usize,
 }
 
 impl Default for AnalysisRequest<'_> {
@@ -231,7 +227,6 @@ impl Default for AnalysisRequest<'_> {
             limits: ExplorationLimits::default(),
             cancel: &NEVER,
             dependencies: false,
-            state_hint: 0,
         }
     }
 }
@@ -282,25 +277,15 @@ impl AnalysisWorkspace {
     }
 
     /// Readies the workspace for one analysis with rows of `stride` words
-    /// and `flag_words` words per dependency segment, expected to store
-    /// about `state_hint` reduced states (0 = no expectation): everything
-    /// is cleared, allocations are kept, and the arena and its index are
-    /// pre-sized so the hinted analysis never grows them mid-search.
-    fn prepare(&mut self, stride: usize, flag_words: usize, state_hint: usize) {
-        self.store.reset(stride, state_hint);
+    /// and `flag_words` words per dependency segment: everything is
+    /// cleared, allocations are kept.
+    fn prepare(&mut self, stride: usize, flag_words: usize) {
+        self.store.reset(stride);
         self.times.clear();
         self.firing_counts.clear();
         self.segments.clear();
         self.running.clear();
         self.running.resize(flag_words, 0);
-        if state_hint > self.times.capacity() {
-            self.times.reserve(state_hint);
-            self.firing_counts.reserve(state_hint);
-        }
-        let segment_words = state_hint.saturating_mul(flag_words);
-        if segment_words > self.segments.capacity() {
-            self.segments.reserve(segment_words);
-        }
     }
 }
 
@@ -310,9 +295,8 @@ impl AnalysisWorkspace {
 /// set, the storage-dependent channels of that same execution.
 ///
 /// This is the one entry point of the analysis: the exploration drivers
-/// call it with their cancel token, their limits, a pooled workspace and
-/// a neighbouring distribution's state count as the hint. The report is
-/// byte-identical for every workspace state and every hint, and with the
+/// call it with their cancel token, their limits and a pooled workspace.
+/// The report is byte-identical for every workspace state, and with the
 /// flags on or off.
 ///
 /// The flags come out of the cycle search itself. After every engine
@@ -343,7 +327,6 @@ pub fn throughput_analysis<M: DataflowSemantics>(
     workspace.prepare(
         row_stride(model.num_actors(), model.num_channels()),
         flag_words,
-        request.state_hint,
     );
     // Telemetry is observation-only and fetched once per analysis: when no
     // recorder is installed this is a single relaxed load and a branch.
@@ -909,13 +892,11 @@ mod tests {
         caps: &[u64],
         limits: ExplorationLimits,
         dependencies: bool,
-        state_hint: usize,
     ) -> Result<ThroughputAnalysis, AnalysisError> {
         let g = example();
         let request = AnalysisRequest {
             limits,
             dependencies,
-            state_hint,
             ..AnalysisRequest::default()
         };
         throughput_analysis(
@@ -953,14 +934,12 @@ mod tests {
                 &caps,
                 Default::default(),
                 true,
-                0,
             )
             .unwrap()
             .dependent;
             assert!(fresh_flags.is_some());
             for dependencies in [true, false] {
-                let reused =
-                    analyse_in(&mut ws, &caps, Default::default(), dependencies, 0).unwrap();
+                let reused = analyse_in(&mut ws, &caps, Default::default(), dependencies).unwrap();
                 assert_eq!(fresh.as_ref().unwrap(), &reused.report, "{caps:?}");
                 let expected = if dependencies {
                     fresh_flags.clone()
@@ -968,34 +947,8 @@ mod tests {
                     None
                 };
                 assert_eq!(reused.dependent, expected, "{caps:?}");
-                assert!(analyse_in(&mut ws, &caps, tight, dependencies, 0).is_err());
+                assert!(analyse_in(&mut ws, &caps, tight, dependencies).is_err());
             }
-        }
-    }
-
-    #[test]
-    fn workspace_state_hint_never_changes_the_report() {
-        // The hint is a layout seed only: wildly wrong hints in both
-        // directions still reproduce the unhinted report and flags
-        // byte-for-byte.
-        let g = example();
-        let c = g.actor_by_name("c").unwrap();
-        let dist = StorageDistribution::from_capacities(vec![7, 3]);
-        let baseline = throughput(&g, &dist, c).unwrap();
-        let flags = analyse_in(
-            &mut AnalysisWorkspace::new(),
-            &[7, 3],
-            Default::default(),
-            true,
-            0,
-        )
-        .unwrap()
-        .dependent;
-        for hint in [0usize, 1, baseline.states_stored, 10_000] {
-            let mut ws = AnalysisWorkspace::new();
-            let hinted = analyse_in(&mut ws, &[7, 3], Default::default(), true, hint).unwrap();
-            assert_eq!(baseline, hinted.report, "hint {hint} changed the report");
-            assert_eq!(flags, hinted.dependent, "hint {hint} changed the flags");
         }
     }
 
@@ -1008,10 +961,10 @@ mod tests {
             max_steps: 2,
             ..ExplorationLimits::default()
         };
-        let clean = analyse_in(&mut ws, &[7, 3], Default::default(), true, 0).unwrap();
+        let clean = analyse_in(&mut ws, &[7, 3], Default::default(), true).unwrap();
         for dependencies in [true, false] {
-            assert!(analyse_in(&mut ws, &[7, 3], tight, dependencies, 0).is_err());
-            let after = analyse_in(&mut ws, &[7, 3], Default::default(), true, 0).unwrap();
+            assert!(analyse_in(&mut ws, &[7, 3], tight, dependencies).is_err());
+            let after = analyse_in(&mut ws, &[7, 3], Default::default(), true).unwrap();
             assert_eq!(after, clean);
         }
         let g = example();
@@ -1029,7 +982,7 @@ mod tests {
         // The flags of a deadlock are the final state's.
         let mut ws = AnalysisWorkspace::new();
         for (caps, expected) in [([3u64, 2], vec![true, false]), ([4, 1], vec![true, true])] {
-            let a = analyse_in(&mut ws, &caps, Default::default(), true, 0).unwrap();
+            let a = analyse_in(&mut ws, &caps, Default::default(), true).unwrap();
             assert!(a.report.deadlocked, "{caps:?}");
             assert_eq!(a.dependent, Some(expected), "{caps:?}");
         }

@@ -38,6 +38,9 @@
 //! run's evaluation throughput (`evaluations / wall_secs`), the same
 //! figure the CLI's `--progress` lines and the `/status` endpoint report
 //! live. All v5 keys are unchanged.
+//!
+//! Schema v7: the three v4 warm-start keys are gone, with the neighbour
+//! warm starts they counted. All other v6 keys are unchanged.
 
 use buffy_bench::format_table;
 use buffy_core::{
@@ -137,7 +140,6 @@ fn json_record(r: &Run) -> String {
          \"static_prunes\":0,\"dominance_prunes\":{},\"max_states\":{},\
          \"eval_nanos\":{},\"pareto_points\":{},\
          \"eval_latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{}}},\"shard_hit_rates\":[{}],\
-         \"warm_starts\":{},\"warm_start_hit_rate\":{:.4},\"warm_start_states\":{},\
          \"energy\":{energy},\"evals_per_sec\":{evals_per_sec:.2}}}",
         r.graph,
         r.algorithm,
@@ -153,10 +155,7 @@ fn json_record(r: &Run) -> String {
         latency.p50(),
         latency.p90(),
         latency.p99(),
-        shard_rates.join(","),
-        s.warm_starts,
-        s.warm_start_hit_rate(),
-        s.warm_start_states
+        shard_rates.join(",")
     )
 }
 
@@ -258,7 +257,7 @@ fn main() {
 
     let records: Vec<String> = runs.iter().map(json_record).collect();
     let json = format!(
-        "{{\"bench\":\"dse_stats\",\"schema\":6,\"auto_threads\":{},\"runs\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"dse_stats\",\"schema\":7,\"auto_threads\":{},\"runs\":[\n  {}\n]}}\n",
         auto,
         records.join(",\n  ")
     );

@@ -61,7 +61,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "force",
     "help",
     "no-static-prune",
-    "no-warm-start",
     "progress",
 ];
 

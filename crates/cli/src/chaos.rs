@@ -33,8 +33,8 @@ use crate::commands::{end_reason, exit_code_for, with_graph, Model};
 use crate::observe::{CheckpointConfig, CliObserver};
 use buffy_analysis::{throughput_for, Capacities, DataflowSemantics, ExplorationLimits};
 use buffy_core::{
-    CancelReason, CancelToken, Checkpoint, ExplorationResult, ExploreError, ExploreOptions,
-    FaultPlan, FaultSite, ObjectiveSpace, ParetoPoint, WarmStart,
+    CancelReason, CancelToken, Checkpoint, Event, ExplorationResult, ExploreError, ExploreObserver,
+    ExploreOptions, FaultPlan, FaultSite, ObjectiveSpace, ParetoPoint, WarmStart,
 };
 use buffy_graph::{Rational, StorageDistribution};
 use std::io::Write;
@@ -289,7 +289,9 @@ fn settle(
 ) -> Result<(Vec<ParetoPoint>, i32, bool), String> {
     match run {
         Ok(r) => {
-            observer.finish(end_reason(&r.completeness)).ok();
+            observer.event(&Event::End {
+                reason: end_reason(&r.completeness),
+            });
             Ok((
                 r.pareto.points().to_vec(),
                 exit_code_for(&r.completeness),
@@ -297,7 +299,9 @@ fn settle(
             ))
         }
         Err(e @ ExploreError::Cancelled { reason }) => {
-            observer.finish(reason.name()).ok();
+            observer.event(&Event::End {
+                reason: reason.name(),
+            });
             if reason == CancelReason::Interrupt {
                 // No result, but the conventional 130 still applies.
                 return Ok((Vec::new(), 130, false));
@@ -305,7 +309,7 @@ fn settle(
             Err(e.to_string())
         }
         Err(e) => {
-            observer.finish("error").ok();
+            observer.event(&Event::End { reason: "error" });
             Err(e.to_string())
         }
     }
@@ -413,7 +417,7 @@ pub fn chaos(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
                 let v: Vec<String> = o
                     .violations
                     .iter()
-                    .map(|m| format!("\"{}\"", crate::observe::json_escape(m)))
+                    .map(|m| format!("\"{}\"", buffy_core::json_escape(m)))
                     .collect();
                 format!(
                     "{{\"seed\":{},\"exit_code\":{},\"points\":{},\"injected\":{},\"violations\":[{}]}}",
@@ -429,7 +433,7 @@ pub fn chaos(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
             out,
             format_args!(
                 "{{\"graph\":\"{}\",\"kind\":\"{kind}\",\"schedules\":{},\"failed\":{failed},\"seeds\":[{}]}}\n",
-                crate::observe::json_escape(name),
+                buffy_core::json_escape(name),
                 outcomes.len(),
                 seeds_json.join(",")
             ),

@@ -1,19 +1,18 @@
 //! Implementations of the `buffy` subcommands.
 
 use crate::args::{parse_dist, ParsedArgs};
-use crate::observe::{dist_json, json_escape, CheckpointConfig, CliObserver};
-use crate::serve::ServeSession;
-use crate::telemetry::{telemetry_json, TelemetrySession};
+use crate::observe::{CheckpointConfig, CliObserver, Observation};
+use crate::telemetry::telemetry_json;
 use buffy_analysis::{
     fx_hash, maximal_throughput, throughput, BoundCertificate, DataflowSemantics,
     ExplorationLimits, Schedule, StaticBounds,
 };
 use buffy_core::{
-    explore_dependency_guided, explore_design_space, lower_bound_distribution,
-    min_storage_for_throughput, upper_bound_distribution, CancelReason, CancelToken, Checkpoint,
-    Completeness, DistributionSpace, EvaluationFailure, ExplorationResult, ExplorationStats,
-    ExploreError, ExploreObserver, ExploreOptions, ObjectiveKind, ObjectiveSpace, ParetoPoint,
-    SkippedSize, TeeObserver, WarmStart,
+    dist_json, explore_dependency_guided, explore_design_space, json_escape,
+    lower_bound_distribution, min_storage_for_throughput, upper_bound_distribution, CancelReason,
+    CancelToken, Checkpoint, Completeness, DistributionSpace, EvaluationFailure, ExplorationResult,
+    ExplorationStats, ExploreError, ExploreOptions, ObjectiveKind, ObjectiveSpace, ParetoPoint,
+    SkippedSize, WarmStart,
 };
 use buffy_csdf::xml::{read_csdf_xml, write_csdf_xml};
 use buffy_csdf::CsdfGraph;
@@ -222,7 +221,6 @@ fn explore_options(parsed: &ParsedArgs, observed: ActorId) -> Result<ExploreOpti
         quantum: parsed.get("quantum")?,
         threads: parsed.get("threads")?.unwrap_or(1),
         prune: !parsed.has_flag("no-static-prune"),
-        warm_start_neighbours: !parsed.has_flag("no-warm-start"),
         objectives: objective_space(parsed)?,
         ..ExploreOptions::default()
     })
@@ -232,44 +230,36 @@ fn w(out: Out<'_>, text: std::fmt::Arguments<'_>) -> Result<(), String> {
     out.write_fmt(text).map_err(|e| e.to_string())
 }
 
-/// Builds the observer wired to `--progress`, `--trace-json` and
-/// `--checkpoint`. The fingerprint and channel count tag the checkpoint
-/// so `--resume` can refuse a file recorded for a different graph.
-fn observer_from(
+/// Sets up the observation of one exploring command's run over `graph`:
+/// `--progress`, `--trace-json` and `--checkpoint` (the fingerprint tags
+/// the checkpoint so `--resume` can refuse a file recorded for a
+/// different graph), telemetry, and `--serve` under the graph's `name`
+/// and the `algorithm` it runs.
+fn observe<M: DataflowSemantics>(
     parsed: &ParsedArgs,
+    graph: &M,
+    observed: ActorId,
     fingerprint: u64,
-    channels: usize,
-) -> Result<CliObserver, String> {
-    let objectives = objective_space(parsed)?;
-    let checkpoint = parsed
-        .options
-        .get("checkpoint")
-        .map(|path| CheckpointConfig {
+    name: &str,
+    algorithm: &str,
+) -> Result<Observation, String> {
+    let checkpoint = match parsed.options.get("checkpoint") {
+        None => None,
+        Some(path) => Some(CheckpointConfig {
             path: PathBuf::from(path),
             fingerprint,
-            channels,
-            objectives: objectives.clone(),
+            channels: graph.num_channels(),
+            objectives: objective_space(parsed)?,
             faults: None,
-        });
-    CliObserver::from_options(
+        }),
+    };
+    let cli = CliObserver::from_options(
         parsed.has_flag("progress"),
         parsed.options.get("trace-json").map(String::as_str),
         checkpoint,
-    )
-}
-
-/// The run's observer handle: `observer`, teed with the live observer of
-/// `--serve` when a session is attached.
-fn observer_chain(
-    observer: &Arc<CliObserver>,
-    serve: Option<&ServeSession>,
-) -> Arc<dyn ExploreObserver> {
-    let mut tee = TeeObserver::new();
-    tee.push(observer.clone());
-    if let Some(session) = serve {
-        tee.push(session.observer());
-    }
-    Arc::new(tee)
+    )?
+    .with_space_total(progress_space_total(parsed, graph, observed));
+    Observation::start(parsed, cli, name, algorithm)
 }
 
 /// Cap on the `--progress` space pre-count: beyond this many candidates
@@ -427,10 +417,10 @@ pub(crate) fn end_reason(completeness: &Completeness) -> &'static str {
 /// status 130 (hard errors otherwise exit 1).
 fn cancelled_without_result(
     reason: CancelReason,
-    observer: &CliObserver,
+    observation: &mut Observation,
     out: Out<'_>,
 ) -> Result<i32, String> {
-    observer.finish(reason.name()).ok();
+    observation.finish(reason.name()).ok();
     if reason == CancelReason::Interrupt {
         w(
             out,
@@ -455,17 +445,15 @@ fn telemetry_section(snapshot: Option<&buffy_telemetry::Snapshot>) -> String {
 
 /// Renders the exploration statistics as a JSON object.
 fn stats_json(stats: &ExplorationStats) -> String {
-    // `static_prunes` stays as a constant 0: perfbench/run.py reads it.
+    // `static_prunes` and `warm_starts` stay as constant 0s:
+    // perfbench/run.py reads both.
     format!(
-        "{{\"evaluations\":{},\"cache_hits\":{},\"static_prunes\":0,\"dominance_prunes\":{},\"max_states\":{},\"eval_nanos\":{},\"warm_starts\":{},\"warm_start_hit_rate\":{:.4},\"warm_start_states\":{}}}",
+        "{{\"evaluations\":{},\"cache_hits\":{},\"static_prunes\":0,\"dominance_prunes\":{},\"max_states\":{},\"eval_nanos\":{},\"warm_starts\":0}}",
         stats.evaluations,
         stats.cache_hits,
         stats.dominance_prunes,
         stats.max_states,
-        stats.eval_nanos,
-        stats.warm_starts,
-        stats.warm_start_hit_rate(),
-        stats.warm_start_states
+        stats.eval_nanos
     )
 }
 
@@ -938,31 +926,26 @@ fn explore_model<M: DataflowSemantics + Sync>(
         graph.num_actors(),
     )?);
     opts.warm_start = resume_warm_start(parsed, fingerprint, graph.num_channels())?;
-    let observer = Arc::new(
-        observer_from(parsed, fingerprint, graph.num_channels())?
-            .with_space_total(progress_space_total(parsed, graph, observed)),
-    );
-    let telemetry = TelemetrySession::from_options(parsed);
-    let serve = ServeSession::from_options(parsed, model.name(), algorithm.name(), &telemetry)?;
-    opts.observer = Some(observer_chain(&observer, serve.as_ref()));
+    let mut observation = observe(
+        parsed,
+        graph,
+        observed,
+        fingerprint,
+        model.name(),
+        algorithm.name(),
+    )?;
+    opts.observer = Some(observation.observer());
     let result = match algorithm.run(graph, &opts) {
         Ok(result) => result,
         Err(ExploreError::Cancelled { reason }) => {
-            if let Some(session) = serve {
-                session.finish(reason.name());
-            }
-            return cancelled_without_result(reason, &observer, out);
+            return cancelled_without_result(reason, &mut observation, out);
         }
         Err(e) => {
-            observer.finish("error").ok();
-            if let Some(session) = serve {
-                session.finish("error");
-            }
+            observation.finish("error").ok();
             return Err(e.to_string());
         }
     };
-    observer.finish(end_reason(&result.completeness))?;
-    let snapshot = telemetry.finish()?;
+    let snapshot = observation.finish(end_reason(&result.completeness))?;
     let latencies = front_latencies(latency_graph, observed, result.pareto.points());
     export_front(
         parsed,
@@ -972,9 +955,6 @@ fn explore_model<M: DataflowSemantics + Sync>(
         &latencies,
     )?;
     print_front(&result, parsed, snapshot.as_ref(), &space, &latencies, out)?;
-    if let Some(session) = serve {
-        session.finish(end_reason(&result.completeness));
-    }
     Ok(exit_code_for(&result.completeness))
 }
 
@@ -997,31 +977,26 @@ pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
     if constraint <= Rational::ZERO {
         return Err("--throughput must be positive".into());
     }
-    let observer = Arc::new(
-        observer_from(parsed, fingerprint, graph.num_channels())?
-            .with_space_total(progress_space_total(parsed, graph, observed)),
-    );
-    let telemetry = TelemetrySession::from_options(parsed);
-    let serve = ServeSession::from_options(parsed, graph.name(), "constraint", &telemetry)?;
-    opts.observer = Some(observer_chain(&observer, serve.as_ref()));
+    let mut observation = observe(
+        parsed,
+        graph,
+        observed,
+        fingerprint,
+        graph.name(),
+        "constraint",
+    )?;
+    opts.observer = Some(observation.observer());
     let r = match min_storage_for_throughput(graph, constraint, &opts) {
         Ok(r) => r,
         Err(ExploreError::Cancelled { reason }) => {
-            if let Some(session) = serve {
-                session.finish(reason.name());
-            }
-            return cancelled_without_result(reason, &observer, out);
+            return cancelled_without_result(reason, &mut observation, out);
         }
         Err(e) => {
-            observer.finish("error").ok();
-            if let Some(session) = serve {
-                session.finish("error");
-            }
+            observation.finish("error").ok();
             return Err(e.to_string());
         }
     };
-    observer.finish(end_reason(&r.completeness))?;
-    let snapshot = telemetry.finish()?;
+    let snapshot = observation.finish(end_reason(&r.completeness))?;
     if parsed.has_flag("json") {
         w(
             out,
@@ -1034,9 +1009,6 @@ pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
                 telemetry_section(snapshot.as_ref())
             ),
         )?;
-        if let Some(session) = serve {
-            session.finish(end_reason(&r.completeness));
-        }
         return Ok(exit_code_for(&r.completeness));
     }
     w(
@@ -1058,9 +1030,6 @@ pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
         )?;
     }
     write_resilience_text(&Completeness::exact(), &[], &r.failures, out)?;
-    if let Some(session) = serve {
-        session.finish(end_reason(&r.completeness));
-    }
     Ok(exit_code_for(&r.completeness))
 }
 

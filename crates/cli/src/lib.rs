@@ -64,7 +64,7 @@ COMMANDS:
             [--quantum R] [--max-size N] [--threads N] [--csv] [--json]
             [--objectives storage,throughput[,energy][,latency]]
             [--export-csv FILE] [--export-dot FILE]
-            [--no-static-prune] [--no-warm-start] [--progress]
+            [--no-static-prune] [--progress]
             [--trace-json FILE] [--serve ADDR] [--serve-linger SECS]
             [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
             [--max-evals N] [--max-states N] [--max-memory-mb M]
@@ -96,11 +96,7 @@ COMMANDS:
                                       --no-static-prune disables dominance
                                       pruning (the front is byte-identical
                                       either way; the run just evaluates
-                                      more distributions); --no-warm-start
-                                      disables seeding each evaluation's
-                                      allocations from a neighbouring
-                                      distribution's record (again
-                                      byte-identical, just slower);
+                                      more distributions);
                                       --metrics writes a Prometheus
                                       textfile snapshot and --chrome-trace
                                       a Chrome trace-event JSON (load in

@@ -1,9 +1,10 @@
 //! Progress reporting, JSON-lines tracing and checkpointing for the
-//! exploration commands.
+//! exploration commands, and the one observation setup they share.
 //!
-//! [`CliObserver`] implements the kernel's
-//! [`ExploreObserver`](buffy_core::ExploreObserver) and fans each event out
-//! to up to three sinks:
+//! [`CliObserver`] is the command layer's sink of the kernel's
+//! [`Event`] stream. It folds every event into a [`LiveStats`] — the
+//! counters `--progress` prints and, with `--serve`, `/status` reports —
+//! and renders it to up to three outputs:
 //!
 //! - `--progress`: human-readable status on **stderr** (phase transitions,
 //!   evaluation counts, accepted Pareto points) — stdout stays reserved
@@ -15,32 +16,35 @@
 //!   [`DistributionSpace`](buffy_core::DistributionSpace) — the percent
 //!   of that space already covered (evaluated, cache-answered or pruned)
 //!   plus an ETA extrapolated from the coverage rate;
-//! - `--trace-json <file>`: one JSON object per line (JSON-lines). Every
-//!   event leads with `elapsed_us`, microseconds on the monotonic clock
-//!   since the observer (and hence the run) was created. Each line is
-//!   written with a single `write_all` call as it happens, so an
-//!   interrupted or failing run never leaves a truncated object behind,
-//!   and [`CliObserver::finish`] appends a final
+//! - `--trace-json <file>`: one JSON object per event and line
+//!   ([`Event::trace_line`]), led by `elapsed_us`, microseconds on the
+//!   monotonic clock since the observer (and hence the run) was created.
+//!   Each line is written with a single `write_all` call as it happens,
+//!   so an interrupted or failing run never leaves a truncated object
+//!   behind, and the run's [`Event::End`] appends a final
 //!   `{"event":"end","reason":…}` record on every exit path;
 //! - `--checkpoint <file>`: the completed evaluations accumulate into a
 //!   [`Checkpoint`] that is re-saved (atomically, via a temporary file)
-//!   every [`CHECKPOINT_EVERY`] evaluations and once more at `finish`.
+//!   every [`CHECKPOINT_EVERY`] evaluations and once more at the end.
 //!
-//! The trace vocabulary (the `event` field): `phase`, `evaluation`,
-//! `cache-hit`, `pruned`, `pareto`, `evaluation-failed`, `end`. All values are
-//! numbers, fixed enum names, rationals rendered as `"p/q"`, or
-//! JSON-escaped strings.
+//! [`Observation`] sets up everything one command observes its run with
+//! — this sink, the telemetry recorder and the `--serve` server with its
+//! event ring — and closes all of it with a single
+//! [`finish`](Observation::finish).
 
+use crate::args::ParsedArgs;
+use crate::serve::ServeSession;
+use crate::telemetry::TelemetrySession;
 use buffy_core::{
-    Checkpoint, CheckpointEntry, ExploreObserver, FaultPlan, ObjectiveSpace, ParetoPoint,
-    SearchPhase,
+    Checkpoint, CheckpointEntry, Event, ExploreObserver, FaultPlan, LiveStats, ObjectiveSpace,
 };
 use buffy_graph::{Rational, StorageDistribution};
+use buffy_telemetry::Snapshot;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -139,19 +143,16 @@ pub struct CliObserver {
     /// Monotonic micros of the last throttled progress line
     /// (`u64::MAX` = none emitted yet).
     progress_last_us: AtomicU64,
-    evaluations: AtomicU64,
-    cache_hits: AtomicU64,
-    prunes: AtomicU64,
+    /// The run's counters, phase and front, folded from every event this
+    /// observer receives: what the progress lines print and what a
+    /// `--serve` server reports on `/status`.
+    stats: Arc<LiveStats>,
     /// Total realizable candidates in the search window, when the command
     /// pre-counted them (`--progress` only): the denominator of the
     /// percent-covered and ETA annotations.
     space_total: Option<u64>,
     trace: Option<Mutex<File>>,
     checkpoint: Option<Mutex<CheckpointSink>>,
-    /// Whether [`finish`](CliObserver::finish) ran. The [`Drop`] guard
-    /// checks it so the trace gets its final `end` record on *every*
-    /// exit path, including panics unwinding past the observer.
-    finished: AtomicBool,
 }
 
 impl CliObserver {
@@ -190,13 +191,10 @@ impl CliObserver {
             progress,
             start: Instant::now(),
             progress_last_us: AtomicU64::new(u64::MAX),
-            evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            prunes: AtomicU64::new(0),
+            stats: Arc::new(LiveStats::new()),
             space_total: None,
             trace,
             checkpoint,
-            finished: AtomicBool::new(false),
         })
     }
 
@@ -215,18 +213,21 @@ impl CliObserver {
         self
     }
 
+    /// The run's counters, phase and front, as this observer folds them.
+    pub fn stats(&self) -> Arc<LiveStats> {
+        Arc::clone(&self.stats)
+    }
+
     /// The dynamic tail of a progress line: evaluation rate, and — when
     /// the candidate space was pre-counted — percent covered plus an ETA
     /// extrapolated from the coverage rate (evaluations, cache hits and
     /// prunes all cover candidates).
     fn progress_suffix(&self) -> String {
         let elapsed = self.start.elapsed().as_secs_f64().max(1e-6);
-        let evals = self.evaluations.load(Ordering::Relaxed);
-        let mut out = format!(", {:.0} evals/s", evals as f64 / elapsed);
+        let counters = self.stats.counters();
+        let mut out = format!(", {:.0} evals/s", counters.evaluations as f64 / elapsed);
         if let Some(total) = self.space_total {
-            let covered = evals
-                + self.cache_hits.load(Ordering::Relaxed)
-                + self.prunes.load(Ordering::Relaxed);
+            let covered = counters.requests() + counters.dominance_prunes;
             let pct = if total == 0 {
                 100.0
             } else {
@@ -236,7 +237,7 @@ impl CliObserver {
             let rate = covered as f64 / elapsed;
             // No ETA once the run is over (the final summary reuses this
             // suffix) or before any candidate was covered.
-            if covered > 0 && covered < total && !self.finished.load(Ordering::Relaxed) {
+            if covered > 0 && covered < total && !self.stats.is_finished() {
                 let eta = (total - covered) as f64 / rate;
                 let _ = write!(out, ", ETA {eta:.0}s");
             }
@@ -261,84 +262,45 @@ impl CliObserver {
             .is_ok()
     }
 
-    fn trace_line(&self, line: std::fmt::Arguments<'_>) {
-        if let Some(trace) = &self.trace {
-            // One write_all per complete line: a crash between events never
-            // leaves a JSON object cut in half. Every event object leads
-            // with the run's monotonic clock.
-            let body = line.to_string();
-            let rest = body.strip_prefix('{').unwrap_or(&body);
-            let text = format!(
-                "{{\"elapsed_us\":{},{rest}\n",
-                self.start.elapsed().as_micros() as u64
-            );
-            if let Ok(mut writer) = trace.lock() {
-                let _ = writer.write_all(text.as_bytes());
+    /// The `N analyses, M cache hits, …` body of a progress line.
+    fn progress_counts(&self) -> String {
+        let counters = self.stats.counters();
+        format!(
+            "{} analyses, {} cache hits{}",
+            counters.evaluations,
+            counters.cache_hits,
+            self.progress_suffix()
+        )
+    }
+
+    /// Adds one completed evaluation to the checkpoint, saving it every
+    /// [`CHECKPOINT_EVERY`] entries.
+    fn record(&self, dist: &StorageDistribution, throughput: Rational, states: u64) {
+        let Some(checkpoint) = &self.checkpoint else {
+            return;
+        };
+        if let Ok(mut sink) = checkpoint.lock() {
+            sink.checkpoint.entries.push(CheckpointEntry {
+                capacities: dist.as_slice().to_vec(),
+                throughput,
+                states,
+            });
+            sink.since_save += 1;
+            if sink.since_save >= CHECKPOINT_EVERY {
+                sink.save();
             }
         }
     }
 
-    /// Closes the run: appends the trace's final
-    /// `{"event":"end","reason":…}` record and saves the checkpoint one
-    /// last time. Call exactly once, on every exit path — `reason` is
-    /// `"exact"` for complete runs, the cancellation reason's name for
-    /// truncated ones, `"error"` when the run failed. Exit paths that
-    /// never reach an explicit `finish` (a panic unwinding past the
-    /// observer) are covered by the [`Drop`] guard, which closes the
-    /// trace with reason `"aborted"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the trace cannot be written. A failing
-    /// checkpoint save is NOT an error: the sink has already retried
-    /// with backoff, warned on stderr and counted the failure — an
-    /// exploration's results must not be discarded because its
-    /// checkpoint could not be.
-    pub fn finish(&self, reason: &str) -> Result<(), String> {
-        self.finished.store(true, Ordering::Relaxed);
+    /// Closes the outputs at the run's [`Event::End`]: the final progress
+    /// summary and the checkpoint's last save. A failing save is not an
+    /// error: the sink has already retried with backoff, warned on stderr
+    /// and counted the failure — an exploration's results must not be
+    /// discarded because its checkpoint could not be.
+    fn close(&self, reason: &str) {
         if self.progress {
             // The final summary is never throttled.
-            eprintln!(
-                "[buffy] finished ({reason}): {} analyses, {} cache hits{}",
-                self.evaluations.load(Ordering::Relaxed),
-                self.cache_hits.load(Ordering::Relaxed),
-                self.progress_suffix()
-            );
-        }
-        self.trace_line(format_args!(
-            "{{\"event\":\"end\",\"reason\":\"{}\"}}",
-            json_escape(reason)
-        ));
-        if let Some(trace) = &self.trace {
-            let mut writer = trace.lock().map_err(|_| "trace writer poisoned")?;
-            writer
-                .flush()
-                .map_err(|e| format!("cannot write trace file: {e}"))?;
-        }
-        if let Some(checkpoint) = &self.checkpoint {
-            let mut sink = checkpoint.lock().map_err(|_| "checkpoint sink poisoned")?;
-            sink.save();
-        }
-        Ok(())
-    }
-}
-
-impl Drop for CliObserver {
-    /// The trace contract's last line of defence: if the run never
-    /// reached [`finish`](CliObserver::finish) — a contained panic
-    /// re-raised by the command layer, an early `?` on an unrelated
-    /// error — the trace still ends with a well-formed
-    /// `{"event":"end","reason":"aborted"}` record and the checkpoint
-    /// gets a best-effort final save.
-    fn drop(&mut self) {
-        if self.finished.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        self.trace_line(format_args!("{{\"event\":\"end\",\"reason\":\"aborted\"}}"));
-        if let Some(trace) = &self.trace {
-            if let Ok(mut writer) = trace.lock() {
-                let _ = writer.flush();
-            }
+            eprintln!("[buffy] finished ({reason}): {}", self.progress_counts());
         }
         if let Some(checkpoint) = &self.checkpoint {
             if let Ok(mut sink) = checkpoint.lock() {
@@ -348,127 +310,150 @@ impl Drop for CliObserver {
     }
 }
 
-/// Renders a distribution's capacities as a JSON array.
-pub(crate) fn dist_json(dist: &StorageDistribution) -> String {
-    let caps: Vec<String> = dist.as_slice().iter().map(u64::to_string).collect();
-    format!("[{}]", caps.join(","))
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl ExploreObserver for CliObserver {
-    fn phase_started(&self, phase: SearchPhase) {
-        if self.progress {
-            eprintln!("[buffy] phase: {}", phase.name());
-        }
-        self.trace_line(format_args!(
-            "{{\"event\":\"phase\",\"phase\":\"{}\"}}",
-            phase.name()
-        ));
-    }
-
-    fn evaluation_finished(
-        &self,
-        dist: &StorageDistribution,
-        throughput: Rational,
-        states: u64,
-        nanos: u64,
-    ) {
-        let n = self.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.progress_tick() {
-            eprintln!(
-                "[buffy] {n} analyses, {} cache hits{}",
-                self.cache_hits.load(Ordering::Relaxed),
-                self.progress_suffix()
-            );
-        }
-        self.trace_line(format_args!(
-            "{{\"event\":\"evaluation\",\"distribution\":{},\"size\":{},\"throughput\":\"{}\",\"states\":{},\"nanos\":{}}}",
-            dist_json(dist),
-            dist.size(),
-            throughput,
-            states,
-            nanos
-        ));
-        if let Some(checkpoint) = &self.checkpoint {
-            if let Ok(mut sink) = checkpoint.lock() {
-                sink.checkpoint.entries.push(CheckpointEntry {
-                    capacities: dist.as_slice().to_vec(),
-                    throughput,
-                    states,
-                });
-                sink.since_save += 1;
-                if sink.since_save >= CHECKPOINT_EVERY {
-                    sink.save();
-                }
+    fn event(&self, event: &Event<'_>) {
+        self.stats.event(event);
+        if let Some(trace) = &self.trace {
+            // One write_all per complete line: a crash between events
+            // never leaves a JSON object cut in half.
+            let line = event.trace_line(self.start.elapsed().as_micros() as u64) + "\n";
+            if let Ok(mut writer) = trace.lock() {
+                let _ = writer.write_all(line.as_bytes());
             }
         }
-    }
-
-    fn evaluation_failed(&self, dist: &StorageDistribution, message: &str) {
-        if self.progress {
-            eprintln!("[buffy] evaluation of {dist} failed: {message}");
-        }
-        self.trace_line(format_args!(
-            "{{\"event\":\"evaluation-failed\",\"distribution\":{},\"message\":\"{}\"}}",
-            dist_json(dist),
-            json_escape(message)
-        ));
-    }
-
-    fn cache_hit(&self, dist: &StorageDistribution) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.trace_line(format_args!(
-            "{{\"event\":\"cache-hit\",\"distribution\":{}}}",
-            dist_json(dist)
-        ));
-    }
-
-    fn distribution_pruned(&self, dist: &StorageDistribution) {
-        self.prunes.fetch_add(1, Ordering::Relaxed);
-        // Constant `kind`: perfbench/run.py reads it to pick the prunes it replays.
-        self.trace_line(format_args!(
-            "{{\"event\":\"pruned\",\"kind\":\"dominance\",\"distribution\":{}}}",
-            dist_json(dist)
-        ));
-    }
-
-    fn pareto_accepted(&self, point: &ParetoPoint) {
-        if self.progress_tick() {
-            eprintln!(
+        match *event {
+            Event::Phase(phase) if self.progress => eprintln!("[buffy] phase: {phase}"),
+            Event::Evaluated {
+                dist,
+                throughput,
+                states,
+                ..
+            } => {
+                if self.progress_tick() {
+                    eprintln!("[buffy] {}", self.progress_counts());
+                }
+                self.record(dist, throughput, states);
+            }
+            Event::Failed { dist, message } if self.progress => {
+                eprintln!("[buffy] evaluation of {dist} failed: {message}");
+            }
+            Event::Accepted(point) if self.progress_tick() => eprintln!(
                 "[buffy] pareto point: size {} throughput {}",
                 point.size, point.throughput
-            );
+            ),
+            Event::End { reason } => self.close(reason),
+            _ => {}
         }
-        self.trace_line(format_args!(
-            "{{\"event\":\"pareto\",\"size\":{},\"throughput\":\"{}\",\"distribution\":{}}}",
-            point.size,
-            point.throughput,
-            dist_json(&point.distribution)
-        ));
+    }
+}
+
+impl Drop for CliObserver {
+    /// The trace contract's last line of defence: if the run never
+    /// received its [`Event::End`] — a contained panic re-raised by the
+    /// command layer, an early `?` on an unrelated error — the trace
+    /// still ends with a well-formed `{"event":"end","reason":"aborted"}`
+    /// record and the checkpoint gets a best-effort final save.
+    fn drop(&mut self) {
+        if !self.stats.is_finished() {
+            self.event(&Event::End { reason: "aborted" });
+        }
+    }
+}
+
+/// Everything one exploring command observes its run with: the
+/// [`CliObserver`] (progress, trace, checkpoint and the [`LiveStats`]
+/// fold), the telemetry recorder, and with `--serve` the server and the
+/// event ring it streams.
+pub(crate) struct Observation {
+    observer: Arc<dyn ExploreObserver>,
+    telemetry: Option<TelemetrySession>,
+    serve: Option<ServeSession>,
+    finished: bool,
+}
+
+impl Observation {
+    /// Installs the recorder when `--metrics`, `--chrome-trace`, `--json`
+    /// or `--serve` asks for one, then starts the `--serve` server for
+    /// `graph` explored by `algorithm`.
+    ///
+    /// # Errors
+    ///
+    /// The server's option and bind errors.
+    pub(crate) fn start(
+        parsed: &ParsedArgs,
+        cli: CliObserver,
+        graph: &str,
+        algorithm: &str,
+    ) -> Result<Observation, String> {
+        let telemetry = TelemetrySession::from_options(parsed);
+        let serve = ServeSession::from_options(parsed, graph, algorithm, &telemetry, cli.stats())?;
+        let mut sinks: Vec<Arc<dyn ExploreObserver>> = vec![Arc::new(cli)];
+        if let Some(session) = &serve {
+            sinks.push(session.ring());
+        }
+        Ok(Observation {
+            observer: Arc::new(sinks),
+            telemetry: Some(telemetry),
+            serve,
+            finished: false,
+        })
+    }
+
+    /// The observer the run reports to.
+    pub(crate) fn observer(&self) -> Arc<dyn ExploreObserver> {
+        Arc::clone(&self.observer)
+    }
+
+    /// Ends the run for `reason` — `"exact"` for complete runs, the
+    /// cancellation reason's name for truncated ones, `"error"` when the
+    /// run failed. The [`Event::End`] closes the trace, saves the
+    /// checkpoint, prints the progress summary and ends the `/events`
+    /// stream; then the recorder is uninstalled and its export files are
+    /// written. Returns the recorder snapshot for the `--json` report
+    /// (`None` when telemetry was never requested). A `--serve` server
+    /// keeps serving the final state for `--serve-linger` once the
+    /// observation drops, after the command printed its report.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when an export file cannot be written.
+    pub(crate) fn finish(&mut self, reason: &str) -> Result<Option<Snapshot>, String> {
+        self.finished = true;
+        self.observer.event(&Event::End { reason });
+        match self.telemetry.take() {
+            Some(telemetry) => telemetry.finish(),
+            None => Ok(None),
+        }
+    }
+}
+
+impl Drop for Observation {
+    /// A finished run lingers its server; an exit path that never reached
+    /// [`finish`](Observation::finish) — an early `?`, a contained panic —
+    /// still ends the stream with reason `"aborted"`, so the trace closes
+    /// and attached `/events` clients are released, without lingering.
+    fn drop(&mut self) {
+        if !self.finished {
+            self.observer.event(&Event::End { reason: "aborted" });
+        } else if let Some(session) = self.serve.take() {
+            session.linger();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buffy_core::{json_escape, EventRing, ParetoPoint, SearchPhase};
+
+    fn evaluated(dist: &StorageDistribution, throughput: Rational, states: u64) -> Event<'_> {
+        Event::Evaluated {
+            dist,
+            throughput,
+            states,
+            nanos: 10,
+        }
+    }
 
     #[test]
     fn uncreatable_trace_path_is_a_proper_error() {
@@ -489,14 +474,20 @@ mod tests {
     fn trace_lines_are_json_objects() {
         let path = std::env::temp_dir().join("buffy-observe-test-trace.jsonl");
         let obs = CliObserver::from_options(false, Some(path.to_str().unwrap()), None).unwrap();
-        obs.phase_started(SearchPhase::Bounds);
+        obs.event(&Event::Phase(SearchPhase::Bounds));
         let d = StorageDistribution::from_capacities(vec![4, 2]);
-        obs.evaluation_finished(&d, Rational::new(1, 7), 5, 1234);
-        obs.cache_hit(&d);
-        obs.distribution_pruned(&d);
-        obs.evaluation_failed(&d, "panicked: \"why\"");
-        obs.pareto_accepted(&ParetoPoint::new(d, Rational::new(1, 7)));
-        obs.finish("exact").unwrap();
+        obs.event(&evaluated(&d, Rational::new(1, 7), 5));
+        obs.event(&Event::CacheHit(&d));
+        obs.event(&Event::Pruned(&d));
+        obs.event(&Event::Failed {
+            dist: &d,
+            message: "panicked: \"why\"",
+        });
+        obs.event(&Event::Accepted(&ParetoPoint::new(
+            d.clone(),
+            Rational::new(1, 7),
+        )));
+        obs.event(&Event::End { reason: "exact" });
 
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -561,9 +552,9 @@ mod tests {
             .unwrap()
             .with_space_total(Some(10));
         let d = StorageDistribution::from_capacities(vec![4, 2]);
-        obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
-        obs.cache_hit(&d);
-        obs.distribution_pruned(&d);
+        obs.event(&evaluated(&d, Rational::new(1, 7), 5));
+        obs.event(&Event::CacheHit(&d));
+        obs.event(&Event::Pruned(&d));
         // 1 eval + 1 hit + 1 prune = 3 of 10 candidates covered.
         let suffix = obs.progress_suffix();
         assert!(suffix.contains(" evals/s"), "{suffix}");
@@ -575,7 +566,7 @@ mod tests {
     fn progress_suffix_without_space_total_is_rate_only() {
         let obs = CliObserver::from_options(true, None, None).unwrap();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
-        obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
+        obs.event(&evaluated(&d, Rational::new(1, 7), 5));
         let suffix = obs.progress_suffix();
         assert!(suffix.contains(" evals/s"), "{suffix}");
         assert!(!suffix.contains("% of space"), "{suffix}");
@@ -589,7 +580,7 @@ mod tests {
             .with_space_total(Some(2));
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         for _ in 0..5 {
-            obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
+            obs.event(&evaluated(&d, Rational::new(1, 7), 5));
         }
         let suffix = obs.progress_suffix();
         // Coverage is clamped to 100% and a finished space has no ETA.
@@ -614,9 +605,9 @@ mod tests {
         .unwrap();
         let d1 = StorageDistribution::from_capacities(vec![4, 2]);
         let d2 = StorageDistribution::from_capacities(vec![5, 3]);
-        obs.evaluation_finished(&d1, Rational::new(1, 7), 5, 10);
-        obs.evaluation_finished(&d2, Rational::new(1, 6), 8, 20);
-        obs.finish("exact").unwrap();
+        obs.event(&evaluated(&d1, Rational::new(1, 7), 5));
+        obs.event(&evaluated(&d2, Rational::new(1, 6), 8));
+        obs.event(&Event::End { reason: "exact" });
 
         let cp = Checkpoint::load(&path).unwrap();
         assert_eq!(cp.fingerprint, 99);
@@ -646,10 +637,10 @@ mod tests {
         .unwrap();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         for _ in 0..(CHECKPOINT_EVERY + 1) {
-            obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
+            obs.event(&evaluated(&d, Rational::new(1, 7), 5));
         }
-        obs.finish("exact")
-            .expect("checkpoint failure must not fail the run");
+        // A checkpoint failure must not fail the run.
+        obs.event(&Event::End { reason: "exact" });
         // The sink disabled itself after the first exhausted retry.
         let sink = obs.checkpoint.as_ref().unwrap().lock().unwrap();
         assert!(sink.disabled);
@@ -684,8 +675,8 @@ mod tests {
         )
         .unwrap();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
-        obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
-        obs.finish("exact").unwrap();
+        obs.event(&evaluated(&d, Rational::new(1, 7), 5));
+        obs.event(&Event::End { reason: "exact" });
         let cp = Checkpoint::load(&path).expect("a retried save must publish intact");
         assert_eq!(cp.entries.len(), 1);
         std::fs::remove_file(&path).ok();
@@ -698,8 +689,8 @@ mod tests {
         let caught = std::panic::catch_unwind(|| {
             let obs = CliObserver::from_options(false, Some(path.to_str().unwrap()), None).unwrap();
             let d = StorageDistribution::from_capacities(vec![4, 2]);
-            obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
-            // The run dies mid-stream: `finish` never runs, the observer
+            obs.event(&evaluated(&d, Rational::new(1, 7), 5));
+            // The run dies mid-stream: no `end` event arrives, the observer
             // unwinds, and the drop guard must close the trace.
             panic!("simulated mid-run crash");
         });
@@ -724,10 +715,68 @@ mod tests {
         let path = std::env::temp_dir().join("buffy-observe-test-oneend.jsonl");
         {
             let obs = CliObserver::from_options(false, Some(path.to_str().unwrap()), None).unwrap();
-            obs.finish("exact").unwrap();
+            obs.event(&Event::End { reason: "exact" });
         }
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.matches("\"event\":\"end\"").count(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The `--trace-json` sink and the `/events` ring render the one
+    /// vocabulary: for every event kind, the ring's data is exactly the
+    /// trace line's fields after `elapsed_us` and `event`.
+    #[test]
+    fn trace_lines_and_ring_frames_carry_the_same_fields() {
+        let path = std::env::temp_dir().join("buffy-observe-test-ring.jsonl");
+        let ring = Arc::new(EventRing::default());
+        {
+            let cli = CliObserver::from_options(false, Some(path.to_str().unwrap()), None).unwrap();
+            let sinks: Vec<Arc<dyn ExploreObserver>> = vec![Arc::new(cli), ring.clone()];
+            let d = StorageDistribution::from_capacities(vec![4, 2]);
+            let point = ParetoPoint::new(d.clone(), Rational::new(1, 7));
+            for event in [
+                Event::Phase(SearchPhase::FrontSearch),
+                evaluated(&d, Rational::new(1, 7), 5),
+                Event::CacheHit(&d),
+                Event::Failed {
+                    dist: &d,
+                    message: "tab\there",
+                },
+                Event::Pruned(&d),
+                Event::Accepted(&point),
+                Event::End { reason: "exact" },
+            ] {
+                sinks.event(&event);
+            }
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let entries = ring.since(0);
+        let kinds: Vec<&str> = entries.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                "phase",
+                "evaluation",
+                "cache-hit",
+                "evaluation-failed",
+                "pruned",
+                "pareto",
+                "end"
+            ]
+        );
+        assert_eq!(text.lines().count(), entries.len());
+        for (line, entry) in text.lines().zip(&entries) {
+            let rest = line
+                .strip_prefix("{\"elapsed_us\":")
+                .and_then(|l| l.split_once(','))
+                .map(|(_, rest)| rest)
+                .unwrap_or_else(|| panic!("{line}"));
+            let prefix = format!("\"event\":\"{}\",", entry.kind);
+            let fields = rest
+                .strip_prefix(&prefix)
+                .unwrap_or_else(|| panic!("{line}"));
+            assert_eq!(format!("{{{fields}"), entry.data, "{line}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

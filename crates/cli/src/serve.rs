@@ -1,33 +1,35 @@
 //! CLI lifecycle of the embedded observability server (`--serve ADDR`).
 //!
-//! `explore` and `constraint` accept `--serve ADDR`: a [`LiveObserver`]
-//! is teed into the run's observer chain and a [`buffy_obs::ObsServer`]
-//! serves `/`, `/healthz`, `/metrics`, `/status` and `/events` for the
-//! duration of the command. When the
-//! search completes, the terminal `end` event is published and the
-//! server keeps answering — serving the *final* front, counters and
-//! metrics — for `--serve-linger SECS` (default 0) before the process
-//! exits. Attaching the server never changes a result: the observer
-//! surface is read-only, so fronts and statistics stay byte-identical
-//! with `--serve` on or off at any thread count.
+//! `explore` and `constraint` accept `--serve ADDR`: an [`EventRing`]
+//! joins the run's observers and a [`buffy_obs::ObsServer`] serves `/`,
+//! `/healthz`, `/metrics`, `/status` and `/events` for the duration of
+//! the command, reading the ring and the [`LiveStats`] that the command's
+//! progress sink folds. When the search completes, the terminal `end`
+//! event is published and the server keeps answering — serving the
+//! *final* front, counters and metrics — for `--serve-linger SECS`
+//! (default 0) before the process exits. Attaching the server never
+//! changes a result: the observer surface is read-only, so fronts and
+//! statistics stay byte-identical with `--serve` on or off at any thread
+//! count.
 
 use crate::args::ParsedArgs;
 use crate::telemetry::TelemetrySession;
-use buffy_core::LiveObserver;
+use buffy_core::{EventRing, LiveStats};
 use buffy_obs::{ObsServer, ServeState};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One command's observability-server scope: the teed [`LiveObserver`]
-/// plus the running server.
+/// One command's observability-server scope: the event ring the run
+/// feeds, plus the running server.
 pub(crate) struct ServeSession {
-    live: Arc<LiveObserver>,
+    ring: Arc<EventRing>,
     server: ObsServer,
     linger: Duration,
 }
 
 impl ServeSession {
     /// Starts the server when `--serve ADDR` was given; `None` otherwise.
+    /// `/status` reports `stats`.
     ///
     /// Must be called after the [`TelemetrySession`] is built: `--serve`
     /// makes it install a recorder, and the server holds a handle for
@@ -42,6 +44,7 @@ impl ServeSession {
         graph: &str,
         algorithm: &str,
         telemetry: &TelemetrySession,
+        stats: Arc<LiveStats>,
     ) -> Result<Option<ServeSession>, String> {
         let linger_secs = parsed.get::<f64>("serve-linger")?;
         let Some(addr) = parsed.options.get("serve") else {
@@ -55,15 +58,15 @@ impl ServeSession {
             Some(secs) if secs.is_finite() && secs >= 0.0 => Duration::from_secs_f64(secs),
             Some(_) => return Err("--serve-linger must be a non-negative number of seconds".into()),
         };
-        let live = Arc::new(LiveObserver::new());
+        let ring = Arc::new(EventRing::default());
         let recorder = telemetry
             .recorder()
             .expect("--serve makes the telemetry session install a recorder");
         let state = ServeState {
             graph: graph.to_string(),
             algorithm: algorithm.to_string(),
-            stats: live.stats(),
-            ring: live.ring(),
+            stats,
+            ring: ring.clone(),
             recorder,
             budget_evaluations: parsed.get("max-evals")?,
         };
@@ -74,21 +77,20 @@ impl ServeSession {
             server.local_addr()
         );
         Ok(Some(ServeSession {
-            live,
+            ring,
             server,
             linger,
         }))
     }
 
-    /// The observer to tee into the run's observer chain.
-    pub(crate) fn observer(&self) -> Arc<LiveObserver> {
-        self.live.clone()
+    /// The ring to add to the run's observers.
+    pub(crate) fn ring(&self) -> Arc<EventRing> {
+        self.ring.clone()
     }
 
-    /// Publishes the terminal `end` event, serves the final state for
-    /// the linger window, then shuts the server down.
-    pub(crate) fn finish(mut self, reason: &str) {
-        self.live.finish(reason);
+    /// Serves the final state for the linger window, then shuts the
+    /// server down.
+    pub(crate) fn linger(mut self) {
         if !self.linger.is_zero() {
             std::thread::sleep(self.linger);
         }
@@ -96,20 +98,11 @@ impl ServeSession {
     }
 }
 
-impl Drop for ServeSession {
-    /// Exit paths that never reach [`finish`](ServeSession::finish) — an
-    /// early `?`, a contained panic — still publish a terminal event so
-    /// attached `/events` clients are released instead of hanging until
-    /// the socket dies. No linger on this path.
-    fn drop(&mut self) {
-        self.live.finish("aborted");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::args::parse;
+    use buffy_core::{Event, ExploreObserver};
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
@@ -130,16 +123,24 @@ mod tests {
     fn absent_serve_is_none() {
         let p = parsed(&[]);
         let telemetry = TelemetrySession::from_options(&p);
-        assert!(ServeSession::from_options(&p, "g", "explore", &telemetry)
-            .unwrap()
-            .is_none());
+        assert!(
+            ServeSession::from_options(&p, "g", "explore", &telemetry, Arc::default())
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
     fn linger_without_serve_is_rejected() {
         let p = parsed(&["--serve-linger", "2"]);
         let telemetry = TelemetrySession::from_options(&p);
-        let err = expect_err(ServeSession::from_options(&p, "g", "explore", &telemetry));
+        let err = expect_err(ServeSession::from_options(
+            &p,
+            "g",
+            "explore",
+            &telemetry,
+            Arc::default(),
+        ));
         assert!(err.contains("--serve-linger requires --serve"), "{err}");
     }
 
@@ -147,7 +148,13 @@ mod tests {
     fn negative_linger_is_rejected() {
         let p = parsed(&["--serve", "127.0.0.1:0", "--serve-linger", "-1"]);
         let telemetry = TelemetrySession::from_options(&p);
-        let err = expect_err(ServeSession::from_options(&p, "g", "explore", &telemetry));
+        let err = expect_err(ServeSession::from_options(
+            &p,
+            "g",
+            "explore",
+            &telemetry,
+            Arc::default(),
+        ));
         assert!(err.contains("non-negative"), "{err}");
     }
 
@@ -155,7 +162,13 @@ mod tests {
     fn unbindable_address_is_a_proper_error() {
         let p = parsed(&["--serve", "256.0.0.1:99999"]);
         let telemetry = TelemetrySession::from_options(&p);
-        let err = expect_err(ServeSession::from_options(&p, "g", "explore", &telemetry));
+        let err = expect_err(ServeSession::from_options(
+            &p,
+            "g",
+            "explore",
+            &telemetry,
+            Arc::default(),
+        ));
         assert!(err.contains("cannot serve observability"), "{err}");
     }
 
@@ -163,7 +176,8 @@ mod tests {
     fn session_serves_status_until_finish() {
         let p = parsed(&["--serve", "127.0.0.1:0"]);
         let telemetry = TelemetrySession::from_options(&p);
-        let session = ServeSession::from_options(&p, "modem", "explore", &telemetry)
+        let stats = Arc::new(LiveStats::new());
+        let session = ServeSession::from_options(&p, "modem", "explore", &telemetry, stats.clone())
             .unwrap()
             .expect("--serve given");
         let addr = session.server.local_addr();
@@ -174,7 +188,8 @@ mod tests {
         conn.read_to_string(&mut response).unwrap();
         assert!(response.contains("\"graph\":\"modem\""), "{response}");
         assert!(response.contains("\"finished\":false"), "{response}");
-        session.finish("exact");
+        stats.event(&Event::End { reason: "exact" });
+        session.linger();
         // After finish the server is gone; connecting must fail.
         assert!(TcpStream::connect(addr).is_err());
         drop(telemetry);

@@ -15,7 +15,7 @@ use crate::error::ExploreError;
 use crate::explore::{salvage, ExploreOptions, SKIP_COUNT_CAP};
 use crate::pareto::ParetoPoint;
 use crate::pipeline::EvalPipeline;
-use crate::runtime::{Completeness, EvaluationFailure, ExplorationStats, SearchPhase};
+use crate::runtime::{Completeness, EvaluationFailure, Event, ExplorationStats, SearchPhase};
 use buffy_analysis::{CancelReason, DataflowSemantics};
 use buffy_graph::Rational;
 use buffy_telemetry::{labeled, names};
@@ -86,7 +86,6 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
     constraint: Rational,
     options: &ExploreOptions,
 ) -> Result<ConstraintResult, ExploreError> {
-    let observer = options.event_sink();
     assert!(
         constraint > Rational::ZERO,
         "throughput constraint must be positive"
@@ -98,9 +97,8 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
     if let Some(caps) = &options.max_channel_caps {
         space = space.with_max_capacities(caps);
     }
-    let eval = EvalPipeline::new(model, observed, options, observer)?;
-    let recorder = buffy_telemetry::active();
-    let pruned_counter = recorder.as_ref().map(|r| {
+    let eval = EvalPipeline::new(model, observed, options)?;
+    let pruned_counter = buffy_telemetry::active().map(|r| {
         r.counter(
             &labeled(
                 names::SIZES_PRUNED,
@@ -110,10 +108,7 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
             "Distribution sizes settled by interval collapse without any evaluation.",
         )
     });
-    observer.phase_started(SearchPhase::Bounds);
-    let bounds_span = recorder
-        .as_ref()
-        .map(|r| r.phase_span(SearchPhase::Bounds.name()));
+    eval.emit(Event::Phase(SearchPhase::Bounds));
     let (ub_dist, thr_max) = upper_bound_distribution_with(model, observed, &|d| eval.eval(d))?;
     if constraint > thr_max {
         return Err(ExploreError::InfeasibleThroughput {
@@ -121,11 +116,7 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
             maximal: thr_max.to_string(),
         });
     }
-    observer.phase_started(SearchPhase::ConstraintSearch);
-    drop(bounds_span);
-    let _search_span = recorder
-        .as_ref()
-        .map(|r| r.phase_span(SearchPhase::ConstraintSearch.name()));
+    eval.emit(Event::Phase(SearchPhase::ConstraintSearch));
 
     // Decide "size S meets the constraint" with early exit; remember the
     // best witness per feasible size. Candidates the prune oracle proves
@@ -165,7 +156,7 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
     let lo = space.min_size();
     let mut best = match (decide(lo)?, &options.max_channel_caps) {
         (Some(p), _) => {
-            observer.pareto_accepted(&p);
+            eval.emit(Event::Accepted(&p));
             return Ok(ConstraintResult {
                 point: p,
                 completeness: Completeness::exact(),
@@ -230,7 +221,7 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
             Completeness::truncated(reason, total)
         }
     };
-    observer.pareto_accepted(&best);
+    eval.emit(Event::Accepted(&best));
     Ok(ConstraintResult {
         point: best,
         completeness,

@@ -31,7 +31,7 @@ use crate::error::ExploreError;
 use crate::explore::{salvage, ExplorationResult, ExploreOptions};
 use crate::pareto::ParetoSet;
 use crate::pipeline::{clip_front, EvalPipeline};
-use crate::runtime::{Completeness, SearchPhase, SkippedSize};
+use crate::runtime::{Completeness, Event, SearchPhase, SkippedSize};
 use buffy_analysis::{CancelReason, DataflowSemantics};
 use buffy_graph::{ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names};
@@ -48,9 +48,8 @@ use std::collections::{BTreeMap, BinaryHeap, HashSet};
 /// storage-dependency flags collected by every analysis: bound probes
 /// are cached (a frontier candidate landing on a probed distribution is
 /// a cache hit, not a re-analysis), checkpointed `warm_start`
-/// throughputs are replayed, cold analyses warm-start from cached
-/// neighbours, and the dominance prune oracle skips candidates that lie
-/// pointwise below a deadlocked record. A replayed entry and a pruned
+/// throughputs are replayed, and the dominance prune oracle skips
+/// candidates that lie pointwise below a deadlocked record. A replayed entry and a pruned
 /// deadlock carry no flags; one uncounted analysis with the flags on
 /// supplies them. Once an accepted point reaches the graph's maximal
 /// throughput — at a size no larger than any queued candidate, by the
@@ -88,14 +87,13 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     model: &M,
     options: &ExploreOptions,
 ) -> Result<ExplorationResult, ExploreError> {
-    let observer = options.event_sink();
     let observed = options
         .observed
         .unwrap_or_else(|| model.default_observed_actor());
     let space = DistributionSpace::for_model(model);
     let lb_size = space.min_size();
 
-    let eval = EvalPipeline::new(model, observed, options, observer)?.collecting_dependencies();
+    let eval = EvalPipeline::new(model, observed, options)?.collecting_dependencies();
     let cancel = options.cancel.clone().unwrap_or_default();
     let recorder = buffy_telemetry::active();
     let guided_skip_counter = |reason: &str| {
@@ -112,10 +110,7 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     // counted, observed, cached (with their flags) and recorded in the
     // prune oracle like every other evaluation. Cancellation here leaves
     // nothing to salvage and surfaces as [`ExploreError::Cancelled`].
-    observer.phase_started(SearchPhase::Bounds);
-    let bounds_span = recorder
-        .as_ref()
-        .map(|r| r.phase_span(SearchPhase::Bounds.name()));
+    eval.emit(Event::Phase(SearchPhase::Bounds));
     let (ub_dist, thr_max_graph) =
         upper_bound_distribution_with(model, observed, &|d| eval.eval(d))?;
     let ub_size = options
@@ -131,11 +126,7 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
         .map(|i| model.channel_step(ChannelId::new(i)))
         .collect();
 
-    observer.phase_started(SearchPhase::GuidedSearch);
-    drop(bounds_span);
-    let _guided_span = recorder
-        .as_ref()
-        .map(|r| r.phase_span(SearchPhase::GuidedSearch.name()));
+    eval.emit(Event::Phase(SearchPhase::GuidedSearch));
     let mut pareto = ParetoSet::new();
     let mut seen: HashSet<StorageDistribution> = HashSet::new();
     let mut frontier: BinaryHeap<Reverse<(u64, StorageDistribution)>> = BinaryHeap::new();
@@ -208,10 +199,7 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
                 }
                 let p = eval.point(dist.clone(), thr);
                 if pareto.insert(p.clone()) {
-                    observer.pareto_accepted(&p);
-                    if let Some(r) = &recorder {
-                        r.trace_instant("pareto");
-                    }
+                    eval.emit(Event::Accepted(&p));
                 }
                 if thr >= thr_cap {
                     continue; // growing further cannot be Pareto-optimal
@@ -465,24 +453,25 @@ mod tests {
     }
 
     impl crate::runtime::ExploreObserver for Recorder {
-        fn phase_started(&self, phase: SearchPhase) {
-            if phase == SearchPhase::GuidedSearch {
-                let n = self.entries.lock().unwrap().len() as u64;
-                *self.bounds_evaluations.lock().unwrap() = Some(n);
+        fn event(&self, event: &Event<'_>) {
+            match *event {
+                Event::Phase(SearchPhase::GuidedSearch) => {
+                    let n = self.entries.lock().unwrap().len() as u64;
+                    *self.bounds_evaluations.lock().unwrap() = Some(n);
+                }
+                Event::Evaluated {
+                    dist,
+                    throughput,
+                    states,
+                    ..
+                } => {
+                    self.entries
+                        .lock()
+                        .unwrap()
+                        .insert(dist.clone(), (throughput, states));
+                }
+                _ => {}
             }
-        }
-
-        fn evaluation_finished(
-            &self,
-            dist: &StorageDistribution,
-            throughput: Rational,
-            states: u64,
-            _nanos: u64,
-        ) {
-            self.entries
-                .lock()
-                .unwrap()
-                .insert(dist.clone(), (throughput, states));
         }
     }
 
@@ -568,8 +557,7 @@ mod tests {
         let c = g.actor_by_name("c").unwrap();
         let dist = StorageDistribution::from_capacities(vec![4, 2]);
         let run = |options: &ExploreOptions| {
-            let observer = options.event_sink();
-            let eval = EvalPipeline::new(&g, c, options, observer)
+            let eval = EvalPipeline::new(&g, c, options)
                 .unwrap()
                 .collecting_dependencies();
             eval.dependencies(&dist)

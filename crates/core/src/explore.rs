@@ -37,8 +37,8 @@ use crate::objective::ObjectiveSpace;
 use crate::pareto::ParetoSet;
 use crate::pipeline::{clip_front, EvalPipeline};
 use crate::runtime::{
-    Completeness, EvaluationFailure, ExplorationStats, ExploreObserver, NoopObserver, SearchPhase,
-    SkippedSize, EVAL_CHUNK,
+    Completeness, EvaluationFailure, Event, ExplorationStats, ExploreObserver, NoopObserver,
+    SearchPhase, SkippedSize, EVAL_CHUNK,
 };
 use buffy_analysis::{CancelReason, CancelToken, DataflowSemantics, ExplorationLimits};
 use buffy_graph::{ActorId, Rational, StorageDistribution};
@@ -96,14 +96,6 @@ pub struct ExploreOptions {
     /// count and zero wall time), not a cache hit — so a resumed run
     /// reproduces the front and the statistics of an uninterrupted one.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Whether cold analyses may warm-start from a neighbouring
-    /// distribution's cached record: the neighbour's state count
-    /// pre-sizes the analysis arena (see the `pipeline` module). Purely an
-    /// allocation-layer optimization — fronts and deterministic
-    /// statistics are byte-identical with it on or off — so this toggle
-    /// (`--no-warm-start` on the CLI) exists for cross-checking and
-    /// measurement.
-    pub warm_start_neighbours: bool,
     /// Whether the prune oracle may skip candidate evaluations that
     /// monotone dominance records already decide (an evaluated
     /// pointwise-comparable distribution bounds the candidate's
@@ -128,9 +120,10 @@ pub struct ExploreOptions {
     /// is a monotone function of the throughput axis, so the default-space
     /// front is unchanged by the declaration (see [`crate::ObjectiveSpace`]).
     pub objectives: ObjectiveSpace,
-    /// Receives the run's evaluation, cache-hit, prune, Pareto-accept and
-    /// phase events as the search runs; `None` reports to
-    /// [`NoopObserver`]. Observation never changes the result.
+    /// Receives the run's [`Event`] stream — phases, evaluations, cache
+    /// hits, failures, prunes and accepted points — as the search runs;
+    /// `None` reports to [`NoopObserver`]. Observation never changes the
+    /// result.
     pub observer: Option<Arc<dyn ExploreObserver>>,
 }
 
@@ -154,7 +147,6 @@ impl Default for ExploreOptions {
             max_channel_caps: None,
             cancel: None,
             warm_start: None,
-            warm_start_neighbours: true,
             prune: true,
             fail_distribution: None,
             fault_plan: None,
@@ -387,20 +379,18 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     model: &M,
     options: &ExploreOptions,
 ) -> Result<ExplorationResult, ExploreError> {
-    let observer = options.event_sink();
     let observed = options
         .observed
         .unwrap_or_else(|| model.default_observed_actor());
-    let eval = EvalPipeline::new(model, observed, options, observer)?;
+    let eval = EvalPipeline::new(model, observed, options)?;
     let mut space = DistributionSpace::for_model(model);
     if let Some(caps) = &options.max_channel_caps {
         space = space.with_max_capacities(caps);
     }
 
-    // Observation only: phase spans and pruning counters when a recorder
-    // is installed, a single branch when not.
-    let recorder = buffy_telemetry::active();
-    let pruned_counter = recorder.as_ref().map(|r| {
+    // Observation only: the settled-sizes counter when a recorder is
+    // installed, a single branch when not.
+    let pruned_counter = buffy_telemetry::active().map(|r| {
         r.counter(
             &labeled(
                 names::SIZES_PRUNED,
@@ -417,10 +407,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     let accept = |pareto: &mut ParetoSet, w: StorageDistribution, t: Rational| {
         let p = eval.point(w, t);
         if pareto.insert(p.clone()) {
-            observer.pareto_accepted(&p);
-            if let Some(r) = &recorder {
-                r.trace_instant("pareto");
-            }
+            eval.emit(Event::Accepted(&p));
         }
     };
 
@@ -428,10 +415,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     // through the shared evaluator: memoized, counted, observed.
     // Cancellation in this phase leaves nothing to salvage (no throughput
     // ceiling, no size range) and surfaces as `ExploreError::Cancelled`.
-    observer.phase_started(SearchPhase::Bounds);
-    let bounds_span = recorder
-        .as_ref()
-        .map(|r| r.phase_span(SearchPhase::Bounds.name()));
+    eval.emit(Event::Phase(SearchPhase::Bounds));
     let lb_size = space.min_size();
     let (ub_dist, thr_max_graph) =
         upper_bound_distribution_with(model, observed, &|d| eval.eval(d))?;
@@ -489,11 +473,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     // Smallest size with positive throughput (binary search on the
     // monotone predicate; the combined lower bound may still deadlock —
     // the paper's Fig. 6 discussion).
-    observer.phase_started(SearchPhase::MinimalSize);
-    drop(bounds_span);
-    let minimal_span = recorder
-        .as_ref()
-        .map(|r| r.phase_span(SearchPhase::MinimalSize.name()));
+    eval.emit(Event::Phase(SearchPhase::MinimalSize));
     let mut truncated: Option<CancelReason> = None;
     let mut lo = 0;
     let mut hi = sizes.len() - 1;
@@ -537,11 +517,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     };
     let last = sizes.len() - 1;
 
-    observer.phase_started(SearchPhase::FrontSearch);
-    drop(minimal_span);
-    let _front_span = recorder
-        .as_ref()
-        .map(|r| r.phase_span(SearchPhase::FrontSearch.name()));
+    eval.emit(Event::Phase(SearchPhase::FrontSearch));
     let mut pareto = ParetoSet::new();
     // Sizes below the minimal feasible one are settled: zero throughput,
     // no front point possible there.
@@ -658,7 +634,6 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::ParetoPoint;
     use buffy_graph::SdfGraph;
     use std::sync::Mutex;
 
@@ -859,65 +834,96 @@ mod tests {
         assert_eq!(seq.stats, auto.stats);
     }
 
+    /// The event stream reproduces the statistics: under every driver, on
+    /// SDF and on the same graph as single-phase CSDF, at one thread and
+    /// at four, with one analysis failing, a counting observer's
+    /// evaluations, cache hits, prunes and failures equal the reported
+    /// [`ExplorationStats`] exactly.
     #[test]
     fn observer_sees_evaluations_and_pareto_points() {
+        use crate::{explore_dependency_guided, min_storage_for_throughput};
+        use buffy_csdf::CsdfGraph;
         use std::sync::atomic::{AtomicU64, Ordering};
 
         #[derive(Default)]
         struct Counting {
-            evals: AtomicU64,
-            finished: AtomicU64,
-            hits: AtomicU64,
-            accepted: AtomicU64,
             phases: AtomicU64,
-            pruned: AtomicU64,
+            evaluations: AtomicU64,
+            cache_hits: AtomicU64,
+            failures: AtomicU64,
+            prunes: AtomicU64,
+            accepted: AtomicU64,
         }
         impl ExploreObserver for Counting {
-            fn phase_started(&self, _phase: SearchPhase) {
-                self.phases.fetch_add(1, Ordering::Relaxed);
-            }
-            fn evaluation_started(&self, _dist: &StorageDistribution) {
-                self.evals.fetch_add(1, Ordering::Relaxed);
-            }
-            fn evaluation_finished(
-                &self,
-                _dist: &StorageDistribution,
-                _throughput: Rational,
-                _states: u64,
-                _nanos: u64,
-            ) {
-                self.finished.fetch_add(1, Ordering::Relaxed);
-            }
-            fn cache_hit(&self, _dist: &StorageDistribution) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            fn pareto_accepted(&self, _point: &ParetoPoint) {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            fn distribution_pruned(&self, _dist: &StorageDistribution) {
-                self.pruned.fetch_add(1, Ordering::Relaxed);
+            fn event(&self, event: &Event<'_>) {
+                let counter = match event {
+                    Event::Phase(_) => &self.phases,
+                    Event::Evaluated { .. } => &self.evaluations,
+                    Event::CacheHit(_) => &self.cache_hits,
+                    Event::Failed { .. } => &self.failures,
+                    Event::Pruned(_) => &self.prunes,
+                    Event::Accepted(_) => &self.accepted,
+                    Event::End { .. } => panic!("drivers never end a run"),
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
         }
 
-        let g = example();
-        let obs = Arc::new(Counting::default());
-        let r = explore_design_space(
-            &g,
-            &ExploreOptions {
-                observer: Some(obs.clone()),
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        // Observer totals match the reported statistics exactly.
-        assert_eq!(obs.evals.load(Ordering::Relaxed), r.stats.evaluations);
-        assert_eq!(obs.finished.load(Ordering::Relaxed), r.stats.evaluations);
-        assert_eq!(obs.hits.load(Ordering::Relaxed), r.stats.cache_hits);
-        assert_eq!(obs.pruned.load(Ordering::Relaxed), r.stats.dominance_prunes);
-        // Every front point was announced (evicted points may add more).
-        assert!(obs.accepted.load(Ordering::Relaxed) >= r.pareto.len() as u64);
-        // Bounds, minimal-size and front-search phases at least.
-        assert!(obs.phases.load(Ordering::Relaxed) >= 3);
+        fn check<M: DataflowSemantics + Sync>(model: &M) {
+            // The guided search cannot lose its start distribution (the
+            // minimal one) and still chart a front, so it fails its
+            // maximal front point instead.
+            let minimal = StorageDistribution::from_capacities(vec![4, 2]);
+            let guided = explore_dependency_guided(model, &ExploreOptions::default()).unwrap();
+            let maximal = guided.pareto.maximal().unwrap().distribution.clone();
+            for driver in ["exhaustive", "guided", "constraint"] {
+                for threads in [1, 4] {
+                    let obs = Arc::new(Counting::default());
+                    let fail = if driver == "guided" {
+                        &maximal
+                    } else {
+                        &minimal
+                    };
+                    let options = ExploreOptions {
+                        threads,
+                        fail_distribution: Some(fail.clone()),
+                        observer: Some(obs.clone()),
+                        ..ExploreOptions::default()
+                    };
+                    let (stats, points) = match driver {
+                        "exhaustive" => {
+                            let r = explore_design_space(model, &options).unwrap();
+                            (r.stats, r.pareto.len() as u64)
+                        }
+                        "guided" => {
+                            let r = explore_dependency_guided(model, &options).unwrap();
+                            (r.stats, r.pareto.len() as u64)
+                        }
+                        _ => {
+                            let r =
+                                min_storage_for_throughput(model, Rational::new(1, 6), &options)
+                                    .unwrap();
+                            (r.stats, 1)
+                        }
+                    };
+                    let case = format!("{driver} at {threads} threads");
+                    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                    assert_eq!(stats.failures, 1, "{case}");
+                    assert_eq!(count(&obs.evaluations), stats.evaluations, "{case}");
+                    assert_eq!(count(&obs.cache_hits), stats.cache_hits, "{case}");
+                    assert_eq!(count(&obs.prunes), stats.dominance_prunes, "{case}");
+                    assert_eq!(count(&obs.failures), stats.failures, "{case}");
+                    // Every reported point was announced (evicted points
+                    // may add more), and the bounds phase plus at least
+                    // one search phase were entered.
+                    assert!(count(&obs.accepted) >= points, "{case}");
+                    assert!(count(&obs.phases) >= 2, "{case}");
+                }
+            }
+        }
+
+        check(&example());
+        check(&CsdfGraph::from_sdf(&example()));
     }
 
     #[test]
@@ -989,42 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbour_warm_start_changes_nothing_but_counters() {
-        // The arena warm start is allocation-layer only: front and
-        // deterministic statistics are byte-identical with it on or off,
-        // sequentially and in parallel. Only the (eq-excluded) warm-start
-        // counters differ.
-        let g = example();
-        for threads in [1, 4] {
-            let warm = explore_design_space(
-                &g,
-                &ExploreOptions {
-                    threads,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            let cold = explore_design_space(
-                &g,
-                &ExploreOptions {
-                    threads,
-                    warm_start_neighbours: false,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(warm.pareto, cold.pareto, "threads {threads}");
-            assert_eq!(warm.stats, cold.stats, "threads {threads}");
-            assert_eq!(cold.stats.warm_starts, 0);
-            assert_eq!(cold.stats.warm_start_states, 0);
-            assert!(
-                warm.stats.warm_starts > 0,
-                "threads {threads}: no analysis was neighbour-seeded"
-            );
-        }
-    }
-
-    #[test]
     fn injected_worker_panic_degrades_one_evaluation() {
         let g = example();
         // Fail the paper's minimal distribution ⟨4, 2⟩ (the only size-6
@@ -1062,17 +1032,19 @@ mod tests {
             entries: Mutex<Vec<(StorageDistribution, Rational, u64)>>,
         }
         impl ExploreObserver for Recorder {
-            fn evaluation_finished(
-                &self,
-                dist: &StorageDistribution,
-                throughput: Rational,
-                states: u64,
-                _nanos: u64,
-            ) {
-                self.entries
-                    .lock()
-                    .unwrap()
-                    .push((dist.clone(), throughput, states));
+            fn event(&self, event: &Event<'_>) {
+                if let Event::Evaluated {
+                    dist,
+                    throughput,
+                    states,
+                    ..
+                } = *event
+                {
+                    self.entries
+                        .lock()
+                        .unwrap()
+                        .push((dist.clone(), throughput, states));
+                }
             }
         }
 

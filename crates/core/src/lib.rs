@@ -17,10 +17,11 @@
 //! - [`min_storage_for_throughput`]: the headline question — minimal
 //!   storage meeting a given throughput constraint;
 //! - [`ParetoSet`] / [`ParetoPoint`]: the resulting front (Figs. 5, 13);
-//! - [`ExplorationStats`] / [`ExploreObserver`]: the exploration runtime's
-//!   unified statistics and structured event stream — the observer set in
-//!   [`ExploreOptions::observer`] receives evaluation, cache-hit,
-//!   Pareto-accept and search-phase events while a search runs.
+//! - [`Event`] / [`ExploreObserver`] / [`ExplorationStats`]: the
+//!   exploration runtime's one event stream and the statistics folded
+//!   from it — the observer set in [`ExploreOptions::observer`] receives
+//!   every phase, evaluation, cache hit, failure, prune and accepted
+//!   Pareto point while a search runs.
 //!
 //! Each of these is a single function written once against the unified
 //! kernel's [`DataflowSemantics`](buffy_analysis::DataflowSemantics)
@@ -82,11 +83,11 @@ pub use enumerate::DistributionSpace;
 pub use error::ExploreError;
 pub use explore::{explore_design_space, ExplorationResult, ExploreOptions, WarmStart};
 pub use fault::{FaultPlan, FaultSite, FAULT_SITES};
-pub use live::{EventRing, LiveEvent, LiveObserver, LiveStats, TeeObserver, DEFAULT_RING_CAPACITY};
+pub use live::{dist_json, json_escape, EventRing, LiveStats, RingEntry, DEFAULT_RING_CAPACITY};
 pub use objective::{ObjectiveKind, ObjectiveSpace, ObjectiveVector, ParseObjectivesError, Sense};
 pub use pareto::{ParetoPoint, ParetoSet};
 pub use runtime::{
-    resolve_threads, Completeness, EvaluationFailure, ExplorationStats, ExploreObserver,
+    resolve_threads, Completeness, EvaluationFailure, Event, ExplorationStats, ExploreObserver,
     NoopObserver, SearchPhase, SkippedSize,
 };
 

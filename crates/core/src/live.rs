@@ -1,176 +1,74 @@
-//! Live observation: observer fan-out and the shared surface an embedded
-//! observability server reads while a search runs.
+//! Folds of the [`Event`] stream that outlive a search, and the one
+//! renderer of the event vocabulary.
 //!
-//! Three pieces, mirroring the recorder's "zero overhead by default"
-//! contract (DESIGN.md §9): when nothing here is attached, the drivers
-//! report to a single no-op observer; when attached, the
-//! observers only *read* the event stream, so the evaluated candidate
-//! set — and with it the front and every statistic — stays byte-identical
-//! with observation on or off, at any thread count.
+//! Every piece here only *reads* the stream, so the evaluated candidate
+//! set — and with it the front and every statistic — stays
+//! byte-identical with observation on or off, at any thread count
+//! (DESIGN.md §9).
 //!
-//! - [`TeeObserver`] fans every [`ExploreObserver`] event out to a list
-//!   of downstream observers in a fixed order (the CLI tees its progress
-//!   /trace observer together with the live one below);
-//! - [`LiveStats`] is a lock-free bundle of atomic counters plus the
-//!   current [`SearchPhase`] and a small mutex-guarded copy of the
-//!   Pareto front under construction — everything a `/status` endpoint
-//!   wants as a point-in-time snapshot;
-//! - [`EventRing`] is a bounded ring buffer of [`LiveEvent`]s with
+//! - [`LiveStats`] folds the stream into lock-free counters (the same
+//!   fold as the run's [`ExplorationStats`]), the current
+//!   [`SearchPhase`] and a small mutex-guarded copy of the Pareto front
+//!   under construction: what `--progress` prints and what a `/status`
+//!   endpoint snapshots;
+//! - [`Event::kind`] and [`Event::data_json`] render an event once, in
+//!   the vocabulary that `--trace-json` lines ([`Event::trace_line`]) and
+//!   Server-Sent-Events frames share;
+//! - [`EventRing`] keeps the most recent rendered events with
 //!   monotonically increasing sequence numbers, so a Server-Sent-Events
 //!   handler can replay history from any cursor and then tail the live
 //!   stream; when the ring wraps, the drop count is recorded instead of
 //!   blocking the search.
-//!
-//! [`LiveObserver`] ties the latter two together behind the observer
-//! trait.
 
 use crate::pareto::{ParetoPoint, ParetoSet};
-use crate::runtime::{ExploreObserver, SearchPhase};
-use buffy_graph::{Rational, StorageDistribution};
+use crate::runtime::{AtomicStats, Event, ExplorationStats, ExploreObserver, SearchPhase};
+use buffy_graph::StorageDistribution;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Fans every observer event out to each downstream observer, in the
-/// order they were added. Events are delivered synchronously on the
-/// calling worker thread; downstream observers must therefore stay as
-/// cheap as the contract on [`ExploreObserver`] demands.
-#[derive(Default)]
-pub struct TeeObserver {
-    sinks: Vec<Arc<dyn ExploreObserver>>,
-}
-
-impl TeeObserver {
-    /// An empty tee (equivalent to [`NoopObserver`](crate::NoopObserver)).
-    pub fn new() -> TeeObserver {
-        TeeObserver::default()
-    }
-
-    /// Appends `sink` to the fan-out list.
-    pub fn push(&mut self, sink: Arc<dyn ExploreObserver>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl std::fmt::Debug for TeeObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeObserver")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl ExploreObserver for TeeObserver {
-    fn phase_started(&self, phase: SearchPhase) {
-        for s in &self.sinks {
-            s.phase_started(phase);
-        }
-    }
-
-    fn evaluation_started(&self, dist: &StorageDistribution) {
-        for s in &self.sinks {
-            s.evaluation_started(dist);
-        }
-    }
-
-    fn evaluation_finished(
-        &self,
-        dist: &StorageDistribution,
-        throughput: Rational,
-        states: u64,
-        nanos: u64,
-    ) {
-        for s in &self.sinks {
-            s.evaluation_finished(dist, throughput, states, nanos);
-        }
-    }
-
-    fn cache_hit(&self, dist: &StorageDistribution) {
-        for s in &self.sinks {
-            s.cache_hit(dist);
-        }
-    }
-
-    fn evaluation_failed(&self, dist: &StorageDistribution, message: &str) {
-        for s in &self.sinks {
-            s.evaluation_failed(dist, message);
-        }
-    }
-
-    fn pareto_accepted(&self, point: &ParetoPoint) {
-        for s in &self.sinks {
-            s.pareto_accepted(point);
-        }
-    }
-
-    fn distribution_pruned(&self, dist: &StorageDistribution) {
-        for s in &self.sinks {
-            s.distribution_pruned(dist);
-        }
-    }
-}
-
-/// Lock-free counters describing a search in flight, plus a small
-/// mutex-guarded mirror of the Pareto front under construction.
+/// Lock-free counters describing a search in flight, plus its phase and a
+/// small mutex-guarded mirror of the Pareto front under construction.
 ///
-/// All counters are plain relaxed atomics — readers get a consistent
-/// *enough* point-in-time view for monitoring (each counter individually
-/// exact, cross-counter skew bounded by whatever events landed between
-/// the loads), which is the same contract Prometheus scrapes live with.
+/// The counters are the fold behind the run's [`ExplorationStats`], so
+/// once every event is in they equal the statistics the driver returns.
+/// Readers get a consistent *enough* point-in-time view for monitoring
+/// (each counter individually exact, cross-counter skew bounded by
+/// whatever events landed between the loads), which is the same contract
+/// Prometheus scrapes live with.
 #[derive(Debug)]
 pub struct LiveStats {
     started: Instant,
-    phase: AtomicUsize,
-    evaluations: AtomicU64,
-    cache_hits: AtomicU64,
-    dominance_prunes: AtomicU64,
-    failures: AtomicU64,
+    counts: AtomicStats,
+    phase: Mutex<Option<SearchPhase>>,
     accepted: AtomicU64,
     finished: AtomicBool,
     front: Mutex<ParetoSet>,
 }
 
-/// Phase slot value for "no phase reported yet".
-const PHASE_NONE: usize = 0;
-
-fn phase_index(phase: SearchPhase) -> usize {
-    match phase {
-        SearchPhase::Bounds => 1,
-        SearchPhase::MinimalSize => 2,
-        SearchPhase::FrontSearch => 3,
-        SearchPhase::ConstraintSearch => 4,
-        SearchPhase::GuidedSearch => 5,
-    }
-}
-
-fn phase_name_of(index: usize) -> Option<&'static str> {
-    match index {
-        1 => Some(SearchPhase::Bounds.name()),
-        2 => Some(SearchPhase::MinimalSize.name()),
-        3 => Some(SearchPhase::FrontSearch.name()),
-        4 => Some(SearchPhase::ConstraintSearch.name()),
-        5 => Some(SearchPhase::GuidedSearch.name()),
-        _ => None,
+impl Default for LiveStats {
+    fn default() -> Self {
+        LiveStats::new()
     }
 }
 
 impl LiveStats {
-    fn new() -> LiveStats {
+    /// Empty counters; the clock of [`elapsed_us`](Self::elapsed_us)
+    /// starts now.
+    pub fn new() -> LiveStats {
         LiveStats {
             started: Instant::now(),
-            phase: AtomicUsize::new(PHASE_NONE),
-            evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            dominance_prunes: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
+            counts: AtomicStats::new(),
+            phase: Mutex::new(None),
             accepted: AtomicU64::new(0),
             finished: AtomicBool::new(false),
             front: Mutex::new(ParetoSet::new()),
         }
     }
 
-    /// Microseconds since the observer was created.
+    /// Microseconds since the counters were created.
     pub fn elapsed_us(&self) -> u64 {
         self.started.elapsed().as_micros() as u64
     }
@@ -178,27 +76,14 @@ impl LiveStats {
     /// Name of the most recently entered [`SearchPhase`], `None` before
     /// the first phase event.
     pub fn phase_name(&self) -> Option<&'static str> {
-        phase_name_of(self.phase.load(Ordering::Relaxed))
+        let phase = self.phase.lock().unwrap_or_else(|e| e.into_inner());
+        phase.map(|p| p.name())
     }
 
-    /// Completed throughput analyses (cache misses that ran).
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
-    }
-
-    /// Evaluation requests answered from the memo cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Candidates decided by throughput monotonicity.
-    pub fn dominance_prunes(&self) -> u64 {
-        self.dominance_prunes.load(Ordering::Relaxed)
-    }
-
-    /// Contained analysis panics degraded to recorded failures.
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
+    /// Evaluations, cache hits, largest state space, failures and prunes
+    /// so far — counted exactly as the run's [`ExplorationStats`].
+    pub fn counters(&self) -> ExplorationStats {
+        self.counts.snapshot()
     }
 
     /// Points accepted into the front under construction (some may since
@@ -208,7 +93,7 @@ impl LiveStats {
         self.accepted.load(Ordering::Relaxed)
     }
 
-    /// Whether [`LiveObserver::finish`] has run.
+    /// Whether the [`Event::End`] of the run arrived.
     pub fn is_finished(&self) -> bool {
         self.finished.load(Ordering::Relaxed)
     }
@@ -226,87 +111,143 @@ impl LiveStats {
     }
 }
 
-/// One observer event, copied out of the search so it can outlive the
-/// borrowed payloads the [`ExploreObserver`] callbacks receive.
-///
-/// High-frequency events carry the full distribution (a handful of
-/// `u64`s) by value; this is what a streaming endpoint replays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LiveEvent {
-    /// A search driver entered a phase.
-    Phase {
-        /// Stable phase name ([`SearchPhase::name`]).
-        name: &'static str,
-    },
-    /// A throughput analysis finished.
-    Evaluation {
-        /// Per-channel capacities of the evaluated distribution.
-        capacities: Vec<u64>,
-        /// `sz(γ)` of the distribution.
-        size: u64,
-        /// The analysed throughput.
-        throughput: Rational,
-        /// Reduced states stored by the analysis.
-        states: u64,
-        /// Analysis wall time in nanoseconds.
-        nanos: u64,
-    },
-    /// An evaluation request was answered from the memo cache.
-    CacheHit {
-        /// Per-channel capacities of the requested distribution.
-        capacities: Vec<u64>,
-    },
-    /// The prune oracle skipped a candidate without analysing it.
-    Pruned {
-        /// Per-channel capacities of the skipped distribution.
-        capacities: Vec<u64>,
-    },
-    /// A point was accepted into the Pareto front under construction.
-    Pareto {
-        /// Per-channel capacities of the witnessing distribution.
-        capacities: Vec<u64>,
-        /// `sz(γ)` of the accepted point.
-        size: u64,
-        /// Throughput of the accepted point.
-        throughput: Rational,
-    },
-    /// A throughput analysis panicked and was degraded to a failure.
-    Failed {
-        /// Per-channel capacities of the failing distribution.
-        capacities: Vec<u64>,
-        /// The contained panic message.
-        message: String,
-    },
-    /// The search finished; no further events will follow.
-    End {
-        /// Why the search ended (`"exhausted"`, `"budget"`, …).
-        reason: String,
-    },
-}
-
-impl LiveEvent {
-    /// Stable event-type name, usable as an SSE `event:` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            LiveEvent::Phase { .. } => "phase",
-            LiveEvent::Evaluation { .. } => "evaluation",
-            LiveEvent::CacheHit { .. } => "cache-hit",
-            LiveEvent::Pruned { .. } => "pruned",
-            LiveEvent::Pareto { .. } => "pareto",
-            LiveEvent::Failed { .. } => "evaluation-failed",
-            LiveEvent::End { .. } => "end",
+impl ExploreObserver for LiveStats {
+    fn event(&self, event: &Event<'_>) {
+        self.counts.fold(event);
+        match *event {
+            Event::Phase(phase) => {
+                *self.phase.lock().unwrap_or_else(|e| e.into_inner()) = Some(phase);
+            }
+            Event::Accepted(point) => {
+                self.accepted.fetch_add(1, Ordering::Relaxed);
+                let mut front = self.front.lock().unwrap_or_else(|e| e.into_inner());
+                front.insert(point.clone());
+            }
+            Event::End { .. } => self.finished.store(true, Ordering::Relaxed),
+            _ => {}
         }
     }
 }
 
+impl Event<'_> {
+    /// Stable name of the event's kind: the `event` field of a
+    /// `--trace-json` line and the `event:` field of an SSE frame.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Event::Phase(_) => "phase",
+            Event::Evaluated { .. } => "evaluation",
+            Event::CacheHit(_) => "cache-hit",
+            Event::Failed { .. } => "evaluation-failed",
+            Event::Pruned(_) => "pruned",
+            Event::Accepted(_) => "pareto",
+            Event::End { .. } => "end",
+        }
+    }
+
+    /// The event's fields as one JSON object: an SSE frame's `data`, and a
+    /// `--trace-json` line after its `elapsed_us` and `event` keys. All
+    /// values are numbers, fixed names, rationals rendered as `"p/q"`,
+    /// capacity arrays or JSON-escaped strings.
+    pub fn data_json(&self) -> String {
+        match *self {
+            Event::Phase(phase) => format!("{{\"phase\":\"{}\"}}", phase.name()),
+            Event::Evaluated {
+                dist,
+                throughput,
+                states,
+                nanos,
+            } => format!(
+                "{{\"distribution\":{},\"size\":{},\"throughput\":\"{throughput}\",\"states\":{states},\"nanos\":{nanos}}}",
+                dist_json(dist),
+                dist.size()
+            ),
+            Event::CacheHit(dist) => format!("{{\"distribution\":{}}}", dist_json(dist)),
+            Event::Failed { dist, message } => format!(
+                "{{\"distribution\":{},\"message\":\"{}\"}}",
+                dist_json(dist),
+                json_escape(message)
+            ),
+            // Constant `kind`: perfbench/run.py reads it to pick the prunes it replays.
+            Event::Pruned(dist) => format!(
+                "{{\"kind\":\"dominance\",\"distribution\":{}}}",
+                dist_json(dist)
+            ),
+            Event::Accepted(point) => format!(
+                "{{\"size\":{},\"throughput\":\"{}\",\"distribution\":{}}}",
+                point.size,
+                point.throughput,
+                dist_json(&point.distribution)
+            ),
+            Event::End { reason } => format!("{{\"reason\":\"{}\"}}", json_escape(reason)),
+        }
+    }
+
+    /// One `--trace-json` line, without its newline: the
+    /// [`data_json`](Self::data_json) object led by the run clock
+    /// (`elapsed_us`) and the [`kind`](Self::kind).
+    pub fn trace_line(&self, elapsed_us: u64) -> String {
+        let data = self.data_json();
+        format!(
+            "{{\"elapsed_us\":{elapsed_us},\"event\":\"{}\",{}",
+            self.kind(),
+            &data[1..]
+        )
+    }
+}
+
+/// Renders a distribution's capacities as a JSON array.
+pub fn dist_json(dist: &StorageDistribution) -> String {
+    let mut out = String::with_capacity(dist.as_slice().len() * 4 + 2);
+    out.push('[');
+    for (i, c) in dist.as_slice().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{c}");
+    }
+    out.push(']');
+    out
+}
+
+/// Escapes a string for embedding in a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// One event as the [`EventRing`] keeps it: rendered once, replayed to
+/// any number of readers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RingEntry {
+    /// Sequence number: the position of the event in the run's stream.
+    pub seq: u64,
+    /// [`Event::kind`].
+    pub kind: &'static str,
+    /// [`Event::data_json`].
+    pub data: String,
+}
+
 struct RingInner {
-    events: VecDeque<(u64, LiveEvent)>,
+    entries: VecDeque<RingEntry>,
     next_seq: u64,
     dropped: u64,
 }
 
-/// A bounded ring buffer of [`LiveEvent`]s with monotonically increasing
-/// sequence numbers.
+/// A bounded ring buffer of rendered events with monotonically
+/// increasing sequence numbers.
 ///
 /// Appends run on search worker threads and take a short uncontended
 /// mutex (the guarded work is a `VecDeque` push and at most one pop);
@@ -327,40 +268,34 @@ impl std::fmt::Debug for EventRing {
     }
 }
 
+impl Default for EventRing {
+    fn default() -> Self {
+        EventRing::new(DEFAULT_RING_CAPACITY)
+    }
+}
+
 impl EventRing {
     /// A ring holding at most `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> EventRing {
         EventRing {
             capacity: capacity.max(1),
             inner: Mutex::new(RingInner {
-                events: VecDeque::new(),
+                entries: VecDeque::new(),
                 next_seq: 0,
                 dropped: 0,
             }),
         }
     }
 
-    /// Appends an event, dropping (and counting) the oldest if full.
-    pub fn push(&self, event: LiveEvent) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.events.len() == self.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.events.push_back((seq, event));
-    }
-
     /// All buffered events with sequence number `>= cursor`, oldest
     /// first. The caller's next cursor is `last returned seq + 1` (or an
     /// unchanged cursor when nothing new arrived).
-    pub fn since(&self, cursor: u64) -> Vec<(u64, LiveEvent)> {
+    pub fn since(&self, cursor: u64) -> Vec<RingEntry> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner
-            .events
+            .entries
             .iter()
-            .filter(|(seq, _)| *seq >= cursor)
+            .filter(|entry| entry.seq >= cursor)
             .cloned()
             .collect()
     }
@@ -370,7 +305,7 @@ impl EventRing {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
 
-    /// Sequence number the next pushed event will get.
+    /// Sequence number the next event will get.
     pub fn next_seq(&self) -> u64 {
         self.inner
             .lock()
@@ -379,194 +314,95 @@ impl EventRing {
     }
 }
 
-/// Default [`EventRing`] capacity used by [`LiveObserver::new`].
+/// Renders each event and appends it, dropping (and counting) the oldest
+/// entry when full.
+impl ExploreObserver for EventRing {
+    fn event(&self, event: &Event<'_>) {
+        let (kind, data) = (event.kind(), event.data_json());
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if inner.entries.len() == self.capacity {
+            inner.entries.pop_front();
+            inner.dropped += 1;
+        }
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        inner.entries.push_back(RingEntry { seq, kind, data });
+    }
+}
+
+/// Default [`EventRing`] capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// The observer an embedded observability server reads: every event
-/// updates the lock-free [`LiveStats`] and lands in the [`EventRing`].
-///
-/// Like the recorder, attaching this observer never feeds anything back
-/// into the search: the front and [`crate::ExplorationStats`] of a run
-/// are byte-identical with it on or off.
-#[derive(Debug)]
-pub struct LiveObserver {
-    stats: std::sync::Arc<LiveStats>,
-    ring: std::sync::Arc<EventRing>,
-}
-
-impl LiveObserver {
-    /// An observer with the [`DEFAULT_RING_CAPACITY`].
-    pub fn new() -> LiveObserver {
-        LiveObserver::with_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// An observer whose ring holds at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> LiveObserver {
-        LiveObserver {
-            stats: std::sync::Arc::new(LiveStats::new()),
-            ring: std::sync::Arc::new(EventRing::new(capacity)),
-        }
-    }
-
-    /// Shared handle to the live counters.
-    pub fn stats(&self) -> std::sync::Arc<LiveStats> {
-        std::sync::Arc::clone(&self.stats)
-    }
-
-    /// Shared handle to the event ring.
-    pub fn ring(&self) -> std::sync::Arc<EventRing> {
-        std::sync::Arc::clone(&self.ring)
-    }
-
-    /// Marks the run finished: appends the terminal [`LiveEvent::End`]
-    /// and flips [`LiveStats::is_finished`]. Idempotent — only the first
-    /// call appends the event.
-    pub fn finish(&self, reason: &str) {
-        if self.stats.finished.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        self.ring.push(LiveEvent::End {
-            reason: reason.to_string(),
-        });
-    }
-}
-
-impl Default for LiveObserver {
-    fn default() -> Self {
-        LiveObserver::new()
-    }
-}
-
-impl ExploreObserver for LiveObserver {
-    fn phase_started(&self, phase: SearchPhase) {
-        self.stats
-            .phase
-            .store(phase_index(phase), Ordering::Relaxed);
-        self.ring.push(LiveEvent::Phase { name: phase.name() });
-    }
-
-    fn evaluation_finished(
-        &self,
-        dist: &StorageDistribution,
-        throughput: Rational,
-        states: u64,
-        nanos: u64,
-    ) {
-        self.stats.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(LiveEvent::Evaluation {
-            capacities: dist.as_slice().to_vec(),
-            size: dist.size(),
-            throughput,
-            states,
-            nanos,
-        });
-    }
-
-    fn cache_hit(&self, dist: &StorageDistribution) {
-        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(LiveEvent::CacheHit {
-            capacities: dist.as_slice().to_vec(),
-        });
-    }
-
-    fn evaluation_failed(&self, dist: &StorageDistribution, message: &str) {
-        self.stats.failures.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(LiveEvent::Failed {
-            capacities: dist.as_slice().to_vec(),
-            message: message.to_string(),
-        });
-    }
-
-    fn pareto_accepted(&self, point: &ParetoPoint) {
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut front = self.stats.front.lock().unwrap_or_else(|e| e.into_inner());
-            front.insert(point.clone());
-        }
-        self.ring.push(LiveEvent::Pareto {
-            capacities: point.distribution.as_slice().to_vec(),
-            size: point.size,
-            throughput: point.throughput,
-        });
-    }
-
-    fn distribution_pruned(&self, dist: &StorageDistribution) {
-        self.stats.dominance_prunes.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(LiveEvent::Pruned {
-            capacities: dist.as_slice().to_vec(),
-        });
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as Counter;
-
-    #[derive(Default)]
-    struct CountingObserver {
-        phases: Counter,
-        evals: Counter,
-    }
-
-    impl ExploreObserver for CountingObserver {
-        fn phase_started(&self, _phase: SearchPhase) {
-            self.phases.fetch_add(1, Ordering::Relaxed);
-        }
-        fn evaluation_finished(
-            &self,
-            _dist: &StorageDistribution,
-            _throughput: Rational,
-            _states: u64,
-            _nanos: u64,
-        ) {
-            self.evals.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    use buffy_graph::Rational;
+    use std::sync::Arc;
 
     fn dist(caps: &[u64]) -> StorageDistribution {
         StorageDistribution::from_capacities(caps.to_vec())
     }
 
-    #[test]
-    fn tee_fans_out_to_every_sink_in_order() {
-        let sinks: Vec<Arc<CountingObserver>> = (0..3).map(|_| Arc::default()).collect();
-        let mut tee = TeeObserver::new();
-        for sink in &sinks {
-            tee.push(sink.clone());
-        }
-        tee.phase_started(SearchPhase::Bounds);
-        tee.evaluation_finished(&dist(&[1, 2]), Rational::new(1, 2), 3, 4);
-        tee.evaluation_finished(&dist(&[2, 2]), Rational::new(1, 2), 3, 4);
-        for obs in &sinks {
-            assert_eq!(obs.phases.load(Ordering::Relaxed), 1);
-            assert_eq!(obs.evals.load(Ordering::Relaxed), 2);
+    fn evaluated(dist: &StorageDistribution) -> Event<'_> {
+        Event::Evaluated {
+            dist,
+            throughput: Rational::new(1, 3),
+            states: 5,
+            nanos: 100,
         }
     }
 
     #[test]
-    fn live_observer_counts_and_buffers_events() {
-        let live = LiveObserver::new();
-        live.phase_started(SearchPhase::FrontSearch);
-        live.evaluation_finished(&dist(&[1, 1]), Rational::new(1, 3), 5, 100);
-        live.cache_hit(&dist(&[1, 1]));
-        live.distribution_pruned(&dist(&[2, 1]));
-        live.distribution_pruned(&dist(&[2, 2]));
-        live.evaluation_failed(&dist(&[3, 1]), "boom");
-        live.pareto_accepted(&ParetoPoint::new(dist(&[1, 1]), Rational::new(1, 3)));
+    fn tee_fans_out_to_every_sink_in_order() {
+        let sinks: Vec<Arc<LiveStats>> = (0..3).map(|_| Arc::default()).collect();
+        let ring = Arc::new(EventRing::new(8));
+        let mut tee: Vec<Arc<dyn ExploreObserver>> = Vec::new();
+        for sink in &sinks {
+            tee.push(sink.clone());
+        }
+        tee.push(ring.clone());
+        let (a, b) = (dist(&[1, 2]), dist(&[2, 2]));
+        tee.event(&Event::Phase(SearchPhase::Bounds));
+        tee.event(&evaluated(&a));
+        tee.event(&evaluated(&b));
+        for stats in &sinks {
+            assert_eq!(stats.phase_name(), Some("bounds"));
+            assert_eq!(stats.counters().evaluations, 2);
+        }
+        assert_eq!(ring.next_seq(), 3);
+    }
 
-        let stats = live.stats();
+    #[test]
+    fn live_observer_counts_and_buffers_events() {
+        let stats = Arc::new(LiveStats::new());
+        let ring = Arc::new(EventRing::default());
+        let live: Vec<Arc<dyn ExploreObserver>> = vec![stats.clone(), ring.clone()];
+        let (d11, d21, d22, d31) = (dist(&[1, 1]), dist(&[2, 1]), dist(&[2, 2]), dist(&[3, 1]));
+        let point = ParetoPoint::new(d11.clone(), Rational::new(1, 3));
+        live.event(&Event::Phase(SearchPhase::FrontSearch));
+        live.event(&evaluated(&d11));
+        live.event(&Event::CacheHit(&d11));
+        live.event(&Event::Pruned(&d21));
+        live.event(&Event::Pruned(&d22));
+        live.event(&Event::Failed {
+            dist: &d31,
+            message: "boom",
+        });
+        live.event(&Event::Accepted(&point));
+
         assert_eq!(stats.phase_name(), Some("front-search"));
-        assert_eq!(stats.evaluations(), 1);
-        assert_eq!(stats.cache_hits(), 1);
-        assert_eq!(stats.dominance_prunes(), 2);
-        assert_eq!(stats.failures(), 1);
+        let counters = stats.counters();
+        assert_eq!(counters.evaluations, 1);
+        assert_eq!(counters.cache_hits, 1);
+        assert_eq!(counters.dominance_prunes, 2);
+        assert_eq!(counters.failures, 1);
+        assert_eq!(counters.max_states, 5);
         assert_eq!(stats.pareto_accepted(), 1);
         assert_eq!(stats.front_size(), 1);
         assert!(!stats.is_finished());
 
-        let events = live.ring().since(0);
-        let kinds: Vec<&str> = events.iter().map(|(_, e)| e.kind()).collect();
+        let events = ring.since(0);
+        let kinds: Vec<&str> = events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -579,38 +415,48 @@ mod tests {
                 "pareto"
             ]
         );
+        assert_eq!(events[0].data, "{\"phase\":\"front-search\"}");
 
-        live.finish("exhausted");
-        live.finish("exhausted"); // idempotent: only one end event
+        live.event(&Event::End {
+            reason: "exhausted",
+        });
         assert!(stats.is_finished());
-        let tail = live.ring().since(events.len() as u64);
+        let tail = ring.since(events.len() as u64);
         assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].1.kind(), "end");
+        assert_eq!(tail[0].kind, "end");
+        assert_eq!(tail[0].data, "{\"reason\":\"exhausted\"}");
     }
 
     #[test]
     fn live_front_applies_dominance() {
-        let live = LiveObserver::new();
-        live.pareto_accepted(&ParetoPoint::new(dist(&[2, 2]), Rational::new(1, 4)));
+        let stats = LiveStats::new();
+        let (big, small) = (dist(&[2, 2]), dist(&[1, 2]));
+        stats.event(&Event::Accepted(&ParetoPoint::new(
+            big,
+            Rational::new(1, 4),
+        )));
         // Same throughput at smaller size dominates the first point.
-        live.pareto_accepted(&ParetoPoint::new(dist(&[1, 2]), Rational::new(1, 4)));
-        assert_eq!(live.stats().pareto_accepted(), 2);
-        assert_eq!(live.stats().front_size(), 1);
-        assert_eq!(live.stats().front()[0].size, 3);
+        stats.event(&Event::Accepted(&ParetoPoint::new(
+            small,
+            Rational::new(1, 4),
+        )));
+        assert_eq!(stats.pareto_accepted(), 2);
+        assert_eq!(stats.front_size(), 1);
+        assert_eq!(stats.front()[0].size, 3);
     }
 
     #[test]
     fn ring_wraps_and_counts_drops() {
         let ring = EventRing::new(2);
         for i in 0..5 {
-            ring.push(LiveEvent::Phase { name: "bounds" });
+            ring.event(&Event::Phase(SearchPhase::Bounds));
             assert_eq!(ring.next_seq(), i + 1);
         }
         assert_eq!(ring.dropped(), 3);
         let events = ring.since(0);
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].0, 3);
-        assert_eq!(events[1].0, 4);
+        assert_eq!(events[0].seq, 3);
+        assert_eq!(events[1].seq, 4);
         assert!(ring.since(5).is_empty());
     }
 }

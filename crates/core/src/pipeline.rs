@@ -1,7 +1,7 @@
 //! The incremental evaluation pipeline shared by every exploration
 //! driver.
 //!
-//! Each candidate storage distribution flows through the same four
+//! Each candidate storage distribution flows through the same three
 //! stages, in order:
 //!
 //! 1. **Memo lookup** — the sharded cache ([`ShardedCache`]) answers
@@ -10,31 +10,20 @@
 //!    records decide candidates without simulation (queried by the
 //!    drivers through the `prunes_*` methods, only at deterministic
 //!    decision points);
-//! 3. **Warm start** — a neighbouring distribution's eval record
-//!    (one channel, ± one step) pre-sizes the analysis arena, and a
-//!    pooled [`AnalysisWorkspace`] is reused instead of reallocated;
-//! 4. **Cold engine run** — the reduced-state-space analysis proper,
-//!    panic-contained and cancellation-aware. In the dependency-guided
-//!    search's pipeline the same run also collects the storage-dependent
-//!    channels, which the memo entry keeps.
+//! 3. **Engine run** — the reduced-state-space analysis proper, in a
+//!    pooled [`AnalysisWorkspace`], panic-contained and
+//!    cancellation-aware. In the dependency-guided search's pipeline the
+//!    same run also collects the storage-dependent channels, which the
+//!    memo entry keeps.
 //!
-//! Telemetry, statistics, checkpoint-replay and failure containment are
-//! attached here exactly once; the drivers (`explore`, `dependency`,
-//! `constraint`, and `buffy-csdf`'s wrappers) are thin consumers.
-//!
-//! # Warm-start soundness
-//!
-//! The self-timed execution of a dataflow graph under fixed capacities is
-//! deterministic: the sequence of states the analysis visits — and hence
-//! the throughput, the cycle metadata, and the number of reduced states —
-//! is a function of the model and the distribution alone. The warm start
-//! only seeds *memory layout*: the interner's table size and the
-//! bookkeeping vectors' capacities. No computed value can depend on it,
-//! so fronts and [`ExplorationStats`]' deterministic counters are
-//! byte-identical with warm-starting on or off, at any thread count. The
-//! `warm_starts`/`warm_start_states` counters themselves are
-//! timing-dependent (a neighbour must already be cached to seed) and are
-//! therefore excluded from `ExplorationStats` equality, like wall time.
+//! Every fact the pipeline and its drivers observe — a phase change, a
+//! cache hit, a replayed or genuine evaluation, a failure, a prune, an
+//! accepted point — goes through [`EvalPipeline::emit`] exactly once.
+//! The emit folds it into the run's statistics, records it with the
+//! telemetry recorder when one is installed, and forwards it to the run's
+//! [`ExploreObserver`]. Checkpoint replay and failure containment also
+//! live here; the drivers (`explore`, `dependency`, `constraint`) are
+//! thin consumers.
 
 use crate::error::ExploreError;
 use crate::explore::{ExploreOptions, WarmStart};
@@ -43,22 +32,23 @@ use crate::objective::ObjectiveKind;
 use crate::pareto::{ParetoPoint, ParetoSet};
 use crate::prune::PruneOracle;
 use crate::runtime::{
-    resolve_threads, AtomicStats, CachedEval, EvaluationFailure, ExplorationStats, ExploreObserver,
-    ShardedCache,
+    resolve_threads, AtomicStats, CachedEval, EvaluationFailure, Event, ExplorationStats,
+    ExploreObserver, ShardedCache,
 };
 use buffy_analysis::{
     throughput_analysis, AnalysisRequest, AnalysisWorkspace, CancelReason, CancelToken, Capacities,
     DataflowSemantics, EnergyModel, ExplorationLimits, ThroughputAnalysis,
 };
-use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
-use buffy_telemetry::{labeled, names};
+use buffy_graph::{ActorId, Rational, StorageDistribution};
+use buffy_telemetry::{labeled, names, Span};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// The shared evaluation pipeline: memoization, pruning, warm-starting
-/// and statistics behind one interface, generic over the model class.
+/// The shared evaluation pipeline: memoization, pruning, checkpoint
+/// replay and the event stream behind one interface, generic over the
+/// model class.
 ///
 /// The memo cache is sharded ([`ShardedCache`]) and all counters are
 /// atomics ([`AtomicStats`]): concurrent workers never serialize on a
@@ -87,16 +77,9 @@ pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     /// from the driver thread between evaluation chunks, so decisions are
     /// deterministic across thread counts.
     oracle: PruneOracle,
-    /// Whether cold runs may seed their arena from a neighbouring
-    /// distribution's cached record (`--no-warm-start` turns this off;
-    /// results are identical either way).
-    warm_neighbours: bool,
     /// Whether analyses collect the storage-dependent channels (set by
     /// [`Self::collecting_dependencies`]).
     dependencies: bool,
-    /// Per-channel capacity step sizes, indexed by channel: a candidate's
-    /// warm-start neighbours differ by exactly one step on one channel.
-    neighbour_steps: Vec<u64>,
     /// Pool of reusable analysis arenas, one in flight per worker. A
     /// workspace that survives an analysis returns to the pool; one
     /// caught in a panic is dropped (a fresh one is created on demand).
@@ -118,9 +101,10 @@ pub(crate) struct EvalTelemetry {
     latency: Arc<buffy_telemetry::Histogram>,
     short_circuits: Arc<buffy_telemetry::Counter>,
     dominance_prunes: Arc<buffy_telemetry::Counter>,
-    warm_starts: Arc<buffy_telemetry::Counter>,
-    warm_start_states: Arc<buffy_telemetry::Counter>,
     energy_points: Arc<buffy_telemetry::Counter>,
+    /// The span of the current search phase: closed by the next
+    /// [`Event::Phase`], or when the pipeline drops.
+    phase: Mutex<Option<Span>>,
 }
 
 impl EvalTelemetry {
@@ -138,20 +122,37 @@ impl EvalTelemetry {
                 names::DOMINANCE_PRUNES,
                 "Candidates skipped by a monotone dominance record.",
             ),
-            warm_starts: recorder.counter(
-                names::WARM_STARTS,
-                "Analyses whose arena was pre-sized from a neighbouring record.",
-            ),
-            warm_start_states: recorder.counter(
-                names::WARM_START_STATES,
-                "Reduced-state capacity reused through neighbour warm starts.",
-            ),
             energy_points: recorder.counter(
                 names::ENERGY_POINTS,
                 "Pareto candidate points whose energy objective was computed.",
             ),
+            phase: Mutex::new(None),
             recorder,
         })
+    }
+
+    /// Records one event: evaluation latency and its `eval` span (genuine
+    /// analyses only — a replayed checkpoint entry ran nothing), dominance
+    /// prunes, the `pareto` instant of an accepted point, and the span of
+    /// each search phase.
+    fn record(&self, event: &Event<'_>) {
+        match *event {
+            Event::Evaluated { nanos, .. } if nanos > 0 => {
+                self.latency.record(nanos);
+                let micros = nanos / 1_000;
+                let start = self.recorder.elapsed_us().saturating_sub(micros);
+                self.recorder.trace_complete_at("eval", start, micros);
+            }
+            Event::Pruned(_) => self.dominance_prunes.inc(),
+            Event::Accepted(_) => self.recorder.trace_instant("pareto"),
+            Event::Phase(phase) => {
+                let mut current = self.phase.lock().unwrap_or_else(|e| e.into_inner());
+                // The previous phase's span closes before the next opens.
+                drop(current.take());
+                *current = Some(self.recorder.phase_span(phase.name()));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -176,8 +177,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     pub(crate) fn new(
         model: &'a M,
         observed: ActorId,
-        options: &ExploreOptions,
-        observer: &'a dyn ExploreObserver,
+        options: &'a ExploreOptions,
     ) -> Result<EvalPipeline<'a, M>, ExploreError> {
         let oracle = if options.prune {
             PruneOracle::new()
@@ -211,7 +211,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             cache: ShardedCache::new(),
             stats: AtomicStats::new(),
             threads: resolve_threads(options.threads),
-            observer,
+            observer: options.event_sink(),
             cancel: options.cancel.clone().unwrap_or_default(),
             warm_start: options.warm_start.clone(),
             fail_distribution: options.fail_distribution.clone(),
@@ -220,11 +220,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             telemetry: EvalTelemetry::fetch(),
             shard_stats_published: AtomicBool::new(false),
             oracle,
-            warm_neighbours: options.warm_start_neighbours,
             dependencies: false,
-            neighbour_steps: (0..model.num_channels())
-                .map(|i| model.channel_step(ChannelId::new(i)))
-                .collect(),
             workspaces: Mutex::new(Vec::new()),
             energy,
         })
@@ -245,8 +241,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     ///
     /// Energy is a pure function of the throughput through the precomputed
     /// model, so this costs no extra analysis and the memoized
-    /// [`CachedEval`] records need no new field — checkpoint replay and
-    /// warm starts reconstruct identical points for free.
+    /// [`CachedEval`] records need no new field — checkpoint replay
+    /// reconstructs identical points for free.
     pub(crate) fn point(
         &self,
         distribution: StorageDistribution,
@@ -284,42 +280,17 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         Ok(self.eval_full(dist)?.throughput)
     }
 
-    /// A usable warm-start seed from `neighbour`'s cached record, when
-    /// one exists. The probe is a tally-free [`ShardedCache::peek`]:
-    /// whether a neighbour is cached yet depends on worker timing, so a
-    /// counted lookup would make the cache statistics nondeterministic.
-    fn usable_record(&self, neighbour: &StorageDistribution) -> Option<u64> {
-        match self.cache.peek(neighbour) {
-            Some(e) if !e.failed && e.states_stored > 0 => Some(e.states_stored),
-            _ => None,
+    /// Reports one observed fact: folds it into the run's statistics,
+    /// records it with the telemetry recorder when one is installed, then
+    /// forwards it to the run's observer. Every cache hit, evaluation
+    /// (replayed or genuine), failure, prune, accepted point and phase
+    /// change of a run passes through here exactly once.
+    pub(crate) fn emit(&self, event: Event<'_>) {
+        self.stats.fold(&event);
+        if let Some(t) = &self.telemetry {
+            t.record(&event);
         }
-    }
-
-    /// The arena pre-size hint for `dist`: the recorded state count of
-    /// the first cached neighbour (per channel: one step up, then one
-    /// step down). Adjacent distributions have nearly identical reachable
-    /// spaces, so the neighbour's count is within a few percent of
-    /// `dist`'s — close enough that the interner starts at its final
-    /// table size instead of growing through the power-of-two ladder.
-    fn neighbour_hint(&self, dist: &StorageDistribution) -> Option<u64> {
-        if !self.warm_neighbours {
-            return None;
-        }
-        for (i, &step) in self.neighbour_steps.iter().enumerate() {
-            let cid = ChannelId::new(i);
-            if let Some(hint) = self.usable_record(&dist.grown(cid, step)) {
-                return Some(hint);
-            }
-            if dist.get(cid) >= step {
-                let mut caps = dist.as_slice().to_vec();
-                caps[i] -= step;
-                let down = StorageDistribution::from_capacities(caps);
-                if let Some(hint) = self.usable_record(&down) {
-                    return Some(hint);
-                }
-            }
-        }
-        None
+        self.observer.event(&event);
     }
 
     fn pop_workspace(&self) -> AnalysisWorkspace {
@@ -337,14 +308,12 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         &self,
         dist: &StorageDistribution,
         dependencies: bool,
-        state_hint: usize,
         ws: &mut AnalysisWorkspace,
     ) -> Result<ThroughputAnalysis, buffy_analysis::AnalysisError> {
         let request = AnalysisRequest {
             limits: self.limits,
             cancel: &self.cancel,
             dependencies,
-            state_hint,
         };
         throughput_analysis(
             self.model,
@@ -370,7 +339,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         dist: &StorageDistribution,
     ) -> Result<Option<Arc<[bool]>>, ExploreError> {
         let mut ws = self.pop_workspace();
-        match catch_unwind(AssertUnwindSafe(|| self.analyse(dist, true, 0, &mut ws))) {
+        match catch_unwind(AssertUnwindSafe(|| self.analyse(dist, true, &mut ws))) {
             Ok(analysis) => {
                 self.push_workspace(ws);
                 Ok(analysis?.dependent.map(Arc::from))
@@ -383,17 +352,13 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     /// storage-dependent channels when this pipeline collects them.
     pub(crate) fn eval_full(&self, dist: &StorageDistribution) -> Result<CachedEval, ExploreError> {
         if let Some(entry) = self.cache.get(dist) {
-            self.stats.record_cache_hit();
-            self.observer.cache_hit(dist);
+            self.emit(Event::CacheHit(dist));
             return Ok(entry);
         }
         if let Some(warm) = &self.warm_start {
             if let Some(&(t, states)) = warm.get(dist) {
-                self.observer.evaluation_started(dist);
-                self.stats.record_evaluation(states, 0);
                 let entry = CachedEval {
                     throughput: t,
-                    states_stored: states,
                     failed: false,
                     dependent: None,
                 };
@@ -402,24 +367,22 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 // seed the same dominance records as the run it restores,
                 // or a resumed run would prune differently.
                 self.oracle.record(dist, t);
-                self.observer.evaluation_finished(dist, t, states, 0);
+                self.emit(Event::Evaluated {
+                    dist,
+                    throughput: t,
+                    states,
+                    nanos: 0,
+                });
                 self.cancel.note_states(states);
                 self.cancel.note_evaluation();
                 return Ok(entry);
             }
         }
-        self.observer.evaluation_started(dist);
         if let Some(plan) = &self.faults {
             if plan.should_inject(FaultSite::SpuriousCancel) {
                 self.cancel.cancel(CancelReason::Interrupt);
             }
         }
-        let trace_ts = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.recorder.elapsed_us())
-            .unwrap_or(0);
-        let hint = self.neighbour_hint(dist);
         let mut ws = self.pop_workspace();
         let start = Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -434,37 +397,28 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     );
                 }
             }
-            self.analyse(dist, self.dependencies, hint.unwrap_or(0) as usize, &mut ws)
+            self.analyse(dist, self.dependencies, &mut ws)
         }));
         match attempt {
             Ok(analysis) => {
                 self.push_workspace(ws);
                 let ThroughputAnalysis { report, dependent } = analysis?;
-                let nanos = start.elapsed().as_nanos() as u64;
+                // At least 1 ns: zero wall time marks a replayed entry.
+                let nanos = (start.elapsed().as_nanos() as u64).max(1);
                 let states = report.states_stored as u64;
-                self.stats.record_evaluation(states, nanos);
-                if let Some(seeded) = hint {
-                    self.stats.record_warm_start(seeded);
-                }
-                if let Some(t) = &self.telemetry {
-                    t.latency.record(nanos);
-                    t.recorder
-                        .trace_complete_at("eval", trace_ts, nanos / 1_000);
-                    if let Some(seeded) = hint {
-                        t.warm_starts.inc();
-                        t.warm_start_states.add(seeded);
-                    }
-                }
                 let entry = CachedEval {
                     throughput: report.throughput,
-                    states_stored: states,
                     failed: false,
                     dependent: dependent.map(Arc::from),
                 };
                 self.cache.insert(dist.clone(), entry.clone());
                 self.oracle.record(dist, report.throughput);
-                self.observer
-                    .evaluation_finished(dist, report.throughput, states, nanos);
+                self.emit(Event::Evaluated {
+                    dist,
+                    throughput: report.throughput,
+                    states,
+                    nanos,
+                });
                 // An injected arena-pressure spike rides on the genuine
                 // count: it models this evaluation's arena ballooning, so
                 // it lands exactly where real states are accounted and the
@@ -485,10 +439,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 // inconsistent arena.
                 drop(ws);
                 let message = panic_message(payload.as_ref());
-                self.stats.record_failure();
                 let entry = CachedEval {
                     throughput: Rational::ZERO,
-                    states_stored: 0,
                     failed: true,
                     dependent: None,
                 };
@@ -497,27 +449,25 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 // recorded in the oracle — a panic proves nothing about
                 // the real throughput, so it must not seed proofs.
                 self.cache.insert(dist.clone(), entry.clone());
+                self.emit(Event::Failed {
+                    dist,
+                    message: &message,
+                });
                 self.failures.lock().unwrap().push(EvaluationFailure {
                     distribution: dist.clone(),
-                    message: message.clone(),
+                    message,
                 });
-                self.observer.evaluation_failed(dist, &message);
                 self.cancel.note_evaluation();
                 Ok(entry)
             }
         }
     }
 
-    /// Passes an oracle verdict through, registering a proof (`true`) as
-    /// one skipped candidate with the statistics, the observer and
-    /// telemetry.
+    /// Passes an oracle verdict through, emitting a proof (`true`) as one
+    /// skipped candidate.
     fn noted(&self, dist: &StorageDistribution, proved: bool) -> bool {
         if proved {
-            self.stats.record_prune();
-            self.observer.distribution_pruned(dist);
-            if let Some(t) = &self.telemetry {
-                t.dominance_prunes.inc();
-            }
+            self.emit(Event::Pruned(dist));
         }
         proved
     }

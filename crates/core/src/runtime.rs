@@ -11,9 +11,9 @@
 //!   rarely contend;
 //! - [`AtomicStats`]: contention-free evaluation counters, snapshotted
 //!   into the [`ExplorationStats`] every driver reports;
-//! - [`ExploreObserver`]: a structured event stream (evaluations, cache
-//!   hits, accepted Pareto points, search-phase transitions) that the CLI
-//!   renders as progress or JSON-lines traces;
+//! - [`Event`] / [`ExploreObserver`]: the one structured event stream
+//!   (phases, evaluations, cache hits, failures, prunes, accepted Pareto
+//!   points) that the statistics, the recorder and every CLI sink fold;
 //! - [`resolve_threads`]: `threads: 0` → the machine's available
 //!   parallelism.
 
@@ -108,18 +108,6 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         value
     }
 
-    /// Looks `key` up *without* touching the hit/miss tallies.
-    ///
-    /// This is the neighbour-probe entry point of the warm-start pipeline:
-    /// probes are speculative (most neighbours were never evaluated) and
-    /// timing-dependent under parallelism, so counting them would make
-    /// `cache_hits` and the per-shard statistics nondeterministic. A peek
-    /// is observation-only — the deterministic statistics are byte-for-byte
-    /// those of a peek-free run.
-    pub(crate) fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().unwrap().map.get(key).cloned()
-    }
-
     pub(crate) fn insert(&self, key: K, value: V) {
         self.shard(&key).lock().unwrap().map.insert(key, value);
     }
@@ -147,13 +135,11 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
 /// constraint search — reports this struct, and the bench and CLI surfaces
 /// render it.
 ///
-/// Equality ignores `eval_nanos` and the two warm-start counters: wall
-/// time varies run to run, and whether a neighbour's record was already
-/// in the memo cache when an evaluation started depends on worker timing
-/// — both are performance artifacts, not search outcomes. The remaining
-/// counters are deterministic — identical across thread counts by
-/// construction (fixed-size evaluation chunks), which the regression tests
-/// assert with `==`.
+/// Equality ignores `eval_nanos`: wall time varies run to run, it is a
+/// performance artifact, not a search outcome. The remaining counters are
+/// deterministic — identical across thread counts by construction
+/// (fixed-size evaluation chunks), which the regression tests assert with
+/// `==`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExplorationStats {
     /// Throughput analyses actually run (memo-cache misses).
@@ -174,14 +160,6 @@ pub struct ExplorationStats {
     /// -dominated distribution with a known throughput already decided
     /// them (monotonicity, paper §9).
     pub dominance_prunes: u64,
-    /// Evaluations whose analysis arena was pre-sized from a neighbouring
-    /// distribution's eval record. A pure allocation-layer effect: which
-    /// neighbours are cached when an evaluation starts depends on worker
-    /// timing, so this counter (like `eval_nanos`) is ignored by `==`.
-    pub warm_starts: u64,
-    /// Reduced-state capacity reused through those warm starts (sum of
-    /// the seeding records' state counts). Ignored by `==`.
-    pub warm_start_states: u64,
 }
 
 impl ExplorationStats {
@@ -199,21 +177,11 @@ impl ExplorationStats {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Fraction of analyses that started from a neighbour-seeded arena,
-    /// in `[0, 1]`.
-    pub fn warm_start_hit_rate(&self) -> f64 {
-        if self.evaluations == 0 {
-            0.0
-        } else {
-            self.warm_starts as f64 / self.evaluations as f64
-        }
-    }
 }
 
 impl PartialEq for ExplorationStats {
     /// Compares the deterministic counters only; `eval_nanos` (wall time)
-    /// and the warm-start counters (cache-timing artifacts) are excluded.
+    /// is excluded.
     fn eq(&self, other: &Self) -> bool {
         self.evaluations == other.evaluations
             && self.cache_hits == other.cache_hits
@@ -241,14 +209,6 @@ impl fmt::Display for ExplorationStats {
         if self.dominance_prunes > 0 {
             write!(f, ", {} pruned by dominance", self.dominance_prunes)?;
         }
-        if self.warm_starts > 0 {
-            write!(
-                f,
-                ", {} warm-started ({:.0}%)",
-                self.warm_starts,
-                self.warm_start_hit_rate() * 100.0
-            )?;
-        }
         Ok(())
     }
 }
@@ -263,8 +223,6 @@ pub(crate) struct AtomicStats {
     eval_nanos: AtomicU64,
     failures: AtomicU64,
     dominance_prunes: AtomicU64,
-    warm_starts: AtomicU64,
-    warm_start_states: AtomicU64,
 }
 
 impl AtomicStats {
@@ -272,33 +230,22 @@ impl AtomicStats {
         AtomicStats::default()
     }
 
-    /// Records one completed throughput analysis.
-    pub(crate) fn record_evaluation(&self, states: u64, nanos: u64) {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.max_states.fetch_max(states, Ordering::Relaxed);
-        self.eval_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one memo-cache hit.
-    pub(crate) fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one degraded (panicked) evaluation.
-    pub(crate) fn record_failure(&self) {
-        self.failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one analysis whose arena was pre-sized from a neighbour's
-    /// record of `states` reduced states.
-    pub(crate) fn record_warm_start(&self, states: u64) {
-        self.warm_starts.fetch_add(1, Ordering::Relaxed);
-        self.warm_start_states.fetch_add(states, Ordering::Relaxed);
-    }
-
-    /// Records one candidate skipped by the prune oracle.
-    pub(crate) fn record_prune(&self) {
-        self.dominance_prunes.fetch_add(1, Ordering::Relaxed);
+    /// Folds one event into the counters: evaluations, cache hits,
+    /// failures and prunes count; phases, accepted points and the end of
+    /// the run do not.
+    pub(crate) fn fold(&self, event: &Event<'_>) {
+        let counter = match *event {
+            Event::Evaluated { states, nanos, .. } => {
+                self.max_states.fetch_max(states, Ordering::Relaxed);
+                self.eval_nanos.fetch_add(nanos, Ordering::Relaxed);
+                &self.evaluations
+            }
+            Event::CacheHit(_) => &self.cache_hits,
+            Event::Failed { .. } => &self.failures,
+            Event::Pruned(_) => &self.dominance_prunes,
+            Event::Phase(_) | Event::Accepted(_) | Event::End { .. } => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A consistent snapshot (callers take it after all workers joined).
@@ -310,8 +257,6 @@ impl AtomicStats {
             eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
             dominance_prunes: self.dominance_prunes.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            warm_start_states: self.warm_start_states.load(Ordering::Relaxed),
         }
     }
 }
@@ -324,10 +269,6 @@ impl AtomicStats {
 pub(crate) struct CachedEval {
     /// Throughput of the observed actor under the distribution.
     pub(crate) throughput: Rational,
-    /// Reduced states the analysis stored — the warm-start pipeline uses
-    /// it to pre-size a neighbouring distribution's arena (0 for replayed
-    /// or degraded entries, which seed nothing).
-    pub(crate) states_stored: u64,
     /// Whether the analysis panicked and was degraded to zero throughput
     /// (such entries are terminal: no children, no dominance record).
     pub(crate) failed: bool,
@@ -416,8 +357,7 @@ pub struct EvaluationFailure {
     pub message: String,
 }
 
-/// The phase a search driver is in; reported through
-/// [`ExploreObserver::phase_started`].
+/// The phase a search driver is in; reported as an [`Event::Phase`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchPhase {
     /// Boxing the design space: bounds on size and throughput (paper §8).
@@ -451,59 +391,70 @@ impl fmt::Display for SearchPhase {
     }
 }
 
-/// Structured observation of an exploration run.
+/// One observed fact of an exploration run.
 ///
-/// All methods default to no-ops, so observers implement only what they
-/// care about. A run receives its observer as a shared handle in
+/// The evaluation pipeline emits each fact exactly once, and every sink is
+/// a fold over this one stream: the [`ExplorationStats`] of the result,
+/// the recorder's metrics and spans, and the CLI's progress lines, JSON
+/// trace, checkpoint, `/status` and `/events`. So the sinks cannot drift
+/// apart. Payloads are borrowed from the search; a sink that keeps an
+/// event copies what it needs.
+#[derive(Debug, Clone, Copy)]
+pub enum Event<'a> {
+    /// A search driver entered a phase.
+    Phase(SearchPhase),
+    /// A throughput analysis of `dist` finished: `throughput`, with
+    /// `states` reduced states stored, in `nanos` wall time. A checkpoint
+    /// entry replayed by a resumed run is an evaluation too, with its
+    /// recorded state count and `nanos` 0 (nothing ran); a genuine
+    /// analysis always reports at least 1 ns.
+    Evaluated {
+        /// The analysed distribution.
+        dist: &'a StorageDistribution,
+        /// Its throughput.
+        throughput: Rational,
+        /// Reduced states the analysis stored.
+        states: u64,
+        /// Analysis wall time in nanoseconds; 0 for a replayed entry.
+        nanos: u64,
+    },
+    /// An evaluation request for the distribution was answered from the
+    /// memo cache.
+    CacheHit(&'a StorageDistribution),
+    /// The analysis of `dist` panicked and was degraded to a recorded
+    /// failure (the run continues).
+    Failed {
+        /// The distribution whose analysis panicked.
+        dist: &'a StorageDistribution,
+        /// The panic message.
+        message: &'a str,
+    },
+    /// The prune oracle skipped the distribution without analysing it: a
+    /// pointwise-comparable evaluated distribution already decided it.
+    Pruned(&'a StorageDistribution),
+    /// A point was accepted into the Pareto front under construction (it
+    /// may later be evicted by a dominating point).
+    Accepted(&'a ParetoPoint),
+    /// The run ended for `reason` (`"exact"`, a cancellation reason,
+    /// `"error"`, `"aborted"`); nothing follows. The drivers never emit
+    /// it: the command that owns the sinks closes them with it.
+    End {
+        /// Why the run ended.
+        reason: &'a str,
+    },
+}
+
+/// A sink of the exploration [`Event`] stream.
+///
+/// A run receives its observer as a shared handle in
 /// [`ExploreOptions::observer`](crate::ExploreOptions::observer), hence
 /// `Send + Sync`: with multi-threaded evaluation, events arrive
-/// concurrently from worker threads. Event *order* between workers is
-/// nondeterministic; the statistics totals are not.
+/// concurrently from worker threads, synchronously on the emitting
+/// thread. Event *order* between workers is nondeterministic; the totals
+/// are not.
 pub trait ExploreObserver: Send + Sync {
-    /// A search driver entered `phase`.
-    fn phase_started(&self, phase: SearchPhase) {
-        let _ = phase;
-    }
-
-    /// A throughput analysis of `dist` is about to run (cache miss).
-    fn evaluation_started(&self, dist: &StorageDistribution) {
-        let _ = dist;
-    }
-
-    /// A throughput analysis finished: `dist` has `throughput`, storing
-    /// `states` reduced states, in `nanos` wall time.
-    fn evaluation_finished(
-        &self,
-        dist: &StorageDistribution,
-        throughput: Rational,
-        states: u64,
-        nanos: u64,
-    ) {
-        let _ = (dist, throughput, states, nanos);
-    }
-
-    /// An evaluation request for `dist` was answered from the memo cache.
-    fn cache_hit(&self, dist: &StorageDistribution) {
-        let _ = dist;
-    }
-
-    /// A throughput analysis of `dist` panicked and was degraded to a
-    /// recorded failure (the run continues).
-    fn evaluation_failed(&self, dist: &StorageDistribution, message: &str) {
-        let _ = (dist, message);
-    }
-
-    /// `point` was accepted into the Pareto front under construction
-    /// (it may later be evicted by a dominating point).
-    fn pareto_accepted(&self, point: &ParetoPoint) {
-        let _ = point;
-    }
-
-    /// The prune oracle skipped `dist` without running its analysis: a
-    /// pointwise-comparable evaluated distribution already decided it.
-    fn distribution_pruned(&self, dist: &StorageDistribution) {
-        let _ = dist;
-    }
+    /// Receives one event.
+    fn event(&self, event: &Event<'_>);
 }
 
 impl fmt::Debug for dyn ExploreObserver {
@@ -512,12 +463,23 @@ impl fmt::Debug for dyn ExploreObserver {
     }
 }
 
+/// Fans every event out to each observer, in order.
+impl ExploreObserver for Vec<Arc<dyn ExploreObserver>> {
+    fn event(&self, event: &Event<'_>) {
+        for sink in self {
+            sink.event(event);
+        }
+    }
+}
+
 /// The do-nothing observer: what a run reports to when
 /// [`ExploreOptions::observer`](crate::ExploreOptions::observer) is unset.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
-impl ExploreObserver for NoopObserver {}
+impl ExploreObserver for NoopObserver {
+    fn event(&self, _event: &Event<'_>) {}
+}
 
 /// Resolves a thread-count option: `0` means "auto-detect", returning the
 /// machine's [`std::thread::available_parallelism`] (1 if unknown); any
@@ -574,25 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_reads_without_touching_the_tallies() {
-        let cache: ShardedCache<StorageDistribution, Rational> = ShardedCache::new();
-        let d = StorageDistribution::from_capacities(vec![4, 2]);
-        let missing = StorageDistribution::from_capacities(vec![9, 9]);
-        assert_eq!(cache.peek(&d), None);
-        cache.insert(d.clone(), Rational::ONE);
-        assert_eq!(cache.peek(&d), Some(Rational::ONE));
-        assert_eq!(cache.peek(&missing), None);
-        let stats = cache.shard_stats();
-        let hits: u64 = stats.iter().map(|s| s.hits).sum();
-        let misses: u64 = stats.iter().map(|s| s.misses).sum();
-        assert_eq!((hits, misses), (0, 0), "peek must not tally");
-        // A tallying get still works as before.
-        assert_eq!(cache.get(&d), Some(Rational::ONE));
-        let hits: u64 = cache.shard_stats().iter().map(|s| s.hits).sum();
-        assert_eq!(hits, 1);
-    }
-
-    #[test]
     fn sharded_cache_is_concurrently_usable() {
         let cache: ShardedCache<StorageDistribution, Rational> = ShardedCache::new();
         std::thread::scope(|scope| {
@@ -641,32 +584,28 @@ mod tests {
             ..a
         };
         assert_ne!(a, f);
-        // Warm-start counters are cache-timing artifacts: excluded from
-        // `==` just like wall time.
-        let g = ExplorationStats {
-            warm_starts: 7,
-            warm_start_states: 1234,
-            ..a
-        };
-        assert_eq!(a, g);
         assert_eq!(a.requests(), 15);
         assert!((a.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(ExplorationStats::default().cache_hit_rate(), 0.0);
-        assert!((g.warm_start_hit_rate() - 0.7).abs() < 1e-12);
-        assert_eq!(ExplorationStats::default().warm_start_hit_rate(), 0.0);
     }
 
     #[test]
     fn atomic_stats_accumulate_across_threads() {
         let stats = AtomicStats::new();
+        let dist = StorageDistribution::from_capacities(vec![4, 2]);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let stats = &stats;
+                let (stats, dist) = (&stats, &dist);
                 scope.spawn(move || {
                     for i in 0..100 {
-                        stats.record_evaluation(i, 10);
-                        stats.record_cache_hit();
-                        stats.record_warm_start(i);
+                        stats.fold(&Event::Evaluated {
+                            dist,
+                            throughput: Rational::ONE,
+                            states: i,
+                            nanos: 10,
+                        });
+                        stats.fold(&Event::CacheHit(dist));
+                        stats.fold(&Event::Phase(SearchPhase::Bounds));
                     }
                 });
             }
@@ -676,9 +615,7 @@ mod tests {
         assert_eq!(s.cache_hits, 400);
         assert_eq!(s.max_states, 99);
         assert_eq!(s.eval_nanos, 4_000);
-        assert_eq!(s.warm_starts, 400);
-        assert_eq!(s.warm_start_states, 4 * 4950);
-        assert!((s.warm_start_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!((s.failures, s.dominance_prunes), (0, 0));
     }
 
     #[test]
@@ -705,8 +642,9 @@ mod tests {
     fn prunes_are_recorded_and_shown() {
         let stats = AtomicStats::new();
         assert!(!stats.snapshot().to_string().contains("pruned"));
-        stats.record_prune();
-        stats.record_prune();
+        let dist = StorageDistribution::from_capacities(vec![4, 2]);
+        stats.fold(&Event::Pruned(&dist));
+        stats.fold(&Event::Pruned(&dist));
         let s = stats.snapshot();
         assert_eq!(s.dominance_prunes, 2);
         assert!(s.to_string().contains("2 pruned by dominance"), "{s}");

@@ -7,8 +7,10 @@
 //! - `GET /metrics` — a live Prometheus scrape, rendered from a fresh
 //!   [`Recorder`] snapshot on every request;
 //! - `GET /events` — a Server-Sent-Events stream that first replays the
-//!   bounded [`EventRing`] of observer events and then tails the live
+//!   bounded [`EventRing`] of rendered events and then tails the live
 //!   phase/evaluation/prune/pareto stream until the terminal `end` event;
+//!   each frame carries the event's kind and the same JSON fields as its
+//!   `--trace-json` line;
 //! - `GET /status` — a JSON point-in-time snapshot of the run
 //!   (graph, algorithm, current phase, counters, front, budget, elapsed);
 //! - `GET /healthz` — liveness probe;
@@ -27,9 +29,8 @@
 mod http;
 mod page;
 
-use buffy_core::{EventRing, LiveEvent, LiveStats, ParetoPoint};
-use buffy_telemetry::{names, Recorder};
-use std::fmt::Write as _;
+use buffy_core::{json_escape, Event, EventRing, LiveStats, RingEntry};
+use buffy_telemetry::Recorder;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,9 +57,10 @@ pub struct ServeState {
     pub graph: String,
     /// The driving algorithm/command (`"explore"`, `"constraint"`, …).
     pub algorithm: String,
-    /// Live counters, phase and front mirror (from a `LiveObserver`).
+    /// Live counters, phase and front mirror, folded from the run's
+    /// events.
     pub stats: Arc<LiveStats>,
-    /// Bounded observer-event ring (from the same `LiveObserver`).
+    /// Bounded ring of the run's rendered events.
     pub ring: Arc<EventRing>,
     /// The run's recorder; `/metrics` snapshots it per scrape.
     pub recorder: Arc<Recorder>,
@@ -212,18 +214,12 @@ fn handle(stream: &mut TcpStream, state: &ServeState, stop: &AtomicBool) {
 /// Renders the `/status` snapshot.
 ///
 /// The counters come from the lock-free [`LiveStats`] (each value exact,
-/// cross-counter skew bounded by in-flight events); warm starts are read
-/// from the recorder, which is where the pipeline counts them.
+/// cross-counter skew bounded by in-flight events); once the run ended
+/// they equal its statistics.
 fn status_json(state: &ServeState) -> String {
     let stats = &state.stats;
-    let warm_starts = state
-        .recorder
-        .snapshot()
-        .counters
-        .get(names::WARM_STARTS)
-        .copied()
-        .unwrap_or(0);
-    let evaluations = stats.evaluations();
+    let counters = stats.counters();
+    let evaluations = counters.evaluations;
     let budget = match state.budget_evaluations {
         Some(b) => b.to_string(),
         None => "null".to_string(),
@@ -232,11 +228,16 @@ fn status_json(state: &ServeState) -> String {
         Some(b) => b.saturating_sub(evaluations).to_string(),
         None => "null".to_string(),
     };
-    let front: Vec<String> = stats.front().iter().map(front_point_json).collect();
+    // A front point renders like the `pareto` event that accepted it.
+    let front: Vec<String> = stats
+        .front()
+        .iter()
+        .map(|p| Event::Accepted(p).data_json())
+        .collect();
     format!(
         "{{\"graph\":\"{}\",\"algorithm\":\"{}\",\"phase\":{},\"finished\":{},\
          \"elapsed_us\":{},\"evaluations\":{evaluations},\"cache_hits\":{},\
-         \"dominance_prunes\":{},\"warm_starts\":{warm_starts},\
+         \"dominance_prunes\":{},\
          \"failures\":{},\"pareto_accepted\":{},\"front_size\":{},\
          \"budget_evaluations\":{budget},\"budget_evaluations_remaining\":{remaining},\
          \"events_dropped\":{},\"front\":[{}]}}",
@@ -248,22 +249,13 @@ fn status_json(state: &ServeState) -> String {
         },
         stats.is_finished(),
         stats.elapsed_us(),
-        stats.cache_hits(),
-        stats.dominance_prunes(),
-        stats.failures(),
+        counters.cache_hits,
+        counters.dominance_prunes,
+        counters.failures,
         stats.pareto_accepted(),
         stats.front_size(),
         state.ring.dropped(),
         front.join(",")
-    )
-}
-
-fn front_point_json(point: &ParetoPoint) -> String {
-    format!(
-        "{{\"size\":{},\"throughput\":\"{}\",\"distribution\":{}}}",
-        point.size,
-        point.throughput,
-        capacities_json(point.distribution.as_slice())
     )
 }
 
@@ -290,12 +282,12 @@ fn stream_events(stream: &mut TcpStream, state: &ServeState, stop: &AtomicBool) 
             announced_drop = true;
         }
         let batch = state.ring.since(cursor);
-        for (seq, event) in &batch {
-            cursor = seq + 1;
-            if stream.write_all(sse_frame(*seq, event).as_bytes()).is_err() {
+        for entry in &batch {
+            cursor = entry.seq + 1;
+            if stream.write_all(sse_frame(entry).as_bytes()).is_err() {
                 return;
             }
-            if matches!(event, LiveEvent::End { .. }) {
+            if entry.kind == "end" {
                 let _ = stream.flush();
                 return;
             }
@@ -313,96 +305,43 @@ fn stream_events(stream: &mut TcpStream, state: &ServeState, stop: &AtomicBool) 
 }
 
 /// Renders one ring entry as an SSE frame: `id` is the ring sequence
-/// number, `event` the stable kind name, `data` a single JSON object in
-/// the same vocabulary as the CLI's `--trace-json` records.
-fn sse_frame(seq: u64, event: &LiveEvent) -> String {
-    let data = match event {
-        LiveEvent::Phase { name } => format!("{{\"phase\":\"{name}\"}}"),
-        LiveEvent::Evaluation {
-            capacities,
-            size,
-            throughput,
-            states,
-            nanos,
-        } => format!(
-            "{{\"distribution\":{},\"size\":{size},\"throughput\":\"{throughput}\",\"states\":{states},\"nanos\":{nanos}}}",
-            capacities_json(capacities)
-        ),
-        LiveEvent::CacheHit { capacities } => {
-            format!("{{\"distribution\":{}}}", capacities_json(capacities))
-        }
-        // Constant `kind`: frames keep the `--trace-json` shape that perfbench/run.py parses.
-        LiveEvent::Pruned { capacities } => format!(
-            "{{\"distribution\":{},\"kind\":\"dominance\"}}",
-            capacities_json(capacities)
-        ),
-        LiveEvent::Pareto {
-            capacities,
-            size,
-            throughput,
-        } => format!(
-            "{{\"size\":{size},\"throughput\":\"{throughput}\",\"distribution\":{}}}",
-            capacities_json(capacities)
-        ),
-        LiveEvent::Failed {
-            capacities,
-            message,
-        } => format!(
-            "{{\"distribution\":{},\"message\":\"{}\"}}",
-            capacities_json(capacities),
-            json_escape(message)
-        ),
-        LiveEvent::End { reason } => format!("{{\"reason\":\"{}\"}}", json_escape(reason)),
-    };
-    format!("id: {seq}\nevent: {}\ndata: {data}\n\n", event.kind())
-}
-
-fn capacities_json(capacities: &[u64]) -> String {
-    let mut out = String::with_capacity(capacities.len() * 4 + 2);
-    out.push('[');
-    for (i, c) in capacities.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{c}");
-    }
-    out.push(']');
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// number, `event` the stable kind name, `data` the event's JSON fields
+/// exactly as its `--trace-json` line carries them.
+fn sse_frame(entry: &RingEntry) -> String {
+    format!(
+        "id: {}\nevent: {}\ndata: {}\n\n",
+        entry.seq, entry.kind, entry.data
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use buffy_core::LiveObserver;
-    use buffy_core::SearchPhase;
+    use buffy_core::{ExploreObserver, ParetoPoint, SearchPhase};
     use buffy_graph::{Rational, StorageDistribution};
     use std::io::{BufRead, BufReader, Read};
 
-    fn test_state(live: &LiveObserver, recorder: Arc<Recorder>) -> ServeState {
+    /// The live sinks a served run feeds: the `/status` fold and the
+    /// `/events` ring.
+    #[derive(Default)]
+    struct Live {
+        stats: Arc<LiveStats>,
+        ring: Arc<EventRing>,
+    }
+
+    impl Live {
+        fn event(&self, event: &Event<'_>) {
+            self.stats.event(event);
+            self.ring.event(event);
+        }
+    }
+
+    fn test_state(live: &Live, recorder: Arc<Recorder>) -> ServeState {
         ServeState {
             graph: "example".to_string(),
             algorithm: "explore".to_string(),
-            stats: live.stats(),
-            ring: live.ring(),
+            stats: live.stats.clone(),
+            ring: live.ring.clone(),
             recorder,
             budget_evaluations: Some(100),
         }
@@ -417,23 +356,28 @@ mod tests {
         response
     }
 
-    fn feed_events(live: &LiveObserver) {
-        use buffy_core::ExploreObserver;
+    fn feed_events(live: &Live) {
         let dist = StorageDistribution::from_capacities(vec![4, 2]);
-        live.phase_started(SearchPhase::Bounds);
-        live.evaluation_finished(&dist, Rational::new(1, 2), 7, 100);
-        live.pareto_accepted(&buffy_core::ParetoPoint::new(
+        live.event(&Event::Phase(SearchPhase::Bounds));
+        live.event(&Event::Evaluated {
+            dist: &dist,
+            throughput: Rational::new(1, 2),
+            states: 7,
+            nanos: 100,
+        });
+        live.event(&Event::Pruned(&dist));
+        live.event(&Event::Accepted(&ParetoPoint::new(
             dist.clone(),
             Rational::new(1, 2),
-        ));
+        )));
     }
 
     #[test]
     fn serves_health_metrics_status_and_page() {
-        let live = LiveObserver::new();
+        let live = Live::default();
         feed_events(&live);
         let recorder = Arc::new(Recorder::new());
-        recorder.counter(names::WARM_STARTS, "warm starts").add(3);
+        recorder.counter("buffy_demo_total", "demo").add(3);
         let mut server =
             ObsServer::start("127.0.0.1:0", test_state(&live, recorder)).expect("bind");
         let addr = server.local_addr();
@@ -444,19 +388,17 @@ mod tests {
 
         let metrics = get(addr, "/metrics");
         assert!(
-            metrics.contains("# TYPE buffy_warm_start_seeded_total counter"),
+            metrics.contains("# TYPE buffy_demo_total counter"),
             "{metrics}"
         );
-        assert!(
-            metrics.contains("buffy_warm_start_seeded_total 3"),
-            "{metrics}"
-        );
+        assert!(metrics.contains("buffy_demo_total 3"), "{metrics}");
 
         let status = get(addr, "/status");
         assert!(status.contains("\"graph\":\"example\""), "{status}");
         assert!(status.contains("\"phase\":\"bounds\""), "{status}");
         assert!(status.contains("\"evaluations\":1"), "{status}");
-        assert!(status.contains("\"warm_starts\":3"), "{status}");
+        assert!(status.contains("\"dominance_prunes\":1"), "{status}");
+        assert!(!status.contains("warm_starts"), "{status}");
         assert!(
             status.contains("\"budget_evaluations_remaining\":99"),
             "{status}"
@@ -479,7 +421,7 @@ mod tests {
 
     #[test]
     fn events_replays_ring_then_ends() {
-        let live = LiveObserver::new();
+        let live = Live::default();
         feed_events(&live);
         let recorder = Arc::new(Recorder::new());
         let mut server =
@@ -503,7 +445,9 @@ mod tests {
 
         // The replayed history arrives immediately; the end event only
         // after finish() — published while the stream is already open.
-        live.finish("exhausted");
+        live.event(&Event::End {
+            reason: "exhausted",
+        });
         let mut body = String::new();
         reader.read_to_string(&mut body).expect("stream to end");
         assert!(
@@ -513,6 +457,11 @@ mod tests {
         assert!(body.contains("event: evaluation\n"), "{body}");
         assert!(body.contains("\"throughput\":\"1/2\""), "{body}");
         assert!(body.contains("event: pareto\n"), "{body}");
+        // Prune frames keep the `--trace-json` key order.
+        assert!(
+            body.contains("event: pruned\ndata: {\"kind\":\"dominance\",\"distribution\":[4,2]}"),
+            "{body}"
+        );
         assert!(
             body.contains("event: end\ndata: {\"reason\":\"exhausted\"}"),
             "{body}"
@@ -529,7 +478,7 @@ mod tests {
 
     #[test]
     fn shutdown_unblocks_open_event_streams() {
-        let live = LiveObserver::new();
+        let live = Live::default();
         let recorder = Arc::new(Recorder::new());
         let mut server =
             ObsServer::start("127.0.0.1:0", test_state(&live, recorder)).expect("bind");
@@ -546,7 +495,7 @@ mod tests {
 
     #[test]
     fn non_get_is_rejected() {
-        let live = LiveObserver::new();
+        let live = Live::default();
         let recorder = Arc::new(Recorder::new());
         let mut server =
             ObsServer::start("127.0.0.1:0", test_state(&live, recorder)).expect("bind");

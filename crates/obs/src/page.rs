@@ -38,7 +38,7 @@ pub(crate) const INDEX_HTML: &str = r#"<!doctype html>
   <a href="/healthz">/healthz</a></p>
 <script>
 const COUNTERS = ["evaluations", "cache_hits", "dominance_prunes",
-  "warm_starts", "failures", "pareto_accepted", "events_dropped"];
+  "failures", "pareto_accepted", "events_dropped"];
 function esc(s) { const d = document.createElement("span");
   d.textContent = String(s); return d.innerHTML; }
 async function tick() {

@@ -159,12 +159,6 @@ pub mod names {
     /// Counter: candidate distributions skipped because a previously
     /// evaluated pointwise-comparable distribution decided them.
     pub const DOMINANCE_PRUNES: &str = "buffy_dominance_prunes_total";
-    /// Counter: evaluations whose analysis arena was seeded from a
-    /// neighbouring distribution's eval record (capacity warm start).
-    pub const WARM_STARTS: &str = "buffy_warm_start_seeded_total";
-    /// Counter: reduced-state capacity reused through neighbour warm
-    /// starts (sum of the seeding records' state counts).
-    pub const WARM_START_STATES: &str = "buffy_warm_start_states_total";
     /// Counter: Pareto candidate points whose energy objective was
     /// computed from the actor power model.
     pub const ENERGY_POINTS: &str = "buffy_energy_points_total";

@@ -8,7 +8,10 @@
 //! any scheduling-dependent evaluation order would show up here as a
 //! diverging evaluation count.
 
-use buffy_core::{explore_design_space, ExplorationResult, ExploreOptions};
+use buffy_analysis::DataflowSemantics;
+use buffy_core::{
+    explore_dependency_guided, explore_design_space, ExplorationResult, ExploreOptions,
+};
 use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery;
 use buffy_graph::SdfGraph;
@@ -103,5 +106,44 @@ fn csdf_exploration_is_deterministic_across_thread_counts() {
             seq.stats, par.stats,
             "{name}: statistics must not depend on the thread count"
         );
+    }
+}
+
+/// The dependency-guided driver, on SDF graphs and on genuinely phased
+/// CSDF ones: its front and statistics do not depend on the thread count
+/// either.
+#[test]
+fn guided_exploration_is_deterministic_across_thread_counts() {
+    fn check<M: DataflowSemantics + Sync>(graph: &M, name: &str) {
+        let run = |threads: usize| {
+            explore_dependency_guided(
+                graph,
+                &ExploreOptions {
+                    threads,
+                    ..ExploreOptions::default()
+                },
+            )
+            .unwrap()
+        };
+        let seq = run(1);
+        let par = run(test_threads());
+        assert_eq!(
+            front_bytes(seq.pareto.points()),
+            front_bytes(par.pareto.points()),
+            "{name}: fronts must be byte-identical"
+        );
+        assert_eq!(
+            seq.stats, par.stats,
+            "{name}: statistics must not depend on the thread count"
+        );
+    }
+    for graph in [gallery::example(), gallery::modem()] {
+        check(&graph, graph.name());
+    }
+    for graph in [
+        buffy_csdf::gallery::updown(),
+        buffy_csdf::gallery::line_scaler(),
+    ] {
+        check(&graph, graph.name());
     }
 }

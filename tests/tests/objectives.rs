@@ -2,8 +2,8 @@
 //!
 //! The refactor from the hardcoded storage/throughput pair to declared
 //! [`ObjectiveSpace`]s must be invisible in the default space: fronts and
-//! statistics stay byte-identical at any thread count, with warm starts
-//! on or off, for SDF and CSDF models alike. Declaring the energy axis
+//! statistics stay byte-identical at any thread count, fresh or warm
+//! started from a checkpoint of the run, for SDF and CSDF models alike. Declaring the energy axis
 //! attaches an exact rational energy per iteration to every point without
 //! moving the front (energy is a monotone function of throughput, so 3D
 //! dominance coincides with 2D dominance on evaluated points — the same
@@ -11,15 +11,17 @@
 //! tests pin each of those claims, including the energy figures against
 //! a hand-computed value and an independent schedule-walking oracle.
 
+use buffy_analysis::DataflowSemantics;
 use buffy_analysis::{schedule_energy_per_iteration, throughput, ExplorationLimits, Schedule};
 use buffy_core::{
-    explore_dependency_guided, explore_design_space, ExplorationResult, ExploreOptions,
-    ObjectiveKind, ObjectiveSpace, ParetoPoint,
+    explore_dependency_guided, explore_design_space, Event, ExplorationResult, ExploreObserver,
+    ExploreOptions, ObjectiveKind, ObjectiveSpace, ParetoPoint, WarmStart,
 };
 use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 use buffy_integration_tests::test_threads;
+use std::sync::{Arc, Mutex};
 
 /// The front rendered to bytes, including any energy values, so two runs
 /// compare byte-for-byte.
@@ -64,40 +66,77 @@ fn powered_updown() -> CsdfGraph {
     b.build().unwrap()
 }
 
+/// Records every evaluation of a run as the checkpoint entries a
+/// `--resume` would warm-start from.
+#[derive(Default)]
+struct Checkpointing {
+    entries: Mutex<WarmStart>,
+}
+
+impl ExploreObserver for Checkpointing {
+    fn event(&self, event: &Event<'_>) {
+        if let Event::Evaluated {
+            dist,
+            throughput,
+            states,
+            ..
+        } = *event
+        {
+            let mut entries = self.entries.lock().unwrap();
+            entries.insert(dist.clone(), (throughput, states));
+        }
+    }
+}
+
+/// Explores `graph` in the default space at one thread, then at each test
+/// thread count both fresh and warm-started from the first run's
+/// checkpoint entries: every front and every statistic must match.
+fn assert_default_space_is_byte_identical<M: DataflowSemantics + Sync>(graph: &M, name: &str) {
+    let checkpoint = Arc::new(Checkpointing::default());
+    let reference = explore_design_space(
+        graph,
+        &ExploreOptions {
+            observer: Some(checkpoint.clone()),
+            ..ExploreOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(reference
+        .pareto
+        .points()
+        .iter()
+        .all(|p| p.energy().is_none()));
+    let warm = Arc::new(std::mem::take(&mut *checkpoint.entries.lock().unwrap()));
+    for threads in [1, test_threads()] {
+        for warm_start in [None, Some(warm.clone())] {
+            let resumed = warm_start.is_some();
+            let run = explore_design_space(
+                graph,
+                &ExploreOptions {
+                    threads,
+                    warm_start,
+                    objectives: ObjectiveSpace::default_2d(),
+                    ..ExploreOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                front_bytes(reference.pareto.points()),
+                front_bytes(run.pareto.points()),
+                "{name}: default-space front must be byte-identical (threads {threads}, resumed {resumed})"
+            );
+            assert_eq!(
+                reference.stats, run.stats,
+                "{name}: statistics must be identical too (threads {threads}, resumed {resumed})"
+            );
+        }
+    }
+}
+
 #[test]
 fn default_space_is_byte_identical_across_threads_and_warm_start() {
     for graph in [gallery::example(), gallery::bipartite(), gallery::modem()] {
-        let reference = explore_sdf(&graph, ExploreOptions::default());
-        assert!(reference
-            .pareto
-            .points()
-            .iter()
-            .all(|p| p.energy().is_none()));
-        for threads in [1, test_threads()] {
-            for warm in [true, false] {
-                let run = explore_sdf(
-                    &graph,
-                    ExploreOptions {
-                        threads,
-                        warm_start_neighbours: warm,
-                        objectives: ObjectiveSpace::default_2d(),
-                        ..ExploreOptions::default()
-                    },
-                );
-                assert_eq!(
-                    front_bytes(reference.pareto.points()),
-                    front_bytes(run.pareto.points()),
-                    "{}: default-space front must be byte-identical (threads {threads}, warm {warm})",
-                    graph.name()
-                );
-                assert_eq!(
-                    reference.stats,
-                    run.stats,
-                    "{}: statistics must be identical too (threads {threads}, warm {warm})",
-                    graph.name()
-                );
-            }
-        }
+        assert_default_space_is_byte_identical(&graph, graph.name());
     }
 }
 
@@ -107,28 +146,7 @@ fn csdf_default_space_is_byte_identical_across_threads_and_warm_start() {
         buffy_csdf::gallery::updown(),
         buffy_csdf::gallery::line_scaler(),
     ] {
-        let reference = explore_design_space(&graph, &ExploreOptions::default()).unwrap();
-        for threads in [1, test_threads()] {
-            for warm in [true, false] {
-                let run = explore_design_space(
-                    &graph,
-                    &ExploreOptions {
-                        threads,
-                        warm_start_neighbours: warm,
-                        objectives: ObjectiveSpace::default_2d(),
-                        ..ExploreOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    front_bytes(reference.pareto.points()),
-                    front_bytes(run.pareto.points()),
-                    "{}: CSDF default-space front must be byte-identical (threads {threads}, warm {warm})",
-                    graph.name()
-                );
-                assert_eq!(reference.stats, run.stats, "{}", graph.name());
-            }
-        }
+        assert_default_space_is_byte_identical(&graph, graph.name());
     }
 }
 

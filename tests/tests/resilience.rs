@@ -15,7 +15,7 @@
 use std::sync::{Arc, Mutex};
 
 use buffy_core::{
-    explore_design_space, CancelReason, CancelToken, ExplorationResult, ExploreError,
+    explore_design_space, CancelReason, CancelToken, Event, ExplorationResult, ExploreError,
     ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
 };
 use buffy_gen::{RandomGraphConfig, SplitMix64};
@@ -57,17 +57,19 @@ struct Recorder {
 }
 
 impl ExploreObserver for Recorder {
-    fn evaluation_finished(
-        &self,
-        dist: &StorageDistribution,
-        throughput: Rational,
-        states: u64,
-        _nanos: u64,
-    ) {
-        self.entries
-            .lock()
-            .unwrap()
-            .push((dist.clone(), throughput, states));
+    fn event(&self, event: &Event<'_>) {
+        if let Event::Evaluated {
+            dist,
+            throughput,
+            states,
+            ..
+        } = *event
+        {
+            self.entries
+                .lock()
+                .unwrap()
+                .push((dist.clone(), throughput, states));
+        }
     }
 }
 

@@ -8,7 +8,10 @@
 //! one mutex: a concurrent test installing/uninstalling mid-run would
 //! otherwise make "recorder absent" unobservable.
 
-use buffy_core::{explore_design_space, ExplorationResult, ExploreOptions, LiveObserver};
+use buffy_core::{
+    explore_design_space, Event, EventRing, ExplorationResult, ExploreObserver, ExploreOptions,
+    LiveStats,
+};
 use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery;
 use buffy_graph::SdfGraph;
@@ -144,25 +147,31 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
     response
 }
 
-/// Runs `f` with a [`LiveObserver`] teed to a live [`ObsServer`] while a
-/// scraper thread hammers `/metrics` and `/status` concurrently — the
-/// attached-server analogue of [`with_recorder`]. Returns the result,
-/// the last `/metrics` and `/status` scrapes (taken after the terminal
-/// event), and the full `/events` replay.
+/// Runs `f` with the live sinks of a [`ObsServer`] — its `/status` fold
+/// and its `/events` ring — as the run's observer, while a scraper thread
+/// hammers `/metrics` and `/status` concurrently: the attached-server
+/// analogue of [`with_recorder`]. Returns the result, the last
+/// `/metrics` and `/status` scrapes (taken after the terminal event), and
+/// the full `/events` replay.
 fn with_server<T>(
     graph_name: &str,
-    f: impl FnOnce(&Arc<LiveObserver>) -> T,
+    f: impl FnOnce(&Arc<dyn ExploreObserver>) -> T,
 ) -> (T, String, String, String) {
     let recorder = Arc::new(Recorder::new());
     buffy_telemetry::install(Arc::clone(&recorder));
-    let live = Arc::new(LiveObserver::new());
+    let stats = Arc::new(LiveStats::new());
+    let ring = Arc::new(EventRing::default());
+    let live: Arc<dyn ExploreObserver> = Arc::new(vec![
+        stats.clone() as Arc<dyn ExploreObserver>,
+        ring.clone(),
+    ]);
     let server = ObsServer::start(
         "127.0.0.1:0",
         ServeState {
             graph: graph_name.to_string(),
             algorithm: "test".to_string(),
-            stats: live.stats(),
-            ring: live.ring(),
+            stats,
+            ring,
             recorder: Arc::clone(&recorder),
             budget_evaluations: None,
         },
@@ -184,7 +193,7 @@ fn with_server<T>(
         })
     };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&live)));
-    live.finish("exact");
+    live.event(&Event::End { reason: "exact" });
     stop.store(true, Ordering::Release);
     // A run faster than one scrape roundtrip legitimately yields zero
     // mid-run scrapes; the slower gallery graphs see plenty.
@@ -232,10 +241,18 @@ fn sdf_results_are_identical_with_server_attached() {
             assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
             assert!(metrics.contains("buffy_memo_shard"), "{metrics}");
             assert!(status.contains("\"finished\":true"), "{status}");
-            assert!(
-                status.contains(&format!("\"evaluations\":{}", served.stats.evaluations)),
-                "{status}"
-            );
+            // The final /status counters are the run's statistics.
+            for (key, value) in [
+                ("evaluations", served.stats.evaluations),
+                ("cache_hits", served.stats.cache_hits),
+                ("dominance_prunes", served.stats.dominance_prunes),
+                ("failures", served.stats.failures),
+            ] {
+                assert!(
+                    status.contains(&format!("\"{key}\":{value},")),
+                    "{key}: {status}"
+                );
+            }
             assert!(
                 status.contains(&format!("\"front_size\":{}", served.pareto.len())),
                 "{status}"
