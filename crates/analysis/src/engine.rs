@@ -160,6 +160,10 @@ pub struct DataflowEngine<'g, M: DataflowSemantics> {
     /// When tracking is on, the channels whose lack of space blocks an
     /// idle actor that has all its input tokens, in the current state.
     space_blocked: Option<Vec<ChannelId>>,
+    /// When tracking is on, each channel's peak occupancy so far: its
+    /// initial tokens, or the largest `tokens + claimed production` at a
+    /// start of its producer.
+    peaks: Option<Vec<u64>>,
     /// Completed phase firings per actor, kept to cross-check token
     /// counts.
     #[cfg(feature = "strict-invariants")]
@@ -198,6 +202,7 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
             started: false,
             events: FiringEvents::default(),
             space_blocked: None,
+            peaks: None,
             #[cfg(feature = "strict-invariants")]
             fired: vec![0; model.num_actors()],
             #[cfg(feature = "strict-invariants")]
@@ -330,6 +335,26 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
     /// before the last start pass.
     pub(crate) fn space_blocked(&self) -> &[ChannelId] {
         self.space_blocked.as_deref().unwrap_or(&[])
+    }
+
+    /// Switches on tracking of the channels' peak occupancies: from the
+    /// next start pass on, every start raises each output channel's peak
+    /// to the tokens it holds plus the production the start claims. The
+    /// start pass records it as it starts the firing, so tracking costs
+    /// no extra scan.
+    pub(crate) fn track_peaks(&mut self) {
+        self.peaks.get_or_insert_with(|| {
+            (0..self.model.num_channels())
+                .map(|i| self.model.initial_tokens(ChannelId::new(i)))
+                .collect()
+        });
+    }
+
+    /// The peak occupancies recorded since
+    /// [`track_peaks`](Self::track_peaks), one per channel; `None` when
+    /// tracking is off.
+    pub(crate) fn take_peaks(&mut self) -> Option<Vec<u64>> {
+        self.peaks.take()
     }
 
     /// The events of the last [`advance_in_place`](Self::advance_in_place)
@@ -504,7 +529,8 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
     /// enables nor disables any other actor. A sweep without zero-time
     /// firings therefore ends the fixpoint, and it also sees every idle
     /// actor exactly as the instant leaves it — which is where the
-    /// space-blocked channels are collected, when tracked.
+    /// space-blocked channels are collected, when tracked. Peak
+    /// occupancies, when tracked, are raised at each start.
     fn start_enabled(&mut self) -> Result<(), AnalysisError> {
         let mut zero_firings: u64 = 0;
         loop {
@@ -524,6 +550,7 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
                     let phase = self.state.phase[i];
                     let exec = self.model.execution_time(actor, phase);
                     self.events.started.push((actor, phase));
+                    self.note_claims(actor, phase);
                     if exec > 0 {
                         self.state.act_clk[i] = exec;
                         break;
@@ -542,6 +569,20 @@ impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
             if !fired_zero_time {
                 return Ok(());
             }
+        }
+    }
+
+    /// Raises, when tracking, the peak of each output channel of `actor`
+    /// to what it holds once `phase`'s start claims its production.
+    fn note_claims(&mut self, actor: ActorId, phase: u32) {
+        let model = self.model;
+        let Some(peaks) = &mut self.peaks else {
+            return;
+        };
+        for &cid in model.output_channels(actor) {
+            let claimed = self.state.tokens[cid.index()] + model.production(cid, phase);
+            let peak = &mut peaks[cid.index()];
+            *peak = (*peak).max(claimed);
         }
     }
 

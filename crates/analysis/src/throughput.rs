@@ -13,7 +13,8 @@
 //! that, generically over any [`DataflowSemantics`] model, in
 //! [`throughput_analysis`]: one simulation that also collects, on request,
 //! the storage-dependent channels the dependency-guided exploration grows
-//! (the same set the replay [`dependencies_from_run_for`] derives).
+//! (the same set the replay [`dependencies_from_run_for`] derives) and
+//! each channel's peak occupancy, from which the upper-bound search starts.
 //! [`throughput_for`] and [`throughput`] are its plain forms.
 //!
 //! Reduced states are packed into fixed-stride rows of one flat `u64`
@@ -206,8 +207,8 @@ static NEVER: CancelToken = CancelToken::new();
 /// How to run one [`throughput_analysis`]: everything besides the model,
 /// the capacities, the observed actor and the workspace.
 ///
-/// The default request has the default limits, a token that never trips
-/// and no dependency flags.
+/// The default request has the default limits, a token that never trips,
+/// no dependency flags and no peak occupancies.
 #[derive(Debug, Clone, Copy)]
 pub struct AnalysisRequest<'a> {
     /// State and time limits of the cycle search.
@@ -219,6 +220,9 @@ pub struct AnalysisRequest<'a> {
     /// Whether to collect the storage-dependent channels
     /// ([`ThroughputAnalysis::dependent`]).
     pub dependencies: bool,
+    /// Whether to record each channel's peak occupancy
+    /// ([`ThroughputAnalysis::peaks`]).
+    pub peaks: bool,
 }
 
 impl Default for AnalysisRequest<'_> {
@@ -227,6 +231,7 @@ impl Default for AnalysisRequest<'_> {
             limits: ExplorationLimits::default(),
             cancel: &NEVER,
             dependencies: false,
+            peaks: false,
         }
     }
 }
@@ -242,11 +247,17 @@ pub struct ThroughputAnalysis {
     /// of the periodic phase (or in the deadlock state). Growing any other
     /// channel cannot raise the throughput.
     pub dependent: Option<Vec<bool>>,
+    /// Each channel's peak occupancy, when the request asked for it: the
+    /// largest `tokens + claimed production` at any start of its producer
+    /// in the run (the transient and one period, or up to the deadlock),
+    /// and at least its initial tokens. Capping every channel at no less
+    /// than its peak changes no firing, so the report stays the same.
+    pub peaks: Option<Vec<u64>>,
 }
 
 /// Reusable per-analysis allocations: the packed reduced-state arena with
 /// its hash index, the time/firing bookkeeping vectors of the cycle search
-/// and the per-state dependency segments.
+/// and the dependency trace.
 ///
 /// One workspace serves one analysis at a time; between analyses it is
 /// *reset, not reallocated*, so a worker that evaluates thousands of
@@ -262,12 +273,8 @@ pub struct AnalysisWorkspace {
     row: Vec<u64>,
     times: Vec<u64>,
     firing_counts: Vec<u32>,
-    /// One bitset segment per stored reduced state, `flag_words` words
-    /// each: the channels found space-blocked since the previous stored
-    /// state, up to and including this one.
-    segments: Vec<u64>,
-    /// The segment under construction.
-    running: Vec<u64>,
+    /// Touched only by analyses that collect the flags.
+    trace: DependencyTrace,
 }
 
 impl AnalysisWorkspace {
@@ -276,28 +283,89 @@ impl AnalysisWorkspace {
         AnalysisWorkspace::default()
     }
 
-    /// Readies the workspace for one analysis with rows of `stride` words
-    /// and `flag_words` words per dependency segment: everything is
-    /// cleared, allocations are kept.
-    fn prepare(&mut self, stride: usize, flag_words: usize) {
+    /// Readies the workspace for one analysis with rows of `stride` words:
+    /// everything but the dependency trace is cleared, allocations are
+    /// kept.
+    fn prepare(&mut self, stride: usize) {
         self.store.reset(stride);
         self.times.clear();
         self.firing_counts.clear();
+    }
+}
+
+/// The space-blocked channels of one analysis of a model with `channels`
+/// channels, as bitsets of `words` words: one closed segment per stored
+/// reduced state (the channels found space-blocked since the previous
+/// stored state, up to and including this one) and the running segment
+/// under construction.
+#[derive(Debug, Default)]
+struct DependencyTrace {
+    channels: usize,
+    words: usize,
+    segments: Vec<u64>,
+    running: Vec<u64>,
+}
+
+impl DependencyTrace {
+    /// Readies the trace for an analysis of a model with `channels`
+    /// channels: empty, allocations kept.
+    fn reset(&mut self, channels: usize) {
+        self.channels = channels;
+        self.words = channels.div_ceil(64).max(1);
         self.segments.clear();
         self.running.clear();
-        self.running.resize(flag_words, 0);
+        self.running.resize(self.words, 0);
+    }
+
+    /// ORs `blocked` into the running segment.
+    fn note(&mut self, blocked: &[ChannelId]) {
+        for cid in blocked {
+            self.running[cid.index() / 64] |= 1 << (cid.index() % 64);
+        }
+    }
+
+    /// Closes the running segment beside the reduced state just stored.
+    fn close_segment(&mut self) {
+        self.segments.extend_from_slice(&self.running);
+        self.running.fill(0);
+    }
+
+    /// The flags of a cycle that closes on stored state `k`: the union of
+    /// the segments after `k` and the running one.
+    fn cycle_flags(&mut self, k: usize) -> Vec<bool> {
+        for segment in self.segments[(k + 1) * self.words..].chunks_exact(self.words) {
+            for (acc, word) in self.running.iter_mut().zip(segment) {
+                *acc |= word;
+            }
+        }
+        self.flags()
+    }
+
+    /// The flags of a deadlock: the final state's set `blocked`.
+    fn deadlock_flags(&mut self, blocked: &[ChannelId]) -> Vec<bool> {
+        self.running.fill(0);
+        self.note(blocked);
+        self.flags()
+    }
+
+    /// Expands the running segment to one flag per channel.
+    fn flags(&self) -> Vec<bool> {
+        (0..self.channels)
+            .map(|i| self.running[i / 64] >> (i % 64) & 1 == 1)
+            .collect()
     }
 }
 
 /// The reduced-state-space analysis of paper §7 over a caller-owned
 /// [`AnalysisWorkspace`]: the throughput of `observed` when `model`
-/// executes self-timed under `caps`, and, when `request.dependencies` is
-/// set, the storage-dependent channels of that same execution.
+/// executes self-timed under `caps`, and, when `request.dependencies` and
+/// `request.peaks` are set, the storage-dependent channels and the peak
+/// occupancies of that same execution.
 ///
 /// This is the one entry point of the analysis: the exploration drivers
 /// call it with their cancel token, their limits and a pooled workspace.
 /// The report is byte-identical for every workspace state, and with the
-/// flags on or off.
+/// flags and the peaks on or off.
 ///
 /// The flags come out of the cycle search itself. After every engine
 /// advance the engine's space-blocked set (derived in its start pass) is
@@ -307,6 +375,13 @@ impl AnalysisWorkspace {
 /// segments after `k` and the running one: exactly the instants of
 /// `(times[k], times[k] + period]`, and the state at the close equals the
 /// state at `times[k]`. On deadlock they are the final state's set.
+/// An analysis without flags touches none of this: the trace exists only
+/// when requested.
+///
+/// The peaks come from the engine's start pass, which raises each output
+/// channel's peak at every start. The run covers every start of the
+/// infinite execution: the periodic phase repeats the instants of
+/// `(times[k], times[k] + period]`.
 ///
 /// # Errors
 ///
@@ -319,15 +394,10 @@ pub fn throughput_analysis<M: DataflowSemantics>(
     request: &AnalysisRequest<'_>,
     workspace: &mut AnalysisWorkspace,
 ) -> Result<ThroughputAnalysis, AnalysisError> {
-    let flag_words = if request.dependencies {
-        model.num_channels().div_ceil(64).max(1)
-    } else {
-        0
-    };
-    workspace.prepare(
-        row_stride(model.num_actors(), model.num_channels()),
-        flag_words,
-    );
+    workspace.prepare(row_stride(model.num_actors(), model.num_channels()));
+    if request.dependencies {
+        workspace.trace.reset(model.num_channels());
+    }
     // Telemetry is observation-only and fetched once per analysis: when no
     // recorder is installed this is a single relaxed load and a branch.
     let telemetry = buffy_telemetry::active().map(AnalysisTelemetry::new);
@@ -362,20 +432,6 @@ fn pack_row(row: &mut Vec<u64>, state: &DataflowState, dist: u64, firings: u32) 
     );
     row.push(dist);
     row.push(u64::from(firings));
-}
-
-/// ORs the channel ids in `channels` into the bitset `words`.
-fn or_channels(words: &mut [u64], channels: &[ChannelId]) {
-    for cid in channels {
-        words[cid.index() / 64] |= 1 << (cid.index() % 64);
-    }
-}
-
-/// Expands a channel bitset to one flag per channel.
-fn to_flags(words: &[u64], channels: usize) -> Vec<bool> {
-    (0..channels)
-        .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
-        .collect()
 }
 
 /// Per-analysis telemetry handles, fetched once per call so the state
@@ -447,12 +503,14 @@ fn cycle_search<M: DataflowSemantics>(
         row,
         times, // time of each reduced state
         firing_counts,
-        segments,
-        running,
+        trace,
     } = workspace;
+    // The flag-free loop touches no trace buffer at all: a zero-length
+    // `fill` on an unallocated `Vec` costs about 130 ns per call on an
+    // AVX-512 Xeon with glibc 2.36, against about 3 ns on a heap buffer
+    // (DESIGN.md §13).
+    let mut trace = request.dependencies.then_some(trace);
     let limits = request.limits;
-    let flag_words = running.len();
-    let channels = model.num_channels();
     let completions = |engine: &DataflowEngine<'_, M>| {
         engine
             .events()
@@ -462,11 +520,16 @@ fn cycle_search<M: DataflowSemantics>(
             .count() as u32
     };
     let mut engine = DataflowEngine::new(model, caps);
-    if request.dependencies {
+    if trace.is_some() {
         engine.track_space_blocked();
     }
+    if request.peaks {
+        engine.track_peaks();
+    }
     engine.start_initial()?;
-    or_channels(running, engine.space_blocked());
+    if let Some(trace) = &mut trace {
+        trace.note(engine.space_blocked());
+    }
     let mut last_completion: u64 = 0;
 
     // The observed actor may complete during the initial start phase when
@@ -477,8 +540,9 @@ fn cycle_search<M: DataflowSemantics>(
         store.intern(row);
         times.push(0);
         firing_counts.push(pending);
-        segments.extend_from_slice(running);
-        running.fill(0);
+        if let Some(trace) = &mut trace {
+            trace.close_segment();
+        }
     }
 
     // Only completions can change the reduced state space, so the engine
@@ -497,17 +561,16 @@ fn cycle_search<M: DataflowSemantics>(
         }
         if !engine.advance_in_place(limits.max_steps)? {
             // The final state's blocked set is the last start pass's.
-            let dependent = request.dependencies.then(|| {
-                running.fill(0);
-                or_channels(running, engine.space_blocked());
-                to_flags(running, channels)
-            });
+            let dependent = trace.map(|t| t.deadlock_flags(engine.space_blocked()));
             return Ok(ThroughputAnalysis {
                 report: ThroughputReport::deadlock(store.len()),
                 dependent,
+                peaks: engine.take_peaks(),
             });
         }
-        or_channels(running, engine.space_blocked());
+        if let Some(trace) = &mut trace {
+            trace.note(engine.space_blocked());
+        }
         let pending = completions(&engine);
         if pending == 0 {
             continue;
@@ -520,8 +583,9 @@ fn cycle_search<M: DataflowSemantics>(
             Interned::Inserted(_) => {
                 times.push(engine.time());
                 firing_counts.push(pending);
-                segments.extend_from_slice(running);
-                running.fill(0);
+                if let Some(trace) = &mut trace {
+                    trace.close_segment();
+                }
                 if times.len() > limits.max_states {
                     return Err(limits.exceeded(LimitKind::States, engine.capacities()));
                 }
@@ -533,14 +597,7 @@ fn cycle_search<M: DataflowSemantics>(
                 if period == 0 {
                     return Err(AnalysisError::ZeroPeriod);
                 }
-                let dependent = request.dependencies.then(|| {
-                    for segment in segments[(k + 1) * flag_words..].chunks_exact(flag_words) {
-                        for (acc, word) in running.iter_mut().zip(segment) {
-                            *acc |= word;
-                        }
-                    }
-                    to_flags(running, channels)
-                });
+                let dependent = trace.map(|t| t.cycle_flags(k));
                 return Ok(ThroughputAnalysis {
                     report: ThroughputReport {
                         throughput: Rational::new(firings as i128, period as i128),
@@ -552,6 +609,7 @@ fn cycle_search<M: DataflowSemantics>(
                         cycle_entry_time: times[k],
                     },
                     dependent,
+                    peaks: engine.take_peaks(),
                 });
             }
         }
@@ -973,6 +1031,48 @@ mod tests {
             clean.report,
             throughput(&g, &dist, g.actor_by_name("c").unwrap()).unwrap()
         );
+    }
+
+    /// One analysis of the example's actor `c` with the peaks on.
+    fn peaks_of(caps: &[u64]) -> ThroughputAnalysis {
+        let g = example();
+        let request = AnalysisRequest {
+            peaks: true,
+            ..AnalysisRequest::default()
+        };
+        throughput_analysis(
+            &g,
+            Capacities::from_distribution(&StorageDistribution::from_capacities(caps.to_vec())),
+            g.actor_by_name("c").unwrap(),
+            &request,
+            &mut AnalysisWorkspace::new(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn peaks_bound_what_the_execution_claims() {
+        // Under ⟨4,2⟩ a fills α to its capacity and b's single token
+        // production fills β. Under ⟨20,20⟩ a still runs ahead and fills
+        // α, while β never holds more than 3: capping β at 3 loses
+        // nothing, which is what the upper-bound search exploits.
+        for (caps, peaks) in [
+            ([4u64, 2], [4u64, 2]),
+            ([20, 20], [20, 3]),
+            ([4, 1], [4, 1]),
+        ] {
+            let analysis = peaks_of(&caps);
+            assert_eq!(analysis.peaks.as_deref(), Some(&peaks[..]), "{caps:?}");
+            let plain = analyse_in(
+                &mut AnalysisWorkspace::new(),
+                &caps,
+                Default::default(),
+                false,
+            )
+            .unwrap();
+            assert_eq!(analysis.report, plain.report, "{caps:?}");
+            assert_eq!(plain.peaks, None);
+        }
     }
 
     #[test]

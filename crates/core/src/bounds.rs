@@ -19,12 +19,44 @@
 //! [`lower_bound_distribution`] and [`upper_bound_distribution`] only ask
 //! a model the [`DataflowSemantics`] questions, so the same code boxes the
 //! SDF and CSDF design spaces.
+//!
+//! # The upper bound from peak occupancies
+//!
+//! The `ub` search grows a distribution until it reaches the maximal
+//! throughput, then shrinks one channel at a time to its per-channel
+//! minimum by binary search over the channel's capacity steps. Each bound
+//! probe also records every channel's *peak occupancy*: the largest
+//! `tokens + claimed production` at any start of the channel's producer,
+//! and at least its initial tokens
+//! ([`ThroughputAnalysis::peaks`](buffy_analysis::ThroughputAnalysis::peaks)).
+//!
+//! *Peak lemma.* Lowering a channel's capacity to any value no smaller
+//! than its peak changes no firing: every start that happened still fits,
+//! and a smaller capacity enables no start that was blocked. So the
+//! capacity `max(peak, lower bound)`, rounded up to the step grid, keeps
+//! the maximal throughput, and by capacity monotonicity the minimum the
+//! binary search looks for lies at or below it. Each channel's search
+//! therefore starts there instead of at the grown capacity. The predicate
+//! it bisects (the other channels held at their current capacities) is
+//! the same as before, and so is its smallest true point: the `ub`
+//! distribution is the one the search from the grown capacities finds,
+//! with fewer probes.
+//!
+//! The peaks belong to the current distribution. They come from the
+//! probe that produced it, or are kept when a search made no successful
+//! probe and only lowered its channel to the start value (the same
+//! execution, so the same peaks). A checkpoint-replayed probe carries
+//! none: the search fetches them from one uncounted, cancellable analysis,
+//! and only when a channel can still shrink (its capacity lies above its
+//! lower bound).
 
 use crate::error::ExploreError;
 use buffy_analysis::{
-    bmlb, rate_step, throughput_for, Capacities, DataflowSemantics, ExplorationLimits,
+    bmlb, rate_step, throughput_analysis, AnalysisRequest, AnalysisWorkspace, Capacities,
+    DataflowSemantics, ExplorationLimits,
 };
 use buffy_graph::{ActorId, Channel, ChannelId, Rational, StorageDistribution};
+use std::sync::Arc;
 
 /// Lower bound on the capacity of one channel for positive throughput
 /// (BMLB, \[ALP97\]/\[Mur96\]).
@@ -69,7 +101,9 @@ pub fn lower_bound_distribution<M: DataflowSemantics>(model: &M) -> StorageDistr
 
 /// A distribution realizing the maximal achievable throughput of
 /// `observed`, found by growing from the lower bounds and then shrinking
-/// channel-by-channel; its size is the `ub` of Fig. 7.
+/// channel-by-channel, each channel's binary search starting at its peak
+/// occupancy in the current distribution's execution; its size is the
+/// `ub` of Fig. 7.
 ///
 /// The result is per-channel minimal (no single channel can shrink further
 /// without losing throughput) but not necessarily size-minimal — the exact
@@ -84,21 +118,42 @@ pub fn upper_bound_distribution<M: DataflowSemantics>(
     observed: ActorId,
     limits: ExplorationLimits,
 ) -> Result<(StorageDistribution, Rational), ExploreError> {
-    upper_bound_distribution_with(model, observed, &|dist| {
-        let r = throughput_for(model, Capacities::from_distribution(dist), observed, limits)?;
-        Ok(r.throughput)
-    })
+    let probe = |dist: &StorageDistribution| -> Result<Probe, ExploreError> {
+        let request = AnalysisRequest {
+            limits,
+            peaks: true,
+            ..AnalysisRequest::default()
+        };
+        let analysis = throughput_analysis(
+            model,
+            Capacities::from_distribution(dist),
+            observed,
+            &request,
+            &mut AnalysisWorkspace::new(),
+        )?;
+        Ok((analysis.report.throughput, analysis.peaks.map(Arc::from)))
+    };
+    // Every probe here records its peaks, so none is ever missing.
+    upper_bound_distribution_with(model, observed, &probe, &|_| Ok(None))
 }
 
-/// [`upper_bound_distribution`] with the throughput probes routed
-/// through a caller-supplied evaluation function — the exploration drivers
-/// pass their memoized [`crate::explore::Evaluator`] so that bound probes
-/// are cached, counted in the [`crate::ExplorationStats`] and reported to
-/// the [`crate::ExploreObserver`].
+/// Each channel's peak occupancy, when an analysis recorded it.
+pub(crate) type Peaks = Option<Arc<[u64]>>;
+
+/// One bound probe's answer: the throughput and the peaks.
+pub(crate) type Probe = (Rational, Peaks);
+
+/// [`upper_bound_distribution`] with the analyses routed through the
+/// caller: `probe` answers every bound probe (the exploration drivers pass
+/// their memoized pipeline, so that bound probes are cached, counted in
+/// the [`crate::ExplorationStats`] and reported to the
+/// [`crate::ExploreObserver`]), and `peaks` supplies the peak occupancies
+/// of a probed distribution whose answer came without them.
 pub(crate) fn upper_bound_distribution_with<M: DataflowSemantics>(
     model: &M,
     observed: ActorId,
-    eval: &dyn Fn(&StorageDistribution) -> Result<Rational, ExploreError>,
+    probe: &dyn Fn(&StorageDistribution) -> Result<Probe, ExploreError>,
+    peaks: &dyn Fn(&StorageDistribution) -> Result<Peaks, ExploreError>,
 ) -> Result<(StorageDistribution, Rational), ExploreError> {
     let q = model.repetition_cycles()?;
     let thr_max = model.maximal_throughput(observed)?;
@@ -118,16 +173,18 @@ pub(crate) fn upper_bound_distribution_with<M: DataflowSemantics>(
     // Grow until the maximal throughput is reached (monotonicity
     // guarantees this terminates at some finite size).
     let mut guard = 0;
-    loop {
-        if eval(&dist)? == thr_max {
-            break;
+    // The peak occupancies of `dist`'s execution, when known.
+    let mut dist_peaks = loop {
+        let (throughput, peaks) = probe(&dist)?;
+        if throughput == thr_max {
+            break peaks;
         }
         dist = dist.as_slice().iter().map(|&c| c * 2).collect();
         guard += 1;
         if guard > 64 {
             return Err(ExploreError::NoPositiveThroughput);
         }
-    }
+    };
 
     // Shrink each channel in turn to its per-channel minimum (binary
     // search over capacity steps, holding the other channels fixed).
@@ -135,21 +192,42 @@ pub(crate) fn upper_bound_distribution_with<M: DataflowSemantics>(
         let cid = ChannelId::new(i);
         let step = model.channel_step(cid);
         let lo_cap = model.channel_lower_bound(cid);
-        let mut lo = 0u64; // in steps above lo_cap — may lose throughput
-                           // Round up to the step grid (monotonicity: rounding up keeps the
-                           // maximal throughput).
-        let mut hi = (dist.get(cid) - lo_cap).div_ceil(step);
+        let cap = dist.get(cid);
+        // In steps above `lo_cap`: `lo` may lose the maximal throughput,
+        // `hi` keeps it. `hi` starts at the capacity rounded up to the step
+        // grid (monotonicity: rounding up keeps the maximal throughput), or
+        // at the peak when that is lower (the peak lemma).
+        let mut lo = 0u64;
+        let mut hi = (cap - lo_cap).div_ceil(step);
+        if hi > 0 {
+            if dist_peaks.is_none() {
+                dist_peaks = peaks(&dist)?;
+            }
+            if let Some(p) = &dist_peaks {
+                hi = hi.min((p[i].max(lo_cap) - lo_cap).div_ceil(step));
+            }
+        }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let mut probe = dist.clone();
-            probe.set(cid, lo_cap + mid * step);
-            if eval(&probe)? == thr_max {
+            let mut candidate = dist.clone();
+            candidate.set(cid, lo_cap + mid * step);
+            let (throughput, peaks) = probe(&candidate)?;
+            if throughput == thr_max {
                 hi = mid;
+                // The candidate's capacity is the one `dist` takes below,
+                // unless a later probe lowers `hi` again.
+                dist_peaks = peaks;
             } else {
                 lo = mid + 1;
             }
         }
-        dist.set(cid, lo_cap + hi * step);
+        let shrunk = lo_cap + hi * step;
+        if shrunk > cap {
+            // Rounding an off-grid capacity up may change the execution;
+            // lowering a capacity to no less than its peak does not.
+            dist_peaks = None;
+        }
+        dist.set(cid, shrunk);
     }
 
     Ok((dist, thr_max))

@@ -9,7 +9,6 @@
 //! [`DataflowSemantics`] model and reports to
 //! [`ExploreOptions::observer`].
 
-use crate::bounds::upper_bound_distribution_with;
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::explore::{salvage, ExploreOptions, SKIP_COUNT_CAP};
@@ -109,7 +108,7 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
         )
     });
     eval.emit(Event::Phase(SearchPhase::Bounds));
-    let (ub_dist, thr_max) = upper_bound_distribution_with(model, observed, &|d| eval.eval(d))?;
+    let (ub_dist, thr_max) = eval.upper_bound()?;
     if constraint > thr_max {
         return Err(ExploreError::InfeasibleThroughput {
             requested: constraint.to_string(),

@@ -25,7 +25,6 @@
 //! once against [`DataflowSemantics`]: it charts SDF and CSDF graphs alike
 //! and reports to [`ExploreOptions::observer`].
 
-use crate::bounds::upper_bound_distribution_with;
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::explore::{salvage, ExplorationResult, ExploreOptions};
@@ -111,8 +110,7 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     // prune oracle like every other evaluation. Cancellation here leaves
     // nothing to salvage and surfaces as [`ExploreError::Cancelled`].
     eval.emit(Event::Phase(SearchPhase::Bounds));
-    let (ub_dist, thr_max_graph) =
-        upper_bound_distribution_with(model, observed, &|d| eval.eval(d))?;
+    let (ub_dist, thr_max_graph) = eval.upper_bound()?;
     let ub_size = options
         .max_size
         .unwrap_or_else(|| ub_dist.size())

@@ -30,7 +30,6 @@
 //! progress to the [`ExploreObserver`] carried in
 //! [`ExploreOptions::observer`].
 
-use crate::bounds::upper_bound_distribution_with;
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::objective::ObjectiveSpace;
@@ -417,8 +416,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     // ceiling, no size range) and surfaces as `ExploreError::Cancelled`.
     eval.emit(Event::Phase(SearchPhase::Bounds));
     let lb_size = space.min_size();
-    let (ub_dist, thr_max_graph) =
-        upper_bound_distribution_with(model, observed, &|d| eval.eval(d))?;
+    let (ub_dist, thr_max_graph) = eval.upper_bound()?;
     let mut ub_size = options
         .max_size
         .unwrap_or_else(|| ub_dist.size())

@@ -13,8 +13,9 @@
 //! 3. **Engine run** — the reduced-state-space analysis proper, in a
 //!    pooled [`AnalysisWorkspace`], panic-contained and
 //!    cancellation-aware. In the dependency-guided search's pipeline the
-//!    same run also collects the storage-dependent channels, which the
-//!    memo entry keeps.
+//!    same run also collects the storage-dependent channels, and a bound
+//!    probe's run records the channels' peak occupancies; the memo entry
+//!    keeps both.
 //!
 //! Every fact the pipeline and its drivers observe — a phase change, a
 //! cache hit, a replayed or genuine evaluation, a failure, a prune, an
@@ -25,6 +26,7 @@
 //! live here; the drivers (`explore`, `dependency`, `constraint`) are
 //! thin consumers.
 
+use crate::bounds::upper_bound_distribution_with;
 use crate::error::ExploreError;
 use crate::explore::{ExploreOptions, WarmStart};
 use crate::fault::{FaultPlan, FaultSite};
@@ -303,17 +305,19 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
 
     /// One analysis of `dist` in a pooled workspace, under the run's
     /// limits and cancel token; the flags are collected when
-    /// `dependencies` is set.
+    /// `dependencies` is set, the peak occupancies when `peaks` is.
     fn analyse(
         &self,
         dist: &StorageDistribution,
         dependencies: bool,
+        peaks: bool,
         ws: &mut AnalysisWorkspace,
     ) -> Result<ThroughputAnalysis, buffy_analysis::AnalysisError> {
         let request = AnalysisRequest {
             limits: self.limits,
             cancel: &self.cancel,
             dependencies,
+            peaks,
         };
         throughput_analysis(
             self.model,
@@ -324,12 +328,36 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         )
     }
 
-    /// The storage-dependent channels of `dist` from one analysis with
-    /// the flags on, for memo entries that carry none (checkpoint-replayed
-    /// evaluations) and for deadlocks proven by dominance, which skip the
-    /// evaluation. The run's cancel token and limits apply; the analysis
-    /// is not counted as an evaluation, observed or cached. `Ok(None)`
-    /// when it panicked (the candidate then expands nothing).
+    /// One analysis of `dist` that is not counted as an evaluation,
+    /// observed or cached, for what a memo entry lacks. The run's cancel
+    /// token and limits apply. `Ok(None)` when it panicked.
+    ///
+    /// # Errors
+    ///
+    /// The analysis's errors, [`ExploreError::Cancelled`] among them.
+    fn uncounted(
+        &self,
+        dist: &StorageDistribution,
+        dependencies: bool,
+        peaks: bool,
+    ) -> Result<Option<ThroughputAnalysis>, ExploreError> {
+        let mut ws = self.pop_workspace();
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.analyse(dist, dependencies, peaks, &mut ws)
+        })) {
+            Ok(analysis) => {
+                self.push_workspace(ws);
+                Ok(Some(analysis?))
+            }
+            Err(_) => Ok(None),
+        }
+    }
+
+    /// The storage-dependent channels of `dist` from one uncounted
+    /// analysis with the flags on, for memo entries that carry none
+    /// (checkpoint-replayed evaluations) and for deadlocks proven by
+    /// dominance, which skip the evaluation. `Ok(None)` when it panicked
+    /// (the candidate then expands nothing).
     ///
     /// # Errors
     ///
@@ -338,19 +366,50 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         &self,
         dist: &StorageDistribution,
     ) -> Result<Option<Arc<[bool]>>, ExploreError> {
-        let mut ws = self.pop_workspace();
-        match catch_unwind(AssertUnwindSafe(|| self.analyse(dist, true, &mut ws))) {
-            Ok(analysis) => {
-                self.push_workspace(ws);
-                Ok(analysis?.dependent.map(Arc::from))
-            }
-            Err(_) => Ok(None),
-        }
+        Ok(self
+            .uncounted(dist, true, false)?
+            .and_then(|a| a.dependent.map(Arc::from)))
+    }
+
+    /// The upper-bound distribution and the maximal throughput (paper §8,
+    /// Fig. 7), with every bound probe run through this pipeline: cached
+    /// with its peak occupancies, counted and observed. The peaks of a
+    /// checkpoint-replayed probe come from one uncounted analysis with the
+    /// peaks on, `None` when it panicked (the search then starts from the
+    /// grown capacity).
+    ///
+    /// # Errors
+    ///
+    /// The bound search's errors, [`ExploreError::Cancelled`] among them.
+    pub(crate) fn upper_bound(&self) -> Result<(StorageDistribution, Rational), ExploreError> {
+        upper_bound_distribution_with(
+            self.model,
+            self.observed,
+            &|dist| {
+                let entry = self.evaluate(dist, true)?;
+                Ok((entry.throughput, entry.peaks))
+            },
+            &|dist| {
+                Ok(self
+                    .uncounted(dist, false, true)?
+                    .and_then(|a| a.peaks.map(Arc::from)))
+            },
+        )
     }
 
     /// [`EvalPipeline::eval`] plus the whole memo entry — with the
     /// storage-dependent channels when this pipeline collects them.
     pub(crate) fn eval_full(&self, dist: &StorageDistribution) -> Result<CachedEval, ExploreError> {
+        self.evaluate(dist, false)
+    }
+
+    /// [`EvalPipeline::eval_full`], recording the peak occupancies when
+    /// `peaks` is set.
+    fn evaluate(
+        &self,
+        dist: &StorageDistribution,
+        peaks: bool,
+    ) -> Result<CachedEval, ExploreError> {
         if let Some(entry) = self.cache.get(dist) {
             self.emit(Event::CacheHit(dist));
             return Ok(entry);
@@ -361,6 +420,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     throughput: t,
                     failed: false,
                     dependent: None,
+                    peaks: None,
                 };
                 self.cache.insert(dist.clone(), entry.clone());
                 // A replayed checkpoint entry is a genuine result: it must
@@ -397,12 +457,16 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     );
                 }
             }
-            self.analyse(dist, self.dependencies, &mut ws)
+            self.analyse(dist, self.dependencies, peaks, &mut ws)
         }));
         match attempt {
             Ok(analysis) => {
                 self.push_workspace(ws);
-                let ThroughputAnalysis { report, dependent } = analysis?;
+                let ThroughputAnalysis {
+                    report,
+                    dependent,
+                    peaks,
+                } = analysis?;
                 // At least 1 ns: zero wall time marks a replayed entry.
                 let nanos = (start.elapsed().as_nanos() as u64).max(1);
                 let states = report.states_stored as u64;
@@ -410,6 +474,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     throughput: report.throughput,
                     failed: false,
                     dependent: dependent.map(Arc::from),
+                    peaks: peaks.map(Arc::from),
                 };
                 self.cache.insert(dist.clone(), entry.clone());
                 self.oracle.record(dist, report.throughput);
@@ -443,6 +508,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     throughput: Rational::ZERO,
                     failed: true,
                     dependent: None,
+                    peaks: None,
                 };
                 // Degraded zero-throughput is *not* a genuine result: it
                 // is cached (deterministic on re-request) but never

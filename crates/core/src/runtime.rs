@@ -261,10 +261,11 @@ impl AtomicStats {
     }
 }
 
-/// A memoized evaluation: the throughput, and the storage-dependent
-/// channels when the analysis collected them (the dependency-guided
-/// search's pipeline asks for them; checkpoint-replayed and degraded
-/// entries carry none).
+/// A memoized evaluation: the throughput, the storage-dependent channels
+/// when the analysis collected them (the dependency-guided search's
+/// pipeline asks for them) and the peak occupancies when it recorded them
+/// (bound probes do). Checkpoint-replayed and degraded entries carry
+/// neither.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedEval {
     /// Throughput of the observed actor under the distribution.
@@ -275,6 +276,8 @@ pub(crate) struct CachedEval {
     /// The storage-dependent channels, one flag per channel, when the
     /// analysis collected them.
     pub(crate) dependent: Option<Arc<[bool]>>,
+    /// Each channel's peak occupancy, when the analysis recorded it.
+    pub(crate) peaks: Option<Arc<[u64]>>,
 }
 
 /// How complete a search result is: exact, or truncated by cancellation.

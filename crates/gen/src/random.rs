@@ -40,6 +40,46 @@ impl Default for RandomGraphConfig {
 }
 
 impl RandomGraphConfig {
+    /// The small family of the differential tests: four actors, one
+    /// extra channel, repetition entries up to 3, rate factors up to 2 and
+    /// execution times up to 3. Every analysis of such a graph is quick.
+    pub fn small(seed: u64) -> RandomGraphConfig {
+        RandomGraphConfig {
+            actors: 4,
+            extra_channels: 1,
+            max_repetition: 3,
+            max_rate_factor: 2,
+            max_execution_time: 3,
+            seed,
+        }
+    }
+
+    /// The mixed-step family: `actors` actors and `channels` channels
+    /// (at least `actors − 1`), repetition entries up to 6 and rate
+    /// factors up to 4, so that channels have different capacity steps.
+    /// It is the graph of `buffy generate --actors A --channels C
+    /// --max-rate 4 --max-repetition 6 --seed S`; the exhaustive driver's
+    /// missed front points were found in it with `A` in 4..=6 and `C` in
+    /// 5..=7.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels + 1 < actors`.
+    pub fn mixed_step(actors: usize, channels: usize, seed: u64) -> RandomGraphConfig {
+        assert!(
+            channels + 1 >= actors,
+            "a spanning tree needs actors − 1 channels"
+        );
+        RandomGraphConfig {
+            actors,
+            extra_channels: channels + 1 - actors,
+            max_repetition: 6,
+            max_rate_factor: 4,
+            max_execution_time: 4,
+            seed,
+        }
+    }
+
     /// Generates the graph for this configuration.
     ///
     /// # Panics
@@ -182,6 +222,26 @@ mod tests {
         let g = cfg.generate();
         let q = RepetitionVector::compute(&g).unwrap();
         assert!(q.as_slice().iter().all(|&e| (1..=6).contains(&e)));
+    }
+
+    #[test]
+    fn families_have_their_shapes() {
+        let g = RandomGraphConfig::small(3).generate();
+        assert_eq!((g.num_actors(), g.num_channels()), (4, 4));
+        let mut mixed = 0;
+        for seed in 1..=10 {
+            let g = RandomGraphConfig::mixed_step(5, 7, seed).generate();
+            assert_eq!((g.num_actors(), g.num_channels()), (5, 7));
+            assert!(is_consistent(&g), "seed {seed}");
+            let steps: Vec<u64> = g
+                .channels()
+                .map(|(_, c)| gcd_u64(c.production(), c.consumption()))
+                .collect();
+            if steps.iter().any(|&s| s != steps[0]) {
+                mixed += 1;
+            }
+        }
+        assert!(mixed > 0, "no graph of the family mixes channel steps");
     }
 
     #[test]

@@ -293,19 +293,6 @@ fn assert_model_agrees<M: DataflowSemantics>(label: &str, model: &M) {
     }
 }
 
-/// The random-graph family of `unified_kernel.rs`.
-fn random_graph(seed: u64) -> SdfGraph {
-    RandomGraphConfig {
-        actors: 4,
-        extra_channels: 1,
-        max_repetition: 3,
-        max_rate_factor: 2,
-        max_execution_time: 3,
-        seed,
-    }
-    .generate()
-}
-
 /// Random graphs with long firings, so that most advances jump many time
 /// units at once.
 fn slow_random_graph(seed: u64) -> SdfGraph {
@@ -320,29 +307,16 @@ fn slow_random_graph(seed: u64) -> SdfGraph {
 #[test]
 fn random_graphs_agree_with_unit_steps() {
     for seed in 7000..7020u64 {
-        let g = random_graph(seed);
+        let g = RandomGraphConfig::small(seed).generate();
         assert_model_agrees(&format!("random {seed}"), &g);
         assert_model_agrees(&format!("random {seed} (CSDF)"), &CsdfGraph::from_sdf(&g));
     }
 }
 
-/// Random graphs whose rates give channels of different capacity steps.
-fn mixed_step_random_graph(seed: u64) -> SdfGraph {
-    RandomGraphConfig {
-        actors: 4,
-        extra_channels: 2,
-        max_repetition: 6,
-        max_rate_factor: 4,
-        seed,
-        ..RandomGraphConfig::default()
-    }
-    .generate()
-}
-
 #[test]
 fn mixed_step_random_graphs_agree_with_unit_steps() {
     for seed in 1..=40u64 {
-        let g = mixed_step_random_graph(seed);
+        let g = RandomGraphConfig::mixed_step(4, 5, seed).generate();
         assert_model_agrees(&format!("mixed-step random {seed}"), &g);
     }
 }

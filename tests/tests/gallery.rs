@@ -5,6 +5,7 @@ use buffy_analysis::throughput;
 use buffy_core::{explore_dependency_guided, explore_design_space, ExploreOptions};
 use buffy_gen::gallery;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
+use buffy_integration_tests::h263full;
 
 /// Exploration options per graph: the H.263 decoder's space is capped in
 /// debug-mode tests (its full exploration is exercised by the Table 2
@@ -142,22 +143,13 @@ fn cd2dat_minimum_is_the_combined_lower_bound() {
     assert_eq!(r.pareto.minimal().unwrap().size, 32);
 }
 
-/// The H.263 decoder with the authors' cycle counts (26018, 559, 486,
-/// 10958; the gallery graph divides them by about 100). Each analysis
-/// spans more than a million time units, but the engine jumps from one
-/// firing completion to the next, so both drivers chart the first seven
-/// front points quickly — and identically.
+/// The H.263 decoder with the authors' cycle counts. Each analysis spans
+/// more than a million time units, but the engine jumps from one firing
+/// completion to the next, so both drivers chart the first seven front
+/// points quickly — and identically.
 #[test]
 fn full_count_h263_front_is_exact() {
-    let mut b = SdfGraph::builder("h263full");
-    let vld = b.actor("vld", 26018);
-    let iq = b.actor("iq", 559);
-    let idct = b.actor("idct", 486);
-    let mc = b.actor("mc", 10958);
-    b.channel("vld_iq", vld, 594, iq, 1).unwrap();
-    b.channel("iq_idct", iq, 1, idct, 1).unwrap();
-    b.channel("idct_mc", idct, 1, mc, 594).unwrap();
-    let g = b.build().unwrap();
+    let g = h263full();
     let expected: Vec<(u64, Rational, Vec<u64>)> = [
         (1189, 646262, [594, 1, 594]),
         (1190, 358064, [594, 2, 594]),

@@ -15,29 +15,8 @@ use buffy_core::{
 };
 use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
-use buffy_graph::{ActorId, ChannelId, Rational, SdfGraph, StorageDistribution};
-use buffy_integration_tests::test_threads;
-
-fn random_graph(seed: u64) -> SdfGraph {
-    RandomGraphConfig {
-        actors: 4,
-        extra_channels: 1,
-        max_repetition: 2,
-        max_rate_factor: 2,
-        max_execution_time: 3,
-        seed,
-    }
-    .generate()
-}
-
-/// A genuinely phased CSDF graph (not an embedded-SDF one).
-fn burst_csdf() -> CsdfGraph {
-    let mut b = CsdfGraph::builder("burst3");
-    let p = b.actor("p", vec![1, 1, 1]);
-    let c = b.actor("c", vec![2]);
-    b.channel("d", p, vec![3, 0, 3], c, vec![2], 0).unwrap();
-    b.build().unwrap()
-}
+use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
+use buffy_integration_tests::{burst_csdf, test_threads};
 
 /// The lower-bound distribution and two componentwise-larger variants.
 fn sample_distributions<M: DataflowSemantics>(model: &M) -> Vec<StorageDistribution> {
@@ -107,7 +86,7 @@ fn assert_sound_certificates<M: DataflowSemantics>(model: &M, observed: ActorId,
 #[test]
 fn static_certificate_upper_bounds_exact_throughput_on_random_sdf_graphs() {
     for seed in 0..20 {
-        let g = random_graph(3000 + seed);
+        let g = RandomGraphConfig::small(3000 + seed).generate();
         let label = format!("seed {seed}");
         assert_sound_certificates(&g, g.default_observed_actor(), &label);
     }
@@ -130,7 +109,7 @@ fn static_certificate_upper_bounds_exact_throughput_on_csdf_graphs() {
     let burst = burst_csdf();
     assert_sound_certificates(&burst, burst.default_observed_actor(), "burst3");
     for seed in 0..10 {
-        let g = CsdfGraph::from_sdf(&random_graph(3100 + seed));
+        let g = CsdfGraph::from_sdf(&RandomGraphConfig::small(3100 + seed).generate());
         let label = format!("embedded seed {seed}");
         assert_sound_certificates(&g, g.default_observed_actor(), &label);
     }
@@ -141,7 +120,7 @@ fn static_certificate_upper_bounds_exact_throughput_on_csdf_graphs() {
 #[test]
 fn exact_throughput_respects_the_dominance_order() {
     for seed in 0..12 {
-        let g = random_graph(3200 + seed);
+        let g = RandomGraphConfig::small(3200 + seed).generate();
         let obs = g.default_observed_actor();
         let dists = sample_distributions(&g);
         let evaluated: Vec<(StorageDistribution, Rational)> = dists
@@ -211,7 +190,7 @@ fn pruning_preserves_exhaustive_fronts_on_sdf_graphs() {
         assert_prune_invisible(&g, g.name(), |m, o| explore_design_space(m, o).unwrap());
     }
     for seed in 0..8 {
-        let g = random_graph(3300 + seed);
+        let g = RandomGraphConfig::small(3300 + seed).generate();
         let label = format!("seed {seed}");
         assert_prune_invisible(&g, &label, |m, o| explore_design_space(m, o).unwrap());
     }
@@ -230,7 +209,7 @@ fn pruning_preserves_guided_fronts_on_sdf_graphs() {
         });
     }
     for seed in 0..8 {
-        let g = random_graph(3400 + seed);
+        let g = RandomGraphConfig::small(3400 + seed).generate();
         let label = format!("seed {seed}");
         assert_prune_invisible(&g, &label, |m, o| explore_dependency_guided(m, o).unwrap());
     }

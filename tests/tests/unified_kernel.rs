@@ -25,24 +25,12 @@ fn paper_example() -> SdfGraph {
     b.build().unwrap()
 }
 
-fn random_graph(seed: u64) -> SdfGraph {
-    RandomGraphConfig {
-        actors: 4,
-        extra_channels: 1,
-        max_repetition: 3,
-        max_rate_factor: 2,
-        max_execution_time: 3,
-        seed,
-    }
-    .generate()
-}
-
 /// The same kernel analysis run through both trait implementations must
 /// produce byte-identical reports: every field, not just the throughput.
 #[test]
 fn single_phase_reports_are_byte_identical() {
     for seed in 7000..7010u64 {
-        let sdf = random_graph(seed);
+        let sdf = RandomGraphConfig::small(seed).generate();
         let csdf = CsdfGraph::from_sdf(&sdf);
         let obs = sdf.default_observed_actor();
         let mut caps: Vec<u64> = sdf
@@ -91,7 +79,7 @@ fn single_phase_reports_are_byte_identical() {
 #[test]
 fn single_phase_pareto_sets_are_byte_identical() {
     for seed in 7000..7006u64 {
-        let sdf = random_graph(seed);
+        let sdf = RandomGraphConfig::small(seed).generate();
         let csdf = CsdfGraph::from_sdf(&sdf);
         let s = explore_design_space(&sdf, &ExploreOptions::default());
         let c = explore_design_space(&csdf, &ExploreOptions::default());
