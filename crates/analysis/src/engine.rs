@@ -145,10 +145,10 @@ const ZERO_TIME_FIRING_CAP: u64 = 1 << 22;
 /// Deterministic self-timed executor for any [`DataflowSemantics`] model
 /// under given channel capacities.
 ///
-/// The SDF analyses use the [`Engine`] alias; CSDF wraps this engine in
-/// `buffy-csdf`.
+/// The SDF analyses use the [`Engine`] alias; every other model class,
+/// CSDF included, runs this engine directly.
 #[derive(Debug, Clone)]
-pub struct DataflowEngine<'g, M: DataflowSemantics> {
+pub struct DataflowEngine<'g, M: DataflowSemantics + ?Sized> {
     model: &'g M,
     caps: Capacities,
     state: DataflowState,
@@ -173,7 +173,7 @@ pub struct DataflowEngine<'g, M: DataflowSemantics> {
     last_time: u64,
 }
 
-impl<'g, M: DataflowSemantics> DataflowEngine<'g, M> {
+impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
     /// Creates an engine at time 0 with all actors idle in phase 0 and
     /// channels at their initial token counts. Call
     /// [`start_initial`](Self::start_initial) before stepping.

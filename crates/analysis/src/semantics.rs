@@ -26,6 +26,12 @@ use buffy_graph::{gcd_u64, ActorId, ChannelId, Rational, RepetitionVector, SdfGr
 /// [`SdfGraph`]. Production rates are indexed by the *source* actor's
 /// phase, consumption rates by the *target* actor's phase.
 pub trait DataflowSemantics {
+    /// Display name of the model.
+    fn name(&self) -> &str;
+
+    /// The model class, as reports label it (`"sdf"`, `"csdf"`).
+    fn kind(&self) -> &'static str;
+
     /// Number of actors in the model.
     fn num_actors(&self) -> usize;
 
@@ -148,6 +154,14 @@ pub fn rate_step(production: u64, consumption: u64) -> u64 {
 }
 
 impl DataflowSemantics for SdfGraph {
+    fn name(&self) -> &str {
+        SdfGraph::name(self)
+    }
+
+    fn kind(&self) -> &'static str {
+        "sdf"
+    }
+
     fn num_actors(&self) -> usize {
         SdfGraph::num_actors(self)
     }
@@ -252,6 +266,7 @@ mod tests {
         let a = g.actor_by_name("a").unwrap();
         let alpha = g.channel_by_name("alpha").unwrap();
         let m: &dyn DataflowSemantics = &g;
+        assert_eq!((m.name(), m.kind()), ("example", "sdf"));
         assert_eq!(m.num_phases(a), 1);
         assert_eq!(m.execution_time(a, 0), 1);
         assert_eq!(m.production(alpha, 0), 2);

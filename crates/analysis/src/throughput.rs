@@ -31,7 +31,7 @@ use crate::engine::{Capacities, DataflowEngine, DataflowState};
 use crate::error::{AnalysisError, LimitKind};
 use crate::interner::{Interned, RowStore, PROBE_BINS};
 use crate::semantics::DataflowSemantics;
-use buffy_graph::{ActorId, ChannelId, Rational, SdfGraph, StorageDistribution};
+use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{names, Gauge, Histogram, Recorder};
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,8 +119,10 @@ impl ThroughputReport {
     }
 }
 
-/// Computes the throughput of `observed` when `graph` executes self-timed
-/// under the storage distribution `dist`.
+/// Computes the throughput of `observed` when `model` executes self-timed
+/// under the storage distribution `dist`, for any [`DataflowSemantics`]
+/// model (SDF, CSDF, …). For phased models every phase completion of the
+/// observed actor counts as a firing.
 ///
 /// This is the paper's core single-point analysis: the generated program of
 /// Fig. 8, with the reduced state space of §7.
@@ -157,30 +159,27 @@ impl ThroughputReport {
 /// # Ok(())
 /// # }
 /// ```
-pub fn throughput(
-    graph: &SdfGraph,
+pub fn throughput<M: DataflowSemantics + ?Sized>(
+    model: &M,
     dist: &StorageDistribution,
     observed: ActorId,
 ) -> Result<ThroughputReport, AnalysisError> {
     throughput_for(
-        graph,
+        model,
         Capacities::from_distribution(dist),
         observed,
         ExplorationLimits::default(),
     )
 }
 
-/// The generic reduced-state-space throughput analysis: works for any
-/// [`DataflowSemantics`] model (SDF, CSDF, …). For phased models every
-/// phase completion of the observed actor counts as a firing.
-///
-/// This is [`throughput_analysis`] with the given limits, no cancellation,
-/// no dependency flags and a fresh workspace.
+/// [`throughput`] under explicit capacities and limits: this is
+/// [`throughput_analysis`] with no cancellation, no dependency flags and
+/// a fresh workspace.
 ///
 /// # Errors
 ///
 /// See [`throughput`].
-pub fn throughput_for<M: DataflowSemantics>(
+pub fn throughput_for<M: DataflowSemantics + ?Sized>(
     model: &M,
     caps: Capacities,
     observed: ActorId,
@@ -387,7 +386,7 @@ impl DependencyTrace {
 ///
 /// See [`throughput`]; additionally [`AnalysisError::Cancelled`] when
 /// `request.cancel` trips mid-analysis.
-pub fn throughput_analysis<M: DataflowSemantics>(
+pub fn throughput_analysis<M: DataflowSemantics + ?Sized>(
     model: &M,
     caps: Capacities,
     observed: ActorId,
@@ -491,7 +490,7 @@ impl AnalysisTelemetry {
 /// The cycle search proper; the workspace is owned by the caller (and
 /// already prepared) so telemetry can read its statistics on every exit
 /// path and the allocations outlive the analysis.
-fn cycle_search<M: DataflowSemantics>(
+fn cycle_search<M: DataflowSemantics + ?Sized>(
     model: &M,
     caps: Capacities,
     observed: ActorId,

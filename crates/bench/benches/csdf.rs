@@ -2,10 +2,10 @@
 //! exploration on the CSDF gallery, plus the single-phase embedding
 //! overhead relative to the plain SDF analysis.
 
-use buffy_analysis::throughput as sdf_throughput;
+use buffy_analysis::throughput;
 use buffy_bench::timing;
 use buffy_core::{explore_design_space, lower_bound_distribution, ExploreOptions};
-use buffy_csdf::{csdf_maximal_throughput, csdf_throughput, CsdfGraph, CsdfLimits};
+use buffy_csdf::{csdf_maximal_throughput, CsdfGraph};
 use buffy_gen::gallery as sdf_gallery;
 use buffy_graph::StorageDistribution;
 use std::hint::black_box;
@@ -20,7 +20,7 @@ fn main() {
         let obs = graph.default_observed_actor();
         let dist = StorageDistribution::from_capacities(vec![8; graph.num_channels()]);
         group.bench(&format!("{}/throughput", graph.name()), || {
-            csdf_throughput(black_box(&graph), &dist, obs, CsdfLimits::default()).unwrap()
+            throughput(black_box(&graph), &dist, obs).unwrap()
         });
         group.bench(&format!("{}/maximal-throughput", graph.name()), || {
             csdf_maximal_throughput(black_box(&graph), obs).unwrap()
@@ -38,10 +38,10 @@ fn main() {
     let obs_sdf = sdf.default_observed_actor();
     let obs_csdf = csdf.default_observed_actor();
     group.bench("example/sdf-engine", || {
-        sdf_throughput(black_box(&sdf), &dist, obs_sdf).unwrap()
+        throughput(black_box(&sdf), &dist, obs_sdf).unwrap()
     });
     group.bench("example/csdf-engine", || {
-        csdf_throughput(black_box(&csdf), &dist, obs_csdf, CsdfLimits::default()).unwrap()
+        throughput(black_box(&csdf), &dist, obs_csdf).unwrap()
     });
     group.finish();
 }

@@ -4,9 +4,9 @@
 //! distribution realizing the maximal throughput (\[GGD02\] role) — for
 //! every gallery graph.
 
-use buffy_analysis::ExplorationLimits;
+use buffy_analysis::{DataflowSemantics, ExplorationLimits};
 use buffy_bench::format_table;
-use buffy_core::{channel_lower_bound, lower_bound_distribution, upper_bound_distribution};
+use buffy_core::{lower_bound_distribution, upper_bound_distribution};
 use buffy_gen::gallery;
 
 fn main() {
@@ -41,14 +41,14 @@ fn main() {
     // Per-channel detail for the example graph (the gray box of Fig. 7).
     let graph = gallery::example();
     println!("\nper-channel lower bounds of the example graph:");
-    for (_, ch) in graph.channels() {
+    for (id, ch) in graph.channels() {
         println!(
             "  {}: production {}, consumption {}, initial {} -> lower bound {}",
             ch.name(),
             ch.production(),
             ch.consumption(),
             ch.initial_tokens(),
-            channel_lower_bound(ch)
+            graph.channel_lower_bound(id)
         );
     }
     println!(

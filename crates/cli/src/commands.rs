@@ -4,8 +4,8 @@ use crate::args::{parse_dist, ParsedArgs};
 use crate::observe::{CheckpointConfig, CliObserver, Observation};
 use crate::telemetry::telemetry_json;
 use buffy_analysis::{
-    fx_hash, maximal_throughput, throughput, BoundCertificate, DataflowSemantics,
-    ExplorationLimits, Schedule, StaticBounds,
+    fx_hash, throughput, BoundCertificate, DataflowSemantics, ExplorationLimits, Schedule,
+    StaticBounds,
 };
 use buffy_core::{
     dist_json, explore_dependency_guided, explore_design_space, json_escape,
@@ -19,9 +19,8 @@ use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::dot::to_dot;
 use buffy_graph::xml::{read_sdf_xml, write_sdf_xml};
-use buffy_graph::{ActorId, ChannelId, Rational, RepetitionVector, SdfGraph, StorageDistribution};
-use buffy_lint::{lint_csdf, lint_sdf, LintContext, Report, Severity};
-use std::borrow::Cow;
+use buffy_graph::{ActorId, ChannelId, Rational, SdfGraph, StorageDistribution};
+use buffy_lint::{lint, LintContext, Report, Severity};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -33,10 +32,10 @@ type Out<'a> = &'a mut dyn Write;
 /// An input graph in the SDF3 dialect its document declares.
 ///
 /// Every command reads its graph through [`Model::load`]. The steps that
-/// differ per dialect live here — the lint view, the XML fingerprint, the
-/// SDF-only latency axis and the default driver — while everything else
-/// runs through the kernel's [`DataflowSemantics`], generically over the
-/// graph [`with_graph!`] binds.
+/// differ per dialect live here — the XML fingerprint, the SDF-only
+/// commands and latency axis, and the default driver — while everything
+/// else runs through the kernel's [`DataflowSemantics`], generically over
+/// the graph [`with_graph!`] binds.
 pub(crate) enum Model {
     Sdf(SdfGraph),
     Csdf(CsdfGraph),
@@ -78,10 +77,7 @@ impl Model {
 
     /// The dialect's name, as reports print it.
     pub(crate) fn kind(&self) -> &'static str {
-        match self {
-            Model::Sdf(_) => "sdf",
-            Model::Csdf(_) => "csdf",
-        }
+        with_graph!(self, g => DataflowSemantics::kind(g))
     }
 
     pub(crate) fn name(&self) -> &str {
@@ -99,14 +95,6 @@ impl Model {
         }
     }
 
-    /// The graph as CSDF: SDF inputs embed as single-phase graphs.
-    fn csdf(&self) -> Cow<'_, CsdfGraph> {
-        match self {
-            Model::Sdf(g) => Cow::Owned(CsdfGraph::from_sdf(g)),
-            Model::Csdf(g) => Cow::Borrowed(g),
-        }
-    }
-
     /// The actor named by `--actor`, or the model's default observed
     /// actor.
     fn observed_actor(&self, parsed: &ParsedArgs) -> Result<ActorId, String> {
@@ -117,12 +105,9 @@ impl Model {
         }
     }
 
-    /// Runs the lint rules through the dialect's view of the model.
+    /// Runs the lint rules over the model.
     fn lint(&self, ctx: &LintContext) -> Report {
-        match self {
-            Model::Sdf(g) => lint_sdf(g, ctx),
-            Model::Csdf(g) => lint_csdf(g, ctx),
-        }
+        with_graph!(self, g => lint(g, ctx))
     }
 
     /// Hash of the canonical XML rendering: checkpoints carry it so that
@@ -215,10 +200,14 @@ fn objective_space(parsed: &ParsedArgs) -> Result<ObjectiveSpace, String> {
 }
 
 fn explore_options(parsed: &ParsedArgs, observed: ActorId) -> Result<ExploreOptions, String> {
+    let quantum: Option<Rational> = parsed.get("quantum")?;
+    if quantum.is_some_and(|q| q <= Rational::ZERO) {
+        return Err("--quantum must be positive (e.g. --quantum 1/100)".into());
+    }
     Ok(ExploreOptions {
         observed: Some(observed),
         max_size: parsed.get("max-size")?,
-        quantum: parsed.get("quantum")?,
+        quantum,
         threads: parsed.get("threads")?.unwrap_or(1),
         prune: !parsed.has_flag("no-static-prune"),
         objectives: objective_space(parsed)?,
@@ -744,7 +733,16 @@ pub fn check(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
 
 pub fn info(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
     let model = Model::load(parsed)?;
-    let graph = model.sdf()?;
+    with_graph!(&model, graph => info_model(parsed, &model, graph, out))
+}
+
+/// The info command over `graph`, the graph inside `model`.
+fn info_model<M: DataflowSemantics>(
+    parsed: &ParsedArgs,
+    model: &Model,
+    graph: &M,
+    out: Out<'_>,
+) -> Result<(), String> {
     w(out, format_args!("graph: {}\n", graph.name()))?;
     w(
         out,
@@ -752,20 +750,25 @@ pub fn info(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
             "actors: {}, channels: {}, initial tokens: {}\n",
             graph.num_actors(),
             graph.num_channels(),
-            graph.total_initial_tokens()
+            (0..graph.num_channels())
+                .map(|i| graph.initial_tokens(ChannelId::new(i)))
+                .sum::<u64>()
         ),
     )?;
-    let q = RepetitionVector::compute(graph).map_err(|e| e.to_string())?;
+    let q = graph.repetition_cycles().map_err(|e| e.to_string())?;
     w(out, format_args!("repetition vector:"))?;
-    for (aid, actor) in graph.actors() {
-        w(out, format_args!(" {}={}", actor.name(), q[aid]))?;
+    for (i, q) in q.iter().enumerate() {
+        w(
+            out,
+            format_args!(" {}={q}", graph.actor_name(ActorId::new(i))),
+        )?;
     }
     w(out, format_args!("\n"))?;
     let obs = model.observed_actor(parsed)?;
-    match maximal_throughput(graph, obs) {
+    match graph.maximal_throughput(obs) {
         Ok(t) => w(
             out,
-            format_args!("maximal throughput of {}: {}\n", graph.actor(obs).name(), t),
+            format_args!("maximal throughput of {}: {}\n", graph.actor_name(obs), t),
         )?,
         Err(e) => w(out, format_args!("maximal throughput: {e}\n"))?,
     }
@@ -779,9 +782,20 @@ pub fn info(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
 
 pub fn analyze(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
     let model = Model::load(parsed)?;
-    let graph = model.sdf()?;
     let obs = model.observed_actor(parsed)?;
     preflight(parsed, &model, obs, out)?;
+    with_graph!(&model, graph => analyze_model(parsed, graph, obs, out))
+}
+
+/// The analyze command over `graph`, observing `obs`. A phased observed
+/// actor also gets its full-cycle throughput: phase firings per time unit
+/// divided by its phase count.
+fn analyze_model<M: DataflowSemantics>(
+    parsed: &ParsedArgs,
+    graph: &M,
+    obs: ActorId,
+    out: Out<'_>,
+) -> Result<(), String> {
     let dist = match parsed.options.get("dist") {
         Some(v) => {
             let caps = parse_dist(v)?;
@@ -808,12 +822,23 @@ pub fn analyze(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
             out,
             format_args!(
                 "throughput of {}: {} (period {} time steps, {} firings per period)\n",
-                graph.actor(obs).name(),
+                graph.actor_name(obs),
                 r.throughput,
                 r.period,
                 r.firings_per_period
             ),
         )?;
+        let phases = graph.num_phases(obs);
+        if phases > 1 {
+            w(
+                out,
+                format_args!(
+                    "full-cycle throughput of {}: {} ({phases} phases per cycle)\n",
+                    graph.actor_name(obs),
+                    r.throughput / Rational::from(u64::from(phases))
+                ),
+            )?;
+        }
         w(
             out,
             format_args!(
@@ -1081,60 +1106,30 @@ pub fn convert(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
 }
 
 pub fn generate(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let actors: usize = parsed.get("actors")?.unwrap_or(6);
+    let at_least_one = |option: &str, default: u64| -> Result<u64, String> {
+        match parsed.get(option)?.unwrap_or(default) {
+            0 => Err(format!("--{option} must be at least 1")),
+            n => Ok(n),
+        }
+    };
+    let actors = at_least_one("actors", 6)? as usize;
+    let max_repetition = at_least_one("max-repetition", 4)?;
+    let max_rate_factor = at_least_one("max-rate", 2)?;
+    let max_execution_time = at_least_one("max-exec", 4)?;
     let channels: usize = parsed
         .get("channels")?
         .unwrap_or(actors + 1)
-        .max(actors.saturating_sub(1));
+        .max(actors - 1);
     let config = RandomGraphConfig {
         actors,
         extra_channels: channels - (actors - 1),
-        max_repetition: parsed.get("max-repetition")?.unwrap_or(4),
-        max_rate_factor: parsed.get("max-rate")?.unwrap_or(2),
-        max_execution_time: parsed.get("max-exec")?.unwrap_or(4),
+        max_repetition,
+        max_rate_factor,
+        max_execution_time,
         seed: parsed.get("seed")?.unwrap_or(0),
     };
-    if config.actors == 0 {
-        return Err("--actors must be at least 1".into());
-    }
     let graph = config.generate();
     w(out, format_args!("{}", write_sdf_xml(&graph)))
-}
-
-pub fn csdf_analyze(parsed: &ParsedArgs, out: Out<'_>) -> Result<(), String> {
-    let model = Model::load(parsed)?;
-    let graph = model.csdf();
-    let obs = model.observed_actor(parsed)?;
-    preflight(parsed, &model, obs, out)?;
-    let caps = parse_dist(
-        parsed
-            .options
-            .get("dist")
-            .ok_or("--dist is required for csdf-analyze")?,
-    )?;
-    if caps.len() != graph.num_channels() {
-        return Err(format!(
-            "--dist has {} entries but the graph has {} channels",
-            caps.len(),
-            graph.num_channels()
-        ));
-    }
-    let dist = StorageDistribution::from_capacities(caps);
-    let r = buffy_csdf::csdf_throughput(&graph, &dist, obs, buffy_csdf::CsdfLimits::default())
-        .map_err(|e| e.to_string())?;
-    if r.deadlocked {
-        w(out, format_args!("execution deadlocks: throughput 0\n"))
-    } else {
-        w(
-            out,
-            format_args!(
-                "phase throughput of {}: {} ({} full cycles per time unit)\n",
-                graph.actor(obs).name(),
-                r.throughput,
-                r.cycle_throughput()
-            ),
-        )
-    }
 }
 
 /// The distribution `buffy bounds` certifies: `--dist` when given

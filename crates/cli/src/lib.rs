@@ -34,7 +34,9 @@ USAGE:
 
 COMMANDS:
     info <graph.xml>                  graph summary: actors, channels, repetition
-                                      vector, maximal throughput
+                                      vector, maximal throughput (SDF or
+                                      CSDF; CSDF counts phase cycles and
+                                      phase firings)
     check <graph.xml> [--json] [--deny-warnings] [--dist 4,2]
           [--throughput R] [--actor NAME] [--space-threshold N]
                                       statically verify the model: consistency,
@@ -49,6 +51,9 @@ COMMANDS:
     analyze <graph.xml> [--dist 4,2] [--actor NAME]
                                       throughput of one storage distribution
                                       (default: per-channel lower bounds)
+                                      of an SDF or CSDF graph; a phased
+                                      observed actor also gets its
+                                      full-cycle throughput
     bounds <graph.xml> [--dist 4,2] [--actor NAME] [--json]
                                       static throughput certificate of one
                                       distribution (default: per-channel
@@ -164,9 +169,8 @@ COMMANDS:
                                       line-scaler, h263rows and
                                       h263rows-power are cyclo-static and
                                       serialize in the CSDF dialect)
-    csdf-analyze <graph.xml> --dist 4,2 [--actor NAME]
-                                      throughput of a CSDF graph under one
-                                      storage distribution
+    csdf-analyze <graph.xml> [OPTIONS]
+                                      alias of analyze
     csdf-explore <graph.xml> [OPTIONS]
                                       alias of explore
     chaos <graph.xml> [--seed-range A..B | --schedules N] [--json]
@@ -191,8 +195,9 @@ COMMANDS:
                                       schedule violates an invariant
     help                              show this message
 
-analyze, explore, constraint and csdf-analyze refuse models with
-error-level check findings; pass --force to run them anyway.
+analyze, explore and constraint refuse models with error-level check
+findings; pass --force to run them anyway. constraint, schedule and
+convert read SDF graphs only.
 
 EXIT CODES:
     0    success, exact result
@@ -238,15 +243,14 @@ fn try_run(raw_args: &[String], out: &mut dyn Write) -> Result<i32, String> {
         }
         "info" => done(commands::info(&parsed, out)),
         "check" => done(commands::check(&parsed, out)),
-        "analyze" => done(commands::analyze(&parsed, out)),
+        // Both sniff the dialect themselves; the old names stay aliases.
+        "analyze" | "csdf-analyze" => done(commands::analyze(&parsed, out)),
         "bounds" => done(commands::bounds(&parsed, out)),
         "constraint" => commands::constraint(&parsed, out),
         "schedule" => done(commands::schedule(&parsed, out)),
         "convert" => done(commands::convert(&parsed, out)),
         "generate" => done(commands::generate(&parsed, out)),
         "gallery" => done(commands::gallery(&parsed, out)),
-        "csdf-analyze" => done(commands::csdf_analyze(&parsed, out)),
-        // `explore` sniffs the dialect itself; the old name stays an alias.
         "explore" | "csdf-explore" => commands::explore(&parsed, out),
         "chaos" => chaos::chaos(&parsed, out),
         other => Err(format!("unknown command {other:?}; try `buffy help`")),
@@ -339,6 +343,31 @@ mod tests {
         let (code, text) = run_to_string(&["csdf-analyze", p, "--dist", "4"]);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("throughput"), "{text}");
+        // `csdf-analyze` is an alias of `analyze`, which reads both
+        // dialects; so does `info`.
+        assert_eq!(run_to_string(&["analyze", p, "--dist", "4"]), (code, text));
+        let (code, text) = run_to_string(&["info", p]);
+        assert_eq!(code, 0, "{text}");
+        assert!(text.contains("repetition vector: p=1 c=2"), "{text}");
+        assert!(text.contains("maximal throughput of c: 1"), "{text}");
+        // A phased observed actor also gets its full-cycle throughput.
+        let (code, text) = run_to_string(&["analyze", p, "--dist", "4", "--actor", "p"]);
+        assert_eq!(code, 0, "{text}");
+        assert!(text.contains("throughput of p: 1 "), "{text}");
+        assert!(
+            text.contains("full-cycle throughput of p: 1/2 (2 phases per cycle)"),
+            "{text}"
+        );
+        // The SDF-only commands refuse CSDF inputs.
+        for args in [
+            vec!["constraint", p, "--throughput", "1/2"],
+            vec!["schedule", p, "--dist", "4"],
+            vec!["convert", p],
+        ] {
+            let (code, text) = run_to_string(&args);
+            assert_eq!(code, 1, "{args:?}: {text}");
+            assert!(text.contains("reads SDF graphs only"), "{text}");
+        }
 
         let (code, text) = run_to_string(&["csdf-explore", p, "--csv"]);
         assert_eq!(code, 0, "{text}");
@@ -1356,10 +1385,41 @@ mod tests {
     }
 
     #[test]
+    fn quantum_option_is_validated() {
+        let (_, xml) = run_to_string(&["gallery", "example"]);
+        let path = std::env::temp_dir().join("buffy-cli-test-quantum.xml");
+        std::fs::write(&path, &xml).unwrap();
+        let p = path.to_str().unwrap();
+        // A non-positive quantum is a usage error, never a panic.
+        for quantum in ["0", "0/1", "-1/2"] {
+            let (code, text) = run_to_string(&["explore", p, "--quantum", quantum]);
+            assert_eq!(code, 1, "--quantum {quantum}: {text}");
+            assert!(text.contains("--quantum must be positive"), "{text}");
+        }
+        let (code, text) = run_to_string(&["explore", p, "--quantum", "1/2"]);
+        assert_eq!(code, 0, "{text}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn generate_roundtrips() {
         let (code, xml) = run_to_string(&["generate", "--seed", "5", "--actors", "4"]);
         assert_eq!(code, 0);
         assert!(buffy_graph::xml::read_sdf_xml(&xml).is_ok());
+    }
+
+    #[test]
+    fn generate_rejects_zero_valued_options() {
+        for option in ["--actors", "--max-rate", "--max-repetition", "--max-exec"] {
+            let (code, text) = run_to_string(&["generate", option, "0"]);
+            assert_eq!(code, 1, "{option} 0: {text}");
+            assert!(
+                text.contains(&format!("{option} must be at least 1")),
+                "{text}"
+            );
+            let (code, text) = run_to_string(&["generate", option, "1"]);
+            assert_eq!(code, 0, "{option} 1: {text}");
+        }
     }
 
     #[test]

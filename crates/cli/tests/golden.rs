@@ -1,11 +1,13 @@
-//! Golden outputs of `buffy explore`.
+//! Golden outputs of `buffy explore`, `check`, `info` and `analyze`.
 //!
 //! Pins the `--csv` and `--json` reports of SDF gallery graphs under both
 //! drivers, and of the cyclo-static gallery graphs through `explore` and
 //! its `csdf-explore` alias, which must print the same bytes. JSON reports
 //! drop `stats.eval_nanos` (analysis wall time) and the `telemetry`
 //! section (latency samples) before comparison; everything else is
-//! deterministic.
+//! deterministic. The `check --json`, `info` and `analyze` reports are
+//! pinned whole, for SDF and CSDF gallery graphs alike; `csdf-analyze` is
+//! an alias of `analyze` and must print the same bytes.
 //!
 //! The fixtures live in `tests/golden/`. When an output change is
 //! intended, regenerate them with
@@ -105,4 +107,76 @@ fn csdf_reports_match_the_golden_files_through_both_commands() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// `check --json`, `info`, `analyze` and `analyze --dist` through the one
+/// command path both dialects share.
+#[test]
+fn model_reports_match_the_golden_files() {
+    for (name, dist) in [
+        ("example", "6,2"),
+        ("modem", "16,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,18,2"),
+        ("updown", "4"),
+        ("line-scaler", "6,2"),
+    ] {
+        let path = gallery_file(name);
+        let graph = path.to_str().unwrap();
+        for (file, args) in [
+            ("check.json", vec!["check", graph, "--json"]),
+            ("info.txt", vec!["info", graph]),
+            ("analyze.txt", vec!["analyze", graph]),
+            ("analyze-dist.txt", vec!["analyze", graph, "--dist", dist]),
+        ] {
+            let (code, text) = run(&args);
+            assert_eq!(code, 0, "{args:?}: {text}");
+            assert_golden(&format!("{name}-{file}"), &text);
+            if args[0] == "analyze" {
+                let mut alias = args.clone();
+                alias[0] = "csdf-analyze";
+                assert_eq!(run(&alias), (code, text), "{name}: csdf-analyze differs");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A token-free two-actor ring fails the maximal-throughput analysis the
+/// same way in both dialects: the CSDF graph reports its SDF twin's error.
+#[test]
+fn forced_csdf_ring_reports_the_sdf_error() {
+    let ring = |dialect: &str| {
+        let (open, close) = match dialect {
+            "csdf" => (
+                r#"<sdf3 type="csdf"><applicationGraph name="ring"><csdf name="ring">"#,
+                "</csdf>",
+            ),
+            _ => (
+                r#"<sdf3><applicationGraph name="ring"><sdf name="ring">"#,
+                "</sdf>",
+            ),
+        };
+        let xml = format!(
+            r#"{open}<actor name="x"/><actor name="y"/>
+               <channel name="f" srcActor="x" srcRate="1" dstActor="y" dstRate="1"/>
+               <channel name="r" srcActor="y" srcRate="1" dstActor="x" dstRate="1"/>
+               {close}</applicationGraph></sdf3>"#
+        );
+        let path = std::env::temp_dir().join(format!(
+            "buffy-golden-{}-ring-{dialect}.xml",
+            std::process::id()
+        ));
+        std::fs::write(&path, xml).unwrap();
+        let (code, text) = run(&["explore", path.to_str().unwrap(), "--force"]);
+        std::fs::remove_file(&path).ok();
+        (code, text)
+    };
+    let sdf = ring("sdf");
+    assert_eq!(
+        sdf,
+        (
+            1,
+            "error: graph has a token-free cycle and deadlocks\n".into()
+        )
+    );
+    assert_eq!(ring("csdf"), sdf);
 }

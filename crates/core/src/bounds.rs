@@ -11,7 +11,8 @@
 //!   maximal achievable throughput (the role \[GGD02\] plays in the paper).
 //!   Larger distributions can never improve throughput further.
 //!
-//! Capacities only matter in steps of `gcd(p, c)` ([`channel_step`]): the
+//! Capacities only matter in steps of `gcd(p, c)`
+//! ([`DataflowSemantics::channel_step`]): the
 //! token count of a channel is always congruent to `d` modulo that gcd, so
 //! intermediate capacities behave identically to the next-lower step.
 //!
@@ -52,47 +53,34 @@
 
 use crate::error::ExploreError;
 use buffy_analysis::{
-    bmlb, rate_step, throughput_analysis, AnalysisRequest, AnalysisWorkspace, Capacities,
-    DataflowSemantics, ExplorationLimits,
+    throughput_analysis, AnalysisRequest, AnalysisWorkspace, Capacities, DataflowSemantics,
+    ExplorationLimits,
 };
-use buffy_graph::{ActorId, Channel, ChannelId, Rational, StorageDistribution};
+use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
 use std::sync::Arc;
 
-/// Lower bound on the capacity of one channel for positive throughput
-/// (BMLB, \[ALP97\]/\[Mur96\]).
+/// The distribution assigning every channel its lower bound
+/// ([`DataflowSemantics::channel_lower_bound`], the BMLB of
+/// \[ALP97\]/\[Mur96\] for SDF); its size is the combined lower bound `lb`
+/// of Fig. 7.
 ///
 /// ```
 /// # use buffy_graph::SdfGraph;
-/// # use buffy_core::channel_lower_bound;
+/// # use buffy_core::lower_bound_distribution;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = SdfGraph::builder("example");
 /// let a = b.actor("a", 1);
 /// let bb = b.actor("b", 2);
+/// let c = b.actor("c", 2);
 /// b.channel("alpha", a, 2, bb, 3)?;
+/// b.channel("beta", bb, 1, c, 2)?;
 /// let g = b.build()?;
-/// // p + c − gcd = 2 + 3 − 1 = 4: the α capacity of the paper's smallest
-/// // positive-throughput distribution ⟨4, 2⟩.
-/// assert_eq!(channel_lower_bound(g.channel(g.channel_by_name("alpha").unwrap())), 4);
+/// // α: p + c − gcd = 2 + 3 − 1 = 4, β: 1 + 2 − 1 = 2 — the paper's
+/// // smallest positive-throughput distribution ⟨4, 2⟩.
+/// assert_eq!(lower_bound_distribution(&g).as_slice(), &[4, 2]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn channel_lower_bound(channel: &Channel) -> u64 {
-    bmlb(
-        channel.production(),
-        channel.consumption(),
-        channel.initial_tokens(),
-    )
-}
-
-/// The quantum in which growing a channel's capacity can change behaviour:
-/// `gcd(production, consumption)`.
-pub fn channel_step(channel: &Channel) -> u64 {
-    rate_step(channel.production(), channel.consumption())
-}
-
-/// The distribution assigning every channel its lower bound
-/// ([`DataflowSemantics::channel_lower_bound`]); its size is the combined
-/// lower bound `lb` of Fig. 7.
 pub fn lower_bound_distribution<M: DataflowSemantics>(model: &M) -> StorageDistribution {
     (0..model.num_channels())
         .map(|i| model.channel_lower_bound(ChannelId::new(i)))
@@ -280,7 +268,7 @@ mod tests {
         b.channel("c1", x, 4, y, 6).unwrap();
         b.channel("c2", x, 1, y, 5).unwrap();
         let g = b.build().unwrap();
-        let steps: Vec<u64> = g.channels().map(|(_, c)| channel_step(c)).collect();
+        let steps: Vec<u64> = g.channels().map(|(id, _)| g.channel_step(id)).collect();
         assert_eq!(steps, vec![2, 1]);
     }
 
@@ -310,8 +298,8 @@ mod tests {
         // Per-channel minimal: shrinking any single channel by its step
         // loses the maximal throughput.
         for (cid, ch) in g.channels() {
-            let step = channel_step(ch);
-            if ub.get(cid) < channel_lower_bound(ch) + step {
+            let step = g.channel_step(cid);
+            if ub.get(cid) < g.channel_lower_bound(cid) + step {
                 continue;
             }
             let mut probe = ub.clone();

@@ -6,7 +6,7 @@
 //! distributions worth checking: every channel starts at its positive-
 //! throughput lower bound and grows in steps of `gcd(production,
 //! consumption)` — intermediate capacities are behaviourally equivalent
-//! (see [`crate::channel_step`]).
+//! (see [`DataflowSemantics::channel_step`]).
 
 use buffy_analysis::DataflowSemantics;
 use buffy_graph::{ChannelId, SdfGraph, StorageDistribution};

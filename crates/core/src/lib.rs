@@ -6,9 +6,8 @@
 //! trade-off between channel storage (buffer capacities) and throughput
 //! for SDF graphs.
 //!
-//! - [`channel_lower_bound`] / [`lower_bound_distribution`] /
-//!   [`upper_bound_distribution`]: the bounds boxing the design space
-//!   (paper §8, Fig. 7);
+//! - [`lower_bound_distribution`] / [`upper_bound_distribution`]: the
+//!   bounds boxing the design space (paper §8, Fig. 7);
 //! - [`explore_design_space`]: the paper's exact exploration — divide and
 //!   conquer over distribution sizes, monotonicity-seeded search in the
 //!   throughput dimension, optional quantization and parallelism (§9–10);
@@ -73,9 +72,7 @@ mod pipeline;
 mod prune;
 mod runtime;
 
-pub use bounds::{
-    channel_lower_bound, channel_step, lower_bound_distribution, upper_bound_distribution,
-};
+pub use bounds::{lower_bound_distribution, upper_bound_distribution};
 pub use checkpoint::{Checkpoint, CheckpointEntry, CheckpointError, SalvageReport};
 pub use constraint::{min_storage_for_throughput, ConstraintResult};
 pub use dependency::explore_dependency_guided;

@@ -3,97 +3,19 @@
 //! The phased operational semantics live in the unified kernel:
 //! [`buffy_analysis::DataflowEngine`] executes any
 //! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) model, and
-//! [`CsdfGraph`] implements that trait. This module keeps the CSDF-typed
-//! surface — [`CsdfEngine`] and the historical type names — as thin
-//! wrappers, so call sites keep reading in CSDF vocabulary: an actor in
+//! [`CsdfGraph`](crate::CsdfGraph) implements that trait. An actor in
 //! phase `k` may start a firing when it is idle, every input channel holds
 //! at least `consumption[k]` tokens, and every output channel has room for
 //! `production[k]` tokens (claimed at the start); tokens move at the end
 //! of the firing and the actor advances to phase `(k+1) mod n`. Phases
-//! with rate 0 neither require tokens nor space on that channel.
-
-use crate::model::{CsdfError, CsdfGraph};
-use buffy_analysis::{Capacities, DataflowEngine, DataflowState, FiringEvents, FiringOutcome};
-use buffy_graph::{ActorId, StorageDistribution};
-
-/// A timed CSDF state: the kernel's [`DataflowState`] (remaining firing
-/// times, current phases, channel fills). Single-phase graphs produce
-/// states identical to the SDF analysis, hashing included — the basis of
-/// the byte-identical SDF/CSDF cross-validation.
-pub type CsdfState = DataflowState;
-
-/// What happened in one step: the kernel's [`FiringEvents`], carrying
-/// `(actor, phase)` pairs for completed and started firings.
-pub type CsdfStepEvents = FiringEvents;
-
-/// Outcome of one step: the kernel's [`FiringOutcome`].
-pub type CsdfStepOutcome = FiringOutcome;
-
-/// Deterministic ASAP executor for CSDF graphs under per-channel
-/// capacities: the CSDF-typed wrapper of the kernel's [`DataflowEngine`].
-#[derive(Debug, Clone)]
-pub struct CsdfEngine<'g> {
-    inner: DataflowEngine<'g, CsdfGraph>,
-}
-
-impl<'g> CsdfEngine<'g> {
-    /// Creates an engine at time 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dist` does not cover exactly the graph's channels.
-    pub fn new(graph: &'g CsdfGraph, dist: &StorageDistribution) -> CsdfEngine<'g> {
-        CsdfEngine {
-            inner: DataflowEngine::new(graph, Capacities::from_distribution(dist)),
-        }
-    }
-
-    /// The graph being executed.
-    pub fn graph(&self) -> &'g CsdfGraph {
-        self.inner.model()
-    }
-
-    /// The current state.
-    pub fn state(&self) -> &CsdfState {
-        self.inner.state()
-    }
-
-    /// The current time.
-    pub fn time(&self) -> u64 {
-        self.inner.time()
-    }
-
-    /// Whether `actor` can start its current-phase firing now.
-    pub fn is_enabled(&self, actor: ActorId) -> bool {
-        self.inner.is_enabled(actor)
-    }
-
-    /// Performs the initial start phase at time 0.
-    ///
-    /// # Errors
-    ///
-    /// [`CsdfError::ZeroTimeLivelock`] when zero-time phases never settle.
-    pub fn start_initial(&mut self) -> Result<CsdfStepEvents, CsdfError> {
-        self.inner.start_initial().map_err(CsdfError::from)
-    }
-
-    /// Advances one time step.
-    ///
-    /// # Errors
-    ///
-    /// [`CsdfError::ZeroTimeLivelock`] when zero-time phases never settle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`start_initial`](Self::start_initial) was not called.
-    pub fn step(&mut self) -> Result<CsdfStepOutcome, CsdfError> {
-        self.inner.step().map_err(CsdfError::from)
-    }
-}
+//! with rate 0 neither require tokens nor space on that channel. The tests
+//! below pin these rules on CSDF graphs.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::CsdfGraph;
+    use buffy_analysis::{Capacities, DataflowEngine, FiringOutcome};
+    use buffy_graph::{ActorId, StorageDistribution};
 
     /// Two-phase producer p: phase 0 produces 2 tokens (1 step), phase 1
     /// produces none (1 step). Consumer c consumes 1 per firing.
@@ -105,10 +27,15 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn engine(g: &CsdfGraph, caps: Vec<u64>) -> DataflowEngine<'_, CsdfGraph> {
+        let dist = StorageDistribution::from_capacities(caps);
+        DataflowEngine::new(g, Capacities::from_distribution(&dist))
+    }
+
     #[test]
     fn phases_cycle_and_rates_apply() {
         let g = updown();
-        let mut e = CsdfEngine::new(&g, &StorageDistribution::from_capacities(vec![4]));
+        let mut e = engine(&g, vec![4]);
         e.start_initial().unwrap();
         assert_eq!(e.state().phase, vec![0, 0]);
         e.step().unwrap(); // p completes phase 0: +2 tokens; p enters phase 1; c starts
@@ -124,7 +51,7 @@ mod tests {
         // Capacity 2: phase 0 needs 2 free; phase 1 needs none, so it can
         // run even when the channel is full.
         let g = updown();
-        let mut e = CsdfEngine::new(&g, &StorageDistribution::from_capacities(vec![2]));
+        let mut e = engine(&g, vec![2]);
         e.start_initial().unwrap();
         e.step().unwrap(); // tokens 2 (full); p starts phase 1 regardless
         assert_eq!(e.state().tokens, vec![2]);
@@ -137,10 +64,10 @@ mod tests {
     #[test]
     fn deadlock_when_capacity_below_burst() {
         let g = updown();
-        let mut e = CsdfEngine::new(&g, &StorageDistribution::from_capacities(vec![1]));
+        let mut e = engine(&g, vec![1]);
         e.start_initial().unwrap();
         // p's phase 0 needs 2 free spaces; c has no tokens: deadlock.
-        assert_eq!(e.step().unwrap(), CsdfStepOutcome::Deadlock);
+        assert_eq!(e.step().unwrap(), FiringOutcome::Deadlock);
     }
 
     #[test]
@@ -150,7 +77,7 @@ mod tests {
         let c = b.actor("c", vec![1]);
         b.channel("d", p, vec![1, 1], c, vec![1], 0).unwrap();
         let g = b.build().unwrap();
-        let mut e = CsdfEngine::new(&g, &StorageDistribution::from_capacities(vec![4]));
+        let mut e = engine(&g, vec![4]);
         e.start_initial().unwrap();
         e.step().unwrap();
         e.step().unwrap(); // phase 0 completes (+1); phase 1 fires instantly (+1)
@@ -161,10 +88,10 @@ mod tests {
     #[test]
     fn events_carry_phases() {
         let g = updown();
-        let mut e = CsdfEngine::new(&g, &StorageDistribution::from_capacities(vec![4]));
+        let mut e = engine(&g, vec![4]);
         let ev = e.start_initial().unwrap();
         assert_eq!(ev.started, vec![(ActorId::new(0), 0)]);
-        if let CsdfStepOutcome::Progress(ev) = e.step().unwrap() {
+        if let FiringOutcome::Progress(ev) = e.step().unwrap() {
             assert!(ev.completed.contains(&(ActorId::new(0), 0)));
             assert!(ev.started.contains(&(ActorId::new(0), 1)));
         } else {
@@ -175,8 +102,8 @@ mod tests {
     #[test]
     fn wrapper_reports_graph_and_enabledness() {
         let g = updown();
-        let e = CsdfEngine::new(&g, &StorageDistribution::from_capacities(vec![4]));
-        assert_eq!(e.graph().name(), "updown");
+        let e = engine(&g, vec![4]);
+        assert_eq!(e.model().name(), "updown");
         assert!(e.is_enabled(ActorId::new(0)));
         assert!(!e.is_enabled(ActorId::new(1))); // no tokens yet
         assert_eq!(e.time(), 0);

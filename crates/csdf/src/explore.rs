@@ -1,50 +1,18 @@
-//! Phase-aware channel bounds for the buffer/throughput exploration of
-//! CSDF graphs.
+//! Buffer/throughput exploration of CSDF graphs.
 //!
-//! The exploration itself is the unified kernel's: `buffy_core`'s
+//! The exploration is the unified kernel's: `buffy_core`'s
 //! `explore_design_space` and `explore_dependency_guided` run for any
 //! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) model, and
-//! [`CsdfGraph`](crate::CsdfGraph) implements that trait with the bounds
-//! below: capacities move in steps of the gcd of all the channel's
-//! (non-zero) rates — token counts are always congruent to the initial
-//! tokens modulo that gcd — and single-phase channels get the exact SDF
+//! [`CsdfGraph`](crate::CsdfGraph) answers its questions with phase-aware
+//! channel bounds: capacities move in steps of the gcd of all the
+//! channel's (non-zero) rates, and single-phase channels get the exact SDF
 //! buffer minimum so that embedded SDF graphs explore exactly the SDF
-//! grid.
-
-use crate::model::CsdfChannel;
-use buffy_analysis::bmlb;
-use buffy_graph::gcd_u64;
-
-/// A safe lower bound on one channel's capacity for positive throughput.
-///
-/// Single-phase channels (both rate vectors of length 1, i.e. the SDF
-/// embedding) get the exact buffer minimal for liveness ([`bmlb`]), so the
-/// exploration grid of an embedded SDF graph is identical to the SDF
-/// explorer's. Phased channels fall back to the largest single production
-/// or consumption burst; the initial tokens must be storable either way.
-pub fn csdf_channel_lower_bound(channel: &CsdfChannel) -> u64 {
-    if let ([p], [c]) = (channel.production(), channel.consumption()) {
-        return bmlb(*p, *c, channel.initial_tokens());
-    }
-    let max_prod = channel.production().iter().copied().max().unwrap_or(0);
-    let max_cons = channel.consumption().iter().copied().max().unwrap_or(0);
-    max_prod.max(max_cons).max(channel.initial_tokens())
-}
-
-/// The capacity quantum of a channel: the gcd of all non-zero rates.
-pub fn csdf_channel_step(channel: &CsdfChannel) -> u64 {
-    let mut g = 0u64;
-    for &r in channel.production().iter().chain(channel.consumption()) {
-        g = gcd_u64(g, r);
-    }
-    g.max(1)
-}
+//! grid. The tests below pin that behaviour on phased graphs.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::CsdfGraph;
-    use buffy_analysis::CancelToken;
+    use buffy_analysis::{CancelToken, DataflowSemantics};
     use buffy_core::{explore_design_space, ExploreError, ExploreOptions};
     use buffy_graph::{GraphError, Rational};
     use std::sync::Arc;
@@ -56,9 +24,8 @@ mod tests {
         let c = b.actor("c", vec![1]);
         let ch = b.channel("d", p, vec![4, 2], c, vec![2], 3).unwrap();
         let g = b.build().unwrap();
-        let channel = g.channel(ch);
-        assert_eq!(csdf_channel_lower_bound(channel), 4);
-        assert_eq!(csdf_channel_step(channel), 2);
+        assert_eq!(g.channel_lower_bound(ch), 4);
+        assert_eq!(g.channel_step(ch), 2);
     }
 
     #[test]
@@ -70,8 +37,8 @@ mod tests {
         let c = b.actor("c", vec![1]);
         let ch = b.channel("d", p, vec![2], c, vec![3], 0).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(csdf_channel_lower_bound(g.channel(ch)), 4); // 2+3−1
-        assert_eq!(csdf_channel_step(g.channel(ch)), 1);
+        assert_eq!(g.channel_lower_bound(ch), 4); // 2+3−1
+        assert_eq!(g.channel_step(ch), 1);
     }
 
     #[test]

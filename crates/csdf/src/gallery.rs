@@ -86,6 +86,7 @@ mod tests {
     use super::*;
     use crate::hsdf::csdf_maximal_throughput;
     use crate::repetition::{is_consistent, CsdfRepetitionVector};
+    use buffy_analysis::DataflowSemantics;
     use buffy_core::{explore_design_space, ExploreOptions};
     use buffy_graph::Rational;
 
@@ -146,7 +147,7 @@ mod tests {
         // 594-token burst of the SDF model to achieve any throughput:
         // 99 (one row) vs 594.
         let g = h263_rows();
-        let ch = g.channel(g.channel_by_name("vld_iq").unwrap());
-        assert_eq!(crate::explore::csdf_channel_lower_bound(ch), 99);
+        let ch = g.channel_by_name("vld_iq").unwrap();
+        assert_eq!(DataflowSemantics::channel_lower_bound(&g, ch), 99);
     }
 }

@@ -9,7 +9,7 @@
 //! all storage distributions — the upper bound the buffer/throughput
 //! exploration prunes against.
 
-use crate::model::{CsdfError, CsdfGraph};
+use crate::model::CsdfGraph;
 use crate::repetition::CsdfRepetitionVector;
 use buffy_analysis::{max_cycle_ratio, AnalysisError, RatioEdge, RatioGraph};
 use buffy_graph::{ActorId, Rational};
@@ -117,31 +117,47 @@ pub fn csdf_ratio_graph(graph: &CsdfGraph, q: &CsdfRepetitionVector) -> RatioGra
 ///
 /// # Errors
 ///
-/// - [`CsdfError::Inconsistent`] for inconsistent graphs;
-/// - [`CsdfError::ZeroTimeLivelock`] when every critical cycle has zero
-///   delay (unbounded throughput);
-/// - [`CsdfError::Inconsistent`] (reported on the graph) when a token-free
-///   cycle deadlocks the graph.
+/// The errors of the SDF [`maximal_throughput`](buffy_analysis::maximal_throughput):
+///
+/// - [`AnalysisError::Graph`] for inconsistent graphs;
+/// - [`AnalysisError::NotLive`] when a token-free cycle deadlocks the
+///   graph;
+/// - [`AnalysisError::ZeroPeriod`] when every critical cycle has zero
+///   delay (unbounded throughput).
+///
+/// # Examples
+///
+/// A two-phase producer bursting 2 tokens every other step into a
+/// unit-rate consumer: the consumer can fire every step, and the kernel's
+/// throughput analysis reaches that bound under a capacity of 4.
+///
+/// ```
+/// use buffy_analysis::throughput;
+/// use buffy_csdf::{csdf_maximal_throughput, CsdfGraph};
+/// use buffy_graph::{Rational, StorageDistribution};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = CsdfGraph::builder("updown");
+/// let p = b.actor("p", vec![1, 1]);
+/// let c = b.actor("c", vec![1]);
+/// b.channel("d", p, vec![2, 0], c, vec![1], 0)?;
+/// let g = b.build()?;
+/// assert_eq!(csdf_maximal_throughput(&g, c)?, Rational::ONE);
+/// let r = throughput(&g, &StorageDistribution::from_capacities(vec![4]), c)?;
+/// assert_eq!(r.throughput, Rational::ONE); // c fires every step at steady state
+/// # Ok(())
+/// # }
+/// ```
 pub fn csdf_maximal_throughput(
     graph: &CsdfGraph,
     observed: ActorId,
-) -> Result<Rational, CsdfError> {
+) -> Result<Rational, AnalysisError> {
     let q = CsdfRepetitionVector::compute(graph)?;
     let rg = csdf_ratio_graph(graph, &q);
-    let lambda = match max_cycle_ratio(&rg) {
-        Ok(Some(l)) => l,
-        Ok(None) => unreachable!("firing-order rings create cycles"),
-        Err(AnalysisError::NotLive) => {
-            return Err(CsdfError::Inconsistent {
-                channel: "token-free cycle".to_string(),
-            })
-        }
-        Err(other) => {
-            return Err(CsdfError::from(other));
-        }
-    };
+    // The firing-order rings guarantee at least one cycle per actor.
+    let lambda = max_cycle_ratio(&rg)?.expect("firing-order rings create cycles");
     if lambda.is_zero() {
-        return Err(CsdfError::ZeroTimeLivelock);
+        return Err(AnalysisError::ZeroPeriod);
     }
     Ok(Rational::from(q.firings(graph, observed)) / lambda)
 }
@@ -149,8 +165,8 @@ pub fn csdf_maximal_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use buffy_analysis::maximal_throughput as sdf_maximal_throughput;
-    use buffy_graph::SdfGraph;
+    use buffy_analysis::{maximal_throughput as sdf_maximal_throughput, throughput};
+    use buffy_graph::{SdfGraph, StorageDistribution};
 
     #[test]
     fn matches_sdf_on_single_phase_embedding() {
@@ -183,13 +199,7 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(csdf_maximal_throughput(&g, c).unwrap(), Rational::ONE);
         // …and the simulation with generous buffers reaches it.
-        let r = crate::throughput::csdf_throughput(
-            &g,
-            &buffy_graph::StorageDistribution::from_capacities(vec![8]),
-            c,
-            crate::throughput::CsdfLimits::default(),
-        )
-        .unwrap();
+        let r = throughput(&g, &StorageDistribution::from_capacities(vec![8]), c).unwrap();
         assert_eq!(r.throughput, Rational::ONE);
     }
 
@@ -213,7 +223,11 @@ mod tests {
         b.channel("f", x, vec![1], y, vec![1], 0).unwrap();
         b.channel("r", y, vec![1], x, vec![1], 0).unwrap();
         let g = b.build().unwrap();
-        assert!(csdf_maximal_throughput(&g, x).is_err());
+        assert_eq!(
+            csdf_maximal_throughput(&g, x),
+            Err(AnalysisError::NotLive),
+            "the same error as the SDF analysis"
+        );
     }
 
     #[test]
@@ -226,13 +240,7 @@ mod tests {
         let c_id = g.actor_by_name("c").unwrap();
         let bound = csdf_maximal_throughput(&g, c_id).unwrap();
         for cap in 4..14u64 {
-            let r = crate::throughput::csdf_throughput(
-                &g,
-                &buffy_graph::StorageDistribution::from_capacities(vec![cap]),
-                c_id,
-                crate::throughput::CsdfLimits::default(),
-            )
-            .unwrap();
+            let r = throughput(&g, &StorageDistribution::from_capacities(vec![cap]), c_id).unwrap();
             assert!(
                 r.throughput <= bound,
                 "cap {cap}: {} > {bound}",

@@ -11,23 +11,20 @@
 //!   execution times and per-phase port rates (zero rates allowed);
 //! - [`CsdfRepetitionVector`]: consistency and cycle-level repetition
 //!   vectors;
-//! - [`CsdfEngine`]: the timed ASAP executor (claim-at-start semantics,
-//!   per the paper §2), wrapping the unified kernel's
-//!   [`DataflowEngine`](buffy_analysis::DataflowEngine);
-//! - [`csdf_throughput`]: reduced-state-space throughput analysis (paper
-//!   §7, phase-aware), via the kernel's
-//!   [`throughput_for`](buffy_analysis::throughput_for);
-//! - [`csdf_channel_lower_bound`] / [`csdf_channel_step`]: the
-//!   phase-aware channel bounds that box the buffer/throughput design
-//!   space.
+//! - [`csdf_maximal_throughput`] / [`csdf_ratio_graph`]: the homogeneous
+//!   expansion and the maximal throughput over all storage distributions;
+//! - the SDF3 CSDF dialect ([`xml`]) and a gallery of phased graphs
+//!   ([`gallery`]).
 //!
-//! The execution, throughput and exploration algorithms are implemented
-//! once in `buffy-analysis`/`buffy-core` against the
+//! Everything else is the unified kernel's. The execution engine, the
+//! throughput analysis and the exploration drivers are written once in
+//! `buffy-analysis`/`buffy-core` against the
 //! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) trait, and
-//! [`CsdfGraph`] implements the trait: the Pareto exploration of a CSDF
-//! graph is `buffy_core::explore_design_space(&graph, &options)`, the
-//! same call as for an SDF graph. This crate keeps the CSDF model, its
-//! XML dialect, the CSDF-typed throughput wrapper and the channel bounds.
+//! [`CsdfGraph`] implements the trait, phase-aware channel bounds
+//! included: the throughput of a CSDF graph under a distribution is
+//! `buffy_analysis::throughput(&graph, &dist, actor)` and its Pareto
+//! exploration is `buffy_core::explore_design_space(&graph, &options)`,
+//! the same calls as for an SDF graph.
 //!
 //! Every SDF graph embeds as a single-phase CSDF graph
 //! ([`CsdfGraph::from_sdf`]); the test suite uses the embedding to
@@ -36,8 +33,9 @@
 //! # Example
 //!
 //! ```
+//! use buffy_analysis::throughput;
 //! use buffy_core::{explore_design_space, ExploreOptions};
-//! use buffy_csdf::{csdf_throughput, CsdfGraph, CsdfLimits};
+//! use buffy_csdf::CsdfGraph;
 //! use buffy_graph::{Rational, StorageDistribution};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,8 +46,7 @@
 //! b.channel("d", p, vec![2, 0], c, vec![1], 0)?;
 //! let g = b.build()?;
 //!
-//! let r = csdf_throughput(&g, &StorageDistribution::from_capacities(vec![4]), c,
-//!                         CsdfLimits::default())?;
+//! let r = throughput(&g, &StorageDistribution::from_capacities(vec![4]), c)?;
 //! assert_eq!(r.throughput, Rational::ONE);
 //!
 //! // Its buffer/throughput Pareto front, through the kernel's driver.
@@ -73,9 +70,6 @@ mod repetition;
 mod throughput;
 pub mod xml;
 
-pub use engine::{CsdfEngine, CsdfState, CsdfStepEvents, CsdfStepOutcome};
-pub use explore::{csdf_channel_lower_bound, csdf_channel_step};
 pub use hsdf::{csdf_maximal_throughput, csdf_ratio_graph};
 pub use model::{CsdfActor, CsdfChannel, CsdfError, CsdfGraph, CsdfGraphBuilder};
 pub use repetition::{is_consistent, CsdfRepetitionVector};
-pub use throughput::{csdf_throughput, CsdfLimits, CsdfThroughputReport};

@@ -5,8 +5,8 @@
 //! rate *per phase of its actor* (rates may be zero in individual phases).
 //! Every SDF graph is a CSDF graph with a single phase per actor.
 
-use buffy_analysis::{AnalysisError, DataflowSemantics, LimitKind};
-use buffy_graph::{ActorId, ChannelId, GraphError, Rational, SdfGraph};
+use buffy_analysis::{bmlb, AnalysisError, DataflowSemantics};
+use buffy_graph::{gcd_u64, ActorId, ChannelId, GraphError, Rational, SdfGraph};
 use core::fmt;
 use std::collections::HashSet;
 
@@ -60,22 +60,6 @@ pub enum CsdfError {
     },
     /// Repetition-vector entries overflow.
     RepetitionOverflow,
-    /// Zero-execution-time phases fire without bound within one time step.
-    ZeroTimeLivelock,
-    /// A state-space search exceeded its limits. Mirrors
-    /// [`AnalysisError::StateLimitExceeded`]: carries the limit kind and
-    /// the capacities under analysis.
-    StateLimitExceeded {
-        /// The configured limit.
-        limit: u64,
-        /// Which limit: stored states or simulated steps.
-        kind: LimitKind,
-        /// The per-channel capacities in effect (`None` = unbounded).
-        capacities: Vec<Option<u64>>,
-    },
-    /// A unified-kernel analysis failed for a reason without a
-    /// CSDF-specific variant.
-    Analysis(AnalysisError),
 }
 
 impl fmt::Display for CsdfError {
@@ -105,62 +89,14 @@ impl fmt::Display for CsdfError {
                 "graph is inconsistent: balance equation of channel {channel:?} fails"
             ),
             CsdfError::RepetitionOverflow => write!(f, "repetition vector overflows u64"),
-            CsdfError::ZeroTimeLivelock => {
-                write!(
-                    f,
-                    "zero-execution-time phases fire without bound in one step"
-                )
-            }
-            CsdfError::StateLimitExceeded {
-                limit,
-                kind,
-                capacities,
-            } => {
-                // Render through the analysis error so the two layers
-                // always report limit overruns identically.
-                let e = AnalysisError::StateLimitExceeded {
-                    limit: *limit,
-                    kind: *kind,
-                    capacities: capacities.clone(),
-                };
-                write!(f, "{e}")
-            }
-            CsdfError::Analysis(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for CsdfError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CsdfError::Analysis(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for CsdfError {}
 
-impl From<AnalysisError> for CsdfError {
-    fn from(e: AnalysisError) -> Self {
-        match e {
-            AnalysisError::Graph(GraphError::Inconsistent { channel }) => {
-                CsdfError::Inconsistent { channel }
-            }
-            AnalysisError::Graph(GraphError::RepetitionOverflow) => CsdfError::RepetitionOverflow,
-            AnalysisError::StateLimitExceeded {
-                limit,
-                kind,
-                capacities,
-            } => CsdfError::StateLimitExceeded {
-                limit,
-                kind,
-                capacities,
-            },
-            AnalysisError::ZeroTimeLivelock => CsdfError::ZeroTimeLivelock,
-            other => CsdfError::Analysis(other),
-        }
-    }
-}
-
+/// The analyses' view of a CSDF error: the balance-equation failures map
+/// to their [`GraphError`] twins.
 impl From<CsdfError> for AnalysisError {
     fn from(e: CsdfError) -> Self {
         match e {
@@ -168,17 +104,6 @@ impl From<CsdfError> for AnalysisError {
                 AnalysisError::Graph(GraphError::Inconsistent { channel })
             }
             CsdfError::RepetitionOverflow => AnalysisError::Graph(GraphError::RepetitionOverflow),
-            CsdfError::StateLimitExceeded {
-                limit,
-                kind,
-                capacities,
-            } => AnalysisError::StateLimitExceeded {
-                limit,
-                kind,
-                capacities,
-            },
-            CsdfError::ZeroTimeLivelock => AnalysisError::ZeroTimeLivelock,
-            CsdfError::Analysis(e) => e,
             // Builder-stage errors cannot arise from analyzing a built
             // graph; keep their message if one ever leaks through.
             other => AnalysisError::Graph(GraphError::Inconsistent {
@@ -583,6 +508,14 @@ impl CsdfGraphBuilder {
 /// indexed by the source actor's phase, consumption rates by the target
 /// actor's phase, exactly as stored on [`CsdfChannel`].
 impl DataflowSemantics for CsdfGraph {
+    fn name(&self) -> &str {
+        CsdfGraph::name(self)
+    }
+
+    fn kind(&self) -> &'static str {
+        "csdf"
+    }
+
     fn num_actors(&self) -> usize {
         CsdfGraph::num_actors(self)
     }
@@ -654,15 +587,34 @@ impl DataflowSemantics for CsdfGraph {
     }
 
     fn maximal_throughput(&self, observed: ActorId) -> Result<Rational, AnalysisError> {
-        crate::hsdf::csdf_maximal_throughput(self, observed).map_err(AnalysisError::from)
+        crate::hsdf::csdf_maximal_throughput(self, observed)
     }
 
+    /// Single-phase channels (both rate vectors of length 1, i.e. the SDF
+    /// embedding) get the exact buffer minimal for liveness ([`bmlb`]), so
+    /// the exploration grid of an embedded SDF graph is identical to the
+    /// SDF explorer's. Phased channels fall back to the largest single
+    /// production or consumption burst; the initial tokens must be storable
+    /// either way.
     fn channel_lower_bound(&self, channel: ChannelId) -> u64 {
-        crate::explore::csdf_channel_lower_bound(self.channel(channel))
+        let ch = self.channel(channel);
+        if let ([p], [c]) = (ch.production(), ch.consumption()) {
+            return bmlb(*p, *c, ch.initial_tokens());
+        }
+        let max_prod = ch.production().iter().copied().max().unwrap_or(0);
+        let max_cons = ch.consumption().iter().copied().max().unwrap_or(0);
+        max_prod.max(max_cons).max(ch.initial_tokens())
     }
 
+    /// The gcd of all the channel's non-zero rates: token counts are always
+    /// congruent to the initial tokens modulo it.
     fn channel_step(&self, channel: ChannelId) -> u64 {
-        crate::explore::csdf_channel_step(self.channel(channel))
+        let ch = self.channel(channel);
+        let mut g = 0u64;
+        for &r in ch.production().iter().chain(ch.consumption()) {
+            g = gcd_u64(g, r);
+        }
+        g.max(1)
     }
 
     fn active_power(&self, actor: ActorId) -> u64 {
@@ -791,18 +743,11 @@ mod tests {
     fn error_messages() {
         for e in [
             CsdfError::EmptyGraph,
-            CsdfError::ZeroTimeLivelock,
             CsdfError::RepetitionOverflow,
-            CsdfError::StateLimitExceeded {
-                limit: 3,
-                kind: LimitKind::States,
-                capacities: vec![Some(1)],
-            },
             CsdfError::Inconsistent {
                 channel: "x".into(),
             },
             CsdfError::IdlePowerExceedsActive { actor: "x".into() },
-            CsdfError::Analysis(AnalysisError::NotLive),
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -834,7 +779,8 @@ mod tests {
 
     #[test]
     fn error_conversions_round_trip() {
-        // The variants shared with the kernel map back and forth.
+        // The balance-equation failures map to their graph-error twins, and
+        // the kernel renders them the graph layer's way.
         let pairs = [
             (
                 CsdfError::Inconsistent {
@@ -845,35 +791,15 @@ mod tests {
                 }),
             ),
             (
-                CsdfError::StateLimitExceeded {
-                    limit: 7,
-                    kind: LimitKind::Steps,
-                    capacities: vec![Some(4), None],
-                },
-                AnalysisError::StateLimitExceeded {
-                    limit: 7,
-                    kind: LimitKind::Steps,
-                    capacities: vec![Some(4), None],
-                },
-            ),
-            (CsdfError::ZeroTimeLivelock, AnalysisError::ZeroTimeLivelock),
-            (
                 CsdfError::RepetitionOverflow,
                 AnalysisError::Graph(GraphError::RepetitionOverflow),
             ),
         ];
         for (c, a) in pairs {
-            assert_eq!(AnalysisError::from(c.clone()), a);
-            assert_eq!(CsdfError::from(a), c);
+            assert_eq!(AnalysisError::from(c), a);
         }
-        // Kernel-only errors are carried verbatim.
-        assert_eq!(
-            CsdfError::from(AnalysisError::NotLive),
-            CsdfError::Analysis(AnalysisError::NotLive)
-        );
-        assert_eq!(
-            AnalysisError::from(CsdfError::Analysis(AnalysisError::ZeroPeriod)),
-            AnalysisError::ZeroPeriod
-        );
+        // A builder error keeps its message.
+        let e = AnalysisError::from(CsdfError::EmptyGraph);
+        assert!(e.to_string().contains("graph has no actors"), "{e}");
     }
 }

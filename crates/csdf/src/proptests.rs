@@ -7,12 +7,13 @@
 
 #![cfg(test)]
 
-use crate::engine::{CsdfEngine, CsdfStepOutcome};
 use crate::hsdf::csdf_maximal_throughput;
 use crate::model::CsdfGraph;
-use crate::throughput::{csdf_throughput, CsdfLimits};
+use buffy_analysis::{
+    throughput_for, Capacities, DataflowEngine, ExplorationLimits, FiringOutcome, ThroughputReport,
+};
 use buffy_gen::SplitMix64;
-use buffy_graph::{ChannelId, Rational, StorageDistribution};
+use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
 
 const CASES: u64 = 120;
 
@@ -39,11 +40,18 @@ fn producer_consumer(rng: &mut SplitMix64) -> Option<CsdfGraph> {
     b.build().ok()
 }
 
-fn limits() -> CsdfLimits {
-    CsdfLimits {
+/// The kernel's throughput of `observed` under `dist`, within limits
+/// small enough for a property loop; `None` when the analysis fails.
+fn analyse(
+    g: &CsdfGraph,
+    dist: &StorageDistribution,
+    observed: ActorId,
+) -> Option<ThroughputReport> {
+    let limits = ExplorationLimits {
         max_states: 1 << 14,
         max_steps: 1 << 20,
-    }
+    };
+    throughput_for(g, Capacities::from_distribution(dist), observed, limits).ok()
 }
 
 /// Throughput is monotone in the channel capacity.
@@ -58,10 +66,7 @@ fn throughput_monotone_in_capacity() {
         let obs = g.default_observed_actor();
         let d0 = StorageDistribution::from_capacities(vec![base]);
         let d1 = d0.grown(ChannelId::new(0), 2);
-        let (Ok(r0), Ok(r1)) = (
-            csdf_throughput(&g, &d0, obs, limits()),
-            csdf_throughput(&g, &d1, obs, limits()),
-        ) else {
+        let (Some(r0), Some(r1)) = (analyse(&g, &d0, obs), analyse(&g, &d1, obs)) else {
             continue;
         };
         assert!(
@@ -89,7 +94,7 @@ fn simulation_respects_maximal_throughput() {
             continue;
         };
         let d = StorageDistribution::from_capacities(vec![cap]);
-        let Ok(r) = csdf_throughput(&g, &d, obs, limits()) else {
+        let Some(r) = analyse(&g, &d, obs) else {
             continue;
         };
         assert!(
@@ -113,14 +118,14 @@ fn engine_invariants_hold() {
         let cap = rng.range_u64(1, 9);
         let steps = rng.range_u64(1, 59);
         let d = StorageDistribution::from_capacities(vec![cap]);
-        let mut e = CsdfEngine::new(&g, &d);
+        let mut e = DataflowEngine::new(&g, Capacities::from_distribution(&d));
         if e.start_initial().is_err() {
             continue;
         }
         for _ in 0..steps {
             match e.step() {
-                Ok(CsdfStepOutcome::Deadlock) => break,
-                Ok(CsdfStepOutcome::Progress(_)) => {}
+                Ok(FiringOutcome::Deadlock) => break,
+                Ok(FiringOutcome::Progress(_)) => {}
                 Err(_) => break,
             }
             let s = e.state();
@@ -134,7 +139,7 @@ fn engine_invariants_hold() {
             );
             for (i, &ph) in s.phase.iter().enumerate() {
                 assert!(
-                    (ph as usize) < g.actor(buffy_graph::ActorId::new(i)).num_phases(),
+                    (ph as usize) < g.actor(ActorId::new(i)).num_phases(),
                     "case {seed}: phase {ph} out of range for actor {i}"
                 );
             }
@@ -153,7 +158,7 @@ fn deadlock_iff_zero_throughput() {
         let cap = rng.range_u64(1, 9);
         let obs = g.default_observed_actor();
         let d = StorageDistribution::from_capacities(vec![cap]);
-        let Ok(r) = csdf_throughput(&g, &d, obs, limits()) else {
+        let Some(r) = analyse(&g, &d, obs) else {
             continue;
         };
         assert_eq!(

@@ -1,107 +1,22 @@
-//! Throughput analysis for CSDF graphs via the reduced state space.
+//! Throughput analysis of CSDF graphs via the reduced state space.
 //!
-//! The analysis itself lives in the unified kernel:
-//! [`buffy_analysis::throughput_for`] runs the reduced-state-space cycle
-//! detection of the paper (§7) for any [`DataflowSemantics`] model, CSDF
-//! included — the bounded self-timed execution is deterministic and
-//! finite-state, so it is periodic or deadlocks, and the throughput of the
-//! observed actor is its number of *complete firings* (phase executions)
-//! on the cycle divided by the cycle duration. This module keeps the
-//! CSDF-typed entry point and report;
-//! [`CsdfThroughputReport::cycle_throughput`] converts to full
-//! phase-cycles per time unit.
-//!
-//! [`DataflowSemantics`]: buffy_analysis::DataflowSemantics
-
-use crate::model::{CsdfError, CsdfGraph};
-use buffy_analysis::{throughput_for, Capacities, ExplorationLimits};
-use buffy_graph::{ActorId, Rational, StorageDistribution};
-
-/// Limits for the CSDF state-space search: the kernel's
-/// [`ExplorationLimits`], shared with the SDF analyses.
-pub type CsdfLimits = ExplorationLimits;
-
-/// Result of a CSDF throughput analysis.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsdfThroughputReport {
-    /// Phase firings of the observed actor per time step (0 on deadlock).
-    pub throughput: Rational,
-    /// Phases per full cycle of the observed actor.
-    pub phases: u64,
-    /// Whether the execution deadlocked.
-    pub deadlocked: bool,
-    /// Reduced states stored.
-    pub states_stored: usize,
-    /// Duration of the periodic phase.
-    pub period: u64,
-    /// Phase firings of the observed actor per period.
-    pub firings_per_period: u64,
-}
-
-impl CsdfThroughputReport {
-    /// Throughput in full phase-cycles of the observed actor per time
-    /// unit.
-    pub fn cycle_throughput(&self) -> Rational {
-        if self.phases == 0 {
-            return Rational::ZERO;
-        }
-        self.throughput / Rational::from(self.phases)
-    }
-}
-
-/// Computes the throughput of `observed` under the storage distribution
-/// `dist` by running the graph through the unified kernel's reduced
-/// state-space analysis.
-///
-/// # Errors
-///
-/// [`CsdfError::StateLimitExceeded`] / [`CsdfError::ZeroTimeLivelock`].
-///
-/// # Examples
-///
-/// A two-phase producer bursting 2 tokens every other step into a
-/// unit-rate consumer:
-///
-/// ```
-/// use buffy_csdf::{csdf_throughput, CsdfGraph, CsdfLimits};
-/// use buffy_graph::{Rational, StorageDistribution};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = CsdfGraph::builder("updown");
-/// let p = b.actor("p", vec![1, 1]);
-/// let c = b.actor("c", vec![1]);
-/// b.channel("d", p, vec![2, 0], c, vec![1], 0)?;
-/// let g = b.build()?;
-/// let r = csdf_throughput(&g, &StorageDistribution::from_capacities(vec![4]), c,
-///                         CsdfLimits::default())?;
-/// assert_eq!(r.throughput, Rational::ONE); // c fires every step at steady state
-/// # Ok(())
-/// # }
-/// ```
-pub fn csdf_throughput(
-    graph: &CsdfGraph,
-    dist: &StorageDistribution,
-    observed: ActorId,
-    limits: CsdfLimits,
-) -> Result<CsdfThroughputReport, CsdfError> {
-    let phases = graph.actor(observed).num_phases() as u64;
-    let r = throughput_for(graph, Capacities::from_distribution(dist), observed, limits)
-        .map_err(CsdfError::from)?;
-    Ok(CsdfThroughputReport {
-        throughput: r.throughput,
-        phases,
-        deadlocked: r.deadlocked,
-        states_stored: r.states_stored,
-        period: r.period,
-        firings_per_period: r.firings_per_period,
-    })
-}
+//! The analysis is the unified kernel's [`buffy_analysis::throughput`],
+//! which runs the reduced-state-space cycle detection of the paper (§7)
+//! for any [`DataflowSemantics`](buffy_analysis::DataflowSemantics) model:
+//! the bounded self-timed execution is deterministic and finite-state, so
+//! it is periodic or deadlocks, and the throughput of the observed actor
+//! is its number of *complete firings* (phase executions) on the cycle
+//! divided by the cycle duration. Full phase cycles per time unit are that
+//! figure divided by the actor's phase count. The tests below pin the
+//! analysis on CSDF graphs.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use buffy_analysis::throughput as sdf_throughput;
-    use buffy_graph::SdfGraph;
+    use crate::CsdfGraph;
+    use buffy_analysis::{
+        throughput, throughput_for, AnalysisError, Capacities, ExplorationLimits,
+    };
+    use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 
     #[test]
     fn matches_sdf_on_single_phase_graphs() {
@@ -119,11 +34,9 @@ mod tests {
         let c_csdf = csdf.actor_by_name("c").unwrap();
         for caps in [[4u64, 2], [5, 2], [6, 2], [6, 3], [7, 3], [4, 1], [9, 9]] {
             let d = StorageDistribution::from_capacities(caps.to_vec());
-            let s = sdf_throughput(&sdf, &d, c_sdf).unwrap();
-            let r = csdf_throughput(&csdf, &d, c_csdf, CsdfLimits::default()).unwrap();
-            assert_eq!(s.throughput, r.throughput, "caps {caps:?}");
-            assert_eq!(s.deadlocked, r.deadlocked, "caps {caps:?}");
-            assert_eq!(r.cycle_throughput(), r.throughput); // single phase
+            let s = throughput(&sdf, &d, c_sdf).unwrap();
+            let r = throughput(&csdf, &d, c_csdf).unwrap();
+            assert_eq!(s, r, "caps {caps:?}");
         }
     }
 
@@ -136,54 +49,33 @@ mod tests {
         let g = b.build().unwrap();
         let c = g.actor_by_name("c").unwrap();
         // Ample capacity: c fires every step.
-        let r = csdf_throughput(
-            &g,
-            &StorageDistribution::from_capacities(vec![4]),
-            c,
-            CsdfLimits::default(),
-        )
-        .unwrap();
+        let r = throughput(&g, &StorageDistribution::from_capacities(vec![4]), c).unwrap();
         assert_eq!(r.throughput, Rational::ONE);
         // Capacity 2: p can only refill after c drained both tokens —
         // throughput drops below 1.
-        let r2 = csdf_throughput(
-            &g,
-            &StorageDistribution::from_capacities(vec![2]),
-            c,
-            CsdfLimits::default(),
-        )
-        .unwrap();
+        let r2 = throughput(&g, &StorageDistribution::from_capacities(vec![2]), c).unwrap();
         assert!(!r2.deadlocked);
         assert!(r2.throughput < Rational::ONE, "{}", r2.throughput);
         // Capacity 1: the burst of 2 never fits.
-        let r3 = csdf_throughput(
-            &g,
-            &StorageDistribution::from_capacities(vec![1]),
-            c,
-            CsdfLimits::default(),
-        )
-        .unwrap();
+        let r3 = throughput(&g, &StorageDistribution::from_capacities(vec![1]), c).unwrap();
         assert!(r3.deadlocked);
     }
 
     #[test]
     fn observed_actor_with_phases_counts_phase_firings() {
-        // Consumer with two phases consuming (1, 1): its phase throughput
-        // is twice its cycle throughput.
+        // Consumer with two phases consuming (1, 1): each of its phase
+        // firings takes the token of one producer firing, so its phase
+        // throughput equals the producer's firing rate — twice its cycle
+        // throughput.
         let mut b = CsdfGraph::builder("g");
         let p = b.actor("p", vec![1]);
         let c = b.actor("c", vec![1, 1]);
         b.channel("d", p, vec![1], c, vec![1, 1], 0).unwrap();
         let g = b.build().unwrap();
-        let c = g.actor_by_name("c").unwrap();
-        let r = csdf_throughput(
-            &g,
-            &StorageDistribution::from_capacities(vec![2]),
-            c,
-            CsdfLimits::default(),
-        )
-        .unwrap();
-        assert_eq!(r.cycle_throughput() * Rational::from(2u64), r.throughput);
+        let dist = StorageDistribution::from_capacities(vec![2]);
+        let phase = throughput(&g, &dist, c).unwrap().throughput;
+        assert!(phase > Rational::ZERO);
+        assert_eq!(phase, throughput(&g, &dist, p).unwrap().throughput);
     }
 
     #[test]
@@ -194,16 +86,16 @@ mod tests {
         b.channel("d", p, vec![1], c, vec![1], 0).unwrap();
         let g = b.build().unwrap();
         let c = g.actor_by_name("c").unwrap();
-        let err = csdf_throughput(
+        let err = throughput_for(
             &g,
-            &StorageDistribution::from_capacities(vec![5]),
+            Capacities::from_distribution(&StorageDistribution::from_capacities(vec![5])),
             c,
-            CsdfLimits {
+            ExplorationLimits {
                 max_states: 1,
                 max_steps: 2,
             },
         )
         .unwrap_err();
-        assert!(matches!(err, CsdfError::StateLimitExceeded { .. }));
+        assert!(matches!(err, AnalysisError::StateLimitExceeded { .. }));
     }
 }

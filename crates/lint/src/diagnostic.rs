@@ -127,6 +127,8 @@ impl fmt::Display for Diagnostic {
 pub struct Report {
     /// The linted graph's name.
     pub graph: String,
+    /// The model class
+    /// ([`DataflowSemantics::kind`](buffy_analysis::DataflowSemantics::kind)):
     /// `"sdf"` or `"csdf"`.
     pub kind: &'static str,
     /// All findings, in rule (code) order.

@@ -1,10 +1,10 @@
 //! # buffy-lint
 //!
 //! Static model verification for **buffy-rs**: a set of checks that run
-//! over an [`SdfGraph`] or [`CsdfGraph`] *before* any state-space
-//! exploration and report structured diagnostics — a stable code
-//! (`B001`…), a severity, the offending actor or channel, and a fix
-//! hint. The `buffy check` CLI subcommand renders the resulting
+//! over any [`DataflowSemantics`] model (an SDF or CSDF graph) *before*
+//! any state-space exploration and report structured diagnostics — a
+//! stable code (`B001`…), a severity, the offending actor or channel, and
+//! a fix hint. The `buffy check` CLI subcommand renders the resulting
 //! [`Report`] in human-readable or JSON form, and the analysis commands
 //! use it as a preflight that refuses models with `Error`-level findings.
 //!
@@ -22,12 +22,14 @@
 //! | B010 | error    | channel capacity statically saturates the throughput below the requested constraint |
 //! | B011 | warning  | constraint already met at the §7 lower-bound distribution — exploration trivially solvable |
 //!
-//! Each check is a separate [`Rule`] object; [`Registry::with_default_rules`]
-//! collects them all and [`lint_sdf`] / [`lint_csdf`] run the registry.
+//! Each check is a separate [`Rule`] object that reads the model only
+//! through the kernel's [`DataflowSemantics`] trait, so every rule is
+//! written once for all model classes. [`Registry::with_default_rules`]
+//! collects them all and [`lint`] runs the registry.
 //!
 //! ```
 //! use buffy_graph::SdfGraph;
-//! use buffy_lint::{lint_sdf, LintContext};
+//! use buffy_lint::{lint, LintContext};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = SdfGraph::builder("bad");
@@ -37,7 +39,7 @@
 //! b.channel("bwd", y, 1, x, 1)?;
 //! let g = b.build()?;
 //!
-//! let report = lint_sdf(&g, &LintContext::default());
+//! let report = lint(&g, &LintContext::default());
 //! assert!(report.has_errors());
 //! assert_eq!(report.diagnostics[0].code, "B001");
 //! # Ok(())
@@ -53,11 +55,10 @@ mod model;
 mod rules;
 
 pub use diagnostic::{Diagnostic, Report, Severity, Subject};
-pub use model::{ChannelView, Model, RepetitionIssue};
 pub use rules::{Registry, Rule, DEFAULT_SPACE_THRESHOLD};
 
-use buffy_csdf::CsdfGraph;
-use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
+use buffy_analysis::DataflowSemantics;
+use buffy_graph::{ActorId, Rational, StorageDistribution};
 
 /// Optional inputs that sharpen the checks: a storage distribution makes
 /// the capacity checks (B004) possible, a throughput constraint enables
@@ -76,12 +77,7 @@ pub struct LintContext {
     pub space_threshold: Option<u64>,
 }
 
-/// Runs every default rule over an SDF graph.
-pub fn lint_sdf(graph: &SdfGraph, ctx: &LintContext) -> Report {
-    Registry::with_default_rules().run(&Model::Sdf(graph), ctx)
-}
-
-/// Runs every default rule over a CSDF graph.
-pub fn lint_csdf(graph: &CsdfGraph, ctx: &LintContext) -> Report {
-    Registry::with_default_rules().run(&Model::Csdf(graph), ctx)
+/// Runs every default rule over a model.
+pub fn lint(model: &dyn DataflowSemantics, ctx: &LintContext) -> Report {
+    Registry::with_default_rules().run(model, ctx)
 }

@@ -1,291 +1,54 @@
-//! A uniform read-only view over SDF and CSDF graphs.
+//! Graph helpers the rules share, written over the kernel's
+//! [`DataflowSemantics`].
 //!
-//! Rules operate on [`Model`], which normalizes the two graph kinds to a
-//! common vocabulary: per-cycle channel rates (for plain SDF a cycle is a
-//! single firing), cycle-level repetition vectors, weak connectivity and
-//! per-channel capacity lower bounds. This keeps every rule
-//! representation-agnostic and means each check is written once.
+//! Rules read a model only through that trait: per-phase rates, cycle
+//! totals, repetition counts in phase cycles (for plain SDF a cycle is a
+//! single firing) and the kernel's channel bounds. Each check is therefore
+//! written once for every model class. The helpers here are the two graph
+//! walks several rules need: weak connectivity and directed cycle search.
 
-use buffy_analysis::{throughput_for, Capacities, ExplorationLimits, StaticBounds};
-use buffy_csdf::{csdf_channel_lower_bound, csdf_channel_step, csdf_maximal_throughput, CsdfGraph};
-use buffy_csdf::{CsdfError, CsdfRepetitionVector};
-use buffy_graph::{
-    ActorId, ChannelId, GraphError, Rational, RepetitionVector, SdfGraph, StorageDistribution,
-};
+use buffy_analysis::DataflowSemantics;
+use buffy_graph::{ActorId, ChannelId};
 
-/// Why a repetition vector could not be computed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RepetitionIssue {
-    /// The balance equations admit only the trivial solution.
-    Inconsistent {
-        /// The channel whose equation first failed, when known.
-        channel: Option<String>,
-    },
-    /// An entry exceeds `u64`.
-    Overflow,
+/// The model's channels, in id order.
+pub(crate) fn channels(model: &dyn DataflowSemantics) -> impl Iterator<Item = ChannelId> {
+    (0..model.num_channels()).map(ChannelId::new)
 }
 
-/// A channel normalized to per-cycle totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelView {
-    /// The channel's id in the underlying graph.
-    pub id: ChannelId,
-    /// The channel's name.
-    pub name: String,
-    /// Producing actor.
-    pub source: ActorId,
-    /// Consuming actor.
-    pub target: ActorId,
-    /// Tokens produced per full firing cycle of the source.
-    pub production: u64,
-    /// Tokens consumed per full firing cycle of the target.
-    pub consumption: u64,
-    /// Tokens present initially.
-    pub initial_tokens: u64,
+/// The `(source, target)` pairs of the channels `keep` selects.
+pub(crate) fn edges(
+    model: &dyn DataflowSemantics,
+    keep: impl Fn(ChannelId) -> bool,
+) -> Vec<(ActorId, ActorId)> {
+    channels(model)
+        .filter(|&c| keep(c))
+        .map(|c| (model.channel_source(c), model.channel_target(c)))
+        .collect()
 }
 
-impl ChannelView {
-    /// Whether the channel connects an actor to itself.
-    pub fn is_self_loop(&self) -> bool {
-        self.source == self.target
+/// Actors not weakly reachable from actor 0 (empty when connected).
+pub(crate) fn unreachable_from_first(model: &dyn DataflowSemantics) -> Vec<ActorId> {
+    let n = model.num_actors();
+    if n == 0 {
+        return Vec::new();
     }
-}
-
-/// A borrowed SDF or CSDF graph, presented uniformly to the rules.
-#[derive(Debug, Clone, Copy)]
-pub enum Model<'a> {
-    /// A plain SDF graph.
-    Sdf(&'a SdfGraph),
-    /// A cyclo-static graph.
-    Csdf(&'a CsdfGraph),
-}
-
-impl Model<'_> {
-    /// The graph's name.
-    pub fn name(&self) -> &str {
-        match self {
-            Model::Sdf(g) => g.name(),
-            Model::Csdf(g) => g.name(),
-        }
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (s, t) in edges(model, |_| true) {
+        adj[s.index()].push(t.index());
+        adj[t.index()].push(s.index());
     }
-
-    /// `"sdf"` or `"csdf"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Model::Sdf(_) => "sdf",
-            Model::Csdf(_) => "csdf",
-        }
-    }
-
-    /// Number of actors.
-    pub fn num_actors(&self) -> usize {
-        match self {
-            Model::Sdf(g) => g.num_actors(),
-            Model::Csdf(g) => g.num_actors(),
-        }
-    }
-
-    /// Number of channels.
-    pub fn num_channels(&self) -> usize {
-        match self {
-            Model::Sdf(g) => g.num_channels(),
-            Model::Csdf(g) => g.num_channels(),
-        }
-    }
-
-    /// The name of `actor`.
-    pub fn actor_name(&self, actor: ActorId) -> &str {
-        match self {
-            Model::Sdf(g) => g.actor(actor).name(),
-            Model::Csdf(g) => g.actor(actor).name(),
-        }
-    }
-
-    /// Whether every firing (phase) of `actor` takes zero time.
-    pub fn zero_execution_time(&self, actor: ActorId) -> bool {
-        match self {
-            Model::Sdf(g) => g.actor(actor).execution_time() == 0,
-            Model::Csdf(g) => g.actor(actor).phase_times().iter().all(|&t| t == 0),
-        }
-    }
-
-    /// Channels incident to `actor`.
-    pub fn degree(&self, actor: ActorId) -> usize {
-        match self {
-            Model::Sdf(g) => g.output_channels(actor).len() + g.input_channels(actor).len(),
-            Model::Csdf(g) => g.output_channels(actor).len() + g.input_channels(actor).len(),
-        }
-    }
-
-    /// All channels, normalized to per-cycle rate totals.
-    pub fn channel_views(&self) -> Vec<ChannelView> {
-        match self {
-            Model::Sdf(g) => g
-                .channels()
-                .map(|(id, c)| ChannelView {
-                    id,
-                    name: c.name().to_string(),
-                    source: c.source(),
-                    target: c.target(),
-                    production: c.production(),
-                    consumption: c.consumption(),
-                    initial_tokens: c.initial_tokens(),
-                })
-                .collect(),
-            Model::Csdf(g) => g
-                .channels()
-                .map(|(id, c)| ChannelView {
-                    id,
-                    name: c.name().to_string(),
-                    source: c.source(),
-                    target: c.target(),
-                    production: c.cycle_production(),
-                    consumption: c.cycle_consumption(),
-                    initial_tokens: c.initial_tokens(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Per-phase production and consumption of one channel (singleton
-    /// vectors for plain SDF).
-    pub fn phase_rates(&self, id: ChannelId) -> (Vec<u64>, Vec<u64>) {
-        match self {
-            Model::Sdf(g) => {
-                let c = g.channel(id);
-                (vec![c.production()], vec![c.consumption()])
-            }
-            Model::Csdf(g) => {
-                let c = g.channel(id);
-                (c.production().to_vec(), c.consumption().to_vec())
+    let mut seen = vec![false; n];
+    let mut stack = vec![0usize];
+    seen[0] = true;
+    while let Some(i) = stack.pop() {
+        for &j in &adj[i] {
+            if !seen[j] {
+                seen[j] = true;
+                stack.push(j);
             }
         }
     }
-
-    /// The default actor whose throughput analyses observe.
-    pub fn default_observed_actor(&self) -> ActorId {
-        match self {
-            Model::Sdf(g) => g.default_observed_actor(),
-            Model::Csdf(g) => g.default_observed_actor(),
-        }
-    }
-
-    /// The cycle-level repetition vector, or why it does not exist.
-    pub fn repetition(&self) -> Result<Vec<u64>, RepetitionIssue> {
-        match self {
-            Model::Sdf(g) => RepetitionVector::compute(g)
-                .map(|q| q.as_slice().to_vec())
-                .map_err(|e| match e {
-                    GraphError::Inconsistent { channel } => RepetitionIssue::Inconsistent {
-                        channel: Some(channel),
-                    },
-                    GraphError::RepetitionOverflow => RepetitionIssue::Overflow,
-                    _ => RepetitionIssue::Inconsistent { channel: None },
-                }),
-            Model::Csdf(g) => CsdfRepetitionVector::compute(g)
-                .map(|q| q.as_slice().to_vec())
-                .map_err(|e| match e {
-                    CsdfError::Inconsistent { channel } => RepetitionIssue::Inconsistent {
-                        channel: Some(channel),
-                    },
-                    CsdfError::RepetitionOverflow => RepetitionIssue::Overflow,
-                    _ => RepetitionIssue::Inconsistent { channel: None },
-                }),
-        }
-    }
-
-    /// Whether every actor reaches every other ignoring edge directions.
-    pub fn is_connected(&self) -> bool {
-        self.unreachable_from_first().is_empty()
-    }
-
-    /// Actors not weakly reachable from actor 0 (empty when connected).
-    pub fn unreachable_from_first(&self) -> Vec<ActorId> {
-        let n = self.num_actors();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for c in self.channel_views() {
-            adj[c.source.index()].push(c.target.index());
-            adj[c.target.index()].push(c.source.index());
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(i) = stack.pop() {
-            for &j in &adj[i] {
-                if !seen[j] {
-                    seen[j] = true;
-                    stack.push(j);
-                }
-            }
-        }
-        (0..n).filter(|&i| !seen[i]).map(ActorId::new).collect()
-    }
-
-    /// The §7 lower bound on one channel's capacity for positive
-    /// throughput.
-    pub fn capacity_lower_bound(&self, id: ChannelId) -> u64 {
-        match self {
-            Model::Sdf(g) => buffy_core::channel_lower_bound(g.channel(id)),
-            Model::Csdf(g) => csdf_channel_lower_bound(g.channel(id)),
-        }
-    }
-
-    /// The capacity quantum of one channel: explored capacities move in
-    /// multiples of this step (paper §8).
-    pub fn capacity_step(&self, id: ChannelId) -> u64 {
-        match self {
-            Model::Sdf(g) => buffy_core::channel_step(g.channel(id)),
-            Model::Csdf(g) => csdf_channel_step(g.channel(id)),
-        }
-    }
-
-    /// The maximal achievable throughput of `observed` over all storage
-    /// distributions, when the analysis succeeds.
-    pub fn maximal_throughput(&self, observed: ActorId) -> Option<Rational> {
-        match self {
-            Model::Sdf(g) => buffy_analysis::maximal_throughput(g, observed).ok(),
-            Model::Csdf(g) => csdf_maximal_throughput(g, observed).ok(),
-        }
-    }
-
-    /// The static capacity-aware cycle-ratio bounds of the model, when
-    /// the static pass can certify it (consistent and connected).
-    pub fn static_bounds(&self, observed: ActorId) -> Option<StaticBounds> {
-        let bounds = match self {
-            Model::Sdf(g) => StaticBounds::new(*g, observed).ok()?,
-            Model::Csdf(g) => StaticBounds::new(*g, observed).ok()?,
-        };
-        bounds.is_usable().then_some(bounds)
-    }
-
-    /// The §7 lower-bound distribution: every channel at its capacity
-    /// lower bound.
-    pub fn lower_bound_distribution(&self) -> StorageDistribution {
-        StorageDistribution::from_capacities(
-            (0..self.num_channels())
-                .map(|i| self.capacity_lower_bound(ChannelId::new(i)))
-                .collect(),
-        )
-    }
-
-    /// The exact throughput of `observed` under `dist` (default
-    /// state-space limits), when the analysis succeeds.
-    pub fn exact_throughput(
-        &self,
-        dist: &StorageDistribution,
-        observed: ActorId,
-    ) -> Option<Rational> {
-        let caps = Capacities::from_distribution(dist);
-        let limits = ExplorationLimits::default();
-        match self {
-            Model::Sdf(g) => throughput_for(*g, caps, observed, limits).ok(),
-            Model::Csdf(g) => throughput_for(*g, caps, observed, limits).ok(),
-        }
-        .map(|r| r.throughput)
-    }
+    (0..n).filter(|&i| !seen[i]).map(ActorId::new).collect()
 }
 
 /// Finds a directed cycle in the sub-graph spanned by `edges`, returned
@@ -343,6 +106,9 @@ pub(crate) fn find_cycle(num_actors: usize, edges: &[(ActorId, ActorId)]) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buffy_analysis::AnalysisError;
+    use buffy_csdf::CsdfGraph;
+    use buffy_graph::{GraphError, SdfGraph};
 
     fn sdf_example() -> SdfGraph {
         let mut b = SdfGraph::builder("example");
@@ -356,24 +122,26 @@ mod tests {
 
     #[test]
     fn sdf_view_normalizes() {
+        // What the rules read of an SDF graph: single-phase rates, the
+        // ordinary repetition vector and the BMLB lower bound.
         let g = sdf_example();
-        let m = Model::Sdf(&g);
-        assert_eq!(m.name(), "example");
-        assert_eq!(m.kind(), "sdf");
-        assert_eq!(m.num_actors(), 3);
-        assert_eq!(m.num_channels(), 2);
-        let views = m.channel_views();
-        assert_eq!(views[0].production, 2);
-        assert_eq!(views[0].consumption, 3);
-        assert!(!views[0].is_self_loop());
-        assert_eq!(m.repetition().unwrap(), vec![3, 2, 1]);
-        assert!(m.is_connected());
-        assert_eq!(m.phase_rates(views[0].id), (vec![2], vec![3]));
-        assert_eq!(m.actor_name(views[0].source), "a");
-        assert!(!m.zero_execution_time(views[0].source));
-        assert_eq!(m.degree(views[0].source), 1);
-        assert!(m.maximal_throughput(m.default_observed_actor()).is_some());
-        assert_eq!(m.capacity_lower_bound(views[0].id), 4);
+        let m: &dyn DataflowSemantics = &g;
+        assert_eq!((m.name(), m.kind()), ("example", "sdf"));
+        assert_eq!(channels(m).count(), 2);
+        let alpha = ChannelId::new(0);
+        assert_eq!(
+            (m.cycle_production(alpha), m.cycle_consumption(alpha)),
+            (2, 3)
+        );
+        assert_eq!(m.repetition_cycles().unwrap(), vec![3, 2, 1]);
+        assert!(unreachable_from_first(m).is_empty());
+        assert_eq!(m.actor_name(m.channel_source(alpha)), "a");
+        assert_eq!(
+            edges(m, |c| c == alpha),
+            vec![(ActorId::new(0), ActorId::new(1))]
+        );
+        assert!(m.maximal_throughput(m.default_observed_actor()).is_ok());
+        assert_eq!(m.channel_lower_bound(alpha), 4);
     }
 
     #[test]
@@ -381,15 +149,13 @@ mod tests {
         let mut b = CsdfGraph::builder("pc");
         let p = b.actor("p", vec![1, 2]);
         let c = b.actor("c", vec![1]);
-        b.channel("d", p, vec![1, 2], c, vec![1], 0).unwrap();
+        let d = b.channel("d", p, vec![1, 2], c, vec![1], 0).unwrap();
         let g = b.build().unwrap();
-        let m = Model::Csdf(&g);
+        let m: &dyn DataflowSemantics = &g;
         assert_eq!(m.kind(), "csdf");
-        let views = m.channel_views();
-        assert_eq!(views[0].production, 3);
-        assert_eq!(views[0].consumption, 1);
-        assert_eq!(m.phase_rates(views[0].id), (vec![1, 2], vec![1]));
-        assert_eq!(m.repetition().unwrap(), vec![1, 3]);
+        assert_eq!((m.cycle_production(d), m.cycle_consumption(d)), (3, 1));
+        assert_eq!((m.production(d, 0), m.production(d, 1)), (1, 2));
+        assert_eq!(m.repetition_cycles().unwrap(), vec![1, 3]);
     }
 
     #[test]
@@ -400,13 +166,15 @@ mod tests {
         b.channel("fwd", x, 2, y, 1).unwrap();
         b.channel("bwd", y, 1, x, 1).unwrap();
         let g = b.build().unwrap();
-        let issue = Model::Sdf(&g).repetition().unwrap_err();
+        let sdf = g.repetition_cycles().unwrap_err();
         assert_eq!(
-            issue,
-            RepetitionIssue::Inconsistent {
-                channel: Some("bwd".to_string())
-            }
+            sdf,
+            AnalysisError::Graph(GraphError::Inconsistent {
+                channel: "bwd".to_string()
+            })
         );
+        // The CSDF embedding names the same channel the same way.
+        assert_eq!(CsdfGraph::from_sdf(&g).repetition_cycles(), Err(sdf));
     }
 
     #[test]
@@ -414,13 +182,10 @@ mod tests {
         let mut b = SdfGraph::builder("islands");
         let x = b.actor("x", 1);
         let y = b.actor("y", 1);
-        let z = b.actor("z", 1);
+        b.actor("z", 1);
         b.channel("c", x, 1, y, 1).unwrap();
-        let _ = z;
         let g = b.build().unwrap();
-        let m = Model::Sdf(&g);
-        assert!(!m.is_connected());
-        assert_eq!(m.unreachable_from_first(), vec![ActorId::new(2)]);
+        assert_eq!(unreachable_from_first(&g), vec![ActorId::new(2)]);
     }
 
     #[test]

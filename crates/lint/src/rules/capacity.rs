@@ -3,9 +3,10 @@
 //! so the execution is guaranteed to deadlock.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::Model;
+use crate::model::channels;
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 
 /// Flags channels whose supplied capacity is below their lower bound.
 ///
@@ -25,7 +26,7 @@ impl Rule for CapacityBelowBound {
         "a supplied channel capacity is below the deadlock-free lower bound"
     }
 
-    fn check(&self, model: &Model<'_>, ctx: &LintContext) -> Vec<Diagnostic> {
+    fn check(&self, model: &dyn DataflowSemantics, ctx: &LintContext) -> Vec<Diagnostic> {
         let Some(dist) = &ctx.distribution else {
             return Vec::new();
         };
@@ -42,14 +43,14 @@ impl Rule for CapacityBelowBound {
             .with_hint("supply one capacity per channel, in channel order")];
         }
         let mut out = Vec::new();
-        for c in model.channel_views() {
-            let bound = model.capacity_lower_bound(c.id);
-            let cap = dist.get(c.id);
+        for c in channels(model) {
+            let bound = model.channel_lower_bound(c);
+            let cap = dist.get(c);
             if cap < bound {
                 out.push(
                     Diagnostic::error(
                         self.code(),
-                        Subject::Channel(c.name.clone()),
+                        Subject::Channel(model.channel_name(c).to_string()),
                         format!(
                             "capacity {cap} is below the lower bound {bound}; \
                              the channel can never sustain repeated firings",
@@ -82,7 +83,7 @@ mod tests {
     fn inactive_without_distribution() {
         let g = example();
         assert!(CapacityBelowBound
-            .check(&Model::Sdf(&g), &LintContext::default())
+            .check(&g, &LintContext::default())
             .is_empty());
     }
 
@@ -94,7 +95,7 @@ mod tests {
             distribution: Some(StorageDistribution::from_capacities(vec![3, 2])),
             ..LintContext::default()
         };
-        let d = CapacityBelowBound.check(&Model::Sdf(&g), &ctx);
+        let d = CapacityBelowBound.check(&g, &ctx);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].subject, Subject::Channel("alpha".into()));
         assert!(d[0]
@@ -109,7 +110,7 @@ mod tests {
             distribution: Some(StorageDistribution::from_capacities(vec![4, 2])),
             ..LintContext::default()
         };
-        assert!(CapacityBelowBound.check(&Model::Sdf(&g), &ctx).is_empty());
+        assert!(CapacityBelowBound.check(&g, &ctx).is_empty());
     }
 
     #[test]
@@ -119,7 +120,7 @@ mod tests {
             distribution: Some(StorageDistribution::from_capacities(vec![4])),
             ..LintContext::default()
         };
-        let d = CapacityBelowBound.check(&Model::Sdf(&g), &ctx);
+        let d = CapacityBelowBound.check(&g, &ctx);
         assert_eq!(d.len(), 1);
         assert!(d[0]
             .message

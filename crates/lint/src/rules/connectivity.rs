@@ -3,9 +3,10 @@
 //! throughputs are unrelated.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::Model;
+use crate::model::unreachable_from_first;
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 
 /// Flags graphs that are not weakly connected.
 pub struct Disconnected;
@@ -23,8 +24,8 @@ impl Rule for Disconnected {
         "some actors are not connected to the rest of the dataflow"
     }
 
-    fn check(&self, model: &Model<'_>, _ctx: &LintContext) -> Vec<Diagnostic> {
-        let unreachable = model.unreachable_from_first();
+    fn check(&self, model: &dyn DataflowSemantics, _ctx: &LintContext) -> Vec<Diagnostic> {
+        let unreachable = unreachable_from_first(model);
         if unreachable.is_empty() {
             return Vec::new();
         }
@@ -73,7 +74,7 @@ mod tests {
         b.actor("z", 1);
         b.channel("c", x, 1, y, 1).unwrap();
         let g = b.build().unwrap();
-        let d = Disconnected.check(&Model::Sdf(&g), &LintContext::default());
+        let d = Disconnected.check(&g, &LintContext::default());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B002");
         assert!(d[0].message.contains("'z'"));
@@ -86,9 +87,7 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel("c", x, 1, y, 1).unwrap();
         let g = b.build().unwrap();
-        assert!(Disconnected
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(Disconnected.check(&g, &LintContext::default()).is_empty());
     }
 
     #[test]
@@ -96,8 +95,6 @@ mod tests {
         let mut b = SdfGraph::builder("one");
         b.actor("only", 1);
         let g = b.build().unwrap();
-        assert!(Disconnected
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(Disconnected.check(&g, &LintContext::default()).is_empty());
     }
 }

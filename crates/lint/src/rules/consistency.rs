@@ -3,9 +3,10 @@
 //! memory (paper §3).
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::{Model, RepetitionIssue};
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::{AnalysisError, DataflowSemantics};
+use buffy_graph::GraphError;
 
 /// Flags graphs whose repetition vector does not exist.
 pub struct Inconsistent;
@@ -23,26 +24,25 @@ impl Rule for Inconsistent {
         "the balance equations admit only the trivial solution"
     }
 
-    fn check(&self, model: &Model<'_>, _ctx: &LintContext) -> Vec<Diagnostic> {
-        match model.repetition() {
-            Ok(_) | Err(RepetitionIssue::Overflow) => Vec::new(),
-            Err(RepetitionIssue::Inconsistent { channel }) => {
-                let subject = match &channel {
-                    Some(name) => Subject::Channel(name.clone()),
-                    None => Subject::Graph,
-                };
-                vec![Diagnostic::error(
-                    self.code(),
-                    subject,
-                    "the balance equations admit only the trivial solution; \
-                     the graph cannot run indefinitely in bounded memory",
-                )
-                .with_hint(
-                    "adjust the port rates so that q(src)·production = \
-                     q(dst)·consumption holds on every channel",
-                )]
+    fn check(&self, model: &dyn DataflowSemantics, _ctx: &LintContext) -> Vec<Diagnostic> {
+        let subject = match model.repetition_cycles() {
+            // Overflow is B006's finding.
+            Ok(_) | Err(AnalysisError::Graph(GraphError::RepetitionOverflow)) => return Vec::new(),
+            Err(AnalysisError::Graph(GraphError::Inconsistent { channel })) => {
+                Subject::Channel(channel)
             }
-        }
+            Err(_) => Subject::Graph,
+        };
+        vec![Diagnostic::error(
+            self.code(),
+            subject,
+            "the balance equations admit only the trivial solution; \
+             the graph cannot run indefinitely in bounded memory",
+        )
+        .with_hint(
+            "adjust the port rates so that q(src)·production = \
+             q(dst)·consumption holds on every channel",
+        )]
     }
 }
 
@@ -59,7 +59,7 @@ mod tests {
         b.channel("fwd", x, 2, y, 1).unwrap();
         b.channel("bwd", y, 1, x, 1).unwrap();
         let g = b.build().unwrap();
-        let d = Inconsistent.check(&Model::Sdf(&g), &LintContext::default());
+        let d = Inconsistent.check(&g, &LintContext::default());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B001");
         assert_eq!(d[0].subject, Subject::Channel("bwd".into()));
@@ -73,8 +73,6 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel("c", x, 2, y, 3).unwrap();
         let g = b.build().unwrap();
-        assert!(Inconsistent
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(Inconsistent.check(&g, &LintContext::default()).is_empty());
     }
 }

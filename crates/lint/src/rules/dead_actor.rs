@@ -3,9 +3,9 @@
 //! when observed.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::Model;
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 use buffy_graph::ActorId;
 
 /// Flags actors with no channels at all (in graphs with more than one
@@ -25,12 +25,12 @@ impl Rule for DeadActor {
         "an actor takes no part in the dataflow"
     }
 
-    fn check(&self, model: &Model<'_>, _ctx: &LintContext) -> Vec<Diagnostic> {
+    fn check(&self, model: &dyn DataflowSemantics, _ctx: &LintContext) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         if model.num_actors() > 1 {
             for i in 0..model.num_actors() {
                 let a = ActorId::new(i);
-                if model.degree(a) == 0 {
+                if model.input_channels(a).is_empty() && model.output_channels(a).is_empty() {
                     out.push(
                         Diagnostic::warning(
                             self.code(),
@@ -43,7 +43,7 @@ impl Rule for DeadActor {
                 }
             }
         }
-        if let Ok(q) = model.repetition() {
+        if let Ok(q) = model.repetition_cycles() {
             for (i, &e) in q.iter().enumerate() {
                 if e == 0 {
                     out.push(
@@ -75,7 +75,7 @@ mod tests {
         b.actor("idle", 1);
         b.channel("c", x, 1, y, 1).unwrap();
         let g = b.build().unwrap();
-        let d = DeadActor.check(&Model::Sdf(&g), &LintContext::default());
+        let d = DeadActor.check(&g, &LintContext::default());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B007");
         assert_eq!(d[0].subject, Subject::Actor("idle".into()));
@@ -86,9 +86,7 @@ mod tests {
         let mut b = SdfGraph::builder("one");
         b.actor("only", 1);
         let g = b.build().unwrap();
-        assert!(DeadActor
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(DeadActor.check(&g, &LintContext::default()).is_empty());
     }
 
     #[test]
@@ -98,8 +96,6 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel("c", x, 2, y, 3).unwrap();
         let g = b.build().unwrap();
-        assert!(DeadActor
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(DeadActor.check(&g, &LintContext::default()).is_empty());
     }
 }

@@ -3,9 +3,10 @@
 //! guaranteed to deadlock regardless of the storage distribution.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::{find_cycle, Model};
+use crate::model::{edges, find_cycle};
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 
 /// Flags directed cycles with no initial tokens anywhere on them.
 pub struct TokenFreeCycle;
@@ -23,14 +24,9 @@ impl Rule for TokenFreeCycle {
         "a cycle without initial tokens deadlocks every execution"
     }
 
-    fn check(&self, model: &Model<'_>, _ctx: &LintContext) -> Vec<Diagnostic> {
-        let edges: Vec<_> = model
-            .channel_views()
-            .into_iter()
-            .filter(|c| c.initial_tokens == 0)
-            .map(|c| (c.source, c.target))
-            .collect();
-        let Some(cycle) = find_cycle(model.num_actors(), &edges) else {
+    fn check(&self, model: &dyn DataflowSemantics, _ctx: &LintContext) -> Vec<Diagnostic> {
+        let token_free = edges(model, |c| model.initial_tokens(c) == 0);
+        let Some(cycle) = find_cycle(model.num_actors(), &token_free) else {
             return Vec::new();
         };
         let mut path: Vec<&str> = cycle.iter().map(|&a| model.actor_name(a)).collect();
@@ -62,7 +58,7 @@ mod tests {
         b.channel("f", x, 1, y, 1).unwrap();
         b.channel("r", y, 1, x, 1).unwrap();
         let g = b.build().unwrap();
-        let d = TokenFreeCycle.check(&Model::Sdf(&g), &LintContext::default());
+        let d = TokenFreeCycle.check(&g, &LintContext::default());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B003");
         assert!(d[0].message.contains("x -> y -> x") || d[0].message.contains("y -> x -> y"));
@@ -76,9 +72,7 @@ mod tests {
         b.channel("f", x, 1, y, 1).unwrap();
         b.channel_with_tokens("r", y, 1, x, 1, 1).unwrap();
         let g = b.build().unwrap();
-        assert!(TokenFreeCycle
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(TokenFreeCycle.check(&g, &LintContext::default()).is_empty());
     }
 
     #[test]
@@ -87,7 +81,7 @@ mod tests {
         let x = b.actor("x", 1);
         b.channel_with_tokens("s", x, 1, x, 1, 0).unwrap();
         let g = b.build().unwrap();
-        let d = TokenFreeCycle.check(&Model::Sdf(&g), &LintContext::default());
+        let d = TokenFreeCycle.check(&g, &LintContext::default());
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("x -> x"));
     }
@@ -99,8 +93,6 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel("c", x, 1, y, 1).unwrap();
         let g = b.build().unwrap();
-        assert!(TokenFreeCycle
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(TokenFreeCycle.check(&g, &LintContext::default()).is_empty());
     }
 }

@@ -5,9 +5,10 @@
 //! instead of being killed.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::Model;
+use crate::model::channels;
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 
 /// Distribution spaces larger than this (candidate distributions in the
 /// §8 exploration box, conservatively estimated) are flagged unless the
@@ -21,14 +22,16 @@ pub const DEFAULT_SPACE_THRESHOLD: u64 = 100_000;
 /// the channel can never be the bottleneck) — in steps of the channel's
 /// quantum. Saturates at `u128::MAX`. Inconsistent graphs (no repetition
 /// vector) estimate as 1; B001 owns that finding.
-pub(crate) fn estimate_space(model: &Model<'_>) -> u128 {
-    let Ok(q) = model.repetition() else {
+pub(crate) fn estimate_space(model: &dyn DataflowSemantics) -> u128 {
+    let Ok(q) = model.repetition_cycles() else {
         return 1;
     };
     let mut total: u128 = 1;
-    for c in model.channel_views() {
-        let per_iteration = c.production.saturating_mul(q[c.source.index()]);
-        let step = model.capacity_step(c.id).max(1);
+    for c in channels(model) {
+        let per_iteration = model
+            .cycle_production(c)
+            .saturating_mul(q[model.channel_source(c).index()]);
+        let step = model.channel_step(c).max(1);
         let choices = u128::from(per_iteration / step) + 1;
         total = total.saturating_mul(choices);
     }
@@ -51,7 +54,7 @@ impl Rule for SpaceExplosion {
         "the storage distribution space is large enough that unbounded exploration may not finish"
     }
 
-    fn check(&self, model: &Model<'_>, ctx: &LintContext) -> Vec<Diagnostic> {
+    fn check(&self, model: &dyn DataflowSemantics, ctx: &LintContext) -> Vec<Diagnostic> {
         let threshold = ctx.space_threshold.unwrap_or(DEFAULT_SPACE_THRESHOLD);
         let estimate = estimate_space(model);
         if estimate <= u128::from(threshold) {
@@ -97,9 +100,7 @@ mod tests {
     #[test]
     fn small_graphs_pass_at_the_default_threshold() {
         let g = example();
-        assert!(SpaceExplosion
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(SpaceExplosion.check(&g, &LintContext::default()).is_empty());
     }
 
     #[test]
@@ -109,7 +110,7 @@ mod tests {
             space_threshold: Some(1),
             ..LintContext::default()
         };
-        let d = SpaceExplosion.check(&Model::Sdf(&g), &ctx);
+        let d = SpaceExplosion.check(&g, &ctx);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B009");
         assert!(
@@ -130,7 +131,7 @@ mod tests {
         // iteration at step 1 → 7 choices; beta carries 1·2 = 2 → 3
         // choices. The estimate is their product, far below the default.
         let g = example();
-        let e = estimate_space(&Model::Sdf(&g));
+        let e = estimate_space(&g);
         assert!(e >= 2, "{e}");
         assert!(e < 100, "{e}");
     }
@@ -147,7 +148,7 @@ mod tests {
             prev = next;
         }
         let g = b.build().unwrap();
-        let d = SpaceExplosion.check(&Model::Sdf(&g), &LintContext::default());
-        assert_eq!(d.len(), 1, "estimate: {}", estimate_space(&Model::Sdf(&g)));
+        let d = SpaceExplosion.check(&g, &LintContext::default());
+        assert_eq!(d.len(), 1, "estimate: {}", estimate_space(&g));
     }
 }

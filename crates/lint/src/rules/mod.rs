@@ -12,8 +12,8 @@ mod static_bounds;
 mod throughput;
 
 use crate::diagnostic::{Diagnostic, Report};
-use crate::model::Model;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 
 pub use capacity::CapacityBelowBound;
 pub use connectivity::Disconnected;
@@ -42,7 +42,7 @@ pub trait Rule {
     fn summary(&self) -> &'static str;
 
     /// Runs the check.
-    fn check(&self, model: &Model<'_>, ctx: &LintContext) -> Vec<Diagnostic>;
+    fn check(&self, model: &dyn DataflowSemantics, ctx: &LintContext) -> Vec<Diagnostic>;
 }
 
 /// An ordered collection of rules.
@@ -84,7 +84,7 @@ impl Registry {
     }
 
     /// Runs every rule and collects the diagnostics into a [`Report`].
-    pub fn run(&self, model: &Model<'_>, ctx: &LintContext) -> Report {
+    pub fn run(&self, model: &dyn DataflowSemantics, ctx: &LintContext) -> Report {
         let mut diagnostics = Vec::new();
         for rule in &self.rules {
             let mut found = rule.check(model, ctx);
@@ -133,7 +133,7 @@ mod tests {
         let c = b.actor("c", 2);
         b.channel("ch", a, 2, c, 3).unwrap();
         let g = b.build().unwrap();
-        let report = Registry::with_default_rules().run(&Model::Sdf(&g), &LintContext::default());
+        let report = Registry::with_default_rules().run(&g, &LintContext::default());
         assert!(report.is_clean(), "{}", report.render_human());
         assert_eq!(report.graph, "ok");
         assert_eq!(report.kind, "sdf");

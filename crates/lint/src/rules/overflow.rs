@@ -3,9 +3,11 @@
 //! arithmetic of the analyses may overflow.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::{Model, RepetitionIssue};
+use crate::model::channels;
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::{AnalysisError, DataflowSemantics};
+use buffy_graph::{ActorId, GraphError};
 
 /// Entries above this make the rational (`i128`) clock arithmetic of the
 /// simulation engines risky: products of three such factors overflow.
@@ -27,10 +29,10 @@ impl Rule for OverflowRisk {
         "repetition-vector or token arithmetic may overflow"
     }
 
-    fn check(&self, model: &Model<'_>, _ctx: &LintContext) -> Vec<Diagnostic> {
-        let q = match model.repetition() {
+    fn check(&self, model: &dyn DataflowSemantics, _ctx: &LintContext) -> Vec<Diagnostic> {
+        let q = match model.repetition_cycles() {
             Ok(q) => q,
-            Err(RepetitionIssue::Overflow) => {
+            Err(AnalysisError::Graph(GraphError::RepetitionOverflow)) => {
                 return vec![Diagnostic::error(
                     self.code(),
                     Subject::Graph,
@@ -40,7 +42,7 @@ impl Rule for OverflowRisk {
                 .with_hint("reduce the rate ratios — they force astronomically many firings")];
             }
             // Inconsistency is B001's finding.
-            Err(RepetitionIssue::Inconsistent { .. }) => return Vec::new(),
+            Err(_) => return Vec::new(),
         };
         let mut out = Vec::new();
         for (i, &e) in q.iter().enumerate() {
@@ -48,7 +50,7 @@ impl Rule for OverflowRisk {
                 out.push(
                     Diagnostic::warning(
                         self.code(),
-                        Subject::Actor(model.actor_name(buffy_graph::ActorId::new(i)).to_string()),
+                        Subject::Actor(model.actor_name(ActorId::new(i)).to_string()),
                         format!(
                             "repetition entry {e} is enormous; one graph \
                              iteration needs that many firing cycles and \
@@ -59,13 +61,14 @@ impl Rule for OverflowRisk {
                 );
             }
         }
-        for c in model.channel_views() {
-            let volume = q[c.source.index()] as u128 * c.production as u128;
+        for c in channels(model) {
+            let source = model.channel_source(c);
+            let volume = q[source.index()] as u128 * model.cycle_production(c) as u128;
             if volume > u64::MAX as u128 {
                 out.push(
                     Diagnostic::warning(
                         self.code(),
-                        Subject::Channel(c.name.clone()),
+                        Subject::Channel(model.channel_name(c).to_string()),
                         format!(
                             "one iteration moves {volume} tokens through the \
                              channel, which overflows u64 token counting",
@@ -91,9 +94,7 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel("c", x, 2, y, 3).unwrap();
         let g = b.build().unwrap();
-        assert!(OverflowRisk
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(OverflowRisk.check(&g, &LintContext::default()).is_empty());
     }
 
     #[test]
@@ -104,7 +105,7 @@ mod tests {
         let y = b.actor("y", 1);
         b.channel("c", x, 1 << 33, y, 1).unwrap();
         let g = b.build().unwrap();
-        let d = OverflowRisk.check(&Model::Sdf(&g), &LintContext::default());
+        let d = OverflowRisk.check(&g, &LintContext::default());
         assert!(!d.is_empty());
         assert!(d
             .iter()
@@ -120,8 +121,6 @@ mod tests {
         b.channel("fwd", x, 2, y, 1).unwrap();
         b.channel("bwd", y, 1, x, 1).unwrap();
         let g = b.build().unwrap();
-        assert!(OverflowRisk
-            .check(&Model::Sdf(&g), &LintContext::default())
-            .is_empty());
+        assert!(OverflowRisk.check(&g, &LintContext::default()).is_empty());
     }
 }

@@ -4,9 +4,10 @@
 //! zero-time livelock guards to kick in).
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::{find_cycle, Model};
+use crate::model::{channels, edges, find_cycle};
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 use buffy_graph::ActorId;
 
 /// Flags starved self-loops and zero-execution-time cycles.
@@ -25,38 +26,40 @@ impl Rule for ModellingSmells {
         "legal but suspicious constructs: starved self-loops, zero-time cycles"
     }
 
-    fn check(&self, model: &Model<'_>, _ctx: &LintContext) -> Vec<Diagnostic> {
+    fn check(&self, model: &dyn DataflowSemantics, _ctx: &LintContext) -> Vec<Diagnostic> {
         let mut out = Vec::new();
 
         // Self-loops that stall partway through a phase cycle: tokens on a
         // self-loop change only through the actor itself, so simulating
         // one phase cycle is exact (capacity aside).
-        for c in model.channel_views() {
-            if !c.is_self_loop() || c.initial_tokens == 0 {
+        for c in channels(model) {
+            let actor = model.channel_source(c);
+            let initial = model.initial_tokens(c);
+            if actor != model.channel_target(c) || initial == 0 {
                 // Token-free self-loops are B003's finding.
                 continue;
             }
-            let (prod, cons) = model.phase_rates(c.id);
-            let mut tokens = c.initial_tokens as i128;
-            for (k, (&p, &co)) in prod.iter().zip(&cons).enumerate() {
+            let mut tokens = initial as i128;
+            for k in 0..model.num_phases(actor) {
+                let (p, co) = (model.production(c, k), model.consumption(c, k));
                 if tokens < co as i128 {
                     out.push(
                         Diagnostic::warning(
                             self.code(),
-                            Subject::Channel(c.name.clone()),
+                            Subject::Channel(model.channel_name(c).to_string()),
                             format!(
                                 "the self-loop starves at firing {} of '{}': \
                                  {} token(s) available but {} needed — the \
                                  actor stalls forever",
                                 k + 1,
-                                model.actor_name(c.source),
+                                model.actor_name(actor),
                                 tokens,
                                 co,
                             ),
                         )
                         .with_hint(format!(
                             "give the self-loop at least {} initial token(s)",
-                            c.initial_tokens as i128 + co as i128 - tokens,
+                            initial as i128 + co as i128 - tokens,
                         )),
                     );
                     break;
@@ -69,15 +72,13 @@ impl Rule for ModellingSmells {
         // self-timed execution never advances the clock and trips the
         // engines' livelock caps.
         let zero: Vec<bool> = (0..model.num_actors())
-            .map(|i| model.zero_execution_time(ActorId::new(i)))
+            .map(ActorId::new)
+            .map(|a| (0..model.num_phases(a)).all(|k| model.execution_time(a, k) == 0))
             .collect();
-        let edges: Vec<_> = model
-            .channel_views()
-            .into_iter()
-            .filter(|c| zero[c.source.index()] && zero[c.target.index()])
-            .map(|c| (c.source, c.target))
-            .collect();
-        if let Some(cycle) = find_cycle(model.num_actors(), &edges) {
+        let zero_time = edges(model, |c| {
+            zero[model.channel_source(c).index()] && zero[model.channel_target(c).index()]
+        });
+        if let Some(cycle) = find_cycle(model.num_actors(), &zero_time) {
             let mut path: Vec<&str> = cycle.iter().map(|&a| model.actor_name(a)).collect();
             path.push(path[0]);
             out.push(
@@ -110,7 +111,7 @@ mod tests {
         let x = b.actor("x", 1);
         b.channel_with_tokens("s", x, 2, x, 2, 1).unwrap();
         let g = b.build().unwrap();
-        let d = ModellingSmells.check(&Model::Sdf(&g), &LintContext::default());
+        let d = ModellingSmells.check(&g, &LintContext::default());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B008");
         assert!(d[0].message.contains("starves"));
@@ -124,7 +125,7 @@ mod tests {
         b.channel_with_tokens("s", x, 2, x, 2, 2).unwrap();
         let g = b.build().unwrap();
         assert!(ModellingSmells
-            .check(&Model::Sdf(&g), &LintContext::default())
+            .check(&g, &LintContext::default())
             .is_empty());
     }
 
@@ -136,7 +137,7 @@ mod tests {
         b.channel("f", x, 1, y, 1).unwrap();
         b.channel_with_tokens("r", y, 1, x, 1, 1).unwrap();
         let g = b.build().unwrap();
-        let d = ModellingSmells.check(&Model::Sdf(&g), &LintContext::default());
+        let d = ModellingSmells.check(&g, &LintContext::default());
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("zero-execution-time"));
     }
@@ -151,7 +152,7 @@ mod tests {
         b.channel_with_tokens("r", y, 1, x, 1, 1).unwrap();
         let g = b.build().unwrap();
         assert!(ModellingSmells
-            .check(&Model::Sdf(&g), &LintContext::default())
+            .check(&g, &LintContext::default())
             .is_empty());
     }
 
@@ -163,7 +164,7 @@ mod tests {
         b.channel("c", x, 1, y, 1).unwrap();
         let g = b.build().unwrap();
         assert!(ModellingSmells
-            .check(&Model::Sdf(&g), &LintContext::default())
+            .check(&g, &LintContext::default())
             .is_empty());
     }
 }

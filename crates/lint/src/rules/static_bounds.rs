@@ -9,9 +9,18 @@
 //! constrained exploration is trivially solvable.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::Model;
+use crate::model::channels;
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::{throughput, DataflowSemantics, StaticBounds};
+use buffy_graph::{ActorId, StorageDistribution};
+
+/// The static capacity-aware cycle-ratio bounds of the model, when the
+/// static pass can certify it (consistent and connected).
+fn static_bounds(model: &dyn DataflowSemantics, observed: ActorId) -> Option<StaticBounds> {
+    let bounds = StaticBounds::new(model, observed).ok()?;
+    bounds.is_usable().then_some(bounds)
+}
 
 /// Flags distributions whose static throughput certificate falls below
 /// the requested constraint — infeasibility proven without simulation.
@@ -40,7 +49,7 @@ impl Rule for StaticSaturation {
         "a channel capacity statically caps the throughput below the requested constraint"
     }
 
-    fn check(&self, model: &Model<'_>, ctx: &LintContext) -> Vec<Diagnostic> {
+    fn check(&self, model: &dyn DataflowSemantics, ctx: &LintContext) -> Vec<Diagnostic> {
         let (Some(dist), Some(required)) = (&ctx.distribution, ctx.throughput_constraint) else {
             return Vec::new();
         };
@@ -50,23 +59,24 @@ impl Rule for StaticSaturation {
         let observed = ctx
             .observed
             .unwrap_or_else(|| model.default_observed_actor());
-        let Some(bounds) = model.static_bounds(observed) else {
+        let Some(bounds) = static_bounds(model, observed) else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for c in model.channel_views() {
-            let cap = dist.get(c.id);
-            let Some(cert) = bounds.channel_bound(c.id, cap) else {
+        for c in channels(model) {
+            let cap = dist.get(c);
+            let Some(cert) = bounds.channel_bound(c, cap) else {
                 continue;
             };
             if cert.bound >= required {
                 continue;
             }
-            let step = model.capacity_step(c.id);
+            let step = model.channel_step(c);
+            let name = model.channel_name(c);
             out.push(
                 Diagnostic::error(
                     self.code(),
-                    Subject::Channel(c.name.clone()),
+                    Subject::Channel(name.to_string()),
                     format!(
                         "capacity {cap} statically caps the throughput of \
                          '{}' at {}, below the required {required} — \
@@ -78,7 +88,7 @@ impl Rule for StaticSaturation {
                 .with_hint(format!(
                     "raise the capacity of '{}' (in steps of {step}) or \
                      relax the constraint to at most {}",
-                    c.name, cert.bound,
+                    name, cert.bound,
                 )),
             );
         }
@@ -135,7 +145,7 @@ impl Rule for TriviallySatisfiable {
         "the throughput constraint already holds at the lower-bound distribution"
     }
 
-    fn check(&self, model: &Model<'_>, ctx: &LintContext) -> Vec<Diagnostic> {
+    fn check(&self, model: &dyn DataflowSemantics, ctx: &LintContext) -> Vec<Diagnostic> {
         let Some(required) = ctx.throughput_constraint else {
             return Vec::new();
         };
@@ -145,10 +155,12 @@ impl Rule for TriviallySatisfiable {
         let observed = ctx
             .observed
             .unwrap_or_else(|| model.default_observed_actor());
-        let Some(bounds) = model.static_bounds(observed) else {
+        let Some(bounds) = static_bounds(model, observed) else {
             return Vec::new();
         };
-        let lb = model.lower_bound_distribution();
+        let lb: StorageDistribution = channels(model)
+            .map(|c| model.channel_lower_bound(c))
+            .collect();
         // Static screen: a certificate below the constraint proves the
         // minimal distribution infeasible, so the search is not trivial.
         match bounds.certificate(&lb) {
@@ -157,7 +169,7 @@ impl Rule for TriviallySatisfiable {
         }
         // Exact confirmation (one analysis; the screen above keeps this
         // off the common path where real exploration is needed).
-        let Some(exact) = model.exact_throughput(&lb, observed) else {
+        let Ok(exact) = throughput(model, &lb, observed).map(|r| r.throughput) else {
             return Vec::new();
         };
         if exact < required {
@@ -197,21 +209,21 @@ mod tests {
     #[test]
     fn b010_inactive_without_inputs() {
         let g = example();
-        let m = Model::Sdf(&g);
+        let m: &dyn DataflowSemantics = &g;
         assert!(StaticSaturation
-            .check(&m, &LintContext::default())
+            .check(m, &LintContext::default())
             .is_empty());
         // Distribution alone, constraint alone: still inactive.
         let only_dist = LintContext {
             distribution: Some(StorageDistribution::from_capacities(vec![4, 2])),
             ..LintContext::default()
         };
-        assert!(StaticSaturation.check(&m, &only_dist).is_empty());
+        assert!(StaticSaturation.check(m, &only_dist).is_empty());
         let only_constraint = LintContext {
             throughput_constraint: Some(Rational::new(1, 4)),
             ..LintContext::default()
         };
-        assert!(StaticSaturation.check(&m, &only_constraint).is_empty());
+        assert!(StaticSaturation.check(m, &only_constraint).is_empty());
     }
 
     #[test]
@@ -226,7 +238,7 @@ mod tests {
             throughput_constraint: Some(Rational::new(1, 4)),
             ..LintContext::default()
         };
-        let d = StaticSaturation.check(&Model::Sdf(&g), &ctx);
+        let d = StaticSaturation.check(&g, &ctx);
         assert!(!d.is_empty());
         assert!(d.iter().all(|x| x.code == "B010"));
         assert!(d.iter().any(|x| matches!(&x.subject, Subject::Channel(_))));
@@ -241,7 +253,7 @@ mod tests {
             throughput_constraint: Some(Rational::new(1, 4)),
             ..LintContext::default()
         };
-        assert!(StaticSaturation.check(&Model::Sdf(&g), &ctx).is_empty());
+        assert!(StaticSaturation.check(&g, &ctx).is_empty());
     }
 
     #[test]
@@ -252,7 +264,7 @@ mod tests {
             throughput_constraint: Some(Rational::new(1, 7)),
             ..LintContext::default()
         };
-        let d = TriviallySatisfiable.check(&Model::Sdf(&g), &ctx);
+        let d = TriviallySatisfiable.check(&g, &ctx);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B011");
         assert!(d[0].message.contains("1/7"));
@@ -265,10 +277,10 @@ mod tests {
             throughput_constraint: Some(Rational::new(1, 6)),
             ..LintContext::default()
         };
-        assert!(TriviallySatisfiable.check(&Model::Sdf(&g), &ctx).is_empty());
+        assert!(TriviallySatisfiable.check(&g, &ctx).is_empty());
         // And without a constraint at all.
         assert!(TriviallySatisfiable
-            .check(&Model::Sdf(&g), &LintContext::default())
+            .check(&g, &LintContext::default())
             .is_empty());
     }
 }

@@ -3,9 +3,9 @@
 //! §9), so no storage distribution can satisfy it.
 
 use crate::diagnostic::{Diagnostic, Subject};
-use crate::model::Model;
 use crate::rules::Rule;
 use crate::LintContext;
+use buffy_analysis::DataflowSemantics;
 
 /// Flags throughput constraints above the graph's maximal throughput.
 ///
@@ -27,14 +27,14 @@ impl Rule for InfeasibleConstraint {
         "the required throughput exceeds the maximal achievable throughput"
     }
 
-    fn check(&self, model: &Model<'_>, ctx: &LintContext) -> Vec<Diagnostic> {
+    fn check(&self, model: &dyn DataflowSemantics, ctx: &LintContext) -> Vec<Diagnostic> {
         let Some(required) = ctx.throughput_constraint else {
             return Vec::new();
         };
         let observed = ctx
             .observed
             .unwrap_or_else(|| model.default_observed_actor());
-        let Some(bound) = model.maximal_throughput(observed) else {
+        let Ok(bound) = model.maximal_throughput(observed) else {
             return Vec::new();
         };
         if required <= bound {
@@ -75,7 +75,7 @@ mod tests {
     fn inactive_without_constraint() {
         let g = example();
         assert!(InfeasibleConstraint
-            .check(&Model::Sdf(&g), &LintContext::default())
+            .check(&g, &LintContext::default())
             .is_empty());
     }
 
@@ -87,7 +87,7 @@ mod tests {
             throughput_constraint: Some(Rational::new(1, 3)),
             ..LintContext::default()
         };
-        let d = InfeasibleConstraint.check(&Model::Sdf(&g), &ctx);
+        let d = InfeasibleConstraint.check(&g, &ctx);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].code, "B005");
         assert_eq!(d[0].subject, Subject::Actor("c".into()));
@@ -102,7 +102,7 @@ mod tests {
             throughput_constraint: Some(Rational::new(1, 4)),
             ..LintContext::default()
         };
-        assert!(InfeasibleConstraint.check(&Model::Sdf(&g), &ctx).is_empty());
+        assert!(InfeasibleConstraint.check(&g, &ctx).is_empty());
     }
 
     #[test]
@@ -118,6 +118,6 @@ mod tests {
             throughput_constraint: Some(Rational::ONE),
             ..LintContext::default()
         };
-        assert!(InfeasibleConstraint.check(&Model::Sdf(&g), &ctx).is_empty());
+        assert!(InfeasibleConstraint.check(&g, &ctx).is_empty());
     }
 }

@@ -5,13 +5,14 @@
 //! silent while it reads ahead. Plain SDF cannot express the within-line
 //! variation; CSDF can — and buffer sizing must account for the burst.
 //! This example explores the buffer/throughput trade-off of such a
-//! pipeline: `buffy-csdf` models it, and the same exploration driver that
-//! charts SDF graphs charts it.
+//! pipeline: `buffy-csdf` models it, and the same throughput analysis
+//! and exploration driver that chart SDF graphs chart it.
 //!
 //! Run with: `cargo run -p buffy-examples --bin csdf_bursty`
 
+use buffy_analysis::throughput;
 use buffy_core::{explore_design_space, ExploreOptions};
-use buffy_csdf::{csdf_throughput, CsdfGraph, CsdfLimits};
+use buffy_csdf::CsdfGraph;
 use buffy_graph::StorageDistribution;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for caps in [[4u64, 1], [4, 2], [6, 1], [6, 2], [8, 2]] {
         let dist = StorageDistribution::from_capacities(caps.to_vec());
-        let r = csdf_throughput(&graph, &dist, sink, CsdfLimits::default())?;
+        let r = throughput(&graph, &dist, sink)?;
         println!(
             "{:>14} {:>14} {:>12}",
             caps[0],

@@ -7,7 +7,7 @@ use buffy_analysis::{
     ExplorationLimits,
 };
 use buffy_core::{explore_dependency_guided, explore_design_space, ExploreOptions};
-use buffy_csdf::{csdf_throughput, CsdfGraph, CsdfLimits};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::{Rational, StorageDistribution};
 
@@ -103,8 +103,7 @@ fn csdf_embedding_matches_sdf_gallery() {
         let r = explore_dependency_guided(&g, &ExploreOptions::default()).unwrap();
         for p in r.pareto.points() {
             let sdf_r = throughput(&g, &p.distribution, obs).unwrap();
-            let csdf_r =
-                csdf_throughput(&csdf, &p.distribution, obs_c, CsdfLimits::default()).unwrap();
+            let csdf_r = throughput(&csdf, &p.distribution, obs_c).unwrap();
             assert_eq!(sdf_r.throughput, csdf_r.throughput, "{}", g.name());
         }
     }
@@ -192,13 +191,7 @@ fn csdf_needs_less_buffer_than_sdf_abstraction() {
     let c = b.actor("c", vec![1]);
     b.channel("d", p, vec![2, 0], c, vec![1], 0).unwrap();
     let csdf = b.build().unwrap();
-    let r = csdf_throughput(
-        &csdf,
-        &StorageDistribution::from_capacities(vec![4]),
-        c,
-        CsdfLimits::default(),
-    )
-    .unwrap();
+    let r = throughput(&csdf, &StorageDistribution::from_capacities(vec![4]), c).unwrap();
     assert_eq!(r.throughput, Rational::ONE);
 
     // SDF abstraction: one firing per 2 steps producing 2 tokens needs
@@ -211,11 +204,10 @@ fn csdf_needs_less_buffer_than_sdf_abstraction() {
     b.channel("d", p, 2, c, 1).unwrap();
     let sdf = b.build().unwrap();
     let sdf_r = throughput(&sdf, &StorageDistribution::from_capacities(vec![2]), c).unwrap();
-    let csdf_r = csdf_throughput(
+    let csdf_r = throughput(
         &csdf,
         &StorageDistribution::from_capacities(vec![2]),
         csdf.actor_by_name("c").unwrap(),
-        CsdfLimits::default(),
     )
     .unwrap();
     assert!(

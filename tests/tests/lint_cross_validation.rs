@@ -3,11 +3,12 @@
 //! deadlock in the state-space exploration, and graphs that are
 //! consistent by construction must never be flagged inconsistent.
 
-use buffy_analysis::throughput;
-use buffy_core::{channel_lower_bound, lower_bound_distribution};
-use buffy_gen::{RandomGraphConfig, SplitMix64};
-use buffy_graph::{SdfGraph, StorageDistribution};
-use buffy_lint::{lint_sdf, LintContext, Severity};
+use buffy_analysis::{bmlb, throughput};
+use buffy_core::lower_bound_distribution;
+use buffy_csdf::CsdfGraph;
+use buffy_gen::{gallery, RandomGraphConfig, SplitMix64};
+use buffy_graph::{Rational, SdfGraph, StorageDistribution};
+use buffy_lint::{lint, LintContext, Severity};
 
 const CASES: u64 = 40;
 
@@ -28,7 +29,7 @@ fn generated_graphs_are_never_flagged_inconsistent_or_disconnected() {
     let mut rng = SplitMix64::seed_from_u64(0x11A7_0001);
     for _ in 0..CASES {
         let g = random_config(&mut rng).generate();
-        let report = lint_sdf(&g, &LintContext::default());
+        let report = lint(&g, &LintContext::default());
         for d in &report.diagnostics {
             assert_ne!(d.code, "B001", "{}: {}", g.name(), report.render_human());
             assert_ne!(d.code, "B002", "{}: {}", g.name(), report.render_human());
@@ -58,7 +59,7 @@ fn token_free_cycles_flagged_and_deadlock_in_engine() {
         }
         let g = b.build().unwrap();
 
-        let report = lint_sdf(&g, &LintContext::default());
+        let report = lint(&g, &LintContext::default());
         assert!(
             report.diagnostics.iter().any(|d| d.code == "B003"),
             "{}",
@@ -103,7 +104,7 @@ fn capacities_below_bound_flagged_and_deadlock_in_engine() {
             distribution: Some(dist.clone()),
             ..LintContext::default()
         };
-        let report = lint_sdf(&g, &ctx);
+        let report = lint(&g, &ctx);
         assert!(
             report
                 .diagnostics
@@ -124,7 +125,7 @@ fn capacities_below_bound_flagged_and_deadlock_in_engine() {
 }
 
 /// Conversely: at the per-channel lower bounds no B004 can fire, and the
-/// bound returned by the lint model matches `channel_lower_bound`.
+/// bound the rules read through the kernel is the BMLB.
 #[test]
 fn lower_bound_distribution_is_never_flagged() {
     let mut rng = SplitMix64::seed_from_u64(0x11A7_0004);
@@ -132,13 +133,16 @@ fn lower_bound_distribution_is_never_flagged() {
         let g = random_config(&mut rng).generate();
         let dist = lower_bound_distribution(&g);
         for (cid, c) in g.channels() {
-            assert_eq!(dist.get(cid), channel_lower_bound(c));
+            assert_eq!(
+                dist.get(cid),
+                bmlb(c.production(), c.consumption(), c.initial_tokens())
+            );
         }
         let ctx = LintContext {
             distribution: Some(dist),
             ..LintContext::default()
         };
-        let report = lint_sdf(&g, &ctx);
+        let report = lint(&g, &ctx);
         assert!(
             report.diagnostics.iter().all(|d| d.code != "B004"),
             "{}: {}",
@@ -166,7 +170,7 @@ fn infeasible_constraints_match_engine_maximum() {
             ..LintContext::default()
         };
         assert!(
-            lint_sdf(&g, &feasible)
+            lint(&g, &feasible)
                 .diagnostics
                 .iter()
                 .all(|d| d.code != "B005"),
@@ -178,7 +182,7 @@ fn infeasible_constraints_match_engine_maximum() {
             ..LintContext::default()
         };
         assert!(
-            lint_sdf(&g, &infeasible)
+            lint(&g, &infeasible)
                 .diagnostics
                 .iter()
                 .any(|d| d.code == "B005"),
@@ -186,4 +190,66 @@ fn infeasible_constraints_match_engine_maximum() {
             g.name()
         );
     }
+}
+
+/// The rules read a model only through `DataflowSemantics`, so an SDF
+/// graph and its single-phase CSDF embedding must lint alike: the same
+/// JSON report apart from `"kind"`, under every context. The contexts
+/// switch on every rule: the default one, a distribution one token below
+/// each channel's lower bound (B004, B010), constraints that are trivially
+/// met (B011), moderate and infeasible (B005), and a space threshold low
+/// enough for B009.
+#[test]
+fn sdf_and_csdf_embedding_lint_alike() {
+    let mut graphs = gallery::all();
+    graphs.extend([
+        gallery::modem_power(),
+        gallery::cd2dat_power(),
+        gallery::h263_decoder_power(),
+    ]);
+    for s in 0..CASES {
+        graphs.push(RandomGraphConfig::small(s).generate());
+        graphs.push(RandomGraphConfig::mixed_step(4, 5, s).generate());
+    }
+    let constraint = |r: Rational| LintContext {
+        throughput_constraint: Some(r),
+        ..LintContext::default()
+    };
+    let mut compared = 0;
+    for g in &graphs {
+        let below: StorageDistribution = lower_bound_distribution(g)
+            .as_slice()
+            .iter()
+            .map(|&b| b - 1)
+            .collect();
+        let contexts = [
+            LintContext::default(),
+            LintContext {
+                distribution: Some(below),
+                ..constraint(Rational::new(1, 1000))
+            },
+            constraint(Rational::new(1, 100_000)),
+            constraint(Rational::from(5u64)),
+            LintContext {
+                space_threshold: Some(10),
+                ..LintContext::default()
+            },
+        ];
+        let csdf = CsdfGraph::from_sdf(g);
+        for ctx in &contexts {
+            let sdf_report = lint(g, ctx);
+            let csdf_report = lint(&csdf, ctx);
+            assert_eq!((sdf_report.kind, csdf_report.kind), ("sdf", "csdf"));
+            assert_eq!(
+                sdf_report.render_json(),
+                csdf_report
+                    .render_json()
+                    .replacen("\"kind\":\"csdf\"", "\"kind\":\"sdf\"", 1),
+                "{} under {ctx:?}",
+                g.name()
+            );
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, graphs.len() * 5);
 }

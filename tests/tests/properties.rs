@@ -5,8 +5,8 @@
 //! the in-repo [`SplitMix64`] stream; the failing case index is part of
 //! the assertion message, so failures reproduce directly.
 
-use buffy_analysis::{throughput, ExplorationLimits, Schedule};
-use buffy_core::{channel_lower_bound, lower_bound_distribution, DistributionSpace};
+use buffy_analysis::{throughput, DataflowSemantics, ExplorationLimits, Schedule};
+use buffy_core::{lower_bound_distribution, DistributionSpace};
 use buffy_gen::{RandomGraphConfig, SplitMix64};
 use buffy_graph::xml::{read_sdf_xml, write_sdf_xml};
 use buffy_graph::{Rational, RepetitionVector, SdfGraph, StorageDistribution};
@@ -141,7 +141,7 @@ fn schedules_always_validate() {
         let obs = g.default_observed_actor();
         let dist: StorageDistribution = g
             .channels()
-            .map(|(_, c)| channel_lower_bound(c) + extra)
+            .map(|(id, _)| g.channel_lower_bound(id) + extra)
             .collect();
         let limits = ExplorationLimits::default();
         let Ok(s) = Schedule::extract(&g, &dist, limits) else {
@@ -193,7 +193,7 @@ fn bmlb_tight_on_isolated_channel() {
         b.channel_with_tokens("ch", x, p, y, c, d).unwrap();
         let g = b.build().unwrap();
         let y = g.actor_by_name("y").unwrap();
-        let bound = channel_lower_bound(g.channel(g.channel_by_name("ch").unwrap()));
+        let bound = g.channel_lower_bound(g.channel_by_name("ch").unwrap());
         let at = throughput(&g, &StorageDistribution::from_capacities(vec![bound]), y).unwrap();
         assert!(
             !at.deadlocked,

@@ -10,7 +10,7 @@
 //! not merely up to throughput values.
 
 use buffy_analysis::{throughput_for, Capacities, ExplorationLimits};
-use buffy_core::{explore_design_space, ExploreOptions};
+use buffy_core::{explore_design_space, lower_bound_distribution, ExploreOptions};
 use buffy_csdf::CsdfGraph;
 use buffy_gen::RandomGraphConfig;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
@@ -33,10 +33,7 @@ fn single_phase_reports_are_byte_identical() {
         let sdf = RandomGraphConfig::small(seed).generate();
         let csdf = CsdfGraph::from_sdf(&sdf);
         let obs = sdf.default_observed_actor();
-        let mut caps: Vec<u64> = sdf
-            .channels()
-            .map(|(id, _)| buffy_core::channel_lower_bound(sdf.channel(id)))
-            .collect();
+        let mut caps: Vec<u64> = lower_bound_distribution(&sdf).as_slice().to_vec();
         // Probe the lower-bound corner and two roomier distributions.
         for bump in 0..3u64 {
             let dist = StorageDistribution::from_capacities(caps.clone());
