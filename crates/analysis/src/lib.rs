@@ -17,9 +17,11 @@
 //!   didactic view and cross-check;
 //! - [`Schedule`]: extraction, validation and Gantt rendering of the
 //!   self-timed schedule (paper §4, Table 1);
-//! - [`Hsdf`] and [`maximal_throughput`]: homogeneous expansion and
-//!   maximum-cycle-ratio analysis giving the graph's maximal achievable
-//!   throughput (paper §9, \[GG93\]);
+//! - [`RatioGraph::expand`] and [`maximal_throughput`]: the homogeneous
+//!   expansion of any model class and the maximum-cycle-ratio analysis
+//!   giving its maximal achievable throughput (paper §9, \[GG93\]);
+//! - [`StaticBounds`]: the same expansion with capacity back-edges, a
+//!   sound throughput certificate per storage distribution;
 //! - [`graph_algos`]: strongly connected components and topological order.
 //!
 //! # Example
@@ -56,7 +58,6 @@ mod energy;
 mod engine;
 mod error;
 pub mod graph_algos;
-mod hsdf;
 mod interner;
 mod latency;
 mod mcm;
@@ -75,7 +76,6 @@ pub use engine::{
     Capacities, DataflowEngine, DataflowState, Engine, FiringEvents, FiringOutcome, SdfState,
 };
 pub use error::{AnalysisError, LimitKind};
-pub use hsdf::{Hsdf, HsdfEdge, HsdfNode};
 pub use interner::{
     fx_hash, FxBuildHasher, FxHasher, Interned, ProbeStats, StateStore, PROBE_BINS,
 };
@@ -92,3 +92,127 @@ pub use throughput::{
     throughput, throughput_analysis, throughput_for, AnalysisRequest, AnalysisWorkspace,
     ExplorationLimits, ThroughputAnalysis, ThroughputReport,
 };
+
+/// Tests of the homogeneous (HSDF) expansion, [`RatioGraph::expand`], on
+/// SDF graphs.
+#[cfg(test)]
+mod hsdf {
+    mod tests {
+        use crate::mcm::firing_offsets;
+        use crate::{DataflowSemantics, RatioEdge, RatioGraph};
+        use buffy_graph::{ActorId, SdfGraph};
+
+        /// The expansion of `g` and its node numbering: firing `copy` of
+        /// actor `a` is node `offsets[a] + copy`.
+        fn expand(g: &SdfGraph) -> (RatioGraph, Vec<usize>) {
+            let cycles = g.repetition_cycles().unwrap();
+            (RatioGraph::expand(g, &cycles), firing_offsets(g, &cycles))
+        }
+
+        fn node(offsets: &[usize], actor: ActorId, copy: usize) -> usize {
+            offsets[actor.index()] + copy
+        }
+
+        fn find(h: &RatioGraph, from: usize, to: usize) -> Option<&RatioEdge> {
+            h.edges.iter().find(|e| e.from == from && e.to == to)
+        }
+
+        fn example() -> SdfGraph {
+            let mut b = SdfGraph::builder("example");
+            let a = b.actor("a", 1);
+            let bb = b.actor("b", 2);
+            let c = b.actor("c", 2);
+            b.channel("alpha", a, 2, bb, 3).unwrap();
+            b.channel("beta", bb, 1, c, 2).unwrap();
+            b.build().unwrap()
+        }
+
+        #[test]
+        fn expansion_counts() {
+            let g = example();
+            let (h, offsets) = expand(&g);
+            assert_eq!(h.num_nodes, 6);
+            // 3 + 2 + 1 copies, actors in id order.
+            assert_eq!(offsets, vec![0, 3, 5, 6]);
+            // Every edge leaving a copy of `a` weighs a's execution time.
+            let a = g.actor_by_name("a").unwrap();
+            for copy in 0..3 {
+                let from = node(&offsets, a, copy);
+                let out: Vec<_> = h.edges.iter().filter(|e| e.from == from).collect();
+                assert!(!out.is_empty(), "copy {copy}");
+                assert!(out.iter().all(|e| e.weight == 1), "copy {copy}");
+            }
+        }
+
+        #[test]
+        fn ordering_rings_present() {
+            let g = example();
+            let (h, offsets) = expand(&g);
+            let a = g.actor_by_name("a").unwrap();
+            let c = g.actor_by_name("c").unwrap();
+            let n = |actor, copy| node(&offsets, actor, copy);
+            // a's ring: a0->a1 (0), a1->a2 (0), a2->a0 (1).
+            assert_eq!(find(&h, n(a, 0), n(a, 1)).unwrap().tokens, 0);
+            assert_eq!(find(&h, n(a, 2), n(a, 0)).unwrap().tokens, 1);
+            // Single-copy actor gets a 1-token self-loop.
+            assert_eq!(find(&h, n(c, 0), n(c, 0)).unwrap().tokens, 1);
+        }
+
+        #[test]
+        fn channel_dependencies_example_alpha() {
+            // α: a --2:3--> b, no initial tokens, q_a=3, q_b=2.
+            // Tokens 1..=6; consuming firings (0-based): ⌈t/3⌉-1 → tokens
+            // 1-3 by b0, 4-6 by b1; all in iteration 0.
+            let g = example();
+            let (h, offsets) = expand(&g);
+            let a = g.actor_by_name("a").unwrap();
+            let b = g.actor_by_name("b").unwrap();
+            let n = |actor, copy| node(&offsets, actor, copy);
+            // a0 produces tokens 1,2 → b0; a1 produces 3 → b0 and 4 → b1;
+            // a2 produces 5,6 → b1.
+            assert_eq!(find(&h, n(a, 0), n(b, 0)).unwrap().tokens, 0);
+            assert_eq!(find(&h, n(a, 1), n(b, 0)).unwrap().tokens, 0);
+            assert_eq!(find(&h, n(a, 1), n(b, 1)).unwrap().tokens, 0);
+            assert_eq!(find(&h, n(a, 2), n(b, 1)).unwrap().tokens, 0);
+            assert!(find(&h, n(a, 0), n(b, 1)).is_none());
+        }
+
+        #[test]
+        fn initial_tokens_shift_dependencies() {
+            // x --1:1--> y with 1 initial token, q = (1, 1): the token
+            // produced by x in iteration m is consumed by y in iteration
+            // m+1.
+            let mut b = SdfGraph::builder("shift");
+            let x = b.actor("x", 1);
+            let y = b.actor("y", 1);
+            b.channel_with_tokens("c", x, 1, y, 1, 1).unwrap();
+            let g = b.build().unwrap();
+            let (h, offsets) = expand(&g);
+            let e = find(&h, node(&offsets, x, 0), node(&offsets, y, 0)).unwrap();
+            assert_eq!(e.tokens, 1);
+        }
+
+        #[test]
+        fn homogeneous_graph_expands_to_itself_plus_rings() {
+            let mut b = SdfGraph::builder("homog");
+            let x = b.actor("x", 2);
+            let y = b.actor("y", 3);
+            b.channel("c", x, 1, y, 1).unwrap();
+            let g = b.build().unwrap();
+            let (h, offsets) = expand(&g);
+            assert_eq!(h.num_nodes, 2);
+            // Edges: x self-ring, x->y with 0 tokens, y self-ring.
+            assert_eq!(h.edges.len(), 3);
+            let e = find(&h, node(&offsets, x, 0), node(&offsets, y, 0)).unwrap();
+            assert_eq!((e.weight, e.tokens), (2, 0));
+        }
+
+        #[test]
+        fn adjacency_covers_all_edges() {
+            let (h, _) = expand(&example());
+            let adj = h.adjacency();
+            let total: usize = adj.iter().map(|v| v.len()).sum();
+            assert_eq!(total, h.edges.len());
+        }
+    }
+}

@@ -1,12 +1,17 @@
-//! Maximum cycle ratio analysis (maximal throughput, paper §9 / \[GG93\]).
+//! Homogeneous expansion and maximum cycle ratio analysis (maximal
+//! throughput, paper §9 / \[GG93\]).
 //!
-//! The maximal achievable throughput of a consistent SDF graph — the upper
-//! bound of the paper's binary search in the throughput dimension — is
-//! governed by the critical cycle of its homogeneous expansion: with
-//! per-edge delay `w` (execution time of the producing firing) and token
-//! count `t`, the iteration period equals the *maximum cycle ratio*
-//! `λ* = max over cycles Σw / Σt`, and actor `a` then achieves throughput
-//! `q(a) / λ*`.
+//! Every consistent model has an equivalent *homogeneous* graph with one
+//! node per firing in an iteration and token-level dependency edges
+//! between producing and consuming firings — the classical construction
+//! (Bhattacharyya–Murthy–Lee for SDF, Bilsen et al. for CSDF), built once
+//! for every model class by [`RatioGraph::expand`]. The maximal achievable
+//! throughput of the model — the upper bound of the paper's binary search
+//! in the throughput dimension — is governed by the critical cycle of that
+//! expansion: with per-edge delay `w` (execution time of the producing
+//! firing) and token count `t`, the iteration period equals the *maximum
+//! cycle ratio* `λ* = max over cycles Σw / Σt`, and an actor with `f`
+//! firings per iteration then achieves throughput `f / λ*`.
 //!
 //! Two algorithms are provided: Howard's policy iteration
 //! ([`max_cycle_ratio`]) for production use, and an exponential
@@ -14,8 +19,8 @@
 //! test oracle.
 
 use crate::error::AnalysisError;
-use crate::hsdf::Hsdf;
-use buffy_graph::{ActorId, Rational, RepetitionVector, SdfGraph};
+use crate::semantics::DataflowSemantics;
+use buffy_graph::{ActorId, ChannelId, Rational};
 
 /// An edge of a cycle-ratio problem instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,25 +45,117 @@ pub struct RatioGraph {
 }
 
 impl RatioGraph {
-    /// Builds the cycle-ratio instance of an HSDF graph: edge weight =
-    /// execution time of the source node.
-    pub fn from_hsdf(h: &Hsdf) -> RatioGraph {
+    /// The homogeneous expansion of `model`, whose actor `a` completes
+    /// `cycles[a]` phase cycles per iteration (the solution of the
+    /// balance equations, [`DataflowSemantics::repetition_cycles`]).
+    ///
+    /// Node `n` is one firing of an iteration: the `cycles[a] ·
+    /// phases(a)` firings of actor `a` are numbered contiguously, actors
+    /// in id order. The edges are
+    ///
+    /// - *firing-order rings* `a_0 → a_1 → … → a_0` whose closing edge
+    ///   carries one token: they serialize the firings of one actor,
+    ///   modelling the paper's exclusion of auto-concurrency;
+    /// - *data edges* from each producing firing to every firing that
+    ///   consumes one of its tokens, carrying the iteration distance
+    ///   (firing `m + tokens` of the target depends on firing `m` of the
+    ///   source).
+    ///
+    /// An edge weighs the execution time of its source firing. Parallel
+    /// edges are reduced to the minimum token count (the strongest
+    /// precedence) and the edges are sorted by `(from, to)`, so a model
+    /// always hands Howard's iteration the same list. The data edges are
+    /// found per consuming firing, not per token: the cost grows with the
+    /// number of edges, not with the tokens an iteration moves.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use buffy_analysis::{DataflowSemantics, RatioEdge, RatioGraph};
+    /// use buffy_graph::SdfGraph;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut b = SdfGraph::builder("example");
+    /// let a = b.actor("a", 1);
+    /// let bb = b.actor("b", 2);
+    /// let c = b.actor("c", 2);
+    /// b.channel("alpha", a, 2, bb, 3)?;
+    /// b.channel("beta", bb, 1, c, 2)?;
+    /// let g = b.build()?;
+    /// let cycles = g.repetition_cycles()?; // [3, 2, 1]
+    /// let h = RatioGraph::expand(&g, &cycles);
+    /// assert_eq!(h.num_nodes, 6); // a0 a1 a2 b0 b1 c0
+    /// // a1 produces the 3rd and 4th token of α: b0 and b1 consume them.
+    /// let edge = |from, to| h.edges.iter().find(|e| (e.from, e.to) == (from, to));
+    /// assert_eq!(edge(1, 3), Some(&RatioEdge { from: 1, to: 3, weight: 1, tokens: 0 }));
+    /// assert_eq!(edge(1, 4), Some(&RatioEdge { from: 1, to: 4, weight: 1, tokens: 0 }));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn expand<M: DataflowSemantics + ?Sized>(model: &M, cycles: &[u64]) -> RatioGraph {
+        let offsets = firing_offsets(model, cycles);
+        let mut edges = Vec::new();
+
+        // Firing-order rings.
+        for a in 0..model.num_actors() {
+            let actor = ActorId::new(a);
+            let (base, firings) = (offsets[a], offsets[a + 1] - offsets[a]);
+            for i in 0..firings {
+                let next = (i + 1) % firings;
+                edges.push(RatioEdge {
+                    from: base + i,
+                    to: base + next,
+                    weight: firing_time(model, actor, i),
+                    tokens: u64::from(next == 0),
+                });
+            }
+        }
+
+        // Token-level data dependencies.
+        for c in 0..model.num_channels() {
+            let channel = ChannelId::new(c);
+            let (src, dst) = (model.channel_source(channel), model.channel_target(channel));
+            let src_base = offsets[src.index()];
+            let dst_base = offsets[dst.index()];
+            let cum_c = consumption_prefix(model, channel, offsets[dst.index() + 1] - dst_base);
+            let per_iter = cum_c[cum_c.len() - 1];
+            if per_iter == 0 {
+                continue; // nothing is ever consumed: no dependencies
+            }
+            let src_phases = model.num_phases(src) as usize;
+            let mut next_token = model.initial_tokens(channel) + 1;
+            for i in 0..offsets[src.index() + 1] - src_base {
+                let end = next_token + model.production(channel, (i % src_phases) as u32);
+                // Token `t` (1-based, counted over the whole execution)
+                // is consumed in iteration `k = (t − 1) / C` by the first
+                // firing `m` whose cumulative consumption reaches
+                // `t − k·C`; that firing takes every token up to
+                // `k·C + cum_c[m + 1]`, so the walk jumps past them.
+                let mut t = next_token;
+                while t < end {
+                    let k = (t - 1) / per_iter;
+                    let m = cum_c.partition_point(|&x| x < t - k * per_iter) - 1;
+                    edges.push(RatioEdge {
+                        from: src_base + i,
+                        to: dst_base + m,
+                        weight: firing_time(model, src, i),
+                        tokens: k,
+                    });
+                    t = k * per_iter + cum_c[m + 1] + 1;
+                }
+                next_token = end;
+            }
+        }
+
+        edges.sort_unstable_by_key(|e| (e.from, e.to, e.tokens));
+        edges.dedup_by_key(|e| (e.from, e.to));
         RatioGraph {
-            num_nodes: h.num_nodes(),
-            edges: h
-                .edges
-                .iter()
-                .map(|e| RatioEdge {
-                    from: e.from,
-                    to: e.to,
-                    weight: h.nodes[e.from].execution_time,
-                    tokens: e.tokens,
-                })
-                .collect(),
+            num_nodes: offsets[model.num_actors()],
+            edges,
         }
     }
 
-    fn adjacency(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.num_nodes];
         for (i, e) in self.edges.iter().enumerate() {
             adj[e.from].push(i);
@@ -67,10 +164,47 @@ impl RatioGraph {
     }
 }
 
-impl From<&Hsdf> for RatioGraph {
-    fn from(h: &Hsdf) -> Self {
-        RatioGraph::from_hsdf(h)
+/// The node numbering of [`RatioGraph::expand`]: actor `a`'s firings are
+/// nodes `offsets[a] .. offsets[a + 1]`.
+pub(crate) fn firing_offsets<M: DataflowSemantics + ?Sized>(
+    model: &M,
+    cycles: &[u64],
+) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(cycles.len() + 1);
+    offsets.push(0);
+    for (a, &q) in cycles.iter().enumerate() {
+        let firings = q * u64::from(model.num_phases(ActorId::new(a)));
+        offsets.push(offsets[a] + firings as usize);
     }
+    offsets
+}
+
+/// Execution time of the `firing`-th firing of `actor` within an
+/// iteration.
+pub(crate) fn firing_time<M: DataflowSemantics + ?Sized>(
+    model: &M,
+    actor: ActorId,
+    firing: usize,
+) -> u64 {
+    let phases = model.num_phases(actor) as usize;
+    model.execution_time(actor, (firing % phases) as u32)
+}
+
+/// Cumulative consumption from `channel` over the first `m` of its
+/// consumer's `firings` firings of an iteration, for `m` in
+/// `0 ..= firings`.
+pub(crate) fn consumption_prefix<M: DataflowSemantics + ?Sized>(
+    model: &M,
+    channel: ChannelId,
+    firings: usize,
+) -> Vec<u64> {
+    let phases = model.num_phases(model.channel_target(channel)) as usize;
+    let mut cum = Vec::with_capacity(firings + 1);
+    cum.push(0u64);
+    for m in 0..firings {
+        cum.push(cum[m] + model.consumption(channel, (m % phases) as u32));
+    }
+    cum
 }
 
 /// Strongly connected components of an adjacency-list digraph (iterative
@@ -414,8 +548,11 @@ pub fn max_cycle_ratio_brute_force(g: &RatioGraph) -> Result<Option<Rational>, A
 }
 
 /// The maximal achievable throughput of `observed` over all storage
-/// distributions: `q(observed) / λ*` with `λ*` the maximum cycle ratio of
-/// the homogeneous expansion (paper §9, \[GG93\]).
+/// distributions, in firings per time unit: `f / λ*`, with `f =
+/// q(observed) · phases(observed)` the observed actor's firings per
+/// iteration and `λ*` the maximum cycle ratio of the homogeneous expansion
+/// ([`RatioGraph::expand`], paper §9, \[GG93\]). One function serves every
+/// model class.
 ///
 /// # Errors
 ///
@@ -445,16 +582,19 @@ pub fn max_cycle_ratio_brute_force(g: &RatioGraph) -> Result<Option<Rational>, A
 /// # Ok(())
 /// # }
 /// ```
-pub fn maximal_throughput(graph: &SdfGraph, observed: ActorId) -> Result<Rational, AnalysisError> {
-    let q = RepetitionVector::compute(graph)?;
-    let h = Hsdf::expand(graph, &q);
-    let rg = RatioGraph::from_hsdf(&h);
+pub fn maximal_throughput<M: DataflowSemantics + ?Sized>(
+    model: &M,
+    observed: ActorId,
+) -> Result<Rational, AnalysisError> {
+    let cycles = model.repetition_cycles()?;
     // The firing-order rings guarantee at least one cycle per actor.
-    let lambda = max_cycle_ratio(&rg)?.expect("ordering rings create cycles");
+    let lambda = max_cycle_ratio(&RatioGraph::expand(model, &cycles))?
+        .expect("firing-order rings create cycles");
     if lambda.is_zero() {
         return Err(AnalysisError::ZeroPeriod);
     }
-    Ok(Rational::from(q[observed]) / lambda)
+    let firings = cycles[observed.index()] * u64::from(model.num_phases(observed));
+    Ok(Rational::from(firings) / lambda)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! analyses bit for bit (see the cross-model property tests).
 
 use crate::error::AnalysisError;
-use buffy_graph::{gcd_u64, ActorId, ChannelId, Rational, RepetitionVector, SdfGraph};
+use buffy_graph::{gcd_u64, solve_balance_equations, ActorId, ChannelId, SdfGraph};
 
 /// What a dataflow model must provide for the unified analysis kernel.
 ///
@@ -92,20 +92,34 @@ pub trait DataflowSemantics {
 
     /// Repetition counts in *phase cycles* per actor: the minimal
     /// non-trivial solution of the balance equations at cycle
-    /// granularity (for SDF this is the ordinary repetition vector).
+    /// granularity, with [`cycle_production`](Self::cycle_production) and
+    /// [`cycle_consumption`](Self::cycle_consumption) as the rates (for
+    /// SDF this is the ordinary repetition vector). One solver serves
+    /// every model class: [`solve_balance_equations`].
     ///
     /// # Errors
     ///
-    /// An error when the model is inconsistent.
-    fn repetition_cycles(&self) -> Result<Vec<u64>, AnalysisError>;
-
-    /// The maximal achievable throughput of `observed` under unbounded
-    /// storage (MCM analysis on the homogeneous expansion).
-    ///
-    /// # Errors
-    ///
-    /// An error when the model is inconsistent or not live.
-    fn maximal_throughput(&self, observed: ActorId) -> Result<Rational, AnalysisError>;
+    /// [`AnalysisError::Graph`] when the model is inconsistent (naming the
+    /// first channel whose balance fails) or an entry overflows `u64`.
+    fn repetition_cycles(&self) -> Result<Vec<u64>, AnalysisError> {
+        let channels: Vec<_> = (0..self.num_channels())
+            .map(ChannelId::new)
+            .map(|c| {
+                let (src, dst) = (self.channel_source(c), self.channel_target(c));
+                (
+                    src,
+                    dst,
+                    self.cycle_production(c),
+                    self.cycle_consumption(c),
+                )
+            })
+            .collect();
+        Ok(solve_balance_equations(
+            self.num_actors(),
+            &channels,
+            |c| self.channel_name(c).to_string(),
+        )?)
+    }
 
     /// A per-channel capacity below which the model certainly deadlocks
     /// (the exploration never tries smaller capacities).
@@ -216,15 +230,6 @@ impl DataflowSemantics for SdfGraph {
 
     fn default_observed_actor(&self) -> ActorId {
         SdfGraph::default_observed_actor(self)
-    }
-
-    fn repetition_cycles(&self) -> Result<Vec<u64>, AnalysisError> {
-        let q = RepetitionVector::compute(self)?;
-        Ok(q.as_slice().to_vec())
-    }
-
-    fn maximal_throughput(&self, observed: ActorId) -> Result<Rational, AnalysisError> {
-        crate::mcm::maximal_throughput(self, observed)
     }
 
     fn channel_lower_bound(&self, channel: ChannelId) -> u64 {

@@ -10,12 +10,15 @@
 //! *back-edges* encoding the engine's claim-space-at-start /
 //! release-at-end buffer protocol.
 //!
-//! [`StaticBounds`] precomputes everything distribution-independent (node
-//! numbering, firing-order rings, token-level data edges, per-channel
-//! back-edge templates) once per graph; [`StaticBounds::certificate`]
-//! then instantiates the back-edges for a concrete
-//! [`StorageDistribution`] and runs Howard's algorithm
+//! [`StaticBounds`] precomputes everything distribution-independent once
+//! per graph: the homogeneous expansion that [`maximal_throughput`]
+//! analyses too ([`RatioGraph::expand`]: node numbering, firing-order
+//! rings, token-level data edges) and a back-edge template per channel.
+//! [`StaticBounds::certificate`] then instantiates the back-edges for a
+//! concrete [`StorageDistribution`] and runs Howard's algorithm
 //! ([`max_cycle_ratio`]) in exact rational arithmetic.
+//!
+//! [`maximal_throughput`]: crate::maximal_throughput
 //!
 //! # Soundness
 //!
@@ -43,10 +46,11 @@
 //! disconnected models ([`StaticBounds::is_usable`] is `false`).
 
 use crate::error::AnalysisError;
-use crate::mcm::{max_cycle_ratio, RatioEdge, RatioGraph};
+use crate::mcm::{
+    consumption_prefix, firing_offsets, firing_time, max_cycle_ratio, RatioEdge, RatioGraph,
+};
 use crate::semantics::DataflowSemantics;
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
-use std::collections::BTreeMap;
 
 /// A sound static throughput certificate for one storage distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,8 +81,9 @@ struct ChannelPlan {
     /// Cumulative consumption prefix over the consumer's firings
     /// (`cum_c[0] = 0`, length `firings + 1`).
     cum_c: Vec<u64>,
-    /// Node index of each consumer firing.
-    consumer_nodes: Vec<usize>,
+    /// Node index of the consumer's first firing (its firings are
+    /// contiguous).
+    consumer_base: usize,
     /// Execution time of each consumer firing (the back-edge weight).
     consumer_weights: Vec<u64>,
 }
@@ -133,130 +138,54 @@ impl StaticBounds {
         observed: ActorId,
     ) -> Result<StaticBounds, AnalysisError> {
         let cycles = model.repetition_cycles()?;
-        let na = model.num_actors();
+        let offsets = firing_offsets(model, &cycles);
+        let expansion = RatioGraph::expand(model, &cycles);
 
-        // Node numbering: firings of an actor occupy a contiguous block.
-        let mut base = vec![0usize; na];
-        let mut firings = vec![0u64; na];
-        let mut num_nodes = 0usize;
-        for a in 0..na {
-            let aid = ActorId::new(a);
-            let f = cycles[a] * model.num_phases(aid) as u64;
-            base[a] = num_nodes;
-            firings[a] = f;
-            num_nodes += f as usize;
-        }
-        let phase_time = |a: ActorId, firing: u64| {
-            let p = model.num_phases(a) as u64;
-            model.execution_time(a, (firing % p) as u32)
-        };
-
-        // Keyed by `(from, to)` in a sorted map: the fixed edge list comes
-        // out in the same order on every construction, so Howard's
-        // iteration (whose round count follows edge order) is reproducible.
-        let mut edges: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
-        let mut add = |from: usize, to: usize, weight: u64, tokens: u64| {
-            edges
-                .entry((from, to))
-                .and_modify(|e| {
-                    if tokens < e.1 {
-                        *e = (weight, tokens);
+        // Per-channel back-edge plans over the expansion's node numbering.
+        let plans = (0..model.num_channels())
+            .map(|c| {
+                let cid = ChannelId::new(c);
+                let (src, dst) = (model.channel_source(cid), model.channel_target(cid));
+                let src_base = offsets[src.index()];
+                let dst_base = offsets[dst.index()];
+                let fb = offsets[dst.index() + 1] - dst_base;
+                let cum_c = consumption_prefix(model, cid, fb);
+                let src_phases = model.num_phases(src) as usize;
+                let mut producers = Vec::new();
+                let mut claimed = 0u64;
+                for i in 0..offsets[src.index() + 1] - src_base {
+                    let produced = model.production(cid, (i % src_phases) as u32);
+                    if produced > 0 {
+                        claimed += produced;
+                        producers.push((src_base + i, claimed));
                     }
-                })
-                .or_insert((weight, tokens));
-        };
-
-        // Firing-order rings.
-        for a in 0..na {
-            let aid = ActorId::new(a);
-            let f = firings[a];
-            let b = base[a];
-            for i in 0..f {
-                let next = (i + 1) % f;
-                add(
-                    b + i as usize,
-                    b + next as usize,
-                    phase_time(aid, i),
-                    u64::from(next == 0),
+                }
+                let per_iter = cum_c[fb];
+                debug_assert!(
+                    per_iter == claimed,
+                    "consistent models balance every channel"
                 );
-            }
-        }
-
-        // Token-level data dependencies and per-channel back-edge plans.
-        let mut plans = Vec::with_capacity(model.num_channels());
-        for c in 0..model.num_channels() {
-            let cid = ChannelId::new(c);
-            let src = model.channel_source(cid);
-            let dst = model.channel_target(cid);
-            let fa = firings[src.index()];
-            let fb = firings[dst.index()];
-            let pa = model.num_phases(src) as u64;
-            let pb = model.num_phases(dst) as u64;
-            let d = model.initial_tokens(cid);
-
-            let mut cum_c = Vec::with_capacity(fb as usize + 1);
-            cum_c.push(0u64);
-            for m in 0..fb {
-                cum_c.push(cum_c[m as usize] + model.consumption(cid, (m % pb) as u32));
-            }
-            let per_iter = cum_c[fb as usize];
-
-            let mut producers = Vec::new();
-            let mut produced_before = 0u64;
-            for i in 0..fa {
-                let produced = model.production(cid, (i % pa) as u32);
-                for k in 1..=produced {
-                    let t = d + produced_before + k; // 1-based token index
-                    let Some(full_iters) = (t - 1).checked_div(per_iter) else {
-                        break; // nothing ever consumed: no consumption edges
-                    };
-                    let rem = t - full_iters * per_iter;
-                    let m = cum_c.partition_point(|&x| x < rem) - 1;
-                    add(
-                        base[src.index()] + i as usize,
-                        base[dst.index()] + m,
-                        phase_time(src, i),
-                        full_iters,
-                    );
+                ChannelPlan {
+                    initial_tokens: model.initial_tokens(cid),
+                    per_iter,
+                    producers,
+                    cum_c,
+                    consumer_base: dst_base,
+                    consumer_weights: (0..fb).map(|m| firing_time(model, dst, m)).collect(),
                 }
-                if produced > 0 {
-                    producers.push((base[src.index()] + i as usize, produced_before + produced));
-                }
-                produced_before += produced;
-            }
-            debug_assert!(
-                per_iter == produced_before,
-                "consistent models balance every channel"
-            );
-
-            plans.push(ChannelPlan {
-                initial_tokens: d,
-                per_iter,
-                producers,
-                cum_c,
-                consumer_nodes: (0..fb).map(|m| base[dst.index()] + m as usize).collect(),
-                consumer_weights: (0..fb).map(|m| phase_time(dst, m)).collect(),
-            });
-        }
+            })
+            .collect();
 
         // Connectivity (undirected, over channels): the global λ* is only
         // a sound per-actor bound when every actor shares the critical
         // cycle's component.
-        let usable = is_connected(na, model);
+        let usable = is_connected(model.num_actors(), model);
 
         Ok(StaticBounds {
-            num_nodes,
-            fixed: edges
-                .into_iter()
-                .map(|((from, to), (weight, tokens))| RatioEdge {
-                    from,
-                    to,
-                    weight,
-                    tokens,
-                })
-                .collect(),
+            num_nodes: expansion.num_nodes,
+            fixed: expansion.edges,
             plans,
-            observed_firings: firings[observed.index()],
+            observed_firings: (offsets[observed.index() + 1] - offsets[observed.index()]) as u64,
             usable,
         })
     }
@@ -327,7 +256,7 @@ impl StaticBounds {
             let sigma = (s - shift * c) as u64;
             let j = plan.cum_c.partition_point(|&x| x < sigma) - 1;
             edges.push(RatioEdge {
-                from: plan.consumer_nodes[j],
+                from: plan.consumer_base + j,
                 to: node,
                 weight: plan.consumer_weights[j],
                 tokens: (-shift) as u64,

@@ -2,10 +2,10 @@
 //! exploration on the CSDF gallery, plus the single-phase embedding
 //! overhead relative to the plain SDF analysis.
 
-use buffy_analysis::throughput;
+use buffy_analysis::{maximal_throughput, throughput};
 use buffy_bench::timing;
 use buffy_core::{explore_design_space, lower_bound_distribution, ExploreOptions};
-use buffy_csdf::{csdf_maximal_throughput, CsdfGraph};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::gallery as sdf_gallery;
 use buffy_graph::StorageDistribution;
 use std::hint::black_box;
@@ -23,7 +23,7 @@ fn main() {
             throughput(black_box(&graph), &dist, obs).unwrap()
         });
         group.bench(&format!("{}/maximal-throughput", graph.name()), || {
-            csdf_maximal_throughput(black_box(&graph), obs).unwrap()
+            maximal_throughput(black_box(&graph), obs).unwrap()
         });
         group.bench(&format!("{}/explore", graph.name()), || {
             explore_design_space(black_box(&graph), &ExploreOptions::default()).unwrap()

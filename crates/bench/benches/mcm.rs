@@ -2,7 +2,7 @@
 //! (\[GG93\] role in the paper, §9) across the gallery and growing random
 //! graphs.
 
-use buffy_analysis::{max_cycle_ratio, maximal_throughput, Hsdf, RatioGraph};
+use buffy_analysis::{max_cycle_ratio, maximal_throughput, RatioGraph};
 use buffy_bench::timing;
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::RepetitionVector;
@@ -29,8 +29,7 @@ fn main() {
         .generate();
         let q = RepetitionVector::compute(&graph).expect("consistent");
         group.bench(&format!("random-{actors}/expand+howard"), || {
-            let h = Hsdf::expand(black_box(&graph), &q);
-            max_cycle_ratio(&RatioGraph::from_hsdf(&h)).unwrap()
+            max_cycle_ratio(&RatioGraph::expand(black_box(&graph), q.as_slice())).unwrap()
         });
     }
     group.finish();

@@ -4,8 +4,8 @@ use crate::args::{parse_dist, ParsedArgs};
 use crate::observe::{CheckpointConfig, CliObserver, Observation};
 use crate::telemetry::telemetry_json;
 use buffy_analysis::{
-    fx_hash, throughput, BoundCertificate, DataflowSemantics, ExplorationLimits, Schedule,
-    StaticBounds,
+    fx_hash, maximal_throughput, throughput, BoundCertificate, DataflowSemantics,
+    ExplorationLimits, Schedule, StaticBounds,
 };
 use buffy_core::{
     dist_json, explore_dependency_guided, explore_design_space, json_escape,
@@ -765,7 +765,7 @@ fn info_model<M: DataflowSemantics>(
     }
     w(out, format_args!("\n"))?;
     let obs = model.observed_actor(parsed)?;
-    match graph.maximal_throughput(obs) {
+    match maximal_throughput(graph, obs) {
         Ok(t) => w(
             out,
             format_args!("maximal throughput of {}: {}\n", graph.actor_name(obs), t),

@@ -1,4 +1,5 @@
-//! Golden outputs of `buffy explore`, `check`, `info` and `analyze`.
+//! Golden outputs of `buffy explore`, `check`, `info`, `analyze` and
+//! `bounds`.
 //!
 //! Pins the `--csv` and `--json` reports of SDF gallery graphs under both
 //! drivers, and of the cyclo-static gallery graphs through `explore` and
@@ -7,7 +8,9 @@
 //! section (latency samples) before comparison; everything else is
 //! deterministic. The `check --json`, `info` and `analyze` reports are
 //! pinned whole, for SDF and CSDF gallery graphs alike; `csdf-analyze` is
-//! an alias of `analyze` and must print the same bytes.
+//! an alias of `analyze` and must print the same bytes. `bounds` is pinned
+//! in text and JSON, and `info` and `check --json` on an inconsistent
+//! graph in both dialects, exit code included.
 //!
 //! The fixtures live in `tests/golden/`. When an output change is
 //! intended, regenerate them with
@@ -15,6 +18,7 @@
 //! diff.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn run(args: &[&str]) -> (i32, String) {
     let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -24,11 +28,17 @@ fn run(args: &[&str]) -> (i32, String) {
 }
 
 /// Writes the gallery graph `name` to a temporary file and returns its
-/// path.
+/// path. Each call gets its own file: tests run in parallel and remove
+/// their files when done.
 fn gallery_file(name: &str) -> PathBuf {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let (code, xml) = run(&["gallery", name]);
     assert_eq!(code, 0, "{xml}");
-    let path = std::env::temp_dir().join(format!("buffy-golden-{}-{name}.xml", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "buffy-golden-{}-{}-{name}.xml",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&path, xml).unwrap();
     path
 }
@@ -140,32 +150,87 @@ fn model_reports_match_the_golden_files() {
     }
 }
 
+/// `bounds` and `bounds --json` at the lower-bound distribution: the
+/// static certificate and the relaxed per-channel bounds, SDF and CSDF.
+#[test]
+fn bounds_reports_match_the_golden_files() {
+    for name in ["example", "modem", "updown", "line-scaler"] {
+        let path = gallery_file(name);
+        let graph = path.to_str().unwrap();
+        for (file, args) in [
+            ("bounds.txt", vec!["bounds", graph]),
+            ("bounds.json", vec!["bounds", graph, "--json"]),
+        ] {
+            let (code, text) = run(&args);
+            assert_eq!(code, 0, "{args:?}: {text}");
+            assert_golden(&format!("{name}-{file}"), &text);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Writes a graph of the given dialect (`"sdf"` or `"csdf"`) whose
+/// actors and channels are `body` to a temporary file.
+fn dialect_file(name: &str, dialect: &str, body: &str) -> PathBuf {
+    let (open, close) = match dialect {
+        "csdf" => (
+            format!(r#"<sdf3 type="csdf"><applicationGraph name="{name}"><csdf name="{name}">"#),
+            "</csdf>",
+        ),
+        _ => (
+            format!(r#"<sdf3><applicationGraph name="{name}"><sdf name="{name}">"#),
+            "</sdf>",
+        ),
+    };
+    let path = std::env::temp_dir().join(format!(
+        "buffy-golden-{}-{name}-{dialect}.xml",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        format!("{open}{body}{close}</applicationGraph></sdf3>"),
+    )
+    .unwrap();
+    path
+}
+
+/// An inconsistent graph and its CSDF twin: `info` fails with the balance
+/// error and `check --json` reports B001, both naming channel `mid` (the
+/// first contradiction the balance solver meets), and both exit 1.
+#[test]
+fn inconsistent_models_match_the_golden_files() {
+    let body = r#"<actor name="x"/><actor name="y"/><actor name="z"/>
+        <channel name="fwd" srcActor="x" srcRate="2" dstActor="y" dstRate="1"/>
+        <channel name="mid" srcActor="y" srcRate="1" dstActor="z" dstRate="1"/>
+        <channel name="bwd" srcActor="z" srcRate="1" dstActor="x" dstRate="1" initialTokens="1"/>"#;
+    for dialect in ["sdf", "csdf"] {
+        let path = dialect_file("bad", dialect, body);
+        let graph = path.to_str().unwrap();
+        for (file, args) in [
+            ("info.txt", vec!["info", graph]),
+            ("check.json", vec!["check", graph, "--json"]),
+        ] {
+            let (code, text) = run(&args);
+            assert_eq!(code, 1, "{args:?}: {text}");
+            assert!(text.contains(r#""mid""#), "{args:?}: {text}");
+            assert_golden(&format!("inconsistent-{dialect}-{file}"), &text);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// A token-free two-actor ring fails the maximal-throughput analysis the
 /// same way in both dialects: the CSDF graph reports its SDF twin's error.
 #[test]
 fn forced_csdf_ring_reports_the_sdf_error() {
     let ring = |dialect: &str| {
-        let (open, close) = match dialect {
-            "csdf" => (
-                r#"<sdf3 type="csdf"><applicationGraph name="ring"><csdf name="ring">"#,
-                "</csdf>",
-            ),
-            _ => (
-                r#"<sdf3><applicationGraph name="ring"><sdf name="ring">"#,
-                "</sdf>",
-            ),
-        };
-        let xml = format!(
-            r#"{open}<actor name="x"/><actor name="y"/>
+        let path = dialect_file(
+            "ring",
+            dialect,
+            r#"<actor name="x"/><actor name="y"/>
                <channel name="f" srcActor="x" srcRate="1" dstActor="y" dstRate="1"/>
-               <channel name="r" srcActor="y" srcRate="1" dstActor="x" dstRate="1"/>
-               {close}</applicationGraph></sdf3>"#
+               <channel name="r" srcActor="y" srcRate="1" dstActor="x" dstRate="1"/>"#,
         );
-        let path = std::env::temp_dir().join(format!(
-            "buffy-golden-{}-ring-{dialect}.xml",
-            std::process::id()
-        ));
-        std::fs::write(&path, xml).unwrap();
         let (code, text) = run(&["explore", path.to_str().unwrap(), "--force"]);
         std::fs::remove_file(&path).ok();
         (code, text)

@@ -53,8 +53,8 @@
 
 use crate::error::ExploreError;
 use buffy_analysis::{
-    throughput_analysis, AnalysisRequest, AnalysisWorkspace, Capacities, DataflowSemantics,
-    ExplorationLimits,
+    maximal_throughput, throughput_analysis, AnalysisRequest, AnalysisWorkspace, Capacities,
+    DataflowSemantics, ExplorationLimits,
 };
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
 use std::sync::Arc;
@@ -144,7 +144,7 @@ pub(crate) fn upper_bound_distribution_with<M: DataflowSemantics>(
     peaks: &dyn Fn(&StorageDistribution) -> Result<Peaks, ExploreError>,
 ) -> Result<(StorageDistribution, Rational), ExploreError> {
     let q = model.repetition_cycles()?;
-    let thr_max = model.maximal_throughput(observed)?;
+    let thr_max = maximal_throughput(model, observed)?;
 
     // Start from a heuristic: room for one full iteration of productions
     // and consumptions plus initial tokens, at least the lower bound.

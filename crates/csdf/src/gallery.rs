@@ -5,6 +5,27 @@ use crate::model::CsdfGraph;
 
 /// A bursty two-phase producer feeding a unit-rate consumer: produces 2
 /// tokens in its first phase and none in the second.
+///
+/// # Examples
+///
+/// The consumer can fire every step: the maximal throughput over all
+/// storage distributions (from the homogeneous expansion) is 1, and the
+/// kernel's throughput analysis reaches that bound under a capacity of 4.
+///
+/// ```
+/// use buffy_analysis::{maximal_throughput, throughput};
+/// use buffy_csdf::gallery;
+/// use buffy_graph::{Rational, StorageDistribution};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let g = gallery::updown();
+/// let c = g.actor_by_name("c").unwrap();
+/// assert_eq!(maximal_throughput(&g, c)?, Rational::ONE);
+/// let r = throughput(&g, &StorageDistribution::from_capacities(vec![4]), c)?;
+/// assert_eq!(r.throughput, Rational::ONE); // c fires every step at steady state
+/// # Ok(())
+/// # }
+/// ```
 pub fn updown() -> CsdfGraph {
     let mut b = CsdfGraph::builder("updown");
     let p = b.actor("p", vec![1, 1]);
@@ -84,28 +105,27 @@ pub fn all() -> Vec<CsdfGraph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hsdf::csdf_maximal_throughput;
-    use crate::repetition::{is_consistent, CsdfRepetitionVector};
-    use buffy_analysis::DataflowSemantics;
+    use buffy_analysis::{maximal_throughput, DataflowSemantics};
     use buffy_core::{explore_design_space, ExploreOptions};
-    use buffy_graph::Rational;
+    use buffy_graph::{ActorId, Rational};
 
     #[test]
     fn gallery_is_consistent() {
         for g in all() {
-            assert!(is_consistent(&g), "{}", g.name());
+            assert!(g.repetition_cycles().is_ok(), "{}", g.name());
         }
     }
 
     #[test]
     fn h263_rows_repetition() {
         let g = h263_rows();
-        let q = CsdfRepetitionVector::compute(&g).unwrap();
+        let q = g.repetition_cycles().unwrap();
         let vld = g.actor_by_name("vld").unwrap();
         let iq = g.actor_by_name("iq").unwrap();
-        assert_eq!(q.cycles(vld), 1);
-        assert_eq!(q.firings(&g, vld), 6);
-        assert_eq!(q.firings(&g, iq), 594);
+        let firings = |a: ActorId| q[a.index()] * u64::from(g.num_phases(a));
+        assert_eq!(q[vld.index()], 1);
+        assert_eq!(firings(vld), 6);
+        assert_eq!(firings(iq), 594);
     }
 
     #[test]
@@ -115,7 +135,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", g.name()));
             assert!(!r.pareto.is_empty(), "{}", g.name());
             let obs = g.default_observed_actor();
-            let bound = csdf_maximal_throughput(&g, obs).unwrap();
+            let bound = maximal_throughput(&g, obs).unwrap();
             assert_eq!(
                 r.pareto.maximal().unwrap().throughput,
                 bound,
@@ -130,7 +150,7 @@ mod tests {
     fn power_variant_mirrors_the_unannotated_topology() {
         let base = h263_rows();
         let powered = h263_rows_power();
-        assert!(is_consistent(&powered));
+        assert!(powered.repetition_cycles().is_ok());
         assert_eq!(powered.num_actors(), base.num_actors());
         assert_eq!(powered.num_channels(), base.num_channels());
         for (id, a) in base.actors() {

@@ -5,8 +5,8 @@
 //! rate *per phase of its actor* (rates may be zero in individual phases).
 //! Every SDF graph is a CSDF graph with a single phase per actor.
 
-use buffy_analysis::{bmlb, AnalysisError, DataflowSemantics};
-use buffy_graph::{gcd_u64, ActorId, ChannelId, GraphError, Rational, SdfGraph};
+use buffy_analysis::{bmlb, DataflowSemantics};
+use buffy_graph::{gcd_u64, ActorId, ChannelId, SdfGraph};
 use core::fmt;
 use std::collections::HashSet;
 
@@ -53,13 +53,6 @@ pub enum CsdfError {
     },
     /// The graph has no actors.
     EmptyGraph,
-    /// The balance equations admit only the trivial solution.
-    Inconsistent {
-        /// A channel whose balance equation fails.
-        channel: String,
-    },
-    /// Repetition-vector entries overflow.
-    RepetitionOverflow,
 }
 
 impl fmt::Display for CsdfError {
@@ -84,34 +77,11 @@ impl fmt::Display for CsdfError {
                 "channel {channel:?} transfers no tokens over a full phase cycle"
             ),
             CsdfError::EmptyGraph => write!(f, "graph has no actors"),
-            CsdfError::Inconsistent { channel } => write!(
-                f,
-                "graph is inconsistent: balance equation of channel {channel:?} fails"
-            ),
-            CsdfError::RepetitionOverflow => write!(f, "repetition vector overflows u64"),
         }
     }
 }
 
 impl std::error::Error for CsdfError {}
-
-/// The analyses' view of a CSDF error: the balance-equation failures map
-/// to their [`GraphError`] twins.
-impl From<CsdfError> for AnalysisError {
-    fn from(e: CsdfError) -> Self {
-        match e {
-            CsdfError::Inconsistent { channel } => {
-                AnalysisError::Graph(GraphError::Inconsistent { channel })
-            }
-            CsdfError::RepetitionOverflow => AnalysisError::Graph(GraphError::RepetitionOverflow),
-            // Builder-stage errors cannot arise from analyzing a built
-            // graph; keep their message if one ever leaks through.
-            other => AnalysisError::Graph(GraphError::Inconsistent {
-                channel: other.to_string(),
-            }),
-        }
-    }
-}
 
 /// A CSDF actor: a cyclic sequence of phases with per-phase execution
 /// times.
@@ -580,16 +550,6 @@ impl DataflowSemantics for CsdfGraph {
         CsdfGraph::default_observed_actor(self)
     }
 
-    fn repetition_cycles(&self) -> Result<Vec<u64>, AnalysisError> {
-        let q =
-            crate::repetition::CsdfRepetitionVector::compute(self).map_err(AnalysisError::from)?;
-        Ok(q.as_slice().to_vec())
-    }
-
-    fn maximal_throughput(&self, observed: ActorId) -> Result<Rational, AnalysisError> {
-        crate::hsdf::csdf_maximal_throughput(self, observed)
-    }
-
     /// Single-phase channels (both rate vectors of length 1, i.e. the SDF
     /// embedding) get the exact buffer minimal for liveness ([`bmlb`]), so
     /// the exploration grid of an embedded SDF graph is identical to the
@@ -629,6 +589,8 @@ impl DataflowSemantics for CsdfGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buffy_analysis::{maximal_throughput, AnalysisError};
+    use buffy_graph::{GraphError, Rational};
 
     #[test]
     fn build_and_query() {
@@ -743,8 +705,7 @@ mod tests {
     fn error_messages() {
         for e in [
             CsdfError::EmptyGraph,
-            CsdfError::RepetitionOverflow,
-            CsdfError::Inconsistent {
+            CsdfError::ZeroCycleRate {
                 channel: "x".into(),
             },
             CsdfError::IdlePowerExceedsActive { actor: "x".into() },
@@ -774,32 +735,28 @@ mod tests {
         assert_eq!(m.initial_tokens(ch), 2);
         assert_eq!(m.default_observed_actor(), c);
         assert_eq!(g.repetition_cycles().unwrap(), vec![1, 1]);
-        assert!(g.maximal_throughput(c).unwrap() > Rational::ZERO);
+        assert!(maximal_throughput(&g, c).unwrap() > Rational::ZERO);
     }
 
     #[test]
     fn error_conversions_round_trip() {
-        // The balance-equation failures map to their graph-error twins, and
-        // the kernel renders them the graph layer's way.
-        let pairs = [
-            (
-                CsdfError::Inconsistent {
-                    channel: "d".into(),
-                },
-                AnalysisError::Graph(GraphError::Inconsistent {
-                    channel: "d".into(),
-                }),
-            ),
-            (
-                CsdfError::RepetitionOverflow,
-                AnalysisError::Graph(GraphError::RepetitionOverflow),
-            ),
-        ];
-        for (c, a) in pairs {
-            assert_eq!(AnalysisError::from(c), a);
-        }
-        // A builder error keeps its message.
-        let e = AnalysisError::from(CsdfError::EmptyGraph);
-        assert!(e.to_string().contains("graph has no actors"), "{e}");
+        // Balance-equation failures come out of the one balance solver as
+        // the graph layer's errors, rendered the graph layer's way.
+        let mut b = CsdfGraph::builder("bad");
+        let x = b.actor("x", vec![1, 1]);
+        let y = b.actor("y", vec![1]);
+        b.channel("d", x, vec![2, 0], y, vec![1], 0).unwrap();
+        b.channel("r", y, vec![1], x, vec![1, 0], 1).unwrap();
+        let e = b.build().unwrap().repetition_cycles().unwrap_err();
+        assert_eq!(
+            e,
+            AnalysisError::Graph(GraphError::Inconsistent {
+                channel: "r".into(),
+            })
+        );
+        assert!(
+            e.to_string().contains("balance equation of channel \"r\""),
+            "{e}"
+        );
     }
 }

@@ -7,10 +7,10 @@
 
 #![cfg(test)]
 
-use crate::hsdf::csdf_maximal_throughput;
 use crate::model::CsdfGraph;
 use buffy_analysis::{
-    throughput_for, Capacities, DataflowEngine, ExplorationLimits, FiringOutcome, ThroughputReport,
+    maximal_throughput, throughput_for, Capacities, DataflowEngine, ExplorationLimits,
+    FiringOutcome, ThroughputReport,
 };
 use buffy_gen::SplitMix64;
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
@@ -90,7 +90,7 @@ fn simulation_respects_maximal_throughput() {
         };
         let cap = rng.range_u64(1, 11);
         let obs = g.default_observed_actor();
-        let Ok(bound) = csdf_maximal_throughput(&g, obs) else {
+        let Ok(bound) = maximal_throughput(&g, obs) else {
             continue;
         };
         let d = StorageDistribution::from_capacities(vec![cap]);

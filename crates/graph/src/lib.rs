@@ -59,4 +59,4 @@ pub use error::GraphError;
 pub use graph::{Actor, Channel, SdfGraph};
 pub use ids::{ActorId, ChannelId};
 pub use rational::{checked_lcm_u64, gcd_u128, gcd_u64, ParseRationalError, Rational};
-pub use repetition::{is_consistent, RepetitionVector};
+pub use repetition::{is_consistent, solve_balance_equations, RepetitionVector};

@@ -10,7 +10,7 @@
 
 use crate::error::GraphError;
 use crate::graph::SdfGraph;
-use crate::ids::ActorId;
+use crate::ids::{ActorId, ChannelId};
 use crate::rational::{gcd_u128, Rational};
 
 /// The repetition vector of a consistent SDF graph.
@@ -44,7 +44,8 @@ pub struct RepetitionVector {
 }
 
 impl RepetitionVector {
-    /// Computes the repetition vector by solving the balance equations.
+    /// Computes the repetition vector by solving the balance equations
+    /// ([`solve_balance_equations`]).
     ///
     /// # Errors
     ///
@@ -52,92 +53,13 @@ impl RepetitionVector {
     ///   the trivial solution;
     /// - [`GraphError::RepetitionOverflow`] if an entry exceeds `u64`.
     pub fn compute(graph: &SdfGraph) -> Result<RepetitionVector, GraphError> {
-        let n = graph.num_actors();
-        let mut rates: Vec<Option<Rational>> = vec![None; n];
-        let mut component_of: Vec<usize> = vec![usize::MAX; n];
-        let mut num_components = 0usize;
-
-        // Propagate symbolic firing rates through each weakly connected
-        // component with a DFS; detect contradictions against already
-        // assigned rates.
-        for start in 0..n {
-            if rates[start].is_some() {
-                continue;
-            }
-            let comp = num_components;
-            num_components += 1;
-            rates[start] = Some(Rational::ONE);
-            component_of[start] = comp;
-            let mut stack = vec![ActorId::new(start)];
-            while let Some(actor) = stack.pop() {
-                let r_actor = rates[actor.index()].expect("visited actor has a rate");
-                let out = graph.output_channels(actor).iter().map(|&c| (c, true));
-                let inp = graph.input_channels(actor).iter().map(|&c| (c, false));
-                for (cid, outgoing) in out.chain(inp) {
-                    let ch = graph.channel(cid);
-                    // For channel src --p:c--> dst: q(dst) = q(src) * p / c.
-                    let (other, expected) = if outgoing {
-                        (
-                            ch.target(),
-                            r_actor
-                                * Rational::new(ch.production() as i128, ch.consumption() as i128),
-                        )
-                    } else {
-                        (
-                            ch.source(),
-                            r_actor
-                                * Rational::new(ch.consumption() as i128, ch.production() as i128),
-                        )
-                    };
-                    match rates[other.index()] {
-                        None => {
-                            rates[other.index()] = Some(expected);
-                            component_of[other.index()] = comp;
-                            stack.push(other);
-                        }
-                        Some(existing) => {
-                            if existing != expected {
-                                return Err(GraphError::Inconsistent {
-                                    channel: ch.name().to_string(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Scale each component to the smallest positive integer vector.
-        let mut entries = vec![0u64; n];
-        for comp in 0..num_components {
-            let members: Vec<usize> = (0..n).filter(|&i| component_of[i] == comp).collect();
-            // lcm of denominators.
-            let mut lcm: u128 = 1;
-            for &i in &members {
-                let d = rates[i].expect("assigned").denom().unsigned_abs();
-                let g = gcd_u128(lcm, d);
-                lcm = lcm
-                    .checked_mul(d / g)
-                    .ok_or(GraphError::RepetitionOverflow)?;
-            }
-            // Multiply through, then divide by gcd of numerators.
-            let mut scaled: Vec<u128> = Vec::with_capacity(members.len());
-            for &i in &members {
-                let r = rates[i].expect("assigned");
-                let v = r.numer().unsigned_abs() * (lcm / r.denom().unsigned_abs());
-                scaled.push(v);
-            }
-            let mut g: u128 = 0;
-            for &v in &scaled {
-                g = gcd_u128(g, v);
-            }
-            debug_assert!(g > 0, "component has at least one member with rate 1");
-            for (&i, &v) in members.iter().zip(&scaled) {
-                let e = v / g;
-                entries[i] = u64::try_from(e).map_err(|_| GraphError::RepetitionOverflow)?;
-            }
-        }
-
+        let channels: Vec<_> = graph
+            .channels()
+            .map(|(_, ch)| (ch.source(), ch.target(), ch.production(), ch.consumption()))
+            .collect();
+        let entries = solve_balance_equations(graph.num_actors(), &channels, |c| {
+            graph.channel(c).name().to_string()
+        })?;
         Ok(RepetitionVector { entries })
     }
 
@@ -166,6 +88,118 @@ impl RepetitionVector {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// Solves the balance equations `q(src)·production = q(dst)·consumption`
+/// over `num_actors` actors, one `(source, target, production,
+/// consumption)` entry per channel in id order, and returns the smallest
+/// positive integer solution of each weakly connected component.
+///
+/// The rates are whatever one repetition unit transfers: per firing for
+/// SDF, per full phase cycle for cyclo-static models. Symbolic rates
+/// propagate by depth-first search, which visits each actor's output
+/// channels and then its input channels, in id order; the first channel
+/// whose equation contradicts an assigned rate is the one reported, named
+/// by `channel_name`.
+///
+/// # Errors
+///
+/// - [`GraphError::Inconsistent`] if the balance equations admit only the
+///   trivial solution;
+/// - [`GraphError::RepetitionOverflow`] if an entry exceeds `u64`.
+///
+/// # Examples
+///
+/// ```
+/// use buffy_graph::{solve_balance_equations, ActorId};
+///
+/// let (a, b) = (ActorId::new(0), ActorId::new(1));
+/// let q = solve_balance_equations(2, &[(a, b, 2, 3)], |c| c.to_string());
+/// assert_eq!(q, Ok(vec![3, 2]));
+/// ```
+pub fn solve_balance_equations(
+    num_actors: usize,
+    channels: &[(ActorId, ActorId, u64, u64)],
+    channel_name: impl Fn(ChannelId) -> String,
+) -> Result<Vec<u64>, GraphError> {
+    let n = num_actors;
+    // Each actor's channels: outputs first, then inputs, in id order.
+    let mut incident: Vec<Vec<(usize, bool)>> = vec![Vec::new(); n];
+    for (c, &(src, _, _, _)) in channels.iter().enumerate() {
+        incident[src.index()].push((c, true));
+    }
+    for (c, &(_, dst, _, _)) in channels.iter().enumerate() {
+        incident[dst.index()].push((c, false));
+    }
+    let mut rates: Vec<Option<Rational>> = vec![None; n];
+    let mut component_of: Vec<usize> = vec![usize::MAX; n];
+    let mut num_components = 0usize;
+
+    // Propagate symbolic firing rates through each weakly connected
+    // component with a DFS; detect contradictions against already
+    // assigned rates.
+    for start in 0..n {
+        if rates[start].is_some() {
+            continue;
+        }
+        let comp = num_components;
+        num_components += 1;
+        rates[start] = Some(Rational::ONE);
+        component_of[start] = comp;
+        let mut stack = vec![start];
+        while let Some(actor) = stack.pop() {
+            let r_actor = rates[actor].expect("visited actor has a rate");
+            for &(c, outgoing) in &incident[actor] {
+                let (src, dst, p, k) = channels[c];
+                let (p, k) = (p as i128, k as i128);
+                // For channel src --p:k--> dst: q(dst) = q(src) * p / k.
+                let (other, expected) = if outgoing {
+                    (dst, r_actor * Rational::new(p, k))
+                } else {
+                    (src, r_actor * Rational::new(k, p))
+                };
+                match rates[other.index()] {
+                    None => {
+                        rates[other.index()] = Some(expected);
+                        component_of[other.index()] = comp;
+                        stack.push(other.index());
+                    }
+                    Some(existing) if existing != expected => {
+                        return Err(GraphError::Inconsistent {
+                            channel: channel_name(ChannelId::new(c)),
+                        });
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+    }
+
+    // Scale each component to the smallest positive integer vector:
+    // multiply through by the lcm of the denominators, then divide by the
+    // gcd of the numerators.
+    let mut entries = vec![0u64; n];
+    for comp in 0..num_components {
+        let members: Vec<usize> = (0..n).filter(|&i| component_of[i] == comp).collect();
+        let rate = |i: usize| rates[i].expect("assigned");
+        let mut lcm: u128 = 1;
+        for &i in &members {
+            let d = rate(i).denom().unsigned_abs();
+            lcm = lcm
+                .checked_mul(d / gcd_u128(lcm, d))
+                .ok_or(GraphError::RepetitionOverflow)?;
+        }
+        let scaled: Vec<u128> = members
+            .iter()
+            .map(|&i| rate(i).numer().unsigned_abs() * (lcm / rate(i).denom().unsigned_abs()))
+            .collect();
+        let g = scaled.iter().fold(0, |g, &v| gcd_u128(g, v));
+        debug_assert!(g > 0, "component has at least one member with rate 1");
+        for (&i, &v) in members.iter().zip(&scaled) {
+            entries[i] = u64::try_from(v / g).map_err(|_| GraphError::RepetitionOverflow)?;
+        }
+    }
+    Ok(entries)
 }
 
 impl core::ops::Index<ActorId> for RepetitionVector {
@@ -301,6 +335,48 @@ mod tests {
         let g = b.build().unwrap();
         let q = RepetitionVector::compute(&g).unwrap();
         assert_eq!(q.as_slice(), &[1]);
+    }
+
+    #[test]
+    fn two_phase_balance() {
+        // Cyclo-static rates balance per full phase cycle: a producer with
+        // phases producing (2, 0) moves 2 tokens per cycle into a consumer
+        // taking 1 per firing, so q = (1, 2) cycles.
+        let (p, c) = (ActorId::new(0), ActorId::new(1));
+        let q = solve_balance_equations(2, &[(p, c, 2, 1)], |c| c.to_string());
+        assert_eq!(q, Ok(vec![1, 2]));
+    }
+
+    #[test]
+    fn inconsistent_cycle() {
+        // x --2:1--> y --1:1--> x: the solver names the channel whose
+        // equation contradicts the rates assigned so far.
+        let (x, y) = (ActorId::new(0), ActorId::new(1));
+        let names = ["f", "r"];
+        let err = solve_balance_equations(2, &[(x, y, 2, 1), (y, x, 1, 1)], |c| {
+            names[c.index()].to_string()
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::Inconsistent {
+                channel: "r".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn sdf_equivalence() {
+        // Per-firing SDF rates are the single-phase case of the cycle-level
+        // balance equations: the solver gives the paper's (3, 2, 1).
+        let g = example();
+        let channels: Vec<_> = g
+            .channels()
+            .map(|(_, ch)| (ch.source(), ch.target(), ch.production(), ch.consumption()))
+            .collect();
+        let q = solve_balance_equations(3, &channels, |c| c.to_string()).unwrap();
+        assert_eq!(q, vec![3, 2, 1]);
+        assert_eq!(q, RepetitionVector::compute(&g).unwrap().as_slice());
     }
 
     #[test]

@@ -140,7 +140,7 @@ mod tests {
             edges(m, |c| c == alpha),
             vec![(ActorId::new(0), ActorId::new(1))]
         );
-        assert!(m.maximal_throughput(m.default_observed_actor()).is_ok());
+        assert!(buffy_analysis::maximal_throughput(m, m.default_observed_actor()).is_ok());
         assert_eq!(m.channel_lower_bound(alpha), 4);
     }
 

@@ -5,7 +5,7 @@
 use crate::diagnostic::{Diagnostic, Subject};
 use crate::rules::Rule;
 use crate::LintContext;
-use buffy_analysis::DataflowSemantics;
+use buffy_analysis::{maximal_throughput, DataflowSemantics};
 
 /// Flags throughput constraints above the graph's maximal throughput.
 ///
@@ -34,7 +34,7 @@ impl Rule for InfeasibleConstraint {
         let observed = ctx
             .observed
             .unwrap_or_else(|| model.default_observed_actor());
-        let Ok(bound) = model.maximal_throughput(observed) else {
+        let Ok(bound) = maximal_throughput(model, observed) else {
             return Vec::new();
         };
         if required <= bound {

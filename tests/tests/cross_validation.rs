@@ -1,14 +1,17 @@
 //! Cross-validation between independent implementations of the same
-//! quantities: full vs reduced state spaces, MCM vs simulation, exhaustive
-//! vs dependency-guided exploration.
+//! quantities: full vs reduced state spaces, MCM vs simulation, the
+//! shared homogeneous expansion vs a per-token reference, exhaustive vs
+//! dependency-guided exploration.
 
 use buffy_analysis::{
     explore, max_cycle_ratio, max_cycle_ratio_brute_force, maximal_throughput, throughput,
-    ExplorationLimits, Hsdf, RatioGraph, Schedule,
+    DataflowSemantics, ExplorationLimits, RatioEdge, RatioGraph, Schedule,
 };
 use buffy_core::{explore_dependency_guided, explore_design_space, ExploreOptions};
+use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::{Rational, RepetitionVector, SdfGraph, StorageDistribution};
+use std::collections::HashMap;
 
 fn front(r: &buffy_core::ExplorationResult) -> Vec<(u64, Rational)> {
     r.pareto
@@ -89,20 +92,121 @@ fn mcm_vs_simulation_on_random_graphs() {
     }
 }
 
+/// The homogeneous expansion of `model` ([`RatioGraph::expand`]).
+fn expansion<M: DataflowSemantics>(model: &M) -> RatioGraph {
+    RatioGraph::expand(model, &model.repetition_cycles().unwrap())
+}
+
 /// Howard's algorithm matches the brute-force cycle enumeration on the
-/// gallery graphs' homogeneous expansions (small enough to enumerate).
+/// homogeneous expansions of gallery graphs, SDF and CSDF (small enough to
+/// enumerate).
 #[test]
 fn howard_vs_brute_force_on_gallery_expansions() {
-    for g in [gallery::example(), gallery::bipartite()] {
-        let q = RepetitionVector::compute(&g).unwrap();
-        let h = Hsdf::expand(&g, &q);
-        let rg = RatioGraph::from_hsdf(&h);
+    for (name, rg) in [
+        ("example", expansion(&gallery::example())),
+        ("bipartite", expansion(&gallery::bipartite())),
+        ("updown", expansion(&buffy_csdf::gallery::updown())),
+        (
+            "line-scaler",
+            expansion(&buffy_csdf::gallery::line_scaler()),
+        ),
+    ] {
         assert_eq!(
             max_cycle_ratio(&rg).unwrap(),
             max_cycle_ratio_brute_force(&rg).unwrap(),
-            "{}",
-            g.name()
+            "{name}"
         );
+    }
+}
+
+/// The classical SDF → HSDF construction, one step per token: firing `l`
+/// of the producer emits tokens `d + l·p + 1 ..= d + (l + 1)·p`, token
+/// `t` goes to global consuming firing `(t − 1) / c`, and parallel edges
+/// keep their minimum token count. An independent reference for
+/// [`RatioGraph::expand`] on SDF graphs.
+fn per_token_expansion(graph: &SdfGraph) -> RatioGraph {
+    let q = RepetitionVector::compute(graph).unwrap();
+    let mut base = vec![0usize; graph.num_actors()];
+    let mut weight = Vec::new();
+    for (aid, actor) in graph.actors() {
+        base[aid.index()] = weight.len();
+        for _ in 0..q[aid] {
+            weight.push(actor.execution_time());
+        }
+    }
+    let mut edge_map: HashMap<(usize, usize), u64> = HashMap::new();
+    let mut add_edge = |from: usize, to: usize, tokens: u64| {
+        edge_map
+            .entry((from, to))
+            .and_modify(|t| *t = (*t).min(tokens))
+            .or_insert(tokens);
+    };
+    // Firing-order rings (no auto-concurrency).
+    for aid in graph.actor_ids() {
+        let qa = q[aid];
+        let b = base[aid.index()];
+        for l in 0..qa {
+            let next = (l + 1) % qa;
+            add_edge(b + l as usize, b + next as usize, u64::from(next == 0));
+        }
+    }
+    // Token-level dependencies per channel.
+    for (_, ch) in graph.channels() {
+        let (p, c, d) = (ch.production(), ch.consumption(), ch.initial_tokens());
+        let qb = q[ch.target()];
+        let src_base = base[ch.source().index()];
+        let dst_base = base[ch.target().index()];
+        for l in 0..q[ch.source()] {
+            for k in 1..=p {
+                let f0 = (d + l * p + k - 1) / c; // 0-based global consuming firing
+                add_edge(
+                    src_base + l as usize,
+                    dst_base + (f0 % qb) as usize,
+                    f0 / qb,
+                );
+            }
+        }
+    }
+    let mut edges: Vec<RatioEdge> = edge_map
+        .into_iter()
+        .map(|((from, to), tokens)| RatioEdge {
+            from,
+            to,
+            weight: weight[from],
+            tokens,
+        })
+        .collect();
+    edges.sort_by_key(|e| (e.from, e.to));
+    RatioGraph {
+        num_nodes: weight.len(),
+        edges,
+    }
+}
+
+/// The shared expansion equals the per-token reference edge for edge,
+/// order included, on every SDF gallery graph and 300 random ones; each
+/// graph's single-phase CSDF embedding expands to the same list.
+#[test]
+fn shared_expansion_matches_the_per_token_reference() {
+    let mut graphs = gallery::all();
+    graphs.extend([
+        gallery::modem_power(),
+        gallery::cd2dat_power(),
+        gallery::h263_decoder_power(),
+    ]);
+    for s in 0..100 {
+        graphs.push(RandomGraphConfig::small(s).generate());
+        graphs.push(RandomGraphConfig::mixed_step(4, 5, s).generate());
+        graphs.push(RandomGraphConfig::mixed_step(6, 7, s).generate());
+    }
+    for (i, g) in graphs.iter().enumerate() {
+        let shared = expansion(g);
+        let reference = per_token_expansion(g);
+        let embedded = expansion(&CsdfGraph::from_sdf(g));
+        for other in [&reference, &embedded] {
+            assert_eq!(shared.num_nodes, other.num_nodes, "graph {i} {}", g.name());
+            assert_eq!(shared.edges, other.edges, "graph {i} {}", g.name());
+        }
     }
 }
 

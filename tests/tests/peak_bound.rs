@@ -178,7 +178,7 @@ fn reference_upper_bound<M: DataflowSemantics>(
         .throughput
     };
     let q = model.repetition_cycles().unwrap();
-    let thr_max = model.maximal_throughput(observed).unwrap();
+    let thr_max = buffy_analysis::maximal_throughput(model, observed).unwrap();
     let mut dist: StorageDistribution = (0..model.num_channels())
         .map(|i| {
             let cid = ChannelId::new(i);

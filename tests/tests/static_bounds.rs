@@ -224,3 +224,47 @@ fn pruning_preserves_fronts_on_csdf_graphs() {
         assert_prune_invisible(g, label, |m, o| explore_dependency_guided(m, o).unwrap());
     }
 }
+
+/// The pinned maximal throughput and static certificates of
+/// [`high_rate_graph_certificates_are_pinned`]'s graph.
+fn assert_high_rate_certificates<M: DataflowSemantics>(model: &M) {
+    let observed = model.default_observed_actor();
+    assert_eq!(
+        buffy_analysis::maximal_throughput(model, observed).unwrap(),
+        Rational::new(1, 40000)
+    );
+    let bounds = StaticBounds::new(model, observed).unwrap();
+    let lb = lower_bound_distribution(model);
+    assert_eq!(lb.as_slice(), &[39998, 20000]);
+    let cert = bounds.certificate(&lb).unwrap();
+    assert_eq!(cert.bound, Rational::new(1, 60000));
+    assert_eq!(cert.lambda, Some(Rational::from_integer(60000)));
+    let relaxed: Vec<Rational> = (0..2)
+        .map(|i| {
+            let id = ChannelId::new(i);
+            bounds.channel_bound(id, lb.get(id)).unwrap().bound
+        })
+        .collect();
+    assert_eq!(
+        relaxed,
+        vec![Rational::new(1, 59999), Rational::new(1, 40002)]
+    );
+}
+
+/// The running example with rates that move 4·10⁸ tokens per iteration
+/// over α: q = (19999, 20000, 1). The expansion walks consuming firings,
+/// not tokens, so the maximal throughput and the static certificates of
+/// the SDF graph and of its CSDF embedding take well under a second.
+#[test]
+fn high_rate_graph_certificates_are_pinned() {
+    let mut b = buffy_graph::SdfGraph::builder("example");
+    let a = b.actor("a", 1);
+    let bb = b.actor("b", 2);
+    let c = b.actor("c", 2);
+    b.channel("alpha", a, 20000, bb, 19999).unwrap();
+    b.channel("beta", bb, 1, c, 20000).unwrap();
+    let sdf = b.build().unwrap();
+    assert_eq!(sdf.repetition_cycles().unwrap(), vec![19999, 20000, 1]);
+    assert_high_rate_certificates(&sdf);
+    assert_high_rate_certificates(&CsdfGraph::from_sdf(&sdf));
+}
