@@ -471,6 +471,46 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
         Ok(true)
     }
 
+    /// Fast-forwards over `reps` repetitions of a window of advances that
+    /// lasted `span` time units, moved each channel's tokens by `drift`
+    /// and completed `completed[a]` firings of each actor `a`. An actor
+    /// that is busy at the window's end without a completion in it was
+    /// busy throughout, so its clock falls by `reps · span`; every other
+    /// clock, and every phase, is the same after each repetition.
+    ///
+    /// The caller proves that every skipped repetition makes the window's
+    /// decisions again (the cycle search's fast-forward, see the
+    /// `throughput` module); the state reached is then the one that many
+    /// more advances would reach. Events, space-blocked channels and
+    /// peaks stay those of the window's last advance.
+    #[cold]
+    pub(crate) fn repeat_window(
+        &mut self,
+        reps: u64,
+        span: u64,
+        drift: &[i128],
+        completed: &[u64],
+    ) {
+        let elapsed = reps * span;
+        self.time += elapsed;
+        for (clk, &n) in self.state.act_clk.iter_mut().zip(completed) {
+            if *clk > 0 && n == 0 {
+                *clk -= elapsed;
+            }
+        }
+        for (tokens, &d) in self.state.tokens.iter_mut().zip(drift) {
+            *tokens = u64::try_from(i128::from(*tokens) + i128::from(reps) * d)
+                .expect("a repeated window keeps every token count in range");
+        }
+        #[cfg(feature = "strict-invariants")]
+        {
+            for (fired, &n) in self.fired.iter_mut().zip(completed) {
+                *fired += reps * n;
+            }
+            self.assert_invariants();
+        }
+    }
+
     /// Runs until the observed condition: convenience that steps `n` times
     /// or stops early on deadlock. Returns the number of steps taken.
     ///

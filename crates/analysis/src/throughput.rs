@@ -24,6 +24,62 @@
 //! nothing is allocated per state or per engine event while the arena has
 //! room.
 //!
+//! # Fast-forwarding repeated windows
+//!
+//! Between two completions of the observed actor nothing is stored, yet
+//! the engine still advances through every firing in between: one
+//! analysis of the H.263 decoder (q = 1, 594, 594, 1) is thousands of
+//! advances of its iq/idct loop. After [`FAST_FORWARD_GATE`] advances
+//! without an observed completion, the cycle search snapshots the state
+//! after each advance (clocks, phases, tokens, time and each actor's
+//! completions) into a ring of the last [`WINDOW_RING`]. The current
+//! state S′ and the snapshot S taken `l` advances earlier form a *window*
+//! when their phases are equal and every actor either has the same clock
+//! in both or was busy throughout without completing, so that its clock
+//! fell by the window's span `D = time′ − time`. Each channel's tokens
+//! drifted by some `Δ` over the window.
+//!
+//! *Why every decision repeats.* An advance decides which busy clock
+//! expires next, which firings complete, and, in the start pass, for each
+//! idle actor, tests of the form `tokens ≥ θ` on its channels: `θ` is the
+//! consumption of its current phase on an input, or `cap − prod + 1` on a
+//! bounded output (the saturating space test, which also covers over-full
+//! channels). In a model without zero-time phases a start moves no token,
+//! so each start pass reads exactly the tokens its advance's completions
+//! leave. From S′ on, repetition `m` of the window then meets the same
+//! clocks, with the busy-throughout ones lower by `m·D`, and the tokens
+//! its start passes read are the window's plus `m·Δ`. Every decision
+//! repeats, by induction over its advances, as long as no
+//! busy-throughout clock runs out (`J·D < clock` for `J` repetitions) and
+//! no token count the window read, shifted by up to `J·Δ`, crosses a
+//! threshold `θ` of its channel. Every phase's rates count as thresholds,
+//! and a `θ` inside the window's own range `(lo, hi]` forbids the jump.
+//! The search also keeps tokens in `[0, 2^64)` and the time below
+//! `max_steps`, so step limits trip where they did.
+//!
+//! *Why only `J − 1`.* With `J ≥ 2`, the search applies `J − 1`
+//! repetitions as arithmetic (tokens `+= (J − 1)·Δ`, busy-throughout
+//! clocks `−= (J − 1)·D`, time `+= (J − 1)·D`) and simulates the `J`-th.
+//! A skipped start claims no more on a channel than a simulated one: on a
+//! channel with `Δ ≤ 0` the window's claims are the largest, on a rising
+//! one those of repetition `J`. So the peak occupancies stay exact.
+//!
+//! *Why the flags need nothing.* A skipped advance's space-blocked set
+//! equals that of the window's matching advance. The window lies after
+//! the last observed completion, so that set is already in the running
+//! segment, where the skipped advance's would have gone.
+//!
+//! *What is never skipped.* Reduced states: the ring only holds states of
+//! the current stretch without an observed completion, so no repetition
+//! of a window holds one either. Models with a zero-time phase are left
+//! alone: there a start pass fires zero-time phases, tokens move between
+//! the tests of one pass, and the snapshots do not show what each test
+//! read.
+//!
+//! The only cost on the hot path is counting the advances since the last
+//! observed completion; the snapshots and the jump live in a cold
+//! function, and the ring is part of the [`AnalysisWorkspace`].
+//!
 //! [`dependencies_from_run_for`]: crate::dependencies_from_run_for
 
 use crate::budget::CancelToken;
@@ -43,6 +99,15 @@ use std::time::Instant;
 /// `Instant::now`) never shows up on the per-state hot path. The stride
 /// counts advances, not time: one advance may jump many time units.
 const CANCEL_STRIDE_MASK: u64 = 0x3FF;
+
+/// How many advances without a completion of the observed actor the cycle
+/// search makes before it looks for a repeating window to fast-forward
+/// (module doc): short stretches never pay for the snapshots.
+const FAST_FORWARD_GATE: u64 = 64;
+
+/// How many snapshots the fast-forward keeps: it finds windows of up to
+/// this many advances.
+const WINDOW_RING: usize = 8;
 
 /// Tunable limits for state-space searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,8 +320,8 @@ pub struct ThroughputAnalysis {
 }
 
 /// Reusable per-analysis allocations: the packed reduced-state arena with
-/// its hash index, the time/firing bookkeeping vectors of the cycle search
-/// and the dependency trace.
+/// its hash index, the time/firing bookkeeping vectors of the cycle search,
+/// the dependency trace and the fast-forward's snapshots.
 ///
 /// One workspace serves one analysis at a time; between analyses it is
 /// *reset, not reallocated*, so a worker that evaluates thousands of
@@ -274,6 +339,8 @@ pub struct AnalysisWorkspace {
     firing_counts: Vec<u32>,
     /// Touched only by analyses that collect the flags.
     trace: DependencyTrace,
+    /// Touched only by long stretches without an observed completion.
+    windows: WindowRing,
 }
 
 impl AnalysisWorkspace {
@@ -355,6 +422,215 @@ impl DependencyTrace {
     }
 }
 
+/// The fast-forward's memory of one stretch without an observed
+/// completion: the last [`WINDOW_RING`] states after an advance, each a
+/// slot of `1 + 3·actors + channels` words (the time, the busy clocks, the
+/// phases, the token counts and each actor's completions so far), and the
+/// scratch of a jump.
+#[derive(Debug, Default)]
+struct WindowRing {
+    actors: usize,
+    channels: usize,
+    slots: Vec<u64>,
+    /// The slot the next snapshot goes to.
+    head: usize,
+    /// How many slots hold a snapshot of the current stretch.
+    len: usize,
+    /// Completions per actor since the stretch's first snapshot.
+    completed: Vec<u64>,
+    /// Per channel, the token drift of the window being jumped.
+    drift: Vec<i128>,
+    /// Per actor, the completions in the window being jumped.
+    window_completed: Vec<u64>,
+}
+
+impl WindowRing {
+    /// Readies the ring for a new stretch of a model with `actors` actors
+    /// and `channels` channels: empty, allocations kept.
+    fn reset(&mut self, actors: usize, channels: usize) {
+        self.actors = actors;
+        self.channels = channels;
+        self.slots.clear();
+        self.slots
+            .resize(WINDOW_RING * (1 + 3 * actors + channels), 0);
+        self.completed.clear();
+        self.completed.resize(actors, 0);
+        self.drift.clear();
+        self.drift.resize(channels, 0);
+        self.window_completed.clear();
+        self.window_completed.resize(actors, 0);
+        self.head = 0;
+        self.len = 0;
+    }
+
+    /// Where, within a slot, the clocks, the phases, the token counts and
+    /// the completions start (the time is word 0).
+    fn layout(&self) -> (usize, usize, usize, usize) {
+        let (a, c) = (self.actors, self.channels);
+        (1, 1 + a, 1 + 2 * a, 1 + 2 * a + c)
+    }
+
+    /// Where the snapshot taken `back` advances ago (`1 ..= len`) starts.
+    fn start(&self, back: usize) -> usize {
+        let stride = 1 + 3 * self.actors + self.channels;
+        (self.head + WINDOW_RING - back) % WINDOW_RING * stride
+    }
+
+    /// Remembers the state `state` at `time`, dropping the oldest
+    /// snapshot when the ring is full.
+    fn push(&mut self, state: &DataflowState, time: u64) {
+        let s = self.start(WINDOW_RING);
+        let (clk, ph, tok, done) = self.layout();
+        self.slots[s] = time;
+        self.slots[s + clk..s + ph].copy_from_slice(&state.act_clk);
+        for (word, &phase) in self.slots[s + ph..s + tok].iter_mut().zip(&state.phase) {
+            *word = u64::from(phase);
+        }
+        self.slots[s + tok..s + done].copy_from_slice(&state.tokens);
+        self.slots[s + done..s + done + self.actors].copy_from_slice(&self.completed);
+        self.head = (self.head + 1) % WINDOW_RING;
+        self.len = (self.len + 1).min(WINDOW_RING);
+    }
+
+    /// The length of the shortest window that ends at `state` (reached
+    /// at `time`): the number of advances back to a snapshot with the
+    /// same phases, at which every actor either had the same clock or was
+    /// busy with a clock above the elapsed time, which has since fallen
+    /// by that time (so it cannot have completed in between).
+    fn window(&self, state: &DataflowState, time: u64) -> Option<usize> {
+        let (clk, ph, ..) = self.layout();
+        (1..=self.len).find(|&back| {
+            let then = &self.slots[self.start(back)..];
+            let span = time - then[0];
+            (0..self.actors).all(|i| {
+                then[ph + i] == u64::from(state.phase[i])
+                    && (state.act_clk[i] == then[clk + i]
+                        || then[clk + i] > span && state.act_clk[i] == then[clk + i] - span)
+            })
+        })
+    }
+
+    /// How many further repetitions `J` of the window of `back` advances
+    /// that ends at the engine's state provably make the window's
+    /// decisions again (module doc); fills `drift` and `window_completed`
+    /// on the way.
+    fn repetitions<M: DataflowSemantics + ?Sized>(
+        &mut self,
+        engine: &DataflowEngine<'_, M>,
+        back: usize,
+        max_steps: u64,
+    ) -> u64 {
+        let (model, caps, state, time) = (
+            engine.model(),
+            engine.capacities(),
+            engine.state(),
+            engine.time(),
+        );
+        let s = self.start(back);
+        let (clk, _, tok, done) = self.layout();
+        let span = time - self.slots[s];
+        // Time stays below the step limit after the J − 1 skipped ones.
+        let room = max_steps.saturating_sub(time);
+        if room == 0 {
+            return 0;
+        }
+        let mut reps = (room - 1) / span + 1;
+        // An actor busy throughout must not complete: J·span < clock.
+        for (i, &now) in state.act_clk.iter().enumerate() {
+            if now != self.slots[s + clk + i] {
+                reps = reps.min((now - 1) / span);
+            }
+        }
+        for ch in 0..self.channels {
+            if reps < 2 {
+                return reps;
+            }
+            let now = state.tokens[ch];
+            let drift = i128::from(now) - i128::from(self.slots[s + tok + ch]);
+            self.drift[ch] = drift;
+            if drift == 0 {
+                continue;
+            }
+            // The token counts the window's start passes read.
+            let (lo, hi) = (1..back)
+                .map(|b| self.slots[self.start(b) + tok + ch])
+                .fold((now, now), |(lo, hi), t| (lo.min(t), hi.max(t)));
+            let within = |theta: i128| repetitions_within(lo, hi, drift, theta);
+            // Token counts stay in [0, 2^64).
+            reps = reps.min(within(0)).min(within(1 << 64));
+            let cid = ChannelId::new(ch);
+            let target = model.channel_target(cid);
+            for p in 0..model.num_phases(target) {
+                reps = reps.min(within(i128::from(model.consumption(cid, p))));
+            }
+            if let Some(cap) = caps.get(cid) {
+                let source = model.channel_source(cid);
+                for p in 0..model.num_phases(source) {
+                    let produce = model.production(cid, p);
+                    if produce > 0 {
+                        reps = reps.min(within(i128::from(cap) - i128::from(produce) + 1));
+                    }
+                }
+            }
+        }
+        for i in 0..self.actors {
+            self.window_completed[i] = self.completed[i] - self.slots[s + done + i];
+        }
+        reps
+    }
+}
+
+/// The most repetitions of a window whose token counts span `[lo, hi]`
+/// and drift by `drift ≠ 0` per repetition that keep every count on the
+/// same side of the test `tokens ≥ theta`; 0 when `theta` splits the
+/// window's own range.
+fn repetitions_within(lo: u64, hi: u64, drift: i128, theta: i128) -> u64 {
+    let (lo, hi) = (i128::from(lo), i128::from(hi));
+    let reps = if lo < theta && theta <= hi {
+        0
+    } else if drift > 0 && theta > hi {
+        (theta - 1 - hi) / drift
+    } else if drift < 0 && theta <= lo {
+        (lo - theta) / -drift
+    } else {
+        return u64::MAX;
+    };
+    u64::try_from(reps).unwrap_or(u64::MAX)
+}
+
+/// One advance of a long stretch without an observed completion: counts
+/// its completions, then jumps over the repetitions of a window that ends
+/// here when at least two provably repeat it (module doc), or else
+/// remembers the state. `fresh` starts a new stretch.
+#[cold]
+#[inline(never)]
+fn fast_forward<M: DataflowSemantics + ?Sized>(
+    engine: &mut DataflowEngine<'_, M>,
+    ring: &mut WindowRing,
+    fresh: bool,
+    max_steps: u64,
+) {
+    if fresh {
+        let model = engine.model();
+        ring.reset(model.num_actors(), model.num_channels());
+    }
+    for &(actor, _) in &engine.events().completed {
+        ring.completed[actor.index()] += 1;
+    }
+    if let Some(back) = ring.window(engine.state(), engine.time()) {
+        let reps = ring.repetitions(engine, back, max_steps);
+        if reps >= 2 {
+            // Repetition J is simulated: its starts raise the peaks of the
+            // rising channels.
+            let span = engine.time() - ring.slots[ring.start(back)];
+            engine.repeat_window(reps - 1, span, &ring.drift, &ring.window_completed);
+            ring.len = 0;
+            return;
+        }
+    }
+    ring.push(engine.state(), engine.time());
+}
+
 /// The reduced-state-space analysis of paper §7 over a caller-owned
 /// [`AnalysisWorkspace`]: the throughput of `observed` when `model`
 /// executes self-timed under `caps`, and, when `request.dependencies` and
@@ -409,6 +685,13 @@ pub fn throughput_analysis<M: DataflowSemantics + ?Sized>(
         tel.record(&workspace.store, started.elapsed().as_nanos() as u64);
     }
     result
+}
+
+/// Whether some phase of some actor of `model` takes no time.
+fn has_zero_time_phase<M: DataflowSemantics + ?Sized>(model: &M) -> bool {
+    (0..model.num_actors()).map(ActorId::new).any(|actor| {
+        (0..model.num_phases(actor)).any(|phase| model.execution_time(actor, phase) == 0)
+    })
 }
 
 /// Words per packed reduced state: the busy clocks, the token counts, the
@@ -503,6 +786,7 @@ fn cycle_search<M: DataflowSemantics + ?Sized>(
         times, // time of each reduced state
         firing_counts,
         trace,
+        windows,
     } = workspace;
     // The flag-free loop touches no trace buffer at all: a zero-length
     // `fill` on an unallocated `Vec` costs about 130 ns per call on an
@@ -546,8 +830,15 @@ fn cycle_search<M: DataflowSemantics + ?Sized>(
 
     // Only completions can change the reduced state space, so the engine
     // jumps from one completion to the next; the horizon keeps the step
-    // limit exact.
+    // limit exact. Long stretches without an observed completion are
+    // fast-forwarded, except in models with a zero-time phase.
     let mut advances: u64 = 0;
+    let mut quiet: u64 = 0;
+    let gate = if has_zero_time_phase(model) {
+        u64::MAX
+    } else {
+        FAST_FORWARD_GATE
+    };
     loop {
         if advances & CANCEL_STRIDE_MASK == 0 {
             if let Some(reason) = request.cancel.check() {
@@ -572,8 +863,13 @@ fn cycle_search<M: DataflowSemantics + ?Sized>(
         }
         let pending = completions(&engine);
         if pending == 0 {
+            quiet += 1;
+            if quiet >= gate {
+                fast_forward(&mut engine, windows, quiet == gate, limits.max_steps);
+            }
             continue;
         }
+        quiet = 0;
         let dist = engine.time() - last_completion;
         last_completion = engine.time();
         pack_row(row, engine.state(), dist, pending);

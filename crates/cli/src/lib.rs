@@ -331,6 +331,33 @@ mod tests {
     }
 
     #[test]
+    fn explore_below_the_lower_bound_fails() {
+        // cd2dat's lower bound is 32: every smaller distribution
+        // deadlocks, under either driver; the lower bound itself is fine.
+        let (_, xml) = run_to_string(&["gallery", "cd2dat"]);
+        let path = std::env::temp_dir().join("buffy-cli-test-below-lb.xml");
+        std::fs::write(&path, &xml).unwrap();
+        let p = path.to_str().unwrap();
+        for algorithm in ["guided", "exhaustive"] {
+            let (code, text) =
+                run_to_string(&["explore", p, "--max-size", "10", "--algorithm", algorithm]);
+            assert_eq!(
+                (code, text.as_str()),
+                (
+                    1,
+                    "error: no storage distribution within bounds yields a positive throughput\n"
+                ),
+                "{algorithm}"
+            );
+            let (code, text) =
+                run_to_string(&["explore", p, "--max-size", "32", "--algorithm", algorithm]);
+            assert_eq!(code, 0, "{algorithm}: {text}");
+            assert!(text.contains("bounds lb=32 ub=32"), "{algorithm}: {text}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn csdf_commands() {
         let xml = r#"<sdf3 type="csdf"><applicationGraph name="ud"><csdf name="ud">
              <actor name="p"/><actor name="c"/>

@@ -93,6 +93,11 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     let lb_size = space.min_size();
 
     let eval = EvalPipeline::new(model, observed, options)?.collecting_dependencies();
+    // Every distribution below the lower bound has a channel below its
+    // minimal capacity and deadlocks.
+    if options.max_size.is_some_and(|cap| cap < lb_size) {
+        return Err(ExploreError::NoPositiveThroughput);
+    }
     let cancel = options.cancel.clone().unwrap_or_default();
     let recorder = buffy_telemetry::active();
     let guided_skip_counter = |reason: &str| {
@@ -111,10 +116,7 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     // nothing to salvage and surfaces as [`ExploreError::Cancelled`].
     eval.emit(Event::Phase(SearchPhase::Bounds));
     let (ub_dist, thr_max_graph) = eval.upper_bound()?;
-    let ub_size = options
-        .max_size
-        .unwrap_or_else(|| ub_dist.size())
-        .max(lb_size);
+    let ub_size = options.max_size.unwrap_or_else(|| ub_dist.size());
     let thr_cap = match options.max_throughput {
         Some(cap) => cap.min(thr_max_graph),
         None => thr_max_graph,

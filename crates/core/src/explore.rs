@@ -65,6 +65,8 @@ pub struct ExploreOptions {
     pub observed: Option<ActorId>,
     /// Cap on the distribution size (paper §10: "it is possible to set the
     /// maximum distribution size"); defaults to the computed upper bound.
+    /// Every distribution below the lower bound deadlocks, so a cap below
+    /// it fails with [`ExploreError::NoPositiveThroughput`].
     pub max_size: Option<u64>,
     /// Only chart points with throughput at least this value.
     pub min_throughput: Option<Rational>,
@@ -386,6 +388,12 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     if let Some(caps) = &options.max_channel_caps {
         space = space.with_max_capacities(caps);
     }
+    let lb_size = space.min_size();
+    // Every distribution below the lower bound has a channel below its
+    // minimal capacity and deadlocks.
+    if options.max_size.is_some_and(|cap| cap < lb_size) {
+        return Err(ExploreError::NoPositiveThroughput);
+    }
 
     // Observation only: the settled-sizes counter when a recorder is
     // installed, a single branch when not.
@@ -415,12 +423,8 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     // Cancellation in this phase leaves nothing to salvage (no throughput
     // ceiling, no size range) and surfaces as `ExploreError::Cancelled`.
     eval.emit(Event::Phase(SearchPhase::Bounds));
-    let lb_size = space.min_size();
     let (ub_dist, thr_max_graph) = eval.upper_bound()?;
-    let mut ub_size = options
-        .max_size
-        .unwrap_or_else(|| ub_dist.size())
-        .max(lb_size);
+    let mut ub_size = options.max_size.unwrap_or_else(|| ub_dist.size());
     if let Some(caps) = &options.max_channel_caps {
         ub_size = ub_size.min(caps.size());
     }
@@ -1093,6 +1097,51 @@ mod tests {
         let sizes: Vec<u64> = r.pareto.points().iter().map(|p| p.size).collect();
         assert_eq!(sizes, vec![6, 8]);
         assert_eq!(r.pareto.maximal().unwrap().throughput, Rational::new(1, 6));
+    }
+
+    /// A size cap below the lower bound leaves only distributions with a
+    /// channel below its minimal capacity, and they all deadlock: both
+    /// drivers report that no distribution yields a positive throughput,
+    /// on SDF and on CSDF. A cap at the lower bound still charts the
+    /// lower-bound point.
+    #[test]
+    fn size_cap_below_the_lower_bound_has_no_positive_throughput() {
+        use crate::explore_dependency_guided;
+
+        fn check<M: DataflowSemantics + Sync>(model: &M, at_lb: Rational) {
+            let lb = DistributionSpace::for_model(model).min_size();
+            let capped = |max_size| ExploreOptions {
+                max_size: Some(max_size),
+                ..ExploreOptions::default()
+            };
+            for (name, driver) in [
+                (
+                    "exhaustive",
+                    explore_design_space::<M> as fn(&M, &ExploreOptions) -> _,
+                ),
+                ("guided", explore_dependency_guided::<M>),
+            ] {
+                for cap in [0, lb - 1] {
+                    assert_eq!(
+                        driver(model, &capped(cap)).unwrap_err(),
+                        ExploreError::NoPositiveThroughput,
+                        "{} {name} --max-size {cap}",
+                        model.name()
+                    );
+                }
+                let r = driver(model, &capped(lb)).unwrap();
+                let front: Vec<(u64, Rational)> = r
+                    .pareto
+                    .points()
+                    .iter()
+                    .map(|p| (p.size, p.throughput))
+                    .collect();
+                assert_eq!(front, vec![(lb, at_lb)], "{} {name}", model.name());
+                assert_eq!(r.upper_bound_size, lb, "{} {name}", model.name());
+            }
+        }
+        check(&example(), Rational::new(1, 7));
+        check(&buffy_csdf::gallery::line_scaler(), Rational::new(1, 2));
     }
 
     /// The paper's example with every rate doubled: channel steps become

@@ -1,28 +1,31 @@
 //! Differential check of the analysis kernel.
 //!
 //! The throughput analysis moves time with `DataflowEngine::advance`,
-//! which jumps from one firing completion to the next, stores reduced
+//! which jumps from one firing completion to the next, fast-forwards
+//! windows of advances that repeat with a constant shift, stores reduced
 //! states as packed rows of a flat arena, and collects the
-//! storage-dependency flags inside its own cycle search. This file keeps
-//! the unit-step versions of the cycle search (over a
-//! `HashMap<ReducedState, _>`) and of the dependency replay as
-//! references, driven by `DataflowEngine::step` one time unit at a time.
-//! Every `ThroughputReport` field, every error and every dependency flag
-//! must agree with the kernel's, and the kernel's fused flags must also
-//! equal the library's replay `dependencies_from_run_for` — on seeded
-//! random graphs (including a family with mixed channel steps), their
-//! single-phase CSDF embeddings, the SDF and CSDF galleries,
-//! zero-execution-time graphs and deadlocking distributions.
+//! storage-dependency flags and the peak occupancies inside its own cycle
+//! search. This file keeps the unit-step versions of the cycle search
+//! (over a `HashMap<ReducedState, _>`), of the dependency replay and of
+//! the peak occupancies as references, driven by `DataflowEngine::step`
+//! one time unit at a time. Every `ThroughputReport` field, every error,
+//! every dependency flag and every peak must agree with the kernel's, and
+//! the kernel's fused flags must also equal the library's replay
+//! `dependencies_from_run_for` — on seeded random graphs (including a
+//! family with mixed channel steps and one with long stretches between
+//! completions), their single-phase CSDF embeddings, the SDF and CSDF
+//! galleries, long multirate chains, zero-execution-time graphs and
+//! deadlocking distributions.
 
 use buffy_analysis::{
     dependencies_from_run_for, throughput_analysis, throughput_for, AnalysisError, AnalysisRequest,
-    AnalysisWorkspace, Capacities, DataflowEngine, DataflowSemantics, DataflowState,
+    AnalysisWorkspace, CancelToken, Capacities, DataflowEngine, DataflowSemantics, DataflowState,
     ExplorationLimits, FiringEvents, FiringOutcome, LimitKind, ThroughputReport,
 };
 use buffy_core::lower_bound_distribution;
 use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
-use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
+use buffy_graph::{ActorId, ChannelId, Rational, SdfGraph, StorageDistribution};
 use std::collections::HashMap;
 
 /// A state of the reduced state space (paper §7, Fig. 4): the timed state
@@ -173,22 +176,73 @@ fn unit_step_dependencies<M: DataflowSemantics>(
     Ok(dependent)
 }
 
-/// The kernel's analysis with the dependency flags on, in `ws`.
+/// Each channel's peak occupancy over the run of `report`, stepping one
+/// time unit at a time from time 0 to the cycle's close (or to the
+/// deadlock): its initial tokens, or the largest `tokens + production`
+/// at a start of its producer.
+///
+/// A start is seen in the state its instant leaves. Only a zero-time
+/// firing moves tokens within an instant, so the reference applies to
+/// models without a zero-time phase.
+fn unit_step_peaks<M: DataflowSemantics>(
+    model: &M,
+    dist: &StorageDistribution,
+    report: &ThroughputReport,
+) -> Result<Vec<u64>, AnalysisError> {
+    let mut peaks: Vec<u64> = (0..model.num_channels())
+        .map(|i| model.initial_tokens(ChannelId::new(i)))
+        .collect();
+    let mut note = |events: &FiringEvents, tokens: &[u64]| {
+        for &(actor, phase) in &events.started {
+            for &c in model.output_channels(actor) {
+                let claimed = tokens[c.index()] + model.production(c, phase);
+                peaks[c.index()] = peaks[c.index()].max(claimed);
+            }
+        }
+    };
+    let mut engine = DataflowEngine::new(model, Capacities::from_distribution(dist));
+    let initial = engine.start_initial()?;
+    note(&initial, &engine.state().tokens);
+    let close = report.cycle_entry_time + report.period;
+    while report.deadlocked || engine.time() < close {
+        match engine.step()? {
+            FiringOutcome::Progress(events) => note(&events, &engine.state().tokens),
+            FiringOutcome::Deadlock => break,
+        }
+    }
+    Ok(peaks)
+}
+
+/// Whether some phase of some actor of `model` takes no time.
+fn has_zero_time_phase<M: DataflowSemantics>(model: &M) -> bool {
+    (0..model.num_actors()).map(ActorId::new).any(|actor| {
+        (0..model.num_phases(actor)).any(|phase| model.execution_time(actor, phase) == 0)
+    })
+}
+
+/// The kernel's analysis with the dependency flags and the peaks on, in
+/// `ws`.
 fn fused<M: DataflowSemantics>(
     model: &M,
     dist: &StorageDistribution,
     observed: ActorId,
     limits: ExplorationLimits,
     ws: &mut AnalysisWorkspace,
-) -> Result<(ThroughputReport, Vec<bool>), AnalysisError> {
+) -> Result<(ThroughputReport, Vec<bool>, Vec<u64>), AnalysisError> {
     let request = AnalysisRequest {
         limits,
         dependencies: true,
+        peaks: true,
         ..AnalysisRequest::default()
     };
     let caps = Capacities::from_distribution(dist);
-    throughput_analysis(model, caps, observed, &request, ws)
-        .map(|a| (a.report, a.dependent.expect("flags were requested")))
+    throughput_analysis(model, caps, observed, &request, ws).map(|a| {
+        (
+            a.report,
+            a.dependent.expect("flags were requested"),
+            a.peaks.expect("peaks were requested"),
+        )
+    })
 }
 
 /// Compares the kernel with the unit-step references for one analysis,
@@ -210,16 +264,23 @@ fn assert_agrees<M: DataflowSemantics>(
         );
         let flagged = fused(model, dist, observed, limits, ws);
         assert_eq!(
-            flagged.as_ref().map(|(report, _)| report),
+            flagged.as_ref().map(|(report, ..)| report),
             fast.as_ref(),
             "{label} {dist}: the flags changed the report"
         );
         flagged
     };
     let mut ws = AnalysisWorkspace::new();
-    let Ok((report, flags)) = check(ExplorationLimits::default(), &mut ws) else {
+    let Ok((report, flags, peaks)) = check(ExplorationLimits::default(), &mut ws) else {
         return;
     };
+    if !has_zero_time_phase(model) {
+        assert_eq!(
+            Ok(peaks),
+            unit_step_peaks(model, dist, &report),
+            "{label} {dist} observed {observed:?}: peak occupancies differ"
+        );
+    }
     let replayed = dependencies_from_run_for(
         model,
         dist,
@@ -235,7 +296,7 @@ fn assert_agrees<M: DataflowSemantics>(
         "{label} {dist} observed {observed:?}: fused flags differ from the replay"
     );
 
-    let mut run = |limits| check(limits, &mut ws).map(|(report, _)| report);
+    let mut run = |limits| check(limits, &mut ws).map(|(report, ..)| report);
     let steps = |max_steps| ExplorationLimits {
         max_steps,
         ..ExplorationLimits::default()
@@ -331,6 +392,117 @@ fn random_graphs_with_long_firings_agree_with_unit_steps() {
             &CsdfGraph::from_sdf(&g),
         );
     }
+}
+
+/// The chain `src →(n:1) a →(1:1) b →(1:n) snk` with execution times 7,
+/// 3, 2 and 11. Between two completions of the sink, `a` and `b` fire
+/// `n` times each, two advances per token: the long stretches the cycle
+/// search fast-forwards.
+fn long_chain(n: u64) -> SdfGraph {
+    let mut b = SdfGraph::builder("chain");
+    let src = b.actor("src", 7);
+    let a = b.actor("a", 3);
+    let bb = b.actor("b", 2);
+    let snk = b.actor("snk", 11);
+    b.channel("c0", src, n, a, 1).unwrap();
+    b.channel("c1", a, 1, bb, 1).unwrap();
+    b.channel("c2", bb, 1, snk, n).unwrap();
+    b.build().unwrap()
+}
+
+/// A producer `p` (1) feeding a consumer `q` (70) that takes 100 tokens
+/// per firing. Observing `q`, a stretch ends on its token test (`q` waits
+/// for 100 tokens) or on its busy clock running out, not on a capacity:
+/// with capacity 200 the channel peaks at 170, claimed one advance before
+/// `q` completes.
+fn producer_and_slow_consumer() -> SdfGraph {
+    let mut b = SdfGraph::builder("slow-consumer");
+    let p = b.actor("p", 1);
+    let q = b.actor("q", 70);
+    b.channel("c", p, 1, q, 100).unwrap();
+    b.build().unwrap()
+}
+
+/// A two-phase producer `p` (1, 1) that emits 1, then 2 tokens, feeding
+/// `q` (100) that takes 300 per firing: `p`'s clock is the same after
+/// every advance, but only windows of whole phase cycles repeat.
+fn two_phase_producer() -> CsdfGraph {
+    let mut b = CsdfGraph::builder("two-phase");
+    let p = b.actor("p", vec![1, 1]);
+    let q = b.actor("q", vec![100]);
+    b.channel("c", p, vec![1, 2], q, vec![300], 0).unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn long_stretch_graphs_agree_with_unit_steps() {
+    let g = producer_and_slow_consumer();
+    assert_model_agrees("slow consumer", &g);
+    assert_model_agrees("slow consumer (CSDF)", &CsdfGraph::from_sdf(&g));
+    assert_model_agrees("two-phase producer", &two_phase_producer());
+    for n in [80, 300] {
+        let g = long_chain(n);
+        assert_model_agrees(&format!("chain {n}"), &g);
+        assert_model_agrees(&format!("chain {n} (CSDF)"), &CsdfGraph::from_sdf(&g));
+    }
+    for seed in 0..10u64 {
+        let g = RandomGraphConfig {
+            max_repetition: 40,
+            max_execution_time: 9,
+            seed,
+            ..RandomGraphConfig::default()
+        }
+        .generate();
+        assert_model_agrees(&format!("long-stretch random {seed}"), &g);
+        assert_model_agrees(
+            &format!("long-stretch random {seed} (CSDF)"),
+            &CsdfGraph::from_sdf(&g),
+        );
+    }
+}
+
+/// At its lower bounds ⟨n, 1, n⟩ the chain's sink completes every
+/// `5n + 8` time units: from one sink completion, `b` fires once (2),
+/// then `n − 1` more tokens pass `a` and `b` in series through the
+/// one-place channel (5 each), and the sink fires (11).
+#[test]
+fn long_chain_throughput_has_a_closed_form() {
+    for n in [10, 100] {
+        let g = long_chain(n);
+        let dist = lower_bound_distribution(&g);
+        assert_eq!(dist.as_slice(), [n, 1, n]);
+        let caps = Capacities::from_distribution(&dist);
+        let snk = g.default_observed_actor();
+        let limits = ExplorationLimits::default();
+        let closed_form = Rational::new(1, i128::from(5 * n + 8));
+        let fast = throughput_for(&g, caps.clone(), snk, limits).unwrap();
+        assert_eq!(fast.throughput, closed_form, "n = {n}");
+        assert_eq!(Ok(fast), unit_step_throughput(&g, caps, snk, limits));
+    }
+}
+
+/// The cycle of the chain with `n = 10⁷` closes after about `6·10⁷`
+/// advances of the engine; the fast-forward covers each stretch in a few
+/// jumps, so even a debug build answers well within the deadline.
+#[test]
+fn long_chain_analysis_meets_a_deadline() {
+    let n = 10_000_000;
+    let g = long_chain(n);
+    let token = CancelToken::new().with_deadline(std::time::Duration::from_secs(10));
+    let request = AnalysisRequest {
+        cancel: &token,
+        ..AnalysisRequest::default()
+    };
+    let caps = Capacities::from_distribution(&StorageDistribution::from_capacities(vec![n, 1, n]));
+    let analysis = throughput_analysis(
+        &g,
+        caps,
+        g.default_observed_actor(),
+        &request,
+        &mut AnalysisWorkspace::new(),
+    )
+    .unwrap();
+    assert_eq!(analysis.report.throughput, Rational::new(1, 50_000_008));
 }
 
 #[test]
