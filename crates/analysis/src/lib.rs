@@ -209,10 +209,35 @@ mod hsdf {
 
         #[test]
         fn adjacency_covers_all_edges() {
-            let (h, _) = expand(&example());
-            let adj = h.adjacency();
-            let total: usize = adj.iter().map(|v| v.len()).sum();
-            assert_eq!(total, h.edges.len());
+            // The flat out-edge index holds every edge once, each node's
+            // edges in edge-list order, also when the list is unsorted
+            // (here: the expansion followed by its reversed copy, as
+            // capacity back-edges follow the fixed edges).
+            let (mut h, _) = expand(&example());
+            let reversed: Vec<RatioEdge> = h
+                .edges
+                .iter()
+                .rev()
+                .map(|e| RatioEdge {
+                    tokens: e.tokens + 1,
+                    ..*e
+                })
+                .collect();
+            h.edges.extend(reversed);
+            let index = crate::mcm::OutEdges::new(&h);
+            let listed: Vec<RatioEdge> = (0..h.num_nodes)
+                .flat_map(|v| {
+                    index.of(v).iter().map(move |e| RatioEdge {
+                        from: v,
+                        to: e.to,
+                        weight: e.weight,
+                        tokens: e.tokens,
+                    })
+                })
+                .collect();
+            let mut in_order = h.edges.clone();
+            in_order.sort_by_key(|e| e.from); // stable: keeps list order per node
+            assert_eq!(listed, in_order);
         }
     }
 }

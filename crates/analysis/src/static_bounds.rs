@@ -16,7 +16,7 @@
 //! rings, token-level data edges) and a back-edge template per channel.
 //! [`StaticBounds::certificate`] then instantiates the back-edges for a
 //! concrete [`StorageDistribution`] and runs Howard's algorithm
-//! ([`max_cycle_ratio`]) in exact rational arithmetic.
+//! ([`max_cycle_ratio`], integer-exact: its ratios are exact rationals).
 //!
 //! [`maximal_throughput`]: crate::maximal_throughput
 //!

@@ -152,15 +152,31 @@ fn model_reports_match_the_golden_files() {
 
 /// `bounds` and `bounds --json` at the lower-bound distribution: the
 /// static certificate and the relaxed per-channel bounds, SDF and CSDF.
+/// On the large expansions (cd2dat, satellite, h263decoder, h263rows),
+/// whose per-channel certificates are the cycle-ratio kernel's heaviest
+/// users, `info` and its maximal throughput are pinned too.
 #[test]
 fn bounds_reports_match_the_golden_files() {
-    for name in ["example", "modem", "updown", "line-scaler"] {
+    for (name, large) in [
+        ("example", false),
+        ("modem", false),
+        ("updown", false),
+        ("line-scaler", false),
+        ("cd2dat", true),
+        ("satellite", true),
+        ("h263decoder", true),
+        ("h263rows", true),
+    ] {
         let path = gallery_file(name);
         let graph = path.to_str().unwrap();
+        let info = large.then(|| ("info.txt", vec!["info", graph]));
         for (file, args) in [
             ("bounds.txt", vec!["bounds", graph]),
             ("bounds.json", vec!["bounds", graph, "--json"]),
-        ] {
+        ]
+        .into_iter()
+        .chain(info)
+        {
             let (code, text) = run(&args);
             assert_eq!(code, 0, "{args:?}: {text}");
             assert_golden(&format!("{name}-{file}"), &text);

@@ -94,8 +94,15 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
 
     let eval = EvalPipeline::new(model, observed, options)?.collecting_dependencies();
     // Every distribution below the lower bound has a channel below its
-    // minimal capacity and deadlocks.
-    if options.max_size.is_some_and(|cap| cap < lb_size) {
+    // minimal capacity and deadlocks; so does every distribution within
+    // channel caps that hold some channel below its lower bound.
+    let start = space.min_distribution();
+    if options.max_size.is_some_and(|cap| cap < lb_size)
+        || options
+            .max_channel_caps
+            .as_ref()
+            .is_some_and(|caps| !caps.dominates(&start))
+    {
         return Err(ExploreError::NoPositiveThroughput);
     }
     let cancel = options.cancel.clone().unwrap_or_default();
@@ -130,7 +137,6 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     let mut pareto = ParetoSet::new();
     let mut seen: HashSet<StorageDistribution> = HashSet::new();
     let mut frontier: BinaryHeap<Reverse<(u64, StorageDistribution)>> = BinaryHeap::new();
-    let start = space.min_distribution();
     seen.insert(start.clone());
     frontier.push(Reverse((start.size(), start)));
 

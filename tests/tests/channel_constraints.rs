@@ -3,9 +3,10 @@
 //! the exploration takes into account "straightforwardly as extra
 //! constraints").
 
+use buffy_analysis::DataflowSemantics;
 use buffy_core::{
-    explore_dependency_guided, explore_design_space, min_storage_for_throughput, ExploreError,
-    ExploreOptions,
+    explore_dependency_guided, explore_design_space, lower_bound_distribution,
+    min_storage_for_throughput, ExploreError, ExploreOptions,
 };
 use buffy_gen::gallery;
 use buffy_graph::{Rational, StorageDistribution};
@@ -47,13 +48,76 @@ fn capped_alpha_truncates_front() {
 }
 
 /// Constraints tight enough to forbid any positive throughput are
-/// reported.
+/// reported by both drivers and by the constraint query, for SDF and
+/// CSDF alike.
 #[test]
 fn infeasible_caps_reported() {
-    let g = gallery::example();
+    fn check<M: DataflowSemantics + Sync>(model: &M, opts: &ExploreOptions, thr: Rational) {
+        let name = model.name();
+        for (driver, result) in [
+            ("exhaustive", explore_design_space(model, opts)),
+            ("guided", explore_dependency_guided(model, opts)),
+        ] {
+            let err = result.map(|r| r.pareto.points().to_vec()).unwrap_err();
+            assert!(
+                matches!(err, ExploreError::NoPositiveThroughput),
+                "{name} {driver}: {err:?}"
+            );
+        }
+        let err = min_storage_for_throughput(model, thr, opts)
+            .map(|r| r.point)
+            .unwrap_err();
+        assert!(
+            matches!(err, ExploreError::InfeasibleThroughput { .. }),
+            "{name}: {err:?}"
+        );
+    }
     // α ≤ 3 < its BMLB bound of 4: nothing can execute.
-    let err = explore_design_space(&g, &capped(3, 100)).unwrap_err();
-    assert!(matches!(err, ExploreError::NoPositiveThroughput));
+    check(&gallery::example(), &capped(3, 100), Rational::new(1, 7));
+    // The scaler's `blocks` channel needs 4 (a burst of 4 blocks).
+    check(
+        &buffy_csdf::gallery::line_scaler(),
+        &capped(3, 100),
+        Rational::new(1, 2),
+    );
+}
+
+/// Caps exactly at the channel lower bounds leave the lower-bound
+/// distribution, the only point within them, to both drivers and to the
+/// constraint query.
+#[test]
+fn caps_at_the_lower_bounds_chart_the_lower_bound_point() {
+    fn check<M: DataflowSemantics + Sync>(model: &M, at_lb: Rational) {
+        let lb = lower_bound_distribution(model);
+        let opts = ExploreOptions {
+            max_channel_caps: Some(lb.clone()),
+            ..ExploreOptions::default()
+        };
+        let name = model.name();
+        for (driver, result) in [
+            ("exhaustive", explore_design_space(model, &opts)),
+            ("guided", explore_dependency_guided(model, &opts)),
+        ] {
+            let front: Vec<_> = result
+                .unwrap()
+                .pareto
+                .points()
+                .iter()
+                .map(|p| (p.distribution.clone(), p.throughput))
+                .collect();
+            assert_eq!(front, vec![(lb.clone(), at_lb)], "{name} {driver}");
+        }
+        let point = min_storage_for_throughput(model, at_lb, &opts)
+            .unwrap()
+            .point;
+        assert_eq!(
+            (point.distribution, point.throughput),
+            (lb, at_lb),
+            "{name}"
+        );
+    }
+    check(&gallery::example(), Rational::new(1, 7));
+    check(&buffy_csdf::gallery::line_scaler(), Rational::new(1, 2));
 }
 
 /// `min_storage_for_throughput` honours the caps: a constraint achievable
