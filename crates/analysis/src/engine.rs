@@ -15,8 +15,7 @@
 //! The executor is [`DataflowEngine`], generic over any
 //! [`DataflowSemantics`] model: each firing executes the actor's current
 //! phase and advances it, so plain SDF (one phase per actor) and CSDF
-//! (cyclic phase sequences) run through the same code. [`Engine`] is the
-//! SDF-typed alias that the SDF analyses use.
+//! (cyclic phase sequences) run through the same code.
 //!
 //! Time advances event by event. Between two firing completions nothing
 //! changes but the busy clocks counting down: tokens, phases and the set
@@ -26,9 +25,10 @@
 //! subtracts the gap from every busy clock, completes the firings whose
 //! clock reaches zero, then starts every enabled firing. The state it
 //! leaves is exactly the one unit-by-unit ticking reaches at that instant.
-//! [`DataflowEngine::step`] is `advance` with a horizon one unit ahead,
-//! for the analyses that look at every time instant (the full state
-//! space, schedules, latency, memory peaks). Actors with execution time 0
+//! [`DataflowEngine::step`] is `advance` with a horizon one unit ahead;
+//! the analyses that look at every time instant (the full state space,
+//! schedules, latency, memory peaks) share one walk that advances the
+//! same way and reads the events in place. Actors with execution time 0
 //! complete within the instant they start; a fixpoint loop handles chains
 //! of zero-time firings. A timed start changes no token count, so it
 //! cannot enable another actor: the start pass sweeps the actors again
@@ -36,7 +36,7 @@
 
 use crate::error::AnalysisError;
 use crate::semantics::DataflowSemantics;
-use buffy_graph::{ActorId, ChannelId, SdfGraph, StorageDistribution};
+use buffy_graph::{ActorId, ChannelId, StorageDistribution};
 
 /// Per-channel capacities; `None` means conceptually unbounded storage.
 ///
@@ -100,9 +100,9 @@ impl From<&StorageDistribution> for Capacities {
 /// A snapshot of the execution state: remaining firing times, current
 /// firing phases, and channel fill levels (paper Def. 5).
 ///
-/// Plain SDF keeps every phase at 0, so [`SdfState`] is a type alias:
-/// single-phase models hash and compare identically whether they entered
-/// the kernel as SDF or as a single-phase CSDF embedding.
+/// Plain SDF keeps every phase at 0: single-phase models hash and compare
+/// identically whether they entered the kernel as SDF or as a
+/// single-phase CSDF embedding.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DataflowState {
     /// Remaining time of the current firing per actor (0 = idle).
@@ -112,9 +112,6 @@ pub struct DataflowState {
     /// Tokens currently stored per channel.
     pub tokens: Vec<u64>,
 }
-
-/// The SDF execution state: the single-phase case of [`DataflowState`].
-pub type SdfState = DataflowState;
 
 /// What happened during one [`DataflowEngine::advance`] (or
 /// [`step`](DataflowEngine::step)): completed and started firings with the
@@ -145,8 +142,41 @@ const ZERO_TIME_FIRING_CAP: u64 = 1 << 22;
 /// Deterministic self-timed executor for any [`DataflowSemantics`] model
 /// under given channel capacities.
 ///
-/// The SDF analyses use the [`Engine`] alias; every other model class,
-/// CSDF included, runs this engine directly.
+/// Events carry `(actor, phase)` pairs; for plain SDF the phase is
+/// always 0.
+///
+/// # Examples
+///
+/// Reproducing the first states of the paper's §6 trace for the running
+/// example with storage distribution ⟨4, 2⟩:
+///
+/// ```
+/// use buffy_analysis::{Capacities, DataflowEngine};
+/// use buffy_graph::{SdfGraph, StorageDistribution};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = SdfGraph::builder("example");
+/// let a = b.actor("a", 1);
+/// let bb = b.actor("b", 2);
+/// let c = b.actor("c", 2);
+/// b.channel("alpha", a, 2, bb, 3)?;
+/// b.channel("beta", bb, 1, c, 2)?;
+/// let g = b.build()?;
+///
+/// let dist = StorageDistribution::from_capacities(vec![4, 2]);
+/// let mut engine = DataflowEngine::new(&g, Capacities::from_distribution(&dist));
+/// engine.start_initial()?;                     // a starts firing
+/// assert_eq!(engine.state().act_clk, vec![1, 0, 0]);
+/// assert_eq!(engine.state().tokens, vec![0, 0]);
+/// engine.step()?;                              // a completes, produces 2, restarts
+/// assert_eq!(engine.state().act_clk, vec![1, 0, 0]);
+/// assert_eq!(engine.state().tokens, vec![2, 0]);
+/// engine.step()?;                              // a completes; b starts (3 tokens)
+/// assert_eq!(engine.state().act_clk, vec![0, 2, 0]);
+/// assert_eq!(engine.state().tokens, vec![4, 0]);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct DataflowEngine<'g, M: DataflowSemantics + ?Sized> {
     model: &'g M,
@@ -511,21 +541,6 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
         }
     }
 
-    /// Runs until the observed condition: convenience that steps `n` times
-    /// or stops early on deadlock. Returns the number of steps taken.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`step`](Self::step) errors.
-    pub fn run_steps(&mut self, n: u64) -> Result<u64, AnalysisError> {
-        for done in 0..n {
-            if let FiringOutcome::Deadlock = self.step()? {
-                return Ok(done);
-            }
-        }
-        Ok(n)
-    }
-
     fn any_enabled(&self) -> bool {
         (0..self.model.num_actors()).any(|i| self.is_enabled(ActorId::new(i)))
     }
@@ -660,46 +675,6 @@ fn lacks_space(caps: &Capacities, tokens: &[u64], cid: ChannelId, produce: u64) 
         .is_some_and(|cap| cap.saturating_sub(tokens[cid.index()]) < produce)
 }
 
-/// Deterministic self-timed executor for an SDF graph under given channel
-/// capacities: the single-phase instantiation of [`DataflowEngine`].
-///
-/// Events carry `(actor, phase)` pairs; for plain SDF the phase is
-/// always 0.
-///
-/// # Examples
-///
-/// Reproducing the first states of the paper's §6 trace for the running
-/// example with storage distribution ⟨4, 2⟩:
-///
-/// ```
-/// use buffy_analysis::{Capacities, Engine};
-/// use buffy_graph::{SdfGraph, StorageDistribution};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = SdfGraph::builder("example");
-/// let a = b.actor("a", 1);
-/// let bb = b.actor("b", 2);
-/// let c = b.actor("c", 2);
-/// b.channel("alpha", a, 2, bb, 3)?;
-/// b.channel("beta", bb, 1, c, 2)?;
-/// let g = b.build()?;
-///
-/// let dist = StorageDistribution::from_capacities(vec![4, 2]);
-/// let mut engine = Engine::new(&g, Capacities::from_distribution(&dist));
-/// engine.start_initial()?;                     // a starts firing
-/// assert_eq!(engine.state().act_clk, vec![1, 0, 0]);
-/// assert_eq!(engine.state().tokens, vec![0, 0]);
-/// engine.step()?;                              // a completes, produces 2, restarts
-/// assert_eq!(engine.state().act_clk, vec![1, 0, 0]);
-/// assert_eq!(engine.state().tokens, vec![2, 0]);
-/// engine.step()?;                              // a completes; b starts (3 tokens)
-/// assert_eq!(engine.state().act_clk, vec![0, 2, 0]);
-/// assert_eq!(engine.state().tokens, vec![4, 0]);
-/// # Ok(())
-/// # }
-/// ```
-pub type Engine<'g> = DataflowEngine<'g, SdfGraph>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,11 +690,18 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn engine<'g>(g: &'g SdfGraph, caps: &[u64]) -> Engine<'g> {
+    fn engine<'g>(g: &'g SdfGraph, caps: &[u64]) -> DataflowEngine<'g, SdfGraph> {
         let d = StorageDistribution::from_capacities(caps.to_vec());
-        let mut e = Engine::new(g, Capacities::from_distribution(&d));
+        let mut e = DataflowEngine::new(g, Capacities::from_distribution(&d));
         e.start_initial().unwrap();
         e
+    }
+
+    /// Steps `e` `n` times.
+    fn steps(e: &mut DataflowEngine<'_, SdfGraph>, n: u64) {
+        for _ in 0..n {
+            e.step().unwrap();
+        }
     }
 
     /// The full §6 trace of the paper for γ = ⟨4, 2⟩:
@@ -751,11 +733,11 @@ mod tests {
         // recur at t=9 (period 7, matching the paper's throughput 1/7).
         let snapshot = {
             let mut probe = engine(&g, &[4, 2]);
-            probe.run_steps(2).unwrap();
+            steps(&mut probe, 2);
             probe.state().clone()
         };
         let mut probe = engine(&g, &[4, 2]);
-        probe.run_steps(9).unwrap();
+        steps(&mut probe, 9);
         assert_eq!(probe.state(), &snapshot);
     }
 
@@ -763,7 +745,7 @@ mod tests {
     fn deadlock_detected_on_zero_capacity() {
         let g = example();
         // α can never hold the 2 tokens a produces.
-        let mut e = Engine::new(
+        let mut e = DataflowEngine::new(
             &g,
             Capacities::from_distribution(&StorageDistribution::from_capacities(vec![1, 2])),
         );
@@ -777,7 +759,7 @@ mod tests {
     #[test]
     fn unbounded_capacities_never_block() {
         let g = example();
-        let mut e = Engine::new(&g, Capacities::unbounded(2));
+        let mut e = DataflowEngine::new(&g, Capacities::unbounded(2));
         e.start_initial().unwrap();
         for _ in 0..50 {
             match e.step().unwrap() {
@@ -836,7 +818,7 @@ mod tests {
         bld.channel("c2", z, 1, src, 1).unwrap(); // feedback, no initial token
         let g = bld.build().unwrap();
         let d = StorageDistribution::from_capacities(vec![1, 1]);
-        let mut e = Engine::new(&g, Capacities::from_distribution(&d));
+        let mut e = DataflowEngine::new(&g, Capacities::from_distribution(&d));
         // Feedback channel needs a token for src to ever fire: deadlock now.
         e.start_initial().unwrap();
         assert_eq!(e.step().unwrap(), FiringOutcome::Deadlock);
@@ -849,7 +831,7 @@ mod tests {
         bld.channel_with_tokens("c2", z, 1, src, 1, 1).unwrap();
         let g = bld.build().unwrap();
         let d = StorageDistribution::from_capacities(vec![1, 1]);
-        let mut e = Engine::new(&g, Capacities::from_distribution(&d));
+        let mut e = DataflowEngine::new(&g, Capacities::from_distribution(&d));
         e.start_initial().unwrap(); // src consumes the feedback token, starts
         assert_eq!(e.state().act_clk[src.index()], 1);
         let FiringOutcome::Progress(ev) = e.step().unwrap() else {
@@ -872,7 +854,7 @@ mod tests {
         bld.channel_with_tokens("r", y, 1, x, 1, 1).unwrap();
         let g = bld.build().unwrap();
         let d = StorageDistribution::from_capacities(vec![1, 1]);
-        let mut e = Engine::new(&g, Capacities::from_distribution(&d));
+        let mut e = DataflowEngine::new(&g, Capacities::from_distribution(&d));
         assert_eq!(
             e.start_initial().unwrap_err(),
             AnalysisError::ZeroTimeLivelock
@@ -888,7 +870,7 @@ mod tests {
         bld.channel_with_tokens("s", x, 1, x, 1, 1).unwrap();
         let g = bld.build().unwrap();
         let d = StorageDistribution::from_capacities(vec![2]);
-        let mut e = Engine::new(&g, Capacities::from_distribution(&d));
+        let mut e = DataflowEngine::new(&g, Capacities::from_distribution(&d));
         e.start_initial().unwrap();
         assert_eq!(e.state().act_clk, vec![2]);
         e.step().unwrap();
@@ -906,19 +888,9 @@ mod tests {
         bld.channel_with_tokens("s", x, 1, x, 1, 1).unwrap();
         let g = bld.build().unwrap();
         let d = StorageDistribution::from_capacities(vec![1]);
-        let mut e = Engine::new(&g, Capacities::from_distribution(&d));
+        let mut e = DataflowEngine::new(&g, Capacities::from_distribution(&d));
         e.start_initial().unwrap();
         assert_eq!(e.step().unwrap(), FiringOutcome::Deadlock);
-    }
-
-    #[test]
-    fn run_steps_counts_progress() {
-        let g = example();
-        let mut e = engine(&g, &[4, 2]);
-        assert_eq!(e.run_steps(10).unwrap(), 10);
-        assert_eq!(e.time(), 10);
-        let mut e = engine(&g, &[1, 1]);
-        assert_eq!(e.run_steps(10).unwrap(), 0);
     }
 
     #[test]
@@ -941,7 +913,7 @@ mod tests {
     fn advance_stops_at_the_horizon() {
         let g = example();
         let mut e = engine(&g, &[4, 2]);
-        e.run_steps(2).unwrap();
+        steps(&mut e, 2);
         let FiringOutcome::Progress(ev) = e.advance(3).unwrap() else {
             panic!("expected progress");
         };
@@ -990,7 +962,7 @@ mod tests {
     fn step_before_start_panics() {
         let g = example();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
-        let mut e = Engine::new(&g, Capacities::from_distribution(&d));
+        let mut e = DataflowEngine::new(&g, Capacities::from_distribution(&d));
         let _ = e.step();
     }
 
@@ -999,6 +971,6 @@ mod tests {
     fn capacity_arity_checked() {
         let g = example();
         let d = StorageDistribution::from_capacities(vec![4]);
-        let _ = Engine::new(&g, Capacities::from_distribution(&d));
+        let _ = DataflowEngine::new(&g, Capacities::from_distribution(&d));
     }
 }

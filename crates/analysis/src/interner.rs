@@ -1,24 +1,21 @@
 //! State interning for the cycle-detection state stores.
 //!
-//! The reduced-state-space analyses (paper §7) detect periodicity by
-//! looking every visited state up in a hash index. With an owned-key
-//! `HashMap` that means cloning the full state (token, clock and phase
-//! vectors) for *every* lookup key and re-hashing it with SipHash — pure
-//! overhead on the evaluator hot path, where millions of states flow
-//! through long executions.
+//! The state-space analyses detect periodicity by looking every visited
+//! state up in a hash index. With an owned-key `HashMap` that means cloning
+//! the full state (token, clock and phase vectors) for *every* lookup key
+//! and re-hashing it with SipHash — pure overhead on the evaluator hot
+//! path, where millions of states flow through long executions.
 //!
-//! [`StateStore`] replaces that pattern with an *arena + hash index*:
-//! states live once in an insertion-ordered arena, the index is an
-//! open-addressed table of `(hash, arena index)` pairs, and lookups probe
-//! with a caller-computed hash and an equality closure over the arena
-//! entry — so a state is hashed once and cloned only when it is actually
-//! inserted. Arena indices double as the discovery order the analyses
-//! already use for cycle arithmetic.
-//!
-//! The throughput analysis goes one step further with a `RowStore`: its
-//! states have a fixed number of words, so the arena is one flat `u64`
-//! vector of fixed-stride rows, and storing a state copies a row instead
-//! of cloning its vectors. Both stores share the same hash index.
+//! A `RowStore` replaces that pattern with an *arena + hash index*. A
+//! state has a fixed number of words, so the arena is one flat `u64`
+//! vector of fixed-stride rows, and the index is an open-addressed table
+//! of `(hash, arena index)` pairs. A lookup hashes the candidate row once
+//! and compares it word for word with the rows its hash collides with;
+//! storing a state copies a row instead of cloning its vectors. Arena
+//! indices double as the discovery order the analyses use for cycle
+//! arithmetic. The reduced states of the throughput analysis and the
+//! timed states of the unit-step walk (full state space, schedules,
+//! latency, memory peaks) live in the same kind of store.
 //!
 //! Hashing uses [`FxHasher`], a hand-rolled Fx-style multiply-rotate
 //! hasher (the FNV-lineage hash used by rustc): deterministic across
@@ -110,10 +107,10 @@ pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     hasher.finish()
 }
 
-/// Outcome of [`StateStore::intern_with`]: the arena index of the state,
-/// and whether this call inserted it.
+/// Outcome of [`RowStore::intern`]: the arena index of the state, and
+/// whether this call inserted it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interned {
+pub(crate) enum Interned {
     /// The state was already stored at this arena index.
     Existing(usize),
     /// The state was inserted fresh at this arena index.
@@ -122,7 +119,8 @@ pub enum Interned {
 
 impl Interned {
     /// The arena index, regardless of whether the call inserted.
-    pub fn index(&self) -> usize {
+    #[cfg(test)]
+    fn index(&self) -> usize {
         match *self {
             Interned::Existing(i) | Interned::Inserted(i) => i,
         }
@@ -132,16 +130,16 @@ impl Interned {
 /// Number of probe-length tally bins kept by [`ProbeStats`]: bin `i`
 /// counts probes that inspected `i + 1` slots; the last bin aggregates
 /// everything longer.
-pub const PROBE_BINS: usize = 32;
+pub(crate) const PROBE_BINS: usize = 32;
 
-/// Flat probe statistics of a [`StateStore`]'s interning path.
+/// Flat probe statistics of a [`HashIndex`]'s lookups.
 ///
 /// Counted with plain (non-atomic) integer adds on every
-/// [`StateStore::intern_with`] call — cheap enough to stay always on,
+/// [`RowStore::intern`] call — cheap enough to stay always on,
 /// deterministic, and folded into telemetry histograms only at the end
 /// of an analysis (when a recorder is installed).
 #[derive(Debug, Clone, Copy)]
-pub struct ProbeStats {
+pub(crate) struct ProbeStats {
     /// Number of interning lookups performed.
     pub lookups: u64,
     /// Total slots inspected across all lookups (1 per direct hit).
@@ -188,10 +186,11 @@ const EMPTY: Slot = Slot {
     index_plus_one: 0,
 };
 
-/// The open-addressed `(hash, arena index)` table shared by
-/// [`StateStore`] and [`RowStore`]: linear probing, a power-of-two length
-/// and a load factor kept below 7/8. The arena itself belongs to the
-/// store; the index only sees arena indices.
+/// The open-addressed `(hash, arena index)` table of a [`RowStore`]:
+/// linear probing, a power-of-two length and a load factor kept below
+/// 7/8. The arena itself belongs to the store; the index only sees arena
+/// indices, and full hashes are cached in the table, so stored states are
+/// never re-hashed — not even when the table grows.
 #[derive(Debug, Clone)]
 struct HashIndex {
     table: Vec<Slot>,
@@ -220,22 +219,6 @@ impl HashIndex {
     fn reset(&mut self) {
         self.probes = ProbeStats::default();
         self.table.fill(EMPTY);
-    }
-
-    /// Looks `hash` up without recording probe statistics.
-    fn get(&self, hash: u64, mut matches: impl FnMut(usize) -> bool) -> Option<usize> {
-        let mut pos = (hash as usize) & self.mask;
-        loop {
-            let slot = self.table[pos];
-            if slot.index_plus_one == 0 {
-                return None;
-            }
-            let idx = slot.index_plus_one - 1;
-            if slot.hash == hash && matches(idx) {
-                return Some(idx);
-            }
-            pos = (pos + 1) & self.mask;
-        }
     }
 
     /// Probes for `hash`: `Ok(index)` when `matches` accepts a stored
@@ -293,120 +276,6 @@ impl HashIndex {
     }
 }
 
-/// An insertion-ordered arena of states with an open-addressed hash
-/// index.
-///
-/// Lookups take a caller-computed hash and an equality closure, so a
-/// probe never constructs (or clones) the stored type; full hashes are
-/// cached in the table, so stored states are never re-hashed — not even
-/// when the table grows.
-///
-/// ```
-/// use buffy_analysis::{fx_hash, Interned, StateStore};
-///
-/// let mut store: StateStore<Vec<u64>> = StateStore::new();
-/// let probe = vec![1u64, 2, 3];
-/// let h = fx_hash(&probe);
-/// assert_eq!(
-///     store.intern_with(h, |s| *s == probe, || probe.clone()),
-///     Interned::Inserted(0)
-/// );
-/// assert_eq!(
-///     store.intern_with(h, |s| *s == probe, || probe.clone()),
-///     Interned::Existing(0)
-/// );
-/// assert_eq!(store.items(), &[vec![1u64, 2, 3]]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct StateStore<T> {
-    items: Vec<T>,
-    index: HashIndex,
-}
-
-impl<T> Default for StateStore<T> {
-    fn default() -> Self {
-        StateStore::new()
-    }
-}
-
-impl<T> StateStore<T> {
-    /// Creates an empty store.
-    pub fn new() -> StateStore<T> {
-        StateStore::with_capacity(0)
-    }
-
-    /// Creates an empty store sized for roughly `capacity` states.
-    pub fn with_capacity(capacity: usize) -> StateStore<T> {
-        StateStore {
-            items: Vec::with_capacity(capacity),
-            index: HashIndex::with_capacity(capacity),
-        }
-    }
-
-    /// Probe statistics of every [`Self::intern_with`] call so far.
-    pub fn probe_stats(&self) -> &ProbeStats {
-        &self.index.probes
-    }
-
-    /// Empties the store for reuse, keeping its allocations: the arena is
-    /// cleared, the table is zeroed in place, and the probe statistics
-    /// restart. The next analysis pays no allocation until it outgrows
-    /// whatever this store already holds.
-    pub fn reset(&mut self) {
-        self.items.clear();
-        self.index.reset();
-    }
-
-    /// Number of interned states.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The interned states in insertion (discovery) order.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consumes the store, returning the arena in insertion order.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-
-    /// Looks up a state by `hash` and equality closure without inserting.
-    pub fn get(&self, hash: u64, mut matches: impl FnMut(&T) -> bool) -> Option<usize> {
-        self.index.get(hash, |idx| matches(&self.items[idx]))
-    }
-
-    /// Looks the state up by `hash` and the equality closure; if absent,
-    /// materializes it with `make` and inserts it. Returns the arena
-    /// index and whether this call inserted.
-    ///
-    /// `matches` must implement the same equivalence the hash was
-    /// computed under: equal states must have equal hashes.
-    pub fn intern_with(
-        &mut self,
-        hash: u64,
-        mut matches: impl FnMut(&T) -> bool,
-        make: impl FnOnce() -> T,
-    ) -> Interned {
-        let items = &self.items;
-        match self.index.find(hash, |idx| matches(&items[idx])) {
-            Ok(idx) => Interned::Existing(idx),
-            Err(slot) => {
-                let idx = self.items.len();
-                self.items.push(make());
-                self.index.insert_at(slot, hash, idx, self.items.len());
-                Interned::Inserted(idx)
-            }
-        }
-    }
-}
-
 /// Hashes a slice of words with the [`FxHasher`], word by word (no length
 /// prefix): the hash of a fixed-stride [`RowStore`] row.
 pub(crate) fn fx_hash_words(words: &[u64]) -> u64 {
@@ -418,8 +287,9 @@ pub(crate) fn fx_hash_words(words: &[u64]) -> u64 {
 }
 
 /// An insertion-ordered arena of fixed-stride `u64` rows with an
-/// open-addressed hash index: the [`StateStore`] of the throughput
-/// analysis, whose reduced states pack into rows of one flat vector.
+/// open-addressed hash index: the state store of the throughput analysis
+/// and of the unit-step walk, whose states pack into rows of one flat
+/// vector.
 ///
 /// A lookup hashes the candidate row and compares it word for word with
 /// the stored rows its hash collides with; an insertion copies the row to
@@ -500,6 +370,35 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    /// A bare [`HashIndex`] over an arena of `u64` keys, interning each
+    /// key under a caller-chosen hash so that tests can force collisions.
+    struct Keyed {
+        keys: Vec<u64>,
+        index: HashIndex,
+    }
+
+    impl Keyed {
+        fn new() -> Keyed {
+            Keyed {
+                keys: Vec::new(),
+                index: HashIndex::with_capacity(0),
+            }
+        }
+
+        fn intern(&mut self, hash: u64, key: u64) -> Interned {
+            let keys = &self.keys;
+            match self.index.find(hash, |idx| keys[idx] == key) {
+                Ok(idx) => Interned::Existing(idx),
+                Err(slot) => {
+                    let idx = self.keys.len();
+                    self.keys.push(key);
+                    self.index.insert_at(slot, hash, idx, self.keys.len());
+                    Interned::Inserted(idx)
+                }
+            }
+        }
+    }
+
     #[test]
     fn fx_hash_is_deterministic_and_spreads() {
         let a = fx_hash(&vec![1u64, 2, 3]);
@@ -517,50 +416,61 @@ mod tests {
 
     #[test]
     fn intern_assigns_dense_indices_in_discovery_order() {
-        let mut store: StateStore<u64> = StateStore::new();
-        for v in [10u64, 20, 30, 20, 10, 40] {
-            store.intern_with(fx_hash(&v), |s| *s == v, || v);
-        }
-        assert_eq!(store.items(), &[10, 20, 30, 40]);
+        let mut store = RowStore::default();
+        store.reset(1);
+        let got: Vec<Interned> = [10u64, 20, 30, 20, 10, 40]
+            .iter()
+            .map(|&v| store.intern(&[v]))
+            .collect();
+        use Interned::{Existing, Inserted};
+        assert_eq!(
+            got,
+            [
+                Inserted(0),
+                Inserted(1),
+                Inserted(2),
+                Existing(1),
+                Existing(0),
+                Inserted(3)
+            ]
+        );
         assert_eq!(store.len(), 4);
-        assert_eq!(store.get(fx_hash(&30u64), |s| *s == 30), Some(2));
-        assert_eq!(store.get(fx_hash(&99u64), |s| *s == 99), None);
+        assert_eq!(store.row(2), &[30]);
     }
 
     #[test]
     fn grows_past_many_entries_and_matches_a_hashmap() {
-        let mut store: StateStore<(u64, u64)> = StateStore::new();
-        let mut oracle: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut store = RowStore::default();
+        store.reset(2);
+        let mut oracle: HashMap<[u64; 2], usize> = HashMap::new();
         // Insert with repeats in a fixed pseudo-random order.
         let mut x = 0x243f_6a88_85a3_08d3u64;
         for _ in 0..10_000 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let key = (x % 512, (x >> 32) % 7);
-            let h = fx_hash(&key);
+            let key = [x % 512, (x >> 32) % 7];
             let next = oracle.len();
             let expected = *oracle.entry(key).or_insert(next);
-            let got = store.intern_with(h, |s| *s == key, || key);
-            assert_eq!(got.index(), expected);
+            assert_eq!(store.intern(&key).index(), expected);
         }
         assert_eq!(store.len(), oracle.len());
         for (key, &idx) in &oracle {
-            assert_eq!(store.items()[idx], *key);
+            assert_eq!(store.row(idx), key);
         }
     }
 
     #[test]
     fn probe_stats_count_every_intern() {
-        let mut store: StateStore<u64> = StateStore::new();
+        let mut keyed = Keyed::new();
         // Two direct-hit inserts at non-adjacent slots, then a re-lookup.
-        store.intern_with(1, |s| *s == 1, || 1);
-        store.intern_with(5, |s| *s == 5, || 5);
-        store.intern_with(1, |s| *s == 1, || 1);
+        keyed.intern(1, 1);
+        keyed.intern(5, 5);
+        keyed.intern(1, 1);
         // Forced collision: hash 1 again with a different key probes past
         // the occupied slot.
-        store.intern_with(1, |s| *s == 9, || 9);
-        let stats = store.probe_stats();
+        keyed.intern(1, 9);
+        let stats = keyed.index.probes;
         assert_eq!(stats.lookups, 4);
         assert_eq!(stats.max_probe, 2);
         assert_eq!(stats.probes, 1 + 1 + 1 + 2);
@@ -570,24 +480,29 @@ mod tests {
 
     #[test]
     fn reset_reuses_allocations_and_reproduces_results() {
-        let mut store: StateStore<u64> = StateStore::new();
+        let mut store = RowStore::default();
+        store.reset(1);
         for v in 0..100u64 {
-            store.intern_with(fx_hash(&v), |s| *s == v, || v);
+            store.intern(&[v]);
         }
         let grown_table = store.index.table.len();
         assert!(grown_table > 16, "store never grew");
-        store.reset();
-        assert!(store.is_empty());
+        store.reset(1);
+        assert_eq!(store.len(), 0);
         assert_eq!(store.probe_stats().lookups, 0);
         // The table keeps its grown size; re-interning reproduces the same
         // indices as a fresh store would.
         assert_eq!(store.index.table.len(), grown_table);
-        for v in [7u64, 3, 7] {
-            store.intern_with(fx_hash(&v), |s| *s == v, || v);
-        }
-        assert_eq!(store.items(), &[7, 3]);
-        assert_eq!(store.get(fx_hash(&3u64), |s| *s == 3), Some(1));
-        assert_eq!(store.get(fx_hash(&99u64), |s| *s == 99), None);
+        let got: Vec<Interned> = [7u64, 3, 7].iter().map(|&v| store.intern(&[v])).collect();
+        assert_eq!(
+            got,
+            [
+                Interned::Inserted(0),
+                Interned::Inserted(1),
+                Interned::Existing(0)
+            ]
+        );
+        assert_eq!(store.row(1), &[3]);
     }
 
     #[test]
@@ -635,23 +550,11 @@ mod tests {
     #[test]
     fn colliding_hashes_are_separated_by_equality() {
         // Force both keys into the same slot by lying about the hash;
-        // the equality closure must still distinguish them.
-        let mut store: StateStore<u64> = StateStore::new();
-        assert_eq!(
-            store.intern_with(7, |s| *s == 1, || 1),
-            Interned::Inserted(0)
-        );
-        assert_eq!(
-            store.intern_with(7, |s| *s == 2, || 2),
-            Interned::Inserted(1)
-        );
-        assert_eq!(
-            store.intern_with(7, |s| *s == 1, || 1),
-            Interned::Existing(0)
-        );
-        assert_eq!(
-            store.intern_with(7, |s| *s == 2, || 2),
-            Interned::Existing(1)
-        );
+        // the equality test must still distinguish them.
+        let mut keyed = Keyed::new();
+        assert_eq!(keyed.intern(7, 1), Interned::Inserted(0));
+        assert_eq!(keyed.intern(7, 2), Interned::Inserted(1));
+        assert_eq!(keyed.intern(7, 1), Interned::Existing(0));
+        assert_eq!(keyed.intern(7, 2), Interned::Existing(1));
     }
 }

@@ -7,8 +7,9 @@
 //! steady state (relevant for jitter-sensitive consumers such as the
 //! display refresh of the paper's television example).
 
-use crate::engine::{Capacities, Engine, FiringOutcome};
+use crate::engine::Capacities;
 use crate::error::AnalysisError;
+use crate::state_space::{walk, Recurrence};
 use crate::throughput::ExplorationLimits;
 use buffy_graph::{ActorId, SdfGraph, StorageDistribution};
 
@@ -75,51 +76,27 @@ pub fn latency(
     observed: ActorId,
     limits: ExplorationLimits,
 ) -> Result<LatencyReport, AnalysisError> {
-    let mut engine = Engine::new(graph, Capacities::from_distribution(dist));
-    let initial = engine.start_initial()?;
-
     let mut completions: Vec<u64> = Vec::new();
-    let record = |completions: &mut Vec<u64>, events: &crate::engine::FiringEvents, time: u64| {
-        for _ in events.completed.iter().filter(|&&(a, _)| a == observed) {
-            completions.push(time);
-        }
-    };
-    record(&mut completions, &initial, 0);
-
-    // Track state recurrence to delimit the periodic phase.
-    let mut index: std::collections::HashMap<crate::engine::SdfState, u64> =
-        std::collections::HashMap::new();
-    index.insert(engine.state().clone(), 0);
-
-    let (entry, end) = loop {
-        if engine.time() >= limits.max_steps || index.len() > limits.max_states {
-            let kind = if engine.time() >= limits.max_steps {
-                crate::error::LimitKind::Steps
-            } else {
-                crate::error::LimitKind::States
-            };
-            return Err(limits.exceeded(kind, engine.capacities()));
-        }
-        match engine.step()? {
-            FiringOutcome::Deadlock => {
-                return Ok(LatencyReport {
-                    initial_latency: completions.first().copied(),
-                    min_output_interval: None,
-                    max_output_interval: None,
-                    deadlocked: true,
-                });
+    let recurrence = walk(
+        graph,
+        Capacities::from_distribution(dist),
+        limits,
+        |time, _, events| {
+            for _ in events.completed.iter().filter(|&&(a, _)| a == observed) {
+                completions.push(time);
             }
-            FiringOutcome::Progress(ev) => {
-                record(&mut completions, &ev, engine.time());
-                if let Some(&entry) = index.get(engine.state()) {
-                    break (entry, engine.time());
-                }
-                index.insert(engine.state().clone(), engine.time());
-            }
-        }
+        },
+    )?;
+    let Some(Recurrence { entry, close: end }) = recurrence else {
+        return Ok(LatencyReport {
+            initial_latency: completions.first().copied(),
+            min_output_interval: None,
+            max_output_interval: None,
+            deadlocked: true,
+        });
     };
 
-    // Completions within [entry, end) repeat with period end − entry.
+    // Completions within (entry, end] repeat with period end − entry.
     let period = end - entry;
     let periodic: Vec<u64> = completions
         .iter()

@@ -8,21 +8,24 @@
 //! - [`DataflowSemantics`]: the model interface of the unified kernel —
 //!   every analysis below is written once, generically, and instantiated
 //!   for SDF here and for CSDF in `buffy-csdf`;
-//! - [`Engine`]: the deterministic self-timed executor (paper §2, §6) with
-//!   claim-space-at-start / release-at-end buffer semantics and no
-//!   auto-concurrency — the SDF view of the generic [`DataflowEngine`];
+//! - [`DataflowEngine`]: the deterministic self-timed executor (paper §2,
+//!   §6) with claim-space-at-start / release-at-end buffer semantics and
+//!   no auto-concurrency, for every model class;
 //! - [`throughput`]: throughput of an actor under a storage distribution
 //!   via the *reduced* state space (paper §7);
 //! - [`explore`]: the full timed state space (paper §6, Fig. 3), used as a
 //!   didactic view and cross-check;
 //! - [`Schedule`]: extraction, validation and Gantt rendering of the
 //!   self-timed schedule (paper §4, Table 1);
+//! - [`latency`](fn@latency) and [`shared_memory_peak`]: the output
+//!   latency and the shared-memory need of that execution; these two, the
+//!   schedule and the full state space share one walk of it, one time
+//!   unit at a time, to its first recurring state;
 //! - [`RatioGraph::expand`] and [`maximal_throughput`]: the homogeneous
 //!   expansion of any model class and the maximum-cycle-ratio analysis
 //!   giving its maximal achievable throughput (paper §9, \[GG93\]);
 //! - [`StaticBounds`]: the same expansion with capacity back-edges, a
-//!   sound throughput certificate per storage distribution;
-//! - [`graph_algos`]: strongly connected components and topological order.
+//!   sound throughput certificate per storage distribution.
 //!
 //! # Example
 //!
@@ -57,7 +60,6 @@ mod dependencies;
 mod energy;
 mod engine;
 mod error;
-pub mod graph_algos;
 mod interner;
 mod latency;
 mod mcm;
@@ -72,13 +74,9 @@ pub mod transform;
 pub use budget::{CancelReason, CancelToken};
 pub use dependencies::dependencies_from_run_for;
 pub use energy::{schedule_energy_per_iteration, EnergyModel};
-pub use engine::{
-    Capacities, DataflowEngine, DataflowState, Engine, FiringEvents, FiringOutcome, SdfState,
-};
+pub use engine::{Capacities, DataflowEngine, DataflowState, FiringEvents, FiringOutcome};
 pub use error::{AnalysisError, LimitKind};
-pub use interner::{
-    fx_hash, FxBuildHasher, FxHasher, Interned, ProbeStats, StateStore, PROBE_BINS,
-};
+pub use interner::{fx_hash, FxBuildHasher, FxHasher};
 pub use latency::{latency, LatencyReport};
 pub use mcm::{
     max_cycle_ratio, max_cycle_ratio_brute_force, maximal_throughput, RatioEdge, RatioGraph,

@@ -13,11 +13,11 @@
 //! the distribution size, and the gap quantifies how much memory a
 //! single-processor implementation could save.
 
-use crate::engine::{Capacities, Engine, FiringOutcome};
+use crate::engine::Capacities;
 use crate::error::AnalysisError;
+use crate::state_space::walk;
 use crate::throughput::ExplorationLimits;
 use buffy_graph::{SdfGraph, StorageDistribution};
-use std::collections::HashMap;
 
 /// Shared-memory usage of an execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,50 +69,25 @@ pub fn shared_memory_peak(
     dist: &StorageDistribution,
     limits: ExplorationLimits,
 ) -> Result<SharedMemoryReport, AnalysisError> {
-    let mut engine = Engine::new(graph, Capacities::from_distribution(dist));
-    engine.start_initial()?;
-
-    let mut index: HashMap<crate::engine::SdfState, u64> = HashMap::new();
-    index.insert(engine.state().clone(), 0);
-
-    let mut peak: u64 = engine.state().tokens.iter().sum();
-    let mut channel_peaks: Vec<u64> = engine.state().tokens.clone();
-    let mut deadlocked = false;
-
-    loop {
-        if engine.time() >= limits.max_steps || index.len() > limits.max_states {
-            let kind = if engine.time() >= limits.max_steps {
-                crate::error::LimitKind::Steps
-            } else {
-                crate::error::LimitKind::States
-            };
-            return Err(limits.exceeded(kind, engine.capacities()));
-        }
-        match engine.step()? {
-            FiringOutcome::Deadlock => {
-                deadlocked = true;
-                break;
+    // The states of the transient and one full period (or up to the
+    // deadlock) are all the states the execution ever reaches.
+    let mut peak: u64 = 0;
+    let mut channel_peaks: Vec<u64> = vec![0; graph.num_channels()];
+    let recurrence = walk(
+        graph,
+        Capacities::from_distribution(dist),
+        limits,
+        |_, state, _| {
+            peak = peak.max(state.tokens.iter().sum());
+            for (p, &t) in channel_peaks.iter_mut().zip(&state.tokens) {
+                *p = (*p).max(t);
             }
-            FiringOutcome::Progress(_) => {
-                let total: u64 = engine.state().tokens.iter().sum();
-                peak = peak.max(total);
-                for (p, &t) in channel_peaks.iter_mut().zip(&engine.state().tokens) {
-                    *p = (*p).max(t);
-                }
-                if index
-                    .insert(engine.state().clone(), engine.time())
-                    .is_some()
-                {
-                    break; // periodic phase fully covered
-                }
-            }
-        }
-    }
-
+        },
+    )?;
     Ok(SharedMemoryReport {
         peak_tokens: peak,
         sum_of_channel_peaks: channel_peaks.iter().sum(),
-        deadlocked,
+        deadlocked: recurrence.is_none(),
     })
 }
 

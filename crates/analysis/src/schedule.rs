@@ -8,12 +8,12 @@
 //! periodic phase. `buffy` generates such a schedule for every Pareto
 //! point (§10).
 
-use crate::engine::{Capacities, Engine, FiringOutcome, SdfState};
+use crate::engine::Capacities;
 use crate::error::AnalysisError;
+use crate::state_space::walk;
 use crate::throughput::ExplorationLimits;
 use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
 use core::fmt;
-use std::collections::HashMap;
 
 /// One recorded firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,57 +103,31 @@ impl Schedule {
         dist: &StorageDistribution,
         limits: ExplorationLimits,
     ) -> Result<Schedule, AnalysisError> {
-        let mut engine = Engine::new(graph, Capacities::from_distribution(dist));
         let mut firings: Vec<Firing> = Vec::new();
-        let mut index: HashMap<SdfState, u64> = HashMap::new();
-
-        let record = |firings: &mut Vec<Firing>, graph: &SdfGraph, actor: ActorId, t: u64| {
-            let exec = graph.actor(actor).execution_time();
-            firings.push(Firing {
-                actor,
-                start: t,
-                end: t + exec,
-            });
-        };
-
-        let initial = engine.start_initial()?;
-        for &(a, _) in &initial.started {
-            record(&mut firings, graph, a, 0);
+        // Visits come in time order and, within one instant, list starts in
+        // the order the engine made them (relevant for zero-execution-time
+        // chains): the firings need no sorting.
+        let recurrence = walk(
+            graph,
+            Capacities::from_distribution(dist),
+            limits,
+            |time, _, events| {
+                firings.extend(events.started.iter().map(|&(actor, _)| Firing {
+                    actor,
+                    start: time,
+                    end: time + graph.actor(actor).execution_time(),
+                }));
+            },
+        )?;
+        // Drop the firings of the closing step: they duplicate the start of
+        // the periodic pattern.
+        if let Some(r) = recurrence {
+            firings.retain(|f| f.start < r.close);
         }
-        index.insert(engine.state().clone(), 0);
-
-        let period = loop {
-            if engine.time() >= limits.max_steps || index.len() > limits.max_states {
-                let kind = if engine.time() >= limits.max_steps {
-                    crate::error::LimitKind::Steps
-                } else {
-                    crate::error::LimitKind::States
-                };
-                return Err(limits.exceeded(kind, engine.capacities()));
-            }
-            match engine.step()? {
-                FiringOutcome::Deadlock => break None,
-                FiringOutcome::Progress(ev) => {
-                    for &(a, _) in &ev.started {
-                        record(&mut firings, graph, a, engine.time());
-                    }
-                    if let Some(&entry) = index.get(engine.state()) {
-                        break Some((entry, engine.time() - entry));
-                    }
-                    index.insert(engine.state().clone(), engine.time());
-                }
-            }
-        };
-
-        // Drop firings recorded at or after the recurrence point: they
-        // duplicate the start of the periodic pattern.
-        if let Some((entry, period_len)) = period {
-            firings.retain(|f| f.start < entry + period_len);
-        }
-        // Stable sort: firings within one time step keep the order in which
-        // the engine started them (relevant for zero-execution-time chains).
-        firings.sort_by_key(|f| f.start);
-        Ok(Schedule { firings, period })
+        Ok(Schedule {
+            firings,
+            period: recurrence.map(|r| (r.entry, r.close - r.entry)),
+        })
     }
 
     /// All recorded firings, sorted by start time.

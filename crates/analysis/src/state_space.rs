@@ -7,16 +7,84 @@
 //! the reduced analysis, which stores dramatically fewer states (the
 //! comparison is one of this repository's ablation benchmarks).
 //!
+//! The run from time 0 to the first recurring timed state is written once,
+//! in the crate-private `walk`: the recorder here, the self-timed schedule
+//! ([`Schedule::extract`](crate::Schedule::extract)),
+//! [`latency`](fn@crate::latency) and
+//! [`shared_memory_peak`](crate::shared_memory_peak) are visitors over it.
+//!
 //! Like the rest of the kernel the recorder is generic over
 //! [`DataflowSemantics`] ([`explore_for`]); [`explore`] is the SDF-typed
 //! entry point.
 
-use crate::engine::{Capacities, DataflowEngine, DataflowState, FiringEvents, FiringOutcome};
-use crate::error::AnalysisError;
-use crate::interner::{fx_hash, Interned, StateStore};
+use crate::engine::{Capacities, DataflowEngine, DataflowState, FiringEvents};
+use crate::error::{AnalysisError, LimitKind};
+use crate::interner::{Interned, RowStore};
 use crate::semantics::DataflowSemantics;
-use crate::throughput::ExplorationLimits;
+use crate::throughput::{pack_row, row_stride, ExplorationLimits};
 use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
+
+/// The first recurring timed state of a [`walk`]: the periodic phase is
+/// entered at `entry` and repeats every `close − entry` time units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Recurrence {
+    /// When the recurring state was first reached.
+    pub(crate) entry: u64,
+    /// When it was reached again.
+    pub(crate) close: u64,
+}
+
+/// Runs `model` self-timed under `caps` from time 0, one time unit at a
+/// time, to its first recurring timed state.
+///
+/// `visit(time, state, events)` sees every state reached, with the events
+/// that led into it: the state after the initial start pass at time 0,
+/// then one state per time unit, the recurring state last. Returns the
+/// [`Recurrence`], or `None` when the execution deadlocks (the deadlocked
+/// state is the last one visited).
+///
+/// Each timed state is interned as a packed row (the throughput
+/// analysis's row with `dist` and the completion count at 0), so state
+/// `k` of the store is the one reached at time `k`. Before each step the
+/// step limit is checked, then the state limit: a run that reaches both
+/// at once fails with [`LimitKind::Steps`].
+///
+/// # Errors
+///
+/// - [`AnalysisError::StateLimitExceeded`] when `limits` are hit;
+/// - [`AnalysisError::ZeroTimeLivelock`] for unbounded zero-time firing.
+pub(crate) fn walk<M: DataflowSemantics + ?Sized>(
+    model: &M,
+    caps: Capacities,
+    limits: ExplorationLimits,
+    mut visit: impl FnMut(u64, &DataflowState, &FiringEvents),
+) -> Result<Option<Recurrence>, AnalysisError> {
+    let mut engine = DataflowEngine::new(model, caps);
+    engine.start_initial()?;
+    let stride = row_stride(model.num_actors(), model.num_channels());
+    let mut store = RowStore::default();
+    store.reset(stride);
+    let mut row = Vec::with_capacity(stride);
+    loop {
+        visit(engine.time(), engine.state(), engine.events());
+        pack_row(&mut row, engine.state(), 0, 0);
+        if let Interned::Existing(k) = store.intern(&row) {
+            return Ok(Some(Recurrence {
+                entry: k as u64,
+                close: engine.time(),
+            }));
+        }
+        if engine.time() >= limits.max_steps {
+            return Err(limits.exceeded(LimitKind::Steps, engine.capacities()));
+        }
+        if store.len() > limits.max_states {
+            return Err(limits.exceeded(LimitKind::States, engine.capacities()));
+        }
+        if !engine.advance_in_place(engine.time() + 1)? {
+            return Ok(None);
+        }
+    }
+}
 
 /// The explored timed state space of a dataflow model under a storage
 /// distribution.
@@ -112,56 +180,24 @@ pub fn explore_for<M: DataflowSemantics>(
     caps: Capacities,
     limits: ExplorationLimits,
 ) -> Result<StateSpace, AnalysisError> {
-    let mut engine = DataflowEngine::new(model, caps);
-    let initial = engine.start_initial()?;
-
-    // The interning store *is* the state vector: arena order is visit
-    // order, and each state is hashed and cloned exactly once.
-    let mut store: StateStore<DataflowState> = StateStore::new();
-    let mut events: Vec<FiringEvents> = Vec::new();
-
-    store.intern_with(
-        fx_hash(engine.state()),
-        |s| s == engine.state(),
-        || engine.state().clone(),
-    );
-    events.push(initial);
-
-    loop {
-        if store.len() > limits.max_states {
-            return Err(limits.exceeded(crate::error::LimitKind::States, engine.capacities()));
-        }
-        if engine.time() >= limits.max_steps {
-            return Err(limits.exceeded(crate::error::LimitKind::Steps, engine.capacities()));
-        }
-        match engine.step()? {
-            FiringOutcome::Deadlock => {
-                return Ok(StateSpace {
-                    states: store.into_items(),
-                    events,
-                    cycle_start: None,
-                    closing_events: None,
-                });
-            }
-            FiringOutcome::Progress(ev) => {
-                match store.intern_with(
-                    fx_hash(engine.state()),
-                    |s| s == engine.state(),
-                    || engine.state().clone(),
-                ) {
-                    Interned::Existing(k) => {
-                        return Ok(StateSpace {
-                            states: store.into_items(),
-                            events,
-                            cycle_start: Some(k),
-                            closing_events: Some(ev),
-                        });
-                    }
-                    Interned::Inserted(_) => events.push(ev),
-                }
-            }
-        }
-    }
+    let mut states = Vec::new();
+    let mut events = Vec::new();
+    let recurrence = walk(model, caps, limits, |_, state, ev| {
+        states.push(state.clone());
+        events.push(ev.clone());
+    })?;
+    // The recurring state is already stored: keep only the events of the
+    // step that closes the cycle.
+    let closing_events = recurrence.map(|_| {
+        states.pop();
+        events.pop().expect("the closing step was visited")
+    });
+    Ok(StateSpace {
+        states,
+        events,
+        cycle_start: recurrence.map(|r| r.entry as usize),
+        closing_events,
+    })
 }
 
 #[cfg(test)]
@@ -232,6 +268,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn walk_visits_each_time_unit_once() {
+        // ⟨4, 2⟩: states at t = 0..=9, the one at t = 9 recurring from
+        // t = 2. ⟨3, 2⟩: the walk ends in the deadlocked state at t = 1,
+        // where nothing fires and α holds the 2 tokens of a's one firing.
+        let g = example();
+        let caps =
+            |c: Vec<u64>| Capacities::from_distribution(&StorageDistribution::from_capacities(c));
+        let mut times = Vec::new();
+        let r = walk(
+            &g,
+            caps(vec![4, 2]),
+            ExplorationLimits::default(),
+            |t, _, _| times.push(t),
+        );
+        assert_eq!(r, Ok(Some(Recurrence { entry: 2, close: 9 })));
+        assert_eq!(times, (0..=9).collect::<Vec<u64>>());
+
+        let mut last = None;
+        let r = walk(
+            &g,
+            caps(vec![3, 2]),
+            ExplorationLimits::default(),
+            |t, s, _| last = Some((t, s.clone())),
+        );
+        assert_eq!(r, Ok(None));
+        let (t, s) = last.unwrap();
+        assert_eq!((t, s.act_clk, s.tokens), (1, vec![0, 0, 0], vec![2, 0]));
+    }
+
+    #[test]
+    fn step_limit_wins_a_tie_with_the_state_limit() {
+        // Before step k the walk holds k + 1 states at time k, so limits of
+        // 3 states and 3 steps trip at the same check: every visitor of the
+        // walk reports the step limit.
+        use crate::{latency, shared_memory_peak, Schedule};
+        let g = example();
+        let d = StorageDistribution::from_capacities(vec![4, 2]);
+        let limits = ExplorationLimits {
+            max_states: 3,
+            max_steps: 3,
+        };
+        let steps = limits.exceeded(LimitKind::Steps, &Capacities::from_distribution(&d));
+        assert_eq!(explore(&g, &d, limits).unwrap_err(), steps);
+        assert_eq!(Schedule::extract(&g, &d, limits).unwrap_err(), steps);
+        let c = g.actor_by_name("c").unwrap();
+        assert_eq!(latency(&g, &d, c, limits).unwrap_err(), steps);
+        assert_eq!(shared_memory_peak(&g, &d, limits).unwrap_err(), steps);
     }
 
     #[test]

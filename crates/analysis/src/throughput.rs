@@ -696,13 +696,13 @@ fn has_zero_time_phase<M: DataflowSemantics + ?Sized>(model: &M) -> bool {
 
 /// Words per packed reduced state: the busy clocks, the token counts, the
 /// phases two to a word, `dist` and the completion count.
-fn row_stride(actors: usize, channels: usize) -> usize {
+pub(crate) fn row_stride(actors: usize, channels: usize) -> usize {
     actors + channels + actors.div_ceil(2) + 2
 }
 
 /// Packs the reduced state `(state, dist, firings)` into `row`, laid out
 /// as [`row_stride`] describes.
-fn pack_row(row: &mut Vec<u64>, state: &DataflowState, dist: u64, firings: u32) {
+pub(crate) fn pack_row(row: &mut Vec<u64>, state: &DataflowState, dist: u64, firings: u32) {
     row.clear();
     row.extend_from_slice(&state.act_clk);
     row.extend_from_slice(&state.tokens);

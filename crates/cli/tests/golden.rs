@@ -1,5 +1,5 @@
-//! Golden outputs of `buffy explore`, `check`, `info`, `analyze` and
-//! `bounds`.
+//! Golden outputs of `buffy explore`, `check`, `info`, `analyze`,
+//! `bounds` and `schedule`.
 //!
 //! Pins the `--csv` and `--json` reports of SDF gallery graphs under both
 //! drivers, and of the cyclo-static gallery graphs through `explore` and
@@ -10,7 +10,10 @@
 //! pinned whole, for SDF and CSDF gallery graphs alike; `csdf-analyze` is
 //! an alias of `analyze` and must print the same bytes. `bounds` is pinned
 //! in text and JSON, and `info` and `check --json` on an inconsistent
-//! graph in both dialects, exit code included.
+//! graph in both dialects, exit code included. The reports that walk the
+//! self-timed execution one time unit at a time are pinned too: `schedule`
+//! on the example (live and deadlocked) and on modem, and `explore` with
+//! the latency axis on modem-power, in text, CSV and JSON.
 //!
 //! The fixtures live in `tests/golden/`. When an output change is
 //! intended, regenerate them with
@@ -183,6 +186,50 @@ fn bounds_reports_match_the_golden_files() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// `schedule`: the self-timed schedule and its Gantt chart (paper §4,
+/// Table 1) of the running example at ⟨4, 2⟩ and at ⟨3, 2⟩, which
+/// deadlocks, and of modem at its lower-bound distribution.
+#[test]
+fn schedules_match_the_golden_files() {
+    let modem_lb = buffy_core::lower_bound_distribution(&buffy_gen::gallery::modem())
+        .as_slice()
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    for (name, dist, file) in [
+        ("example", "4,2", "example-schedule.txt"),
+        ("example", "3,2", "example-schedule-deadlock.txt"),
+        ("modem", modem_lb.as_str(), "modem-schedule-lb.txt"),
+    ] {
+        let path = gallery_file(name);
+        let args = ["schedule", path.to_str().unwrap(), "--dist", dist];
+        let (code, text) = run(&args);
+        assert_eq!(code, 0, "{args:?}: {text}");
+        assert_golden(file, &text);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// `explore` with the latency axis, which walks the self-timed execution
+/// of every front point, on modem-power: text, CSV and JSON.
+#[test]
+fn latency_axis_reports_match_the_golden_files() {
+    let path = gallery_file("modem-power");
+    let graph = path.to_str().unwrap();
+    let space = ["--objectives", "storage,throughput,energy,latency"];
+    let mut args = vec!["explore", graph];
+    args.extend_from_slice(&space);
+    let (code, text) = run(&args);
+    assert_eq!(code, 0, "{args:?}: {text}");
+    assert_golden("modem-power-latency.txt", &text);
+    for format in ["csv", "json"] {
+        let text = report("explore", graph, &space, format);
+        assert_golden(&format!("modem-power-latency.{format}"), &text);
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Writes a graph of the given dialect (`"sdf"` or `"csdf"`) whose

@@ -9,7 +9,7 @@
 //! (see [`DataflowSemantics::channel_step`]).
 
 use buffy_analysis::DataflowSemantics;
-use buffy_graph::{ChannelId, SdfGraph, StorageDistribution};
+use buffy_graph::{ChannelId, StorageDistribution};
 use core::ops::ControlFlow;
 
 /// The grid of meaningful storage distributions of a graph.
@@ -21,15 +21,8 @@ pub struct DistributionSpace {
 }
 
 impl DistributionSpace {
-    /// Builds the grid for `graph`: per-channel lower bounds and step
-    /// sizes.
-    pub fn of(graph: &SdfGraph) -> DistributionSpace {
-        DistributionSpace::for_model(graph)
-    }
-
     /// Builds the grid for any [`DataflowSemantics`] model from its
-    /// declared per-channel lower bounds and step sizes (the generic form
-    /// of [`DistributionSpace::of`]).
+    /// declared per-channel lower bounds and step sizes.
     pub fn for_model<M: DataflowSemantics>(model: &M) -> DistributionSpace {
         let channels = 0..model.num_channels();
         DistributionSpace {
@@ -248,7 +241,7 @@ mod tests {
         b.channel("alpha", a, 2, bb, 3).unwrap();
         b.channel("beta", bb, 1, c, 2).unwrap();
         let g = b.build().unwrap();
-        let s = DistributionSpace::of(&g);
+        let s = DistributionSpace::for_model(&g);
         assert_eq!(s, example_space());
         assert_eq!(s.min_size(), 6);
         assert_eq!(s.min_distribution().as_slice(), &[4, 2]);

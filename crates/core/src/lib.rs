@@ -73,6 +73,7 @@ mod prune;
 mod runtime;
 
 pub use bounds::{lower_bound_distribution, upper_bound_distribution};
+pub use buffy_telemetry::json_escape;
 pub use checkpoint::{Checkpoint, CheckpointEntry, CheckpointError, SalvageReport};
 pub use constraint::{min_storage_for_throughput, ConstraintResult};
 pub use dependency::explore_dependency_guided;
@@ -80,7 +81,7 @@ pub use enumerate::DistributionSpace;
 pub use error::ExploreError;
 pub use explore::{explore_design_space, ExplorationResult, ExploreOptions, WarmStart};
 pub use fault::{FaultPlan, FaultSite, FAULT_SITES};
-pub use live::{dist_json, json_escape, EventRing, LiveStats, RingEntry, DEFAULT_RING_CAPACITY};
+pub use live::{dist_json, EventRing, LiveStats, RingEntry, DEFAULT_RING_CAPACITY};
 pub use objective::{ObjectiveKind, ObjectiveSpace, ObjectiveVector, ParseObjectivesError, Sense};
 pub use pareto::{ParetoPoint, ParetoSet};
 pub use runtime::{

@@ -23,6 +23,7 @@
 use crate::pareto::{ParetoPoint, ParetoSet};
 use crate::runtime::{AtomicStats, Event, ExplorationStats, ExploreObserver, SearchPhase};
 use buffy_graph::StorageDistribution;
+use buffy_telemetry::json_escape;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -206,25 +207,6 @@ pub fn dist_json(dist: &StorageDistribution) -> String {
         let _ = write!(out, "{c}");
     }
     out.push(']');
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -1,5 +1,6 @@
 //! Structured diagnostics: stable codes, severities, subjects, renderers.
 
+use buffy_telemetry::json_escape;
 use core::fmt;
 
 /// How serious a finding is.
@@ -220,23 +221,6 @@ impl Report {
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -14,8 +14,11 @@
 use crate::trace::{TraceEvent, TracePhase};
 use std::fmt::Write as _;
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes and control characters. Every JSON writer of the workspace
+/// (trace exports, lint reports, `--json`, trace lines, the live server)
+/// escapes through this one function.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -74,7 +74,7 @@ mod recorder;
 mod span;
 mod trace;
 
-pub use chrome::render_chrome_trace;
+pub use chrome::{json_escape, render_chrome_trace};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use prometheus::render_prometheus;
 pub use recorder::{Recorder, Snapshot};

@@ -162,7 +162,7 @@ fn enumeration_is_exact() {
     for case in 0..CASES {
         let g = small_graph(&mut rng);
         let extra = rng.range_u64(0, 4);
-        let space = DistributionSpace::of(&g);
+        let space = DistributionSpace::for_model(&g);
         let size = space.min_size() + extra;
         let all = space.all_of_size(size);
         let lb = lower_bound_distribution(&g);
