@@ -194,6 +194,11 @@ pub struct DataflowEngine<'g, M: DataflowSemantics + ?Sized> {
     /// initial tokens, or the largest `tokens + claimed production` at a
     /// start of its producer.
     peaks: Option<Vec<u64>>,
+    /// Tracked with the peaks: each channel's smallest refused claim so
+    /// far, the `tokens + production` its producer lacked the space for
+    /// when the channel was that idle, token-ready actor's first short
+    /// output (`u64::MAX` while the channel refused nothing).
+    refused: Option<Vec<u64>>,
     /// Completed phase firings per actor, kept to cross-check token
     /// counts.
     #[cfg(feature = "strict-invariants")]
@@ -233,6 +238,7 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
             events: FiringEvents::default(),
             space_blocked: None,
             peaks: None,
+            refused: None,
             #[cfg(feature = "strict-invariants")]
             fired: vec![0; model.num_actors()],
             #[cfg(feature = "strict-invariants")]
@@ -367,24 +373,27 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
         self.space_blocked.as_deref().unwrap_or(&[])
     }
 
-    /// Switches on tracking of the channels' peak occupancies: from the
-    /// next start pass on, every start raises each output channel's peak
-    /// to the tokens it holds plus the production the start claims. The
-    /// start pass records it as it starts the firing, so tracking costs
-    /// no extra scan.
-    pub(crate) fn track_peaks(&mut self) {
+    /// Switches on tracking of the channels' capacity box: from the next
+    /// start pass on, every start raises each output channel's peak to
+    /// the tokens it holds plus the production the start claims, and
+    /// every idle, token-ready actor that lacks space lowers its first
+    /// short output's smallest refused claim to the same sum. The start
+    /// pass records both as it decides, so tracking costs no extra scan.
+    pub(crate) fn track_capacity_box(&mut self) {
         self.peaks.get_or_insert_with(|| {
             (0..self.model.num_channels())
                 .map(|i| self.model.initial_tokens(ChannelId::new(i)))
                 .collect()
         });
+        let channels = self.model.num_channels();
+        self.refused.get_or_insert_with(|| vec![u64::MAX; channels]);
     }
 
-    /// The peak occupancies recorded since
-    /// [`track_peaks`](Self::track_peaks), one per channel; `None` when
-    /// tracking is off.
-    pub(crate) fn take_peaks(&mut self) -> Option<Vec<u64>> {
-        self.peaks.take()
+    /// The peak occupancies and the smallest refused claims recorded
+    /// since [`track_capacity_box`](Self::track_capacity_box), one of each
+    /// per channel; `None` when tracking is off.
+    pub(crate) fn take_capacity_box(&mut self) -> Option<(Vec<u64>, Vec<u64>)> {
+        self.peaks.take().zip(self.refused.take())
     }
 
     /// The events of the last [`advance_in_place`](Self::advance_in_place)
@@ -511,8 +520,8 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
     /// The caller proves that every skipped repetition makes the window's
     /// decisions again (the cycle search's fast-forward, see the
     /// `throughput` module); the state reached is then the one that many
-    /// more advances would reach. Events, space-blocked channels and
-    /// peaks stay those of the window's last advance.
+    /// more advances would reach. Events, space-blocked channels, peaks
+    /// and refused claims stay those of the window's last advance.
     #[cold]
     pub(crate) fn repeat_window(
         &mut self,
@@ -585,7 +594,8 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
     /// firings therefore ends the fixpoint, and it also sees every idle
     /// actor exactly as the instant leaves it — which is where the
     /// space-blocked channels are collected, when tracked. Peak
-    /// occupancies, when tracked, are raised at each start.
+    /// occupancies, when tracked, are raised at each start, and the
+    /// smallest refused claims lowered at each refusal.
     fn start_enabled(&mut self) -> Result<(), AnalysisError> {
         let mut zero_firings: u64 = 0;
         loop {
@@ -600,6 +610,7 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
                 while self.state.act_clk[i] == 0 && self.has_input_tokens(actor) {
                     if let Some(first) = self.first_space_short(actor) {
                         self.note_space_blocked(actor, first);
+                        self.note_refusal(actor, first);
                         break;
                     }
                     let phase = self.state.phase[i];
@@ -639,6 +650,23 @@ impl<'g, M: DataflowSemantics + ?Sized> DataflowEngine<'g, M> {
             let peak = &mut peaks[cid.index()];
             *peak = (*peak).max(claimed);
         }
+    }
+
+    /// Lowers, when tracking, the smallest refused claim of idle,
+    /// token-ready `actor`'s first short output (at output position
+    /// `first`) to what the actor lacked the space for. Any capacity below
+    /// it still refuses, so the actor stays blocked whatever its other
+    /// outputs hold.
+    fn note_refusal(&mut self, actor: ActorId, first: usize) {
+        let model = self.model;
+        let Some(refused) = &mut self.refused else {
+            return;
+        };
+        let cid = model.output_channels(actor)[first];
+        let phase = self.state.phase[actor.index()];
+        let claim = self.state.tokens[cid.index()].saturating_add(model.production(cid, phase));
+        let smallest = &mut refused[cid.index()];
+        *smallest = (*smallest).min(claim);
     }
 
     /// Records, when tracking, the output channels of idle, token-ready

@@ -330,8 +330,7 @@ impl RowStore {
     }
 
     /// Row `idx`, in insertion order.
-    #[cfg(test)]
-    fn row(&self, idx: usize) -> &[u64] {
+    pub(crate) fn row(&self, idx: usize) -> &[u64] {
         &self.words[idx * self.stride..(idx + 1) * self.stride]
     }
 

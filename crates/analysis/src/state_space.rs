@@ -21,7 +21,7 @@ use crate::engine::{Capacities, DataflowEngine, DataflowState, FiringEvents};
 use crate::error::{AnalysisError, LimitKind};
 use crate::interner::{Interned, RowStore};
 use crate::semantics::DataflowSemantics;
-use crate::throughput::{pack_row, row_stride, ExplorationLimits};
+use crate::throughput::{pack_row, row_stride, unpack_row, ExplorationLimits};
 use buffy_graph::{ActorId, Rational, SdfGraph, StorageDistribution};
 
 /// The first recurring timed state of a [`walk`]: the periodic phase is
@@ -57,12 +57,24 @@ pub(crate) fn walk<M: DataflowSemantics + ?Sized>(
     model: &M,
     caps: Capacities,
     limits: ExplorationLimits,
+    visit: impl FnMut(u64, &DataflowState, &FiringEvents),
+) -> Result<Option<Recurrence>, AnalysisError> {
+    walk_in(model, caps, limits, &mut RowStore::default(), visit)
+}
+
+/// [`walk`] into a caller-owned store, which holds the rows of the timed
+/// states afterwards: row `k` is the state reached at time `k`, the
+/// recurring state's second visit excluded.
+fn walk_in<M: DataflowSemantics + ?Sized>(
+    model: &M,
+    caps: Capacities,
+    limits: ExplorationLimits,
+    store: &mut RowStore,
     mut visit: impl FnMut(u64, &DataflowState, &FiringEvents),
 ) -> Result<Option<Recurrence>, AnalysisError> {
     let mut engine = DataflowEngine::new(model, caps);
     engine.start_initial()?;
     let stride = row_stride(model.num_actors(), model.num_channels());
-    let mut store = RowStore::default();
     store.reset(stride);
     let mut row = Vec::with_capacity(stride);
     loop {
@@ -180,18 +192,18 @@ pub fn explore_for<M: DataflowSemantics>(
     caps: Capacities,
     limits: ExplorationLimits,
 ) -> Result<StateSpace, AnalysisError> {
-    let mut states = Vec::new();
+    let mut store = RowStore::default();
     let mut events = Vec::new();
-    let recurrence = walk(model, caps, limits, |_, state, ev| {
-        states.push(state.clone());
+    let recurrence = walk_in(model, caps, limits, &mut store, |_, _, ev| {
         events.push(ev.clone());
     })?;
+    // Each state is kept once, as its row, until the walk ends.
+    let states = (0..store.len())
+        .map(|k| unpack_row(store.row(k), model.num_actors(), model.num_channels()))
+        .collect();
     // The recurring state is already stored: keep only the events of the
     // step that closes the cycle.
-    let closing_events = recurrence.map(|_| {
-        states.pop();
-        events.pop().expect("the closing step was visited")
-    });
+    let closing_events = recurrence.map(|_| events.pop().expect("the closing step was visited"));
     Ok(StateSpace {
         states,
         events,

@@ -14,8 +14,30 @@
 //! [`throughput_analysis`]: one simulation that also collects, on request,
 //! the storage-dependent channels the dependency-guided exploration grows
 //! (the same set the replay [`dependencies_from_run_for`] derives) and
-//! each channel's peak occupancy, from which the upper-bound search starts.
-//! [`throughput_for`] and [`throughput`] are its plain forms.
+//! the run's *capacity box*. [`throughput_for`] and [`throughput`] are its
+//! plain forms.
+//!
+//! # Capacity boxes
+//!
+//! The engine decides each start by comparing claims with capacities: an
+//! idle actor holding its input tokens starts when every output can take
+//! `tokens + production`, and is refused when one cannot. Two lemmas
+//! follow, one per face of the box:
+//!
+//! - *Peak lemma.* Lowering a channel's capacity to no less than its peak
+//!   occupancy (the largest claim any start made on it, and at least its
+//!   initial tokens) changes no firing: every start still fits.
+//! - *Refusal lemma.* Raising a channel's capacity to anything below its
+//!   smallest refused claim (the smallest claim refused on it as an
+//!   actor's first short output) changes no firing either: that output
+//!   still refuses, so the actor stays blocked whatever its other outputs
+//!   hold.
+//!
+//! So every capacity vector `c` with `peak ≤ c < refused` on each channel
+//! makes every start decision of the run, and gives the identical report
+//! and peaks. The upper-bound search starts from the peaks; the
+//! exhaustive and constraint drivers answer candidates inside an earlier
+//! analysis's box without simulating them.
 //!
 //! Reduced states are packed into fixed-stride rows of one flat `u64`
 //! arena ([`AnalysisWorkspace`]): a row holds the busy clocks, the token
@@ -60,9 +82,12 @@
 //! *Why only `J − 1`.* With `J ≥ 2`, the search applies `J − 1`
 //! repetitions as arithmetic (tokens `+= (J − 1)·Δ`, busy-throughout
 //! clocks `−= (J − 1)·D`, time `+= (J − 1)·D`) and simulates the `J`-th.
-//! A skipped start claims no more on a channel than a simulated one: on a
+//! Repetition `m` makes the window's claims and refusals shifted by
+//! `m·Δ`, so each lies between the window's and repetition `J`'s: a
+//! skipped start claims no more on a channel than a simulated one (on a
 //! channel with `Δ ≤ 0` the window's claims are the largest, on a rising
-//! one those of repetition `J`. So the peak occupancies stay exact.
+//! one those of repetition `J`), and a skipped refusal claims no less
+//! than a simulated one. So the capacity box stays exact.
 //!
 //! *Why the flags need nothing.* A skipped advance's space-blocked set
 //! equals that of the window's matching advance. The window lies after
@@ -284,8 +309,9 @@ pub struct AnalysisRequest<'a> {
     /// Whether to collect the storage-dependent channels
     /// ([`ThroughputAnalysis::dependent`]).
     pub dependencies: bool,
-    /// Whether to record each channel's peak occupancy
-    /// ([`ThroughputAnalysis::peaks`]).
+    /// Whether to record each channel's peak occupancy and smallest
+    /// refused claim ([`ThroughputAnalysis::peaks`] and
+    /// [`ThroughputAnalysis::refused`], the analysis's capacity box).
     pub peaks: bool,
 }
 
@@ -317,6 +343,32 @@ pub struct ThroughputAnalysis {
     /// and at least its initial tokens. Capping every channel at no less
     /// than its peak changes no firing, so the report stays the same.
     pub peaks: Option<Vec<u64>>,
+    /// Each channel's smallest refused claim, recorded with the peaks:
+    /// the smallest `tokens + production` that an idle actor holding its
+    /// input tokens lacked the space for on this channel, its first short
+    /// output, or `u64::MAX` when the channel refused no claim. Raising a
+    /// capacity to anything below it changes no firing either, so any
+    /// capacities `c` with `peaks ≤ c < refused` on every channel (the
+    /// analysis's *capacity box*) give this very run, report and peaks.
+    pub refused: Option<Vec<u64>>,
+}
+
+impl ThroughputAnalysis {
+    /// The analysis with its capacity box, `(peaks, refused)`, taken out
+    /// of the engine that ran it.
+    fn of<M: DataflowSemantics + ?Sized>(
+        report: ThroughputReport,
+        dependent: Option<Vec<bool>>,
+        engine: &mut DataflowEngine<'_, M>,
+    ) -> ThroughputAnalysis {
+        let (peaks, refused) = engine.take_capacity_box().unzip();
+        ThroughputAnalysis {
+            report,
+            dependent,
+            peaks,
+            refused,
+        }
+    }
 }
 
 /// Reusable per-analysis allocations: the packed reduced-state arena with
@@ -634,8 +686,8 @@ fn fast_forward<M: DataflowSemantics + ?Sized>(
 /// The reduced-state-space analysis of paper §7 over a caller-owned
 /// [`AnalysisWorkspace`]: the throughput of `observed` when `model`
 /// executes self-timed under `caps`, and, when `request.dependencies` and
-/// `request.peaks` are set, the storage-dependent channels and the peak
-/// occupancies of that same execution.
+/// `request.peaks` are set, the storage-dependent channels and the
+/// capacity box of that same execution.
 ///
 /// This is the one entry point of the analysis: the exploration drivers
 /// call it with their cancel token, their limits and a pooled workspace.
@@ -653,10 +705,11 @@ fn fast_forward<M: DataflowSemantics + ?Sized>(
 /// An analysis without flags touches none of this: the trace exists only
 /// when requested.
 ///
-/// The peaks come from the engine's start pass, which raises each output
-/// channel's peak at every start. The run covers every start of the
-/// infinite execution: the periodic phase repeats the instants of
-/// `(times[k], times[k] + period]`.
+/// The capacity box comes from the engine's start pass, which raises
+/// each output channel's peak at every start and lowers a channel's
+/// smallest refused claim at every refusal on it. The run covers every
+/// decision of the infinite execution: the periodic phase repeats the
+/// instants of `(times[k], times[k] + period]`.
 ///
 /// # Errors
 ///
@@ -714,6 +767,19 @@ pub(crate) fn pack_row(row: &mut Vec<u64>, state: &DataflowState, dist: u64, fir
     );
     row.push(dist);
     row.push(u64::from(firings));
+}
+
+/// The state packed into `row` by [`pack_row`] for a model with `actors`
+/// actors and `channels` channels.
+pub(crate) fn unpack_row(row: &[u64], actors: usize, channels: usize) -> DataflowState {
+    let phases = &row[actors + channels..];
+    DataflowState {
+        act_clk: row[..actors].to_vec(),
+        phase: (0..actors)
+            .map(|i| (phases[i / 2] >> (32 * (i % 2))) as u32)
+            .collect(),
+        tokens: row[actors..actors + channels].to_vec(),
+    }
 }
 
 /// Per-analysis telemetry handles, fetched once per call so the state
@@ -807,7 +873,7 @@ fn cycle_search<M: DataflowSemantics + ?Sized>(
         engine.track_space_blocked();
     }
     if request.peaks {
-        engine.track_peaks();
+        engine.track_capacity_box();
     }
     engine.start_initial()?;
     if let Some(trace) = &mut trace {
@@ -852,11 +918,8 @@ fn cycle_search<M: DataflowSemantics + ?Sized>(
         if !engine.advance_in_place(limits.max_steps)? {
             // The final state's blocked set is the last start pass's.
             let dependent = trace.map(|t| t.deadlock_flags(engine.space_blocked()));
-            return Ok(ThroughputAnalysis {
-                report: ThroughputReport::deadlock(store.len()),
-                dependent,
-                peaks: engine.take_peaks(),
-            });
+            let report = ThroughputReport::deadlock(store.len());
+            return Ok(ThroughputAnalysis::of(report, dependent, &mut engine));
         }
         if let Some(trace) = &mut trace {
             trace.note(engine.space_blocked());
@@ -893,19 +956,16 @@ fn cycle_search<M: DataflowSemantics + ?Sized>(
                     return Err(AnalysisError::ZeroPeriod);
                 }
                 let dependent = trace.map(|t| t.cycle_flags(k));
-                return Ok(ThroughputAnalysis {
-                    report: ThroughputReport {
-                        throughput: Rational::new(firings as i128, period as i128),
-                        deadlocked: false,
-                        states_stored: store.len(),
-                        cycle_states: next_index - k,
-                        firings_per_period: firings,
-                        period,
-                        cycle_entry_time: times[k],
-                    },
-                    dependent,
-                    peaks: engine.take_peaks(),
-                });
+                let report = ThroughputReport {
+                    throughput: Rational::new(firings as i128, period as i128),
+                    deadlocked: false,
+                    states_stored: store.len(),
+                    cycle_states: next_index - k,
+                    firings_per_period: firings,
+                    period,
+                    cycle_entry_time: times[k],
+                };
+                return Ok(ThroughputAnalysis::of(report, dependent, &mut engine));
             }
         }
     }
@@ -1368,6 +1428,58 @@ mod tests {
             assert_eq!(analysis.report, plain.report, "{caps:?}");
             assert_eq!(plain.peaks, None);
         }
+    }
+
+    #[test]
+    fn unpack_row_inverts_pack_row() {
+        // Odd and even actor counts (the last phase word half empty or
+        // full), large clocks and tokens, phases up to u32::MAX.
+        for actors in [1usize, 2, 3, 4] {
+            let state = DataflowState {
+                act_clk: (0..actors as u64).map(|i| i * 1_000_003).collect(),
+                phase: (0..actors as u32).map(|i| u32::MAX - i).collect(),
+                tokens: vec![u64::MAX, 0, 7],
+            };
+            let mut row = Vec::new();
+            pack_row(&mut row, &state, 9, 2);
+            assert_eq!(row.len(), row_stride(actors, 3));
+            assert_eq!(unpack_row(&row, actors, 3), state);
+        }
+    }
+
+    #[test]
+    fn refused_claims_bound_the_capacity_box_from_above() {
+        // Under ⟨4,2⟩ a is refused on α holding 3 (claim 5) and β never
+        // refuses b; under ⟨6,2⟩ b is also refused on β holding 2.
+        for (caps, refused) in [
+            ([4u64, 2], [5u64, u64::MAX]),
+            ([20, 20], [21, u64::MAX]),
+            ([6, 2], [7, 3]),
+        ] {
+            let analysis = peaks_of(&caps);
+            assert_eq!(analysis.refused.as_deref(), Some(&refused[..]), "{caps:?}");
+        }
+        // ⟨4,2⟩'s box is α = 4 and β ≥ 2: every β runs alike. α = 5 lies
+        // above the box and changes the run (its peak), though not the
+        // throughput.
+        let lb = peaks_of(&[4, 2]);
+        for beta in [3, 20] {
+            let inside = peaks_of(&[4, beta]);
+            assert_eq!(
+                (inside.report, inside.peaks),
+                (lb.report.clone(), lb.peaks.clone())
+            );
+        }
+        let above = peaks_of(&[5, 2]);
+        assert_eq!(above.report, lb.report);
+        assert_ne!(above.peaks, lb.peaks);
+        let plain = analyse_in(
+            &mut AnalysisWorkspace::new(),
+            &[4, 2],
+            Default::default(),
+            true,
+        );
+        assert_eq!(plain.unwrap().refused, None);
     }
 
     #[test]

@@ -43,6 +43,17 @@
 //! distribution is the one the search from the grown capacities finds,
 //! with fewer probes.
 //!
+//! *Refusal lemma.* The peak is the lower face of the analysis's
+//! capacity box; the upper face is each channel's smallest refused claim
+//! ([`ThroughputAnalysis::refused`](buffy_analysis::ThroughputAnalysis::refused)):
+//! the smallest `tokens + production` an idle actor holding its input
+//! tokens lacked the space for, with the channel as its first short
+//! output. Raising the capacity to anything below it changes no firing
+//! either: that output still refuses. Every distribution inside the box
+//! therefore runs exactly like the probe, which is how the exhaustive and
+//! constraint pipelines answer later candidates, bound probes included,
+//! without simulating them.
+//!
 //! The peaks belong to the current distribution. They come from the
 //! probe that produced it, or are kept when a search made no successful
 //! probe and only lowered its channel to the start value (the same

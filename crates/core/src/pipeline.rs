@@ -17,6 +17,19 @@
 //!    probe's run records the channels' peak occupancies; the memo entry
 //!    keeps both.
 //!
+//! A flag-free pipeline (the exhaustive sweep, the constraint search and
+//! their bound probes) asks every analysis for its *capacity box*
+//! `[peak, refused)` (see `buffy_analysis::throughput`): capacities
+//! inside it make every start decision of the analysed run, so they give
+//! the same report and peaks. On a memo miss, after the failure hooks and
+//! a cancellation check, a candidate inside a stored box takes that box's
+//! memo entry and state count without a simulation. The answer is still
+//! an evaluation, accounted exactly like the analysis it replaces: which
+//! candidates a box answers depends on worker timing, and nothing that
+//! timing decides may reach the statistics. The guided pipeline keeps no
+//! boxes: its memo entries carry flags, which a tighter cap inside a box
+//! can change.
+//!
 //! Every fact the pipeline and its drivers observe — a phase change, a
 //! cache hit, a replayed or genuine evaluation, a failure, a prune, an
 //! accepted point — goes through [`EvalPipeline::emit`] exactly once.
@@ -38,14 +51,14 @@ use crate::runtime::{
     ExploreObserver, ShardedCache,
 };
 use buffy_analysis::{
-    throughput_analysis, AnalysisRequest, AnalysisWorkspace, CancelReason, CancelToken, Capacities,
-    DataflowSemantics, EnergyModel, ExplorationLimits, ThroughputAnalysis,
+    throughput_analysis, AnalysisError, AnalysisRequest, AnalysisWorkspace, CancelReason,
+    CancelToken, Capacities, DataflowSemantics, EnergyModel, ExplorationLimits, ThroughputAnalysis,
 };
 use buffy_graph::{ActorId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names, Span};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 /// The shared evaluation pipeline: memoization, pruning, checkpoint
@@ -82,6 +95,9 @@ pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     /// Whether analyses collect the storage-dependent channels (set by
     /// [`Self::collecting_dependencies`]).
     dependencies: bool,
+    /// The capacity boxes of this run's analyses, oldest first; kept only
+    /// when the analyses collect no flags.
+    boxes: RwLock<Vec<CapacityBox>>,
     /// Pool of reusable analysis arenas, one in flight per worker. A
     /// workspace that survives an analysis returns to the pool; one
     /// caught in a panic is dropped (a fresh one is created on demand).
@@ -158,6 +174,32 @@ impl EvalTelemetry {
     }
 }
 
+/// One analysis's capacity box with the memo entry and state count it
+/// decides: every distribution `d` with `peak ≤ d < refused` on each
+/// channel runs exactly as the analysed one.
+struct CapacityBox {
+    /// Per channel, `(peak, refused)`.
+    faces: Box<[(u64, u64)]>,
+    entry: CachedEval,
+    states: u64,
+}
+
+impl CapacityBox {
+    fn contains(&self, dist: &StorageDistribution) -> bool {
+        dist.as_slice()
+            .iter()
+            .zip(self.faces.iter())
+            .all(|(&cap, &(peak, refused))| peak <= cap && cap < refused)
+    }
+}
+
+/// How a memo miss was answered: by an analysis, or by the stored box
+/// (its entry and state count) that contains the candidate.
+enum Answer {
+    Analysed(ThroughputAnalysis),
+    Boxed(CachedEval, u64),
+}
+
 /// States charged to the memory watchdog by one injected arena-pressure
 /// spike ([`FaultSite::ArenaPressure`]): large enough that a handful of
 /// spikes exhaust a chaos run's state budget, the way a pathological
@@ -194,7 +236,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         // would *succeed* and silently chart an energy-free front, so
         // overflow is surfaced as the error it is.
         let energy = if options.objectives.has(ObjectiveKind::Energy) {
-            use buffy_analysis::AnalysisError;
             use buffy_graph::GraphError;
             match EnergyModel::from_semantics(model, observed) {
                 Ok(m) => Some(m),
@@ -223,6 +264,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             shard_stats_published: AtomicBool::new(false),
             oracle,
             dependencies: false,
+            boxes: RwLock::new(Vec::new()),
             workspaces: Mutex::new(Vec::new()),
             energy,
         })
@@ -230,8 +272,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
 
     /// Makes every analysis of this pipeline also collect the
     /// storage-dependent channels, which the memo entries then carry
-    /// ([`CachedEval::dependent`]). The fronts, the reports and the
-    /// statistics do not change.
+    /// ([`CachedEval::dependent`]), and keeps no capacity boxes. The
+    /// fronts, the reports and the statistics do not change.
     pub(crate) fn collecting_dependencies(mut self) -> Self {
         self.dependencies = true;
         self
@@ -403,8 +445,21 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         self.evaluate(dist, false)
     }
 
+    /// The memo entry and state count of the newest stored capacity box
+    /// that contains `dist`, if any.
+    fn box_answer(&self, dist: &StorageDistribution) -> Option<(CachedEval, u64)> {
+        let boxes = self.boxes.read().unwrap_or_else(|e| e.into_inner());
+        boxes
+            .iter()
+            .rev()
+            .find(|b| b.contains(dist))
+            .map(|b| (b.entry.clone(), b.states))
+    }
+
     /// [`EvalPipeline::eval_full`], recording the peak occupancies when
-    /// `peaks` is set.
+    /// `peaks` is set. A flag-free pipeline records them (with the rest of
+    /// the capacity box) on every analysis, and answers a candidate inside
+    /// a stored box from it.
     fn evaluate(
         &self,
         dist: &StorageDistribution,
@@ -443,7 +498,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 self.cancel.cancel(CancelReason::Interrupt);
             }
         }
-        let mut ws = self.pop_workspace();
+        let boxed = !self.dependencies;
         let start = Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             if self.fail_distribution.as_ref() == Some(dist) {
@@ -457,30 +512,35 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     );
                 }
             }
-            self.analyse(dist, self.dependencies, peaks, &mut ws)
+            if boxed {
+                // The analysis would stop at its first poll.
+                if let Some(reason) = self.cancel.check() {
+                    return Err(AnalysisError::Cancelled { reason });
+                }
+                if let Some((entry, states)) = self.box_answer(dist) {
+                    return Ok(Answer::Boxed(entry, states));
+                }
+            }
+            // A panic drops the workspace mid-analysis rather than pooling
+            // a possibly inconsistent arena.
+            let mut ws = self.pop_workspace();
+            let analysis = self.analyse(dist, self.dependencies, peaks || boxed, &mut ws);
+            self.push_workspace(ws);
+            analysis.map(Answer::Analysed)
         }));
         match attempt {
-            Ok(analysis) => {
-                self.push_workspace(ws);
-                let ThroughputAnalysis {
-                    report,
-                    dependent,
-                    peaks,
-                } = analysis?;
+            Ok(answer) => {
+                let (entry, states) = match answer? {
+                    Answer::Boxed(entry, states) => (entry, states),
+                    Answer::Analysed(analysis) => self.record(analysis, boxed),
+                };
                 // At least 1 ns: zero wall time marks a replayed entry.
                 let nanos = (start.elapsed().as_nanos() as u64).max(1);
-                let states = report.states_stored as u64;
-                let entry = CachedEval {
-                    throughput: report.throughput,
-                    failed: false,
-                    dependent: dependent.map(Arc::from),
-                    peaks: peaks.map(Arc::from),
-                };
                 self.cache.insert(dist.clone(), entry.clone());
-                self.oracle.record(dist, report.throughput);
+                self.oracle.record(dist, entry.throughput);
                 self.emit(Event::Evaluated {
                     dist,
-                    throughput: report.throughput,
+                    throughput: entry.throughput,
                     states,
                     nanos,
                 });
@@ -499,10 +559,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 Ok(entry)
             }
             Err(payload) => {
-                // The workspace was mid-analysis when the panic unwound
-                // through it: drop it rather than pooling a possibly
-                // inconsistent arena.
-                drop(ws);
                 let message = panic_message(payload.as_ref());
                 let entry = CachedEval {
                     throughput: Rational::ZERO,
@@ -527,6 +583,36 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 Ok(entry)
             }
         }
+    }
+
+    /// The memo entry and state count of one analysis; its capacity box
+    /// is stored beside them when `boxed`.
+    fn record(&self, analysis: ThroughputAnalysis, boxed: bool) -> (CachedEval, u64) {
+        let ThroughputAnalysis {
+            report,
+            dependent,
+            peaks,
+            refused,
+        } = analysis;
+        let states = report.states_stored as u64;
+        let entry = CachedEval {
+            throughput: report.throughput,
+            failed: false,
+            dependent: dependent.map(Arc::from),
+            peaks: peaks.map(Arc::from),
+        };
+        if let (true, Some(peaks), Some(refused)) = (boxed, &entry.peaks, refused) {
+            let faces = peaks.iter().copied().zip(refused).collect();
+            self.boxes
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(CapacityBox {
+                    faces,
+                    entry: entry.clone(),
+                    states,
+                });
+        }
+        (entry, states)
     }
 
     /// Passes an oracle verdict through, emitting a proof (`true`) as one
@@ -680,4 +766,80 @@ pub(crate) fn clip_front(
         thinned.insert(p.clone());
     }
     thinned
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::explore_design_space;
+    use buffy_gen::gallery;
+    use buffy_graph::SdfGraph;
+
+    /// Records the distributions of a run's `Evaluated` events, in order.
+    #[derive(Default)]
+    struct Evaluations(Mutex<Vec<(StorageDistribution, Rational, u64)>>);
+
+    impl ExploreObserver for Evaluations {
+        fn event(&self, event: &Event<'_>) {
+            if let Event::Evaluated {
+                dist,
+                throughput,
+                states,
+                ..
+            } = *event
+            {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push((dist.clone(), throughput, states));
+            }
+        }
+    }
+
+    /// Replays the evaluations of `g`'s single-threaded exhaustive run, in
+    /// order, through a fresh flag-free pipeline. Each analysis stores
+    /// one box, so the evaluations beyond the stored boxes were answered
+    /// by a box. Returns (evaluations, box answers).
+    fn box_answers(g: &SdfGraph) -> (usize, usize) {
+        let recorded = Arc::new(Evaluations::default());
+        let options = ExploreOptions {
+            observer: Some(recorded.clone()),
+            ..ExploreOptions::default()
+        };
+        explore_design_space(g, &options).unwrap();
+        let evaluations = recorded.0.lock().unwrap().clone();
+        let replayed = Arc::new(Evaluations::default());
+        let options = ExploreOptions {
+            observer: Some(replayed.clone()),
+            ..ExploreOptions::default()
+        };
+        let eval = EvalPipeline::new(g, g.default_observed_actor(), &options).unwrap();
+        for (dist, ..) in &evaluations {
+            eval.eval(dist).unwrap();
+        }
+        // A box answer reports the throughput and states of its run.
+        assert_eq!(*replayed.0.lock().unwrap(), evaluations, "{}", g.name());
+        let analyses = eval.boxes.read().unwrap().len();
+        (evaluations.len(), evaluations.len() - analyses)
+    }
+
+    #[test]
+    fn boxes_answer_exhaustive_candidates() {
+        // Each stored box decides a whole range of capacities: most of
+        // cd2dat's and modem's candidates fall inside an earlier one.
+        assert_eq!(box_answers(&gallery::cd2dat()), (497, 318));
+        assert_eq!(box_answers(&gallery::modem()), (258, 175));
+    }
+
+    #[test]
+    fn guided_pipelines_keep_no_boxes() {
+        let g = gallery::modem();
+        let options = ExploreOptions::default();
+        let eval = EvalPipeline::new(&g, g.default_observed_actor(), &options)
+            .unwrap()
+            .collecting_dependencies();
+        eval.upper_bound().unwrap();
+        assert!(eval.stats().evaluations > 0);
+        assert!(eval.boxes.read().unwrap().is_empty());
+    }
 }

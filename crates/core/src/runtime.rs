@@ -142,7 +142,11 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
 /// `==`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExplorationStats {
-    /// Throughput analyses actually run (memo-cache misses).
+    /// Evaluations: memo-cache misses, each answered by a throughput
+    /// analysis, by an earlier analysis's capacity box (the exhaustive and
+    /// constraint drivers; it reports the states of the equivalent run)
+    /// or by a replayed checkpoint entry. Which candidates a box answers
+    /// depends on worker timing, so the count does not tell them apart.
     pub evaluations: u64,
     /// Evaluation requests answered from the memo cache.
     pub cache_hits: u64,
@@ -264,8 +268,9 @@ impl AtomicStats {
 /// A memoized evaluation: the throughput, the storage-dependent channels
 /// when the analysis collected them (the dependency-guided search's
 /// pipeline asks for them) and the peak occupancies when it recorded them
-/// (bound probes do). Checkpoint-replayed and degraded entries carry
-/// neither.
+/// (bound probes and every analysis of a flag-free pipeline do; an entry
+/// answered by a capacity box is its analysis's). Checkpoint-replayed and
+/// degraded entries carry neither.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedEval {
     /// Throughput of the observed actor under the distribution.
@@ -407,16 +412,19 @@ pub enum Event<'a> {
     /// A search driver entered a phase.
     Phase(SearchPhase),
     /// A throughput analysis of `dist` finished: `throughput`, with
-    /// `states` reduced states stored, in `nanos` wall time. A checkpoint
-    /// entry replayed by a resumed run is an evaluation too, with its
+    /// `states` reduced states stored, in `nanos` wall time. A candidate
+    /// answered by an earlier analysis's capacity box is an evaluation
+    /// too: it reports the throughput and the states of the equivalent
+    /// run, which it did not simulate, and its own lookup time. A
+    /// checkpoint entry replayed by a resumed run is one as well, with its
     /// recorded state count and `nanos` 0 (nothing ran); a genuine
-    /// analysis always reports at least 1 ns.
+    /// analysis or box answer always reports at least 1 ns.
     Evaluated {
         /// The analysed distribution.
         dist: &'a StorageDistribution,
         /// Its throughput.
         throughput: Rational,
-        /// Reduced states the analysis stored.
+        /// Reduced states the analysis (or the equivalent run) stored.
         states: u64,
         /// Analysis wall time in nanoseconds; 0 for a replayed entry.
         nanos: u64,

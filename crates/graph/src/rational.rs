@@ -355,16 +355,31 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Rational) -> Ordering {
-        // a/b ? c/d  <=>  a*d ? c*b   (b, d > 0).
-        let lhs = self.num.checked_mul(other.den);
-        let rhs = other.num.checked_mul(self.den);
-        match (lhs, rhs) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            // Overflow fallback: compare via f64 first, exact continued
-            // fraction if too close. In practice SDF throughputs stay far
-            // below this regime; keep a conservative, still-correct path.
-            _ => cmp_by_parts(self, other),
+        // a/b ? c/d  <=>  a*d ? c*b   (b, d > 0). When all four parts fit
+        // in `i64`, each product fits in `i128` (|x·y| ≤ 2¹²⁶): one widening
+        // multiplication each, no overflow check.
+        let narrow = |x: i128| x as i64;
+        let fits = |x: i128| i128::from(narrow(x)) == x;
+        if fits(self.num) & fits(self.den) & fits(other.num) & fits(other.den) {
+            let lhs = i128::from(narrow(self.num)) * i128::from(narrow(other.den));
+            let rhs = i128::from(narrow(other.num)) * i128::from(narrow(self.den));
+            return lhs.cmp(&rhs);
         }
+        cmp_checked(self, other)
+    }
+}
+
+/// [`Ord for Rational`](Rational) without the `i64` fast path: checked
+/// cross-multiplication, falling back to [`cmp_by_parts`] on overflow.
+fn cmp_checked(a: &Rational, b: &Rational) -> Ordering {
+    let lhs = a.num.checked_mul(b.den);
+    let rhs = b.num.checked_mul(a.den);
+    match (lhs, rhs) {
+        (Some(l), Some(r)) => l.cmp(&r),
+        // Overflow fallback: exact continued-fraction comparison. In
+        // practice SDF throughputs stay far below this regime; keep a
+        // conservative, still-correct path.
+        _ => cmp_by_parts(a, b),
     }
 }
 
@@ -485,6 +500,56 @@ mod tests {
         ));
         // Co-prime factors just below the limit still work.
         assert_eq!(checked_lcm_u64(1 << 32, 1 << 31), Ok(1 << 32));
+    }
+
+    #[test]
+    fn i64_fast_path_agrees_with_the_checked_comparison() {
+        const MAX: i128 = i64::MAX as i128;
+        const MIN: i128 = i64::MIN as i128;
+        // Zero, ±1, the `i64` extremes and values just beyond them.
+        let parts = [
+            0,
+            1,
+            -1,
+            2,
+            MAX,
+            -MAX,
+            MIN,
+            MAX - 1,
+            MAX + 1,
+            MAX + 2,
+            MIN - 1,
+            MIN + 1,
+            -MAX - 2,
+        ];
+        let mut values = Vec::new();
+        for &num in &parts {
+            for &den in &parts {
+                if den != 0 {
+                    values.push(Rational::new(num, den));
+                }
+            }
+        }
+        // Seeded random pairs, mostly within `i64`, some wider.
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..2000 {
+            let shift = [0, 1, 32, 62][i % 4];
+            let num = (next() as i64 as i128) << shift;
+            let den = (next() >> (i % 64)).max(1) as i128;
+            values.push(Rational::new(num, den));
+        }
+        for a in &values {
+            for b in values.iter().step_by(7) {
+                assert_eq!(a.cmp(b), cmp_checked(a, b), "{a:?} vs {b:?}");
+                assert_eq!(b.cmp(a), cmp_checked(b, a), "{b:?} vs {a:?}");
+            }
+        }
     }
 
     #[test]
