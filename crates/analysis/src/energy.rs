@@ -20,8 +20,8 @@
 //! Since `T_iter ≥ busy_a` for every actor of a feasible schedule, the
 //! energy is nonnegative, and it is *monotone non-increasing in
 //! throughput*: faster schedules waste less idle energy. That monotonicity
-//! is what keeps throughput-only pruning sound when energy joins the
-//! objective space (see `buffy-core`'s prune module).
+//! is what keeps the searches' throughput-only skips sound when energy
+//! joins the objective space (see `buffy-core`'s `objective` module).
 //!
 //! [`EnergyModel::from_semantics`] precomputes the three sums once per
 //! exploration; [`EnergyModel::energy_per_iteration`] then maps any

@@ -41,6 +41,10 @@
 //!
 //! Schema v7: the three v4 warm-start keys are gone, with the neighbour
 //! warm starts they counted. All other v6 keys are unchanged.
+//!
+//! Schema v8: the two v3 prune keys (`static_prunes`, `dominance_prunes`)
+//! and the table's `pruned` column are gone, with the dominance pruning
+//! they counted. All other v7 keys are unchanged.
 
 use buffy_bench::format_table;
 use buffy_core::{
@@ -133,12 +137,10 @@ fn json_record(r: &Run) -> String {
     } else {
         0.0
     };
-    // Constant `static_prunes`: the CI gate in .github/workflows/ci.yml reads it.
     format!(
         "{{\"graph\":\"{}\",\"algorithm\":\"{}\",\"threads\":{},\"wall_secs\":{:.6},\
          \"evaluations\":{},\"cache_hits\":{},\"cache_hit_rate\":{:.4},\
-         \"static_prunes\":0,\"dominance_prunes\":{},\"max_states\":{},\
-         \"eval_nanos\":{},\"pareto_points\":{},\
+         \"max_states\":{},\"eval_nanos\":{},\"pareto_points\":{},\
          \"eval_latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{}}},\"shard_hit_rates\":[{}],\
          \"energy\":{energy},\"evals_per_sec\":{evals_per_sec:.2}}}",
         r.graph,
@@ -148,7 +150,6 @@ fn json_record(r: &Run) -> String {
         s.evaluations,
         s.cache_hits,
         s.cache_hit_rate(),
-        s.dominance_prunes,
         s.max_states,
         s.eval_nanos,
         r.result.pareto.len(),
@@ -231,7 +232,6 @@ fn main() {
                 format!("{:.3}s", r.wall_secs),
                 s.evaluations.to_string(),
                 format!("{:.0}%", s.cache_hit_rate() * 100.0),
-                s.dominance_prunes.to_string(),
                 s.max_states.to_string(),
                 r.result.pareto.len().to_string(),
             ]
@@ -247,7 +247,6 @@ fn main() {
                 "wall",
                 "analyses",
                 "cache hit",
-                "pruned",
                 "max states",
                 "#Pareto",
             ],
@@ -257,7 +256,7 @@ fn main() {
 
     let records: Vec<String> = runs.iter().map(json_record).collect();
     let json = format!(
-        "{{\"bench\":\"dse_stats\",\"schema\":7,\"auto_threads\":{},\"runs\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"dse_stats\",\"schema\":8,\"auto_threads\":{},\"runs\":[\n  {}\n]}}\n",
         auto,
         records.join(",\n  ")
     );

@@ -54,15 +54,7 @@ const VALUE_OPTIONS: &[&str] = &[
 
 /// Boolean flags the commands understand; anything else starting with
 /// `--` is rejected as unknown.
-const KNOWN_FLAGS: &[&str] = &[
-    "csv",
-    "json",
-    "deny-warnings",
-    "force",
-    "help",
-    "no-static-prune",
-    "progress",
-];
+const KNOWN_FLAGS: &[&str] = &["csv", "json", "deny-warnings", "force", "help", "progress"];
 
 /// Parses raw arguments.
 ///
@@ -160,8 +152,10 @@ mod tests {
         // Known flags and options still parse.
         assert!(parse(&args(&["check", "g.xml", "--json", "--deny-warnings"])).is_ok());
         assert!(parse(&args(&["--help"])).is_ok());
-        let p = parse(&args(&["explore", "g.xml", "--no-static-prune"])).unwrap();
-        assert!(p.has_flag("no-static-prune"));
+        let p = parse(&args(&["explore", "g.xml", "--progress"])).unwrap();
+        assert!(p.has_flag("progress"));
+        // The searches keep no dominance records, so nothing switches them off.
+        assert!(parse(&args(&["explore", "g.xml", "--no-static-prune"])).is_err());
     }
 
     #[test]

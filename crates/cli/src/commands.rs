@@ -209,7 +209,6 @@ fn explore_options(parsed: &ParsedArgs, observed: ActorId) -> Result<ExploreOpti
         max_size: parsed.get("max-size")?,
         quantum,
         threads: parsed.get("threads")?.unwrap_or(1),
-        prune: !parsed.has_flag("no-static-prune"),
         objectives: objective_space(parsed)?,
         ..ExploreOptions::default()
     })
@@ -434,13 +433,12 @@ fn telemetry_section(snapshot: Option<&buffy_telemetry::Snapshot>) -> String {
 
 /// Renders the exploration statistics as a JSON object.
 fn stats_json(stats: &ExplorationStats) -> String {
-    // `static_prunes` and `warm_starts` stay as constant 0s:
-    // perfbench/run.py reads both.
+    // `static_prunes`, `dominance_prunes` and `warm_starts` stay as
+    // constant 0s: perfbench/run.py reads all three.
     format!(
-        "{{\"evaluations\":{},\"cache_hits\":{},\"static_prunes\":0,\"dominance_prunes\":{},\"max_states\":{},\"eval_nanos\":{},\"warm_starts\":0}}",
+        "{{\"evaluations\":{},\"cache_hits\":{},\"static_prunes\":0,\"dominance_prunes\":0,\"max_states\":{},\"eval_nanos\":{},\"warm_starts\":0}}",
         stats.evaluations,
         stats.cache_hits,
-        stats.dominance_prunes,
         stats.max_states,
         stats.eval_nanos
     )

@@ -68,8 +68,7 @@ COMMANDS:
     explore <graph.xml> [--algorithm guided|exhaustive] [--actor NAME]
             [--quantum R] [--max-size N] [--threads N] [--csv] [--json]
             [--objectives storage,throughput[,energy][,latency]]
-            [--export-csv FILE] [--export-dot FILE]
-            [--no-static-prune] [--progress]
+            [--export-csv FILE] [--export-dot FILE] [--progress]
             [--trace-json FILE] [--serve ADDR] [--serve-linger SECS]
             [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
             [--max-evals N] [--max-states N] [--max-memory-mb M]
@@ -85,8 +84,8 @@ COMMANDS:
                                       report, --progress reports phases and
                                       counts on stderr and --trace-json
                                       streams one JSON object per
-                                      evaluation/cache-hit/pruned/pareto
-                                      event (each stamped with elapsed_us);
+                                      evaluation/cache-hit/pareto event
+                                      (each stamped with elapsed_us);
                                       --serve ADDR starts an embedded
                                       observability server for the run
                                       (GET / dashboard, /healthz, live
@@ -98,10 +97,6 @@ COMMANDS:
                                       that long after the search ends
                                       (attaching the server never changes
                                       the result);
-                                      --no-static-prune disables dominance
-                                      pruning (the front is byte-identical
-                                      either way; the run just evaluates
-                                      more distributions);
                                       --metrics writes a Prometheus
                                       textfile snapshot and --chrome-trace
                                       a Chrome trace-event JSON (load in
@@ -144,7 +139,7 @@ COMMANDS:
                                       front as a CSV table / Graphviz
                                       trade-off chart
     constraint <graph.xml> --throughput R [--actor NAME] [--json]
-               [--no-static-prune] [--progress] [--trace-json FILE]
+               [--progress] [--trace-json FILE]
                [--serve ADDR] [--serve-linger SECS]
                [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
                [--max-evals N] [--max-states N] [--max-memory-mb M]
@@ -726,50 +721,6 @@ mod tests {
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("cache hits"), "{text}");
 
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&trace).ok();
-    }
-
-    #[test]
-    fn no_static_prune_front_is_byte_identical() {
-        // bipartite's exhaustive sweeps span several chunks, so dominance
-        // records prune later ones; the CSV front must not depend on
-        // whether the oracle ran.
-        let (_, xml) = run_to_string(&["gallery", "bipartite"]);
-        let path = std::env::temp_dir().join("buffy-cli-test-nopr.xml");
-        std::fs::write(&path, &xml).unwrap();
-        let p = path.to_str().unwrap();
-        let trace = std::env::temp_dir().join("buffy-cli-test-nopr-trace.jsonl");
-        let t = trace.to_str().unwrap();
-
-        let (code, pruned) = run_to_string(&[
-            "explore",
-            p,
-            "--algorithm",
-            "exhaustive",
-            "--csv",
-            "--trace-json",
-            t,
-        ]);
-        assert_eq!(code, 0, "{pruned}");
-        let (code, unpruned) = run_to_string(&[
-            "explore",
-            p,
-            "--algorithm",
-            "exhaustive",
-            "--csv",
-            "--no-static-prune",
-        ]);
-        assert_eq!(code, 0, "{unpruned}");
-        assert_eq!(pruned, unpruned);
-
-        // The pruned run records its decisions in the trace.
-        let trace_text = std::fs::read_to_string(&trace).unwrap();
-        assert!(
-            trace_text.contains("\"event\":\"pruned\"")
-                && trace_text.contains("\"kind\":\"dominance\""),
-            "{trace_text}"
-        );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&trace).ok();
     }

@@ -14,8 +14,8 @@
 //!   summary always print. Each line carries the evaluation rate, and —
 //!   when the command pre-counted the realizable
 //!   [`DistributionSpace`](buffy_core::DistributionSpace) — the percent
-//!   of that space already covered (evaluated, cache-answered or pruned)
-//!   plus an ETA extrapolated from the coverage rate;
+//!   of that space already covered (evaluated or cache-answered) plus an
+//!   ETA extrapolated from the coverage rate;
 //! - `--trace-json <file>`: one JSON object per event and line
 //!   ([`Event::trace_line`]), led by `elapsed_us`, microseconds on the
 //!   monotonic clock since the observer (and hence the run) was created.
@@ -220,14 +220,14 @@ impl CliObserver {
 
     /// The dynamic tail of a progress line: evaluation rate, and — when
     /// the candidate space was pre-counted — percent covered plus an ETA
-    /// extrapolated from the coverage rate (evaluations, cache hits and
-    /// prunes all cover candidates).
+    /// extrapolated from the coverage rate (evaluations and cache hits
+    /// both cover candidates).
     fn progress_suffix(&self) -> String {
         let elapsed = self.start.elapsed().as_secs_f64().max(1e-6);
         let counters = self.stats.counters();
         let mut out = format!(", {:.0} evals/s", counters.evaluations as f64 / elapsed);
         if let Some(total) = self.space_total {
-            let covered = counters.requests() + counters.dominance_prunes;
+            let covered = counters.requests();
             let pct = if total == 0 {
                 100.0
             } else {
@@ -478,7 +478,6 @@ mod tests {
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         obs.event(&evaluated(&d, Rational::new(1, 7), 5));
         obs.event(&Event::CacheHit(&d));
-        obs.event(&Event::Pruned(&d));
         obs.event(&Event::Failed {
             dist: &d,
             message: "panicked: \"why\"",
@@ -491,7 +490,7 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 7);
+        assert_eq!(lines.len(), 6);
         assert!(lines[0].contains("\"event\":\"phase\""), "{}", lines[0]);
         assert!(
             lines[1].contains("\"event\":\"evaluation\"")
@@ -502,27 +501,21 @@ mod tests {
         );
         assert!(lines[2].contains("\"event\":\"cache-hit\""), "{}", lines[2]);
         assert!(
-            lines[3].contains("\"event\":\"pruned\"")
-                && lines[3].contains("\"kind\":\"dominance\"")
-                && lines[3].contains("\"distribution\":[4,2]"),
+            lines[3].contains("\"event\":\"evaluation-failed\"")
+                && lines[3].contains("\"distribution\":[4,2]")
+                && lines[3].contains("panicked: \\\"why\\\""),
             "{}",
             lines[3]
         );
         assert!(
-            lines[4].contains("\"event\":\"evaluation-failed\"")
-                && lines[4].contains("panicked: \\\"why\\\""),
+            lines[4].contains("\"event\":\"pareto\"") && lines[4].contains("\"size\":6"),
             "{}",
             lines[4]
         );
         assert!(
-            lines[5].contains("\"event\":\"pareto\"") && lines[5].contains("\"size\":6"),
+            lines[5].contains("\"event\":\"end\"") && lines[5].contains("\"reason\":\"exact\""),
             "{}",
             lines[5]
-        );
-        assert!(
-            lines[6].contains("\"event\":\"end\"") && lines[6].contains("\"reason\":\"exact\""),
-            "{}",
-            lines[6]
         );
         // Every line is a single JSON object leading with the run clock:
         // braces balance and the line starts/ends with them (the
@@ -554,11 +547,10 @@ mod tests {
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         obs.event(&evaluated(&d, Rational::new(1, 7), 5));
         obs.event(&Event::CacheHit(&d));
-        obs.event(&Event::Pruned(&d));
-        // 1 eval + 1 hit + 1 prune = 3 of 10 candidates covered.
+        // 1 eval + 1 hit = 2 of 10 candidates covered.
         let suffix = obs.progress_suffix();
         assert!(suffix.contains(" evals/s"), "{suffix}");
-        assert!(suffix.contains("30.0% of space"), "{suffix}");
+        assert!(suffix.contains("20.0% of space"), "{suffix}");
         assert!(suffix.contains("ETA "), "{suffix}");
     }
 
@@ -742,7 +734,6 @@ mod tests {
                     dist: &d,
                     message: "tab\there",
                 },
-                Event::Pruned(&d),
                 Event::Accepted(&point),
                 Event::End { reason: "exact" },
             ] {
@@ -759,7 +750,6 @@ mod tests {
                 "evaluation",
                 "cache-hit",
                 "evaluation-failed",
-                "pruned",
                 "pareto",
                 "end"
             ]

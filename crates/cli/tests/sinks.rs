@@ -47,11 +47,11 @@ fn path(p: &Path) -> &str {
 
 /// Under both drivers and under `constraint`, on gallery example and
 /// modem: the Chrome trace has one `pareto` instant per `--trace-json`
-/// `pareto` line, `buffy_dominance_prunes_total` equals the reported
-/// `dominance_prunes`, and the latency histogram holds one sample per
+/// `pareto` line, the `buffy_memo_shard_hits_total` family sums to the
+/// reported `cache_hits`, and the latency histogram holds one sample per
 /// analysis.
 #[test]
-fn sinks_agree_on_pareto_points_prunes_and_analyses() {
+fn sinks_agree_on_pareto_points_cache_hits_and_analyses() {
     let (trace, chrome, prom) = (
         scratch("trace.jsonl"),
         scratch("chrome.json"),
@@ -83,9 +83,14 @@ fn sinks_agree_on_pareto_points_prunes_and_analyses() {
             let instants = chrome_text.matches("\"name\":\"pareto\"").count();
             assert!(lines > 0, "{graph} {command:?}: no pareto line");
             assert_eq!(instants, lines, "{graph} {command:?}");
-            let prunes = json_u64(&report, "dominance_prunes");
-            assert!(
-                prom_text.contains(&format!("buffy_dominance_prunes_total {prunes}\n")),
+            let shard_hits: u64 = prom_text
+                .lines()
+                .filter(|l| l.starts_with("buffy_memo_shard_hits_total{"))
+                .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+                .sum();
+            assert_eq!(
+                shard_hits,
+                json_u64(&report, "cache_hits"),
                 "{graph} {command:?}: {prom_text}"
             );
             let latency = &report[report.find("\"eval_latency_ns\"").unwrap()..];

@@ -117,29 +117,20 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
     }
     eval.emit(Event::Phase(SearchPhase::ConstraintSearch));
 
-    // Decide "size S meets the constraint" with early exit; remember the
-    // best witness per feasible size. Candidates the prune oracle proves
-    // strictly below the constraint are skipped without simulation —
-    // infeasibility-only pruning, so the first feasible candidate (and
-    // with it the witness) is exactly the one the unpruned search finds:
-    // a sound proof of `t < constraint` can never exist for it.
+    // Decide "size S meets the constraint" with early exit: the first
+    // feasible candidate in enumeration order is the size's witness.
     let decide = |size: u64| -> Result<Option<ParetoPoint>, ExploreError> {
         let mut hit: Option<ParetoPoint> = None;
         let mut error: Option<ExploreError> = None;
-        space.for_each_of_size(size, |d| {
-            if eval.prunes_below(&d, &constraint) {
-                return ControlFlow::Continue(());
+        space.for_each_of_size(size, |d| match eval.eval(&d) {
+            Ok(t) if t >= constraint => {
+                hit = Some(eval.point(d, t));
+                ControlFlow::Break(())
             }
-            match eval.eval(&d) {
-                Ok(t) if t >= constraint => {
-                    hit = Some(eval.point(d, t));
-                    ControlFlow::Break(())
-                }
-                Ok(_) => ControlFlow::Continue(()),
-                Err(e) => {
-                    error = Some(e);
-                    ControlFlow::Break(())
-                }
+            Ok(_) => ControlFlow::Continue(()),
+            Err(e) => {
+                error = Some(e);
+                ControlFlow::Break(())
             }
         });
         match error {
@@ -263,43 +254,6 @@ mod tests {
             .unwrap()
             .point;
         assert_eq!(p.size, 8);
-    }
-
-    #[test]
-    fn pruning_preserves_the_witness_and_skips_work() {
-        let g = example();
-        for (thr, size) in [
-            (Rational::new(1, 6), 8),
-            (Rational::new(1, 4), 10),
-            (Rational::new(3, 20), 8),
-        ] {
-            let pruned = min_storage_for_throughput(&g, thr, &ExploreOptions::default()).unwrap();
-            let unpruned = min_storage_for_throughput(
-                &g,
-                thr,
-                &ExploreOptions {
-                    prune: false,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            // Identical witness point — same distribution, same exact
-            // throughput — with provably less work.
-            assert_eq!(pruned.point, unpruned.point, "constraint {thr}");
-            assert_eq!(pruned.point.size, size);
-            assert_eq!(unpruned.stats.dominance_prunes, 0);
-            assert!(
-                pruned.stats.dominance_prunes > 0,
-                "constraint {thr}: oracle never fired: {:?}",
-                pruned.stats
-            );
-            assert!(
-                pruned.stats.evaluations < unpruned.stats.evaluations,
-                "constraint {thr}: {} vs {}",
-                pruned.stats.evaluations,
-                unpruned.stats.evaluations
-            );
-        }
     }
 
     #[test]

@@ -46,17 +46,16 @@ use std::collections::{BTreeMap, BinaryHeap, HashSet};
 /// same `EvalPipeline` as the exhaustive search, with the
 /// storage-dependency flags collected by every analysis: bound probes
 /// are cached (a frontier candidate landing on a probed distribution is
-/// a cache hit, not a re-analysis), checkpointed `warm_start`
-/// throughputs are replayed, and the dominance prune oracle skips
-/// candidates that lie pointwise below a deadlocked record. A replayed entry and a pruned
-/// deadlock carry no flags; one uncounted analysis with the flags on
-/// supplies them. Once an accepted point reaches the graph's maximal
-/// throughput — at a size no larger than any queued candidate, by the
-/// size-ordered frontier — the remaining frontier is provably dominated
-/// and drained without any analysis. A cancel token is honoured between
-/// frontier candidates and inside every analysis: when it trips after
-/// the bounds phase, the unexpanded frontier (the interrupted candidate
-/// included) is reported as skipped sizes on a partial result.
+/// a cache hit, not a re-analysis) and checkpointed `warm_start`
+/// throughputs are replayed. A replayed entry carries no flags; one
+/// uncounted analysis with the flags on supplies them. Once an accepted
+/// point reaches the graph's maximal throughput — at a size no larger
+/// than any queued candidate, by the size-ordered frontier — the
+/// remaining frontier is provably dominated and drained without any
+/// analysis. A cancel token is honoured between frontier candidates and
+/// inside every analysis: when it trips after the bounds phase, the
+/// unexpanded frontier (the interrupted candidate included) is reported
+/// as skipped sizes on a partial result.
 ///
 /// # Errors
 ///
@@ -118,9 +117,9 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     let skipped_ub = guided_skip_counter("ub-size");
     let skipped_caps = guided_skip_counter("channel-cap");
     // Bound probes run through the shared memoised evaluator: timed,
-    // counted, observed, cached (with their flags) and recorded in the
-    // prune oracle like every other evaluation. Cancellation here leaves
-    // nothing to salvage and surfaces as [`ExploreError::Cancelled`].
+    // counted, observed and cached (with their flags) like every other
+    // evaluation. Cancellation here leaves nothing to salvage and surfaces
+    // as [`ExploreError::Cancelled`].
     eval.emit(Event::Phase(SearchPhase::Bounds));
     let (ub_dist, thr_max_graph) = eval.upper_bound()?;
     let ub_size = options.max_size.unwrap_or_else(|| ub_dist.size());
@@ -149,7 +148,7 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     // the front (entering requires strictly greater throughput than
     // every no-larger point, and `thr_max_graph` bounds every
     // distribution) — the rest of the frontier is drained without
-    // analysis, with pruning on or off.
+    // analysis.
     let mut best = Rational::ZERO;
 
     while let Some(&Reverse((size, _))) = frontier.peek() {
@@ -164,60 +163,41 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
             unreachable!("peeked entry vanished");
         };
         if !best.is_zero() && best >= thr_max_graph {
-            // Ceiling drain. The candidate is dominated whatever the
-            // oracle says (see `best` above), and so are its children.
-            // The oracle is consulted only to count the skip as a
-            // dominance prune when a record covers the candidate; other
-            // drained candidates go uncounted. `≤ best` pruning *before*
-            // the ceiling is not attempted: a pruned candidate's
-            // dependent set is unknown without an analysis, and growing
-            // every channel instead explodes combinatorially on wide
-            // graphs.
-            let _ = eval.prunes_at_most(&dist, &best);
+            // Ceiling drain: the candidate is dominated (see `best`
+            // above), and so are its children.
             continue;
         }
-        // A deadlock proven by dominance (the candidate lies pointwise
-        // below a deadlocked record) skips the evaluation: the candidate
-        // contributes no front point (its throughput is exactly zero),
-        // and its children come from the flags of its deadlock state.
-        let entry = if eval.prunes_zero(&dist) {
-            None
-        } else {
-            let Some(entry) = salvage(eval.eval_full(&dist), &mut truncated)? else {
-                frontier.push(Reverse((size, dist)));
-                break;
-            };
-            if entry.failed {
-                // A panicking analysis degrades to a zero-throughput leaf:
-                // recorded and reported by the evaluator, no children
-                // expanded.
-                continue;
-            }
-            Some(entry)
+        let Some(entry) = salvage(eval.eval_full(&dist), &mut truncated)? else {
+            frontier.push(Reverse((size, dist)));
+            break;
         };
+        if entry.failed {
+            // A panicking analysis degrades to a zero-throughput leaf:
+            // recorded and reported by the evaluator, no children
+            // expanded.
+            continue;
+        }
 
-        if let Some(entry) = &entry {
-            let thr = entry.throughput;
-            if !thr.is_zero() {
-                found_positive = true;
-                if thr > best {
-                    best = thr;
-                }
-                let p = eval.point(dist.clone(), thr);
-                if pareto.insert(p.clone()) {
-                    eval.emit(Event::Accepted(&p));
-                }
-                if thr >= thr_cap {
-                    continue; // growing further cannot be Pareto-optimal
-                }
+        let thr = entry.throughput;
+        if !thr.is_zero() {
+            found_positive = true;
+            if thr > best {
+                best = thr;
+            }
+            let p = eval.point(dist.clone(), thr);
+            if pareto.insert(p.clone()) {
+                eval.emit(Event::Accepted(&p));
+            }
+            if thr >= thr_cap {
+                continue; // growing further cannot be Pareto-optimal
             }
         }
 
         // The storage-dependent channels: from the memo entry, or — for a
-        // replayed entry or a pruned deadlock — from one more analysis.
-        // A panic there degrades the candidate to a leaf; a cancellation
-        // puts it back on the frontier as unexpanded.
-        let dependent = match entry.and_then(|e| e.dependent) {
+        // replayed entry — from one more analysis. A panic there degrades
+        // the candidate to a leaf; a cancellation puts it back on the
+        // frontier as unexpanded.
+        let dependent = match entry.dependent {
             Some(flags) => flags,
             None => match salvage(eval.dependencies(&dist), &mut truncated)? {
                 Some(Some(flags)) => flags,

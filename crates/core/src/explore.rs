@@ -97,14 +97,6 @@ pub struct ExploreOptions {
     /// count and zero wall time), not a cache hit — so a resumed run
     /// reproduces the front and the statistics of an uninterrupted one.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Whether the prune oracle may skip candidate evaluations that
-    /// monotone dominance records already decide (an evaluated
-    /// pointwise-comparable distribution bounds the candidate's
-    /// throughput). Pruning is exactness-preserving — the front is
-    /// byte-identical with it on or off, only
-    /// [`ExplorationStats::evaluations`] shrinks — so switching it off
-    /// gives the unpruned reference run (`--no-static-prune` on the CLI).
-    pub prune: bool,
     /// Test hook: the evaluation of exactly this distribution panics
     /// inside the worker, exercising the panic-containment path. Not for
     /// production use.
@@ -122,7 +114,7 @@ pub struct ExploreOptions {
     /// front is unchanged by the declaration (see [`crate::ObjectiveSpace`]).
     pub objectives: ObjectiveSpace,
     /// Receives the run's [`Event`] stream — phases, evaluations, cache
-    /// hits, failures, prunes and accepted points — as the search runs;
+    /// hits, failures and accepted points — as the search runs;
     /// `None` reports to [`NoopObserver`]. Observation never changes the
     /// result.
     pub observer: Option<Arc<dyn ExploreObserver>>,
@@ -148,7 +140,6 @@ impl Default for ExploreOptions {
             max_channel_caps: None,
             cancel: None,
             warm_start: None,
-            prune: true,
             fail_distribution: None,
             fault_plan: None,
             objectives: ObjectiveSpace::default_2d(),
@@ -200,18 +191,10 @@ fn q(t: Rational, quantum: Option<Rational>) -> Rational {
 /// positively.
 ///
 /// Candidates are consumed in chunks of exactly [`EVAL_CHUNK`]
-/// *enumerated* candidates with the early exit checked at chunk
-/// boundaries — for every thread count, including sequential runs, so
-/// the evaluated set (and with it the statistics) does not depend on
-/// `threads`.
-///
-/// At each chunk boundary the prune oracle filters candidates it can
-/// prove no better than the running best: such a candidate cannot update
-/// the best (updates require strictly greater throughput) nor become the
-/// witness, so dropping it is exact. Chunks are aligned on the
-/// enumeration count, not the evaluation count, which keeps boundaries —
-/// and with them the dominance records visible to each decision —
-/// independent of how many candidates were pruned.
+/// enumerated candidates, with the early exit (the ceiling) checked at
+/// chunk boundaries only — for every thread count, including sequential
+/// runs, so the evaluated set (and with it the statistics) does not
+/// depend on `threads`.
 fn max_throughput_for_size<M: DataflowSemantics + Sync>(
     eval: &EvalPipeline<'_, M>,
     space: &DistributionSpace,
@@ -230,7 +213,6 @@ fn max_throughput_for_size<M: DataflowSemantics + Sync>(
                    best_q: &mut Rational,
                    witness: &mut Option<StorageDistribution>|
      -> Result<bool, ExploreError> {
-        buf.retain(|d| !eval.prunes_at_most(d, best));
         let results = eval.eval_batch(buf)?;
         for (d, t) in buf.drain(..).zip(results) {
             if t > *best {
@@ -294,11 +276,6 @@ pub(crate) fn salvage<T>(
 
 /// Whether some grid distribution of exactly `size` tokens has positive
 /// throughput (early exits on the first hit).
-///
-/// The oracle short-circuits both ways — a positive proof answers `true`
-/// without evaluating, a zero proof skips the candidate — and both are
-/// exact consequences of results the engine already produced, so the
-/// boolean is identical with pruning on or off.
 fn has_positive<M: DataflowSemantics + Sync>(
     eval: &EvalPipeline<'_, M>,
     space: &DistributionSpace,
@@ -306,24 +283,15 @@ fn has_positive<M: DataflowSemantics + Sync>(
 ) -> Result<bool, ExploreError> {
     let mut found = false;
     let mut error: Option<ExploreError> = None;
-    space.for_each_of_size(size, |d| {
-        if eval.proves_positive(&d) {
+    space.for_each_of_size(size, |d| match eval.eval(&d) {
+        Ok(t) if !t.is_zero() => {
             found = true;
-            return ControlFlow::Break(());
+            ControlFlow::Break(())
         }
-        if eval.prunes_zero(&d) {
-            return ControlFlow::Continue(());
-        }
-        match eval.eval(&d) {
-            Ok(t) if !t.is_zero() => {
-                found = true;
-                ControlFlow::Break(())
-            }
-            Ok(_) => ControlFlow::Continue(()),
-            Err(e) => {
-                error = Some(e);
-                ControlFlow::Break(())
-            }
+        Ok(_) => ControlFlow::Continue(()),
+        Err(e) => {
+            error = Some(e);
+            ControlFlow::Break(())
         }
     });
     match error {
@@ -693,33 +661,8 @@ mod tests {
         assert!(r.stats.eval_nanos > 0);
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = example();
-        let seq = explore_design_space(&g, &ExploreOptions::default()).unwrap();
-        let par = explore_design_space(
-            &g,
-            &ExploreOptions {
-                threads: 4,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        let f = |r: &ExplorationResult| {
-            r.pareto
-                .points()
-                .iter()
-                .map(|p| (p.size, p.throughput))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(f(&seq), f(&par));
-        // The statistics are deterministic across thread counts: the
-        // chunked evaluation requests exactly the same distributions.
-        assert_eq!(seq.stats, par.stats);
-    }
-
-    /// A cyclic graph (repetition vector (3, 6, 2)): exercises the
-    /// prune oracle on feedback structure beyond the pipeline example.
+    /// A cyclic graph (repetition vector (3, 6, 2)): feedback structure
+    /// beyond the pipeline example.
     fn ring() -> SdfGraph {
         let mut b = SdfGraph::builder("ring");
         let x = b.actor("x", 1);
@@ -732,8 +675,8 @@ mod tests {
     }
 
     /// The paper's Fig. 6 bipartite graph: an a↔b cycle plus a pipeline
-    /// tail. Its per-size sweeps span several evaluation chunks, which is
-    /// where dominance records get to skip work.
+    /// tail. Its per-size sweeps span several evaluation chunks, so the
+    /// ceiling is checked between chunks.
     fn bipartite() -> SdfGraph {
         let mut b = SdfGraph::builder("bipartite");
         let a = b.actor("a", 1);
@@ -747,77 +690,27 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The tentpole invariant: the prune oracle is exactness-preserving.
-    /// The front (points, sizes, throughputs, witnesses) is byte-identical
-    /// with pruning on or off, at one thread and at four — only the
-    /// amount of work differs.
     #[test]
-    fn pruning_preserves_the_front_and_skips_evaluations() {
+    fn parallel_matches_sequential() {
         for (name, g) in [
             ("example", example()),
             ("ring", ring()),
             ("bipartite", bipartite()),
         ] {
-            let pruned = explore_design_space(&g, &ExploreOptions::default()).unwrap();
-            let unpruned = explore_design_space(
+            let seq = explore_design_space(&g, &ExploreOptions::default()).unwrap();
+            let par = explore_design_space(
                 &g,
                 &ExploreOptions {
-                    prune: false,
+                    threads: 4,
                     ..ExploreOptions::default()
                 },
             )
             .unwrap();
-            assert_eq!(pruned.pareto, unpruned.pareto, "{name}");
-            assert_eq!(pruned.max_throughput, unpruned.max_throughput, "{name}");
-            assert_eq!(pruned.lower_bound_size, unpruned.lower_bound_size, "{name}");
-            assert!(pruned.completeness.exact && unpruned.completeness.exact);
-            assert_eq!(unpruned.stats.dominance_prunes, 0);
-            assert!(
-                pruned.stats.evaluations <= unpruned.stats.evaluations,
-                "{name}: pruning added work"
-            );
-
-            // Thread count changes neither the fronts nor the statistics,
-            // in either mode.
-            for prune in [true, false] {
-                let reference = if prune { &pruned } else { &unpruned };
-                let par = explore_design_space(
-                    &g,
-                    &ExploreOptions {
-                        prune,
-                        threads: 4,
-                        ..ExploreOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(par.pareto, reference.pareto, "{name}/{prune}");
-                assert_eq!(par.stats, reference.stats, "{name}/{prune}");
-            }
+            assert_eq!(seq.pareto, par.pareto, "{name}");
+            // The statistics are deterministic across thread counts: the
+            // chunked evaluation requests exactly the same distributions.
+            assert_eq!(seq.stats, par.stats, "{name}");
         }
-
-        // On the bipartite graph the oracle provably skips work: its
-        // sweeps span several chunks, so later chunks get filtered
-        // against the running best once one is established.
-        let pruned = explore_design_space(&bipartite(), &ExploreOptions::default()).unwrap();
-        let unpruned = explore_design_space(
-            &bipartite(),
-            &ExploreOptions {
-                prune: false,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            pruned.stats.dominance_prunes > 0,
-            "oracle never fired: {:?}",
-            pruned.stats
-        );
-        assert!(
-            pruned.stats.evaluations < unpruned.stats.evaluations,
-            "pruning saved nothing: {} vs {}",
-            pruned.stats.evaluations,
-            unpruned.stats.evaluations
-        );
     }
 
     #[test]
@@ -839,7 +732,7 @@ mod tests {
     /// The event stream reproduces the statistics: under every driver, on
     /// SDF and on the same graph as single-phase CSDF, at one thread and
     /// at four, with one analysis failing, a counting observer's
-    /// evaluations, cache hits, prunes and failures equal the reported
+    /// evaluations, cache hits and failures equal the reported
     /// [`ExplorationStats`] exactly.
     #[test]
     fn observer_sees_evaluations_and_pareto_points() {
@@ -853,7 +746,6 @@ mod tests {
             evaluations: AtomicU64,
             cache_hits: AtomicU64,
             failures: AtomicU64,
-            prunes: AtomicU64,
             accepted: AtomicU64,
         }
         impl ExploreObserver for Counting {
@@ -863,7 +755,6 @@ mod tests {
                     Event::Evaluated { .. } => &self.evaluations,
                     Event::CacheHit(_) => &self.cache_hits,
                     Event::Failed { .. } => &self.failures,
-                    Event::Pruned(_) => &self.prunes,
                     Event::Accepted(_) => &self.accepted,
                     Event::End { .. } => panic!("drivers never end a run"),
                 };
@@ -913,7 +804,6 @@ mod tests {
                     assert_eq!(stats.failures, 1, "{case}");
                     assert_eq!(count(&obs.evaluations), stats.evaluations, "{case}");
                     assert_eq!(count(&obs.cache_hits), stats.cache_hits, "{case}");
-                    assert_eq!(count(&obs.prunes), stats.dominance_prunes, "{case}");
                     assert_eq!(count(&obs.failures), stats.failures, "{case}");
                     // Every reported point was announced (evicted points
                     // may add more), and the bounds phase plus at least

@@ -19,8 +19,8 @@
 //! - [`Event`] / [`ExploreObserver`] / [`ExplorationStats`]: the
 //!   exploration runtime's one event stream and the statistics folded
 //!   from it — the observer set in [`ExploreOptions::observer`] receives
-//!   every phase, evaluation, cache hit, failure, prune and accepted
-//!   Pareto point while a search runs.
+//!   every phase, evaluation, cache hit, failure and accepted Pareto
+//!   point while a search runs.
 //!
 //! Each of these is a single function written once against the unified
 //! kernel's [`DataflowSemantics`](buffy_analysis::DataflowSemantics)
@@ -69,7 +69,6 @@ mod live;
 mod objective;
 mod pareto;
 mod pipeline;
-mod prune;
 mod runtime;
 
 pub use bounds::{lower_bound_distribution, upper_bound_distribution};

@@ -81,8 +81,8 @@ impl LiveStats {
         phase.map(|p| p.name())
     }
 
-    /// Evaluations, cache hits, largest state space, failures and prunes
-    /// so far — counted exactly as the run's [`ExplorationStats`].
+    /// Evaluations, cache hits, largest state space and failures so far —
+    /// counted exactly as the run's [`ExplorationStats`].
     pub fn counters(&self) -> ExplorationStats {
         self.counts.snapshot()
     }
@@ -139,7 +139,6 @@ impl Event<'_> {
             Event::Evaluated { .. } => "evaluation",
             Event::CacheHit(_) => "cache-hit",
             Event::Failed { .. } => "evaluation-failed",
-            Event::Pruned(_) => "pruned",
             Event::Accepted(_) => "pareto",
             Event::End { .. } => "end",
         }
@@ -167,11 +166,6 @@ impl Event<'_> {
                 "{{\"distribution\":{},\"message\":\"{}\"}}",
                 dist_json(dist),
                 json_escape(message)
-            ),
-            // Constant `kind`: perfbench/run.py reads it to pick the prunes it replays.
-            Event::Pruned(dist) => format!(
-                "{{\"kind\":\"dominance\",\"distribution\":{}}}",
-                dist_json(dist)
             ),
             Event::Accepted(point) => format!(
                 "{{\"size\":{},\"throughput\":\"{}\",\"distribution\":{}}}",
@@ -359,13 +353,11 @@ mod tests {
         let stats = Arc::new(LiveStats::new());
         let ring = Arc::new(EventRing::default());
         let live: Vec<Arc<dyn ExploreObserver>> = vec![stats.clone(), ring.clone()];
-        let (d11, d21, d22, d31) = (dist(&[1, 1]), dist(&[2, 1]), dist(&[2, 2]), dist(&[3, 1]));
+        let (d11, d31) = (dist(&[1, 1]), dist(&[3, 1]));
         let point = ParetoPoint::new(d11.clone(), Rational::new(1, 3));
         live.event(&Event::Phase(SearchPhase::FrontSearch));
         live.event(&evaluated(&d11));
         live.event(&Event::CacheHit(&d11));
-        live.event(&Event::Pruned(&d21));
-        live.event(&Event::Pruned(&d22));
         live.event(&Event::Failed {
             dist: &d31,
             message: "boom",
@@ -376,7 +368,6 @@ mod tests {
         let counters = stats.counters();
         assert_eq!(counters.evaluations, 1);
         assert_eq!(counters.cache_hits, 1);
-        assert_eq!(counters.dominance_prunes, 2);
         assert_eq!(counters.failures, 1);
         assert_eq!(counters.max_states, 5);
         assert_eq!(stats.pareto_accepted(), 1);
@@ -391,8 +382,6 @@ mod tests {
                 "phase",
                 "evaluation",
                 "cache-hit",
-                "pruned",
-                "pruned",
                 "evaluation-failed",
                 "pareto"
             ]

@@ -15,9 +15,11 @@
 //! The energy axis is derived from the throughput axis through the
 //! precomputed [`EnergyModel`](buffy_analysis::EnergyModel) and is
 //! monotone non-increasing in it; consequently the default
-//! storage/throughput fronts are unchanged by the refactor and the prune
-//! oracle's throughput-only bounds remain sound (see
-//! [`prune`](crate::prune)). Latency can be declared for reporting; it is
+//! storage/throughput fronts are unchanged by the refactor, and the
+//! searches' throughput-only skips (the per-size ceiling, interval
+//! collapse, the guided ceiling drain) stay sound under it: a candidate
+//! that cannot beat a point's throughput cannot beat its energy either.
+//! Latency can be declared for reporting; it is
 //! annotated onto the finished front by the CLI rather than evaluated
 //! per candidate, and never participates in dominance.
 

@@ -1,16 +1,12 @@
 //! The incremental evaluation pipeline shared by every exploration
 //! driver.
 //!
-//! Each candidate storage distribution flows through the same three
+//! Each candidate storage distribution flows through the same two
 //! stages, in order:
 //!
 //! 1. **Memo lookup** — the sharded cache ([`ShardedCache`]) answers
 //!    repeats without re-analysis;
-//! 2. **Dominance pruning** — the [`PruneOracle`]'s monotone dominance
-//!    records decide candidates without simulation (queried by the
-//!    drivers through the `prunes_*` methods, only at deterministic
-//!    decision points);
-//! 3. **Engine run** — the reduced-state-space analysis proper, in a
+//! 2. **Engine run** — the reduced-state-space analysis proper, in a
 //!    pooled [`AnalysisWorkspace`], panic-contained and
 //!    cancellation-aware. In the dependency-guided search's pipeline the
 //!    same run also collects the storage-dependent channels, and a bound
@@ -31,8 +27,8 @@
 //! can change.
 //!
 //! Every fact the pipeline and its drivers observe — a phase change, a
-//! cache hit, a replayed or genuine evaluation, a failure, a prune, an
-//! accepted point — goes through [`EvalPipeline::emit`] exactly once.
+//! cache hit, a replayed or genuine evaluation, a failure, an accepted
+//! point — goes through [`EvalPipeline::emit`] exactly once.
 //! The emit folds it into the run's statistics, records it with the
 //! telemetry recorder when one is installed, and forwards it to the run's
 //! [`ExploreObserver`]. Checkpoint replay and failure containment also
@@ -45,7 +41,6 @@ use crate::explore::{ExploreOptions, WarmStart};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::objective::ObjectiveKind;
 use crate::pareto::{ParetoPoint, ParetoSet};
-use crate::prune::PruneOracle;
 use crate::runtime::{
     resolve_threads, AtomicStats, CachedEval, EvaluationFailure, Event, ExplorationStats,
     ExploreObserver, ShardedCache,
@@ -61,9 +56,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-/// The shared evaluation pipeline: memoization, pruning, checkpoint
-/// replay and the event stream behind one interface, generic over the
-/// model class.
+/// The shared evaluation pipeline: memoization, capacity boxes,
+/// checkpoint replay and the event stream behind one interface, generic
+/// over the model class.
 ///
 /// The memo cache is sharded ([`ShardedCache`]) and all counters are
 /// atomics ([`AtomicStats`]): concurrent workers never serialize on a
@@ -87,11 +82,6 @@ pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     failures: Mutex<Vec<EvaluationFailure>>,
     telemetry: Option<EvalTelemetry>,
     shard_stats_published: AtomicBool,
-    /// Dominance prune oracle ([`crate::prune`]).
-    /// Genuine results are recorded as they land; proofs are only queried
-    /// from the driver thread between evaluation chunks, so decisions are
-    /// deterministic across thread counts.
-    oracle: PruneOracle,
     /// Whether analyses collect the storage-dependent channels (set by
     /// [`Self::collecting_dependencies`]).
     dependencies: bool,
@@ -118,7 +108,6 @@ pub(crate) struct EvalTelemetry {
     recorder: Arc<buffy_telemetry::Recorder>,
     latency: Arc<buffy_telemetry::Histogram>,
     short_circuits: Arc<buffy_telemetry::Counter>,
-    dominance_prunes: Arc<buffy_telemetry::Counter>,
     energy_points: Arc<buffy_telemetry::Counter>,
     /// The span of the current search phase: closed by the next
     /// [`Event::Phase`], or when the pipeline drops.
@@ -136,10 +125,6 @@ impl EvalTelemetry {
                 names::EVALS_SHORT_CIRCUITED,
                 "Per-size sweeps cut short because the monotonicity ceiling was reached.",
             ),
-            dominance_prunes: recorder.counter(
-                names::DOMINANCE_PRUNES,
-                "Candidates skipped by a monotone dominance record.",
-            ),
             energy_points: recorder.counter(
                 names::ENERGY_POINTS,
                 "Pareto candidate points whose energy objective was computed.",
@@ -150,9 +135,9 @@ impl EvalTelemetry {
     }
 
     /// Records one event: evaluation latency and its `eval` span (genuine
-    /// analyses only — a replayed checkpoint entry ran nothing), dominance
-    /// prunes, the `pareto` instant of an accepted point, and the span of
-    /// each search phase.
+    /// analyses only — a replayed checkpoint entry ran nothing), the
+    /// `pareto` instant of an accepted point, and the span of each search
+    /// phase.
     fn record(&self, event: &Event<'_>) {
         match *event {
             Event::Evaluated { nanos, .. } if nanos > 0 => {
@@ -161,7 +146,6 @@ impl EvalTelemetry {
                 let start = self.recorder.elapsed_us().saturating_sub(micros);
                 self.recorder.trace_complete_at("eval", start, micros);
             }
-            Event::Pruned(_) => self.dominance_prunes.inc(),
             Event::Accepted(_) => self.recorder.trace_instant("pareto"),
             Event::Phase(phase) => {
                 let mut current = self.phase.lock().unwrap_or_else(|e| e.into_inner());
@@ -223,11 +207,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         observed: ActorId,
         options: &'a ExploreOptions,
     ) -> Result<EvalPipeline<'a, M>, ExploreError> {
-        let oracle = if options.prune {
-            PruneOracle::new()
-        } else {
-            PruneOracle::disabled()
-        };
         // An inconsistent model has no repetition vector and therefore no
         // energy coefficients — but such a model fails the bounds phase
         // before any point is constructed, so degrading to `None` there is
@@ -262,7 +241,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             failures: Mutex::new(Vec::new()),
             telemetry: EvalTelemetry::fetch(),
             shard_stats_published: AtomicBool::new(false),
-            oracle,
             dependencies: false,
             boxes: RwLock::new(Vec::new()),
             workspaces: Mutex::new(Vec::new()),
@@ -327,8 +305,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     /// Reports one observed fact: folds it into the run's statistics,
     /// records it with the telemetry recorder when one is installed, then
     /// forwards it to the run's observer. Every cache hit, evaluation
-    /// (replayed or genuine), failure, prune, accepted point and phase
-    /// change of a run passes through here exactly once.
+    /// (replayed or genuine), failure, accepted point and phase change of
+    /// a run passes through here exactly once.
     pub(crate) fn emit(&self, event: Event<'_>) {
         self.stats.fold(&event);
         if let Some(t) = &self.telemetry {
@@ -397,9 +375,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
 
     /// The storage-dependent channels of `dist` from one uncounted
     /// analysis with the flags on, for memo entries that carry none
-    /// (checkpoint-replayed evaluations) and for deadlocks proven by
-    /// dominance, which skip the evaluation. `Ok(None)` when it panicked
-    /// (the candidate then expands nothing).
+    /// (checkpoint-replayed evaluations). `Ok(None)` when it panicked (the
+    /// candidate then expands nothing).
     ///
     /// # Errors
     ///
@@ -478,10 +455,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     peaks: None,
                 };
                 self.cache.insert(dist.clone(), entry.clone());
-                // A replayed checkpoint entry is a genuine result: it must
-                // seed the same dominance records as the run it restores,
-                // or a resumed run would prune differently.
-                self.oracle.record(dist, t);
                 self.emit(Event::Evaluated {
                     dist,
                     throughput: t,
@@ -537,7 +510,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 // At least 1 ns: zero wall time marks a replayed entry.
                 let nanos = (start.elapsed().as_nanos() as u64).max(1);
                 self.cache.insert(dist.clone(), entry.clone());
-                self.oracle.record(dist, entry.throughput);
                 self.emit(Event::Evaluated {
                     dist,
                     throughput: entry.throughput,
@@ -566,10 +538,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                     dependent: None,
                     peaks: None,
                 };
-                // Degraded zero-throughput is *not* a genuine result: it
-                // is cached (deterministic on re-request) but never
-                // recorded in the oracle — a panic proves nothing about
-                // the real throughput, so it must not seed proofs.
+                // Degraded zero-throughput is cached, so a re-request
+                // answers the same way.
                 self.cache.insert(dist.clone(), entry.clone());
                 self.emit(Event::Failed {
                     dist,
@@ -613,41 +583,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 });
         }
         (entry, states)
-    }
-
-    /// Passes an oracle verdict through, emitting a proof (`true`) as one
-    /// skipped candidate.
-    fn noted(&self, dist: &StorageDistribution, proved: bool) -> bool {
-        if proved {
-            self.emit(Event::Pruned(dist));
-        }
-        proved
-    }
-
-    /// Whether the oracle proves `t(dist) ≤ limit`; a successful proof is
-    /// counted as a prune. Exactness: a candidate at or below the current
-    /// best cannot improve the front (updates require strictly greater
-    /// throughput), so skipping it changes nothing but the work done.
-    pub(crate) fn prunes_at_most(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
-        self.noted(dist, self.oracle.proves_at_most(dist, limit))
-    }
-
-    /// Whether the oracle proves `t(dist) < limit` (strictly); counted as
-    /// a prune on success.
-    pub(crate) fn prunes_below(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
-        self.noted(dist, self.oracle.proves_below(dist, limit))
-    }
-
-    /// Whether the oracle proves `t(dist) = 0`; counted as a prune on
-    /// success.
-    pub(crate) fn prunes_zero(&self, dist: &StorageDistribution) -> bool {
-        self.noted(dist, self.oracle.proves_zero(dist))
-    }
-
-    /// Whether the oracle proves `t(dist) > 0` (a positive dominance
-    /// record pointwise below `dist`); counted as a prune on success.
-    pub(crate) fn proves_positive(&self, dist: &StorageDistribution) -> bool {
-        self.noted(dist, self.oracle.proves_positive(dist))
     }
 
     /// Evaluates a batch of distributions, possibly in parallel. Results
@@ -827,7 +762,7 @@ mod tests {
     fn boxes_answer_exhaustive_candidates() {
         // Each stored box decides a whole range of capacities: most of
         // cd2dat's and modem's candidates fall inside an earlier one.
-        assert_eq!(box_answers(&gallery::cd2dat()), (497, 318));
+        assert_eq!(box_answers(&gallery::cd2dat()), (682, 500));
         assert_eq!(box_answers(&gallery::modem()), (258, 175));
     }
 

@@ -12,8 +12,8 @@
 //! - [`AtomicStats`]: contention-free evaluation counters, snapshotted
 //!   into the [`ExplorationStats`] every driver reports;
 //! - [`Event`] / [`ExploreObserver`]: the one structured event stream
-//!   (phases, evaluations, cache hits, failures, prunes, accepted Pareto
-//!   points) that the statistics, the recorder and every CLI sink fold;
+//!   (phases, evaluations, cache hits, failures, accepted Pareto points)
+//!   that the statistics, the recorder and every CLI sink fold;
 //! - [`resolve_threads`]: `threads: 0` → the machine's available
 //!   parallelism.
 
@@ -160,10 +160,6 @@ pub struct ExplorationStats {
     /// Evaluations that panicked and were degraded to a recorded failure
     /// instead of aborting the run.
     pub failures: u64,
-    /// Candidate distributions skipped because a pointwise-dominating or
-    /// -dominated distribution with a known throughput already decided
-    /// them (monotonicity, paper §9).
-    pub dominance_prunes: u64,
 }
 
 impl ExplorationStats {
@@ -191,7 +187,6 @@ impl PartialEq for ExplorationStats {
             && self.cache_hits == other.cache_hits
             && self.max_states == other.max_states
             && self.failures == other.failures
-            && self.dominance_prunes == other.dominance_prunes
     }
 }
 
@@ -210,9 +205,6 @@ impl fmt::Display for ExplorationStats {
         if self.failures > 0 {
             write!(f, ", {} failed", self.failures)?;
         }
-        if self.dominance_prunes > 0 {
-            write!(f, ", {} pruned by dominance", self.dominance_prunes)?;
-        }
         Ok(())
     }
 }
@@ -226,7 +218,6 @@ pub(crate) struct AtomicStats {
     max_states: AtomicU64,
     eval_nanos: AtomicU64,
     failures: AtomicU64,
-    dominance_prunes: AtomicU64,
 }
 
 impl AtomicStats {
@@ -234,9 +225,9 @@ impl AtomicStats {
         AtomicStats::default()
     }
 
-    /// Folds one event into the counters: evaluations, cache hits,
-    /// failures and prunes count; phases, accepted points and the end of
-    /// the run do not.
+    /// Folds one event into the counters: evaluations, cache hits and
+    /// failures count; phases, accepted points and the end of the run do
+    /// not.
     pub(crate) fn fold(&self, event: &Event<'_>) {
         let counter = match *event {
             Event::Evaluated { states, nanos, .. } => {
@@ -246,7 +237,6 @@ impl AtomicStats {
             }
             Event::CacheHit(_) => &self.cache_hits,
             Event::Failed { .. } => &self.failures,
-            Event::Pruned(_) => &self.dominance_prunes,
             Event::Phase(_) | Event::Accepted(_) | Event::End { .. } => return,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -260,7 +250,6 @@ impl AtomicStats {
             max_states: self.max_states.load(Ordering::Relaxed),
             eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            dominance_prunes: self.dominance_prunes.load(Ordering::Relaxed),
         }
     }
 }
@@ -276,7 +265,7 @@ pub(crate) struct CachedEval {
     /// Throughput of the observed actor under the distribution.
     pub(crate) throughput: Rational,
     /// Whether the analysis panicked and was degraded to zero throughput
-    /// (such entries are terminal: no children, no dominance record).
+    /// (such entries are terminal: the guided search expands no children).
     pub(crate) failed: bool,
     /// The storage-dependent channels, one flag per channel, when the
     /// analysis collected them.
@@ -440,9 +429,6 @@ pub enum Event<'a> {
         /// The panic message.
         message: &'a str,
     },
-    /// The prune oracle skipped the distribution without analysing it: a
-    /// pointwise-comparable evaluated distribution already decided it.
-    Pruned(&'a StorageDistribution),
     /// A point was accepted into the Pareto front under construction (it
     /// may later be evicted by a dominating point).
     Accepted(&'a ParetoPoint),
@@ -590,11 +576,6 @@ mod tests {
         assert_ne!(a, c);
         let d = ExplorationStats { failures: 1, ..a };
         assert_ne!(a, d);
-        let f = ExplorationStats {
-            dominance_prunes: 2,
-            ..a
-        };
-        assert_ne!(a, f);
         assert_eq!(a.requests(), 15);
         assert!((a.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(ExplorationStats::default().cache_hit_rate(), 0.0);
@@ -626,7 +607,7 @@ mod tests {
         assert_eq!(s.cache_hits, 400);
         assert_eq!(s.max_states, 99);
         assert_eq!(s.eval_nanos, 4_000);
-        assert_eq!((s.failures, s.dominance_prunes), (0, 0));
+        assert_eq!(s.failures, 0);
     }
 
     #[test]
@@ -647,18 +628,6 @@ mod tests {
             partial.to_string(),
             "partial (truncated by deadline, 12 distributions skipped)"
         );
-    }
-
-    #[test]
-    fn prunes_are_recorded_and_shown() {
-        let stats = AtomicStats::new();
-        assert!(!stats.snapshot().to_string().contains("pruned"));
-        let dist = StorageDistribution::from_capacities(vec![4, 2]);
-        stats.fold(&Event::Pruned(&dist));
-        stats.fold(&Event::Pruned(&dist));
-        let s = stats.snapshot();
-        assert_eq!(s.dominance_prunes, 2);
-        assert!(s.to_string().contains("2 pruned by dominance"), "{s}");
     }
 
     #[test]

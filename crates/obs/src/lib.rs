@@ -8,7 +8,7 @@
 //!   [`Recorder`] snapshot on every request;
 //! - `GET /events` — a Server-Sent-Events stream that first replays the
 //!   bounded [`EventRing`] of rendered events and then tails the live
-//!   phase/evaluation/prune/pareto stream until the terminal `end` event;
+//!   phase/evaluation/pareto stream until the terminal `end` event;
 //!   each frame carries the event's kind and the same JSON fields as its
 //!   `--trace-json` line;
 //! - `GET /status` — a JSON point-in-time snapshot of the run
@@ -237,7 +237,6 @@ fn status_json(state: &ServeState) -> String {
     format!(
         "{{\"graph\":\"{}\",\"algorithm\":\"{}\",\"phase\":{},\"finished\":{},\
          \"elapsed_us\":{},\"evaluations\":{evaluations},\"cache_hits\":{},\
-         \"dominance_prunes\":{},\
          \"failures\":{},\"pareto_accepted\":{},\"front_size\":{},\
          \"budget_evaluations\":{budget},\"budget_evaluations_remaining\":{remaining},\
          \"events_dropped\":{},\"front\":[{}]}}",
@@ -250,7 +249,6 @@ fn status_json(state: &ServeState) -> String {
         stats.is_finished(),
         stats.elapsed_us(),
         counters.cache_hits,
-        counters.dominance_prunes,
         counters.failures,
         stats.pareto_accepted(),
         stats.front_size(),
@@ -365,7 +363,6 @@ mod tests {
             states: 7,
             nanos: 100,
         });
-        live.event(&Event::Pruned(&dist));
         live.event(&Event::Accepted(&ParetoPoint::new(
             dist.clone(),
             Rational::new(1, 2),
@@ -397,7 +394,7 @@ mod tests {
         assert!(status.contains("\"graph\":\"example\""), "{status}");
         assert!(status.contains("\"phase\":\"bounds\""), "{status}");
         assert!(status.contains("\"evaluations\":1"), "{status}");
-        assert!(status.contains("\"dominance_prunes\":1"), "{status}");
+        assert!(!status.contains("dominance_prunes"), "{status}");
         assert!(!status.contains("warm_starts"), "{status}");
         assert!(
             status.contains("\"budget_evaluations_remaining\":99"),
@@ -454,14 +451,15 @@ mod tests {
             body.contains("event: phase\ndata: {\"phase\":\"bounds\"}"),
             "{body}"
         );
-        assert!(body.contains("event: evaluation\n"), "{body}");
-        assert!(body.contains("\"throughput\":\"1/2\""), "{body}");
-        assert!(body.contains("event: pareto\n"), "{body}");
-        // Prune frames keep the `--trace-json` key order.
+        // Evaluation frames keep the `--trace-json` key order.
         assert!(
-            body.contains("event: pruned\ndata: {\"kind\":\"dominance\",\"distribution\":[4,2]}"),
+            body.contains(
+                "event: evaluation\ndata: {\"distribution\":[4,2],\"size\":6,\
+                 \"throughput\":\"1/2\",\"states\":7,\"nanos\":100}"
+            ),
             "{body}"
         );
+        assert!(body.contains("event: pareto\n"), "{body}");
         assert!(
             body.contains("event: end\ndata: {\"reason\":\"exhausted\"}"),
             "{body}"

@@ -37,8 +37,8 @@ pub(crate) const INDEX_HTML: &str = r#"<!doctype html>
   <a href="/metrics">/metrics</a> &middot; <a href="/events">/events</a> &middot;
   <a href="/healthz">/healthz</a></p>
 <script>
-const COUNTERS = ["evaluations", "cache_hits", "dominance_prunes",
-  "failures", "pareto_accepted", "events_dropped"];
+const COUNTERS = ["evaluations", "cache_hits", "failures",
+  "pareto_accepted", "events_dropped"];
 function esc(s) { const d = document.createElement("span");
   d.textContent = String(s); return d.innerHTML; }
 async function tick() {

@@ -156,9 +156,6 @@ pub mod names {
     /// Counter family: guided-search children skipped by the size upper
     /// bound or per-channel caps (label `reason`).
     pub const GUIDED_SKIPPED: &str = "buffy_guided_children_skipped_total";
-    /// Counter: candidate distributions skipped because a previously
-    /// evaluated pointwise-comparable distribution decided them.
-    pub const DOMINANCE_PRUNES: &str = "buffy_dominance_prunes_total";
     /// Counter: Pareto candidate points whose energy objective was
     /// computed from the actor power model.
     pub const ENERGY_POINTS: &str = "buffy_energy_points_total";

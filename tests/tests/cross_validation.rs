@@ -241,10 +241,15 @@ fn exhaustive_vs_guided_on_random_graphs() {
     );
 }
 
-/// The two explorers also agree on the small gallery graphs.
+/// The two explorers also agree on the small and mid-size gallery graphs.
 #[test]
 fn exhaustive_vs_guided_on_small_gallery() {
-    for g in [gallery::example(), gallery::bipartite()] {
+    for g in [
+        gallery::example(),
+        gallery::bipartite(),
+        gallery::modem(),
+        gallery::cd2dat(),
+    ] {
         let opts = ExploreOptions::default();
         let a = explore_design_space(&g, &opts).unwrap();
         let b = explore_dependency_guided(&g, &opts).unwrap();
@@ -252,17 +257,18 @@ fn exhaustive_vs_guided_on_small_gallery() {
     }
 }
 
-/// The two explorers agree on the mid-size gallery graphs (slower;
-/// exercised in release runs).
+/// The two explorers agree on the widest gallery graph. Its exhaustive
+/// sweep evaluates about 25 million distributions and keeps each in the
+/// memo: 137 s and 9.2 GB peak RSS in a release build on a shared
+/// 2-vCPU Intel Xeon virtual machine.
 #[test]
-#[ignore = "minutes in debug builds; run with --ignored --release"]
+#[ignore = "minutes even in release builds; run with --ignored --release"]
 fn exhaustive_vs_guided_on_large_gallery() {
-    for g in [gallery::modem(), gallery::cd2dat(), gallery::satellite()] {
-        let opts = ExploreOptions::default();
-        let a = explore_design_space(&g, &opts).unwrap();
-        let b = explore_dependency_guided(&g, &opts).unwrap();
-        assert_eq!(front(&a), front(&b), "{}", g.name());
-    }
+    let g = gallery::satellite();
+    let opts = ExploreOptions::default();
+    let a = explore_design_space(&g, &opts).unwrap();
+    let b = explore_dependency_guided(&g, &opts).unwrap();
+    assert_eq!(front(&a), front(&b), "{}", g.name());
 }
 
 /// Every Pareto witness on every gallery graph yields a valid schedule

@@ -7,7 +7,7 @@
 //! attaches an exact rational energy per iteration to every point without
 //! moving the front (energy is a monotone function of throughput, so 3D
 //! dominance coincides with 2D dominance on evaluated points — the same
-//! argument that keeps the throughput-only prune oracle sound). These
+//! argument that keeps the searches' throughput-only pruning sound). These
 //! tests pin each of those claims, including the energy figures against
 //! a hand-computed value and an independent schedule-walking oracle.
 
@@ -282,33 +282,29 @@ fn three_d_front_projects_onto_the_default_front() {
 
 #[test]
 fn throughput_only_pruning_stays_sound_under_the_energy_axis() {
-    // The prune oracle reasons about throughput bounds only. Because
-    // E(t) = W + I·f/t with W, I, f ≥ 0 is non-increasing in t, a pruned
-    // distribution can never have offered strictly lower energy at
-    // comparable throughput — so pruned and unpruned energy-aware runs
-    // must chart byte-identical 3D fronts.
+    // The guided search decides what to skip from throughputs and
+    // storage dependencies only. Because E(t) = W + I·f/t with
+    // W, I, f ≥ 0 is non-increasing in t, a skipped distribution can
+    // never have offered strictly lower energy at comparable throughput —
+    // so the guided and exhaustive energy-aware runs chart the same 3D
+    // front.
     let graph = gallery::modem_power();
-    let pruned = explore_sdf(
-        &graph,
-        ExploreOptions {
-            objectives: ObjectiveSpace::with_energy(),
-            ..ExploreOptions::default()
-        },
-    );
-    let unpruned = explore_sdf(
-        &graph,
-        ExploreOptions {
-            objectives: ObjectiveSpace::with_energy(),
-            prune: false,
-            ..ExploreOptions::default()
-        },
-    );
-    assert_eq!(
-        front_bytes(pruned.pareto.points()),
-        front_bytes(unpruned.pareto.points())
-    );
+    let options = ExploreOptions {
+        objectives: ObjectiveSpace::with_energy(),
+        ..ExploreOptions::default()
+    };
+    let exhaustive = explore_sdf(&graph, options.clone());
+    let guided = explore_dependency_guided(&graph, &options).unwrap();
+    let objectives = |r: &ExplorationResult| {
+        r.pareto
+            .points()
+            .iter()
+            .map(|p| (p.size, p.throughput, p.energy()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(objectives(&exhaustive), objectives(&guided));
     // Energy falls (weakly) along the front as throughput rises.
-    for pair in pruned.pareto.points().windows(2) {
+    for pair in exhaustive.pareto.points().windows(2) {
         assert!(pair[1].energy() <= pair[0].energy());
     }
 }

@@ -1,10 +1,12 @@
-//! Property tests for the static certificates and the prune oracle: the
-//! capacity-aware cycle-ratio bound behind `buffy bounds` and lints
+//! Property tests for the static certificates and the searches' pruning:
+//! the capacity-aware cycle-ratio bound behind `buffy bounds` and lints
 //! B010/B011 must upper-bound the exact (state-space) throughput on
-//! arbitrary graphs, the dominance order the prune oracle relies on must
-//! agree with the exact engine, and switching the oracle off must leave
-//! every front byte-identical — at one worker and at the CI worker count,
-//! for SDF and CSDF models alike.
+//! arbitrary graphs, the dominance order the searches' monotonicity
+//! arguments rely on must agree with the exact engine, and the guided
+//! search — which prunes the design space to storage-dependent growth
+//! (paper §12) — must chart the exhaustive front, with both drivers'
+//! fronts and statistics identical at one worker and at the CI worker
+//! count, for SDF and CSDF models alike.
 
 use buffy_analysis::{
     throughput_for, Capacities, DataflowSemantics, ExplorationLimits, StaticBounds,
@@ -115,7 +117,7 @@ fn static_certificate_upper_bounds_exact_throughput_on_csdf_graphs() {
     }
 }
 
-/// The monotone dominance the prune oracle exploits: a distribution that
+/// The monotone dominance the searches exploit: a distribution that
 /// dominates another (componentwise ≥ capacities) never runs slower.
 #[test]
 fn exact_throughput_respects_the_dominance_order() {
@@ -146,35 +148,46 @@ fn front_bytes(points: &[buffy_core::ParetoPoint]) -> String {
         .collect()
 }
 
-/// Runs `explore` with the oracle on and off, at one worker and at the
-/// CI worker count, and demands byte-identical fronts throughout.
-fn assert_prune_invisible<M, F>(model: &M, label: &str, explore: F)
-where
-    M: DataflowSemantics + Sync,
-    F: Fn(&M, &ExploreOptions) -> ExplorationResult,
-{
-    let run = |threads: usize, prune: bool| {
-        explore(
-            model,
-            &ExploreOptions {
-                threads,
-                prune,
-                ..ExploreOptions::default()
-            },
-        )
+/// The (size, throughput) pairs of a front.
+fn front(r: &ExplorationResult) -> Vec<(u64, Rational)> {
+    r.pareto
+        .points()
+        .iter()
+        .map(|p| (p.size, p.throughput))
+        .collect()
+}
+
+/// Charts `model` with both drivers, at one worker and at the CI worker
+/// count: the guided search's pruning keeps the exhaustive (size,
+/// throughput) front, and each driver's front and statistics are the
+/// same at either thread count.
+fn assert_pruning_preserves_fronts<M: DataflowSemantics + Sync>(model: &M, label: &str) {
+    let run = |threads: usize, guided: bool| {
+        let options = ExploreOptions {
+            threads,
+            ..ExploreOptions::default()
+        };
+        if guided {
+            explore_dependency_guided(model, &options).unwrap()
+        } else {
+            explore_design_space(model, &options).unwrap()
+        }
     };
-    let reference = run(1, false);
-    for threads in [1, test_threads()] {
-        let pruned = run(threads, true);
+    let exhaustive = run(1, false);
+    let guided = run(1, true);
+    assert_eq!(front(&exhaustive), front(&guided), "{label}");
+    assert_eq!(exhaustive.max_throughput, guided.max_throughput, "{label}");
+    let threads = test_threads();
+    for (reference, is_guided) in [(&exhaustive, false), (&guided, true)] {
+        let parallel = run(threads, is_guided);
         assert_eq!(
             front_bytes(reference.pareto.points()),
-            front_bytes(pruned.pareto.points()),
-            "{label}: pruning changed the front at {threads} thread(s)"
+            front_bytes(parallel.pareto.points()),
+            "{label} (guided: {is_guided}): the front changed at {threads} threads"
         );
-        assert_eq!(reference.max_throughput, pruned.max_throughput, "{label}");
-        assert!(
-            pruned.stats.evaluations <= reference.stats.evaluations,
-            "{label}: pruning must never add evaluations"
+        assert_eq!(
+            reference.stats, parallel.stats,
+            "{label} (guided: {is_guided}): the statistics changed at {threads} threads"
         );
     }
 }
@@ -187,31 +200,19 @@ fn pruning_preserves_exhaustive_fronts_on_sdf_graphs() {
         gallery::modem(),
         gallery::cd2dat(),
     ] {
-        assert_prune_invisible(&g, g.name(), |m, o| explore_design_space(m, o).unwrap());
+        assert_pruning_preserves_fronts(&g, g.name());
     }
     for seed in 0..8 {
         let g = RandomGraphConfig::small(3300 + seed).generate();
-        let label = format!("seed {seed}");
-        assert_prune_invisible(&g, &label, |m, o| explore_design_space(m, o).unwrap());
+        assert_pruning_preserves_fronts(&g, &format!("seed {}", 3300 + seed));
     }
 }
 
 #[test]
 fn pruning_preserves_guided_fronts_on_sdf_graphs() {
-    for g in [
-        gallery::example(),
-        gallery::bipartite(),
-        gallery::modem(),
-        gallery::cd2dat(),
-    ] {
-        assert_prune_invisible(&g, g.name(), |m, o| {
-            explore_dependency_guided(m, o).unwrap()
-        });
-    }
     for seed in 0..8 {
         let g = RandomGraphConfig::small(3400 + seed).generate();
-        let label = format!("seed {seed}");
-        assert_prune_invisible(&g, &label, |m, o| explore_dependency_guided(m, o).unwrap());
+        assert_pruning_preserves_fronts(&g, &format!("seed {}", 3400 + seed));
     }
 }
 
@@ -219,10 +220,8 @@ fn pruning_preserves_guided_fronts_on_sdf_graphs() {
 fn pruning_preserves_fronts_on_csdf_graphs() {
     let burst = burst_csdf();
     let embedded = CsdfGraph::from_sdf(&gallery::example());
-    for (label, g) in [("burst3", &burst), ("embedded example", &embedded)] {
-        assert_prune_invisible(g, label, |m, o| explore_design_space(m, o).unwrap());
-        assert_prune_invisible(g, label, |m, o| explore_dependency_guided(m, o).unwrap());
-    }
+    assert_pruning_preserves_fronts(&burst, "burst3");
+    assert_pruning_preserves_fronts(&embedded, "embedded example");
 }
 
 /// The pinned maximal throughput and static certificates of

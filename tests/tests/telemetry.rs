@@ -245,7 +245,6 @@ fn sdf_results_are_identical_with_server_attached() {
             for (key, value) in [
                 ("evaluations", served.stats.evaluations),
                 ("cache_hits", served.stats.cache_hits),
-                ("dominance_prunes", served.stats.dominance_prunes),
                 ("failures", served.stats.failures),
             ] {
                 assert!(
