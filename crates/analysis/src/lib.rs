@@ -25,7 +25,9 @@
 //!   expansion of any model class and the maximum-cycle-ratio analysis
 //!   giving its maximal achievable throughput (paper §9, \[GG93\]);
 //! - [`StaticBounds`]: the same expansion with capacity back-edges, a
-//!   sound throughput certificate per storage distribution.
+//!   sound throughput certificate per storage distribution;
+//! - [`PairBounds`]: a cheaper, coarser bound per channel and capacity,
+//!   from the two-actor model of that channel alone.
 //!
 //! # Example
 //!
@@ -64,6 +66,7 @@ mod interner;
 mod latency;
 mod mcm;
 mod memory;
+mod pair_bounds;
 mod schedule;
 mod semantics;
 mod state_space;
@@ -82,6 +85,7 @@ pub use mcm::{
     max_cycle_ratio, max_cycle_ratio_brute_force, maximal_throughput, RatioEdge, RatioGraph,
 };
 pub use memory::{shared_memory_peak, SharedMemoryReport};
+pub use pair_bounds::{PairBound, PairBounds};
 pub use schedule::{Firing, Schedule, ScheduleViolation};
 pub use semantics::{bmlb, rate_step, DataflowSemantics};
 pub use state_space::{explore, explore_for, StateSpace};

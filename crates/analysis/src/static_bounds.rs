@@ -291,7 +291,7 @@ impl StaticBounds {
 }
 
 /// Whether the undirected channel graph connects every actor.
-fn is_connected<M: DataflowSemantics + ?Sized>(num_actors: usize, model: &M) -> bool {
+pub(crate) fn is_connected<M: DataflowSemantics + ?Sized>(num_actors: usize, model: &M) -> bool {
     if num_actors <= 1 {
         return true;
     }

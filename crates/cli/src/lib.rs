@@ -814,6 +814,11 @@ mod tests {
             prom_text.contains("buffy_memo_shard_hits_total{shard=\"0\"}"),
             "{prom_text}"
         );
+        // The exhaustive sweep counts the candidates its pair bounds skip.
+        assert!(
+            prom_text.contains("buffy_candidates_bound_skipped_total{phase=\"front-search\"}"),
+            "{prom_text}"
+        );
 
         // Chrome trace: the trace-event envelope with eval spans and
         // phase spans.
@@ -844,6 +849,10 @@ mod tests {
         let prom_text = std::fs::read_to_string(&prom).unwrap();
         assert!(
             prom_text.contains("buffy_sizes_pruned_total{phase=\"constraint-search\"}"),
+            "{prom_text}"
+        );
+        assert!(
+            prom_text.contains("buffy_candidates_bound_skipped_total{phase=\"constraint-search\"}"),
             "{prom_text}"
         );
 

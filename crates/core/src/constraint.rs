@@ -5,10 +5,13 @@
 //! with a schedule meeting it?* This module answers it directly — without
 //! charting the whole Pareto space — by a binary search over the monotone
 //! size dimension, deciding each size with an early-exit enumeration
-//! (paper §9). Like the exploration drivers, the search runs for any
-//! [`DataflowSemantics`] model and reports to
-//! [`ExploreOptions::observer`].
+//! (paper §9). The enumeration evaluates no candidate whose two-actor
+//! pair bound (`buffy_analysis::PairBounds`) already falls below the
+//! constraint, which leaves its first hit unchanged. Like the exploration
+//! drivers, the search runs for any [`DataflowSemantics`] model and
+//! reports to [`ExploreOptions::observer`].
 
+use crate::bound_table::{admits, BoundTable};
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::explore::{salvage, ExploreOptions, SKIP_COUNT_CAP};
@@ -117,27 +120,8 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
     }
     eval.emit(Event::Phase(SearchPhase::ConstraintSearch));
 
-    // Decide "size S meets the constraint" with early exit: the first
-    // feasible candidate in enumeration order is the size's witness.
-    let decide = |size: u64| -> Result<Option<ParetoPoint>, ExploreError> {
-        let mut hit: Option<ParetoPoint> = None;
-        let mut error: Option<ExploreError> = None;
-        space.for_each_of_size(size, |d| match eval.eval(&d) {
-            Ok(t) if t >= constraint => {
-                hit = Some(eval.point(d, t));
-                ControlFlow::Break(())
-            }
-            Ok(_) => ControlFlow::Continue(()),
-            Err(e) => {
-                error = Some(e);
-                ControlFlow::Break(())
-            }
-        });
-        match error {
-            Some(e) => Err(e),
-            None => Ok(hit),
-        }
-    };
+    let mut table = eval.bound_table(&space, SearchPhase::ConstraintSearch);
+    let mut decide = |size| first_hit(&eval, &space, &mut table, size, constraint);
 
     // Binary search the smallest feasible size in [lb, ub]. Without
     // channel constraints, ub is feasible by construction (it realizes the
@@ -220,10 +204,123 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
     })
 }
 
+/// Decides "size `size` meets `constraint`" with early exit: the first
+/// candidate in enumeration order whose throughput reaches the constraint
+/// is the size's witness.
+///
+/// A candidate whose pair bound falls below the constraint (some channel
+/// under its threshold in `table`) cannot reach it, so it is not
+/// evaluated. Every other candidate is, in the same order, so the first
+/// hit is the one the full enumeration finds.
+fn first_hit<M: DataflowSemantics + Sync>(
+    eval: &EvalPipeline<'_, M>,
+    space: &DistributionSpace,
+    table: &mut BoundTable<'_, M>,
+    size: u64,
+    constraint: Rational,
+) -> Result<Option<ParetoPoint>, ExploreError> {
+    let thresholds = table.thresholds(constraint, size)?;
+    let mut hit: Option<ParetoPoint> = None;
+    let mut error: Option<ExploreError> = None;
+    let mut skipped = 0;
+    space.for_each_of_size(size, |d| {
+        if !admits(&d, &thresholds) {
+            skipped += 1;
+            return ControlFlow::Continue(());
+        }
+        match eval.eval(&d) {
+            Ok(t) if t >= constraint => {
+                hit = Some(eval.point(d, t));
+                ControlFlow::Break(())
+            }
+            Ok(_) => ControlFlow::Continue(()),
+            Err(e) => {
+                error = Some(e);
+                ControlFlow::Break(())
+            }
+        }
+    });
+    table.note_skipped(skipped);
+    match error {
+        Some(e) => Err(e),
+        None => Ok(hit),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::tests::{ceilings, small_mixed_step_graphs, Requests};
     use buffy_graph::SdfGraph;
+    use std::sync::Arc;
+
+    /// The decision without pair bounds: every candidate is evaluated up
+    /// to the first hit. The reference of the differential below.
+    fn reference_first_hit<M: DataflowSemantics + Sync>(
+        eval: &EvalPipeline<'_, M>,
+        space: &DistributionSpace,
+        size: u64,
+        constraint: Rational,
+    ) -> Option<ParetoPoint> {
+        let mut hit = None;
+        space.for_each_of_size(size, |d| match eval.eval(&d).unwrap() {
+            t if t >= constraint => {
+                hit = Some(eval.point(d, t));
+                ControlFlow::Break(())
+            }
+            _ => ControlFlow::Continue(()),
+        });
+        hit
+    }
+
+    /// At every realizable size up to the upper bound and at every front
+    /// throughput of `model`, the bounded decision finds the reference's
+    /// first hit and asks only for candidates the reference asks for, in
+    /// the same order.
+    fn assert_first_hits_agree<M: DataflowSemantics + Sync>(label: &str, model: &M) {
+        let requests = Arc::new(Requests::default());
+        let options = ExploreOptions {
+            observer: Some(requests.clone()),
+            ..ExploreOptions::default()
+        };
+        let eval = EvalPipeline::new(model, model.default_observed_actor(), &options).unwrap();
+        let space = DistributionSpace::for_model(model);
+        let (ub, _) = eval.upper_bound().unwrap();
+        let mut table = eval.bound_table(&space, SearchPhase::ConstraintSearch);
+        let constraints = ceilings(model);
+        for size in space.sizes_in(space.min_size(), ub.size()) {
+            for &constraint in &constraints {
+                let case = format!("{label} size {size} constraint {constraint}");
+                requests.take();
+                let reference = reference_first_hit(&eval, &space, size, constraint);
+                let enumerated = requests.take();
+                let bounded = first_hit(&eval, &space, &mut table, size, constraint).unwrap();
+                let asked = requests.take();
+                assert_eq!(bounded, reference, "{case}");
+                let mut rest = enumerated.iter();
+                for d in &asked {
+                    assert!(rest.any(|e| e == d), "{case}: {d} out of order");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_decisions_agree_with_the_reference() {
+        use buffy_gen::RandomGraphConfig;
+        for seed in 0..100 {
+            let g = RandomGraphConfig::small(seed).generate();
+            assert_first_hits_agree(&format!("small {seed}"), &g);
+        }
+        for g in small_mixed_step_graphs() {
+            assert_first_hits_agree(g.name(), &g);
+            let csdf = buffy_csdf::CsdfGraph::from_sdf(&g);
+            assert_first_hits_agree(&format!("{} csdf", g.name()), &csdf);
+        }
+        for g in [buffy_gen::gallery::modem(), buffy_gen::gallery::cd2dat()] {
+            assert_first_hits_agree(g.name(), &g);
+        }
+    }
 
     fn example() -> SdfGraph {
         let mut b = SdfGraph::builder("example");

@@ -64,6 +64,11 @@ impl DistributionSpace {
         self.maxs.as_ref().map(|m| m[channel])
     }
 
+    /// The capacity step of `channel`.
+    pub(crate) fn step_of(&self, channel: usize) -> u64 {
+        self.steps[channel]
+    }
+
     /// The smallest distribution size on the grid (every channel at its
     /// lower bound) — the combined lower bound `lb` of the paper's Fig. 7.
     pub fn min_size(&self) -> u64 {

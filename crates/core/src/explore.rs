@@ -10,7 +10,11 @@
 //! - the *throughput dimension* is searched per size by enumerating the
 //!   grid of meaningful distributions ([`DistributionSpace`]) with early
 //!   exit as soon as the interval's known ceiling is reached — the
-//!   monotonicity-seeded binary search of the paper;
+//!   monotonicity-seeded binary search of the paper. A candidate whose
+//!   two-actor pair bound (`buffy_analysis::PairBounds`) falls below a
+//!   proven lower bound on the size's own result is skipped without an
+//!   evaluation; the result, witness included, stays that of the full
+//!   enumeration (`max_throughput_for_size` has the argument);
 //! - the search is boxed by the combined lower bound (sum of per-channel
 //!   BMLB bounds) and the upper bound (a distribution realizing the
 //!   maximal achievable throughput), per §8/Fig. 7;
@@ -30,6 +34,7 @@
 //! progress to the [`ExploreObserver`] carried in
 //! [`ExploreOptions::observer`].
 
+use crate::bound_table::{admits, BoundTable};
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::objective::ObjectiveSpace;
@@ -191,23 +196,65 @@ fn q(t: Rational, quantum: Option<Rational>) -> Rational {
 /// positively.
 ///
 /// Candidates are consumed in chunks of exactly [`EVAL_CHUNK`]
-/// enumerated candidates, with the early exit (the ceiling) checked at
-/// chunk boundaries only — for every thread count, including sequential
+/// enumerated positions, with the early exit (the ceiling) checked at
+/// chunk ends only — for every thread count, including sequential
 /// runs, so the evaluated set (and with it the statistics) does not
 /// depend on `threads`.
+///
+/// # Skipping by pair bounds
+///
+/// First the `table`'s seed of `size`, if there is one, is evaluated
+/// through the pipeline, and the *floor* is its throughput, capped at the
+/// ceiling (zero without a seed). A candidate whose pair bound falls
+/// below the floor (some channel under its threshold) is not evaluated,
+/// but it keeps its position in its chunk. After each chunk the floor
+/// rises to the best throughput found so far; this is the only point
+/// where the thresholds change, so the evaluated set still does not
+/// depend on `threads`.
+///
+/// *Why the result is exact.* Compare with the sweep that evaluates every
+/// enumerated candidate. Its chunks end at the same positions. Say its
+/// best after some chunk is `b`, first reached by `w`.
+/// - If `b` is at least the seed's floor, `w` is not skipped: its bound
+///   is at least `t(w) = b`, and so is every floor in force when `w` was
+///   enumerated (a raised floor is an earlier best of this sweep, at most
+///   `b`). Every candidate before `w` has less throughput, so this sweep
+///   has the same best and witness after that chunk.
+/// - If `b` is below the floor, this sweep's best is at most `b`. The
+///   floor is at most the ceiling, so neither sweep stops there.
+///
+/// The full sweep ends with a best of at least the floor: the ceiling
+/// when it stops early, and the size's maximum, at least the seed's
+/// throughput, when it runs out. So both sweeps end after the same chunk
+/// with the same `(best_q, best, witness)`, for every quantum, cap and
+/// thread count.
 fn max_throughput_for_size<M: DataflowSemantics + Sync>(
     eval: &EvalPipeline<'_, M>,
     space: &DistributionSpace,
+    table: &mut BoundTable<'_, M>,
     size: u64,
     ceiling_q: Rational,
     quantum: Option<Rational>,
 ) -> Result<(Rational, Rational, Option<StorageDistribution>), ExploreError> {
+    let mut floor = match table.seed(size)? {
+        Some(seed) => match eval.eval(&seed) {
+            Ok(t) => t.min(ceiling_q),
+            Err(e @ ExploreError::Cancelled { .. }) => return Err(e),
+            // A seed that fails to analyse proves nothing; the sweep meets
+            // the failure itself if it reaches the seed.
+            Err(_) => Rational::ZERO,
+        },
+        None => Rational::ZERO,
+    };
+    let mut thresholds = table.thresholds(floor, size)?;
     let mut best = Rational::ZERO;
     let mut best_q = Rational::ZERO;
     let mut witness: Option<StorageDistribution> = None;
     let mut error: Option<ExploreError> = None;
 
     let mut buffer: Vec<StorageDistribution> = Vec::with_capacity(EVAL_CHUNK);
+    let mut positions = 0;
+    let mut skipped = 0;
     let process = |buf: &mut Vec<StorageDistribution>,
                    best: &mut Rational,
                    best_q: &mut Rational,
@@ -224,24 +271,39 @@ fn max_throughput_for_size<M: DataflowSemantics + Sync>(
         Ok(*best_q >= ceiling_q)
     };
     space.for_each_of_size(size, |d| {
-        buffer.push(d);
-        if buffer.len() >= EVAL_CHUNK {
-            match process(&mut buffer, &mut best, &mut best_q, &mut witness) {
-                Ok(true) => {
-                    eval.note_short_circuit();
-                    ControlFlow::Break(())
-                }
-                Ok(false) => ControlFlow::Continue(()),
-                Err(e) => {
-                    error = Some(e);
-                    ControlFlow::Break(())
-                }
-            }
+        positions += 1;
+        if admits(&d, &thresholds) {
+            buffer.push(d);
         } else {
-            ControlFlow::Continue(())
+            skipped += 1;
+        }
+        if positions < EVAL_CHUNK {
+            return ControlFlow::Continue(());
+        }
+        positions = 0;
+        table.note_skipped(std::mem::take(&mut skipped));
+        let reached =
+            process(&mut buffer, &mut best, &mut best_q, &mut witness).and_then(|reached| {
+                if !reached && best > floor {
+                    floor = best;
+                    thresholds = table.thresholds(floor, size)?;
+                }
+                Ok(reached)
+            });
+        match reached {
+            Ok(true) => {
+                eval.note_short_circuit();
+                ControlFlow::Break(())
+            }
+            Ok(false) => ControlFlow::Continue(()),
+            Err(e) => {
+                error = Some(e);
+                ControlFlow::Break(())
+            }
         }
     });
-    if error.is_none() && !buffer.is_empty() {
+    if error.is_none() && positions > 0 {
+        table.note_skipped(skipped);
         if let Err(e) = process(&mut buffer, &mut best, &mut best_q, &mut witness) {
             error = Some(e);
         }
@@ -397,6 +459,9 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         ub_size = ub_size.min(caps.size());
     }
 
+    // The pair bounds of the front search's sweeps, shared by every size.
+    let mut table = eval.bound_table(&space, SearchPhase::FrontSearch);
+
     // Clip the throughput range per the options.
     let thr_cap = match options.max_throughput {
         Some(cap) => cap.min(thr_max_graph),
@@ -501,6 +566,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
             max_throughput_for_size(
                 &eval,
                 &space,
+                &mut table,
                 sizes[min_positive],
                 thr_cap_q,
                 options.quantum,
@@ -519,7 +585,14 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         // realizable size (unless the user capped the size below it).
         let (right_q, right_exact, right_witness) = if last > min_positive {
             let Some(right) = salvage(
-                max_throughput_for_size(&eval, &space, largest, thr_cap_q, options.quantum),
+                max_throughput_for_size(
+                    &eval,
+                    &space,
+                    &mut table,
+                    largest,
+                    thr_cap_q,
+                    options.quantum,
+                ),
                 &mut truncated,
             )?
             else {
@@ -559,7 +632,14 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
             }
             let mid = lo_i + (hi_i - lo_i) / 2;
             let Some((mid_q, mid_exact, mid_witness)) = salvage(
-                max_throughput_for_size(&eval, &space, sizes[mid], hi_q, options.quantum),
+                max_throughput_for_size(
+                    &eval,
+                    &space,
+                    &mut table,
+                    sizes[mid],
+                    hi_q,
+                    options.quantum,
+                ),
                 &mut truncated,
             )?
             else {
@@ -602,10 +682,300 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use buffy_graph::SdfGraph;
     use std::sync::Mutex;
+
+    /// The per-size sweep without pair bounds: it evaluates every
+    /// enumerated candidate. The reference of the sweep differential below.
+    fn reference_max_throughput_for_size<M: DataflowSemantics + Sync>(
+        eval: &EvalPipeline<'_, M>,
+        space: &DistributionSpace,
+        size: u64,
+        ceiling_q: Rational,
+        quantum: Option<Rational>,
+    ) -> Result<(Rational, Rational, Option<StorageDistribution>), ExploreError> {
+        let mut best = Rational::ZERO;
+        let mut best_q = Rational::ZERO;
+        let mut witness: Option<StorageDistribution> = None;
+        let mut error: Option<ExploreError> = None;
+
+        let mut buffer: Vec<StorageDistribution> = Vec::with_capacity(EVAL_CHUNK);
+        let process = |buf: &mut Vec<StorageDistribution>,
+                       best: &mut Rational,
+                       best_q: &mut Rational,
+                       witness: &mut Option<StorageDistribution>|
+         -> Result<bool, ExploreError> {
+            let results = eval.eval_batch(buf)?;
+            for (d, t) in buf.drain(..).zip(results) {
+                if t > *best {
+                    *best = t;
+                    *best_q = q(t, quantum);
+                    *witness = Some(d);
+                }
+            }
+            Ok(*best_q >= ceiling_q)
+        };
+        space.for_each_of_size(size, |d| {
+            buffer.push(d);
+            if buffer.len() >= EVAL_CHUNK {
+                match process(&mut buffer, &mut best, &mut best_q, &mut witness) {
+                    Ok(true) => ControlFlow::Break(()),
+                    Ok(false) => ControlFlow::Continue(()),
+                    Err(e) => {
+                        error = Some(e);
+                        ControlFlow::Break(())
+                    }
+                }
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        if error.is_none() && !buffer.is_empty() {
+            if let Err(e) = process(&mut buffer, &mut best, &mut best_q, &mut witness) {
+                error = Some(e);
+            }
+        }
+        if let Some(e) = error {
+            return Err(e);
+        }
+        if best.is_zero() {
+            witness = None;
+        }
+        Ok((best_q, best, witness))
+    }
+
+    /// Every distribution a pipeline is asked for, memo hits included.
+    #[derive(Default)]
+    pub(crate) struct Requests(Mutex<Vec<StorageDistribution>>);
+
+    impl ExploreObserver for Requests {
+        fn event(&self, event: &Event<'_>) {
+            if let Event::Evaluated { dist, .. }
+            | Event::CacheHit(dist)
+            | Event::Failed { dist, .. } = *event
+            {
+                self.0.lock().unwrap().push(dist.clone());
+            }
+        }
+    }
+
+    impl Requests {
+        pub(crate) fn take(&self) -> Vec<StorageDistribution> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    /// Request counts of one [`assert_sweeps_agree`] call.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct SweepCounts {
+        /// Candidates the reference sweeps evaluated: every enumerated one.
+        enumerated: u64,
+        /// Candidates the bounded sweeps evaluated, seeds not included.
+        evaluated: u64,
+        /// Seeds the bounded sweeps evaluated.
+        seeds: u64,
+    }
+
+    /// Sweeps every realizable size of `model` at every ceiling with the
+    /// reference and with the bounded sweep, through one pipeline and one
+    /// table, with `threads` workers, `caps` and `quantum`. Requires the
+    /// same `(best_q, best, witness)`, and a bounded sweep that asks for
+    /// its seed first and then only for candidates the reference asked
+    /// for. Counts discards on `skipped`.
+    fn assert_sweeps_agree<M: DataflowSemantics + Sync>(
+        label: &str,
+        model: &M,
+        threads: usize,
+        caps: Option<StorageDistribution>,
+        quantum: Option<Rational>,
+        ceilings: &[Rational],
+        skipped: &Arc<buffy_telemetry::Counter>,
+    ) -> SweepCounts {
+        let requests = Arc::new(Requests::default());
+        let options = ExploreOptions {
+            threads,
+            max_channel_caps: caps.clone(),
+            observer: Some(requests.clone()),
+            ..ExploreOptions::default()
+        };
+        let eval = EvalPipeline::new(model, model.default_observed_actor(), &options).unwrap();
+        let mut space = DistributionSpace::for_model(model);
+        if let Some(caps) = &caps {
+            space = space.with_max_capacities(caps);
+        }
+        let (ub, _) = eval.upper_bound().unwrap();
+        let top = caps.as_ref().map_or(u64::MAX, StorageDistribution::size);
+        let mut table = eval
+            .bound_table(&space, SearchPhase::FrontSearch)
+            .counting_on(skipped.clone());
+        let mut counts = SweepCounts::default();
+        requests.take();
+        for size in space.sizes_in(space.min_size(), ub.size().min(top)) {
+            for &ceiling in ceilings {
+                let case = format!("{label} size {size} ceiling {ceiling}");
+                let ceiling_q = q(ceiling, quantum);
+                let reference =
+                    reference_max_throughput_for_size(&eval, &space, size, ceiling_q, quantum)
+                        .unwrap();
+                let enumerated = requests.take();
+                let bounded =
+                    max_throughput_for_size(&eval, &space, &mut table, size, ceiling_q, quantum)
+                        .unwrap();
+                let mut asked = requests.take();
+                assert_eq!(bounded, reference, "{case}");
+                if let Some(seed) = table.seed(size).unwrap() {
+                    assert_eq!(seed.size(), size, "{case}");
+                    assert_eq!(asked.first(), Some(&seed), "{case}: seed first");
+                    asked.remove(0);
+                    counts.seeds += 1;
+                }
+                for d in &asked {
+                    assert!(enumerated.contains(d), "{case}: {d} beyond the reference");
+                }
+                counts.enumerated += enumerated.len() as u64;
+                counts.evaluated += asked.len() as u64;
+            }
+        }
+        counts
+    }
+
+    /// The maximal throughput and every front throughput of `model`.
+    pub(crate) fn ceilings<M: DataflowSemantics + Sync>(model: &M) -> Vec<Rational> {
+        let r = explore_design_space(model, &ExploreOptions::default()).unwrap();
+        let mut ceilings: Vec<Rational> = r.pareto.points().iter().map(|p| p.throughput).collect();
+        ceilings.push(r.max_throughput);
+        ceilings.dedup();
+        ceilings
+    }
+
+    /// The differential of one model under 1 and 4 threads, with and
+    /// without a quantum and with and without caps one step below the
+    /// upper-bound distribution's.
+    fn assert_sweeps_agree_everywhere<M: DataflowSemantics + Sync>(label: &str, model: &M) {
+        let ceilings = ceilings(model);
+        let thr_max = *ceilings.last().unwrap();
+        let (ub, _) = crate::upper_bound_distribution(
+            model,
+            model.default_observed_actor(),
+            ExplorationLimits::default(),
+        )
+        .unwrap();
+        let space = DistributionSpace::for_model(model);
+        let below_ub: StorageDistribution = (0..space.len())
+            .map(|i| {
+                let min = space.min_distribution().as_slice()[i];
+                let cap = ub.as_slice()[i];
+                cap.saturating_sub(space.step_of(i)).max(min)
+            })
+            .collect();
+        let counter = Arc::new(buffy_telemetry::Counter::new());
+        for threads in [1, 4] {
+            for caps in [None, Some(below_ub.clone())] {
+                for quantum in [None, Some(thr_max / Rational::from(4u64))] {
+                    let case = format!("{label} ×{threads} caps {caps:?} quantum {quantum:?}");
+                    assert_sweeps_agree(
+                        &case,
+                        model,
+                        threads,
+                        caps.clone(),
+                        quantum,
+                        &ceilings,
+                        &counter,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_sweeps_agree_with_the_reference_on_random_graphs() {
+        use buffy_gen::RandomGraphConfig;
+        for seed in 0..100 {
+            let g = RandomGraphConfig::small(seed).generate();
+            assert_sweeps_agree_everywhere(&format!("small {seed}"), &g);
+        }
+    }
+
+    /// The `mixed_step(4, 5, seed)` graphs of seeds 1–40 whose grid up to
+    /// the upper bound holds at most 3,000 distributions: few enough for
+    /// the references to sweep every size. Chosen by grid size alone.
+    pub(crate) fn small_mixed_step_graphs() -> Vec<SdfGraph> {
+        (1..=40)
+            .map(|seed| buffy_gen::RandomGraphConfig::mixed_step(4, 5, seed).generate())
+            .filter(|g| {
+                let space = DistributionSpace::for_model(g);
+                let observed = g.default_observed_actor();
+                crate::upper_bound_distribution(g, observed, ExplorationLimits::default())
+                    .is_ok_and(|(ub, _)| {
+                        space
+                            .count_in_capped(space.min_size(), ub.size(), 3_000)
+                            .is_some()
+                    })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bounded_sweeps_agree_with_the_reference_on_mixed_steps() {
+        let graphs = small_mixed_step_graphs();
+        assert!(graphs.len() >= 5, "only {} graphs", graphs.len());
+        for g in &graphs {
+            assert_sweeps_agree_everywhere(g.name(), g);
+            let csdf = buffy_csdf::CsdfGraph::from_sdf(g);
+            assert_sweeps_agree_everywhere(&format!("{} csdf", g.name()), &csdf);
+        }
+    }
+
+    /// On cd2dat the bounded sweep skips most candidates, and the discard
+    /// counter counts exactly the enumerated candidates it did not
+    /// evaluate.
+    #[test]
+    fn the_discard_counter_counts_enumerated_minus_evaluated() {
+        let g = buffy_gen::gallery::cd2dat();
+        let ceilings = ceilings(&g);
+        let counter = Arc::new(buffy_telemetry::Counter::new());
+        let counts = assert_sweeps_agree("cd2dat", &g, 1, None, None, &ceilings, &counter);
+        assert!(counts.evaluated * 2 < counts.enumerated, "{counts:?}");
+        assert_eq!(counter.get(), counts.enumerated - counts.evaluated);
+    }
+
+    /// Two components tie no rates together: the model has no pair
+    /// bounds, no seeds and no thresholds, and every sweep asks for
+    /// exactly what the reference asks for.
+    #[test]
+    fn a_disconnected_model_sweeps_like_the_reference() {
+        let mut b = SdfGraph::builder("two");
+        let x = b.actor("x", 1);
+        let y = b.actor("y", 2);
+        let u = b.actor("u", 1);
+        let v = b.actor("v", 3);
+        b.channel("xy", x, 2, y, 3).unwrap();
+        b.channel("uv", u, 1, v, 2).unwrap();
+        let g = b.build().unwrap();
+        let requests = Arc::new(Requests::default());
+        let options = ExploreOptions {
+            observer: Some(requests.clone()),
+            ..ExploreOptions::default()
+        };
+        let eval = EvalPipeline::new(&g, y, &options).unwrap();
+        let space = DistributionSpace::for_model(&g);
+        let mut table = eval.bound_table(&space, SearchPhase::FrontSearch);
+        let (ub, thr_max) = eval.upper_bound().unwrap();
+        for size in space.sizes_in(space.min_size(), ub.size()) {
+            assert_eq!(table.seed(size).unwrap(), None);
+            assert_eq!(table.thresholds(thr_max, size).unwrap(), []);
+            requests.take();
+            let reference =
+                reference_max_throughput_for_size(&eval, &space, size, thr_max, None).unwrap();
+            let enumerated = requests.take();
+            let bounded =
+                max_throughput_for_size(&eval, &space, &mut table, size, thr_max, None).unwrap();
+            assert_eq!(bounded, reference, "size {size}");
+            assert_eq!(requests.take(), enumerated, "size {size}");
+        }
+    }
 
     fn example() -> SdfGraph {
         let mut b = SdfGraph::builder("example");
@@ -765,7 +1135,9 @@ mod tests {
         fn check<M: DataflowSemantics + Sync>(model: &M) {
             // The guided search cannot lose its start distribution (the
             // minimal one) and still chart a front, so it fails its
-            // maximal front point instead.
+            // maximal front point instead. The constraint asks for the
+            // minimal point's own throughput, 1/7: a higher one would skip
+            // that candidate by its pair bound and never evaluate it.
             let minimal = StorageDistribution::from_capacities(vec![4, 2]);
             let guided = explore_dependency_guided(model, &ExploreOptions::default()).unwrap();
             let maximal = guided.pareto.maximal().unwrap().distribution.clone();
@@ -794,7 +1166,7 @@ mod tests {
                         }
                         _ => {
                             let r =
-                                min_storage_for_throughput(model, Rational::new(1, 6), &options)
+                                min_storage_for_throughput(model, Rational::new(1, 7), &options)
                                     .unwrap();
                             (r.stats, 1)
                         }

@@ -57,6 +57,7 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
+mod bound_table;
 mod bounds;
 mod checkpoint;
 mod constraint;

@@ -26,6 +26,12 @@
 //! boxes: its memo entries carry flags, which a tighter cap inside a box
 //! can change.
 //!
+//! The same flag-free drivers skip candidates before they reach the
+//! pipeline: [`EvalPipeline::bound_table`] gives them the run's table of
+//! two-actor pair bounds, whose analyses share the pipeline's limits and
+//! cancel token but are not evaluations: no event, no states charged, no
+//! memo entry. A skipped candidate never enters the pipeline at all.
+//!
 //! Every fact the pipeline and its drivers observe — a phase change, a
 //! cache hit, a replayed or genuine evaluation, a failure, an accepted
 //! point — goes through [`EvalPipeline::emit`] exactly once.
@@ -35,7 +41,9 @@
 //! live here; the drivers (`explore`, `dependency`, `constraint`) are
 //! thin consumers.
 
+use crate::bound_table::BoundTable;
 use crate::bounds::upper_bound_distribution_with;
+use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::explore::{ExploreOptions, WarmStart};
 use crate::fault::{FaultPlan, FaultSite};
@@ -43,7 +51,7 @@ use crate::objective::ObjectiveKind;
 use crate::pareto::{ParetoPoint, ParetoSet};
 use crate::runtime::{
     resolve_threads, AtomicStats, CachedEval, EvaluationFailure, Event, ExplorationStats,
-    ExploreObserver, ShardedCache,
+    ExploreObserver, SearchPhase, ShardedCache,
 };
 use buffy_analysis::{
     throughput_analysis, AnalysisError, AnalysisRequest, AnalysisWorkspace, CancelReason,
@@ -620,6 +628,25 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             .collect()
     }
 
+    /// The run's table of pair bounds over `space`, whose analyses share
+    /// this pipeline's limits and cancel token but nothing else: they are
+    /// uncounted, unobserved and kept out of the memo. `phase` labels its
+    /// discard counter.
+    pub(crate) fn bound_table(
+        &self,
+        space: &DistributionSpace,
+        phase: SearchPhase,
+    ) -> BoundTable<'a, M> {
+        BoundTable::new(
+            self.model,
+            self.observed,
+            space,
+            self.limits,
+            Arc::clone(&self.cancel),
+            phase,
+        )
+    }
+
     /// Records one per-size sweep cut short by the monotonicity ceiling.
     pub(crate) fn note_short_circuit(&self) {
         if let Some(t) = &self.telemetry {
@@ -760,10 +787,12 @@ mod tests {
 
     #[test]
     fn boxes_answer_exhaustive_candidates() {
-        // Each stored box decides a whole range of capacities: most of
-        // cd2dat's and modem's candidates fall inside an earlier one.
-        assert_eq!(box_answers(&gallery::cd2dat()), (682, 500));
-        assert_eq!(box_answers(&gallery::modem()), (258, 175));
+        // Each stored box decides a whole range of capacities: a quarter
+        // of cd2dat's candidates fall inside an earlier one. The pair
+        // bounds skip most of the rest before they reach the pipeline,
+        // which leaves modem only a few.
+        assert_eq!(box_answers(&gallery::cd2dat()), (92, 23));
+        assert_eq!(box_answers(&gallery::modem()), (22, 3));
     }
 
     #[test]

@@ -153,6 +153,10 @@ pub mod names {
     /// Counter: per-size sweeps cut short because the monotonicity
     /// ceiling was already reached.
     pub const EVALS_SHORT_CIRCUITED: &str = "buffy_evals_short_circuited_total";
+    /// Counter family: sweep candidates skipped without an evaluation
+    /// because a pair bound falls below the sweep's proven floor (label
+    /// `phase`).
+    pub const CANDIDATES_BOUND_SKIPPED: &str = "buffy_candidates_bound_skipped_total";
     /// Counter family: guided-search children skipped by the size upper
     /// bound or per-channel caps (label `reason`).
     pub const GUIDED_SKIPPED: &str = "buffy_guided_children_skipped_total";
