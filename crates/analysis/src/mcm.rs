@@ -111,66 +111,97 @@ impl RatioGraph {
     /// ```
     pub fn expand<M: DataflowSemantics + ?Sized>(model: &M, cycles: &[u64]) -> RatioGraph {
         let offsets = firing_offsets(model, cycles);
-        let mut edges = Vec::new();
-
-        // Firing-order rings.
-        for a in 0..model.num_actors() {
-            let actor = ActorId::new(a);
-            let (base, firings) = (offsets[a], offsets[a + 1] - offsets[a]);
-            for i in 0..firings {
-                let next = (i + 1) % firings;
-                edges.push(RatioEdge {
-                    from: base + i,
-                    to: base + next,
-                    weight: firing_time(model, actor, i),
-                    tokens: u64::from(next == 0),
-                });
-            }
-        }
-
-        // Token-level data dependencies.
-        for c in 0..model.num_channels() {
-            let channel = ChannelId::new(c);
-            let (src, dst) = (model.channel_source(channel), model.channel_target(channel));
-            let src_base = offsets[src.index()];
-            let dst_base = offsets[dst.index()];
-            let cum_c = consumption_prefix(model, channel, offsets[dst.index() + 1] - dst_base);
-            let per_iter = cum_c[cum_c.len() - 1];
-            if per_iter == 0 {
-                continue; // nothing is ever consumed: no dependencies
-            }
-            let src_phases = model.num_phases(src) as usize;
-            let mut next_token = model.initial_tokens(channel) + 1;
-            for i in 0..offsets[src.index() + 1] - src_base {
-                let end = next_token + model.production(channel, (i % src_phases) as u32);
-                // Token `t` (1-based, counted over the whole execution)
-                // is consumed in iteration `k = (t − 1) / C` by the first
-                // firing `m` whose cumulative consumption reaches
-                // `t − k·C`; that firing takes every token up to
-                // `k·C + cum_c[m + 1]`, so the walk jumps past them.
-                let mut t = next_token;
-                while t < end {
-                    let k = (t - 1) / per_iter;
-                    let m = cum_c.partition_point(|&x| x < t - k * per_iter) - 1;
-                    edges.push(RatioEdge {
-                        from: src_base + i,
-                        to: dst_base + m,
-                        weight: firing_time(model, src, i),
-                        tokens: k,
-                    });
-                    t = k * per_iter + cum_c[m + 1] + 1;
-                }
-                next_token = end;
-            }
-        }
-
-        edges.sort_unstable_by_key(|e| (e.from, e.to, e.tokens));
+        let num_nodes = offsets[model.num_actors()];
+        let mut edges = sort_edges(num_nodes, expansion_edges(model, &offsets));
         edges.dedup_by_key(|e| (e.from, e.to));
-        RatioGraph {
-            num_nodes: offsets[model.num_actors()],
-            edges,
+        RatioGraph { num_nodes, edges }
+    }
+}
+
+/// The unsorted edges of [`RatioGraph::expand`], parallel edges included,
+/// over the node numbering `offsets` ([`firing_offsets`]).
+fn expansion_edges<M: DataflowSemantics + ?Sized>(model: &M, offsets: &[usize]) -> Vec<RatioEdge> {
+    let mut edges = Vec::new();
+
+    // Firing-order rings.
+    for a in 0..model.num_actors() {
+        let actor = ActorId::new(a);
+        let (base, firings) = (offsets[a], offsets[a + 1] - offsets[a]);
+        for i in 0..firings {
+            let next = (i + 1) % firings;
+            edges.push(RatioEdge {
+                from: base + i,
+                to: base + next,
+                weight: firing_time(model, actor, i),
+                tokens: u64::from(next == 0),
+            });
         }
     }
+
+    // Token-level data dependencies.
+    for c in 0..model.num_channels() {
+        let channel = ChannelId::new(c);
+        let (src, dst) = (model.channel_source(channel), model.channel_target(channel));
+        let src_base = offsets[src.index()];
+        let dst_base = offsets[dst.index()];
+        let cum_c = consumption_prefix(model, channel, offsets[dst.index() + 1] - dst_base);
+        let per_iter = cum_c[cum_c.len() - 1];
+        if per_iter == 0 {
+            continue; // nothing is ever consumed: no dependencies
+        }
+        let src_phases = model.num_phases(src) as usize;
+        let mut next_token = model.initial_tokens(channel) + 1;
+        for i in 0..offsets[src.index() + 1] - src_base {
+            let end = next_token + model.production(channel, (i % src_phases) as u32);
+            // Token `t` (1-based, counted over the whole execution)
+            // is consumed in iteration `k = (t − 1) / C` by the first
+            // firing `m` whose cumulative consumption reaches
+            // `t − k·C`; that firing takes every token up to
+            // `k·C + cum_c[m + 1]`, so the walk jumps past them.
+            let mut t = next_token;
+            while t < end {
+                let k = (t - 1) / per_iter;
+                let m = cum_c.partition_point(|&x| x < t - k * per_iter) - 1;
+                edges.push(RatioEdge {
+                    from: src_base + i,
+                    to: dst_base + m,
+                    weight: firing_time(model, src, i),
+                    tokens: k,
+                });
+                t = k * per_iter + cum_c[m + 1] + 1;
+            }
+            next_token = end;
+        }
+    }
+    edges
+}
+
+/// `edges` in the order of a stable sort by `(from, to, tokens)`: a
+/// counting sort by `from` (every node below `num_nodes`), then each
+/// node's edges by `(to, tokens)`. The expansion's edges of one node are
+/// few, while a comparison sort of the whole list pays `log E` rounds over
+/// all of them.
+fn sort_edges(num_nodes: usize, edges: Vec<RatioEdge>) -> Vec<RatioEdge> {
+    let Some(&first) = edges.first() else {
+        return edges;
+    };
+    let mut starts = vec![0usize; num_nodes + 1];
+    for e in &edges {
+        starts[e.from + 1] += 1;
+    }
+    for v in 0..num_nodes {
+        starts[v + 1] += starts[v];
+    }
+    let mut next = starts.clone();
+    let mut sorted = vec![first; edges.len()];
+    for e in edges {
+        sorted[next[e.from]] = e;
+        next[e.from] += 1;
+    }
+    for run in starts.windows(2) {
+        sorted[run[0]..run[1]].sort_by_key(|e| (e.to, e.tokens));
+    }
+    sorted
 }
 
 /// The node numbering of [`RatioGraph::expand`]: actor `a`'s firings are
@@ -1435,6 +1466,39 @@ mod tests {
         }
         assert!(live > 200 && dead > 20, "{live} live, {dead} not live");
         assert!(multi_round > 30, "{multi_round}");
+    }
+
+    /// The counting sort of the expansion orders edges exactly like the
+    /// comparison sort it replaced: on the raw expansion of every gallery
+    /// graph, whose edges with equal `(from, to, tokens)` are identical
+    /// (the weight is the source firing's time), and on random edge lists
+    /// with parallel edges, self-loops and ties, against a stable sort.
+    #[test]
+    fn counting_sort_orders_edges_like_the_comparison_sort() {
+        let mut graphs = buffy_gen::gallery::all();
+        graphs.extend([
+            buffy_gen::gallery::modem_power(),
+            buffy_gen::gallery::cd2dat_power(),
+            buffy_gen::gallery::h263_decoder_power(),
+        ]);
+        for g in &graphs {
+            let offsets = firing_offsets(g, &g.repetition_cycles().unwrap());
+            let raw = expansion_edges(g, &offsets);
+            let mut old = raw.clone();
+            old.sort_unstable_by_key(|e| (e.from, e.to, e.tokens));
+            let sorted = sort_edges(*offsets.last().unwrap(), raw);
+            assert_eq!(sorted, old, "{}", g.name());
+        }
+        let mut rng = xorshift(0x2545f4914f6cdd1d);
+        for max_nodes in [1, 7, 40] {
+            for _ in 0..300 {
+                let g = random_ratio_graph(&mut rng, max_nodes);
+                let mut old = g.edges.clone();
+                old.sort_by_key(|e| (e.from, e.to, e.tokens));
+                assert_eq!(sort_edges(g.num_nodes, g.edges), old);
+            }
+        }
+        assert_eq!(sort_edges(3, Vec::new()), []);
     }
 
     #[test]

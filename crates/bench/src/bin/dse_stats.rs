@@ -5,10 +5,12 @@
 //! of every run — wall time, analyses, cache hit rate, largest state
 //! space — to `BENCH_dse.json` for machine consumption.
 //!
-//! The statistics of the 1-thread and N-thread runs must be identical
-//! (the runtime's chunked evaluation makes them thread-count independent);
-//! the bench asserts it, so a regression shows up here as well as in the
-//! test suite.
+//! The statistics of the 1-thread and N-thread runs must be identical:
+//! the runtime's chunked evaluation, whose parallel answers are committed
+//! in enumeration order up to each sweep's stop, makes them thread-count
+//! independent. The bench asserts it, so a regression shows up here as
+//! well as in the test suite. The per-shard hit rates count committed
+//! requests only, so they are thread-count independent too.
 //!
 //! Schema v2: each run record additionally carries the evaluation-latency
 //! percentiles and the memo cache's per-shard hit rates, captured through

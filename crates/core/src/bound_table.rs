@@ -5,7 +5,8 @@
 //! channel `i` at capacity `c`. A [`BoundTable`] tabulates each `P_i`
 //! lazily, one pair analysis per capacity box, from the channel's minimum
 //! upward. Pair analyses are uncounted: they emit no event, charge no
-//! states, take no memo entry, and are shared by every size of the run.
+//! states, take no memo entry, and are shared by every size of the run. A
+//! tripped evaluation or state budget does not cancel them either.
 //!
 //! The sweeps read the table through integer thresholds: `τ_i(L)`, the
 //! smallest grid capacity of channel `i` with `P_i ≥ L`, listed only for
@@ -13,9 +14,11 @@
 //! `d_i < τ_i` on some channel has throughput below `L` and is skipped
 //! without an evaluation. The thresholds come from a walk over the
 //! analysed boxes in capacity order, so every capacity below `τ_i` was
-//! shown to bound below `L`. The sweeps' exactness arguments live beside
-//! them: `max_throughput_for_size` in `explore.rs`, `first_hit` in
-//! `constraint.rs`.
+//! shown to bound below `L`. The liveness thresholds, the smallest
+//! capacities with a positive bound, prove deadlocks for the minimal-size
+//! phase. The sweeps' exactness arguments live beside them:
+//! `Sweeps::max_throughput_for_size` and `Sweeps::has_positive` in
+//! `explore.rs`, `first_hit` in `constraint.rs`.
 //!
 //! The table also proposes a *seed* per size: a grid distribution of
 //! exactly that size built by water-filling, which the exhaustive sweep
@@ -26,8 +29,8 @@ use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::runtime::SearchPhase;
 use buffy_analysis::{
-    AnalysisError, AnalysisRequest, AnalysisWorkspace, CancelToken, DataflowSemantics,
-    ExplorationLimits, PairBounds,
+    AnalysisError, AnalysisRequest, AnalysisWorkspace, CancelReason, CancelToken,
+    DataflowSemantics, ExplorationLimits, PairBounds,
 };
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names, Counter};
@@ -38,6 +41,16 @@ use std::sync::Arc;
 pub(crate) fn admits(dist: &StorageDistribution, thresholds: &[(usize, u64)]) -> bool {
     let caps = dist.as_slice();
     thresholds.iter().all(|&(i, tau)| caps[i] >= tau)
+}
+
+/// The installed recorder's discard counter of `phase`.
+fn skip_counter(phase: SearchPhase) -> Option<Arc<Counter>> {
+    buffy_telemetry::active().map(|r| {
+        r.counter(
+            &labeled(names::CANDIDATES_BOUND_SKIPPED, "phase", phase.name()),
+            "Sweep candidates skipped because a pair bound rules them out.",
+        )
+    })
 }
 
 /// The pair bounds of one run, tabulated lazily per channel.
@@ -108,13 +121,13 @@ impl<'a, M: DataflowSemantics + ?Sized> BoundTable<'a, M> {
             limits,
             cancel,
             workspace: AnalysisWorkspace::new(),
-            skipped: buffy_telemetry::active().map(|r| {
-                r.counter(
-                    &labeled(names::CANDIDATES_BOUND_SKIPPED, "phase", phase.name()),
-                    "Sweep candidates skipped because a pair bound falls below the sweep's floor.",
-                )
-            }),
+            skipped: skip_counter(phase),
         }
+    }
+
+    /// Counts this table's later discards under `phase`.
+    pub(crate) fn count_phase(&mut self, phase: SearchPhase) {
+        self.skipped = skip_counter(phase);
     }
 
     /// Counts this table's discards on `counter` instead of the installed
@@ -141,9 +154,17 @@ impl<'a, M: DataflowSemantics + ?Sized> BoundTable<'a, M> {
             return Ok(());
         };
         let capacity = self.channels[i].known;
+        // A tripped budget stops evaluations, not these uncounted analyses:
+        // the sweep that asked meets the budget at its next evaluation, so
+        // a run whose budget covers all of its evaluations stays exact.
+        static UNBUDGETED: CancelToken = CancelToken::new();
+        let cancel = match self.cancel.check() {
+            Some(CancelReason::EvaluationBudget | CancelReason::MemoryBudget) => &UNBUDGETED,
+            _ => &*self.cancel,
+        };
         let request = AnalysisRequest {
             limits: self.limits,
-            cancel: &self.cancel,
+            cancel,
             ..AnalysisRequest::default()
         };
         let workspace = &mut self.workspace;
@@ -209,11 +230,29 @@ impl<'a, M: DataflowSemantics + ?Sized> BoundTable<'a, M> {
         floor: Rational,
         size: u64,
     ) -> Result<Vec<(usize, u64)>, ExploreError> {
+        if floor.is_zero() {
+            return Ok(Vec::new());
+        }
+        self.thresholds_where(size, |bound| bound >= floor)
+    }
+
+    /// The thresholds of liveness for the candidates of `size`: per
+    /// channel the smallest grid capacity with a positive pair bound, as
+    /// in [`Self::thresholds`]. A candidate under one has a channel whose
+    /// two end actors deadlock alone, so it deadlocks too.
+    pub(crate) fn live_thresholds(&mut self, size: u64) -> Result<Vec<(usize, u64)>, ExploreError> {
+        self.thresholds_where(size, |bound| !bound.is_zero())
+    }
+
+    /// [`Self::thresholds`] for the bounds that satisfy `enough`, which
+    /// must hold for every bound at least as large as one it holds for.
+    fn thresholds_where(
+        &mut self,
+        size: u64,
+        enough: impl Fn(Rational) -> bool,
+    ) -> Result<Vec<(usize, u64)>, ExploreError> {
         let budget = size.saturating_sub(self.mins.iter().sum());
         let mut thresholds = Vec::new();
-        if floor.is_zero() {
-            return Ok(thresholds);
-        }
         for i in 0..self.mins.len() {
             let limit = self.caps[i].min(self.mins[i].saturating_add(budget));
             let mut k = 0;
@@ -222,7 +261,7 @@ impl<'a, M: DataflowSemantics + ?Sized> BoundTable<'a, M> {
                 if channel.unbounded {
                     break self.mins[i];
                 }
-                if let Some(&(start, _)) = channel.boxes[k..].iter().find(|b| b.1 >= floor) {
+                if let Some(&(start, _)) = channel.boxes[k..].iter().find(|b| enough(b.1)) {
                     break start;
                 }
                 if channel.known > limit {

@@ -31,7 +31,7 @@ use crate::explore::{salvage, ExplorationResult, ExploreOptions};
 use crate::pareto::ParetoSet;
 use crate::pipeline::{clip_front, EvalPipeline};
 use crate::runtime::{Completeness, Event, SearchPhase, SkippedSize};
-use buffy_analysis::{CancelReason, DataflowSemantics};
+use buffy_analysis::{maximal_throughput, CancelReason, DataflowSemantics};
 use buffy_graph::{ChannelId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names};
 use std::cmp::Reverse;
@@ -46,7 +46,9 @@ use std::collections::{BTreeMap, BinaryHeap, HashSet};
 /// same `EvalPipeline` as the exhaustive search, with the
 /// storage-dependency flags collected by every analysis: bound probes
 /// are cached (a frontier candidate landing on a probed distribution is
-/// a cache hit, not a re-analysis) and checkpointed `warm_start`
+/// a cache hit, not a re-analysis), a run capped by `max_size` takes the
+/// maximal throughput from the cycle-ratio bound and runs no bound probe
+/// at all, and checkpointed `warm_start`
 /// throughputs are replayed. A replayed entry carries no flags; one
 /// uncounted analysis with the flags on supplies them. Once an accepted
 /// point reaches the graph's maximal throughput — at a size no larger
@@ -119,10 +121,17 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     // Bound probes run through the shared memoised evaluator: timed,
     // counted, observed and cached (with their flags) like every other
     // evaluation. Cancellation here leaves nothing to salvage and surfaces
-    // as [`ExploreError::Cancelled`].
+    // as [`ExploreError::Cancelled`]. A size cap is the search's upper end
+    // in place of `ub`, so a capped run only needs the maximal throughput,
+    // and the cycle-ratio bound gives that without a probe.
     eval.emit(Event::Phase(SearchPhase::Bounds));
-    let (ub_dist, thr_max_graph) = eval.upper_bound()?;
-    let ub_size = options.max_size.unwrap_or_else(|| ub_dist.size());
+    let (ub_size, thr_max_graph) = match options.max_size {
+        Some(cap) => (cap, maximal_throughput(model, observed)?),
+        None => {
+            let (ub_dist, thr_max) = eval.upper_bound()?;
+            (ub_dist.size(), thr_max)
+        }
+    };
     let thr_cap = match options.max_throughput {
         Some(cap) => cap.min(thr_max_graph),
         None => thr_max_graph,

@@ -158,6 +158,17 @@ impl DistributionSpace {
         any
     }
 
+    /// Whether `dist` is a grid point of this space: every channel at its
+    /// minimum plus whole steps, and within its ceiling when one is set.
+    pub(crate) fn contains(&self, dist: &StorageDistribution) -> bool {
+        dist.len() == self.mins.len()
+            && dist.as_slice().iter().enumerate().all(|(i, &cap)| {
+                cap >= self.mins[i]
+                    && (cap - self.mins[i]).is_multiple_of(self.steps[i])
+                    && self.max_of(i).is_none_or(|max| cap <= max)
+            })
+    }
+
     /// The realizable grid sizes in `lo..=hi`, ascending. Sizes whose
     /// budget over [`min_size`](Self::min_size) is not a multiple of the
     /// gcd of all channel steps are skipped without enumeration.

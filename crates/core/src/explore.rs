@@ -10,14 +10,17 @@
 //! - the *throughput dimension* is searched per size by enumerating the
 //!   grid of meaningful distributions ([`DistributionSpace`]) with early
 //!   exit as soon as the interval's known ceiling is reached — the
-//!   monotonicity-seeded binary search of the paper. A candidate whose
-//!   two-actor pair bound (`buffy_analysis::PairBounds`) falls below a
-//!   proven lower bound on the size's own result is skipped without an
-//!   evaluation; the result, witness included, stays that of the full
-//!   enumeration (`max_throughput_for_size` has the argument);
+//!   monotonicity-seeded binary search of the paper — or a candidate
+//!   reaches the maximal throughput. A candidate whose two-actor pair
+//!   bound (`buffy_analysis::PairBounds`) falls below a proven lower
+//!   bound on the size's own result is skipped without an evaluation; the
+//!   result, witness included, stays that of the full enumeration
+//!   (`Sweeps::max_throughput_for_size` has the argument);
 //! - the search is boxed by the combined lower bound (sum of per-channel
 //!   BMLB bounds) and the upper bound (a distribution realizing the
-//!   maximal achievable throughput), per §8/Fig. 7;
+//!   maximal achievable throughput), per §8/Fig. 7. That distribution
+//!   answers the largest size, whose sweep then only picks the witness:
+//!   it runs last, and only when no smaller size reaches the maximum;
 //! - optional *throughput quantization* (the paper's remedy for the H.263
 //!   decoder's many Pareto points) and optional multi-threaded evaluation.
 //!
@@ -25,8 +28,9 @@
 //! ([`crate::runtime`]): a sharded memo cache, atomic statistics
 //! ([`ExplorationStats`]) and a structured [`ExploreObserver`] event
 //! stream. Candidates are consumed in fixed-size chunks regardless of the
-//! thread count, so the set of evaluated distributions — and every
-//! reported statistic — is identical whether the search runs on one
+//! thread count, and each chunk's evaluations are committed in
+//! enumeration order, so the evaluated distributions, their order and
+//! every reported statistic are identical whether the search runs on one
 //! thread or many.
 //!
 //! The driver is written once against [`DataflowSemantics`]:
@@ -189,133 +193,226 @@ fn q(t: Rational, quantum: Option<Rational>) -> Rational {
     }
 }
 
-/// The maximal throughput over all grid distributions of exactly `size`
-/// tokens, with early exit once the (quantized) `ceiling` is reached.
-/// Returns the best (quantized value, exact value, witness); the witness is
-/// `None` when no grid distribution of that size exists or none terminates
-/// positively.
-///
-/// Candidates are consumed in chunks of exactly [`EVAL_CHUNK`]
-/// enumerated positions, with the early exit (the ceiling) checked at
-/// chunk ends only — for every thread count, including sequential
-/// runs, so the evaluated set (and with it the statistics) does not
-/// depend on `threads`.
-///
-/// # Skipping by pair bounds
-///
-/// First the `table`'s seed of `size`, if there is one, is evaluated
-/// through the pipeline, and the *floor* is its throughput, capped at the
-/// ceiling (zero without a seed). A candidate whose pair bound falls
-/// below the floor (some channel under its threshold) is not evaluated,
-/// but it keeps its position in its chunk. After each chunk the floor
-/// rises to the best throughput found so far; this is the only point
-/// where the thresholds change, so the evaluated set still does not
-/// depend on `threads`.
-///
-/// *Why the result is exact.* Compare with the sweep that evaluates every
-/// enumerated candidate. Its chunks end at the same positions. Say its
-/// best after some chunk is `b`, first reached by `w`.
-/// - If `b` is at least the seed's floor, `w` is not skipped: its bound
-///   is at least `t(w) = b`, and so is every floor in force when `w` was
-///   enumerated (a raised floor is an earlier best of this sweep, at most
-///   `b`). Every candidate before `w` has less throughput, so this sweep
-///   has the same best and witness after that chunk.
-/// - If `b` is below the floor, this sweep's best is at most `b`. The
-///   floor is at most the ceiling, so neither sweep stops there.
-///
-/// The full sweep ends with a best of at least the floor: the ceiling
-/// when it stops early, and the size's maximum, at least the seed's
-/// throughput, when it runs out. So both sweeps end after the same chunk
-/// with the same `(best_q, best, witness)`, for every quantum, cap and
-/// thread count.
-fn max_throughput_for_size<M: DataflowSemantics + Sync>(
-    eval: &EvalPipeline<'_, M>,
-    space: &DistributionSpace,
-    table: &mut BoundTable<'_, M>,
-    size: u64,
-    ceiling_q: Rational,
+/// The per-size questions of one exhaustive run, answered through its
+/// pipeline and its table of pair bounds.
+struct Sweeps<'s, 'a, M: DataflowSemantics + Sync> {
+    eval: &'s EvalPipeline<'a, M>,
+    space: &'s DistributionSpace,
+    table: BoundTable<'a, M>,
     quantum: Option<Rational>,
-) -> Result<(Rational, Rational, Option<StorageDistribution>), ExploreError> {
-    let mut floor = match table.seed(size)? {
-        Some(seed) => match eval.eval(&seed) {
-            Ok(t) => t.min(ceiling_q),
-            Err(e @ ExploreError::Cancelled { .. }) => return Err(e),
-            // A seed that fails to analyse proves nothing; the sweep meets
-            // the failure itself if it reaches the seed.
-            Err(_) => Rational::ZERO,
-        },
-        None => Rational::ZERO,
-    };
-    let mut thresholds = table.thresholds(floor, size)?;
-    let mut best = Rational::ZERO;
-    let mut best_q = Rational::ZERO;
-    let mut witness: Option<StorageDistribution> = None;
-    let mut error: Option<ExploreError> = None;
+    /// The graph's maximal throughput, which no distribution exceeds.
+    thr_max: Rational,
+}
 
-    let mut buffer: Vec<StorageDistribution> = Vec::with_capacity(EVAL_CHUNK);
-    let mut positions = 0;
-    let mut skipped = 0;
-    let process = |buf: &mut Vec<StorageDistribution>,
-                   best: &mut Rational,
-                   best_q: &mut Rational,
-                   witness: &mut Option<StorageDistribution>|
-     -> Result<bool, ExploreError> {
-        let results = eval.eval_batch(buf)?;
-        for (d, t) in buf.drain(..).zip(results) {
-            if t > *best {
-                *best = t;
-                *best_q = q(t, quantum);
-                *witness = Some(d);
+impl<M: DataflowSemantics + Sync> Sweeps<'_, '_, M> {
+    /// The maximal throughput over all grid distributions of exactly
+    /// `size` tokens, with early exit once the (quantized) `ceiling_q` is
+    /// reached. Returns the best (quantized value, exact value, witness);
+    /// the witness is `None` when no grid distribution of that size
+    /// exists or none terminates positively. The floor starts at the
+    /// throughput of `seed`, a distribution of `size`, or of the table's
+    /// seed of `size` when `seed` is `None`.
+    ///
+    /// Candidates are consumed in chunks of exactly [`EVAL_CHUNK`]
+    /// enumerated positions, with the ceiling checked at chunk ends only,
+    /// for every thread count, sequential runs included. Inside a chunk
+    /// the sweep stops at its first candidate whose exact throughput is
+    /// `thr_max`: nothing after it can beat it, so the full chunk would
+    /// end with the same best and witness and reach every ceiling. A
+    /// smaller ceiling stops nothing inside a chunk: on graphs with mixed
+    /// channel steps it is no bound on the size's own maximum, and a later
+    /// candidate of the chunk may exceed it. The pipeline commits each
+    /// chunk in enumeration order up to the stop, so the evaluated
+    /// requests and their order do not depend on `threads`.
+    ///
+    /// # Skipping by pair bounds
+    ///
+    /// First the seed, if there is one, is evaluated through the
+    /// pipeline, and the *floor* is its throughput, capped at the ceiling
+    /// (zero without a seed). A candidate whose pair bound falls below the
+    /// floor (some channel under its threshold) is not evaluated, but it
+    /// keeps its position in its chunk. After each chunk the floor rises
+    /// to the best throughput found so far; this is the only point where
+    /// the thresholds change, so the evaluated set still does not depend
+    /// on `threads`.
+    ///
+    /// *Why the result is exact.* Compare with the sweep that evaluates
+    /// every enumerated candidate. Its chunks end at the same positions.
+    /// Say its best after some chunk is `b`, first reached by `w`.
+    /// - If `b` is at least the seed's floor, `w` is not skipped: its
+    ///   bound is at least `t(w) = b`, and so is every floor in force when
+    ///   `w` was enumerated (a raised floor is an earlier best of this
+    ///   sweep, at most `b`). Every candidate before `w` has less
+    ///   throughput, so this sweep has the same best and witness after
+    ///   that chunk.
+    /// - If `b` is below the floor, this sweep's best is at most `b`. The
+    ///   floor is at most the ceiling, so neither sweep stops there.
+    ///
+    /// The full sweep ends with a best of at least the floor: the ceiling
+    /// when it stops early, and the size's maximum, at least the seed's
+    /// throughput, when it runs out. So both sweeps end after the same
+    /// chunk with the same `(best_q, best, witness)`, for every quantum,
+    /// cap and thread count, and the stop at `thr_max` changes none of
+    /// the three.
+    fn max_throughput_for_size(
+        &mut self,
+        size: u64,
+        ceiling_q: Rational,
+        seed: Option<&StorageDistribution>,
+    ) -> Result<(Rational, Rational, Option<StorageDistribution>), ExploreError> {
+        let eval = self.eval;
+        let table = &mut self.table;
+        let (quantum, thr_max) = (self.quantum, self.thr_max);
+        let seed = match seed {
+            Some(seed) => Some(seed.clone()),
+            None => table.seed(size)?,
+        };
+        let mut floor = match seed {
+            Some(seed) => match eval.eval(&seed) {
+                Ok(t) => t.min(ceiling_q),
+                Err(e @ ExploreError::Cancelled { .. }) => return Err(e),
+                // A seed that fails to analyse proves nothing; the sweep
+                // meets the failure itself if it reaches the seed.
+                Err(_) => Rational::ZERO,
+            },
+            None => Rational::ZERO,
+        };
+        let mut thresholds = table.thresholds(floor, size)?;
+        let mut best = Rational::ZERO;
+        let mut best_q = Rational::ZERO;
+        let mut witness: Option<StorageDistribution> = None;
+        let mut error: Option<ExploreError> = None;
+
+        let mut buffer: Vec<StorageDistribution> = Vec::with_capacity(EVAL_CHUNK);
+        // Per buffered candidate, the discards enumerated before it in its
+        // chunk: a stop inside the chunk counts only those.
+        let mut discards_before: Vec<u64> = Vec::with_capacity(EVAL_CHUNK);
+        let mut positions = 0;
+        let mut skipped = 0;
+        // Evaluates one chunk up to its stop; whether the sweep ends there.
+        let process = |buf: &mut Vec<StorageDistribution>,
+                       discards_before: &mut Vec<u64>,
+                       skipped: u64,
+                       best: &mut Rational,
+                       best_q: &mut Rational,
+                       witness: &mut Option<StorageDistribution>,
+                       table: &mut BoundTable<'_, M>|
+         -> Result<bool, ExploreError> {
+            let results = eval.eval_batch_until(buf, &|t| t == thr_max)?;
+            let stopped = results.last() == Some(&thr_max);
+            table.note_skipped(if stopped {
+                discards_before[results.len() - 1]
+            } else {
+                skipped
+            });
+            discards_before.clear();
+            for (d, t) in buf.drain(..).zip(results) {
+                if t > *best {
+                    *best = t;
+                    *best_q = q(t, quantum);
+                    *witness = Some(d);
+                }
             }
-        }
-        Ok(*best_q >= ceiling_q)
-    };
-    space.for_each_of_size(size, |d| {
-        positions += 1;
-        if admits(&d, &thresholds) {
-            buffer.push(d);
-        } else {
-            skipped += 1;
-        }
-        if positions < EVAL_CHUNK {
-            return ControlFlow::Continue(());
-        }
-        positions = 0;
-        table.note_skipped(std::mem::take(&mut skipped));
-        let reached =
-            process(&mut buffer, &mut best, &mut best_q, &mut witness).and_then(|reached| {
+            Ok(stopped || *best_q >= ceiling_q)
+        };
+        self.space.for_each_of_size(size, |d| {
+            positions += 1;
+            if admits(&d, &thresholds) {
+                buffer.push(d);
+                discards_before.push(skipped);
+            } else {
+                skipped += 1;
+            }
+            if positions < EVAL_CHUNK {
+                return ControlFlow::Continue(());
+            }
+            positions = 0;
+            let reached = process(
+                &mut buffer,
+                &mut discards_before,
+                std::mem::take(&mut skipped),
+                &mut best,
+                &mut best_q,
+                &mut witness,
+                table,
+            )
+            .and_then(|reached| {
                 if !reached && best > floor {
                     floor = best;
                     thresholds = table.thresholds(floor, size)?;
                 }
                 Ok(reached)
             });
-        match reached {
-            Ok(true) => {
-                eval.note_short_circuit();
-                ControlFlow::Break(())
+            match reached {
+                Ok(true) => {
+                    eval.note_short_circuit();
+                    ControlFlow::Break(())
+                }
+                Ok(false) => ControlFlow::Continue(()),
+                Err(e) => {
+                    error = Some(e);
+                    ControlFlow::Break(())
+                }
             }
-            Ok(false) => ControlFlow::Continue(()),
-            Err(e) => {
+        });
+        if error.is_none() && positions > 0 {
+            if let Err(e) = process(
+                &mut buffer,
+                &mut discards_before,
+                skipped,
+                &mut best,
+                &mut best_q,
+                &mut witness,
+                table,
+            ) {
                 error = Some(e);
-                ControlFlow::Break(())
             }
         }
-    });
-    if error.is_none() && positions > 0 {
-        table.note_skipped(skipped);
-        if let Err(e) = process(&mut buffer, &mut best, &mut best_q, &mut witness) {
-            error = Some(e);
+
+        if let Some(e) = error {
+            return Err(e);
         }
+        if best.is_zero() {
+            witness = None;
+        }
+        Ok((best_q, best, witness))
     }
 
-    if let Some(e) = error {
-        return Err(e);
+    /// Whether some grid distribution of exactly `size` tokens has
+    /// positive throughput (early exits on the first hit). A candidate
+    /// under the table's liveness thresholds is skipped without an
+    /// evaluation: some channel's two end actors deadlock alone, so the
+    /// candidate deadlocks too, and the answer only asks whether some
+    /// candidate is live.
+    fn has_positive(&mut self, size: u64) -> Result<bool, ExploreError> {
+        let eval = self.eval;
+        let thresholds = self.table.live_thresholds(size)?;
+        let mut found = false;
+        let mut skipped = 0;
+        let mut error: Option<ExploreError> = None;
+        self.space.for_each_of_size(size, |d| {
+            if !admits(&d, &thresholds) {
+                skipped += 1;
+                return ControlFlow::Continue(());
+            }
+            match eval.eval(&d) {
+                Ok(t) if !t.is_zero() => {
+                    found = true;
+                    ControlFlow::Break(())
+                }
+                Ok(_) => ControlFlow::Continue(()),
+                Err(e) => {
+                    error = Some(e);
+                    ControlFlow::Break(())
+                }
+            }
+        });
+        self.table.note_skipped(skipped);
+        match error {
+            Some(e) => Err(e),
+            None => Ok(found),
+        }
     }
-    if best.is_zero() {
-        witness = None;
-    }
-    Ok((best_q, best, witness))
 }
 
 /// Degrades a cancellation to `None`, recording the first reason seen;
@@ -333,32 +430,6 @@ pub(crate) fn salvage<T>(
             Ok(None)
         }
         Err(e) => Err(e),
-    }
-}
-
-/// Whether some grid distribution of exactly `size` tokens has positive
-/// throughput (early exits on the first hit).
-fn has_positive<M: DataflowSemantics + Sync>(
-    eval: &EvalPipeline<'_, M>,
-    space: &DistributionSpace,
-    size: u64,
-) -> Result<bool, ExploreError> {
-    let mut found = false;
-    let mut error: Option<ExploreError> = None;
-    space.for_each_of_size(size, |d| match eval.eval(&d) {
-        Ok(t) if !t.is_zero() => {
-            found = true;
-            ControlFlow::Break(())
-        }
-        Ok(_) => ControlFlow::Continue(()),
-        Err(e) => {
-            error = Some(e);
-            ControlFlow::Break(())
-        }
-    });
-    match error {
-        Some(e) => Err(e),
-        None => Ok(found),
     }
 }
 
@@ -459,9 +530,6 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         ub_size = ub_size.min(caps.size());
     }
 
-    // The pair bounds of the front search's sweeps, shared by every size.
-    let mut table = eval.bound_table(&space, SearchPhase::FrontSearch);
-
     // Clip the throughput range per the options.
     let thr_cap = match options.max_throughput {
         Some(cap) => cap.min(thr_max_graph),
@@ -480,6 +548,25 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     let sizes = space.sizes_in(lb_size, search_hi);
     let Some(&largest) = sizes.last() else {
         return Err(ExploreError::NoPositiveThroughput);
+    };
+    // The bounds phase has answered the largest size when `ub_dist` is one
+    // of its candidates and no throughput cap clips the search below the
+    // maximal throughput: `ub_dist` reaches `thr_max`, which nothing
+    // exceeds, so the size is live and its sweep reaches the right end's
+    // ceiling. That sweep only has to pick the witness, and only if no
+    // smaller size reaches the same ceiling first; it runs last.
+    let ub_answers_largest = !thr_max_graph.is_zero()
+        && thr_cap == thr_max_graph
+        && ub_dist.size() == largest
+        && space.contains(&ub_dist);
+
+    // The pair bounds of every sweep of the run, shared by every size.
+    let mut sweeps = Sweeps {
+        eval: &eval,
+        space: &space,
+        table: eval.bound_table(&space, SearchPhase::MinimalSize),
+        quantum: options.quantum,
+        thr_max: thr_max_graph,
     };
 
     // From here on a trip of the cancel token degrades the run to a
@@ -513,12 +600,14 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     let mut lo = 0;
     let mut hi = sizes.len() - 1;
     let min_positive: Option<usize> = 'min: {
-        match salvage(has_positive(&eval, &space, largest), &mut truncated)? {
-            None => break 'min None,
-            Some(false) => return Err(ExploreError::NoPositiveThroughput),
-            Some(true) => {}
+        if !ub_answers_largest {
+            match salvage(sweeps.has_positive(largest), &mut truncated)? {
+                None => break 'min None,
+                Some(false) => return Err(ExploreError::NoPositiveThroughput),
+                Some(true) => {}
+            }
         }
-        match salvage(has_positive(&eval, &space, sizes[lo]), &mut truncated)? {
+        match salvage(sweeps.has_positive(sizes[lo]), &mut truncated)? {
             None => break 'min None,
             Some(true) => break 'min Some(lo),
             Some(false) => {}
@@ -526,7 +615,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         // Invariant: sizes[lo] infeasible, sizes[hi] feasible.
         while lo + 1 < hi {
             let mid = lo + (hi - lo) / 2;
-            match salvage(has_positive(&eval, &space, sizes[mid]), &mut truncated)? {
+            match salvage(sweeps.has_positive(sizes[mid]), &mut truncated)? {
                 None => break 'min None,
                 Some(true) => hi = mid,
                 Some(false) => lo = mid,
@@ -553,6 +642,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     let last = sizes.len() - 1;
 
     eval.emit(Event::Phase(SearchPhase::FrontSearch));
+    sweeps.table.count_phase(SearchPhase::FrontSearch);
     let mut pareto = ParetoSet::new();
     // Sizes below the minimal feasible one are settled: zero throughput,
     // no front point possible there.
@@ -563,14 +653,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     'search: {
         // Left end of the front.
         let Some((left_q, left_exact, left_witness)) = salvage(
-            max_throughput_for_size(
-                &eval,
-                &space,
-                &mut table,
-                sizes[min_positive],
-                thr_cap_q,
-                options.quantum,
-            ),
+            sweeps.max_throughput_for_size(sizes[min_positive], thr_cap_q, None),
             &mut truncated,
         )?
         else {
@@ -582,30 +665,35 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         }
 
         // Right end: the maximal throughput is reached at the largest
-        // realizable size (unless the user capped the size below it).
-        let (right_q, right_exact, right_witness) = if last > min_positive {
-            let Some(right) = salvage(
-                max_throughput_for_size(
-                    &eval,
-                    &space,
-                    &mut table,
-                    largest,
-                    thr_cap_q,
-                    options.quantum,
-                ),
-                &mut truncated,
-            )?
-            else {
-                break 'search;
-            };
-            right
+        // realizable size (unless the user capped the size below it). When
+        // the bounds phase answered that size its ceiling is known, and its
+        // sweep is deferred.
+        let deferred = ub_answers_largest && last > min_positive;
+        let right_q = if deferred {
+            thr_cap_q
         } else {
-            (left_q, left_exact, None)
+            let (right_q, right_exact, right_witness) = if last > min_positive {
+                let Some(right) = salvage(
+                    sweeps.max_throughput_for_size(largest, thr_cap_q, None),
+                    &mut truncated,
+                )?
+                else {
+                    break 'search;
+                };
+                right
+            } else {
+                (left_q, left_exact, None)
+            };
+            settled[last] = true;
+            if let Some(w) = right_witness {
+                accept(&mut pareto, w, right_exact);
+            }
+            right_q
         };
-        settled[last] = true;
-        if let Some(w) = right_witness {
-            accept(&mut pareto, w, right_exact);
-        }
+        // Whether a smaller size reached the right end's ceiling: its point
+        // then dominates every point of the largest size, or shares its
+        // quantization level at a smaller size.
+        let mut right_reached = left_q >= right_q;
 
         // Divide and conquer over the realizable-size indices.
         let mut stack: Vec<(usize, Rational, usize, Rational)> = Vec::new();
@@ -632,14 +720,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
             }
             let mid = lo_i + (hi_i - lo_i) / 2;
             let Some((mid_q, mid_exact, mid_witness)) = salvage(
-                max_throughput_for_size(
-                    &eval,
-                    &space,
-                    &mut table,
-                    sizes[mid],
-                    hi_q,
-                    options.quantum,
-                ),
+                sweeps.max_throughput_for_size(sizes[mid], hi_q, None),
                 &mut truncated,
             )?
             else {
@@ -649,12 +730,30 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
                 break 'search;
             };
             settled[mid] = true;
+            right_reached |= mid_q >= right_q;
             if let Some(w) = mid_witness {
                 accept(&mut pareto, w, mid_exact);
             }
             stack.push((lo_i, lo_q, mid, mid_q));
             stack.push((mid, mid_q, hi_i, hi_q));
         }
+
+        // The deferred right end, seeded by `ub_dist` (as a rule a memo
+        // hit of the bounds phase): it reaches `thr_max`, so the floor
+        // equals the ceiling from the start.
+        if deferred && !right_reached {
+            let Some((_, right_exact, right_witness)) = salvage(
+                sweeps.max_throughput_for_size(largest, thr_cap_q, Some(&ub_dist)),
+                &mut truncated,
+            )?
+            else {
+                break 'search;
+            };
+            if let Some(w) = right_witness {
+                accept(&mut pareto, w, right_exact);
+            }
+        }
+        settled[last] = true;
     }
 
     let (completeness, skipped) = match truncated {
@@ -687,8 +786,9 @@ pub(crate) mod tests {
     use buffy_graph::SdfGraph;
     use std::sync::Mutex;
 
-    /// The per-size sweep without pair bounds: it evaluates every
-    /// enumerated candidate. The reference of the sweep differential below.
+    /// The per-size sweep without pair bounds and without the stop at the
+    /// maximal throughput: it evaluates every enumerated candidate of its
+    /// chunks. The first reference of the sweep differential below.
     fn reference_max_throughput_for_size<M: DataflowSemantics + Sync>(
         eval: &EvalPipeline<'_, M>,
         space: &DistributionSpace,
@@ -707,7 +807,7 @@ pub(crate) mod tests {
                        best_q: &mut Rational,
                        witness: &mut Option<StorageDistribution>|
          -> Result<bool, ExploreError> {
-            let results = eval.eval_batch(buf)?;
+            let results = eval.eval_batch_until(buf, &|_| false)?;
             for (d, t) in buf.drain(..).zip(results) {
                 if t > *best {
                     *best = t;
@@ -746,6 +846,106 @@ pub(crate) mod tests {
         Ok((best_q, best, witness))
     }
 
+    /// The per-size sweep with pair bounds but without the stop at the
+    /// maximal throughput: every chunk is evaluated to its end. The second
+    /// reference of the sweep differential below, whose requests the
+    /// sweep must ask for in the same order up to its stop.
+    fn reference_bounded_max_throughput_for_size<M: DataflowSemantics + Sync>(
+        eval: &EvalPipeline<'_, M>,
+        space: &DistributionSpace,
+        table: &mut BoundTable<'_, M>,
+        size: u64,
+        ceiling_q: Rational,
+        quantum: Option<Rational>,
+    ) -> Result<(Rational, Rational, Option<StorageDistribution>), ExploreError> {
+        let mut floor = match table.seed(size)? {
+            Some(seed) => match eval.eval(&seed) {
+                Ok(t) => t.min(ceiling_q),
+                Err(e @ ExploreError::Cancelled { .. }) => return Err(e),
+                Err(_) => Rational::ZERO,
+            },
+            None => Rational::ZERO,
+        };
+        let mut thresholds = table.thresholds(floor, size)?;
+        let mut best = Rational::ZERO;
+        let mut best_q = Rational::ZERO;
+        let mut witness: Option<StorageDistribution> = None;
+        let mut error: Option<ExploreError> = None;
+
+        let mut buffer: Vec<StorageDistribution> = Vec::with_capacity(EVAL_CHUNK);
+        let mut positions = 0;
+        let process = |buf: &mut Vec<StorageDistribution>,
+                       best: &mut Rational,
+                       best_q: &mut Rational,
+                       witness: &mut Option<StorageDistribution>|
+         -> Result<bool, ExploreError> {
+            let results = eval.eval_batch_until(buf, &|_| false)?;
+            for (d, t) in buf.drain(..).zip(results) {
+                if t > *best {
+                    *best = t;
+                    *best_q = q(t, quantum);
+                    *witness = Some(d);
+                }
+            }
+            Ok(*best_q >= ceiling_q)
+        };
+        space.for_each_of_size(size, |d| {
+            positions += 1;
+            if admits(&d, &thresholds) {
+                buffer.push(d);
+            }
+            if positions < EVAL_CHUNK {
+                return ControlFlow::Continue(());
+            }
+            positions = 0;
+            let reached =
+                process(&mut buffer, &mut best, &mut best_q, &mut witness).and_then(|reached| {
+                    if !reached && best > floor {
+                        floor = best;
+                        thresholds = table.thresholds(floor, size)?;
+                    }
+                    Ok(reached)
+                });
+            match reached {
+                Ok(true) => ControlFlow::Break(()),
+                Ok(false) => ControlFlow::Continue(()),
+                Err(e) => {
+                    error = Some(e);
+                    ControlFlow::Break(())
+                }
+            }
+        });
+        if error.is_none() && positions > 0 {
+            if let Err(e) = process(&mut buffer, &mut best, &mut best_q, &mut witness) {
+                error = Some(e);
+            }
+        }
+        if let Some(e) = error {
+            return Err(e);
+        }
+        if best.is_zero() {
+            witness = None;
+        }
+        Ok((best_q, best, witness))
+    }
+
+    /// The candidates of `enumerated`, a full sweep's requests, up to the
+    /// stop of a sweep whose result is `result`: through the witness when
+    /// it reached `thr_max`, all of them otherwise.
+    fn through_stop<'r>(
+        enumerated: &'r [StorageDistribution],
+        result: &(Rational, Rational, Option<StorageDistribution>),
+        thr_max: Rational,
+    ) -> &'r [StorageDistribution] {
+        match &result.2 {
+            Some(w) if result.1 == thr_max => {
+                let at = enumerated.iter().position(|d| d == w).expect("witness");
+                &enumerated[..=at]
+            }
+            _ => enumerated,
+        }
+    }
+
     /// Every distribution a pipeline is asked for, memo hits included.
     #[derive(Default)]
     pub(crate) struct Requests(Mutex<Vec<StorageDistribution>>);
@@ -770,20 +970,28 @@ pub(crate) mod tests {
     /// Request counts of one [`assert_sweeps_agree`] call.
     #[derive(Debug, Default, PartialEq, Eq)]
     struct SweepCounts {
-        /// Candidates the reference sweeps evaluated: every enumerated one.
+        /// Candidates the unbounded references evaluated: every enumerated
+        /// one.
         enumerated: u64,
+        /// Enumerated positions up to each bounded sweep's stop.
+        positions: u64,
         /// Candidates the bounded sweeps evaluated, seeds not included.
         evaluated: u64,
         /// Seeds the bounded sweeps evaluated.
         seeds: u64,
+        /// Discards of the sweeps seeded by the upper-bound distribution.
+        seeded_discards: u64,
     }
 
     /// Sweeps every realizable size of `model` at every ceiling with the
-    /// reference and with the bounded sweep, through one pipeline and one
-    /// table, with `threads` workers, `caps` and `quantum`. Requires the
-    /// same `(best_q, best, witness)`, and a bounded sweep that asks for
-    /// its seed first and then only for candidates the reference asked
-    /// for. Counts discards on `skipped`.
+    /// bounded sweep and then with both references, through one pipeline
+    /// and one table, with `threads` workers, `caps` and `quantum`.
+    /// Requires the same `(best_q, best, witness)` from all three (and from
+    /// the sweep seeded by the upper-bound distribution at its size), and a
+    /// bounded sweep that asks for its seed first, then only for
+    /// candidates the unbounded reference asked for, and whose requests
+    /// are a prefix of the bounded reference's. Counts discards on
+    /// `skipped`. Returns the counts and the bounded sweeps' requests.
     fn assert_sweeps_agree<M: DataflowSemantics + Sync>(
         label: &str,
         model: &M,
@@ -792,7 +1000,7 @@ pub(crate) mod tests {
         quantum: Option<Rational>,
         ceilings: &[Rational],
         skipped: &Arc<buffy_telemetry::Counter>,
-    ) -> SweepCounts {
+    ) -> (SweepCounts, Vec<Vec<StorageDistribution>>) {
         let requests = Arc::new(Requests::default());
         let options = ExploreOptions {
             threads,
@@ -805,27 +1013,59 @@ pub(crate) mod tests {
         if let Some(caps) = &caps {
             space = space.with_max_capacities(caps);
         }
-        let (ub, _) = eval.upper_bound().unwrap();
+        let (ub, thr_max) = eval.upper_bound().unwrap();
         let top = caps.as_ref().map_or(u64::MAX, StorageDistribution::size);
-        let mut table = eval
-            .bound_table(&space, SearchPhase::FrontSearch)
-            .counting_on(skipped.clone());
+        let mut sweeps = Sweeps {
+            eval: &eval,
+            space: &space,
+            table: eval
+                .bound_table(&space, SearchPhase::FrontSearch)
+                .counting_on(skipped.clone()),
+            quantum,
+            thr_max,
+        };
         let mut counts = SweepCounts::default();
+        let mut logs = Vec::new();
         requests.take();
         for size in space.sizes_in(space.min_size(), ub.size().min(top)) {
             for &ceiling in ceilings {
                 let case = format!("{label} size {size} ceiling {ceiling}");
                 let ceiling_q = q(ceiling, quantum);
+                let bounded = sweeps
+                    .max_throughput_for_size(size, ceiling_q, None)
+                    .unwrap();
+                let mut asked = requests.take();
+                let reference_bounded = reference_bounded_max_throughput_for_size(
+                    &eval,
+                    &space,
+                    &mut sweeps.table,
+                    size,
+                    ceiling_q,
+                    quantum,
+                )
+                .unwrap();
+                let bounded_asked = requests.take();
                 let reference =
                     reference_max_throughput_for_size(&eval, &space, size, ceiling_q, quantum)
                         .unwrap();
                 let enumerated = requests.take();
-                let bounded =
-                    max_throughput_for_size(&eval, &space, &mut table, size, ceiling_q, quantum)
-                        .unwrap();
-                let mut asked = requests.take();
                 assert_eq!(bounded, reference, "{case}");
-                if let Some(seed) = table.seed(size).unwrap() {
+                assert_eq!(reference_bounded, reference, "{case}");
+                if size == ub.size() && space.contains(&ub) {
+                    // The deferred sweep of the largest size, seeded by
+                    // the upper-bound distribution.
+                    let before = skipped.get();
+                    let seeded = sweeps.max_throughput_for_size(size, ceiling_q, Some(&ub));
+                    assert_eq!(seeded.unwrap(), reference, "{case}: seeded by ub");
+                    counts.seeded_discards += skipped.get() - before;
+                    requests.take();
+                }
+                assert!(
+                    bounded_asked.starts_with(&asked),
+                    "{case}: not a prefix of the bounded reference"
+                );
+                logs.push(asked.clone());
+                if let Some(seed) = sweeps.table.seed(size).unwrap() {
                     assert_eq!(seed.size(), size, "{case}");
                     assert_eq!(asked.first(), Some(&seed), "{case}: seed first");
                     asked.remove(0);
@@ -835,10 +1075,11 @@ pub(crate) mod tests {
                     assert!(enumerated.contains(d), "{case}: {d} beyond the reference");
                 }
                 counts.enumerated += enumerated.len() as u64;
+                counts.positions += through_stop(&enumerated, &bounded, thr_max).len() as u64;
                 counts.evaluated += asked.len() as u64;
             }
         }
-        counts
+        (counts, logs)
     }
 
     /// The maximal throughput and every front throughput of `model`.
@@ -871,20 +1112,28 @@ pub(crate) mod tests {
             })
             .collect();
         let counter = Arc::new(buffy_telemetry::Counter::new());
-        for threads in [1, 4] {
-            for caps in [None, Some(below_ub.clone())] {
-                for quantum in [None, Some(thr_max / Rational::from(4u64))] {
-                    let case = format!("{label} ×{threads} caps {caps:?} quantum {quantum:?}");
-                    assert_sweeps_agree(
-                        &case,
-                        model,
-                        threads,
-                        caps.clone(),
-                        quantum,
-                        &ceilings,
-                        &counter,
-                    );
-                }
+        for caps in [None, Some(below_ub.clone())] {
+            for quantum in [None, Some(thr_max / Rational::from(4u64))] {
+                let logs: Vec<_> = [1, 4]
+                    .into_iter()
+                    .map(|threads| {
+                        let case = format!("{label} ×{threads} caps {caps:?} quantum {quantum:?}");
+                        let (_, logs) = assert_sweeps_agree(
+                            &case,
+                            model,
+                            threads,
+                            caps.clone(),
+                            quantum,
+                            &ceilings,
+                            &counter,
+                        );
+                        logs
+                    })
+                    .collect();
+                assert_eq!(
+                    logs[0], logs[1],
+                    "{label} caps {caps:?} quantum {quantum:?}: requests at 1 and 4 threads"
+                );
             }
         }
     }
@@ -929,16 +1178,21 @@ pub(crate) mod tests {
     }
 
     /// On cd2dat the bounded sweep skips most candidates, and the discard
-    /// counter counts exactly the enumerated candidates it did not
-    /// evaluate.
+    /// counter counts exactly the candidates it enumerated up to its stop
+    /// and did not evaluate.
     #[test]
     fn the_discard_counter_counts_enumerated_minus_evaluated() {
         let g = buffy_gen::gallery::cd2dat();
         let ceilings = ceilings(&g);
         let counter = Arc::new(buffy_telemetry::Counter::new());
-        let counts = assert_sweeps_agree("cd2dat", &g, 1, None, None, &ceilings, &counter);
+        let (counts, _) = assert_sweeps_agree("cd2dat", &g, 1, None, None, &ceilings, &counter);
         assert!(counts.evaluated * 2 < counts.enumerated, "{counts:?}");
-        assert_eq!(counter.get(), counts.enumerated - counts.evaluated);
+        // The stop at the maximal throughput cuts chunks short.
+        assert!(counts.positions < counts.enumerated, "{counts:?}");
+        assert_eq!(
+            counter.get() - counts.seeded_discards,
+            counts.positions - counts.evaluated
+        );
     }
 
     /// Two components tie no rates together: the model has no pair
@@ -961,20 +1215,109 @@ pub(crate) mod tests {
         };
         let eval = EvalPipeline::new(&g, y, &options).unwrap();
         let space = DistributionSpace::for_model(&g);
-        let mut table = eval.bound_table(&space, SearchPhase::FrontSearch);
         let (ub, thr_max) = eval.upper_bound().unwrap();
+        let mut sweeps = Sweeps {
+            eval: &eval,
+            space: &space,
+            table: eval.bound_table(&space, SearchPhase::FrontSearch),
+            quantum: None,
+            thr_max,
+        };
         for size in space.sizes_in(space.min_size(), ub.size()) {
-            assert_eq!(table.seed(size).unwrap(), None);
-            assert_eq!(table.thresholds(thr_max, size).unwrap(), []);
+            assert_eq!(sweeps.table.seed(size).unwrap(), None);
+            assert_eq!(sweeps.table.thresholds(thr_max, size).unwrap(), []);
+            assert_eq!(sweeps.table.live_thresholds(size).unwrap(), []);
             requests.take();
             let reference =
                 reference_max_throughput_for_size(&eval, &space, size, thr_max, None).unwrap();
             let enumerated = requests.take();
-            let bounded =
-                max_throughput_for_size(&eval, &space, &mut table, size, thr_max, None).unwrap();
+            let bounded = sweeps.max_throughput_for_size(size, thr_max, None).unwrap();
             assert_eq!(bounded, reference, "size {size}");
-            assert_eq!(requests.take(), enumerated, "size {size}");
+            assert_eq!(
+                requests.take(),
+                through_stop(&enumerated, &bounded, thr_max),
+                "size {size}"
+            );
         }
+    }
+
+    /// The distribution of every `Evaluated` event after the bounds
+    /// phase, in order.
+    #[derive(Default)]
+    struct SearchEvaluations {
+        searching: std::sync::atomic::AtomicBool,
+        dists: Mutex<Vec<StorageDistribution>>,
+    }
+
+    impl ExploreObserver for SearchEvaluations {
+        fn event(&self, event: &Event<'_>) {
+            use std::sync::atomic::Ordering;
+            match *event {
+                Event::Phase(phase) => self
+                    .searching
+                    .store(phase != SearchPhase::Bounds, Ordering::Relaxed),
+                Event::Evaluated { dist, .. } if self.searching.load(Ordering::Relaxed) => {
+                    self.dists.lock().unwrap().push(dist.clone());
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// cd2dat's front reaches the maximal throughput 80/147 at size 38,
+    /// below the upper bound of 40: the bounds phase answers size 40, and
+    /// no search phase evaluates a distribution of that size.
+    #[test]
+    fn a_front_that_reaches_thr_max_below_ub_never_sweeps_the_ub_size() {
+        let g = buffy_gen::gallery::cd2dat();
+        for threads in [1, 4] {
+            let seen = Arc::new(SearchEvaluations::default());
+            let r = explore_design_space(
+                &g,
+                &ExploreOptions {
+                    threads,
+                    observer: Some(seen.clone()),
+                    ..ExploreOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(r.upper_bound_size, 40);
+            let maximal = r.pareto.maximal().unwrap();
+            assert_eq!((maximal.size, maximal.throughput), (38, r.max_throughput));
+            let dists = seen.dists.lock().unwrap();
+            assert!(!dists.is_empty());
+            assert!(dists.iter().all(|d| d.size() < 40), "threads {threads}");
+        }
+    }
+
+    /// On graphs whose fronts end at the upper-bound size, the deferred
+    /// sweep of that size runs last and returns the witness the sweep at
+    /// the right end returned before it was deferred.
+    #[test]
+    fn the_deferred_sweep_returns_the_right_end_witness() {
+        fn check<M: DataflowSemantics + Sync>(model: &M, witness: &[u64]) {
+            for threads in [1, 4] {
+                for quantum in [None, Some(Rational::new(1, 1000))] {
+                    let options = ExploreOptions {
+                        threads,
+                        quantum,
+                        ..ExploreOptions::default()
+                    };
+                    let r = explore_design_space(model, &options).unwrap();
+                    let maximal = r.pareto.maximal().unwrap();
+                    let case = format!("{} ×{threads} {quantum:?}", model.name());
+                    assert_eq!(maximal.size, r.upper_bound_size, "{case}");
+                    assert_eq!(maximal.distribution.as_slice(), witness, "{case}");
+                }
+            }
+        }
+        check(&example(), &[7, 3]);
+        check(&bipartite(), &[2, 2, 2, 2]);
+        let mut modem = vec![1; 19];
+        (modem[0], modem[17], modem[18]) = (16, 18, 2);
+        check(&buffy_gen::gallery::modem(), &modem);
+        check(&buffy_csdf::gallery::line_scaler(), &[6, 2]);
+        check(&buffy_csdf::gallery::updown(), &[3]);
     }
 
     fn example() -> SdfGraph {

@@ -13,6 +13,15 @@
 //!    probe's run records the channels' peak occupancies; the memo entry
 //!    keeps both.
 //!
+//! Both stages form the request's *answer*, which changes nothing a run
+//! reports. Its *commit* stores the memo entry, emits the event and
+//! charges the evaluation and its states to the cancel token's budgets.
+//! A sequential request commits right after its answer. A parallel chunk
+//! ([`EvalPipeline::eval_batch_until`]) answers its candidates
+//! speculatively on several workers, then commits them in enumeration
+//! order up to the sweep's stop, so every thread count reports the same
+//! requests in the same order.
+//!
 //! A flag-free pipeline (the exhaustive sweep, the constraint search and
 //! their bound probes) asks every analysis for its *capacity box*
 //! `[peak, refused)` (see `buffy_analysis::throughput`): capacities
@@ -21,8 +30,9 @@
 //! a cancellation check, a candidate inside a stored box takes that box's
 //! memo entry and state count without a simulation. The answer is still
 //! an evaluation, accounted exactly like the analysis it replaces: which
-//! candidates a box answers depends on worker timing, and nothing that
-//! timing decides may reach the statistics. The guided pipeline keeps no
+//! candidates a box answers depends on worker timing (an uncommitted
+//! speculative analysis stores its box too), and nothing that timing
+//! decides may reach the statistics. The guided pipeline keeps no
 //! boxes: its memo entries carry flags, which a tighter cap inside a box
 //! can change.
 //!
@@ -185,11 +195,30 @@ impl CapacityBox {
     }
 }
 
-/// How a memo miss was answered: by an analysis, or by the stored box
-/// (its entry and state count) that contains the candidate.
+/// What the answer step found for one request, before it is committed
+/// (see [`EvalPipeline::eval_batch_until`]).
 enum Answer {
-    Analysed(ThroughputAnalysis),
-    Boxed(CachedEval, u64),
+    /// The memo held the entry.
+    Hit(CachedEval),
+    /// A checkpointed evaluation, replayed with its recorded state count.
+    Replayed(CachedEval, u64),
+    /// An analysis, or the stored box containing the candidate: the entry,
+    /// its state count and the wall time in nanoseconds.
+    Fresh(CachedEval, u64, u64),
+    /// The evaluation panicked, with this message.
+    Failed(String),
+}
+
+impl Answer {
+    /// The throughput the request commits to.
+    fn throughput(&self) -> Rational {
+        match self {
+            Answer::Hit(entry) | Answer::Replayed(entry, _) | Answer::Fresh(entry, ..) => {
+                entry.throughput
+            }
+            Answer::Failed(_) => Rational::ZERO,
+        }
+    }
 }
 
 /// States charged to the memory watchdog by one injected arena-pressure
@@ -442,37 +471,36 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     }
 
     /// [`EvalPipeline::eval_full`], recording the peak occupancies when
-    /// `peaks` is set. A flag-free pipeline records them (with the rest of
-    /// the capacity box) on every analysis, and answers a candidate inside
-    /// a stored box from it.
+    /// `peaks` is set: the answer step, then its commit.
     fn evaluate(
         &self,
         dist: &StorageDistribution,
         peaks: bool,
     ) -> Result<CachedEval, ExploreError> {
+        let answer = self.answer(dist, peaks)?;
+        self.commit(dist, answer)
+    }
+
+    /// The answer step of one request: the memo, a checkpointed
+    /// evaluation, a stored capacity box or an analysis, in that order. It
+    /// stores boxes but reports nothing, charges nothing and leaves the
+    /// memo as it was, so a speculative answer that is never committed
+    /// leaves no trace but its box, which answers any later candidate
+    /// exactly like an analysis. A flag-free pipeline records the peak
+    /// occupancies (with the rest of the capacity box) on every analysis;
+    /// a flag-collecting one only when `peaks` is set.
+    fn answer(&self, dist: &StorageDistribution, peaks: bool) -> Result<Answer, ExploreError> {
         if let Some(entry) = self.cache.get(dist) {
-            self.emit(Event::CacheHit(dist));
-            return Ok(entry);
+            return Ok(Answer::Hit(entry));
         }
-        if let Some(warm) = &self.warm_start {
-            if let Some(&(t, states)) = warm.get(dist) {
-                let entry = CachedEval {
-                    throughput: t,
-                    failed: false,
-                    dependent: None,
-                    peaks: None,
-                };
-                self.cache.insert(dist.clone(), entry.clone());
-                self.emit(Event::Evaluated {
-                    dist,
-                    throughput: t,
-                    states,
-                    nanos: 0,
-                });
-                self.cancel.note_states(states);
-                self.cancel.note_evaluation();
-                return Ok(entry);
-            }
+        if let Some(&(t, states)) = self.warm_start.as_ref().and_then(|w| w.get(dist)) {
+            let entry = CachedEval {
+                throughput: t,
+                failed: false,
+                dependent: None,
+                peaks: None,
+            };
+            return Ok(Answer::Replayed(entry, states));
         }
         if let Some(plan) = &self.faults {
             if plan.should_inject(FaultSite::SpuriousCancel) {
@@ -498,8 +526,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 if let Some(reason) = self.cancel.check() {
                     return Err(AnalysisError::Cancelled { reason });
                 }
-                if let Some((entry, states)) = self.box_answer(dist) {
-                    return Ok(Answer::Boxed(entry, states));
+                if let Some(answer) = self.box_answer(dist) {
+                    return Ok(answer);
                 }
             }
             // A panic drops the workspace mid-analysis rather than pooling
@@ -507,16 +535,51 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             let mut ws = self.pop_workspace();
             let analysis = self.analyse(dist, self.dependencies, peaks || boxed, &mut ws);
             self.push_workspace(ws);
-            analysis.map(Answer::Analysed)
+            Ok(self.record(analysis?, boxed))
         }));
         match attempt {
-            Ok(answer) => {
-                let (entry, states) = match answer? {
-                    Answer::Boxed(entry, states) => (entry, states),
-                    Answer::Analysed(analysis) => self.record(analysis, boxed),
-                };
+            Ok(answered) => {
+                let (entry, states) = answered?;
                 // At least 1 ns: zero wall time marks a replayed entry.
                 let nanos = (start.elapsed().as_nanos() as u64).max(1);
+                Ok(Answer::Fresh(entry, states, nanos))
+            }
+            Err(payload) => Ok(Answer::Failed(panic_message(payload.as_ref()))),
+        }
+    }
+
+    /// Commits one answer: the memo entry, the event, the states and the
+    /// evaluation charged to the cancel token, and the failure record. A
+    /// fresh answer meets a cancellation that tripped after it was
+    /// computed exactly as its analysis would have met it at its first
+    /// poll, so speculative answers commit like sequential ones.
+    fn commit(
+        &self,
+        dist: &StorageDistribution,
+        answer: Answer,
+    ) -> Result<CachedEval, ExploreError> {
+        match answer {
+            Answer::Hit(entry) => {
+                self.cache.note_hit(dist);
+                self.emit(Event::CacheHit(dist));
+                Ok(entry)
+            }
+            Answer::Replayed(entry, states) => {
+                self.cache.insert(dist.clone(), entry.clone());
+                self.emit(Event::Evaluated {
+                    dist,
+                    throughput: entry.throughput,
+                    states,
+                    nanos: 0,
+                });
+                self.cancel.note_states(states);
+                self.cancel.note_evaluation();
+                Ok(entry)
+            }
+            Answer::Fresh(entry, states, nanos) => {
+                if let Some(reason) = self.cancel.check() {
+                    return Err(ExploreError::Cancelled { reason });
+                }
                 self.cache.insert(dist.clone(), entry.clone());
                 self.emit(Event::Evaluated {
                     dist,
@@ -538,8 +601,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 self.cancel.note_evaluation();
                 Ok(entry)
             }
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
+            Answer::Failed(message) => {
                 let entry = CachedEval {
                     throughput: Rational::ZERO,
                     failed: true,
@@ -593,39 +655,66 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         (entry, states)
     }
 
-    /// Evaluates a batch of distributions, possibly in parallel. Results
-    /// align with the input order.
+    /// Evaluates `batch` in order up to and including the first
+    /// distribution whose throughput meets `stop`, and returns the
+    /// throughputs of that prefix; the rest of the batch is not evaluated.
     ///
-    /// Work is handed out through an atomic index; results land in
-    /// per-slot [`OnceLock`]s, so workers share no locks at all. Batches
-    /// always contain distinct distributions (they come from one
-    /// enumeration pass), so no two workers ever analyse the same
-    /// distribution concurrently and the evaluation count stays exact.
-    pub(crate) fn eval_batch(
+    /// With several threads, workers take the answer step
+    /// ([`Self::answer`]) of every candidate through an atomic index,
+    /// speculatively and in any order, skipping the candidates after a
+    /// known stop; then the answers are committed in batch order up to the
+    /// stop. Only commits touch the memo, the events, the statistics and
+    /// the cancel token's budgets, so every thread count commits the same
+    /// requests in the same order, with the same results, as the
+    /// sequential loop. Batches hold distinct distributions (they come
+    /// from one enumeration pass), so no answer depends on another
+    /// answer of its batch.
+    pub(crate) fn eval_batch_until(
         &self,
         batch: &[StorageDistribution],
+        stop: &(dyn Fn(Rational) -> bool + Sync),
     ) -> Result<Vec<Rational>, ExploreError> {
+        let mut committed = Vec::with_capacity(batch.len());
         if self.threads <= 1 || batch.len() <= 1 {
-            return batch.iter().map(|d| self.eval(d)).collect();
+            for dist in batch {
+                let t = self.eval(dist)?;
+                committed.push(t);
+                if stop(t) {
+                    break;
+                }
+            }
+            return Ok(committed);
         }
-        let results: Vec<OnceLock<Result<Rational, ExploreError>>> =
+        let answers: Vec<OnceLock<Result<Answer, ExploreError>>> =
             batch.iter().map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
+        let first_stop = AtomicUsize::new(usize::MAX);
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(batch.len()) {
                 scope.spawn(|| loop {
+                    // Indices are handed out in order, so every index up
+                    // to a stop has been taken before the stop is known.
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= batch.len() {
+                    if i >= batch.len() || i > first_stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    let _ = results[i].set(self.eval(&batch[i]));
+                    let answer = self.answer(&batch[i], false);
+                    if matches!(&answer, Ok(a) if stop(a.throughput())) {
+                        first_stop.fetch_min(i, Ordering::Relaxed);
+                    }
+                    let _ = answers[i].set(answer);
                 });
             }
         });
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every index evaluated"))
-            .collect()
+        for (dist, slot) in batch.iter().zip(answers) {
+            let answer = slot.into_inner().expect("answered up to the first stop")?;
+            let t = self.commit(dist, answer)?.throughput;
+            committed.push(t);
+            if stop(t) {
+                break;
+            }
+        }
+        Ok(committed)
     }
 
     /// The run's table of pair bounds over `space`, whose analyses share
@@ -787,12 +876,13 @@ mod tests {
 
     #[test]
     fn boxes_answer_exhaustive_candidates() {
-        // Each stored box decides a whole range of capacities: a quarter
-        // of cd2dat's candidates fall inside an earlier one. The pair
-        // bounds skip most of the rest before they reach the pipeline,
-        // which leaves modem only a few.
-        assert_eq!(box_answers(&gallery::cd2dat()), (92, 23));
-        assert_eq!(box_answers(&gallery::modem()), (22, 3));
+        // Each stored box decides a whole range of capacities: some of
+        // cd2dat's candidates fall inside an earlier one. The pair bounds
+        // skip most of the rest before they reach the pipeline, and the
+        // sweeps stop at the maximal throughput, which leaves modem only a
+        // few.
+        assert_eq!(box_answers(&gallery::cd2dat()), (53, 8));
+        assert_eq!(box_answers(&gallery::modem()), (21, 2));
     }
 
     #[test]

@@ -29,11 +29,14 @@ use std::sync::{Arc, Mutex};
 /// Batch size for chunked candidate evaluation.
 ///
 /// Both the sequential and the parallel evaluation paths consume the
-/// per-size enumeration in chunks of exactly this many distributions,
-/// checking the early-exit condition only at chunk boundaries. The chunk
-/// size being independent of the thread count is what makes the set of
-/// evaluated distributions — and with it every statistic in
-/// [`ExplorationStats`] — identical across thread counts.
+/// per-size enumeration in chunks of exactly this many enumerated
+/// positions. The ceiling is checked only at chunk ends; inside a chunk
+/// the sweep stops only at its first candidate that reaches the graph's
+/// maximal throughput, which nothing later can beat. Chunks commit their
+/// evaluations in enumeration order up to that stop, so the chunk size
+/// being independent of the thread count is what makes the evaluated
+/// requests, their order, and with them every statistic in
+/// [`ExplorationStats`] identical across thread counts.
 pub(crate) const EVAL_CHUNK: usize = 32;
 
 /// Number of cache shards; a power of two so the shard of a hash is a
@@ -55,8 +58,8 @@ pub(crate) struct ShardedCache<K, V> {
 }
 
 /// One cache shard: the map plus its own hit/miss tallies. The tallies
-/// are plain integers bumped under the shard lock the lookup already
-/// holds — per-shard statistics cost nothing extra on the hot path.
+/// are plain integers bumped under the shard lock: a miss by the insert
+/// that answers it, a hit by the commit that reports it.
 #[derive(Debug)]
 struct Shard<K, V> {
     map: HashMap<K, V, FxBuildHasher>,
@@ -77,9 +80,9 @@ impl<K, V> Default for Shard<K, V> {
 /// Point-in-time statistics of one cache shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShardCacheStats {
-    /// Lookups answered by this shard.
+    /// Committed hits on this shard's keys.
     pub(crate) hits: u64,
-    /// Lookups this shard missed.
+    /// Misses answered into this shard: one per stored value.
     pub(crate) misses: u64,
     /// Entries currently stored.
     pub(crate) entries: u64,
@@ -98,18 +101,23 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         &self.shards[(fx_hash(key) as usize) & (SHARD_COUNT - 1)]
     }
 
+    /// The stored value of `key`. Lookups are not tallied: a lookup may
+    /// be speculative, so the tallies count what is committed, through
+    /// [`Self::note_hit`] and [`Self::insert`].
     pub(crate) fn get(&self, key: &K) -> Option<V> {
-        let mut shard = self.shard(key).lock().unwrap();
-        let value = shard.map.get(key).cloned();
-        match value {
-            Some(_) => shard.hits += 1,
-            None => shard.misses += 1,
-        }
-        value
+        self.shard(key).lock().unwrap().map.get(key).cloned()
     }
 
+    /// Tallies one committed hit on `key`.
+    pub(crate) fn note_hit(&self, key: &K) {
+        self.shard(key).lock().unwrap().hits += 1;
+    }
+
+    /// Stores `value` and tallies the miss it answers.
     pub(crate) fn insert(&self, key: K, value: V) {
-        self.shard(&key).lock().unwrap().map.insert(key, value);
+        let mut shard = self.shard(&key).lock().unwrap();
+        shard.misses += 1;
+        shard.map.insert(key, value);
     }
 
     /// Per-shard hit/miss/occupancy statistics, in shard order.
@@ -514,10 +522,14 @@ mod tests {
     fn shard_stats_tally_hits_misses_and_entries() {
         let cache: ShardedCache<StorageDistribution, Rational> = ShardedCache::new();
         let d = StorageDistribution::from_capacities(vec![4, 2]);
-        assert_eq!(cache.get(&d), None); // miss
-        cache.insert(d.clone(), Rational::ONE);
-        assert_eq!(cache.get(&d), Some(Rational::ONE)); // hit
-        assert_eq!(cache.get(&d), Some(Rational::ONE)); // hit
+        assert_eq!(cache.get(&d), None);
+        cache.insert(d.clone(), Rational::ONE); // the miss it answers
+        assert_eq!(cache.get(&d), Some(Rational::ONE));
+        assert_eq!(cache.get(&d), Some(Rational::ONE));
+        // Lookups alone tally nothing: only committed hits count.
+        assert!(cache.shard_stats().iter().all(|s| s.hits == 0));
+        cache.note_hit(&d);
+        cache.note_hit(&d);
         let stats = cache.shard_stats();
         assert_eq!(stats.len(), SHARD_COUNT);
         let hits: u64 = stats.iter().map(|s| s.hits).sum();

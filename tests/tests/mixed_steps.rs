@@ -4,12 +4,15 @@
 //! With mixed steps, the distributions of one exact size can all deadlock
 //! while a smaller size is live, so per-size reasoning goes wrong (the
 //! exhaustive and constraint drivers still do). The guided driver grows
-//! distributions channel by channel and must find the true front. The two
+//! distributions channel by channel and must find the true front. The
 //! fixtures are `buffy generate --actors 4 --channels 5 --max-rate 4
-//! --max-repetition 6` with `--seed 9` and `--seed 2`.
+//! --max-repetition 6` with `--seed 9`, `--seed 2` and `--seed 8`; the
+//! last pins the exhaustive driver's front as it stands.
 
 use buffy_analysis::{throughput, DataflowSemantics};
-use buffy_core::{explore_dependency_guided, lower_bound_distribution, ExploreOptions};
+use buffy_core::{
+    explore_dependency_guided, explore_design_space, lower_bound_distribution, ExploreOptions,
+};
 use buffy_csdf::CsdfGraph;
 use buffy_graph::xml::read_sdf_xml;
 use buffy_graph::{ChannelId, Rational, SdfGraph, StorageDistribution};
@@ -24,6 +27,10 @@ fn seed9() -> SdfGraph {
 
 fn seed2() -> SdfGraph {
     fixture(include_str!("../fixtures/mixed-step-seed2.xml"))
+}
+
+fn seed8() -> SdfGraph {
+    fixture(include_str!("../fixtures/mixed-step-seed8.xml"))
 }
 
 /// The guided front as `(size, throughput, capacities)` triples.
@@ -153,4 +160,45 @@ fn seed2_guided_front() {
         (179, q(1, 3), vec![26, 56, 21, 68, 8]),
     ];
     assert_eq!(front, expected);
+}
+
+/// The exhaustive front of seed 8 as it stands, at 1 and 4 threads. It is
+/// not the true front: the guided front also holds (178, 2/31), (190,
+/// 2/19) and (193, 1/9), because exact-size maxima are not monotone here
+/// (ROADMAP item 1). A sweep that stopped inside a chunk at a ceiling below
+/// the maximal throughput, which bounds nothing on such graphs, would also
+/// drop (182, 1/12).
+#[test]
+fn seed8_exhaustive_front_is_pinned() {
+    let g = seed8();
+    let expected = vec![
+        (176, q(1, 16), vec![12, 30, 2, 120, 12]),
+        (180, q(1, 13), vec![12, 30, 4, 120, 14]),
+        (182, q(1, 12), vec![14, 30, 4, 120, 14]),
+        (184, q(2, 21), vec![16, 30, 4, 120, 14]),
+        (187, q(1, 10), vec![16, 33, 4, 120, 14]),
+        (192, q(2, 19), vec![16, 36, 4, 120, 16]),
+        (195, q(1, 9), vec![16, 39, 4, 120, 16]),
+        (196, q(2, 17), vec![16, 42, 4, 120, 14]),
+        (203, q(1, 8), vec![20, 45, 4, 120, 14]),
+        (206, q(2, 15), vec![20, 48, 4, 120, 14]),
+    ];
+    for threads in [1, 4] {
+        let r = explore_design_space(
+            &g,
+            &ExploreOptions {
+                threads,
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(r.completeness.exact);
+        let front: Vec<_> = r
+            .pareto
+            .points()
+            .iter()
+            .map(|p| (p.size, p.throughput, p.distribution.as_slice().to_vec()))
+            .collect();
+        assert_eq!(front, expected, "threads {threads}");
+    }
 }

@@ -379,22 +379,35 @@ fn upper_bound_matches_the_grown_capacity_search_on_mixed_step_graphs() {
 
 /// Resumes `driver` on `model` from checkpoints cut inside the bounds
 /// phase: the front and the statistics must be the uninterrupted run's.
+/// With `stop_after_bounds`, every run is interrupted as its search
+/// begins, and the partial results must agree.
 fn assert_bounds_phase_resume<M: DataflowSemantics + Sync>(
     label: &str,
     model: &M,
     driver: Driver<M>,
     max_size: Option<u64>,
+    stop_after_bounds: bool,
 ) {
-    let probes = Arc::new(Probes::default());
-    let clean = driver(
-        model,
-        &ExploreOptions {
-            max_size,
-            observer: Some(probes.clone()),
-            ..ExploreOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let run = |warm_start: Option<Arc<WarmStart>>| {
+        let token = Arc::new(CancelToken::new());
+        let probes = Arc::new(Probes {
+            stop_after_bounds: stop_after_bounds.then(|| token.clone()),
+            ..Probes::default()
+        });
+        let result = driver(
+            model,
+            &ExploreOptions {
+                max_size,
+                cancel: Some(token),
+                warm_start,
+                observer: Some(probes.clone()),
+                ..ExploreOptions::default()
+            },
+        );
+        (result, probes)
+    };
+    let (clean, probes) = run(None);
+    let clean = clean.unwrap_or_else(|e| panic!("{label}: {e}"));
     let evaluations = probes.evaluations.lock().unwrap().clone();
     let bounds = probes.bounds.lock().unwrap().expect("the search began");
     let mut cuts = vec![1, bounds / 2, bounds - 1];
@@ -405,15 +418,8 @@ fn assert_bounds_phase_resume<M: DataflowSemantics + Sync>(
             .iter()
             .map(|(d, t, s)| (d.clone(), (*t, *s)))
             .collect();
-        let resumed = driver(
-            model,
-            &ExploreOptions {
-                max_size,
-                warm_start: Some(Arc::new(warm)),
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{label} cut {cut}: {e}"));
+        let (resumed, _) = run(Some(Arc::new(warm)));
+        let resumed = resumed.unwrap_or_else(|e| panic!("{label} cut {cut}: {e}"));
         assert_eq!(resumed.pareto, clean.pareto, "{label} cut {cut}/{bounds}");
         assert_eq!(resumed.stats, clean.stats, "{label} cut {cut}/{bounds}");
         assert_eq!(
@@ -424,8 +430,9 @@ fn assert_bounds_phase_resume<M: DataflowSemantics + Sync>(
 }
 
 /// A size cap for the graphs whose full searches are slow in debug
-/// builds. The bounds phase, which the resume test is about, runs in full
-/// under any cap.
+/// builds. The exhaustive driver's bounds phase, which the resume test is
+/// about, runs in full under any cap; a capped guided run runs none, so
+/// the guided runs of these graphs stop as their search begins instead.
 fn search_cap(name: &str) -> Option<u64> {
     match name {
         "satellite" => Some(48),
@@ -439,12 +446,47 @@ fn search_cap(name: &str) -> Option<u64> {
 fn runs_resumed_inside_the_bounds_phase_reproduce_the_clean_run() {
     for g in gallery::all() {
         let cap = search_cap(g.name());
-        assert_bounds_phase_resume(g.name(), &g, explore_dependency_guided, cap);
-        assert_bounds_phase_resume(g.name(), &g, explore_design_space, cap);
+        assert_bounds_phase_resume(g.name(), &g, explore_dependency_guided, None, cap.is_some());
+        assert_bounds_phase_resume(g.name(), &g, explore_design_space, cap, false);
     }
     for g in buffy_csdf::gallery::all() {
         let cap = search_cap(g.name());
-        assert_bounds_phase_resume(g.name(), &g, explore_dependency_guided, cap);
-        assert_bounds_phase_resume(g.name(), &g, explore_design_space, cap);
+        assert_bounds_phase_resume(g.name(), &g, explore_dependency_guided, None, cap.is_some());
+        assert_bounds_phase_resume(g.name(), &g, explore_design_space, cap, false);
+    }
+}
+
+/// A size cap is the guided search's upper end, so a capped guided run
+/// takes the maximal throughput from the cycle-ratio bound: it runs no
+/// bound probe, and charts the part of the uncapped front within the cap.
+#[test]
+fn capped_guided_runs_run_no_bound_probe() {
+    let graphs = [
+        gallery::example(),
+        gallery::bipartite(),
+        gallery::modem(),
+        gallery::cd2dat(),
+    ];
+    for g in graphs {
+        let r = explore_dependency_guided(&g, &ExploreOptions::default()).unwrap();
+        let smallest = r.pareto.minimal().unwrap().size;
+        let middle = (smallest + r.upper_bound_size) / 2;
+        for cap in [smallest, middle, r.upper_bound_size] {
+            let probes = Arc::new(Probes::default());
+            let capped = explore_dependency_guided(
+                &g,
+                &ExploreOptions {
+                    max_size: Some(cap),
+                    observer: Some(probes.clone()),
+                    ..ExploreOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(*probes.bounds.lock().unwrap(), Some(0), "{}", g.name());
+            assert_eq!(capped.max_throughput, r.max_throughput, "{}", g.name());
+            let within: Vec<_> = r.pareto.points().iter().filter(|p| p.size <= cap).collect();
+            let front: Vec<_> = capped.pareto.points().iter().collect();
+            assert_eq!(front, within, "{} --max-size {cap}", g.name());
+        }
     }
 }
