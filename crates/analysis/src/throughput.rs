@@ -36,8 +36,8 @@
 //! So every capacity vector `c` with `peak ≤ c < refused` on each channel
 //! makes every start decision of the run, and gives the identical report
 //! and peaks. The upper-bound search starts from the peaks; the
-//! exhaustive and constraint drivers answer candidates inside an earlier
-//! analysis's box without simulating them.
+//! exhaustive driver answers candidates inside an earlier analysis's box
+//! without simulating them.
 //!
 //! Reduced states are packed into fixed-stride rows of one flat `u64`
 //! arena ([`AnalysisWorkspace`]): a row holds the busy clocks, the token

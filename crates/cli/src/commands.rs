@@ -218,25 +218,30 @@ fn w(out: Out<'_>, text: std::fmt::Arguments<'_>) -> Result<(), String> {
     out.write_fmt(text).map_err(|e| e.to_string())
 }
 
-/// Sets up the observation of one exploring command's run over `graph`:
-/// `--progress`, `--trace-json` and `--checkpoint` (the fingerprint tags
-/// the checkpoint so `--resume` can refuse a file recorded for a
-/// different graph), telemetry, and `--serve` under the graph's `name`
-/// and the `algorithm` it runs.
+/// Arms `opts`, observing `observed`, for one exploring command's run over
+/// `graph`, the graph inside `model`: the cancel token, the `--resume`
+/// warm start and the observer of the returned observation — `--progress`,
+/// `--trace-json` and `--checkpoint` (the fingerprint tags the checkpoint
+/// so `--resume` can refuse a file recorded for a different graph),
+/// telemetry, and `--serve` under the graph's name and the `algorithm` it
+/// runs.
 fn observe<M: DataflowSemantics>(
     parsed: &ParsedArgs,
+    model: &Model,
     graph: &M,
     observed: ActorId,
-    fingerprint: u64,
-    name: &str,
+    opts: &mut ExploreOptions,
     algorithm: &str,
 ) -> Result<Observation, String> {
+    let (fingerprint, channels) = (model.fingerprint(), graph.num_channels());
+    opts.cancel = Some(cancel_token(parsed, channels, graph.num_actors())?);
+    opts.warm_start = resume_warm_start(parsed, fingerprint, channels)?;
     let checkpoint = match parsed.options.get("checkpoint") {
         None => None,
         Some(path) => Some(CheckpointConfig {
             path: PathBuf::from(path),
             fingerprint,
-            channels: graph.num_channels(),
+            channels,
             objectives: objective_space(parsed)?,
             faults: None,
         }),
@@ -247,7 +252,9 @@ fn observe<M: DataflowSemantics>(
         checkpoint,
     )?
     .with_space_total(progress_space_total(parsed, graph, observed));
-    Observation::start(parsed, cli, name, algorithm)
+    let observation = Observation::start(parsed, cli, model.name(), algorithm)?;
+    opts.observer = Some(observation.observer());
+    Ok(observation)
 }
 
 /// Cap on the `--progress` space pre-count: beyond this many candidates
@@ -400,14 +407,18 @@ pub(crate) fn end_reason(completeness: &Completeness) -> &'static str {
     }
 }
 
-/// Exit path for a run cancelled before any result was salvageable: the
-/// message still goes to the output, but SIGINT keeps its conventional
-/// status 130 (hard errors otherwise exit 1).
-fn cancelled_without_result(
-    reason: CancelReason,
+/// Exit path for a run that failed without a result. A run cancelled
+/// before any result was salvageable still prints its message, but SIGINT
+/// keeps its conventional status 130 (hard errors otherwise exit 1).
+fn run_failed(
+    error: ExploreError,
     observation: &mut Observation,
     out: Out<'_>,
 ) -> Result<i32, String> {
+    let ExploreError::Cancelled { reason } = error else {
+        observation.finish("error").ok();
+        return Err(error.to_string());
+    };
     observation.finish(reason.name()).ok();
     if reason == CancelReason::Interrupt {
         w(
@@ -941,32 +952,11 @@ fn explore_model<M: DataflowSemantics + Sync>(
     let space = objective_space(parsed)?;
     let latency_graph = model.latency_graph(&space)?;
     let algorithm = Algorithm::from_options(parsed, model)?;
-    let fingerprint = model.fingerprint();
     let mut opts = explore_options(parsed, observed)?;
-    opts.cancel = Some(cancel_token(
-        parsed,
-        graph.num_channels(),
-        graph.num_actors(),
-    )?);
-    opts.warm_start = resume_warm_start(parsed, fingerprint, graph.num_channels())?;
-    let mut observation = observe(
-        parsed,
-        graph,
-        observed,
-        fingerprint,
-        model.name(),
-        algorithm.name(),
-    )?;
-    opts.observer = Some(observation.observer());
+    let mut observation = observe(parsed, model, graph, observed, &mut opts, algorithm.name())?;
     let result = match algorithm.run(graph, &opts) {
         Ok(result) => result,
-        Err(ExploreError::Cancelled { reason }) => {
-            return cancelled_without_result(reason, &mut observation, out);
-        }
-        Err(e) => {
-            observation.finish("error").ok();
-            return Err(e.to_string());
-        }
+        Err(e) => return run_failed(e, &mut observation, out),
     };
     let snapshot = observation.finish(end_reason(&result.completeness))?;
     let latencies = front_latencies(latency_graph, observed, result.pareto.points());
@@ -981,43 +971,32 @@ fn explore_model<M: DataflowSemantics + Sync>(
     Ok(exit_code_for(&result.completeness))
 }
 
+/// `buffy constraint`, for either dialect.
 pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
     let model = Model::load(parsed)?;
-    let graph = model.sdf()?;
+    with_graph!(&model, graph => constraint_model(parsed, &model, graph, out))
+}
+
+/// The constraint command over `graph`, the graph inside `model`.
+fn constraint_model<M: DataflowSemantics + Sync>(
+    parsed: &ParsedArgs,
+    model: &Model,
+    graph: &M,
+    out: Out<'_>,
+) -> Result<i32, String> {
     let observed = model.observed_actor(parsed)?;
-    preflight(parsed, &model, observed, out)?;
-    let fingerprint = model.fingerprint();
+    preflight(parsed, model, observed, out)?;
     let mut opts = explore_options(parsed, observed)?;
-    opts.cancel = Some(cancel_token(
-        parsed,
-        graph.num_channels(),
-        graph.num_actors(),
-    )?);
-    opts.warm_start = resume_warm_start(parsed, fingerprint, graph.num_channels())?;
     let constraint: Rational = parsed
         .get("throughput")?
         .ok_or("--throughput R is required (e.g. --throughput 1/6)")?;
     if constraint <= Rational::ZERO {
         return Err("--throughput must be positive".into());
     }
-    let mut observation = observe(
-        parsed,
-        graph,
-        observed,
-        fingerprint,
-        graph.name(),
-        "constraint",
-    )?;
-    opts.observer = Some(observation.observer());
+    let mut observation = observe(parsed, model, graph, observed, &mut opts, "constraint")?;
     let r = match min_storage_for_throughput(graph, constraint, &opts) {
         Ok(r) => r,
-        Err(ExploreError::Cancelled { reason }) => {
-            return cancelled_without_result(reason, &mut observation, out);
-        }
-        Err(e) => {
-            observation.finish("error").ok();
-            return Err(e.to_string());
-        }
+        Err(e) => return run_failed(e, &mut observation, out),
     };
     let snapshot = observation.finish(end_reason(&r.completeness))?;
     if parsed.has_flag("json") {

@@ -138,17 +138,19 @@ COMMANDS:
                                       --export-dot additionally write the
                                       front as a CSV table / Graphviz
                                       trade-off chart
-    constraint <graph.xml> --throughput R [--actor NAME] [--json]
-               [--progress] [--trace-json FILE]
+    constraint <graph.xml> --throughput R [--actor NAME] [--max-size N]
+               [--json] [--progress] [--trace-json FILE]
                [--serve ADDR] [--serve-linger SECS]
                [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
                [--max-evals N] [--max-states N] [--max-memory-mb M]
                [--checkpoint FILE] [--resume FILE]
                                       minimal storage meeting a throughput
-                                      constraint (with evaluation
-                                      statistics); a truncated run reports
-                                      a sound but possibly non-minimal
-                                      witness
+                                      constraint in an SDF or CSDF graph,
+                                      answered by the guided search (with
+                                      evaluation statistics); --max-size
+                                      caps the answer's size; a truncated
+                                      run reports a sound but possibly
+                                      non-minimal witness
     schedule <graph.xml> --dist 4,2 [--horizon N]
                                       extract and print the self-timed schedule
     convert <graph.xml> --to dot|xml  re-serialize the graph
@@ -191,8 +193,8 @@ COMMANDS:
     help                              show this message
 
 analyze, explore and constraint refuse models with error-level check
-findings; pass --force to run them anyway. constraint, schedule and
-convert read SDF graphs only.
+findings; pass --force to run them anyway. schedule and convert read SDF
+graphs only.
 
 EXIT CODES:
     0    success, exact result
@@ -326,6 +328,39 @@ mod tests {
     }
 
     #[test]
+    fn constraint_honours_the_size_cap() {
+        // cd2dat reaches its maximal throughput 80/147 at size 38 at the
+        // earliest.
+        let (_, xml) = run_to_string(&["gallery", "cd2dat"]);
+        let path = std::env::temp_dir().join("buffy-cli-test-constraint-cap.xml");
+        std::fs::write(&path, &xml).unwrap();
+        let p = path.to_str().unwrap();
+        let query = ["constraint", p, "--throughput", "80/147", "--max-size"];
+        let (code, text) = run_to_string(&[&query[..], &["37"]].concat());
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("the size cap 37"), "{text}");
+        let (code, text) = run_to_string(&[&query[..], &["38"]].concat());
+        assert_eq!(code, 0, "{text}");
+        assert!(text.contains("size 38 with"), "{text}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn constraint_reads_csdf_graphs() {
+        let (_, xml) = run_to_string(&["gallery", "line-scaler"]);
+        let path = std::env::temp_dir().join("buffy-cli-test-constraint-csdf.xml");
+        std::fs::write(&path, &xml).unwrap();
+        let (code, text) =
+            run_to_string(&["constraint", path.to_str().unwrap(), "--throughput", "3/5"]);
+        assert_eq!(code, 0, "{text}");
+        assert!(
+            text.starts_with("minimal storage for throughput ≥ 3/5: size 6 with γ = <4, 2>"),
+            "{text}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn explore_below_the_lower_bound_fails() {
         // cd2dat's lower bound is 32: every smaller distribution
         // deadlocks, under either driver; the lower bound itself is fine.
@@ -381,11 +416,7 @@ mod tests {
             "{text}"
         );
         // The SDF-only commands refuse CSDF inputs.
-        for args in [
-            vec!["constraint", p, "--throughput", "1/2"],
-            vec!["schedule", p, "--dist", "4"],
-            vec!["convert", p],
-        ] {
+        for args in [vec!["schedule", p, "--dist", "4"], vec!["convert", p]] {
             let (code, text) = run_to_string(&args);
             assert_eq!(code, 1, "{args:?}: {text}");
             assert!(text.contains("reads SDF graphs only"), "{text}");
@@ -847,12 +878,9 @@ mod tests {
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("\"telemetry\":{"), "{text}");
         let prom_text = std::fs::read_to_string(&prom).unwrap();
+        // The constraint query runs the guided search.
         assert!(
-            prom_text.contains("buffy_sizes_pruned_total{phase=\"constraint-search\"}"),
-            "{prom_text}"
-        );
-        assert!(
-            prom_text.contains("buffy_candidates_bound_skipped_total{phase=\"constraint-search\"}"),
+            prom_text.contains("buffy_phase_ns_count{phase=\"guided-search\"}"),
             "{prom_text}"
         );
 

@@ -1,4 +1,4 @@
-//! The per-run table of pair bounds behind the two flag-free sweeps.
+//! The per-run table of pair bounds behind the exhaustive sweep.
 //!
 //! [`PairBounds`] bounds the throughput of any distribution by
 //! `min_i P_i(d_i)`, where `P_i(c)` comes from the two-actor model of
@@ -18,7 +18,7 @@
 //! capacities with a positive bound, prove deadlocks for the minimal-size
 //! phase. The sweeps' exactness arguments live beside them:
 //! `Sweeps::max_throughput_for_size` and `Sweeps::has_positive` in
-//! `explore.rs`, `first_hit` in `constraint.rs`.
+//! `explore.rs`.
 //!
 //! The table also proposes a *seed* per size: a grid distribution of
 //! exactly that size built by water-filling, which the exhaustive sweep

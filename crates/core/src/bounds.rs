@@ -50,9 +50,9 @@
 //! tokens lacked the space for, with the channel as its first short
 //! output. Raising the capacity to anything below it changes no firing
 //! either: that output still refuses. Every distribution inside the box
-//! therefore runs exactly like the probe, which is how the exhaustive and
-//! constraint pipelines answer later candidates, bound probes included,
-//! without simulating them.
+//! therefore runs exactly like the probe, which is how the exhaustive
+//! pipeline answers later candidates, bound probes included, without
+//! simulating them.
 //!
 //! The peaks belong to the current distribution. They come from the
 //! probe that produced it, or are kept when a search made no successful

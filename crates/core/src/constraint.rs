@@ -2,26 +2,20 @@
 //!
 //! The paper's headline question: *given a throughput constraint, what is
 //! the smallest storage distribution under which the graph can be executed
-//! with a schedule meeting it?* This module answers it directly — without
-//! charting the whole Pareto space — by a binary search over the monotone
-//! size dimension, deciding each size with an early-exit enumeration
-//! (paper §9). The enumeration evaluates no candidate whose two-actor
-//! pair bound (`buffy_analysis::PairBounds`) already falls below the
-//! constraint, which leaves its first hit unchanged. Like the exploration
-//! drivers, the search runs for any [`DataflowSemantics`] model and
-//! reports to [`ExploreOptions::observer`].
+//! with a schedule meeting it?* The dependency-guided search answers it
+//! (`dependency.rs`): its frontier pops candidates in nondecreasing size,
+//! so its first point that meets the constraint is a smallest one among
+//! the distributions it reaches, and it stops there. That these include a
+//! smallest distribution overall is tested, on both galleries and on
+//! seeded random graphs with mixed channel steps, not proven.
 
-use crate::bound_table::{admits, BoundTable};
-use crate::enumerate::DistributionSpace;
+use crate::dependency::guided_search;
 use crate::error::ExploreError;
-use crate::explore::{salvage, ExploreOptions, SKIP_COUNT_CAP};
+use crate::explore::ExploreOptions;
 use crate::pareto::ParetoPoint;
-use crate::pipeline::EvalPipeline;
-use crate::runtime::{Completeness, EvaluationFailure, Event, ExplorationStats, SearchPhase};
-use buffy_analysis::{CancelReason, DataflowSemantics};
+use crate::runtime::{Completeness, EvaluationFailure, ExplorationStats};
+use buffy_analysis::DataflowSemantics;
 use buffy_graph::Rational;
-use buffy_telemetry::{labeled, names};
-use std::ops::ControlFlow;
 
 /// Outcome of a constraint search ([`min_storage_for_throughput`]).
 #[derive(Debug, Clone)]
@@ -45,17 +39,20 @@ pub struct ConstraintResult {
 ///
 /// Returns the witnessing [`ParetoPoint`] (distribution, size, exact
 /// throughput achieved — which may exceed the constraint) with the
-/// search's statistics and completeness.
+/// search's statistics and completeness. The search honours `max_size` and
+/// `max_channel_caps`; the throughput window and `quantum` do not apply.
 ///
-/// When a cancel token trips after a feasible witness is in hand, the
-/// search stops and reports that witness with a truncated completeness
-/// marker (sound, possibly not minimal). Cancellation before any witness
-/// exists yields [`ExploreError::Cancelled`].
+/// When a cancel token trips before the constraint is met, the witness is
+/// the bounds phase's upper-bound distribution, with a truncated
+/// completeness marker (sound, possibly not minimal), if that phase probed
+/// it (no `max_size`) and it fits the caps; otherwise the search yields
+/// [`ExploreError::Cancelled`].
 ///
 /// # Errors
 ///
 /// - [`ExploreError::InfeasibleThroughput`] when the constraint exceeds
-///   the maximal achievable throughput of the graph;
+///   the maximal achievable throughput of the graph, or no distribution
+///   within the caps reaches it;
 /// - analysis errors as in
 ///   [`explore_design_space`](crate::explore_design_space).
 ///
@@ -92,235 +89,46 @@ pub fn min_storage_for_throughput<M: DataflowSemantics + Sync>(
         constraint > Rational::ZERO,
         "throughput constraint must be positive"
     );
-    let observed = options
-        .observed
-        .unwrap_or_else(|| model.default_observed_actor());
-    let mut space = DistributionSpace::for_model(model);
-    if let Some(caps) = &options.max_channel_caps {
-        space = space.with_max_capacities(caps);
-    }
-    let eval = EvalPipeline::new(model, observed, options)?;
-    let pruned_counter = buffy_telemetry::active().map(|r| {
-        r.counter(
-            &labeled(
-                names::SIZES_PRUNED,
-                "phase",
-                SearchPhase::ConstraintSearch.name(),
-            ),
-            "Distribution sizes settled by interval collapse without any evaluation.",
-        )
-    });
-    eval.emit(Event::Phase(SearchPhase::Bounds));
-    let (ub_dist, thr_max) = eval.upper_bound()?;
-    if constraint > thr_max {
-        return Err(ExploreError::InfeasibleThroughput {
-            requested: constraint.to_string(),
-            maximal: thr_max.to_string(),
-        });
-    }
-    eval.emit(Event::Phase(SearchPhase::ConstraintSearch));
-
-    let mut table = eval.bound_table(&space, SearchPhase::ConstraintSearch);
-    let mut decide = |size| first_hit(&eval, &space, &mut table, size, constraint);
-
-    // Binary search the smallest feasible size in [lb, ub]. Without
-    // channel constraints, ub is feasible by construction (it realizes the
-    // maximal throughput ≥ constraint); with constraints, feasibility of
-    // the largest admissible size must be established first.
-    let lo = space.min_size();
-    let mut best = match (decide(lo)?, &options.max_channel_caps) {
-        (Some(p), _) => {
-            eval.emit(Event::Accepted(&p));
-            return Ok(ConstraintResult {
-                point: p,
-                completeness: Completeness::exact(),
-                failures: eval.take_failures(),
-                stats: eval.stats(),
-            });
-        }
-        (None, None) => eval.point(ub_dist, thr_max),
-        (None, Some(caps)) => {
-            let top = ub_dist.size().max(lo).min(caps.size());
-            match decide(top)? {
-                Some(p) => p,
-                None => {
-                    return Err(ExploreError::InfeasibleThroughput {
-                        requested: constraint.to_string(),
-                        maximal: format!("(within the channel capacity constraints {caps})"),
-                    })
-                }
-            }
-        }
+    let caps = options.max_channel_caps.as_ref();
+    let within: Vec<String> = [
+        caps.map(|c| format!("the channel capacity constraints {c}")),
+        options.max_size.map(|n| format!("the size cap {n}")),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    let out_of_reach = || ExploreError::InfeasibleThroughput {
+        requested: constraint.to_string(),
+        maximal: format!("(within {})", within.join(" and ")),
     };
-    // Binary search the smallest feasible size strictly between the two
-    // established bounds, probing realizable grid sizes only: a size in a
-    // hole of the capacity grid holds no distributions, so `decide` would
-    // report it infeasible and the search would wrongly discard every
-    // smaller size with it.
-    let sizes = space.sizes_in(lo + 1, best.size.saturating_sub(1));
-    let (mut lo_i, mut hi_i) = (0, sizes.len());
-    // Invariant: every realizable size below sizes[lo_i] is infeasible;
-    // everything from sizes[hi_i] up is covered by `best`. With a feasible
-    // witness in hand, cancellation degrades the run: `best` is returned
-    // as-is, the still-undecided sizes are reported as skipped.
-    let mut truncated: Option<CancelReason> = None;
-    while lo_i < hi_i {
-        let mid = lo_i + (hi_i - lo_i) / 2;
-        match salvage(decide(sizes[mid]), &mut truncated)? {
-            None => break,
-            Some(Some(p)) => {
-                best = p;
-                // Each halving settles the discarded half without ever
-                // enumerating it — that is the count worth observing.
-                if let Some(c) = &pruned_counter {
-                    c.add((hi_i - mid - 1) as u64);
-                }
-                hi_i = mid;
-            }
-            Some(None) => {
-                if let Some(c) = &pruned_counter {
-                    c.add((mid - lo_i) as u64);
-                }
-                lo_i = mid + 1;
-            }
-        }
-    }
-    let completeness = match truncated {
-        None => Completeness::exact(),
-        Some(reason) => {
-            let mut total: u64 = 0;
-            for &s in &sizes[lo_i..hi_i] {
-                total = total.saturating_add(space.count_of_size_capped(s, SKIP_COUNT_CAP));
-            }
-            Completeness::truncated(reason, total)
-        }
+    let (run, bounds_point) = match guided_search(model, options, Some(constraint)) {
+        // Only a cap leaves no distribution live.
+        Err(ExploreError::NoPositiveThroughput) => return Err(out_of_reach()),
+        other => other?,
     };
-    eval.emit(Event::Accepted(&best));
+    let reached = run
+        .pareto
+        .points()
+        .iter()
+        .find(|p| p.throughput >= constraint)
+        .cloned();
+    let point = match (reached.or(bounds_point), run.completeness.truncated_by) {
+        (Some(point), _) => point,
+        (None, Some(reason)) => return Err(ExploreError::Cancelled { reason }),
+        (None, None) => return Err(out_of_reach()),
+    };
     Ok(ConstraintResult {
-        point: best,
-        completeness,
-        failures: eval.take_failures(),
-        stats: eval.stats(),
+        point,
+        completeness: run.completeness,
+        failures: run.failures,
+        stats: run.stats,
     })
-}
-
-/// Decides "size `size` meets `constraint`" with early exit: the first
-/// candidate in enumeration order whose throughput reaches the constraint
-/// is the size's witness.
-///
-/// A candidate whose pair bound falls below the constraint (some channel
-/// under its threshold in `table`) cannot reach it, so it is not
-/// evaluated. Every other candidate is, in the same order, so the first
-/// hit is the one the full enumeration finds.
-fn first_hit<M: DataflowSemantics + Sync>(
-    eval: &EvalPipeline<'_, M>,
-    space: &DistributionSpace,
-    table: &mut BoundTable<'_, M>,
-    size: u64,
-    constraint: Rational,
-) -> Result<Option<ParetoPoint>, ExploreError> {
-    let thresholds = table.thresholds(constraint, size)?;
-    let mut hit: Option<ParetoPoint> = None;
-    let mut error: Option<ExploreError> = None;
-    let mut skipped = 0;
-    space.for_each_of_size(size, |d| {
-        if !admits(&d, &thresholds) {
-            skipped += 1;
-            return ControlFlow::Continue(());
-        }
-        match eval.eval(&d) {
-            Ok(t) if t >= constraint => {
-                hit = Some(eval.point(d, t));
-                ControlFlow::Break(())
-            }
-            Ok(_) => ControlFlow::Continue(()),
-            Err(e) => {
-                error = Some(e);
-                ControlFlow::Break(())
-            }
-        }
-    });
-    table.note_skipped(skipped);
-    match error {
-        Some(e) => Err(e),
-        None => Ok(hit),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::tests::{ceilings, small_mixed_step_graphs, Requests};
     use buffy_graph::SdfGraph;
-    use std::sync::Arc;
-
-    /// The decision without pair bounds: every candidate is evaluated up
-    /// to the first hit. The reference of the differential below.
-    fn reference_first_hit<M: DataflowSemantics + Sync>(
-        eval: &EvalPipeline<'_, M>,
-        space: &DistributionSpace,
-        size: u64,
-        constraint: Rational,
-    ) -> Option<ParetoPoint> {
-        let mut hit = None;
-        space.for_each_of_size(size, |d| match eval.eval(&d).unwrap() {
-            t if t >= constraint => {
-                hit = Some(eval.point(d, t));
-                ControlFlow::Break(())
-            }
-            _ => ControlFlow::Continue(()),
-        });
-        hit
-    }
-
-    /// At every realizable size up to the upper bound and at every front
-    /// throughput of `model`, the bounded decision finds the reference's
-    /// first hit and asks only for candidates the reference asks for, in
-    /// the same order.
-    fn assert_first_hits_agree<M: DataflowSemantics + Sync>(label: &str, model: &M) {
-        let requests = Arc::new(Requests::default());
-        let options = ExploreOptions {
-            observer: Some(requests.clone()),
-            ..ExploreOptions::default()
-        };
-        let eval = EvalPipeline::new(model, model.default_observed_actor(), &options).unwrap();
-        let space = DistributionSpace::for_model(model);
-        let (ub, _) = eval.upper_bound().unwrap();
-        let mut table = eval.bound_table(&space, SearchPhase::ConstraintSearch);
-        let constraints = ceilings(model);
-        for size in space.sizes_in(space.min_size(), ub.size()) {
-            for &constraint in &constraints {
-                let case = format!("{label} size {size} constraint {constraint}");
-                requests.take();
-                let reference = reference_first_hit(&eval, &space, size, constraint);
-                let enumerated = requests.take();
-                let bounded = first_hit(&eval, &space, &mut table, size, constraint).unwrap();
-                let asked = requests.take();
-                assert_eq!(bounded, reference, "{case}");
-                let mut rest = enumerated.iter();
-                for d in &asked {
-                    assert!(rest.any(|e| e == d), "{case}: {d} out of order");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_decisions_agree_with_the_reference() {
-        use buffy_gen::RandomGraphConfig;
-        for seed in 0..100 {
-            let g = RandomGraphConfig::small(seed).generate();
-            assert_first_hits_agree(&format!("small {seed}"), &g);
-        }
-        for g in small_mixed_step_graphs() {
-            assert_first_hits_agree(g.name(), &g);
-            let csdf = buffy_csdf::CsdfGraph::from_sdf(&g);
-            assert_first_hits_agree(&format!("{} csdf", g.name()), &csdf);
-        }
-        for g in [buffy_gen::gallery::modem(), buffy_gen::gallery::cd2dat()] {
-            assert_first_hits_agree(g.name(), &g);
-        }
-    }
 
     fn example() -> SdfGraph {
         let mut b = SdfGraph::builder("example");
@@ -418,6 +226,16 @@ mod tests {
             }
         }
         assert!(saw_partial, "no budget produced a truncated witness");
+        // A budget of the run's own count leaves it exact.
+        let opts = ExploreOptions {
+            cancel: Some(Arc::new(
+                CancelToken::new().with_eval_budget(exact.stats.evaluations),
+            )),
+            ..ExploreOptions::default()
+        };
+        let r = min_storage_for_throughput(&g, constraint, &opts).unwrap();
+        assert!(r.completeness.exact);
+        assert_eq!(r.point, exact.point);
     }
 
     #[test]

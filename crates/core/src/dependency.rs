@@ -21,14 +21,15 @@
 //! refined causal-dependency notion with a completeness proof is
 //! follow-up work by the same authors and out of scope of the 2006 paper.
 //!
-//! Like the exhaustive driver, [`explore_dependency_guided`] is written
-//! once against [`DataflowSemantics`]: it charts SDF and CSDF graphs alike
-//! and reports to [`ExploreOptions::observer`].
+//! The one search, written once against [`DataflowSemantics`] for SDF and
+//! CSDF graphs alike, charts the front for [`explore_dependency_guided`]
+//! and answers [`min_storage_for_throughput`](crate::min_storage_for_throughput);
+//! both report to [`ExploreOptions::observer`].
 
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::explore::{salvage, ExplorationResult, ExploreOptions};
-use crate::pareto::ParetoSet;
+use crate::pareto::{ParetoPoint, ParetoSet};
 use crate::pipeline::{clip_front, EvalPipeline};
 use crate::runtime::{Completeness, Event, SearchPhase, SkippedSize};
 use buffy_analysis::{maximal_throughput, CancelReason, DataflowSemantics};
@@ -54,10 +55,10 @@ use std::collections::{BTreeMap, BinaryHeap, HashSet};
 /// point reaches the graph's maximal throughput — at a size no larger
 /// than any queued candidate, by the size-ordered frontier — the
 /// remaining frontier is provably dominated and drained without any
-/// analysis. A cancel token is honoured between frontier candidates and
-/// inside every analysis: when it trips after the bounds phase, the
-/// unexpanded frontier (the interrupted candidate included) is reported
-/// as skipped sizes on a partial result.
+/// analysis. Once a cancel token trips, the pipeline refuses every fresh
+/// analysis: after the bounds phase, the unexpanded frontier (the refused
+/// candidate included) is then reported as skipped sizes on a partial
+/// result, while a run that needs no further analysis stays exact.
 ///
 /// # Errors
 ///
@@ -87,6 +88,31 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     model: &M,
     options: &ExploreOptions,
 ) -> Result<ExplorationResult, ExploreError> {
+    let (mut result, _) = guided_search(model, options, None)?;
+    if result.pareto.is_empty() && result.completeness.exact {
+        return Err(ExploreError::NoPositiveThroughput);
+    }
+    // Optional thinning / clipping to match the exhaustive explorer's
+    // options semantics.
+    result.pareto = clip_front(result.pareto, options, result.max_throughput);
+    Ok(result)
+}
+
+/// The guided search, drained once a point reaches `target` (default: the
+/// graph's maximal throughput, with `max_throughput` only ending growth;
+/// a given target replaces the throughput window). Returns the unclipped
+/// front (empty when no positive throughput was found) and, when the
+/// front falls short of the target, the bounds-phase upper-bound point if
+/// that phase probed it (no `max_size`) and it fits the channel caps.
+///
+/// Fails with [`ExploreError::InfeasibleThroughput`] for a target above
+/// the maximal throughput, [`ExploreError::NoPositiveThroughput`] when a
+/// cap leaves no live distribution, and with the bounds phase's errors.
+pub(crate) fn guided_search<M: DataflowSemantics + Sync>(
+    model: &M,
+    options: &ExploreOptions,
+    target: Option<Rational>,
+) -> Result<(ExplorationResult, Option<ParetoPoint>), ExploreError> {
     let observed = options
         .observed
         .unwrap_or_else(|| model.default_observed_actor());
@@ -98,15 +124,15 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     // minimal capacity and deadlocks; so does every distribution within
     // channel caps that hold some channel below its lower bound.
     let start = space.min_distribution();
-    if options.max_size.is_some_and(|cap| cap < lb_size)
-        || options
+    let fits_caps = |d: &StorageDistribution| {
+        options
             .max_channel_caps
             .as_ref()
-            .is_some_and(|caps| !caps.dominates(&start))
-    {
+            .is_none_or(|caps| caps.dominates(d))
+    };
+    if options.max_size.is_some_and(|cap| cap < lb_size) || !fits_caps(&start) {
         return Err(ExploreError::NoPositiveThroughput);
     }
-    let cancel = options.cancel.clone().unwrap_or_default();
     let recorder = buffy_telemetry::active();
     let guided_skip_counter = |reason: &str| {
         recorder.as_ref().map(|r| {
@@ -125,16 +151,28 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     // in place of `ub`, so a capped run only needs the maximal throughput,
     // and the cycle-ratio bound gives that without a probe.
     eval.emit(Event::Phase(SearchPhase::Bounds));
-    let (ub_size, thr_max_graph) = match options.max_size {
-        Some(cap) => (cap, maximal_throughput(model, observed)?),
+    let (ub_size, thr_max_graph, ub_dist) = match options.max_size {
+        Some(cap) => (cap, maximal_throughput(model, observed)?, None),
         None => {
             let (ub_dist, thr_max) = eval.upper_bound()?;
-            (ub_dist.size(), thr_max)
+            (ub_dist.size(), thr_max, Some(ub_dist))
         }
     };
-    let thr_cap = match options.max_throughput {
-        Some(cap) => cap.min(thr_max_graph),
-        None => thr_max_graph,
+    // The drain fires at `goal`; a candidate reaching `thr_cap` is a leaf.
+    let (goal, thr_cap) = match target {
+        Some(t) if t > thr_max_graph => {
+            return Err(ExploreError::InfeasibleThroughput {
+                requested: t.to_string(),
+                maximal: thr_max_graph.to_string(),
+            })
+        }
+        Some(t) => (t, t),
+        None => (
+            thr_max_graph,
+            options
+                .max_throughput
+                .map_or(thr_max_graph, |cap| cap.min(thr_max_graph)),
+        ),
     };
 
     let steps: Vec<u64> = (0..model.num_channels())
@@ -148,30 +186,19 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     seen.insert(start.clone());
     frontier.push(Reverse((start.size(), start)));
 
-    let mut found_positive = false;
     let mut truncated: Option<CancelReason> = None;
     // Best throughput accepted so far. The frontier pops candidates in
     // nondecreasing size, so the point achieving `best` has size no
-    // larger than any queued candidate; once `best` reaches the graph's
-    // maximal achievable throughput, no remaining candidate can enter
-    // the front (entering requires strictly greater throughput than
-    // every no-larger point, and `thr_max_graph` bounds every
-    // distribution) — the rest of the frontier is drained without
-    // analysis.
+    // larger than any queued candidate. Once `best` reaches the goal the
+    // rest of the frontier is drained without analysis: at the graph's
+    // maximal throughput no remaining candidate can enter the front
+    // (entering requires strictly greater throughput than every
+    // no-larger point, and that throughput bounds every distribution),
+    // and below it the point that reached the goal is the answer sought.
     let mut best = Rational::ZERO;
 
-    while let Some(&Reverse((size, _))) = frontier.peek() {
-        // The frontier is consumed one candidate at a time, so the cancel
-        // token is honoured between candidates: on a trip the unexpanded
-        // frontier becomes the skipped-size annotation below.
-        if let Some(reason) = cancel.check() {
-            truncated = Some(reason);
-            break;
-        }
-        let Some(Reverse((_, dist))) = frontier.pop() else {
-            unreachable!("peeked entry vanished");
-        };
-        if !best.is_zero() && best >= thr_max_graph {
+    while let Some(Reverse((size, dist))) = frontier.pop() {
+        if !best.is_zero() && best >= goal {
             // Ceiling drain: the candidate is dominated (see `best`
             // above), and so are its children.
             continue;
@@ -189,7 +216,6 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
 
         let thr = entry.throughput;
         if !thr.is_zero() {
-            found_positive = true;
             if thr > best {
                 best = thr;
             }
@@ -245,10 +271,6 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
         }
     }
 
-    if !found_positive && truncated.is_none() {
-        return Err(ExploreError::NoPositiveThroughput);
-    }
-
     // Annotate the unexpanded frontier of a truncated run, grouped by
     // size, under the sound bounds-phase throughput ceiling.
     let (completeness, skipped) = match truncated {
@@ -271,12 +293,10 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
         }
     };
 
-    // Optional thinning / clipping to match the exhaustive explorer's
-    // options semantics.
-    let pareto = clip_front(pareto, options, thr_max_graph);
-
-    let stats = eval.stats();
-    Ok(ExplorationResult {
+    let bounds_point = ub_dist
+        .filter(|d| best < goal && fits_caps(d))
+        .map(|d| eval.point(d, thr_max_graph));
+    let result = ExplorationResult {
         pareto,
         max_throughput: thr_max_graph,
         lower_bound_size: lb_size,
@@ -284,8 +304,9 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
         completeness,
         skipped,
         failures: eval.take_failures(),
-        stats,
-    })
+        stats: eval.stats(),
+    };
+    Ok((result, bounds_point))
 }
 
 #[cfg(test)]
@@ -414,6 +435,32 @@ mod tests {
             );
         }
         assert!(saw_partial, "no budget produced a salvageable partial run");
+    }
+
+    /// A budget of exactly the unbudgeted run's evaluations leaves the run
+    /// exact: what the frontier holds after the last evaluation is drained
+    /// or answered by the memo, and neither needs an analysis.
+    #[test]
+    fn a_budget_of_the_runs_own_count_leaves_it_exact() {
+        use buffy_analysis::CancelToken;
+        use std::sync::Arc;
+
+        for g in [
+            example(),
+            buffy_gen::gallery::modem(),
+            buffy_gen::gallery::cd2dat(),
+        ] {
+            let full = explore_dependency_guided(&g, &ExploreOptions::default()).unwrap();
+            let budget = full.stats.evaluations;
+            let opts = ExploreOptions {
+                cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget))),
+                ..ExploreOptions::default()
+            };
+            let r = explore_dependency_guided(&g, &opts).unwrap();
+            assert!(r.completeness.exact, "{}: budget {budget}", g.name());
+            assert_eq!(r.pareto, full.pareto, "{}", g.name());
+            assert_eq!(r.stats, full.stats, "{}", g.name());
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ use std::sync::Arc;
 /// Cap on how many distributions of a single skipped size are counted when
 /// annotating a truncated result — the annotation pass must not itself
 /// enumerate an exploding space.
-pub(crate) const SKIP_COUNT_CAP: u64 = 10_000;
+const SKIP_COUNT_CAP: u64 = 10_000;
 
 /// Checkpointed evaluations a run can be warm-started from: distribution →
 /// (throughput, reduced states stored). See
@@ -781,7 +781,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use buffy_graph::SdfGraph;
     use std::sync::Mutex;
@@ -948,7 +948,7 @@ pub(crate) mod tests {
 
     /// Every distribution a pipeline is asked for, memo hits included.
     #[derive(Default)]
-    pub(crate) struct Requests(Mutex<Vec<StorageDistribution>>);
+    struct Requests(Mutex<Vec<StorageDistribution>>);
 
     impl ExploreObserver for Requests {
         fn event(&self, event: &Event<'_>) {
@@ -962,7 +962,7 @@ pub(crate) mod tests {
     }
 
     impl Requests {
-        pub(crate) fn take(&self) -> Vec<StorageDistribution> {
+        fn take(&self) -> Vec<StorageDistribution> {
             std::mem::take(&mut *self.0.lock().unwrap())
         }
     }
@@ -1083,7 +1083,7 @@ pub(crate) mod tests {
     }
 
     /// The maximal throughput and every front throughput of `model`.
-    pub(crate) fn ceilings<M: DataflowSemantics + Sync>(model: &M) -> Vec<Rational> {
+    fn ceilings<M: DataflowSemantics + Sync>(model: &M) -> Vec<Rational> {
         let r = explore_design_space(model, &ExploreOptions::default()).unwrap();
         let mut ceilings: Vec<Rational> = r.pareto.points().iter().map(|p| p.throughput).collect();
         ceilings.push(r.max_throughput);
@@ -1150,7 +1150,7 @@ pub(crate) mod tests {
     /// The `mixed_step(4, 5, seed)` graphs of seeds 1–40 whose grid up to
     /// the upper bound holds at most 3,000 distributions: few enough for
     /// the references to sweep every size. Chosen by grid size alone.
-    pub(crate) fn small_mixed_step_graphs() -> Vec<SdfGraph> {
+    fn small_mixed_step_graphs() -> Vec<SdfGraph> {
         (1..=40)
             .map(|seed| buffy_gen::RandomGraphConfig::mixed_step(4, 5, seed).generate())
             .filter(|g| {
@@ -1476,21 +1476,20 @@ pub(crate) mod tests {
         }
 
         fn check<M: DataflowSemantics + Sync>(model: &M) {
-            // The guided search cannot lose its start distribution (the
-            // minimal one) and still chart a front, so it fails its
-            // maximal front point instead. The constraint asks for the
-            // minimal point's own throughput, 1/7: a higher one would skip
-            // that candidate by its pair bound and never evaluate it.
+            // The guided search, which also answers the constraint query,
+            // cannot lose its start distribution (the minimal one) and
+            // still chart a front, so it fails its maximal front point
+            // instead; the constraint asks for that point's throughput.
             let minimal = StorageDistribution::from_capacities(vec![4, 2]);
             let guided = explore_dependency_guided(model, &ExploreOptions::default()).unwrap();
-            let maximal = guided.pareto.maximal().unwrap().distribution.clone();
+            let maximal = guided.pareto.maximal().unwrap().clone();
             for driver in ["exhaustive", "guided", "constraint"] {
                 for threads in [1, 4] {
                     let obs = Arc::new(Counting::default());
-                    let fail = if driver == "guided" {
-                        &maximal
-                    } else {
+                    let fail = if driver == "exhaustive" {
                         &minimal
+                    } else {
+                        &maximal.distribution
                     };
                     let options = ExploreOptions {
                         threads,
@@ -1508,9 +1507,8 @@ pub(crate) mod tests {
                             (r.stats, r.pareto.len() as u64)
                         }
                         _ => {
-                            let r =
-                                min_storage_for_throughput(model, Rational::new(1, 7), &options)
-                                    .unwrap();
+                            let r = min_storage_for_throughput(model, maximal.throughput, &options)
+                                .unwrap();
                             (r.stats, 1)
                         }
                     };

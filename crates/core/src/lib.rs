@@ -14,7 +14,9 @@
 //! - [`explore_dependency_guided`]: the storage-dependency-guided pruning
 //!   the paper's conclusions call for (§12);
 //! - [`min_storage_for_throughput`]: the headline question — minimal
-//!   storage meeting a given throughput constraint;
+//!   storage meeting a given throughput constraint, answered by the
+//!   guided search, which stops at its first point that meets it (exact
+//!   wherever the guided front is: tested, not proven);
 //! - [`ParetoSet`] / [`ParetoPoint`]: the resulting front (Figs. 5, 13);
 //! - [`Event`] / [`ExploreObserver`] / [`ExplorationStats`]: the
 //!   exploration runtime's one event stream and the statistics folded

@@ -22,8 +22,8 @@
 //! order up to the sweep's stop, so every thread count reports the same
 //! requests in the same order.
 //!
-//! A flag-free pipeline (the exhaustive sweep, the constraint search and
-//! their bound probes) asks every analysis for its *capacity box*
+//! A flag-free pipeline (the exhaustive sweep and its bound probes) asks
+//! every analysis for its *capacity box*
 //! `[peak, refused)` (see `buffy_analysis::throughput`): capacities
 //! inside it make every start decision of the analysed run, so they give
 //! the same report and peaks. On a memo miss, after the failure hooks and
@@ -36,8 +36,8 @@
 //! boxes: its memo entries carry flags, which a tighter cap inside a box
 //! can change.
 //!
-//! The same flag-free drivers skip candidates before they reach the
-//! pipeline: [`EvalPipeline::bound_table`] gives them the run's table of
+//! The exhaustive sweep skips candidates before they reach the
+//! pipeline: [`EvalPipeline::bound_table`] gives it the run's table of
 //! two-actor pair bounds, whose analyses share the pipeline's limits and
 //! cancel token but are not evaluations: no event, no states charged, no
 //! memo entry. A skipped candidate never enters the pipeline at all.
@@ -48,8 +48,7 @@
 //! The emit folds it into the run's statistics, records it with the
 //! telemetry recorder when one is installed, and forwards it to the run's
 //! [`ExploreObserver`]. Checkpoint replay and failure containment also
-//! live here; the drivers (`explore`, `dependency`, `constraint`) are
-//! thin consumers.
+//! live here; the drivers (`explore`, `dependency`) are thin consumers.
 
 use crate::bound_table::BoundTable;
 use crate::bounds::upper_bound_distribution_with;

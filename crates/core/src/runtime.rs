@@ -139,9 +139,8 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
 /// Unified statistics of one exploration run.
 ///
 /// Replaces the ad-hoc `(evaluations, cache_hits, max_states)` tuple: every
-/// driver — the exhaustive and guided explorers, the CSDF wrappers and the
-/// constraint search — reports this struct, and the bench and CLI surfaces
-/// render it.
+/// driver — the exhaustive and guided explorers and the constraint query
+/// — reports this struct, and the bench and CLI surfaces render it.
 ///
 /// Equality ignores `eval_nanos`: wall time varies run to run, it is a
 /// performance artifact, not a search outcome. The remaining counters are
@@ -151,8 +150,8 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExplorationStats {
     /// Evaluations: memo-cache misses, each answered by a throughput
-    /// analysis, by an earlier analysis's capacity box (the exhaustive and
-    /// constraint drivers; it reports the states of the equivalent run)
+    /// analysis, by an earlier analysis's capacity box (the exhaustive
+    /// driver; it reports the states of the equivalent run)
     /// or by a replayed checkpoint entry. Which candidates a box answers
     /// depends on worker timing, so the count does not tell them apart.
     pub evaluations: u64,
@@ -371,8 +370,6 @@ pub enum SearchPhase {
     MinimalSize,
     /// Divide-and-conquer over the size dimension (paper §9).
     FrontSearch,
-    /// Binary search for minimal storage under a throughput constraint.
-    ConstraintSearch,
     /// Dependency-guided frontier search.
     GuidedSearch,
 }
@@ -384,7 +381,6 @@ impl SearchPhase {
             SearchPhase::Bounds => "bounds",
             SearchPhase::MinimalSize => "minimal-size",
             SearchPhase::FrontSearch => "front-search",
-            SearchPhase::ConstraintSearch => "constraint-search",
             SearchPhase::GuidedSearch => "guided-search",
         }
     }
@@ -648,7 +644,6 @@ mod tests {
             (SearchPhase::Bounds, "bounds"),
             (SearchPhase::MinimalSize, "minimal-size"),
             (SearchPhase::FrontSearch, "front-search"),
-            (SearchPhase::ConstraintSearch, "constraint-search"),
             (SearchPhase::GuidedSearch, "guided-search"),
         ] {
             assert_eq!(phase.name(), name);

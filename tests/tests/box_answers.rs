@@ -1,18 +1,16 @@
-//! Capacity-box answers in the exhaustive and constraint pipelines.
+//! Capacity-box answers in the exhaustive pipeline.
 //!
-//! A flag-free pipeline answers a candidate inside an earlier analysis's
-//! capacity box `[peak, refused)` from that analysis, without simulating
-//! it. The answer is an evaluation like any other, so every `Evaluated`
+//! The exhaustive sweep's flag-free pipeline answers a candidate inside an
+//! earlier analysis's capacity box `[peak, refused)` from that analysis,
+//! without simulating it (the guided pipeline, which also answers the
+//! constraint query, keeps no boxes). The answer is an evaluation like any other, so every `Evaluated`
 //! event must carry what a fresh analysis of its distribution reports:
 //! the same throughput and the same number of reduced states. This holds
 //! at every thread count (which candidates a box answers depends on
 //! worker timing) and for a run resumed from a mid-run checkpoint.
 
 use buffy_analysis::{throughput_for, Capacities, DataflowSemantics, ExplorationLimits};
-use buffy_core::{
-    explore_design_space, min_storage_for_throughput, Event, ExploreObserver, ExploreOptions,
-    WarmStart,
-};
+use buffy_core::{explore_design_space, Event, ExploreObserver, ExploreOptions, WarmStart};
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::{Rational, StorageDistribution};
 use std::sync::{Arc, Mutex};
@@ -71,9 +69,8 @@ fn recorded(threads: usize, max_size: Option<u64>) -> (ExploreOptions, Arc<Evalu
     (options, evaluations)
 }
 
-/// The exhaustive run and two constraint searches (the front's middle
-/// and top throughputs) at 1 and 4 threads, then the exhaustive run
-/// resumed from a checkpoint of its first half.
+/// The exhaustive run at 1 and 4 threads, then resumed from a checkpoint
+/// of its first half.
 fn assert_box_answers_are_fresh<M: DataflowSemantics + Sync>(
     label: &str,
     model: &M,
@@ -89,14 +86,6 @@ fn assert_box_answers_are_fresh<M: DataflowSemantics + Sync>(
             model,
             &evaluations,
         );
-        let points = result.pareto.points();
-        for target in [points[points.len() / 2].throughput, result.max_throughput] {
-            let (options, evaluations) = recorded(threads, None);
-            min_storage_for_throughput(model, target, &options)
-                .unwrap_or_else(|e| panic!("{label} constraint {target}: {e}"));
-            let run = format!("{label} constraint {target} ×{threads}");
-            assert_fresh(&run, model, &evaluations);
-        }
         let stats = result.stats;
         match &front {
             None => front = Some((result.pareto, stats)),

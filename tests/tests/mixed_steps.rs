@@ -1,17 +1,20 @@
-//! The dependency-guided driver on graphs whose channels grow in
-//! different steps.
+//! The dependency-guided driver and the constraint query on graphs whose
+//! channels grow in different steps.
 //!
 //! With mixed steps, the distributions of one exact size can all deadlock
 //! while a smaller size is live, so per-size reasoning goes wrong (the
-//! exhaustive and constraint drivers still do). The guided driver grows
-//! distributions channel by channel and must find the true front. The
-//! fixtures are `buffy generate --actors 4 --channels 5 --max-rate 4
-//! --max-repetition 6` with `--seed 9`, `--seed 2` and `--seed 8`; the
-//! last pins the exhaustive driver's front as it stands.
+//! exhaustive driver still does). The guided driver grows distributions
+//! channel by channel and must find the true front, and the constraint
+//! query, which runs the same search, must answer each front throughput
+//! with its front point. The fixtures are `buffy generate --actors 4
+//! --channels 5 --max-rate 4 --max-repetition 6` with `--seed 9`, `--seed
+//! 2` and `--seed 8`; the last also pins the exhaustive driver's front as
+//! it stands.
 
 use buffy_analysis::{throughput, DataflowSemantics};
 use buffy_core::{
-    explore_dependency_guided, explore_design_space, lower_bound_distribution, ExploreOptions,
+    explore_dependency_guided, explore_design_space, lower_bound_distribution,
+    min_storage_for_throughput, ExploreOptions,
 };
 use buffy_csdf::CsdfGraph;
 use buffy_graph::xml::read_sdf_xml;
@@ -54,6 +57,27 @@ fn guided_front(g: &SdfGraph) -> Vec<(u64, Rational, Vec<u64>)> {
         .collect();
     assert_eq!(front, csdf_front, "SDF and CSDF fronts differ");
     front
+}
+
+/// The constraint query's answer to `t` as a `(size, throughput,
+/// capacities)` triple.
+fn answer<M: DataflowSemantics + Sync>(model: &M, t: Rational) -> (u64, Rational, Vec<u64>) {
+    let r = min_storage_for_throughput(model, t, &ExploreOptions::default())
+        .unwrap_or_else(|e| panic!("{} at {t}: {e}", model.name()));
+    assert!(r.completeness.exact);
+    let p = r.point;
+    (p.size, p.throughput, p.distribution.as_slice().to_vec())
+}
+
+/// Requires the constraint query to answer every throughput of `front`
+/// with its front point, and a throughput strictly between the first two
+/// levels with the second point.
+fn assert_constraints_answer_the_front(g: &SdfGraph, front: &[(u64, Rational, Vec<u64>)]) {
+    for point in front {
+        assert_eq!(answer(g, point.1), *point, "{} at {}", g.name(), point.1);
+    }
+    let between = (front[0].1 + front[1].1) / Rational::from(2u64);
+    assert_eq!(answer(g, between), front[1], "{} at {between}", g.name());
 }
 
 fn q(n: i128, d: i128) -> Rational {
@@ -142,6 +166,28 @@ fn seed9_guided_front_is_the_brute_force_front() {
     assert_eq!(pairs, truth);
 }
 
+/// Per-size reasoning answered 43 at 1/5: every size-42 distribution
+/// deadlocks, and size 43 reaches 1/5 too.
+#[test]
+fn seed9_constraints_are_the_brute_force_sizes() {
+    let g = seed9();
+    let front = guided_front(&g);
+    assert_constraints_answer_the_front(&g, &front);
+    for (size, t) in brute_force_front(&g, 45) {
+        assert_eq!(answer(&g, t).0, size, "at {t}");
+    }
+    // The single-phase CSDF embedding gets the same answers.
+    let csdf = CsdfGraph::from_sdf(&g);
+    for point in &front {
+        assert_eq!(
+            answer(&csdf, point.1),
+            answer(&g, point.1),
+            "at {}",
+            point.1
+        );
+    }
+}
+
 #[test]
 fn seed2_guided_front() {
     let front = guided_front(&seed2());
@@ -160,6 +206,32 @@ fn seed2_guided_front() {
         (179, q(1, 3), vec![26, 56, 21, 68, 8]),
     ];
     assert_eq!(front, expected);
+    // Per-size reasoning answered 2 tokens more at 4/25, 2/11, 4/21, 4/13
+    // and 1/3.
+    assert_constraints_answer_the_front(&seed2(), &expected);
+}
+
+/// The guided front of seed 8. Per-size reasoning answered its constraints
+/// 2 tokens too large at 1/16, 2/31, 1/13, 1/12, 2/21, 2/19 and 2/17.
+#[test]
+fn seed8_guided_front_answers_its_constraints() {
+    let g = seed8();
+    let front = guided_front(&g);
+    let expected = vec![
+        (176, q(1, 16), vec![12, 30, 2, 120, 12]),
+        (178, q(2, 31), vec![14, 30, 2, 120, 12]),
+        (180, q(1, 13), vec![12, 30, 4, 120, 14]),
+        (182, q(1, 12), vec![14, 30, 4, 120, 14]),
+        (184, q(2, 21), vec![16, 30, 4, 120, 14]),
+        (187, q(1, 10), vec![16, 33, 4, 120, 14]),
+        (190, q(2, 19), vec![16, 36, 4, 120, 14]),
+        (193, q(1, 9), vec![16, 39, 4, 120, 14]),
+        (196, q(2, 17), vec![16, 42, 4, 120, 14]),
+        (203, q(1, 8), vec![20, 45, 4, 120, 14]),
+        (206, q(2, 15), vec![20, 48, 4, 120, 14]),
+    ];
+    assert_eq!(front, expected);
+    assert_constraints_answer_the_front(&g, &expected);
 }
 
 /// The exhaustive front of seed 8 as it stands, at 1 and 4 threads. It is

@@ -2,9 +2,9 @@
 //!
 //! `PairBounds` bounds the throughput of a distribution `d` by
 //! `min_i P_i(d_i)`, where `P_i(c)` is the scaled throughput of channel
-//! `i`'s two-actor model at capacity `c`. The exhaustive and constraint
-//! sweeps skip every candidate whose bound falls below what they have
-//! proven, so a bound below the exact throughput would drop front points.
+//! `i`'s two-actor model at capacity `c`. The exhaustive sweep skips
+//! every candidate whose bound falls below what it has proven, so a bound
+//! below the exact throughput would drop front points.
 //! These tests compare each bound with the exact throughput on every grid
 //! distribution a few steps above the lower bounds, and require each
 //! `P_i` to be nondecreasing, on both galleries, on random graphs of the

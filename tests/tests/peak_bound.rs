@@ -3,9 +3,9 @@
 //! A bound probe records each channel's peak occupancy, and each channel's
 //! binary search in the `ub` search starts at the current distribution's
 //! peak instead of at its grown capacity. The same analysis records each
-//! channel's smallest refused claim, and the exhaustive and constraint
-//! drivers answer every candidate inside an analysis's capacity box
-//! `[peak, refused)` from it. Three properties keep that exact:
+//! channel's smallest refused claim, and the exhaustive driver answers
+//! every candidate inside an analysis's capacity box `[peak, refused)`
+//! from it. Three properties keep that exact:
 //!
 //! - the box lemma: any capacities inside the box change no firing, so
 //!   the report and the peaks re-analysed at its low corner (every
