@@ -19,16 +19,15 @@
 //! of the observed actor per iteration and `t` the observed throughput.
 //! Since `T_iter ≥ busy_a` for every actor of a feasible schedule, the
 //! energy is nonnegative, and it is *monotone non-increasing in
-//! throughput*: faster schedules waste less idle energy. That monotonicity
-//! is what keeps the searches' throughput-only skips sound when energy
-//! joins the objective space (see `buffy-core`'s `objective` module).
+//! throughput*: faster schedules waste less idle energy.
 //!
 //! [`EnergyModel::from_semantics`] precomputes the three sums once per
-//! exploration; [`EnergyModel::energy_per_iteration`] then maps any
-//! evaluated throughput to an exact rational energy without touching the
-//! state space again. [`schedule_energy_per_iteration`] computes the same
-//! quantity directly from an extracted [`Schedule`](crate::Schedule) and
-//! serves as the independent cross-check oracle in the test suite.
+//! model; [`EnergyModel::energy_per_iteration`] then maps any evaluated
+//! throughput to an exact rational energy without touching the state
+//! space again, which is how the CLI annotates a final Pareto front.
+//! [`schedule_energy_per_iteration`] computes the same quantity directly
+//! from an extracted [`Schedule`](crate::Schedule) and serves as the
+//! independent cross-check oracle in the test suite.
 
 use crate::error::AnalysisError;
 use crate::schedule::Schedule;

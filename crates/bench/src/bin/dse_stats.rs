@@ -32,9 +32,9 @@
 //!
 //! Schema v5: each run record additionally carries an `energy` column —
 //! the exact rational energy per iteration of the front's fastest point,
-//! rendered as a string, or `null` for runs in the default 2D objective
-//! space — and the gallery gains guided energy-aware runs over the
-//! power-annotated modem and cd2dat variants. All v4 keys are unchanged.
+//! rendered as a string, or `null` for runs that do not annotate it — and
+//! the gallery gains guided energy-aware runs over the power-annotated
+//! modem and cd2dat variants. All v4 keys are unchanged.
 //!
 //! Schema v6: each run record additionally carries `evals_per_sec` — the
 //! run's evaluation throughput (`evaluations / wall_secs`), the same
@@ -48,13 +48,14 @@
 //! and the table's `pruned` column are gone, with the dominance pruning
 //! they counted. All other v7 keys are unchanged.
 
+use buffy_analysis::EnergyModel;
 use buffy_bench::format_table;
 use buffy_core::{
     explore_dependency_guided, explore_design_space, resolve_threads, ExplorationResult,
-    ExploreOptions, ObjectiveSpace,
+    ExploreOptions,
 };
 use buffy_gen::gallery;
-use buffy_graph::SdfGraph;
+use buffy_graph::{Rational, SdfGraph};
 use buffy_telemetry::{names, HistogramSnapshot, Recorder, Snapshot};
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,6 +67,9 @@ struct Run {
     wall_secs: f64,
     result: ExplorationResult,
     telemetry: Snapshot,
+    /// The energy per iteration of the front's fastest point, for the
+    /// energy-aware runs.
+    energy: Option<Rational>,
 }
 
 fn run(
@@ -89,6 +93,7 @@ fn run(
         wall_secs,
         result,
         telemetry: recorder.snapshot(),
+        energy: None,
     }
 }
 
@@ -125,12 +130,9 @@ fn json_record(r: &Run) -> String {
         .map(|(_, rate)| format!("{rate:.4}"))
         .collect();
     // Schema v5's energy column: the fastest front point's exact energy
-    // per iteration, present exactly when the run declared the axis.
+    // per iteration, present exactly for the energy-aware runs.
     let energy = r
-        .result
-        .pareto
-        .maximal()
-        .and_then(|p| p.energy())
+        .energy
         .map(|e| format!("\"{e}\""))
         .unwrap_or_else(|| "null".to_string());
     // Schema v6's throughput column: evaluations per wall-clock second.
@@ -198,28 +200,22 @@ fn main() {
         runs.extend([one, many, guided]);
     }
 
-    // Schema v5: guided energy-aware runs over the power-annotated
-    // subjects. The 3D space reuses the same evaluations — the energy
-    // axis is derived from each recorded throughput — so these runs cost
-    // what their 2D counterparts cost.
+    // Schema v5: guided runs over the power-annotated subjects, their
+    // fastest point annotated with its energy per iteration. Energy is a
+    // closed form of the throughput, so these runs cost what their
+    // unannotated counterparts cost.
     for graph in &[gallery::modem_power(), gallery::cd2dat_power()] {
-        let opts = ExploreOptions {
-            objectives: ObjectiveSpace::with_energy(),
-            ..ExploreOptions::default()
-        };
-        let guided = run(graph, "guided", 1, || {
-            explore_dependency_guided(graph, &opts).expect("exploration succeeds")
+        let mut guided = run(graph, "guided", 1, || {
+            explore_dependency_guided(graph, &ExploreOptions::default())
+                .expect("exploration succeeds")
         });
-        assert!(
-            guided
-                .result
-                .pareto
-                .points()
-                .iter()
-                .all(|p| p.energy().is_some()),
-            "{}: every front point must carry its exact energy",
-            graph.name()
-        );
+        let model = EnergyModel::from_semantics(graph, graph.default_observed_actor())
+            .expect("the power annotations stay within the exact arithmetic");
+        guided.energy = guided
+            .result
+            .pareto
+            .maximal()
+            .map(|p| model.energy_per_iteration(p.throughput));
         runs.push(guided);
     }
 

@@ -4,8 +4,8 @@ use crate::args::{parse_dist, ParsedArgs};
 use crate::observe::{CheckpointConfig, CliObserver, Observation};
 use crate::telemetry::telemetry_json;
 use buffy_analysis::{
-    fx_hash, maximal_throughput, throughput, BoundCertificate, DataflowSemantics,
-    ExplorationLimits, Schedule, StaticBounds,
+    fx_hash, maximal_throughput, throughput, AnalysisError, BoundCertificate, DataflowSemantics,
+    EnergyModel, ExplorationLimits, Schedule, StaticBounds,
 };
 use buffy_core::{
     dist_json, explore_dependency_guided, explore_design_space, json_escape,
@@ -209,7 +209,6 @@ fn explore_options(parsed: &ParsedArgs, observed: ActorId) -> Result<ExploreOpti
         max_size: parsed.get("max-size")?,
         quantum,
         threads: parsed.get("threads")?.unwrap_or(1),
-        objectives: objective_space(parsed)?,
         ..ExploreOptions::default()
     })
 }
@@ -455,16 +454,88 @@ fn stats_json(stats: &ExplorationStats) -> String {
     )
 }
 
-/// Renders one Pareto point as a JSON object. The energy field appears
-/// exactly when the run declared the energy objective (the point then
-/// carries it); `latency` is the CLI-side annotation computed on the
-/// final front — `Some(None)` renders as `null` (deadlocked schedule).
-fn point_json(p: &ParetoPoint, latency: Option<Option<u64>>) -> String {
+/// The report annotations of the final front: per reported point, the
+/// exact energy per iteration and the observed actor's initial latency,
+/// each present when the objective space declares it. Neither is ranked,
+/// so both are computed here on the final front (latency with one
+/// schedule extraction per point) rather than inside the search.
+struct Annotations<'g> {
+    observed: ActorId,
+    energy: Option<EnergyModel>,
+    /// The graph latency is computed on ([`Model::latency_graph`]).
+    latency: Option<&'g SdfGraph>,
+}
+
+/// One reported point with its annotations; `latency` is `Some(None)`
+/// when the schedule deadlocks (no first output).
+struct Row<'p> {
+    point: &'p ParetoPoint,
+    energy: Option<Rational>,
+    latency: Option<Option<u64>>,
+}
+
+impl<'g> Annotations<'g> {
+    /// The annotations `space` declares for `graph`, observing `observed`;
+    /// the energy coefficients are built here, before the search.
+    ///
+    /// # Errors
+    ///
+    /// The energy model's errors: adversarial power annotations overflow
+    /// its exact coefficient arithmetic.
+    fn new<M: DataflowSemantics>(
+        graph: &M,
+        observed: ActorId,
+        space: &ObjectiveSpace,
+        latency: Option<&'g SdfGraph>,
+    ) -> Result<Annotations<'g>, AnalysisError> {
+        let energy = space
+            .has(ObjectiveKind::Energy)
+            .then(|| EnergyModel::from_semantics(graph, observed))
+            .transpose()?;
+        Ok(Annotations {
+            observed,
+            energy,
+            latency,
+        })
+    }
+
+    fn row<'p>(&self, point: &'p ParetoPoint) -> Row<'p> {
+        Row {
+            point,
+            // An energy beyond the exact i128 arithmetic reports as the
+            // worst representable one rather than aborting the report.
+            energy: self.energy.map(|m| {
+                m.checked_energy_per_iteration(point.throughput)
+                    .unwrap_or(Rational::from_integer(i128::MAX))
+            }),
+            latency: self.latency.map(|graph| {
+                buffy_analysis::latency(
+                    graph,
+                    &point.distribution,
+                    self.observed,
+                    ExplorationLimits::default(),
+                )
+                .ok()
+                .and_then(|r| r.initial_latency)
+            }),
+        }
+    }
+
+    fn rows<'p>(&self, points: &'p [ParetoPoint]) -> Vec<Row<'p>> {
+        points.iter().map(|p| self.row(p)).collect()
+    }
+}
+
+/// Renders one annotated point as a JSON object: the annotation fields
+/// appear exactly when declared, a deadlocked schedule's latency as
+/// `null`.
+fn point_json(row: &Row<'_>) -> String {
+    let p = row.point;
     let mut s = format!("{{\"size\":{},\"throughput\":\"{}\"", p.size, p.throughput);
-    if let Some(e) = p.energy() {
+    if let Some(e) = row.energy {
         let _ = write!(s, ",\"energy\":\"{e}\"");
     }
-    match latency {
+    match row.latency {
         None => {}
         Some(Some(l)) => {
             let _ = write!(s, ",\"latency\":{l}");
@@ -485,64 +556,30 @@ fn objectives_json(space: &ObjectiveSpace) -> String {
     format!("[{}]", names.join(","))
 }
 
-/// The per-point latency annotation of `points`, indexed like the front:
-/// `None` when the latency axis was not requested, otherwise one entry
-/// per point (`None` inside = the schedule deadlocks, no first output).
-type FrontLatencies = Option<Vec<Option<u64>>>;
-
-/// Computes the latency annotation of an SDF front when the space asks
-/// for it ([`Model::latency_graph`]). Latency is a reporting axis, never
-/// a dominance axis, so it is derived here on the final front only (one
-/// schedule extraction per point) instead of inside the exploration
-/// kernel.
-fn front_latencies(
-    graph: Option<&SdfGraph>,
-    observed: ActorId,
-    points: &[ParetoPoint],
-) -> FrontLatencies {
-    let graph = graph?;
-    Some(
-        points
-            .iter()
-            .map(|p| {
-                buffy_analysis::latency(
-                    graph,
-                    &p.distribution,
-                    observed,
-                    ExplorationLimits::default(),
-                )
-                .ok()
-                .and_then(|r| r.initial_latency)
-            })
-            .collect(),
-    )
-}
-
 /// Renders the front as CSV with one column per declared axis.
-fn front_csv(points: &[ParetoPoint], space: &ObjectiveSpace, latencies: &FrontLatencies) -> String {
-    let energy = space.has(ObjectiveKind::Energy);
+fn front_csv(annotations: &Annotations<'_>, rows: &[Row<'_>]) -> String {
     let mut out = String::from("size,throughput");
-    if energy {
+    if annotations.energy.is_some() {
         out.push_str(",energy");
     }
-    if latencies.is_some() {
+    if annotations.latency.is_some() {
         out.push_str(",latency");
     }
     out.push_str(",distribution\n");
-    for (i, p) in points.iter().enumerate() {
+    for row in rows {
+        let p = row.point;
         let _ = write!(out, "{},{}", p.size, p.throughput);
-        if energy {
-            let _ = write!(out, ",{}", p.energy().unwrap_or(Rational::ZERO));
+        if let Some(e) = row.energy {
+            let _ = write!(out, ",{e}");
         }
-        if let Some(ls) = latencies {
-            match ls.get(i).copied().flatten() {
-                Some(l) => {
-                    let _ = write!(out, ",{l}");
-                }
-                // Deadlocked schedule: no first output, the cell stays
-                // empty rather than inventing a number.
-                None => out.push(','),
+        match row.latency {
+            None => {}
+            Some(Some(l)) => {
+                let _ = write!(out, ",{l}");
             }
+            // Deadlocked schedule: no first output, the cell stays empty
+            // rather than inventing a number.
+            Some(None) => out.push(','),
         }
         let _ = writeln!(out, ",\"{}\"", p.distribution);
     }
@@ -551,27 +588,21 @@ fn front_csv(points: &[ParetoPoint], space: &ObjectiveSpace, latencies: &FrontLa
 
 /// Renders the front as a Graphviz slice: one record node per point,
 /// chained in size order so the rendering reads as the trade-off curve.
-fn front_dot(
-    name: &str,
-    points: &[ParetoPoint],
-    space: &ObjectiveSpace,
-    latencies: &FrontLatencies,
-) -> String {
-    let energy = space.has(ObjectiveKind::Energy);
+fn front_dot(name: &str, rows: &[Row<'_>]) -> String {
     let mut out = format!("digraph \"{}\" {{\n", name.replace('"', "'"));
     out.push_str("  rankdir=LR;\n  node [shape=record];\n");
-    for (i, p) in points.iter().enumerate() {
+    for (i, row) in rows.iter().enumerate() {
+        let p = row.point;
         let mut label = format!("size {}|throughput {}", p.size, p.throughput);
-        if energy {
-            let _ = write!(label, "|energy {}", p.energy().unwrap_or(Rational::ZERO));
+        if let Some(e) = row.energy {
+            let _ = write!(label, "|energy {e}");
         }
-        if let Some(ls) = latencies {
-            match ls.get(i).copied().flatten() {
-                Some(l) => {
-                    let _ = write!(label, "|latency {l}");
-                }
-                None => label.push_str("|latency -"),
+        match row.latency {
+            None => {}
+            Some(Some(l)) => {
+                let _ = write!(label, "|latency {l}");
             }
+            Some(None) => label.push_str("|latency -"),
         }
         let _ = write!(label, "|γ = {}", p.distribution);
         let _ = writeln!(out, "  p{i} [label=\"{{{label}}}\"];");
@@ -587,16 +618,15 @@ fn front_dot(
 fn export_front(
     parsed: &ParsedArgs,
     name: &str,
-    points: &[ParetoPoint],
-    space: &ObjectiveSpace,
-    latencies: &FrontLatencies,
+    annotations: &Annotations<'_>,
+    rows: &[Row<'_>],
 ) -> Result<(), String> {
     if let Some(path) = parsed.options.get("export-csv") {
-        std::fs::write(path, front_csv(points, space, latencies))
+        std::fs::write(path, front_csv(annotations, rows))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     if let Some(path) = parsed.options.get("export-dot") {
-        std::fs::write(path, front_dot(name, points, space, latencies))
+        std::fs::write(path, front_dot(name, rows))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(())
@@ -859,21 +889,26 @@ fn analyze_model<M: DataflowSemantics>(
     Ok(())
 }
 
-/// Appends one front point to the human-readable listing, with the
-/// CLI-side latency annotation when the axis was requested.
-fn write_point_text(
-    p: &ParetoPoint,
-    i: usize,
-    latencies: &FrontLatencies,
-    out: Out<'_>,
-) -> Result<(), String> {
-    match latencies {
-        None => w(out, format_args!("{p}\n")),
-        Some(ls) => match ls.get(i).copied().flatten() {
-            Some(l) => w(out, format_args!("{p}  latency {l}\n")),
-            None => w(out, format_args!("{p}  latency -\n")),
-        },
+/// Appends one annotated point to the human-readable listing.
+fn write_point_text(row: &Row<'_>, out: Out<'_>) -> Result<(), String> {
+    let p = row.point;
+    let mut line = format!(
+        "size {:>4}  throughput {:>8}  ",
+        p.size,
+        p.throughput.to_string()
+    );
+    if let Some(e) = row.energy {
+        let _ = write!(line, "energy {:>8}  ", e.to_string());
     }
+    let _ = write!(line, "γ = {}", p.distribution);
+    match row.latency {
+        None => {}
+        Some(Some(l)) => {
+            let _ = write!(line, "  latency {l}");
+        }
+        Some(None) => line.push_str("  latency -"),
+    }
+    w(out, format_args!("{line}\n"))
 }
 
 fn print_front(
@@ -881,17 +916,12 @@ fn print_front(
     parsed: &ParsedArgs,
     telemetry: Option<&buffy_telemetry::Snapshot>,
     space: &ObjectiveSpace,
-    latencies: &FrontLatencies,
+    annotations: &Annotations<'_>,
+    rows: &[Row<'_>],
     out: Out<'_>,
 ) -> Result<(), String> {
     if parsed.has_flag("json") {
-        let points: Vec<String> = result
-            .pareto
-            .points()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| point_json(p, latencies.as_ref().map(|ls| ls.get(i).copied().flatten())))
-            .collect();
+        let points: Vec<String> = rows.iter().map(point_json).collect();
         w(
             out,
             format_args!(
@@ -909,13 +939,10 @@ fn print_front(
             ),
         )?;
     } else if parsed.has_flag("csv") {
-        w(
-            out,
-            format_args!("{}", front_csv(result.pareto.points(), space, latencies)),
-        )?;
+        w(out, format_args!("{}", front_csv(annotations, rows)))?;
     } else {
-        for (i, p) in result.pareto.points().iter().enumerate() {
-            write_point_text(p, i, latencies, out)?;
+        for row in rows {
+            write_point_text(row, out)?;
         }
         w(
             out,
@@ -954,25 +981,41 @@ fn explore_model<M: DataflowSemantics + Sync>(
     let algorithm = Algorithm::from_options(parsed, model)?;
     let mut opts = explore_options(parsed, observed)?;
     let mut observation = observe(parsed, model, graph, observed, &mut opts, algorithm.name())?;
+    let annotations = match Annotations::new(graph, observed, &space, latency_graph) {
+        Ok(annotations) => annotations,
+        Err(e) => return run_failed(e.into(), &mut observation, out),
+    };
     let result = match algorithm.run(graph, &opts) {
         Ok(result) => result,
         Err(e) => return run_failed(e, &mut observation, out),
     };
     let snapshot = observation.finish(end_reason(&result.completeness))?;
-    let latencies = front_latencies(latency_graph, observed, result.pareto.points());
-    export_front(
+    let rows = annotations.rows(result.pareto.points());
+    export_front(parsed, model.name(), &annotations, &rows)?;
+    print_front(
+        &result,
         parsed,
-        model.name(),
-        result.pareto.points(),
+        snapshot.as_ref(),
         &space,
-        &latencies,
+        &annotations,
+        &rows,
+        out,
     )?;
-    print_front(&result, parsed, snapshot.as_ref(), &space, &latencies, out)?;
     Ok(exit_code_for(&result.completeness))
 }
 
-/// `buffy constraint`, for either dialect.
+/// `buffy constraint`, for either dialect. It refuses the `explore`
+/// options it would otherwise ignore.
 pub fn constraint(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
+    for (option, why) in [
+        ("algorithm", "it always runs the guided search"),
+        ("quantum", "quantization only thins an explored front"),
+        ("csv", "the answer is one point; use --json"),
+    ] {
+        if parsed.options.contains_key(option) || parsed.has_flag(option) {
+            return Err(format!("constraint does not take --{option}: {why}"));
+        }
+    }
     let model = Model::load(parsed)?;
     with_graph!(&model, graph => constraint_model(parsed, &model, graph, out))
 }
@@ -986,6 +1029,8 @@ fn constraint_model<M: DataflowSemantics + Sync>(
 ) -> Result<i32, String> {
     let observed = model.observed_actor(parsed)?;
     preflight(parsed, model, observed, out)?;
+    let space = objective_space(parsed)?;
+    let latency_graph = model.latency_graph(&space)?;
     let mut opts = explore_options(parsed, observed)?;
     let constraint: Rational = parsed
         .get("throughput")?
@@ -994,6 +1039,10 @@ fn constraint_model<M: DataflowSemantics + Sync>(
         return Err("--throughput must be positive".into());
     }
     let mut observation = observe(parsed, model, graph, observed, &mut opts, "constraint")?;
+    let annotations = match Annotations::new(graph, observed, &space, latency_graph) {
+        Ok(annotations) => annotations,
+        Err(e) => return run_failed(e.into(), &mut observation, out),
+    };
     let r = match min_storage_for_throughput(graph, constraint, &opts) {
         Ok(r) => r,
         Err(e) => return run_failed(e, &mut observation, out),
@@ -1004,7 +1053,7 @@ fn constraint_model<M: DataflowSemantics + Sync>(
             out,
             format_args!(
                 "{{\"constraint\":\"{constraint}\",\"point\":{},\"completeness\":{},\"failures\":{},\"stats\":{}{}}}\n",
-                point_json(&r.point, None),
+                point_json(&annotations.row(&r.point)),
                 completeness_json(&r.completeness),
                 failures_json(&r.failures),
                 stats_json(&r.stats),

@@ -127,18 +127,19 @@ COMMANDS:
                                       about once and the run continues
                                       uncheckpointed);
                                       --objectives declares the reported
-                                      axes: energy adds the exact energy
-                                      per iteration derived from the actor
-                                      power annotations (the front itself
-                                      is unchanged — energy is a monotone
-                                      function of throughput), latency
-                                      annotates each front point with the
+                                      axes: energy annotates each front
+                                      point with the exact energy per
+                                      iteration derived from the actor
+                                      power annotations, latency with the
                                       time of the observed actor's first
-                                      completion (SDF only); --export-csv /
+                                      completion (SDF only); the front is
+                                      ranked on storage and throughput
+                                      alone; --export-csv /
                                       --export-dot additionally write the
                                       front as a CSV table / Graphviz
                                       trade-off chart
     constraint <graph.xml> --throughput R [--actor NAME] [--max-size N]
+               [--objectives storage,throughput[,energy][,latency]]
                [--json] [--progress] [--trace-json FILE]
                [--serve ADDR] [--serve-linger SECS]
                [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
@@ -148,8 +149,11 @@ COMMANDS:
                                       constraint in an SDF or CSDF graph,
                                       answered by the guided search (with
                                       evaluation statistics); --max-size
-                                      caps the answer's size; a truncated
-                                      run reports a sound but possibly
+                                      caps the answer's size; --json
+                                      annotates the witness with the axes
+                                      --objectives declares, as explore
+                                      does its front; a truncated run
+                                      reports a sound but possibly
                                       non-minimal witness
     schedule <graph.xml> --dist 4,2 [--horizon N]
                                       extract and print the self-timed schedule
@@ -357,6 +361,86 @@ mod tests {
             text.starts_with("minimal storage for throughput ≥ 3/5: size 6 with γ = <4, 2>"),
             "{text}"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Runs `constraint` on cd2dat at its maximal throughput with the
+    /// `extra` options and expects exit 1 naming `--option`.
+    fn assert_constraint_refuses(option: &str, extra: &[&str]) {
+        let (_, xml) = run_to_string(&["gallery", "cd2dat"]);
+        let path = std::env::temp_dir().join(format!("buffy-cli-test-refuse-{option}.xml"));
+        std::fs::write(&path, &xml).unwrap();
+        let query = [
+            "constraint",
+            path.to_str().unwrap(),
+            "--throughput",
+            "80/147",
+        ];
+        let (code, text) = run_to_string(&[&query[..], extra].concat());
+        assert_eq!(code, 1, "{text}");
+        assert!(
+            text.starts_with(&format!("error: constraint does not take --{option}")),
+            "{text}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn constraint_refuses_an_algorithm() {
+        assert_constraint_refuses("algorithm", &["--algorithm", "bogus"]);
+        assert_constraint_refuses("algorithm", &["--algorithm", "guided"]);
+    }
+
+    #[test]
+    fn constraint_refuses_a_quantum() {
+        assert_constraint_refuses("quantum", &["--quantum", "1/3"]);
+    }
+
+    #[test]
+    fn constraint_refuses_csv() {
+        assert_constraint_refuses("csv", &["--csv"]);
+    }
+
+    #[test]
+    fn constraint_json_reports_the_declared_latency() {
+        let (_, xml) = run_to_string(&["gallery", "modem-power"]);
+        let path = std::env::temp_dir().join("buffy-cli-test-constraint-latency.xml");
+        std::fs::write(&path, &xml).unwrap();
+        let p = path.to_str().unwrap();
+        let space = "storage,throughput,energy,latency";
+        let (code, text) = run_to_string(&[
+            "constraint",
+            p,
+            "--throughput",
+            "16/35",
+            "--objectives",
+            space,
+            "--json",
+        ]);
+        assert_eq!(code, 0, "{text}");
+        // Latency 47, as on every point of the modem-power front.
+        assert!(
+            text.starts_with(
+                "{\"constraint\":\"16/35\",\"point\":{\"size\":50,\"throughput\":\"16/35\",\
+                 \"energy\":\"2485\",\"latency\":47,\"distribution\":["
+            ),
+            "{text}"
+        );
+
+        // Latency is SDF-only: on CSDF the query refuses it, as explore does.
+        let (_, xml) = run_to_string(&["gallery", "h263rows-power"]);
+        std::fs::write(&path, &xml).unwrap();
+        let (code, text) = run_to_string(&[
+            "constraint",
+            p,
+            "--throughput",
+            "1/20000",
+            "--objectives",
+            space,
+            "--json",
+        ]);
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("SDF-only"), "{text}");
         std::fs::remove_file(&path).ok();
     }
 

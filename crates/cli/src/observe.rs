@@ -245,9 +245,9 @@ impl CliObserver {
         out
     }
 
-    /// Whether a throttled progress line may print now. Lossy under
-    /// contention by design: when two threads race the interval, one line
-    /// wins and the other is simply skipped.
+    /// Whether a throttled progress line may print now: the first one,
+    /// then at most one per interval. Events arrive one at a time on the
+    /// driver thread, so a plain load and store suffice.
     fn progress_tick(&self) -> bool {
         if !self.progress {
             return false;
@@ -257,9 +257,8 @@ impl CliObserver {
         if last != u64::MAX && now.saturating_sub(last) < PROGRESS_INTERVAL_US {
             return false;
         }
-        self.progress_last_us
-            .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
+        self.progress_last_us.store(now, Ordering::Relaxed);
+        true
     }
 
     /// The `N analyses, M cache hits, …` body of a progress line.

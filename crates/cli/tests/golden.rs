@@ -232,6 +232,30 @@ fn latency_axis_reports_match_the_golden_files() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The energy annotation on modem-power, outside the latency fixtures:
+/// the `constraint --json` witness, and the exhaustive driver's
+/// `explore --csv` front with its `--export-dot` chart.
+#[test]
+fn energy_annotations_match_the_golden_files() {
+    let path = gallery_file("modem-power");
+    let graph = path.to_str().unwrap();
+    let space = ["--objectives", "storage,throughput,energy"];
+    let mut args = vec!["--throughput", "16/35"];
+    args.extend_from_slice(&space);
+    let text = report("constraint", graph, &args, "json");
+    assert_golden("modem-power-energy-constraint.json", &text);
+    let dot = path.with_extension("dot");
+    let mut args = vec!["--algorithm", "exhaustive", "--export-dot"];
+    args.push(dot.to_str().unwrap());
+    args.extend_from_slice(&space);
+    let text = report("explore", graph, &args, "csv");
+    assert_golden("modem-power-energy-exhaustive.csv", &text);
+    let chart = std::fs::read_to_string(&dot).unwrap();
+    assert_golden("modem-power-energy-exhaustive.dot", &chart);
+    std::fs::remove_file(&dot).ok();
+    std::fs::remove_file(&path).ok();
+}
+
 /// Writes a graph of the given dialect (`"sdf"` or `"csdf"`) whose
 /// actors and channels are `body` to a temporary file.
 fn dialect_file(name: &str, dialect: &str, body: &str) -> PathBuf {

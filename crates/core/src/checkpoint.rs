@@ -556,13 +556,13 @@ mod tests {
         let text = render_legacy(&cp, MAGIC_V1);
         let back = Checkpoint::parse(&text).unwrap();
         assert_eq!(back, cp);
-        assert!(back.objectives.is_default());
+        assert_eq!(back.objectives, ObjectiveSpace::default_2d());
     }
 
     #[test]
     fn legacy_v2_files_parse() {
         let mut cp = sample();
-        cp.objectives = ObjectiveSpace::with_energy();
+        cp.objectives = "storage,throughput,energy".parse().unwrap();
         let text = render_legacy(&cp, MAGIC_V2);
         assert!(text.contains("objectives storage,throughput,energy\n"));
         assert_eq!(Checkpoint::parse(&text).unwrap(), cp);
@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn extended_objectives_round_trip() {
         let mut cp = sample();
-        cp.objectives = ObjectiveSpace::with_energy();
+        cp.objectives = "storage,throughput,energy".parse().unwrap();
         let text = cp.render();
         assert!(text.contains("objectives storage,throughput,energy\n"));
         assert_eq!(Checkpoint::parse(&text).unwrap(), cp);

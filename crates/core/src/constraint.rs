@@ -40,7 +40,7 @@ pub struct ConstraintResult {
 /// Returns the witnessing [`ParetoPoint`] (distribution, size, exact
 /// throughput achieved — which may exceed the constraint) with the
 /// search's statistics and completeness. The search honours `max_size` and
-/// `max_channel_caps`; the throughput window and `quantum` do not apply.
+/// `max_channel_caps`; `quantum` does not apply.
 ///
 /// When a cancel token trips before the constraint is met, the witness is
 /// the bounds phase's upper-bound distribution, with a truncated

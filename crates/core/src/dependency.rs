@@ -30,7 +30,7 @@ use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::explore::{salvage, ExplorationResult, ExploreOptions};
 use crate::pareto::{ParetoPoint, ParetoSet};
-use crate::pipeline::{clip_front, EvalPipeline};
+use crate::pipeline::{thin_front, EvalPipeline};
 use crate::runtime::{Completeness, Event, SearchPhase, SkippedSize};
 use buffy_analysis::{maximal_throughput, CancelReason, DataflowSemantics};
 use buffy_graph::{ChannelId, Rational, StorageDistribution};
@@ -92,18 +92,17 @@ pub fn explore_dependency_guided<M: DataflowSemantics + Sync>(
     if result.pareto.is_empty() && result.completeness.exact {
         return Err(ExploreError::NoPositiveThroughput);
     }
-    // Optional thinning / clipping to match the exhaustive explorer's
-    // options semantics.
-    result.pareto = clip_front(result.pareto, options, result.max_throughput);
+    // Optional thinning to match the exhaustive explorer's options
+    // semantics.
+    result.pareto = thin_front(result.pareto, options.quantum);
     Ok(result)
 }
 
 /// The guided search, drained once a point reaches `target` (default: the
-/// graph's maximal throughput, with `max_throughput` only ending growth;
-/// a given target replaces the throughput window). Returns the unclipped
-/// front (empty when no positive throughput was found) and, when the
-/// front falls short of the target, the bounds-phase upper-bound point if
-/// that phase probed it (no `max_size`) and it fits the channel caps.
+/// graph's maximal throughput). Returns the unthinned front (empty when no
+/// positive throughput was found) and, when the front falls short of the
+/// target, the bounds-phase upper-bound point if that phase probed it (no
+/// `max_size`) and it fits the channel caps.
 ///
 /// Fails with [`ExploreError::InfeasibleThroughput`] for a target above
 /// the maximal throughput, [`ExploreError::NoPositiveThroughput`] when a
@@ -119,7 +118,7 @@ pub(crate) fn guided_search<M: DataflowSemantics + Sync>(
     let space = DistributionSpace::for_model(model);
     let lb_size = space.min_size();
 
-    let eval = EvalPipeline::new(model, observed, options)?.collecting_dependencies();
+    let eval = EvalPipeline::new(model, observed, options).collecting_dependencies();
     // Every distribution below the lower bound has a channel below its
     // minimal capacity and deadlocks; so does every distribution within
     // channel caps that hold some channel below its lower bound.
@@ -158,21 +157,16 @@ pub(crate) fn guided_search<M: DataflowSemantics + Sync>(
             (ub_dist.size(), thr_max, Some(ub_dist))
         }
     };
-    // The drain fires at `goal`; a candidate reaching `thr_cap` is a leaf.
-    let (goal, thr_cap) = match target {
+    // The drain fires at `goal`, and a candidate reaching it is a leaf.
+    let goal = match target {
         Some(t) if t > thr_max_graph => {
             return Err(ExploreError::InfeasibleThroughput {
                 requested: t.to_string(),
                 maximal: thr_max_graph.to_string(),
             })
         }
-        Some(t) => (t, t),
-        None => (
-            thr_max_graph,
-            options
-                .max_throughput
-                .map_or(thr_max_graph, |cap| cap.min(thr_max_graph)),
-        ),
+        Some(t) => t,
+        None => thr_max_graph,
     };
 
     let steps: Vec<u64> = (0..model.num_channels())
@@ -219,11 +213,11 @@ pub(crate) fn guided_search<M: DataflowSemantics + Sync>(
             if thr > best {
                 best = thr;
             }
-            let p = eval.point(dist.clone(), thr);
+            let p = ParetoPoint::new(dist.clone(), thr);
             if pareto.insert(p.clone()) {
                 eval.emit(Event::Accepted(&p));
             }
-            if thr >= thr_cap {
+            if thr >= goal {
                 continue; // growing further cannot be Pareto-optimal
             }
         }
@@ -295,7 +289,7 @@ pub(crate) fn guided_search<M: DataflowSemantics + Sync>(
 
     let bounds_point = ub_dist
         .filter(|d| best < goal && fits_caps(d))
-        .map(|d| eval.point(d, thr_max_graph));
+        .map(|d| ParetoPoint::new(d, thr_max_graph));
     let result = ExplorationResult {
         pareto,
         max_throughput: thr_max_graph,
@@ -599,9 +593,7 @@ mod tests {
         let c = g.actor_by_name("c").unwrap();
         let dist = StorageDistribution::from_capacities(vec![4, 2]);
         let run = |options: &ExploreOptions| {
-            let eval = EvalPipeline::new(&g, c, options)
-                .unwrap()
-                .collecting_dependencies();
+            let eval = EvalPipeline::new(&g, c, options).collecting_dependencies();
             eval.dependencies(&dist)
         };
         let flags = run(&ExploreOptions::default()).unwrap().unwrap();

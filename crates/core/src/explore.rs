@@ -41,9 +41,8 @@
 use crate::bound_table::{admits, BoundTable};
 use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
-use crate::objective::ObjectiveSpace;
-use crate::pareto::ParetoSet;
-use crate::pipeline::{clip_front, EvalPipeline};
+use crate::pareto::{ParetoPoint, ParetoSet};
+use crate::pipeline::{thin_front, EvalPipeline};
 use crate::runtime::{
     Completeness, EvaluationFailure, Event, ExplorationStats, ExploreObserver, NoopObserver,
     SearchPhase, SkippedSize, EVAL_CHUNK,
@@ -77,10 +76,6 @@ pub struct ExploreOptions {
     /// Every distribution below the lower bound deadlocks, so a cap below
     /// it fails with [`ExploreError::NoPositiveThroughput`].
     pub max_size: Option<u64>,
-    /// Only chart points with throughput at least this value.
-    pub min_throughput: Option<Rational>,
-    /// Only chart points with throughput at most this value.
-    pub max_throughput: Option<Rational>,
     /// Quantize throughputs searched to multiples of this value (paper
     /// §11: limits the number of Pareto points, e.g. for H.263).
     pub quantum: Option<Rational>,
@@ -115,13 +110,6 @@ pub struct ExploreOptions {
     /// [`crate::FaultPlan`]). The generalization of `fail_distribution`:
     /// `None` in production, where every hook is a single untaken branch.
     pub fault_plan: Option<Arc<crate::fault::FaultPlan>>,
-    /// The declared objective space of the exploration. The default is
-    /// the paper's storage/throughput pair; declaring the energy axis
-    /// makes every Pareto point carry the exact energy per iteration
-    /// derived from the model's actor power annotations. The energy axis
-    /// is a monotone function of the throughput axis, so the default-space
-    /// front is unchanged by the declaration (see [`crate::ObjectiveSpace`]).
-    pub objectives: ObjectiveSpace,
     /// Receives the run's [`Event`] stream — phases, evaluations, cache
     /// hits, failures and accepted points — as the search runs;
     /// `None` reports to [`NoopObserver`]. Observation never changes the
@@ -141,8 +129,6 @@ impl Default for ExploreOptions {
         ExploreOptions {
             observed: None,
             max_size: None,
-            min_throughput: None,
-            max_throughput: None,
             quantum: None,
             limits: ExplorationLimits::default(),
             threads: 1,
@@ -151,7 +137,6 @@ impl Default for ExploreOptions {
             warm_start: None,
             fail_distribution: None,
             fault_plan: None,
-            objectives: ObjectiveSpace::default_2d(),
             observer: None,
         }
     }
@@ -484,7 +469,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     let observed = options
         .observed
         .unwrap_or_else(|| model.default_observed_actor());
-    let eval = EvalPipeline::new(model, observed, options)?;
+    let eval = EvalPipeline::new(model, observed, options);
     let mut space = DistributionSpace::for_model(model);
     if let Some(caps) = &options.max_channel_caps {
         space = space.with_max_capacities(caps);
@@ -510,10 +495,8 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     });
 
     // Accept a witness into the front, reporting genuinely new points.
-    // Points come out of the pipeline's factory so the declared objective
-    // space (e.g. the energy axis) is attached uniformly.
     let accept = |pareto: &mut ParetoSet, w: StorageDistribution, t: Rational| {
-        let p = eval.point(w, t);
+        let p = ParetoPoint::new(w, t);
         if pareto.insert(p.clone()) {
             eval.emit(Event::Accepted(&p));
         }
@@ -530,12 +513,9 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         ub_size = ub_size.min(caps.size());
     }
 
-    // Clip the throughput range per the options.
-    let thr_cap = match options.max_throughput {
-        Some(cap) => cap.min(thr_max_graph),
-        None => thr_max_graph,
-    };
-    let thr_cap_q = q(thr_cap, options.quantum);
+    // Nothing exceeds the maximal throughput: the (quantized) ceiling of
+    // every sweep.
+    let thr_max_q = q(thr_max_graph, options.quantum);
 
     // The size dimension only holds distributions at realizable grid
     // sizes (capacities move in per-channel steps): probing a hole — e.g.
@@ -550,15 +530,12 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         return Err(ExploreError::NoPositiveThroughput);
     };
     // The bounds phase has answered the largest size when `ub_dist` is one
-    // of its candidates and no throughput cap clips the search below the
-    // maximal throughput: `ub_dist` reaches `thr_max`, which nothing
+    // of its candidates: `ub_dist` reaches `thr_max`, which nothing
     // exceeds, so the size is live and its sweep reaches the right end's
     // ceiling. That sweep only has to pick the witness, and only if no
     // smaller size reaches the same ceiling first; it runs last.
-    let ub_answers_largest = !thr_max_graph.is_zero()
-        && thr_cap == thr_max_graph
-        && ub_dist.size() == largest
-        && space.contains(&ub_dist);
+    let ub_answers_largest =
+        !thr_max_graph.is_zero() && ub_dist.size() == largest && space.contains(&ub_dist);
 
     // The pair bounds of every sweep of the run, shared by every size.
     let mut sweeps = Sweeps {
@@ -653,7 +630,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
     'search: {
         // Left end of the front.
         let Some((left_q, left_exact, left_witness)) = salvage(
-            sweeps.max_throughput_for_size(sizes[min_positive], thr_cap_q, None),
+            sweeps.max_throughput_for_size(sizes[min_positive], thr_max_q, None),
             &mut truncated,
         )?
         else {
@@ -670,11 +647,11 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         // sweep is deferred.
         let deferred = ub_answers_largest && last > min_positive;
         let right_q = if deferred {
-            thr_cap_q
+            thr_max_q
         } else {
             let (right_q, right_exact, right_witness) = if last > min_positive {
                 let Some(right) = salvage(
-                    sweeps.max_throughput_for_size(largest, thr_cap_q, None),
+                    sweeps.max_throughput_for_size(largest, thr_max_q, None),
                     &mut truncated,
                 )?
                 else {
@@ -743,7 +720,7 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         // equals the ceiling from the start.
         if deferred && !right_reached {
             let Some((_, right_exact, right_witness)) = salvage(
-                sweeps.max_throughput_for_size(largest, thr_cap_q, Some(&ub_dist)),
+                sweeps.max_throughput_for_size(largest, thr_max_q, Some(&ub_dist)),
                 &mut truncated,
             )?
             else {
@@ -764,9 +741,8 @@ pub fn explore_design_space<M: DataflowSemantics + Sync>(
         }
     };
 
-    // Clip per the requested throughput window and thin to one point per
-    // quantization level (smallest size wins).
-    let pareto = clip_front(pareto, options, thr_max_graph);
+    // Thin to one point per quantization level (smallest size wins).
+    let pareto = thin_front(pareto, options.quantum);
 
     Ok(ExplorationResult {
         pareto,
@@ -1008,7 +984,7 @@ mod tests {
             observer: Some(requests.clone()),
             ..ExploreOptions::default()
         };
-        let eval = EvalPipeline::new(model, model.default_observed_actor(), &options).unwrap();
+        let eval = EvalPipeline::new(model, model.default_observed_actor(), &options);
         let mut space = DistributionSpace::for_model(model);
         if let Some(caps) = &caps {
             space = space.with_max_capacities(caps);
@@ -1213,7 +1189,7 @@ mod tests {
             observer: Some(requests.clone()),
             ..ExploreOptions::default()
         };
-        let eval = EvalPipeline::new(&g, y, &options).unwrap();
+        let eval = EvalPipeline::new(&g, y, &options);
         let space = DistributionSpace::for_model(&g);
         let (ub, thr_max) = eval.upper_bound().unwrap();
         let mut sweeps = Sweeps {
@@ -1806,22 +1782,6 @@ mod tests {
             .collect();
         assert_eq!(front, vec![(12, Rational::new(1, 7))]);
         assert_eq!(r.upper_bound_size, 15);
-    }
-
-    #[test]
-    fn throughput_window_clips_front() {
-        let g = example();
-        let r = explore_design_space(
-            &g,
-            &ExploreOptions {
-                min_throughput: Some(Rational::new(1, 6)),
-                max_throughput: Some(Rational::new(1, 5)),
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        let thr: Vec<Rational> = r.pareto.points().iter().map(|p| p.throughput).collect();
-        assert_eq!(thr, vec![Rational::new(1, 6), Rational::new(1, 5)]);
     }
 
     #[test]

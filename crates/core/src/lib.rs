@@ -17,7 +17,12 @@
 //!   storage meeting a given throughput constraint, answered by the
 //!   guided search, which stops at its first point that meets it (exact
 //!   wherever the guided front is: tested, not proven);
-//! - [`ParetoSet`] / [`ParetoPoint`]: the resulting front (Figs. 5, 13);
+//! - [`ParetoSet`] / [`ParetoPoint`]: the resulting front (Figs. 5, 13),
+//!   ranked on storage and throughput alone;
+//! - [`ObjectiveSpace`]: the declared report axes. Energy and latency
+//!   never enter a search: the caller annotates the final front with them
+//!   (the CLI through `buffy_analysis::EnergyModel` and
+//!   `buffy_analysis::latency`);
 //! - [`Event`] / [`ExploreObserver`] / [`ExplorationStats`]: the
 //!   exploration runtime's one event stream and the statistics folded
 //!   from it — the observer set in [`ExploreOptions::observer`] receives
@@ -84,7 +89,7 @@ pub use error::ExploreError;
 pub use explore::{explore_design_space, ExplorationResult, ExploreOptions, WarmStart};
 pub use fault::{FaultPlan, FaultSite, FAULT_SITES};
 pub use live::{dist_json, EventRing, LiveStats, RingEntry, DEFAULT_RING_CAPACITY};
-pub use objective::{ObjectiveKind, ObjectiveSpace, ObjectiveVector, ParseObjectivesError, Sense};
+pub use objective::{ObjectiveKind, ObjectiveSpace, ParseObjectivesError};
 pub use pareto::{ParetoPoint, ParetoSet};
 pub use runtime::{
     resolve_threads, Completeness, EvaluationFailure, Event, ExplorationStats, ExploreObserver,

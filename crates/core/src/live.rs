@@ -225,12 +225,13 @@ struct RingInner {
 /// A bounded ring buffer of rendered events with monotonically
 /// increasing sequence numbers.
 ///
-/// Appends run on search worker threads and take a short uncontended
-/// mutex (the guarded work is a `VecDeque` push and at most one pop);
-/// readers poll [`since`](EventRing::since) with a cursor and never block
-/// the writers for longer than one copy of the pending slice. When the
-/// buffer is full the oldest event is dropped and counted — a slow or
-/// absent reader can lose history, never stall the search.
+/// Appends run on the search's driver thread, which emits every event,
+/// and take a short mutex (the guarded work is a `VecDeque` push and at
+/// most one pop); readers poll [`since`](EventRing::since) with a cursor
+/// and never block the writer for longer than one copy of the pending
+/// slice. When the buffer is full the oldest event is dropped and
+/// counted — a slow or absent reader can lose history, never stall the
+/// search.
 pub struct EventRing {
     capacity: usize,
     inner: Mutex<RingInner>,

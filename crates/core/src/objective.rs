@@ -1,40 +1,17 @@
-//! The declared objective space of an exploration and the per-point
-//! objective vectors ranked by Pareto dominance.
+//! The declared objective space of an exploration: the axes a run
+//! reports.
 //!
 //! The paper's trade-off space is two-dimensional — storage size against
-//! throughput — but nothing in dominance filtering is specific to that
-//! pair. [`ObjectiveKind`] names the axes the engine knows how to
-//! compute, each with a fixed optimization [`Sense`]; [`ObjectiveSpace`]
-//! declares which axes one exploration ranks (always including the
-//! paper's pair); and [`ObjectiveVector`] carries the exact
-//! [`Rational`] value of every declared axis for one evaluated
-//! distribution. [`ParetoSet`](crate::ParetoSet) compares points solely
-//! through [`ObjectiveVector::dominates`], so adding an axis never
-//! touches the front machinery.
-//!
-//! The energy axis is derived from the throughput axis through the
-//! precomputed [`EnergyModel`](buffy_analysis::EnergyModel) and is
-//! monotone non-increasing in it; consequently the default
-//! storage/throughput fronts are unchanged by the refactor, and the
-//! searches' throughput-only skips (the per-size ceiling, interval
-//! collapse, the guided ceiling drain) stay sound under it: a candidate
-//! that cannot beat a point's throughput cannot beat its energy either.
-//! Latency can be declared for reporting; it is
-//! annotated onto the finished front by the CLI rather than evaluated
-//! per candidate, and never participates in dominance.
+//! throughput — and the searches rank points on exactly that pair
+//! ([`ParetoSet`](crate::ParetoSet)). [`ObjectiveKind`] names the axes a
+//! report can carry; [`ObjectiveSpace`] is the parsed `--objectives`
+//! declaration (always including the paper's pair), which checkpoints
+//! record. Energy and latency are annotations of the final front, computed
+//! by the caller for each reported point (the CLI does so); neither moves
+//! the front nor costs the search an evaluation.
 
-use buffy_graph::Rational;
 use core::fmt;
 use std::str::FromStr;
-
-/// Whether larger or smaller values of an axis are preferred.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Sense {
-    /// Smaller values dominate (storage, energy, latency).
-    Minimize,
-    /// Larger values dominate (throughput).
-    Maximize,
-}
 
 /// An axis of the objective space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,22 +21,14 @@ pub enum ObjectiveKind {
     /// Throughput of the observed actor (maximized).
     Throughput,
     /// Exact energy per graph iteration under the actor power model
-    /// (minimized).
+    /// (a report annotation, never ranked).
     Energy,
-    /// Initial output latency of the observed actor (minimized;
-    /// reporting-only, never ranked).
+    /// Initial output latency of the observed actor (a report
+    /// annotation, never ranked).
     Latency,
 }
 
 impl ObjectiveKind {
-    /// The fixed optimization sense of this axis.
-    pub fn sense(self) -> Sense {
-        match self {
-            ObjectiveKind::Throughput => Sense::Maximize,
-            _ => Sense::Minimize,
-        }
-    }
-
     /// The axis name used by `--objectives` and the reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -91,7 +60,7 @@ impl fmt::Display for ParseObjectivesError {
 
 impl std::error::Error for ParseObjectivesError {}
 
-/// The ordered set of axes one exploration computes and reports.
+/// The ordered set of axes one exploration reports.
 ///
 /// The paper's storage/throughput pair is always present; extra axes are
 /// kept in the canonical order storage, throughput, energy, latency so a
@@ -109,17 +78,6 @@ impl ObjectiveSpace {
         }
     }
 
-    /// The default space extended with the energy axis.
-    pub fn with_energy() -> ObjectiveSpace {
-        ObjectiveSpace {
-            kinds: vec![
-                ObjectiveKind::Storage,
-                ObjectiveKind::Throughput,
-                ObjectiveKind::Energy,
-            ],
-        }
-    }
-
     /// The declared axes, in canonical order.
     pub fn kinds(&self) -> &[ObjectiveKind] {
         &self.kinds
@@ -128,12 +86,6 @@ impl ObjectiveSpace {
     /// Whether `kind` is declared.
     pub fn has(&self, kind: ObjectiveKind) -> bool {
         self.kinds.contains(&kind)
-    }
-
-    /// Whether this is exactly the paper's default storage/throughput
-    /// space — the fast path every existing driver stays on.
-    pub fn is_default(&self) -> bool {
-        self.kinds == [ObjectiveKind::Storage, ObjectiveKind::Throughput]
     }
 }
 
@@ -206,89 +158,6 @@ impl FromStr for ObjectiveSpace {
     }
 }
 
-/// The exact objective values of one evaluated distribution, one entry
-/// per declared axis in the space's canonical order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectiveVector {
-    entries: Vec<(ObjectiveKind, Rational)>,
-}
-
-impl ObjectiveVector {
-    /// The paper's 2D vector: storage size and throughput.
-    pub fn pair(size: u64, throughput: Rational) -> ObjectiveVector {
-        ObjectiveVector {
-            entries: vec![
-                (ObjectiveKind::Storage, Rational::new(size as i128, 1)),
-                (ObjectiveKind::Throughput, throughput),
-            ],
-        }
-    }
-
-    /// The 3D vector extending [`pair`](Self::pair) with an energy value.
-    pub fn triple(size: u64, throughput: Rational, energy: Rational) -> ObjectiveVector {
-        ObjectiveVector {
-            entries: vec![
-                (ObjectiveKind::Storage, Rational::new(size as i128, 1)),
-                (ObjectiveKind::Throughput, throughput),
-                (ObjectiveKind::Energy, energy),
-            ],
-        }
-    }
-
-    /// The entries, in the space's canonical axis order.
-    pub fn entries(&self) -> &[(ObjectiveKind, Rational)] {
-        &self.entries
-    }
-
-    /// The value of `kind`, if that axis is present.
-    pub fn get(&self, kind: ObjectiveKind) -> Option<Rational> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, v)| *v)
-    }
-
-    /// Drops the given axis (used by projection tests and reports).
-    pub fn without(&self, kind: ObjectiveKind) -> ObjectiveVector {
-        ObjectiveVector {
-            entries: self
-                .entries
-                .iter()
-                .filter(|(k, _)| *k != kind)
-                .copied()
-                .collect(),
-        }
-    }
-
-    /// Weak Pareto dominance: `self` is no worse than `other` on every
-    /// axis, each compared under its own sense. Equal vectors dominate
-    /// each other; [`ParetoSet`](crate::ParetoSet) breaks that tie on the
-    /// witnessing distributions.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that both vectors declare the same axes in the same
-    /// order — comparing points from different spaces is a logic error.
-    pub fn dominates(&self, other: &ObjectiveVector) -> bool {
-        debug_assert!(
-            self.entries.len() == other.entries.len()
-                && self
-                    .entries
-                    .iter()
-                    .zip(&other.entries)
-                    .all(|((a, _), (b, _))| a == b),
-            "dominance across different objective spaces"
-        );
-        self.entries
-            .iter()
-            .zip(&other.entries)
-            .all(|((kind, a), (_, b))| match kind.sense() {
-                Sense::Minimize => a <= b,
-                Sense::Maximize => a >= b,
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,12 +165,18 @@ mod tests {
     #[test]
     fn parsing_accepts_any_order_and_canonicalizes() {
         let s: ObjectiveSpace = "energy,storage,throughput".parse().unwrap();
-        assert_eq!(s, ObjectiveSpace::with_energy());
+        assert_eq!(
+            s.kinds(),
+            [
+                ObjectiveKind::Storage,
+                ObjectiveKind::Throughput,
+                ObjectiveKind::Energy
+            ]
+        );
         assert_eq!(s.to_string(), "storage,throughput,energy");
         assert!(s.has(ObjectiveKind::Energy));
-        assert!(!s.is_default());
+        assert_ne!(s, ObjectiveSpace::default());
         let d: ObjectiveSpace = "throughput,storage".parse().unwrap();
-        assert!(d.is_default());
         assert_eq!(d, ObjectiveSpace::default());
         let l: ObjectiveSpace = "storage,throughput,energy,latency".parse().unwrap();
         assert_eq!(l.kinds().len(), 4);
@@ -318,43 +193,5 @@ mod tests {
             .is_err());
         assert!("storage,energy".parse::<ObjectiveSpace>().is_err());
         assert!("energy".parse::<ObjectiveSpace>().is_err());
-    }
-
-    #[test]
-    fn senses_are_fixed_per_axis() {
-        assert_eq!(ObjectiveKind::Storage.sense(), Sense::Minimize);
-        assert_eq!(ObjectiveKind::Throughput.sense(), Sense::Maximize);
-        assert_eq!(ObjectiveKind::Energy.sense(), Sense::Minimize);
-        assert_eq!(ObjectiveKind::Latency.sense(), Sense::Minimize);
-    }
-
-    #[test]
-    fn dominance_respects_sense_per_axis() {
-        let a = ObjectiveVector::pair(6, Rational::new(1, 7));
-        let b = ObjectiveVector::pair(8, Rational::new(1, 7));
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
-        let c = ObjectiveVector::pair(6, Rational::new(1, 4));
-        assert!(c.dominates(&a));
-        assert!(!a.dominates(&c));
-        // Equal vectors weakly dominate each other.
-        assert!(a.dominates(&a.clone()));
-
-        // In 3D a worse energy blocks dominance that held in 2D.
-        let x = ObjectiveVector::triple(6, Rational::new(1, 7), Rational::new(50, 1));
-        let y = ObjectiveVector::triple(8, Rational::new(1, 7), Rational::new(40, 1));
-        assert!(!x.dominates(&y));
-        assert!(!y.dominates(&x));
-    }
-
-    #[test]
-    fn vector_accessors() {
-        let v = ObjectiveVector::triple(6, Rational::new(1, 7), Rational::new(73, 1));
-        assert_eq!(v.get(ObjectiveKind::Storage), Some(Rational::new(6, 1)));
-        assert_eq!(v.get(ObjectiveKind::Energy), Some(Rational::new(73, 1)));
-        assert_eq!(v.get(ObjectiveKind::Latency), None);
-        let projected = v.without(ObjectiveKind::Energy);
-        assert_eq!(projected, ObjectiveVector::pair(6, Rational::new(1, 7)));
-        assert_eq!(v.entries().len(), 3);
     }
 }

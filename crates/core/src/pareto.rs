@@ -1,19 +1,18 @@
-//! Pareto points and Pareto sets of the objective trade-off space.
+//! Pareto points and Pareto sets of the storage/throughput trade-off
+//! space.
 //!
 //! A storage distribution is *minimal* when no smaller distribution
 //! realizes at least the same throughput (paper §8). The set of minimal
 //! distributions — one per achievable throughput level — forms the Pareto
-//! front charted in the paper's Figures 5 and 13. Dominance is ranked
-//! through each point's [`ObjectiveVector`], so the same set machinery
-//! carries the default storage/throughput pair and any extended space
-//! (e.g. with the energy axis) unchanged.
+//! front charted in the paper's Figures 5 and 13. Points are ranked on
+//! size and throughput alone; report annotations such as energy and
+//! latency are computed on the final front by the caller.
 
-use crate::objective::{ObjectiveKind, ObjectiveVector};
 use buffy_graph::{Rational, StorageDistribution};
 use core::fmt;
 
-/// One point of the trade-off space: a distribution, its objective
-/// vector, and the paper's two axes broken out for direct access.
+/// One point of the trade-off space: a distribution with its size and
+/// throughput.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParetoPoint {
     /// The witnessing storage distribution.
@@ -22,40 +21,22 @@ pub struct ParetoPoint {
     pub size: u64,
     /// The throughput of the observed actor under it.
     pub throughput: Rational,
-    /// All declared objective values, including the two above.
-    pub objectives: ObjectiveVector,
 }
 
 impl ParetoPoint {
-    /// Creates a point in the default storage/throughput space.
+    /// Creates the point of `distribution` at `throughput`.
     pub fn new(distribution: StorageDistribution, throughput: Rational) -> ParetoPoint {
         let size = distribution.size();
         ParetoPoint {
             distribution,
             size,
             throughput,
-            objectives: ObjectiveVector::pair(size, throughput),
         }
     }
 
-    /// Creates a point in the storage/throughput/energy space.
-    pub fn with_energy(
-        distribution: StorageDistribution,
-        throughput: Rational,
-        energy: Rational,
-    ) -> ParetoPoint {
-        let size = distribution.size();
-        ParetoPoint {
-            distribution,
-            size,
-            throughput,
-            objectives: ObjectiveVector::triple(size, throughput, energy),
-        }
-    }
-
-    /// The energy value, when the point carries the energy axis.
-    pub fn energy(&self) -> Option<Rational> {
-        self.objectives.get(ObjectiveKind::Energy)
+    /// Weak dominance: no larger and no slower than `other`.
+    fn dominates(&self, other: &ParetoPoint) -> bool {
+        self.size <= other.size && self.throughput >= other.throughput
     }
 }
 
@@ -63,14 +44,11 @@ impl fmt::Display for ParetoPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "size {:>4}  throughput {:>8}  ",
+            "size {:>4}  throughput {:>8}  γ = {}",
             self.size,
             self.throughput.to_string(),
-        )?;
-        if let Some(energy) = self.energy() {
-            write!(f, "energy {:>8}  ", energy.to_string())?;
-        }
-        write!(f, "γ = {}", self.distribution)
+            self.distribution
+        )
     }
 }
 
@@ -90,12 +68,11 @@ impl ParetoSet {
     /// Inserts a candidate point, dropping it if dominated and evicting
     /// points it dominates. Returns whether the point was kept.
     ///
-    /// Dominance is the weak product order over the point's
-    /// [`ObjectiveVector`] (in the default space: `(s, t)` dominates
-    /// `(s', t')` when `s ≤ s'` and `t ≥ t'`). Zero-throughput points are
-    /// never kept (a deadlocked distribution is not a trade-off). When a
-    /// candidate ties an incumbent on *every* objective, the point with
-    /// the lexicographically smaller distribution wins — a deterministic
+    /// Dominance is the weak product order: `(s, t)` dominates `(s', t')`
+    /// when `s ≤ s'` and `t ≥ t'`. Zero-throughput points are never kept
+    /// (a deadlocked distribution is not a trade-off). When a candidate
+    /// ties an incumbent on both size and throughput, the point with the
+    /// lexicographically smaller distribution wins — a deterministic
     /// choice independent of insertion order, so parallel merges produce
     /// byte-identical fronts.
     pub fn insert(&mut self, point: ParetoPoint) -> bool {
@@ -105,7 +82,7 @@ impl ParetoSet {
         if let Some(incumbent) = self
             .points
             .iter_mut()
-            .find(|p| p.objectives == point.objectives)
+            .find(|p| (p.size, p.throughput) == (point.size, point.throughput))
         {
             if point.distribution.as_slice() < incumbent.distribution.as_slice() {
                 *incumbent = point;
@@ -113,15 +90,10 @@ impl ParetoSet {
             }
             return false;
         }
-        if self
-            .points
-            .iter()
-            .any(|p| p.objectives.dominates(&point.objectives))
-        {
+        if self.points.iter().any(|p| p.dominates(&point)) {
             return false;
         }
-        self.points
-            .retain(|p| !point.objectives.dominates(&p.objectives));
+        self.points.retain(|p| !point.dominates(p));
         let pos = self
             .points
             .partition_point(|p| (p.size, p.throughput) < (point.size, point.throughput));
@@ -132,32 +104,19 @@ impl ParetoSet {
     }
 
     /// Hard invariant check compiled in by the `strict-invariants`
-    /// feature: the front is an antichain under objective dominance and
-    /// stays sorted by (size, throughput) — in the default space that
-    /// means sizes and throughputs both strictly increase along it.
+    /// feature: the front is an antichain, so sizes and throughputs both
+    /// strictly increase along it.
     #[cfg(feature = "strict-invariants")]
     fn assert_antichain(&self) {
         for w in self.points.windows(2) {
             assert!(
-                (w[0].size, w[0].throughput) < (w[1].size, w[1].throughput),
-                "Pareto front order violated: ({}, {}) next to ({}, {})",
+                w[0].size < w[1].size && w[0].throughput < w[1].throughput,
+                "Pareto antichain violated: ({}, {}) next to ({}, {})",
                 w[0].size,
                 w[0].throughput,
                 w[1].size,
                 w[1].throughput
             );
-        }
-        for (i, p) in self.points.iter().enumerate() {
-            for (j, q) in self.points.iter().enumerate() {
-                assert!(
-                    i == j || !p.objectives.dominates(&q.objectives),
-                    "Pareto antichain violated: ({}, {}) dominates ({}, {})",
-                    p.size,
-                    p.throughput,
-                    q.size,
-                    q.throughput
-                );
-            }
         }
     }
 
@@ -266,8 +225,8 @@ mod tests {
         assert!(s.insert(pt(&[3, 3], Rational::new(1, 6))));
         assert_eq!(s.len(), 1);
         assert_eq!(s.points()[0].throughput, Rational::new(1, 6));
-        // Equal objectives: the lexicographically smaller distribution
-        // wins, whichever arrives first.
+        // Equal size and throughput: the lexicographically smaller
+        // distribution wins, whichever arrives first.
         assert!(s.insert(pt(&[2, 4], Rational::new(1, 6))));
         assert_eq!(s.points()[0].distribution.as_slice(), &[2, 4]);
         assert!(!s.insert(pt(&[3, 3], Rational::new(1, 6))));
@@ -285,30 +244,6 @@ mod tests {
         let backward: ParetoSet = candidates.iter().rev().cloned().collect();
         assert_eq!(forward, backward);
         assert_eq!(forward.points()[0].distribution.as_slice(), &[2, 4]);
-    }
-
-    fn pt3(caps: &[u64], thr: Rational, energy: Rational) -> ParetoPoint {
-        ParetoPoint::with_energy(
-            StorageDistribution::from_capacities(caps.to_vec()),
-            thr,
-            energy,
-        )
-    }
-
-    #[test]
-    fn three_dimensional_dominance_keeps_energy_incomparable_points() {
-        let mut s = ParetoSet::new();
-        assert!(s.insert(pt3(&[4, 2], Rational::new(1, 7), Rational::new(73, 1))));
-        // Bigger but same throughput with lower energy would be dominated
-        // in 2D; an honest third axis keeps it only if energy improves.
-        assert!(s.insert(pt3(&[5, 2], Rational::new(1, 7), Rational::new(60, 1))));
-        assert_eq!(s.len(), 2);
-        // With equal energy the 2D dominance argument applies again.
-        assert!(!s.insert(pt3(&[6, 2], Rational::new(1, 7), Rational::new(60, 1))));
-        // A point better on all three axes evicts both.
-        assert!(s.insert(pt3(&[4, 2], Rational::new(1, 4), Rational::new(50, 1))));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.points()[0].energy(), Some(Rational::new(50, 1)));
     }
 
     #[test]

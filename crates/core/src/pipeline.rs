@@ -48,7 +48,12 @@
 //! The emit folds it into the run's statistics, records it with the
 //! telemetry recorder when one is installed, and forwards it to the run's
 //! [`ExploreObserver`]. Checkpoint replay and failure containment also
-//! live here; the drivers (`explore`, `dependency`) are thin consumers.
+//! live here: a replayed checkpoint entry is an evaluation like any
+//! other, committed only while the cancel token holds. The pipeline
+//! answers throughputs only; the drivers (`explore`, `dependency`) are
+//! thin consumers that turn them into storage/throughput
+//! [`ParetoPoint`](crate::ParetoPoint)s, and report annotations such as
+//! energy are left to the caller's final front.
 
 use crate::bound_table::BoundTable;
 use crate::bounds::upper_bound_distribution_with;
@@ -56,15 +61,14 @@ use crate::enumerate::DistributionSpace;
 use crate::error::ExploreError;
 use crate::explore::{ExploreOptions, WarmStart};
 use crate::fault::{FaultPlan, FaultSite};
-use crate::objective::ObjectiveKind;
-use crate::pareto::{ParetoPoint, ParetoSet};
+use crate::pareto::ParetoSet;
 use crate::runtime::{
     resolve_threads, AtomicStats, CachedEval, EvaluationFailure, Event, ExplorationStats,
     ExploreObserver, SearchPhase, ShardedCache,
 };
 use buffy_analysis::{
     throughput_analysis, AnalysisError, AnalysisRequest, AnalysisWorkspace, CancelReason,
-    CancelToken, Capacities, DataflowSemantics, EnergyModel, ExplorationLimits, ThroughputAnalysis,
+    CancelToken, Capacities, DataflowSemantics, ExplorationLimits, ThroughputAnalysis,
 };
 use buffy_graph::{ActorId, Rational, StorageDistribution};
 use buffy_telemetry::{labeled, names, Span};
@@ -109,12 +113,6 @@ pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     /// workspace that survives an analysis returns to the pool; one
     /// caught in a panic is dropped (a fresh one is created on demand).
     workspaces: Mutex<Vec<AnalysisWorkspace>>,
-    /// Energy coefficients, present exactly when the declared objective
-    /// space includes the energy axis: every [`ParetoPoint`] then carries
-    /// the exact energy per iteration derived from the throughput through
-    /// [`EnergyModel::energy_per_iteration`]. `None` keeps the factory on
-    /// the paper's 2D fast path.
-    energy: Option<EnergyModel>,
 }
 
 /// Telemetry handles of one pipeline run, fetched once at construction:
@@ -125,7 +123,6 @@ pub(crate) struct EvalTelemetry {
     recorder: Arc<buffy_telemetry::Recorder>,
     latency: Arc<buffy_telemetry::Histogram>,
     short_circuits: Arc<buffy_telemetry::Counter>,
-    energy_points: Arc<buffy_telemetry::Counter>,
     /// The span of the current search phase: closed by the next
     /// [`Event::Phase`], or when the pipeline drops.
     phase: Mutex<Option<Span>>,
@@ -141,10 +138,6 @@ impl EvalTelemetry {
             short_circuits: recorder.counter(
                 names::EVALS_SHORT_CIRCUITED,
                 "Per-size sweeps cut short because the monotonicity ceiling was reached.",
-            ),
-            energy_points: recorder.counter(
-                names::ENERGY_POINTS,
-                "Pareto candidate points whose energy objective was computed.",
             ),
             phase: Mutex::new(None),
             recorder,
@@ -242,27 +235,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         model: &'a M,
         observed: ActorId,
         options: &'a ExploreOptions,
-    ) -> Result<EvalPipeline<'a, M>, ExploreError> {
-        // An inconsistent model has no repetition vector and therefore no
-        // energy coefficients — but such a model fails the bounds phase
-        // before any point is constructed, so degrading to `None` there is
-        // unobservable. Adversarial annotations overflowing the exact
-        // coefficient arithmetic are a different matter: the bounds phase
-        // would *succeed* and silently chart an energy-free front, so
-        // overflow is surfaced as the error it is.
-        let energy = if options.objectives.has(ObjectiveKind::Energy) {
-            use buffy_graph::GraphError;
-            match EnergyModel::from_semantics(model, observed) {
-                Ok(m) => Some(m),
-                Err(e @ AnalysisError::Graph(GraphError::ArithmeticOverflow { .. })) => {
-                    return Err(ExploreError::from(e))
-                }
-                Err(_) => None,
-            }
-        } else {
-            None
-        };
-        Ok(EvalPipeline {
+    ) -> EvalPipeline<'a, M> {
+        EvalPipeline {
             model,
             observed,
             limits: options.limits,
@@ -280,8 +254,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             dependencies: false,
             boxes: RwLock::new(Vec::new()),
             workspaces: Mutex::new(Vec::new()),
-            energy,
-        })
+        }
     }
 
     /// Makes every analysis of this pipeline also collect the
@@ -291,39 +264,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     pub(crate) fn collecting_dependencies(mut self) -> Self {
         self.dependencies = true;
         self
-    }
-
-    /// Builds the Pareto point of one evaluated distribution in the
-    /// declared objective space: the paper's storage/throughput pair, plus
-    /// the exact energy per iteration when the energy axis is declared.
-    ///
-    /// Energy is a pure function of the throughput through the precomputed
-    /// model, so this costs no extra analysis and the memoized
-    /// [`CachedEval`] records need no new field — checkpoint replay
-    /// reconstructs identical points for free.
-    pub(crate) fn point(
-        &self,
-        distribution: StorageDistribution,
-        throughput: Rational,
-    ) -> ParetoPoint {
-        match &self.energy {
-            Some(m) => {
-                if let Some(t) = &self.telemetry {
-                    t.energy_points.inc();
-                }
-                // The checked path: point construction runs outside the
-                // worker's panic containment, so an overflowing energy
-                // (extreme but validated coefficients at an extreme
-                // throughput) degrades to the worst representable energy
-                // — deterministic, and dominated out of any honest front
-                // — rather than aborting the run.
-                let energy = m
-                    .checked_energy_per_iteration(throughput)
-                    .unwrap_or(Rational::from_integer(i128::MAX));
-                ParetoPoint::with_energy(distribution, throughput, energy)
-            }
-            None => ParetoPoint::new(distribution, throughput),
-        }
     }
 
     /// Memoized throughput of one distribution.
@@ -551,7 +491,9 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     /// evaluation charged to the cancel token, and the failure record. A
     /// fresh answer meets a cancellation that tripped after it was
     /// computed exactly as its analysis would have met it at its first
-    /// poll, so speculative answers commit like sequential ones.
+    /// poll, so speculative answers commit like sequential ones; a
+    /// replayed answer meets it the same way, so a resumed run obeys its
+    /// budgets like a fresh one.
     fn commit(
         &self,
         dist: &StorageDistribution,
@@ -564,6 +506,9 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 Ok(entry)
             }
             Answer::Replayed(entry, states) => {
+                if let Some(reason) = self.cancel.check() {
+                    return Err(ExploreError::Cancelled { reason });
+                }
                 self.cache.insert(dist.clone(), entry.clone());
                 self.emit(Event::Evaluated {
                     dist,
@@ -783,37 +728,21 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     }
 }
 
-/// Clips a front to the requested throughput window and thins it to one
-/// point per quantization level (smallest size wins) — the shared
-/// options-semantics tail of every driver. Returns the input unchanged
-/// when no window or quantum is set.
-pub(crate) fn clip_front(
-    pareto: ParetoSet,
-    options: &ExploreOptions,
-    thr_max_graph: Rational,
-) -> ParetoSet {
-    if options.min_throughput.is_none()
-        && options.max_throughput.is_none()
-        && options.quantum.is_none()
-    {
+/// Thins a front to one point per quantization level (smallest size
+/// wins) — the shared options-semantics tail of every driver. Returns the
+/// input unchanged without a quantum.
+pub(crate) fn thin_front(pareto: ParetoSet, quantum: Option<Rational>) -> ParetoSet {
+    let Some(quantum) = quantum else {
         return pareto;
-    }
-    let min_t = options.min_throughput.unwrap_or(Rational::ZERO);
-    let max_t = options.max_throughput.unwrap_or(thr_max_graph);
+    };
     let mut thinned = ParetoSet::new();
     let mut last_level: Option<Rational> = None;
-    for p in pareto.points() {
-        if p.throughput < min_t || p.throughput > max_t {
-            continue;
-        }
-        if let Some(quantum) = options.quantum {
-            let level = p.throughput.quantize_down(quantum);
-            if last_level == Some(level) {
-                continue;
-            }
+    for p in pareto {
+        let level = p.throughput.quantize_down(quantum);
+        if last_level != Some(level) {
             last_level = Some(level);
+            thinned.insert(p);
         }
-        thinned.insert(p.clone());
     }
     thinned
 }
@@ -863,7 +792,7 @@ mod tests {
             observer: Some(replayed.clone()),
             ..ExploreOptions::default()
         };
-        let eval = EvalPipeline::new(g, g.default_observed_actor(), &options).unwrap();
+        let eval = EvalPipeline::new(g, g.default_observed_actor(), &options);
         for (dist, ..) in &evaluations {
             eval.eval(dist).unwrap();
         }
@@ -888,9 +817,8 @@ mod tests {
     fn guided_pipelines_keep_no_boxes() {
         let g = gallery::modem();
         let options = ExploreOptions::default();
-        let eval = EvalPipeline::new(&g, g.default_observed_actor(), &options)
-            .unwrap()
-            .collecting_dependencies();
+        let eval =
+            EvalPipeline::new(&g, g.default_observed_actor(), &options).collecting_dependencies();
         eval.upper_bound().unwrap();
         assert!(eval.stats().evaluations > 0);
         assert!(eval.boxes.read().unwrap().is_empty());

@@ -449,10 +449,10 @@ pub enum Event<'a> {
 ///
 /// A run receives its observer as a shared handle in
 /// [`ExploreOptions::observer`](crate::ExploreOptions::observer), hence
-/// `Send + Sync`: with multi-threaded evaluation, events arrive
-/// concurrently from worker threads, synchronously on the emitting
-/// thread. Event *order* between workers is nondeterministic; the totals
-/// are not.
+/// `Send + Sync`: sinks such as the `--serve` endpoints read what it
+/// records from other threads. Every event is emitted on the driver
+/// thread, in commit order, so a run reports the same sequence at every
+/// thread count (timing fields aside).
 pub trait ExploreObserver: Send + Sync {
     /// Receives one event.
     fn event(&self, event: &Event<'_>);

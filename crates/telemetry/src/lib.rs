@@ -160,9 +160,6 @@ pub mod names {
     /// Counter family: guided-search children skipped by the size upper
     /// bound or per-channel caps (label `reason`).
     pub const GUIDED_SKIPPED: &str = "buffy_guided_children_skipped_total";
-    /// Counter: Pareto candidate points whose energy objective was
-    /// computed from the actor power model.
-    pub const ENERGY_POINTS: &str = "buffy_energy_points_total";
     /// Counter: trace events dropped after the in-memory buffer cap.
     pub const TRACE_DROPPED: &str = "buffy_trace_events_dropped_total";
     /// Counter: checkpoint saves that failed after exhausting the retry

@@ -1,55 +1,57 @@
-//! Energy-aware Pareto exploration of the power-annotated modem.
+//! Energy-annotated Pareto exploration of the power-annotated modem.
 //!
-//! Explores the modem graph in the three-axis objective space
-//! (storage, throughput, energy) and shows that
+//! Explores the modem graph's storage/throughput front and annotates each
+//! point with its energy per graph iteration, the way the CLI does for
+//! `--objectives storage,throughput,energy`. It shows that
 //!
-//! 1. every front point carries the exact rational energy per graph
-//!    iteration derived from the actor power annotations,
-//! 2. the energy figures agree with an independent oracle that walks the
+//! 1. the closed-form energy model, built once from the actor power
+//!    annotations, gives every front point an exact rational energy,
+//! 2. those figures agree with an independent oracle that walks the
 //!    periodic phase of each point's actual schedule, and
-//! 3. the front itself is byte-identical to the default 2D run — energy
-//!    is a monotone function of throughput, so declaring the axis never
-//!    changes which distributions are Pareto-optimal.
+//! 3. energy falls along the front: faster schedules waste less idle
+//!    energy per iteration.
 //!
 //! Run with: `cargo run --release -p buffy-examples --bin energy_pareto`
 
-use buffy_analysis::{schedule_energy_per_iteration, ExplorationLimits, Schedule};
-use buffy_core::{explore_dependency_guided, ExploreOptions, ObjectiveSpace};
+use buffy_analysis::{schedule_energy_per_iteration, EnergyModel, ExplorationLimits, Schedule};
+use buffy_core::{explore_dependency_guided, ExploreOptions};
 use buffy_gen::gallery;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = gallery::modem_power();
     let observed = graph.default_observed_actor();
 
-    let opts = ExploreOptions {
-        objectives: ObjectiveSpace::with_energy(),
-        ..ExploreOptions::default()
-    };
-    let result = explore_dependency_guided(&graph, &opts)?;
+    let result = explore_dependency_guided(&graph, &ExploreOptions::default())?;
+    let model = EnergyModel::from_semantics(&graph, observed)?;
+    let energies: Vec<_> = result
+        .pareto
+        .points()
+        .iter()
+        .map(|p| model.energy_per_iteration(p.throughput))
+        .collect();
 
     println!(
-        "energy-aware Pareto space of the modem ({} analyses):",
+        "energy-annotated Pareto space of the modem ({} analyses):",
         result.stats.evaluations
     );
-    for p in result.pareto.points() {
+    for (p, energy) in result.pareto.points().iter().zip(&energies) {
         println!(
             "  size {:>3}  throughput {:>6}  energy/iteration {:>10}",
             p.size,
             p.throughput.to_string(),
-            p.energy().expect("energy axis declared").to_string()
+            energy.to_string()
         );
     }
 
     // Cross-check each point against the schedule-walking oracle: the
     // closed-form energy must match the energy summed over the periodic
     // phase of the point's actual self-timed schedule.
-    for p in result.pareto.points() {
+    for (p, &energy) in result.pareto.points().iter().zip(&energies) {
         let schedule = Schedule::extract(&graph, &p.distribution, ExplorationLimits::default())?;
         let oracle = schedule_energy_per_iteration(&graph, &schedule, observed)
             .expect("Pareto points never deadlock");
         assert_eq!(
-            p.energy().expect("energy axis declared"),
-            oracle,
+            energy, oracle,
             "closed-form energy must match the schedule walk for γ = {}",
             p.distribution
         );
@@ -59,32 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.pareto.len()
     );
 
-    // Declaring the energy axis must not move the front: project it back
-    // to (size, throughput) and compare with a default-space run.
-    let plain = explore_dependency_guided(&graph, &ExploreOptions::default())?;
-    assert_eq!(
-        result
-            .pareto
-            .points()
-            .iter()
-            .map(|p| (p.size, p.throughput, p.distribution.clone()))
-            .collect::<Vec<_>>(),
-        plain
-            .pareto
-            .points()
-            .iter()
-            .map(|p| (p.size, p.throughput, p.distribution.clone()))
-            .collect::<Vec<_>>(),
-        "the 2D projection of the 3D front must equal the default front"
-    );
-    println!("2D projection matches the default storage/throughput front");
-
     // Energy falls as the buffers grow: more storage lets the graph run
     // faster, and idle energy per iteration shrinks with the period.
-    for pair in result.pareto.points().windows(2) {
-        let (a, b) = (&pair[0], &pair[1]);
+    for pair in energies.windows(2) {
         assert!(
-            b.energy() <= a.energy(),
+            pair[1] <= pair[0],
             "energy must be non-increasing along the front"
         );
     }

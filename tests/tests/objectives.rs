@@ -1,47 +1,32 @@
-//! Properties of the n-dimensional objective space.
+//! Properties of the objective space and of the energy annotation.
 //!
-//! The refactor from the hardcoded storage/throughput pair to declared
-//! [`ObjectiveSpace`]s must be invisible in the default space: fronts and
-//! statistics stay byte-identical at any thread count, fresh or warm
-//! started from a checkpoint of the run, for SDF and CSDF models alike. Declaring the energy axis
-//! attaches an exact rational energy per iteration to every point without
-//! moving the front (energy is a monotone function of throughput, so 3D
-//! dominance coincides with 2D dominance on evaluated points — the same
-//! argument that keeps the searches' throughput-only pruning sound). These
-//! tests pin each of those claims, including the energy figures against
-//! a hand-computed value and an independent schedule-walking oracle.
+//! Searches rank points on storage and throughput alone, whatever axes an
+//! [`ObjectiveSpace`] declares: fronts and statistics stay byte-identical
+//! at any thread count, fresh or warm started from a checkpoint of the
+//! run, for SDF and CSDF models alike. Energy annotates the final front
+//! through the closed-form [`EnergyModel`]; its figures are pinned against
+//! a hand-computed value and an independent schedule-walking oracle. The
+//! `--objectives` declaration itself must parse and print round trip.
 
 use buffy_analysis::DataflowSemantics;
-use buffy_analysis::{schedule_energy_per_iteration, throughput, ExplorationLimits, Schedule};
-use buffy_core::{
-    explore_dependency_guided, explore_design_space, Event, ExplorationResult, ExploreObserver,
-    ExploreOptions, ObjectiveKind, ObjectiveSpace, ParetoPoint, WarmStart,
+use buffy_analysis::{
+    schedule_energy_per_iteration, throughput, EnergyModel, ExplorationLimits, Schedule,
 };
-use buffy_csdf::CsdfGraph;
+use buffy_core::{
+    explore_dependency_guided, explore_design_space, Event, ExploreObserver, ExploreOptions,
+    ObjectiveKind, ObjectiveSpace, ParetoPoint, WarmStart,
+};
 use buffy_gen::gallery;
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 use buffy_integration_tests::test_threads;
 use std::sync::{Arc, Mutex};
 
-/// The front rendered to bytes, including any energy values, so two runs
-/// compare byte-for-byte.
+/// The front rendered to bytes, so two runs compare byte-for-byte.
 fn front_bytes(points: &[ParetoPoint]) -> String {
     points
         .iter()
-        .map(|p| {
-            format!(
-                "{};{};{:?};{}\n",
-                p.size,
-                p.throughput,
-                p.energy(),
-                p.distribution
-            )
-        })
+        .map(|p| format!("{};{};{}\n", p.size, p.throughput, p.distribution))
         .collect()
-}
-
-fn explore_sdf(graph: &SdfGraph, opts: ExploreOptions) -> ExplorationResult {
-    explore_design_space(graph, &opts).unwrap()
 }
 
 /// The example graph of the paper with every actor annotated
@@ -53,16 +38,6 @@ fn powered_example() -> SdfGraph {
     let c = b.actor_with_power("c", 2, 10, 2).unwrap();
     b.channel("alpha", a, 2, bb, 3).unwrap();
     b.channel("beta", bb, 1, c, 2).unwrap();
-    b.build().unwrap()
-}
-
-/// A small power-annotated CSDF graph: a bursty two-phase producer
-/// feeding a unit-rate consumer.
-fn powered_updown() -> CsdfGraph {
-    let mut b = CsdfGraph::builder("updown-power");
-    let p = b.actor_with_power("p", vec![1, 1], 8, 3).unwrap();
-    let c = b.actor_with_power("c", vec![1], 5, 1).unwrap();
-    b.channel("d", p, vec![2, 0], c, vec![1], 0).unwrap();
     b.build().unwrap()
 }
 
@@ -101,11 +76,6 @@ fn assert_default_space_is_byte_identical<M: DataflowSemantics + Sync>(graph: &M
         },
     )
     .unwrap();
-    assert!(reference
-        .pareto
-        .points()
-        .iter()
-        .all(|p| p.energy().is_none()));
     let warm = Arc::new(std::mem::take(&mut *checkpoint.entries.lock().unwrap()));
     for threads in [1, test_threads()] {
         for warm_start in [None, Some(warm.clone())] {
@@ -115,7 +85,6 @@ fn assert_default_space_is_byte_identical<M: DataflowSemantics + Sync>(graph: &M
                 &ExploreOptions {
                     threads,
                     warm_start,
-                    objectives: ObjectiveSpace::default_2d(),
                     ..ExploreOptions::default()
                 },
             )
@@ -166,146 +135,38 @@ fn energy_matches_the_hand_computed_value_on_the_example() {
     let t = throughput(&graph, &dist, obs).unwrap().throughput;
     assert_eq!(t, Rational::new(1, 7));
 
-    let result = explore_sdf(
-        &graph,
-        ExploreOptions {
-            objectives: ObjectiveSpace::with_energy(),
-            ..ExploreOptions::default()
-        },
-    );
+    let result = explore_design_space(&graph, &ExploreOptions::default()).unwrap();
     let point = result
         .pareto
         .points()
         .iter()
         .find(|p| p.distribution == dist)
         .expect("⟨4, 2⟩ is the minimal live distribution and on the front");
-    assert_eq!(point.energy(), Some(Rational::new(114, 1)));
+    let model = EnergyModel::from_semantics(&graph, obs).unwrap();
+    assert_eq!(
+        model.energy_per_iteration(point.throughput),
+        Rational::new(114, 1)
+    );
 }
 
 #[test]
 fn energy_matches_the_schedule_walking_oracle_on_the_modem() {
     let graph = gallery::modem_power();
     let obs = graph.default_observed_actor();
-    let result = explore_dependency_guided(
-        &graph,
-        &ExploreOptions {
-            objectives: ObjectiveSpace::with_energy(),
-            ..ExploreOptions::default()
-        },
-    )
-    .unwrap();
+    let result = explore_dependency_guided(&graph, &ExploreOptions::default()).unwrap();
     assert!(!result.pareto.is_empty());
+    let model = EnergyModel::from_semantics(&graph, obs).unwrap();
     for p in result.pareto.points() {
         let schedule =
             Schedule::extract(&graph, &p.distribution, ExplorationLimits::default()).unwrap();
         let oracle = schedule_energy_per_iteration(&graph, &schedule, obs)
             .expect("Pareto points never deadlock");
         assert_eq!(
-            p.energy(),
-            Some(oracle),
+            model.energy_per_iteration(p.throughput),
+            oracle,
             "closed-form energy must match the schedule walk for γ = {}",
             p.distribution
         );
-    }
-}
-
-#[test]
-fn three_d_front_projects_onto_the_default_front() {
-    // Energy is monotone non-increasing in throughput, so declaring the
-    // axis must neither add nor remove points: the (size, throughput, γ)
-    // projection of the 3D front equals the 2D front exactly. Checked on
-    // SDF and CSDF models, across thread counts.
-    let graph = gallery::modem_power();
-    let plain = explore_sdf(&graph, ExploreOptions::default());
-    for threads in [1, test_threads()] {
-        let energetic = explore_sdf(
-            &graph,
-            ExploreOptions {
-                threads,
-                objectives: ObjectiveSpace::with_energy(),
-                ..ExploreOptions::default()
-            },
-        );
-        assert_eq!(
-            plain
-                .pareto
-                .points()
-                .iter()
-                .map(|p| (p.size, p.throughput, p.distribution.clone()))
-                .collect::<Vec<_>>(),
-            energetic
-                .pareto
-                .points()
-                .iter()
-                .map(|p| (p.size, p.throughput, p.distribution.clone()))
-                .collect::<Vec<_>>(),
-            "the 3D front must project onto the default front"
-        );
-        // Same evaluations either way: the energy axis is derived from
-        // recorded throughputs, never simulated separately.
-        assert_eq!(plain.stats, energetic.stats);
-        for p in energetic.pareto.points() {
-            assert!(p.energy().is_some());
-        }
-    }
-
-    let csdf = powered_updown();
-    let plain = explore_design_space(&csdf, &ExploreOptions::default()).unwrap();
-    let energetic = explore_design_space(
-        &csdf,
-        &ExploreOptions {
-            objectives: ObjectiveSpace::with_energy(),
-            ..ExploreOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        plain
-            .pareto
-            .points()
-            .iter()
-            .map(|p| (p.size, p.throughput, p.distribution.clone()))
-            .collect::<Vec<_>>(),
-        energetic
-            .pareto
-            .points()
-            .iter()
-            .map(|p| (p.size, p.throughput, p.distribution.clone()))
-            .collect::<Vec<_>>()
-    );
-    assert!(energetic
-        .pareto
-        .points()
-        .iter()
-        .all(|p| p.energy().is_some()));
-}
-
-#[test]
-fn throughput_only_pruning_stays_sound_under_the_energy_axis() {
-    // The guided search decides what to skip from throughputs and
-    // storage dependencies only. Because E(t) = W + I·f/t with
-    // W, I, f ≥ 0 is non-increasing in t, a skipped distribution can
-    // never have offered strictly lower energy at comparable throughput —
-    // so the guided and exhaustive energy-aware runs chart the same 3D
-    // front.
-    let graph = gallery::modem_power();
-    let options = ExploreOptions {
-        objectives: ObjectiveSpace::with_energy(),
-        ..ExploreOptions::default()
-    };
-    let exhaustive = explore_sdf(&graph, options.clone());
-    let guided = explore_dependency_guided(&graph, &options).unwrap();
-    let objectives = |r: &ExplorationResult| {
-        r.pareto
-            .points()
-            .iter()
-            .map(|p| (p.size, p.throughput, p.energy()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(objectives(&exhaustive), objectives(&guided));
-    // Energy falls (weakly) along the front as throughput rises.
-    for pair in exhaustive.pareto.points().windows(2) {
-        assert!(pair[1].energy() <= pair[0].energy());
     }
 }
 

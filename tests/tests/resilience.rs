@@ -7,7 +7,8 @@
 //!   sizes it never settled with a sound throughput ceiling.
 //! * **Resume determinism** — replaying the evaluations recorded from an
 //!   interrupted run as a warm start reproduces the exact front and
-//!   statistics byte-for-byte, sequentially and in parallel.
+//!   statistics byte-for-byte, sequentially and in parallel; a resumed
+//!   run obeys an evaluation budget like a fresh one.
 //! * **Panic containment** — an evaluation that panics inside a worker
 //!   degrades to a zero-throughput entry; the run completes, reports the
 //!   failure, and stays deterministic across thread counts.
@@ -15,10 +16,10 @@
 use std::sync::{Arc, Mutex};
 
 use buffy_core::{
-    explore_design_space, CancelReason, CancelToken, Event, ExplorationResult, ExploreError,
-    ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
+    explore_dependency_guided, explore_design_space, CancelReason, CancelToken, Event,
+    ExplorationResult, ExploreError, ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
 };
-use buffy_gen::{RandomGraphConfig, SplitMix64};
+use buffy_gen::{gallery, RandomGraphConfig, SplitMix64};
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 use buffy_integration_tests::test_threads;
 
@@ -218,6 +219,70 @@ fn resume_from_recorded_evaluations_is_byte_identical() {
             assert_eq!(resumed.max_throughput, exact.max_throughput);
             assert_eq!(resumed.lower_bound_size, exact.lower_bound_size);
             assert_eq!(resumed.upper_bound_size, exact.upper_bound_size);
+        }
+    }
+}
+
+/// A run resumed from its own complete checkpoint obeys an evaluation
+/// budget: replayed entries are evaluations, charged and refused after the
+/// budget trips like fresh analyses. For every budget `b` up to the run's
+/// own count `N`, the resumed run reports at most `b` evaluations (or is
+/// cancelled before any result) and is never exact below `N`; the
+/// exhaustive driver is exact at `N`. (A resumed guided run still needs
+/// uncounted analyses for the flags its replayed entries lack, which a
+/// tripped budget refuses, so at `N` it may stay partial.)
+#[test]
+fn resumed_runs_obey_the_evaluation_budget() {
+    type Driver = fn(&SdfGraph, &ExploreOptions) -> Result<ExplorationResult, ExploreError>;
+    let exhaustive: Driver = explore_design_space::<SdfGraph>;
+    let guided: Driver = explore_dependency_guided::<SdfGraph>;
+    for (graph, driver, name) in [
+        (gallery::example(), exhaustive, "exhaustive"),
+        (gallery::modem(), exhaustive, "exhaustive"),
+        (gallery::cd2dat(), exhaustive, "exhaustive"),
+        (gallery::example(), guided, "guided"),
+        (gallery::modem(), guided, "guided"),
+    ] {
+        let rec = Arc::new(Recorder::default());
+        let full = driver(
+            &graph,
+            &ExploreOptions {
+                observer: Some(rec.clone()),
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
+        let n = full.stats.evaluations;
+        let warm = Arc::new(rec.take_warm_start());
+        for budget in 1..=n {
+            let label = format!("{} {name}, budget {budget} of {n}", graph.name());
+            let resumed = driver(
+                &graph,
+                &ExploreOptions {
+                    cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget))),
+                    warm_start: Some(Arc::clone(&warm)),
+                    ..ExploreOptions::default()
+                },
+            );
+            let r = match resumed {
+                Err(ExploreError::Cancelled { reason }) => {
+                    assert_eq!(reason, CancelReason::EvaluationBudget, "{label}");
+                    assert!(budget < n, "{label}: cancelled at the full budget");
+                    continue;
+                }
+                other => other.unwrap(),
+            };
+            assert!(r.stats.evaluations <= budget, "{label}: {}", r.stats);
+            if budget < n {
+                assert!(!r.completeness.exact, "{label}: exact below N");
+            } else if name == "exhaustive" {
+                assert!(r.completeness.exact, "{label}: partial at N");
+                assert_eq!(
+                    front_bytes(r.pareto.points()),
+                    front_bytes(full.pareto.points()),
+                    "{label}"
+                );
+            }
         }
     }
 }
